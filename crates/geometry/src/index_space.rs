@@ -3,6 +3,7 @@
 use crate::point::Point;
 use crate::rect::Rect;
 use std::fmt;
+use std::sync::Arc;
 
 /// A set of points in the index space, stored as a list of **disjoint**
 /// rectangles sorted by `(lo.y, lo.x)` with adjacent rectangles coalesced
@@ -19,16 +20,31 @@ use std::fmt;
 /// The rectangle list is kept normalized, so structural equality of two
 /// spaces is *not* guaranteed for equal point sets built differently; use
 /// [`IndexSpace::same_points`] for set equality.
+///
+/// The list is immutable and reference-counted: every operation builds its
+/// result in a `Vec` and freezes it once, so `clone()` is a pointer copy and
+/// the interner, the equivalence sets and every stored plan that name the
+/// same space share one allocation. Equality and hashing stay
+/// content-based.
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct IndexSpace {
-    rects: Vec<Rect>,
+    rects: Arc<[Rect]>,
 }
 
 impl IndexSpace {
     /// The empty set.
     #[inline]
     pub fn empty() -> Self {
-        IndexSpace { rects: Vec::new() }
+        Self::default()
+    }
+
+    /// Freeze a list that already satisfies the invariant (disjoint, in
+    /// normal form).
+    #[inline]
+    fn frozen(rects: Vec<Rect>) -> Self {
+        IndexSpace {
+            rects: rects.into(),
+        }
     }
 
     /// A dense rectangle.
@@ -36,7 +52,9 @@ impl IndexSpace {
         if r.is_empty() {
             Self::empty()
         } else {
-            IndexSpace { rects: vec![r] }
+            IndexSpace {
+                rects: Arc::new([r]),
+            }
         }
     }
 
@@ -48,12 +66,12 @@ impl IndexSpace {
     /// Build from arbitrary (possibly overlapping, possibly empty)
     /// rectangles.
     pub fn from_rects<I: IntoIterator<Item = Rect>>(rects: I) -> Self {
-        let mut acc = Self::empty();
+        let mut acc = Vec::new();
         for r in rects {
-            acc.add_rect(r);
+            Self::add_rect(&mut acc, r);
         }
-        acc.normalize();
-        acc
+        Self::normalize(&mut acc);
+        Self::frozen(acc)
     }
 
     /// Build from a set of points; consecutive 1-D runs are coalesced.
@@ -79,20 +97,20 @@ impl IndexSpace {
         if let Some(r) = run {
             rects.push(r);
         }
-        let mut s = IndexSpace { rects };
-        s.normalize();
-        s
+        Self::normalize(&mut rects);
+        Self::frozen(rects)
     }
 
-    /// Add a rectangle's points (keeps the disjointness invariant, does not
-    /// re-normalize; callers batch adds and call `normalize` once).
-    fn add_rect(&mut self, r: Rect) {
+    /// Add a rectangle's points to a disjoint list (keeps the disjointness
+    /// invariant, does not re-normalize; callers batch adds and call
+    /// `normalize` once).
+    fn add_rect(rects: &mut Vec<Rect>, r: Rect) {
         if r.is_empty() {
             return;
         }
         // Insert only the parts of `r` not already covered.
         let mut pending = vec![r];
-        for have in &self.rects {
+        for have in rects.iter() {
             if pending.is_empty() {
                 break;
             }
@@ -106,7 +124,7 @@ impl IndexSpace {
             }
             pending = next;
         }
-        self.rects.extend(pending);
+        rects.extend(pending);
     }
 
     /// Restore sorted order and coalesce adjacent rectangles.
@@ -118,16 +136,16 @@ impl IndexSpace {
     /// linear — the vertical pass tracks the most recent rectangle per
     /// column band (within a band, row-major order is ascending `lo.y`, so
     /// only band-consecutive rectangles can be y-adjacent).
-    fn normalize(&mut self) {
-        if self.rects.len() <= 1 {
+    fn normalize(rects: &mut Vec<Rect>) {
+        if rects.len() <= 1 {
             return;
         }
-        self.rects.sort_unstable_by_key(|r| (r.lo, r.hi));
+        rects.sort_unstable_by_key(|r| (r.lo, r.hi));
         loop {
             let mut merged = false;
             // Horizontal merge: same row band, x-adjacent.
-            let mut out: Vec<Rect> = Vec::with_capacity(self.rects.len());
-            for r in self.rects.drain(..) {
+            let mut out: Vec<Rect> = Vec::with_capacity(rects.len());
+            for r in rects.drain(..) {
                 if let Some(last) = out.last_mut() {
                     if last.lo.y == r.lo.y && last.hi.y == r.hi.y && last.hi.x + 1 == r.lo.x {
                         last.hi.x = r.hi.x;
@@ -152,7 +170,7 @@ impl IndexSpace {
                 col.insert((r.lo.x, r.hi.x), vout.len());
                 vout.push(r);
             }
-            self.rects = vout;
+            *rects = vout;
             if !merged {
                 break;
             }
@@ -232,8 +250,8 @@ impl IndexSpace {
             }
             return false;
         }
-        for a in &self.rects {
-            for b in &other.rects {
+        for a in self.rects.iter() {
+            for b in other.rects.iter() {
                 if a.overlaps(b) {
                     return true;
                 }
@@ -269,11 +287,11 @@ impl IndexSpace {
                     j += 1;
                 }
             }
-            return IndexSpace { rects };
+            return Self::frozen(rects);
         }
         let mut rects = Vec::new();
-        for a in &self.rects {
-            for b in &other.rects {
+        for a in self.rects.iter() {
+            for b in other.rects.iter() {
                 let i = a.intersect(b);
                 if !i.is_empty() {
                     rects.push(i);
@@ -281,9 +299,8 @@ impl IndexSpace {
             }
         }
         // Pairwise intersections of two disjoint families are disjoint.
-        let mut s = IndexSpace { rects };
-        s.normalize();
-        s
+        Self::normalize(&mut rects);
+        Self::frozen(rects)
     }
 
     /// `X\Y`: the subset of `self` not sharing points with `other`.
@@ -298,7 +315,7 @@ impl IndexSpace {
             // Linear sweep: walk each of our runs, carving out the other's.
             let mut rects = Vec::new();
             let mut j = 0;
-            for a in &self.rects {
+            for a in self.rects.iter() {
                 let mut cur = a.lo.x;
                 let end = a.hi.x;
                 while j < other.rects.len() && other.rects[j].hi.x < cur {
@@ -326,10 +343,10 @@ impl IndexSpace {
                     _ => out.push(r),
                 }
             }
-            return IndexSpace { rects: out };
+            return Self::frozen(out);
         }
-        let mut pending: Vec<Rect> = self.rects.clone();
-        for b in &other.rects {
+        let mut pending: Vec<Rect> = self.rects.to_vec();
+        for b in other.rects.iter() {
             if pending.is_empty() {
                 break;
             }
@@ -343,9 +360,8 @@ impl IndexSpace {
             }
             pending = next;
         }
-        let mut s = IndexSpace { rects: pending };
-        s.normalize();
-        s
+        Self::normalize(&mut pending);
+        Self::frozen(pending)
     }
 
     /// `X ∪ Y` as point sets.
@@ -377,14 +393,14 @@ impl IndexSpace {
                     _ => rects.push(Rect::xy(next.lo.x, next.hi.x, ylo, yhi)),
                 }
             }
-            return IndexSpace { rects };
+            return Self::frozen(rects);
         }
-        let mut s = self.clone();
-        for r in &other.rects {
-            s.add_rect(*r);
+        let mut rects = self.rects.to_vec();
+        for r in other.rects.iter() {
+            Self::add_rect(&mut rects, *r);
         }
-        s.normalize();
-        s
+        Self::normalize(&mut rects);
+        Self::frozen(rects)
     }
 
     /// Does `self` contain every point of `other`?
@@ -615,13 +631,14 @@ mod tests {
             }
             // Replay from_rects by hand so the oracle sees the same raw
             // disjoint list the new normalize sees.
-            let mut s = IndexSpace::empty();
+            let mut rects = Vec::new();
             for r in &raw {
-                s.add_rect(*r);
+                IndexSpace::add_rect(&mut rects, *r);
             }
-            let expect = normalize_oracle(s.rects.clone());
-            s.normalize();
-            assert_eq!(s.rects, expect, "normalize diverged from oracle on {raw:?}");
+            let expect = normalize_oracle(rects.clone());
+            IndexSpace::normalize(&mut rects);
+            assert_eq!(rects, expect, "normalize diverged from oracle on {raw:?}");
+            let s = IndexSpace::frozen(rects);
             let direct = IndexSpace::from_points(raw.iter().flat_map(|r| r.points()));
             assert_eq!(s.volume(), direct.volume());
             assert!(s.same_points(&direct));

@@ -10,13 +10,19 @@
 //! * [`SpaceInterner`] stores each distinct (structurally normalized) space
 //!   once, content-addressed with the [`crate::hash`] machinery. A
 //!   [`SpaceId`] is a handle; id equality is structural space equality.
-//! * [`AlgebraCache`] memoizes `(op, lhs, rhs) → result` with a bounded
-//!   segmented-LRU eviction policy.
-//! * [`SpaceAlgebra`] combines both behind the operation API the engines
-//!   use, trying cheap structural fast paths (identical ids, empty operands,
-//!   bounding-box disjointness, single-rect pairs, contained-bbox dominance)
-//!   before consulting the cache, and only then falling back to the
-//!   rectangle sweep.
+//! * [`SpaceAlgebra`] adds a memo table `(op, lhs, rhs) → result` keyed on
+//!   interned ids behind the operation API the engines use, trying cheap
+//!   structural fast paths (identical ids, empty operands, bounding-box
+//!   disjointness, single-rect pairs, contained-bbox dominance) before
+//!   consulting the memo, and only then falling back to the rectangle sweep.
+//!
+//! **Memo lifetime = operand lifetime.** An entry exists only for a pair of
+//! interned ids and dies when the interner does; nothing is evicted. A
+//! capacity would bound nothing that matters — every `Space` result an
+//! eviction forgets stays in the interner (KBs per space), so evicting saves
+//! a 24-byte key and pays a full sweep to recompute an id the interner still
+//! holds — and a loop-shaped working set one entry larger than the capacity
+//! is the LRU worst case: every lookup misses.
 //!
 //! **Structural fidelity invariant:** analysis results are compared with
 //! structural (`PartialEq`, rect-list) equality, so every fast path and
@@ -31,6 +37,7 @@
 use crate::hash::{FxHashMap, FxHasher};
 use crate::index_space::IndexSpace;
 use crate::rect::Rect;
+use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 
 /// Handle to an interned [`IndexSpace`]. Two ids are equal iff the spaces
@@ -52,54 +59,24 @@ impl SpaceId {
 ///
 /// | env var | default | meaning |
 /// |---|---|---|
-/// | `VIZ_INTERN` | `1` | `0`/`false`/`off` disables fast paths + cache (direct sweeps) |
-/// | `VIZ_ALGEBRA_CACHE_CAP` | `4096` | per-shard algebra-cache capacity (entries) |
+/// | `VIZ_INTERN` | `1` | `0`/`false`/`off` disables fast paths + memo (direct sweeps) |
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct InternConfig {
     /// When false, every operation runs the direct rectangle sweep:
     /// interning still provides shared storage, but no fast path and no
-    /// cached result is ever used.
+    /// memoized result is ever used.
     pub enabled: bool,
-    /// Algebra-cache capacity in entries (0 disables caching only).
-    pub cache_cap: usize,
 }
-
-pub const DEFAULT_ALGEBRA_CACHE_CAP: usize = 4096;
 
 impl Default for InternConfig {
     fn default() -> Self {
-        InternConfig {
-            enabled: true,
-            cache_cap: DEFAULT_ALGEBRA_CACHE_CAP,
-        }
+        InternConfig { enabled: true }
     }
 }
 
 impl InternConfig {
-    /// Read `VIZ_INTERN` / `VIZ_ALGEBRA_CACHE_CAP` from the environment.
-    #[deprecated(
-        since = "0.9.0",
-        note = "env parsing moved behind the runtime's config front door: \
-                use viz_runtime::config::env_intern(), or pin the config \
-                explicitly with RuntimeConfig::intern"
-    )]
-    pub fn from_env() -> Self {
-        let enabled = match std::env::var("VIZ_INTERN") {
-            Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | "no"),
-            Err(_) => true,
-        };
-        let cache_cap = std::env::var("VIZ_ALGEBRA_CACHE_CAP")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_ALGEBRA_CACHE_CAP);
-        InternConfig { enabled, cache_cap }
-    }
-
     pub fn disabled() -> Self {
-        InternConfig {
-            enabled: false,
-            ..Self::default()
-        }
+        InternConfig { enabled: false }
     }
 }
 
@@ -107,17 +84,15 @@ impl InternConfig {
 /// viz-profile by the engines.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct AlgebraStats {
-    /// Cache lookups answered from the memo table.
+    /// Lookups answered from the memo table.
     pub hits: u64,
-    /// Cache lookups that fell through to the rectangle sweep.
+    /// Lookups that fell through to the rectangle sweep.
     pub misses: u64,
-    /// Operations answered by a structural fast path (no sweep, no cache).
+    /// Operations answered by a structural fast path (no sweep, no memo).
     pub fast_hits: u64,
-    /// Entries dropped by segmented-LRU eviction.
-    pub evictions: u64,
     /// Distinct spaces currently interned.
     pub interned: usize,
-    /// Entries currently cached.
+    /// Entries currently memoized.
     pub cache_entries: usize,
 }
 
@@ -128,7 +103,6 @@ impl AlgebraStats {
             hits: self.hits - prev.hits,
             misses: self.misses - prev.misses,
             fast_hits: self.fast_hits - prev.fast_hits,
-            evictions: self.evictions - prev.evictions,
             interned: self.interned,
             cache_entries: self.cache_entries,
         }
@@ -185,7 +159,8 @@ impl SpaceInterner {
         self.spaces.is_empty()
     }
 
-    /// Intern by reference (clones only on first sight).
+    /// Intern a space. First sight stores a handle to the caller's rect
+    /// storage ([`IndexSpace`] is reference-counted), not a copy.
     pub fn intern(&mut self, space: &IndexSpace) -> SpaceId {
         let h = content_hash(space);
         let bucket = self.by_hash.entry(h).or_default();
@@ -199,24 +174,6 @@ impl SpaceInterner {
         self.spaces.push(InternedSpace {
             bbox: space.bbox(),
             space: space.clone(),
-        });
-        SpaceId(slot)
-    }
-
-    /// Intern an owned space (no clone on first sight).
-    pub fn intern_owned(&mut self, space: IndexSpace) -> SpaceId {
-        let h = content_hash(&space);
-        let bucket = self.by_hash.entry(h).or_default();
-        for &slot in bucket.iter() {
-            if self.spaces[slot as usize].space == space {
-                return SpaceId(slot);
-            }
-        }
-        let slot = self.spaces.len() as u32;
-        bucket.push(slot);
-        self.spaces.push(InternedSpace {
-            bbox: space.bbox(),
-            space,
         });
         SpaceId(slot)
     }
@@ -244,89 +201,22 @@ pub enum AlgebraOp {
     Contains,
 }
 
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum CacheVal {
-    Space(SpaceId),
-    Flag(bool),
-}
-
-type CacheKey = (AlgebraOp, SpaceId, SpaceId);
-
-/// Bounded memo table for pairwise algebra results.
-///
-/// Eviction is segmented LRU: entries start in the *hot* generation; when
-/// the hot generation fills to half the capacity it is demoted wholesale to
-/// *cold* and the previous cold generation (entries not touched for a full
-/// generation) is dropped. Lookups promote cold entries back to hot. This
-/// keeps every operation O(1) while approximating LRU closely enough for
-/// the loop-shaped reuse the engines exhibit.
-pub struct AlgebraCache {
-    hot: FxHashMap<CacheKey, CacheVal>,
-    cold: FxHashMap<CacheKey, CacheVal>,
-    cap: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl AlgebraCache {
-    pub fn new(cap: usize) -> Self {
-        AlgebraCache {
-            hot: FxHashMap::default(),
-            cold: FxHashMap::default(),
-            cap,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.hot.len() + self.cold.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.hot.is_empty() && self.cold.is_empty()
-    }
-
-    fn get(&mut self, key: &CacheKey) -> Option<CacheVal> {
-        if let Some(v) = self.hot.get(key) {
-            self.hits += 1;
-            return Some(*v);
-        }
-        if let Some(v) = self.cold.remove(key) {
-            self.hits += 1;
-            self.promote(*key, v);
-            return Some(v);
-        }
-        self.misses += 1;
-        None
-    }
-
-    fn insert(&mut self, key: CacheKey, val: CacheVal) {
-        if self.cap == 0 {
-            return;
-        }
-        self.promote(key, val);
-    }
-
-    fn promote(&mut self, key: CacheKey, val: CacheVal) {
-        if self.hot.len() >= self.cap.div_ceil(2) {
-            let demoted = std::mem::take(&mut self.hot);
-            self.evictions += self.cold.len() as u64;
-            self.cold = demoted;
-        }
-        self.hot.insert(key, val);
-    }
-}
+type PairKey = (AlgebraOp, SpaceId, SpaceId);
 
 /// The engines' view of the layer: an interner plus a memo table plus the
 /// structural fast paths, behind the same operation vocabulary as
 /// [`IndexSpace`] itself.
 pub struct SpaceAlgebra {
     interner: SpaceInterner,
-    cache: AlgebraCache,
+    /// Pairwise results, never evicted (see the module docs): one table
+    /// per result type keeps an entry at 16 bytes.
+    spaces: FxHashMap<PairKey, SpaceId>,
+    flags: FxHashMap<PairKey, bool>,
+    /// [`SpaceAlgebra::union_all`] results, keyed on the whole operand list.
+    folds: FxHashMap<Box<[SpaceId]>, SpaceId>,
     enabled: bool,
+    hits: u64,
+    misses: u64,
     fast_hits: u64,
 }
 
@@ -340,8 +230,12 @@ impl SpaceAlgebra {
     pub fn new(config: InternConfig) -> Self {
         SpaceAlgebra {
             interner: SpaceInterner::new(),
-            cache: AlgebraCache::new(if config.enabled { config.cache_cap } else { 0 }),
+            spaces: FxHashMap::default(),
+            flags: FxHashMap::default(),
+            folds: FxHashMap::default(),
             enabled: config.enabled,
+            hits: 0,
+            misses: 0,
             fast_hits: 0,
         }
     }
@@ -354,11 +248,6 @@ impl SpaceAlgebra {
     #[inline]
     pub fn intern(&mut self, space: &IndexSpace) -> SpaceId {
         self.interner.intern(space)
-    }
-
-    #[inline]
-    pub fn intern_owned(&mut self, space: IndexSpace) -> SpaceId {
-        self.interner.intern_owned(space)
     }
 
     /// Resolve an id.
@@ -380,12 +269,45 @@ impl SpaceAlgebra {
 
     pub fn stats(&self) -> AlgebraStats {
         AlgebraStats {
-            hits: self.cache.hits,
-            misses: self.cache.misses,
+            hits: self.hits,
+            misses: self.misses,
             fast_hits: self.fast_hits,
-            evictions: self.cache.evictions,
             interned: self.interner.len(),
-            cache_entries: self.cache.len(),
+            cache_entries: self.spaces.len() + self.flags.len() + self.folds.len(),
+        }
+    }
+
+    /// `op(lhs, rhs)` through the memo: a miss sweeps, interns the result
+    /// and remembers it.
+    fn memo_space(
+        &mut self,
+        key: PairKey,
+        op: fn(&IndexSpace, &IndexSpace) -> IndexSpace,
+    ) -> SpaceId {
+        match self.spaces.entry(key) {
+            Entry::Occupied(e) => {
+                self.hits += 1;
+                *e.get()
+            }
+            Entry::Vacant(v) => {
+                self.misses += 1;
+                let r = op(self.interner.get(key.1), self.interner.get(key.2));
+                *v.insert(self.interner.intern(&r))
+            }
+        }
+    }
+
+    /// As [`Self::memo_space`] for the predicates.
+    fn memo_flag(&mut self, key: PairKey, op: fn(&IndexSpace, &IndexSpace) -> bool) -> bool {
+        match self.flags.entry(key) {
+            Entry::Occupied(e) => {
+                self.hits += 1;
+                *e.get()
+            }
+            Entry::Vacant(v) => {
+                self.misses += 1;
+                *v.insert(op(self.interner.get(key.1), self.interner.get(key.2)))
+            }
         }
     }
 
@@ -403,7 +325,7 @@ impl SpaceAlgebra {
     pub fn intersect(&mut self, a: SpaceId, b: SpaceId) -> SpaceId {
         if !self.enabled {
             let r = self.interner.get(a).intersect(self.interner.get(b));
-            return self.interner.intern_owned(r);
+            return self.interner.intern(&r);
         }
         // Fast paths. Each returns exactly what the direct sweep returns:
         // * a ∩ a: pairwise intersections of a disjoint family with itself
@@ -430,7 +352,7 @@ impl SpaceAlgebra {
             (Some(ra), Some(rb)) => {
                 self.fast_hits += 1;
                 let r = IndexSpace::from_rect(ra.intersect(&rb));
-                return self.interner.intern_owned(r);
+                return self.interner.intern(&r);
             }
             (_, Some(rb)) if rb.contains_rect(&ba) => {
                 self.fast_hits += 1;
@@ -442,21 +364,14 @@ impl SpaceAlgebra {
             }
             _ => {}
         }
-        let key = (AlgebraOp::Intersect, a, b);
-        if let Some(CacheVal::Space(r)) = self.cache.get(&key) {
-            return r;
-        }
-        let r = self.interner.get(a).intersect(self.interner.get(b));
-        let r = self.interner.intern_owned(r);
-        self.cache.insert(key, CacheVal::Space(r));
-        r
+        self.memo_space((AlgebraOp::Intersect, a, b), IndexSpace::intersect)
     }
 
     /// `lhs \ rhs` (the paper's `X\Y`).
     pub fn subtract(&mut self, a: SpaceId, b: SpaceId) -> SpaceId {
         if !self.enabled {
             let r = self.interner.get(a).subtract(self.interner.get(b));
-            return self.interner.intern_owned(r);
+            return self.interner.intern(&r);
         }
         // Fast paths, each matching the sweep structurally:
         // * a \ a = ∅; empty minuend = ∅; empty/bbox-disjoint subtrahend
@@ -481,14 +396,7 @@ impl SpaceAlgebra {
                 return SpaceId::EMPTY;
             }
         }
-        let key = (AlgebraOp::Subtract, a, b);
-        if let Some(CacheVal::Space(r)) = self.cache.get(&key) {
-            return r;
-        }
-        let r = self.interner.get(a).subtract(self.interner.get(b));
-        let r = self.interner.intern_owned(r);
-        self.cache.insert(key, CacheVal::Space(r));
-        r
+        self.memo_space((AlgebraOp::Subtract, a, b), IndexSpace::subtract)
     }
 
     /// `lhs ∪ rhs`. No structural fast path beyond the empty operands —
@@ -497,7 +405,7 @@ impl SpaceAlgebra {
     pub fn union(&mut self, a: SpaceId, b: SpaceId) -> SpaceId {
         if !self.enabled {
             let r = self.interner.get(a).union(self.interner.get(b));
-            return self.interner.intern_owned(r);
+            return self.interner.intern(&r);
         }
         if self.is_empty_space(a) {
             self.fast_hits += 1;
@@ -507,13 +415,36 @@ impl SpaceAlgebra {
             self.fast_hits += 1;
             return a;
         }
-        let key = (AlgebraOp::Union, a, b);
-        if let Some(CacheVal::Space(r)) = self.cache.get(&key) {
-            return r;
+        self.memo_space((AlgebraOp::Union, a, b), IndexSpace::union)
+    }
+
+    /// The left fold `((s₀ ∪ s₁) ∪ s₂) ∪ …`, structurally what chaining
+    /// [`IndexSpace::union`] in that order builds, memoized as a unit: a
+    /// miss sweeps the fold directly and interns only its result (first
+    /// touch pays no per-step intern of intermediates nobody names), a
+    /// repeat is one lookup.
+    pub fn union_all(&mut self, ids: &[SpaceId]) -> SpaceId {
+        let [first, rest @ ..] = ids else {
+            return SpaceId::EMPTY;
+        };
+        if rest.is_empty() {
+            return *first;
         }
-        let r = self.interner.get(a).union(self.interner.get(b));
-        let r = self.interner.intern_owned(r);
-        self.cache.insert(key, CacheVal::Space(r));
+        if self.enabled {
+            if let Some(&r) = self.folds.get(ids) {
+                self.hits += 1;
+                return r;
+            }
+            self.misses += 1;
+        }
+        let mut acc = self.interner.get(*first).clone();
+        for id in rest {
+            acc = acc.union(self.interner.get(*id));
+        }
+        let r = self.interner.intern(&acc);
+        if self.enabled {
+            self.folds.insert(ids.into(), r);
+        }
         r
     }
 
@@ -550,13 +481,7 @@ impl SpaceAlgebra {
             }
             _ => {}
         }
-        let key = (AlgebraOp::Overlaps, a, b);
-        if let Some(CacheVal::Flag(v)) = self.cache.get(&key) {
-            return v;
-        }
-        let v = self.interner.get(a).overlaps(self.interner.get(b));
-        self.cache.insert(key, CacheVal::Flag(v));
-        v
+        self.memo_flag((AlgebraOp::Overlaps, a, b), IndexSpace::overlaps)
     }
 
     /// Does `lhs` contain every point of `rhs`?
@@ -591,13 +516,7 @@ impl SpaceAlgebra {
             self.fast_hits += 1;
             return false;
         }
-        let key = (AlgebraOp::Contains, a, b);
-        if let Some(CacheVal::Flag(v)) = self.cache.get(&key) {
-            return v;
-        }
-        let v = self.interner.get(a).contains(self.interner.get(b));
-        self.cache.insert(key, CacheVal::Flag(v));
-        v
+        self.memo_flag((AlgebraOp::Contains, a, b), IndexSpace::contains)
     }
 
     // Convenience forms for call sites holding plain spaces (the painter
@@ -717,30 +636,55 @@ mod tests {
         assert_eq!(alg.stats().fast_hits, 0);
     }
 
+    /// A loop-shaped working set of any size is swept once: the old
+    /// 4096-entry segmented LRU re-swept all of it on every pass.
     #[test]
-    fn cache_eviction_is_bounded() {
-        let mut alg = SpaceAlgebra::new(InternConfig {
-            enabled: true,
-            cache_cap: 8,
-        });
-        // Multi-rect spaces so lookups miss the fast paths and hit the cache.
-        let mk = |i: i64| {
-            IndexSpace::from_rects([
-                Rect::span(i * 10, i * 10 + 3),
-                Rect::span(i * 10 + 5, i * 10 + 8),
-            ])
+    fn memo_cannot_thrash() {
+        let mut alg = SpaceAlgebra::default();
+        // Multi-rect pairs, `b`'s bbox inside `a`'s, so every op misses the
+        // fast paths and reaches the memo.
+        let pairs: Vec<(SpaceId, SpaceId)> = (0..6000i64)
+            .map(|i| {
+                let x = i * 20;
+                let a = IndexSpace::from_rects([Rect::span(x, x + 3), Rect::span(x + 6, x + 9)]);
+                let b =
+                    IndexSpace::from_rects([Rect::span(x + 2, x + 4), Rect::span(x + 6, x + 7)]);
+                (alg.intern(&a), alg.intern(&b))
+            })
+            .collect();
+        let pass = |alg: &mut SpaceAlgebra| {
+            for &(a, b) in &pairs {
+                alg.intersect(a, b);
+                alg.subtract(a, b);
+                alg.overlaps(a, b);
+                alg.contains(a, b);
+            }
+            alg.stats()
         };
-        let big = alg.intern(&IndexSpace::from_rects([
-            Rect::span(0, 400),
-            Rect::span(402, 500),
-        ]));
-        for i in 0..40 {
-            let a = alg.intern(&mk(i));
-            let _ = alg.intersect(a, big);
+        let first = pass(&mut alg);
+        assert_eq!(first.misses, 4 * 6000, "every op must reach the memo");
+        for _ in 0..2 {
+            let s = pass(&mut alg);
+            assert_eq!(s.misses, first.misses, "a repeated pass swept again");
+            assert_eq!(s.interned, first.interned);
         }
-        let s = alg.stats();
-        assert!(s.cache_entries <= 8, "cache grew past cap: {s:?}");
-        assert!(s.evictions > 0);
+    }
+
+    #[test]
+    fn shared_storage_keeps_the_contract() {
+        use std::hash::BuildHasher;
+        let build = || IndexSpace::from_rects([Rect::span(0, 4), Rect::span(10, 14)]);
+        let (a, b) = (build(), build());
+        assert_eq!(a.clone().rects().as_ptr(), a.rects().as_ptr());
+        assert_ne!(a.rects().as_ptr(), b.rects().as_ptr());
+        assert_eq!(a, b);
+        let h = std::hash::BuildHasherDefault::<FxHasher>::default();
+        assert_eq!(h.hash_one(&a), h.hash_one(&b));
+        let mut i = SpaceInterner::new();
+        let id = i.intern(&a);
+        assert_eq!(i.intern(&b), id);
+        // First sight shares the caller's storage instead of copying it.
+        assert_eq!(i.get(id).rects().as_ptr(), a.rects().as_ptr());
     }
 
     #[test]

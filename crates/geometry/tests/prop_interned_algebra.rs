@@ -4,9 +4,9 @@
 //! equality), so [`SpaceAlgebra`] must return spaces structurally identical
 //! to the direct sweeps — a fast path or cached entry returning a merely
 //! point-equal space would silently change materialization plans. These
-//! tests drive one long-lived algebra (so the interner and cache accumulate
-//! state across operations, exercising hits, promotions and evictions) and
-//! check every result against the uncached [`IndexSpace`] operation.
+//! tests drive one long-lived algebra (so the interner and memo accumulate
+//! state across operations) and check every result against the unmemoized
+//! [`IndexSpace`] operation.
 
 use proptest::prelude::*;
 use viz_geometry::{IndexSpace, InternConfig, Rect, SpaceAlgebra};
@@ -63,17 +63,40 @@ proptest! {
         }
     }
 
-    /// A tiny cache capacity forces constant eviction; results must not
-    /// change (only hit rates may).
+    /// The memo never forgets: once every pair has been seen, further
+    /// passes give the same results and sweep nothing.
     #[test]
-    fn eviction_never_changes_results(pairs in prop::collection::vec((space(), space()), 1..12)) {
-        let mut alg = SpaceAlgebra::new(InternConfig { enabled: true, cache_cap: 2 });
+    fn repeat_passes_never_sweep_again(pairs in prop::collection::vec((space(), space()), 1..12)) {
+        let mut alg = SpaceAlgebra::new(InternConfig::default());
+        for (a, b) in &pairs {
+            check_all_ops(&mut alg, a, b);
+        }
+        let seen = alg.stats();
         for _ in 0..2 {
             for (a, b) in &pairs {
                 check_all_ops(&mut alg, a, b);
             }
         }
-        prop_assert!(alg.stats().cache_entries <= 2);
+        prop_assert_eq!(alg.stats().misses, seen.misses);
+        prop_assert_eq!(alg.stats().interned, seen.interned);
+    }
+
+    /// `union_all` is the left fold of `IndexSpace::union`, structurally,
+    /// memoized (second round) or not (`VIZ_INTERN=0`).
+    #[test]
+    fn union_all_matches_the_chained_fold(spaces in prop::collection::vec(space(), 0..6)) {
+        let chained = spaces.iter().skip(1).fold(
+            spaces.first().cloned().unwrap_or_default(),
+            |acc, s| acc.union(s),
+        );
+        for config in [InternConfig::default(), InternConfig::disabled()] {
+            let mut alg = SpaceAlgebra::new(config);
+            let ids: Vec<_> = spaces.iter().map(|s| alg.intern(s)).collect();
+            for _ in 0..2 {
+                let folded = alg.union_all(&ids);
+                prop_assert_eq!(alg.space(folded), &chained);
+            }
+        }
     }
 
     /// Disabled mode (the `VIZ_INTERN=0` path) also matches direct sweeps.

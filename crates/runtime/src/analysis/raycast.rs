@@ -23,7 +23,7 @@
 //! usage counters — is one shard; nothing an analysis does crosses shards.
 
 use crate::analysis::visibility::{QuerySpan, VisibilityBackend, VisibilityConfig};
-use crate::analysis::warnock::{scan_eq_history, EqEntry};
+use crate::analysis::warnock::{fold_copies, scan_eq_history, EqEntry};
 use crate::analysis::{group_reqs_by_shard, ChargeSet, ReqOutcome, ShardKey, ShardedState};
 use crate::engine::{CoherenceEngine, GcSweep, ShardCtx, StateSize};
 use crate::plan::MaterializePlan;
@@ -116,6 +116,11 @@ struct FieldState {
     shifts: u64,
     /// Interned-space storage and memoized set algebra for this shard.
     alg: SpaceAlgebra,
+    /// Interned handle per named region (launch targets and anchor
+    /// children). Region domains are immutable once the forest has them,
+    /// so a region is content-hashed into the interner once, not once per
+    /// requirement.
+    region_ids: FxHashMap<RegionId, SpaceId>,
     /// Cumulative candidate ids produced by the spatial index across every
     /// requirement scanned against this shard (post-dedup). Flatness under
     /// weak scaling is *measured* from this, not inferred.
@@ -146,6 +151,13 @@ impl FieldState {
         });
         self.live += 1;
         id
+    }
+
+    fn region_space(&mut self, forest: &RegionForest, region: RegionId) -> SpaceId {
+        *self
+            .region_ids
+            .entry(region)
+            .or_insert_with(|| self.alg.intern(forest.domain(region)))
     }
 
     fn kill(&mut self, id: u32) {
@@ -225,6 +237,7 @@ impl RayCast {
         vis: VisibilityConfig,
     ) -> FieldState {
         let mut alg = SpaceAlgebra::new(intern);
+        let mut region_ids = FxHashMap::default();
         let root_domain = forest.domain(root);
         let dc = if force_kd {
             Vec::new()
@@ -243,6 +256,7 @@ impl RayCast {
                 // the partition is complete).
                 for (i, c) in children.iter().enumerate() {
                     let domain = alg.intern(forest.domain(*c));
+                    region_ids.insert(*c, domain);
                     anchor_bboxes.push(alg.bbox(domain));
                     sets.push(RaySet {
                         domain,
@@ -270,6 +284,7 @@ impl RayCast {
                     usage: FxHashMap::default(),
                     shifts: 0,
                     alg,
+                    region_ids,
                     candidates_visited: 0,
                     sets_swept: 0,
                     vis: vis.build(),
@@ -283,6 +298,7 @@ impl RayCast {
                 let mut tree = DynamicBvh::new();
                 tree.insert(0, root_domain.bbox());
                 let domain = alg.intern(root_domain);
+                region_ids.insert(root, domain);
                 FieldState {
                     sets: vec![RaySet {
                         domain,
@@ -298,6 +314,7 @@ impl RayCast {
                     usage: FxHashMap::default(),
                     shifts: 0,
                     alg,
+                    region_ids,
                     candidates_visited: 0,
                     sets_swept: 0,
                     vis: vis.build(),
@@ -503,8 +520,8 @@ impl CoherenceEngine for RayCast {
                 req: ri,
                 ..ReqOutcome::default()
             };
-            let target = ctx.forest.domain(req.region).clone();
-            let target_id = state.alg.intern(&target);
+            let target = ctx.forest.domain(req.region);
+            let target_id = state.region_space(ctx.forest, req.region);
             if !self.force_kd {
                 let home = Self::home_partition(ctx.forest, req.region);
                 Self::maybe_shift(state, ctx.forest, home, &mut out.scan_log, origin);
@@ -530,7 +547,7 @@ impl CoherenceEngine for RayCast {
                     ..
                 } => {
                     let compute = |log: &mut ChargeLog| {
-                        let kids = ctx.forest.overlapping_children(*partition, &target);
+                        let kids = ctx.forest.overlapping_children(*partition, target);
                         log.op(
                             origin,
                             Op::GeomOp {
@@ -672,15 +689,18 @@ impl CoherenceEngine for RayCast {
                 };
                 MaterializePlan::identity(op)
             };
+            let mut copies = Vec::new();
             let mut entries_scanned = 0usize;
             for n in &relevant {
                 let s = &state.sets[*n as usize];
                 scan_eq_history(
                     &s.hist,
-                    state.alg.space(s.domain),
+                    s.domain,
+                    &state.alg,
                     req.privilege,
                     &mut deps,
                     &mut plan,
+                    &mut copies,
                 );
                 entries_scanned += s.hist.len();
                 charges.add(s.owner, Op::SetTouch);
@@ -697,10 +717,7 @@ impl CoherenceEngine for RayCast {
             for _ in &deps {
                 out.scan_log.op(origin, Op::DepRecord);
             }
-            if !req.privilege.needs_current_values() {
-                plan.copies.clear();
-                plan.reductions.clear();
-            }
+            plan.copies = fold_copies(&mut state.alg, copies);
             out.deps = deps;
             out.plan = plan;
 
@@ -723,24 +740,27 @@ impl CoherenceEngine for RayCast {
                 // index aligned with the disjoint partition (a write within
                 // one anchor — the common case — creates exactly one set,
                 // as in Fig 11).
-                let pieces: Vec<SpaceId> = match &state.index {
-                    SetIndex::Anchored { partition, .. } => {
+                let anchored = match &state.index {
+                    SetIndex::Anchored { partition, .. } => Some(*partition),
+                    SetIndex::Kd { .. } => None,
+                };
+                let pieces: Vec<SpaceId> = match anchored {
+                    Some(partition) => {
                         // Borrow the child list instead of cloning it: the
                         // clone was O(anchors) per write requirement — the
                         // single largest per-launch term at weak scale.
-                        let kids = ctx.forest.children(*partition);
-                        let alg = &mut state.alg;
+                        let kids = ctx.forest.children(partition);
                         let mut out = Vec::with_capacity(req_anchors.len());
                         for a in &req_anchors {
-                            let adom = alg.intern(ctx.forest.domain(kids[*a as usize]));
-                            let piece = alg.intersect(target_id, adom);
-                            if !alg.is_empty_space(piece) {
+                            let adom = state.region_space(ctx.forest, kids[*a as usize]);
+                            let piece = state.alg.intersect(target_id, adom);
+                            if !state.alg.is_empty_space(piece) {
                                 out.push(piece);
                             }
                         }
                         out
                     }
-                    SetIndex::Kd { .. } => vec![target_id],
+                    None => vec![target_id],
                 };
                 // The occluded constituent sets coalesce into the fresh
                 // dominating-write sets.

@@ -89,19 +89,6 @@ impl VisibilityConfig {
         self
     }
 
-    /// Read `VIZ_VIS_BACKEND` (`batch` enables the flattened sweep;
-    /// anything else — or unset — stays scalar) and `VIZ_VIS_BATCH_MIN`
-    /// (default [`DEFAULT_BATCH_MIN`]).
-    #[deprecated(
-        since = "0.9.0",
-        note = "env parsing moved behind the config front door: use \
-                crate::config::env_visibility(), or pin the backend with \
-                RuntimeConfig::visibility_backend"
-    )]
-    pub fn from_env() -> Self {
-        crate::config::env_visibility()
-    }
-
     /// Instantiate the configured backend (one per shard: backends hold
     /// per-shard snapshot and sweep state).
     pub fn build(&self) -> Box<dyn VisibilityBackend> {

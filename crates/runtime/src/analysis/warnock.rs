@@ -47,16 +47,20 @@ pub(crate) struct EqEntry {
 }
 
 /// Scan an equivalence set's history (newest first, no geometry): produces
-/// dependences and the per-set slice of the materialization plan.
+/// dependences and the per-set slice of the materialization plan — the
+/// pending reductions go straight into `plan`, the set's base copy onto
+/// `copies` for [`fold_copies`].
 ///
 /// Invariant exploited: commits reset the history on a write, so a history
 /// is `[write?] ++ (reads | reduces)*` — everything in it is visible.
 pub(crate) fn scan_eq_history(
     hist: &[EqEntry],
-    set_domain: &IndexSpace,
+    set: SpaceId,
+    alg: &SpaceAlgebra,
     privilege: Privilege,
     deps: &mut Vec<TaskId>,
     plan: &mut MaterializePlan,
+    copies: &mut Vec<(Source, SpaceId)>,
 ) {
     let want_values = privilege.needs_current_values();
     let mut base: Option<&EqEntry> = None;
@@ -78,7 +82,7 @@ pub(crate) fn scan_eq_history(
                         task: e.task,
                         req: e.req,
                         redop: op,
-                        domain: set_domain.clone(),
+                        domain: alg.space(set).clone(),
                     });
                 }
             }
@@ -86,14 +90,39 @@ pub(crate) fn scan_eq_history(
         }
     }
     if want_values {
-        plan.copies.push(CopyRange {
-            source: match base {
-                Some(e) => Source::Task(e.task, e.req),
-                None => Source::Initial,
-            },
-            domain: set_domain.clone(),
-        });
+        let source = match base {
+            Some(e) => Source::Task(e.task, e.req),
+            None => Source::Initial,
+        };
+        copies.push((source, set));
     }
+}
+
+/// Coalesce a requirement's per-set base copies by source through the
+/// shard's memoized union, in exactly the order
+/// [`MaterializePlan::normalize`] would (stable sort by source, left fold):
+/// `normalize` then finds nothing adjacent to merge, the plan is
+/// structurally what it would have built, and a steady-state launch
+/// re-reading the same sets pays one memo hit per source instead of a
+/// rectangle sweep per set.
+pub(crate) fn fold_copies(
+    alg: &mut SpaceAlgebra,
+    mut copies: Vec<(Source, SpaceId)>,
+) -> Vec<CopyRange> {
+    copies.sort_by_key(|(source, _)| source.fold_key());
+    let mut ids = Vec::new();
+    copies
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| {
+            ids.clear();
+            ids.extend(run.iter().map(|(_, id)| *id));
+            let folded = alg.union_all(&ids);
+            CopyRange {
+                source: run[0].0.clone(),
+                domain: alg.space(folded).clone(),
+            }
+        })
+        .collect()
 }
 
 /// A node in the refinement tree: an equivalence set that is either live
@@ -373,6 +402,7 @@ impl CoherenceEngine for Warnock {
                 };
                 MaterializePlan::identity(op)
             };
+            let mut copies = Vec::new();
             let mut charges = ChargeSet::new();
             let mut entries_scanned = 0usize;
             for n in &relevant {
@@ -382,10 +412,12 @@ impl CoherenceEngine for Warnock {
                 };
                 scan_eq_history(
                     hist,
-                    tree.alg.space(node.domain),
+                    node.domain,
+                    &tree.alg,
                     req.privilege,
                     &mut deps,
                     &mut plan,
+                    &mut copies,
                 );
                 entries_scanned += hist.len();
                 charges.add(node.owner, Op::SetTouch);
@@ -403,10 +435,7 @@ impl CoherenceEngine for Warnock {
             for _ in &deps {
                 out.scan_log.op(origin, Op::DepRecord);
             }
-            if !req.privilege.needs_current_values() {
-                plan.copies.clear();
-                plan.reductions.clear();
-            }
+            plan.copies = fold_copies(&mut tree.alg, copies);
             out.deps = deps;
             out.plan = plan;
             outcomes.push(out);

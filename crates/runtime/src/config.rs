@@ -19,8 +19,7 @@
 //! | `VIZ_PIPELINE` | off | `1`/`true` runs analysis on a dedicated driver thread |
 //! | `VIZ_SUBMIT_RINGS` | `8` | submission rings in the pipelined plane (min 2) |
 //! | `VIZ_ORACLE` | off | `1`/`true` records launch history for the consistency oracle |
-//! | `VIZ_INTERN` | on | `0`/`false`/`off`/`no` disables interned-algebra fast paths + cache |
-//! | `VIZ_ALGEBRA_CACHE_CAP` | `4096` | per-shard algebra-cache capacity in entries (0 = no caching) |
+//! | `VIZ_INTERN` | on | `0`/`false`/`off`/`no` disables interned-algebra fast paths + memo |
 //! | `VIZ_VIS_BACKEND` | `scalar` | `batch` resolves raycast candidate queries through the flattened SoA snapshot |
 //! | `VIZ_VIS_BATCH_MIN` | `64` | min live K-d leaves before the batch backend flattens |
 //! | `VIZ_GC` | off | `1`/`true` enables history garbage collection (watermark past the oldest unretired launch) |
@@ -32,7 +31,6 @@
 use crate::analysis::visibility::{VisibilityConfig, VisibilityKind, DEFAULT_BATCH_MIN};
 use crate::autotrace::AutoTraceConfig;
 use crate::RuntimeConfig;
-use viz_geometry::intern::DEFAULT_ALGEBRA_CACHE_CAP;
 use viz_geometry::InternConfig;
 
 /// History-GC and coarsening configuration (the tentpole knobs of the
@@ -88,7 +86,6 @@ pub struct EnvOverrides {
     pub submit_rings: Option<usize>,
     pub record_history: Option<bool>,
     pub intern_enabled: Option<bool>,
-    pub algebra_cache_cap: Option<usize>,
     pub vis_backend: Option<VisibilityKind>,
     pub vis_batch_min: Option<usize>,
     pub gc: Option<bool>,
@@ -127,7 +124,6 @@ impl EnvOverrides {
             submit_rings: num("VIZ_SUBMIT_RINGS"),
             record_history: flag("VIZ_ORACLE"),
             intern_enabled: get("VIZ_INTERN").map(|s| !parse_off(&s)),
-            algebra_cache_cap: num("VIZ_ALGEBRA_CACHE_CAP"),
             vis_backend: get("VIZ_VIS_BACKEND").map(|s| {
                 if s.trim().eq_ignore_ascii_case("batch") {
                     VisibilityKind::Batch
@@ -169,12 +165,8 @@ impl EnvOverrides {
         if let Some(on) = self.record_history {
             cfg.record_history = on;
         }
-        if self.intern_enabled.is_some() || self.algebra_cache_cap.is_some() {
-            let base = cfg.intern.unwrap_or_default();
-            cfg.intern = Some(InternConfig {
-                enabled: self.intern_enabled.unwrap_or(base.enabled),
-                cache_cap: self.algebra_cache_cap.unwrap_or(base.cache_cap),
-            });
+        if let Some(enabled) = self.intern_enabled {
+            cfg.intern = Some(InternConfig { enabled });
         }
         if self.vis_backend.is_some() || self.vis_batch_min.is_some() {
             let base = cfg.visibility_backend.unwrap_or_default();
@@ -234,18 +226,14 @@ pub fn default_submit_rings() -> usize {
         .max(2)
 }
 
-/// Resolve the interning config from the environment (the front-door
-/// replacement for the deprecated `InternConfig::from_env`).
+/// Resolve the interning config from the environment.
 pub fn env_intern() -> InternConfig {
-    let o = EnvOverrides::capture();
     InternConfig {
-        enabled: o.intern_enabled.unwrap_or(true),
-        cache_cap: o.algebra_cache_cap.unwrap_or(DEFAULT_ALGEBRA_CACHE_CAP),
+        enabled: EnvOverrides::capture().intern_enabled.unwrap_or(true),
     }
 }
 
-/// Resolve the visibility-backend config from the environment (the
-/// front-door replacement for the deprecated `VisibilityConfig::from_env`).
+/// Resolve the visibility-backend config from the environment.
 pub fn env_visibility() -> VisibilityConfig {
     let o = EnvOverrides::capture();
     VisibilityConfig {
@@ -293,12 +281,7 @@ pub const KNOBS: &[Knob] = &[
     Knob {
         var: "VIZ_INTERN",
         default: "on",
-        effect: "0/false/off/no disables interned-algebra fast paths and cache",
-    },
-    Knob {
-        var: "VIZ_ALGEBRA_CACHE_CAP",
-        default: "4096",
-        effect: "per-shard algebra-cache capacity in entries (0 = no caching)",
+        effect: "0/false/off/no disables interned-algebra fast paths and memo",
     },
     Knob {
         var: "VIZ_VIS_BACKEND",

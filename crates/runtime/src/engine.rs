@@ -254,8 +254,8 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// Instantiate the engine with the environment's interning and
-    /// visibility-backend configuration (`VIZ_INTERN` /
-    /// `VIZ_ALGEBRA_CACHE_CAP` / `VIZ_VIS_BACKEND` / `VIZ_VIS_BATCH_MIN`).
+    /// visibility-backend configuration (`VIZ_INTERN` / `VIZ_VIS_BACKEND` /
+    /// `VIZ_VIS_BATCH_MIN`).
     pub fn build(self) -> Box<dyn CoherenceEngine> {
         self.build_with(crate::config::env_intern())
     }

@@ -21,6 +21,17 @@ pub enum Source {
     Task(TaskId, u32),
 }
 
+impl Source {
+    /// The order [`MaterializePlan::normalize`] folds copies in: by
+    /// producing `(task, req)`, initial contents last.
+    pub(crate) fn fold_key(&self) -> (TaskId, u32) {
+        match self {
+            Source::Initial => (TaskId(u32::MAX), u32::MAX),
+            Source::Task(t, r) => (*t, *r),
+        }
+    }
+}
+
 /// Copy `domain` from `source` (base values; copies of one plan are
 /// pairwise disjoint and, for read/read-write privileges, cover the
 /// requirement's full domain).
@@ -73,10 +84,7 @@ impl MaterializePlan {
         self.reductions.sort_by_key(|r| (r.task, r.req));
         // Merge copy ranges with identical sources.
         let mut merged: Vec<CopyRange> = Vec::with_capacity(self.copies.len());
-        self.copies.sort_by_key(|c| match &c.source {
-            Source::Initial => (TaskId(u32::MAX), u32::MAX),
-            Source::Task(t, r) => (*t, *r),
-        });
+        self.copies.sort_by_key(|c| c.source.fold_key());
         for c in self.copies.drain(..) {
             match merged.last_mut() {
                 Some(last) if last.source == c.source => {

@@ -91,9 +91,9 @@ pub struct RuntimeConfig {
     /// `VIZ_SUBMIT_RINGS` (else 8); ignored in synchronous mode.
     pub submit_rings: usize,
     /// Interning/memoization configuration for the engine's set algebra.
-    /// `None` (the default) reads `VIZ_INTERN` / `VIZ_ALGEBRA_CACHE_CAP`
-    /// from the environment; the differential tests pin it explicitly so
-    /// both modes can run in one process.
+    /// `None` (the default) reads `VIZ_INTERN` from the environment; the
+    /// differential tests pin it explicitly so both modes can run in one
+    /// process.
     pub intern: Option<viz_geometry::InternConfig>,
     /// Candidate-resolution backend for the raycast K-d path (scalar
     /// per-query walk vs. flattened batched sweep). `None` (the default)
@@ -238,7 +238,7 @@ impl RuntimeConfig {
     }
 
     /// Pin the engine's interning configuration instead of reading
-    /// `VIZ_INTERN` / `VIZ_ALGEBRA_CACHE_CAP` from the environment.
+    /// `VIZ_INTERN` from the environment.
     pub fn intern(mut self, cfg: viz_geometry::InternConfig) -> Self {
         self.intern = Some(cfg);
         self
@@ -389,8 +389,9 @@ pub(crate) struct Core {
 /// through [`crate::stats::GcStats`].
 pub(crate) struct GcState {
     pub(crate) cfg: GcConfig,
-    /// Next launch count at which a sweep runs (amortizes the check to a
-    /// compare per `run_specs` call).
+    /// Next launch count at which a sweep runs. `run_specs` cuts its input
+    /// here, so the check is a compare per chunk and a sweep never lands
+    /// past it.
     next_due: u32,
     pub(crate) collections: u64,
     /// Sweeps whose floor was clamped by trace pinning.
@@ -538,7 +539,10 @@ impl Core {
     /// spec in order; dependences, plans, simulated clocks, and counters
     /// come out byte-for-byte the same. Both the synchronous frontend and
     /// the pipeline driver call exactly this, so chunk boundaries (how
-    /// many specs the driver drains per wakeup) cannot affect results.
+    /// many specs the driver drains per wakeup) cannot affect results —
+    /// including where collections fire: with GC on, the input is cut at
+    /// `gc.next_due`, so a sweep lands on a launch id that is a function of
+    /// program order alone, never of how the caller batched.
     pub(crate) fn run_specs(
         &mut self,
         ctx: u32,
@@ -547,6 +551,32 @@ impl Core {
     ) -> Vec<TaskId> {
         let mut ids = Vec::with_capacity(items.len());
         let mut items: VecDeque<LaunchSpec> = items.into();
+        while !items.is_empty() {
+            let rest = items.split_off(self.gc_room().min(items.len()));
+            self.run_chunk(ctx, items, forest, &mut ids);
+            items = rest;
+            self.maybe_collect();
+        }
+        ids
+    }
+
+    /// Launches that may run before the next collection is due (unbounded
+    /// with GC and coarsening off).
+    fn gc_room(&self) -> usize {
+        if !self.gc.cfg.enabled && !self.gc.cfg.coarsen {
+            return usize::MAX;
+        }
+        (self.gc.next_due.saturating_sub(self.ledger.next_id()) as usize).max(1)
+    }
+
+    /// One uninterrupted run of launches (see [`Core::run_specs`]).
+    fn run_chunk(
+        &mut self,
+        ctx: u32,
+        mut items: VecDeque<LaunchSpec>,
+        forest: &RegionForest,
+        ids: &mut Vec<TaskId>,
+    ) {
         while !items.is_empty() {
             if self.analysis_threads <= 1 || items.len() == 1 {
                 for s in items.drain(..) {
@@ -568,16 +598,14 @@ impl Core {
             }
             ids.extend(self.run_batch_sharded(ctx, &mut items, forest));
         }
-        self.maybe_collect();
-        ids
     }
 
     /// Run a collection sweep if the watermark interval has elapsed:
     /// reclaim dead engine state, then retire ledger entries and DAG tag
-    /// rows below `next_id - retain` (clamped by trace pinning). Called at
-    /// the quiescent points of both frontends (`run_specs`,
-    /// `fence_scoped`), so the pipelined and synchronous paths collect at
-    /// the same launch counts.
+    /// rows below `next_id - retain` (clamped by trace pinning). Called
+    /// after every `run_specs` chunk and every fence; chunks end at
+    /// `next_due`, so the pipelined and synchronous paths collect at the
+    /// same launch counts however their callers batch.
     fn maybe_collect(&mut self) {
         if !self.gc.cfg.enabled && !self.gc.cfg.coarsen {
             return;

@@ -1,6 +1,6 @@
 //! Differential property test for the interned-algebra layer (`VIZ_INTERN`).
 //!
-//! The interner, the algebra cache, and the structural fast paths are pure
+//! The interner, the algebra memo, and the structural fast paths are pure
 //! memoization: with them on or off, every engine must produce *identical*
 //! analysis — the same dependences, the same materialization plans (compared
 //! structurally, rect list by rect list), and the same executed values —
@@ -209,8 +209,7 @@ proptest! {
 }
 
 /// A long alternating Fig 1-style loop: deterministic heavy case covering
-/// auto-trace replay (the trace templates must also be byte-identical) and
-/// a tiny cache (eviction churn) against the same reference.
+/// auto-trace replay (the trace templates must also be byte-identical).
 #[test]
 fn paper_loop_interning_invariant_with_auto_trace() {
     let mut launches = Vec::new();
@@ -231,24 +230,4 @@ fn paper_loop_interning_invariant_with_auto_trace() {
         }
     }
     assert_intern_invariant(&launches, &EngineKind::all(), &[(1, true), (4, true)]);
-    // Eviction churn must be just as invisible as a roomy cache.
-    let (res_tiny, vals_tiny) = run_config(
-        EngineKind::RayCast,
-        1,
-        false,
-        InternConfig {
-            enabled: true,
-            cache_cap: 2,
-        },
-        &launches,
-    );
-    let (res_off, vals_off) = run_config(
-        EngineKind::RayCast,
-        1,
-        false,
-        InternConfig::disabled(),
-        &launches,
-    );
-    assert_eq!(res_tiny, res_off, "cap=2 eviction changed deps/plans");
-    assert_eq!(vals_tiny, vals_off, "cap=2 eviction changed values");
 }

@@ -1,0 +1,48 @@
+//! The paper's steady state (§7): a dominating write resets the
+//! decomposition every iteration and the next wave re-refines it the same
+//! way, so after the first iterations nothing about a launch is new. For
+//! the set algebra that means a steady iteration sweeps no rectangle list
+//! and interns no space — every refine, overlap test and plan fold is a
+//! memo hit on ids the shard already holds.
+//!
+//! The circuit's working set (512 pieces × a dozen-plus distinct operand
+//! pairs per piece per shard) is several times what the old 4096-entry
+//! segmented-LRU memo could hold, and it is accessed cyclically — the LRU
+//! worst case: at that capacity every iteration re-swept nearly all of it.
+
+use viz_apps::{Circuit, CircuitConfig, Workload};
+use viz_runtime::engine::StateSize;
+use viz_runtime::{EngineKind, Runtime, RuntimeConfig};
+
+fn state_after(iterations: usize) -> StateSize {
+    let app = Circuit::new(CircuitConfig {
+        pieces: 512,
+        nodes_per_piece: 48,
+        wires_per_piece: 96,
+        pct_external: 25,
+        nodes: 4,
+        with_bodies: false,
+        ..CircuitConfig::small(512, iterations)
+    });
+    let mut rt = Runtime::new(RuntimeConfig::base(EngineKind::RayCast).nodes(4));
+    app.execute(&mut rt);
+    rt.stats().state
+}
+
+#[test]
+fn steady_iteration_sweeps_nothing_and_interns_nothing() {
+    let (third, fourth) = (state_after(3), state_after(4));
+    assert!(
+        third.algebra_misses > 0,
+        "the circuit never reached the memo"
+    );
+    assert_eq!(
+        fourth.algebra_misses, third.algebra_misses,
+        "iteration 4 swept rectangle lists iteration 3 had already swept"
+    );
+    assert_eq!(
+        fourth.interned_spaces, third.interned_spaces,
+        "iteration 4 interned spaces the shards did not already hold"
+    );
+    assert!(fourth.algebra_hits > third.algebra_hits);
+}

@@ -155,3 +155,63 @@ fn traced_stencil_with_fences_gc_on_off_agree() {
     });
     differential(&app, 2);
 }
+
+/// Regression: collections used to fire once per `run_specs` call, so the
+/// launch counts they landed on — and with them the watermark and
+/// PaintNaive's occlusion-sweep charges — depended on how the caller (or
+/// the pipelined dispatcher) happened to batch. One captured stream fed in
+/// batches of 1, 7 and all at once must be indistinguishable.
+#[test]
+fn gc_sweep_points_ignore_batch_boundaries() {
+    let app = Circuit::new(CircuitConfig {
+        nodes: 4,
+        iterations: 8,
+        ..CircuitConfig::small(4, 2)
+    });
+    for engine in EngineKind::all() {
+        for threads in [1, 4] {
+            let config = || {
+                RuntimeConfig::new(engine)
+                    .nodes(4)
+                    .validate(false)
+                    .pipeline(false)
+                    .analysis_threads(threads)
+            };
+            let mut capture = Runtime::new(config().history_gc(false));
+            app.execute(&mut capture);
+            let forest = capture.forest().clone();
+            let stream = capture.launches().to_vec();
+
+            let run = |batch: usize| {
+                let mut rt = Runtime::new(config().history_gc(true).gc_interval(16).gc_retain(24));
+                *rt.forest_mut() = forest.clone();
+                for chunk in stream.chunks(batch) {
+                    let specs = chunk
+                        .iter()
+                        .map(|l| {
+                            LaunchSpec::new(
+                                l.name.clone(),
+                                l.node,
+                                l.reqs.clone(),
+                                l.duration_ns,
+                                None,
+                            )
+                        })
+                        .collect();
+                    rt.submit_batch(specs).expect("captured stream is valid");
+                }
+                let counters = rt.machine().counters().clone();
+                (rt.stats().watermark, rt.results(), counters)
+            };
+            let whole = run(stream.len());
+            assert!(whole.0 > 0, "{engine:?}: GC never fired");
+            for batch in [1, 7] {
+                let got = run(batch);
+                let ctx = format!("{engine:?} threads={threads} batch={batch}");
+                assert_eq!(got.0, whole.0, "{ctx}: retirement watermark diverged");
+                assert_eq!(got.1, whole.1, "{ctx}: retained results diverged");
+                assert_eq!(got.2, whole.2, "{ctx}: machine counters diverged");
+            }
+        }
+    }
+}
