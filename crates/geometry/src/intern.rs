@@ -114,6 +114,31 @@ struct InternedSpace {
     /// Cached bounding box (the disjointness fast paths hit this on every
     /// call; recomputing it is a full rect-list fold).
     bbox: Rect,
+    /// How many rects the space has, as far as the fast paths care — so
+    /// they read this table only, never the shared rect storage.
+    shape: Shape,
+}
+
+#[derive(Copy, Clone, PartialEq, Eq)]
+enum Shape {
+    Empty,
+    /// Exactly one rect: `bbox` is that rect.
+    Single,
+    Multi,
+}
+
+impl InternedSpace {
+    fn new(space: IndexSpace) -> Self {
+        InternedSpace {
+            bbox: space.bbox(),
+            shape: match space.rects() {
+                [] => Shape::Empty,
+                [_] => Shape::Single,
+                _ => Shape::Multi,
+            },
+            space,
+        }
+    }
 }
 
 /// Content-addressed store of normalized index spaces.
@@ -139,9 +164,9 @@ impl Default for SpaceInterner {
     }
 }
 
-fn content_hash(space: &IndexSpace) -> u64 {
+fn content_hash(rects: &[Rect]) -> u64 {
     let mut h = FxHasher::default();
-    space.rects().hash(&mut h);
+    rects.hash(&mut h);
     h.finish()
 }
 
@@ -162,19 +187,33 @@ impl SpaceInterner {
     /// Intern a space. First sight stores a handle to the caller's rect
     /// storage ([`IndexSpace`] is reference-counted), not a copy.
     pub fn intern(&mut self, space: &IndexSpace) -> SpaceId {
-        let h = content_hash(space);
-        let bucket = self.by_hash.entry(h).or_default();
+        self.intern_with(space.rects(), || space.clone())
+    }
+
+    /// Intern the one-rect space `{r}` (the empty space for an empty `r`):
+    /// the same id `intern(&IndexSpace::from_rect(r))` gives, in either
+    /// call order, without building the space unless it is new.
+    pub fn intern_rect(&mut self, r: Rect) -> SpaceId {
+        if r.is_empty() {
+            return SpaceId::EMPTY;
+        }
+        self.intern_with(&[r], || IndexSpace::from_rect(r))
+    }
+
+    /// The slot holding `rects`, stored from `make()` on first sight.
+    fn intern_with(&mut self, rects: &[Rect], make: impl FnOnce() -> IndexSpace) -> SpaceId {
+        let bucket = self.by_hash.entry(content_hash(rects)).or_default();
         for &slot in bucket.iter() {
-            if self.spaces[slot as usize].space == *space {
+            let stored = self.spaces[slot as usize].space.rects();
+            // Re-interning a handle the interner already shares storage
+            // with is the common case: same pointer, no rect compare.
+            if std::ptr::eq(stored, rects) || stored == rects {
                 return SpaceId(slot);
             }
         }
         let slot = self.spaces.len() as u32;
         bucket.push(slot);
-        self.spaces.push(InternedSpace {
-            bbox: space.bbox(),
-            space: space.clone(),
-        });
+        self.spaces.push(InternedSpace::new(make()));
         SpaceId(slot)
     }
 
@@ -188,6 +227,18 @@ impl SpaceInterner {
     #[inline]
     pub fn bbox(&self, id: SpaceId) -> Rect {
         self.spaces[id.0 as usize].bbox
+    }
+
+    #[inline]
+    fn is_empty_space(&self, id: SpaceId) -> bool {
+        self.spaces[id.0 as usize].shape == Shape::Empty
+    }
+
+    /// Single-rect view of an interned space, if it has exactly one rect.
+    #[inline]
+    fn single_rect(&self, id: SpaceId) -> Option<Rect> {
+        let s = &self.spaces[id.0 as usize];
+        (s.shape == Shape::Single).then_some(s.bbox)
     }
 }
 
@@ -264,7 +315,7 @@ impl SpaceAlgebra {
 
     #[inline]
     pub fn is_empty_space(&self, id: SpaceId) -> bool {
-        id == SpaceId::EMPTY || self.interner.get(id).is_empty()
+        self.interner.is_empty_space(id)
     }
 
     pub fn stats(&self) -> AlgebraStats {
@@ -311,14 +362,9 @@ impl SpaceAlgebra {
         }
     }
 
-    /// Single-rect view of an interned space, if it has exactly one rect.
     #[inline]
     fn single_rect(&self, id: SpaceId) -> Option<Rect> {
-        let s = self.interner.get(id);
-        match s.rects() {
-            [r] => Some(*r),
-            _ => None,
-        }
+        self.interner.single_rect(id)
     }
 
     /// `lhs ∩ rhs` (the paper's `X/Y`).
@@ -351,8 +397,7 @@ impl SpaceAlgebra {
         match (self.single_rect(a), self.single_rect(b)) {
             (Some(ra), Some(rb)) => {
                 self.fast_hits += 1;
-                let r = IndexSpace::from_rect(ra.intersect(&rb));
-                return self.interner.intern(&r);
+                return self.interner.intern_rect(ra.intersect(&rb));
             }
             (_, Some(rb)) if rb.contains_rect(&ba) => {
                 self.fast_hits += 1;
@@ -587,6 +632,12 @@ mod tests {
         assert_eq!(i.bbox(a), Rect::span(0, 9));
         // empty pre-interned
         assert_eq!(i.intern(&IndexSpace::empty()), SpaceId::EMPTY);
+        // A bare rect lands in the slot of its one-rect space.
+        assert_eq!(i.intern_rect(Rect::span(0, 9)), a);
+        assert_eq!(i.intern_rect(Rect::EMPTY), SpaceId::EMPTY);
+        let d = i.intern_rect(Rect::xy(0, 3, 0, 3));
+        assert_eq!(i.intern(&IndexSpace::from_rect(Rect::xy(0, 3, 0, 3))), d);
+        assert_eq!(i.len(), 4);
     }
 
     #[test]

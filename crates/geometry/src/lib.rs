@@ -23,8 +23,6 @@
 //!   [`DynamicBvh`] (pre-order nodes with skip offsets, SoA bounds) with a
 //!   stackless batched query API for resolving whole shards' candidate
 //!   sets in one SIMD-friendly sweep.
-//! * [`KdTree`] — a dynamic K-d tree used by the ray-casting engine when no
-//!   disjoint-and-complete partition subtree exists (paper §7.1).
 //! * [`intern`] — hash-consed index spaces ([`SpaceId`]/[`SpaceInterner`])
 //!   and the memoized set algebra ([`SpaceAlgebra`]) the engines route
 //!   their hottest domain operations through.
@@ -42,7 +40,6 @@ pub mod flat_bvh;
 pub mod hash;
 pub mod index_space;
 pub mod intern;
-pub mod kdtree;
 pub mod point;
 pub mod rect;
 
@@ -52,6 +49,5 @@ pub use flat_bvh::FlatBvh;
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use index_space::IndexSpace;
 pub use intern::{AlgebraStats, InternConfig, SpaceAlgebra, SpaceId, SpaceInterner};
-pub use kdtree::KdTree;
 pub use point::Point;
 pub use rect::Rect;

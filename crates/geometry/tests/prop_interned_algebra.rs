@@ -9,7 +9,7 @@
 //! [`IndexSpace`] operation.
 
 use proptest::prelude::*;
-use viz_geometry::{IndexSpace, InternConfig, Rect, SpaceAlgebra};
+use viz_geometry::{IndexSpace, InternConfig, Rect, SpaceAlgebra, SpaceInterner};
 
 /// A small random index space out of up to 4 random rects in a 64x64
 /// universe; duplicates across cases are likely, which is exactly what the
@@ -108,6 +108,30 @@ proptest! {
         }
         prop_assert_eq!(alg.stats().hits, 0);
         prop_assert_eq!(alg.stats().fast_hits, 0);
+    }
+
+    /// `intern_rect` and `intern` of the one-rect space name the same slot,
+    /// whichever sees the rect first — empty rects (negative extents here)
+    /// included. Duplicates across the list exercise the repeat path.
+    #[test]
+    fn intern_rect_agrees_with_intern(
+        rects in prop::collection::vec((0i64..8, -2i64..4, 0i64..8, -2i64..4), 1..16),
+    ) {
+        let mut i = SpaceInterner::new();
+        for (k, (x, w, y, h)) in rects.into_iter().enumerate() {
+            let r = Rect::xy(x, x + w, y, y + h);
+            let space = IndexSpace::from_rect(r);
+            let (by_rect, by_space) = if k % 2 == 0 {
+                let by_rect = i.intern_rect(r);
+                (by_rect, i.intern(&space))
+            } else {
+                let by_space = i.intern(&space);
+                (i.intern_rect(r), by_space)
+            };
+            prop_assert_eq!(by_rect, by_space);
+            prop_assert_eq!(i.get(by_rect), &space);
+            prop_assert_eq!(i.bbox(by_rect), space.bbox());
+        }
     }
 
     /// Self-operations hit the identical-id fast paths and must still be

@@ -1,9 +1,9 @@
-//! Property tests: the BVH and the dynamic K-d tree must agree with brute
-//! force on arbitrary rectangle sets and query patterns (including
+//! Property tests: the static, dynamic and flattened BVHs must agree with
+//! brute force on arbitrary rectangle sets and query patterns (including
 //! degenerate shapes: points, lines, heavy overlap, churn).
 
 use proptest::prelude::*;
-use viz_geometry::{Bvh, DynamicBvh, FlatBvh, KdTree, Rect};
+use viz_geometry::{Bvh, DynamicBvh, FlatBvh, Rect};
 
 fn rect() -> impl Strategy<Value = Rect> {
     (0i64..500, 0i64..60, 0i64..500, 0i64..60).prop_map(|(x, w, y, h)| Rect::xy(x, x + w, y, y + h))
@@ -28,40 +28,6 @@ proptest! {
             let mut got = bvh.query_vec(q);
             got.sort_unstable();
             let mut expect: Vec<u32> = tagged
-                .iter()
-                .filter(|(_, r)| r.overlaps(q))
-                .map(|(i, _)| *i)
-                .collect();
-            expect.sort_unstable();
-            prop_assert_eq!(got, expect);
-        }
-    }
-
-    #[test]
-    fn kdtree_matches_brute_force_under_churn(
-        inserts in prop::collection::vec(rect(), 1..60),
-        removals in prop::collection::vec(any::<prop::sample::Index>(), 0..20),
-        queries in prop::collection::vec(rect(), 1..8),
-    ) {
-        let mut tree = KdTree::new();
-        let mut live: Vec<(u64, Rect)> = Vec::new();
-        for (i, r) in inserts.iter().enumerate() {
-            tree.insert(i as u64, *r);
-            live.push((i as u64, *r));
-        }
-        for idx in &removals {
-            if live.is_empty() {
-                break;
-            }
-            let k = idx.index(live.len());
-            let (id, _) = live.remove(k);
-            prop_assert!(tree.remove(id));
-        }
-        prop_assert_eq!(tree.len(), live.len());
-        for q in &queries {
-            let mut got = tree.query_vec(q);
-            got.sort_unstable();
-            let mut expect: Vec<u64> = live
                 .iter()
                 .filter(|(_, r)| r.overlaps(q))
                 .map(|(i, _)| *i)

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use viz_geometry::FxHashMap;
 use viz_region::{FieldId, RegionForest, RegionId};
-use viz_sim::{ChargeLog, Machine, NodeId, Op};
+use viz_sim::{ChargeLog, NodeId, Op};
 
 use crate::task::TaskLaunch;
 
@@ -30,16 +30,14 @@ pub fn group_reqs_by_shard(
     launch: &TaskLaunch,
     forest: &RegionForest,
 ) -> Vec<(ShardKey, Vec<u32>)> {
-    let mut groups: Vec<(ShardKey, Vec<u32>)> = Vec::new();
-    let mut index: FxHashMap<ShardKey, usize> = FxHashMap::default();
+    // A launch names a handful of shards: finding one by scanning `groups`
+    // beats building a hash map per launch.
+    let mut groups: Vec<(ShardKey, Vec<u32>)> = Vec::with_capacity(launch.reqs.len());
     for (i, req) in launch.reqs.iter().enumerate() {
         let key = (forest.root_of(req.region), req.field);
-        match index.get(&key) {
-            Some(&g) => groups[g].1.push(i as u32),
-            None => {
-                index.insert(key, groups.len());
-                groups.push((key, vec![i as u32]));
-            }
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, reqs)) => reqs.push(i as u32),
+            None => groups.push((key, vec![i as u32])),
         }
     }
     groups
@@ -224,14 +222,13 @@ pub struct ReqOutcome {
 /// This is how the engines express the paper's distribution story without
 /// real networking: *where* state lives and *who* asks for it produce the
 /// message patterns; the machine prices them.
+///
+/// One flat list in insertion order; a flush drains it, so an engine can
+/// keep one set per shard and reuse it for every requirement.
 #[derive(Debug, Default)]
 pub struct ChargeSet {
-    per_owner: FxHashMap<NodeId, Vec<Op>>,
+    ops: Vec<(NodeId, Op)>,
 }
-
-/// One round-trip target of a flushed [`ChargeSet`]: the owner node plus
-/// the request/response byte sizes fed to [`Machine::multi_request`].
-type RequestTarget = (NodeId, u64, u64);
 
 impl ChargeSet {
     pub fn new() -> Self {
@@ -239,51 +236,50 @@ impl ChargeSet {
     }
 
     pub fn add(&mut self, owner: NodeId, op: Op) {
-        self.per_owner.entry(owner).or_default().push(op);
+        self.ops.push((owner, op));
     }
 
     pub fn is_empty(&self) -> bool {
-        self.per_owner.is_empty()
+        self.ops.is_empty()
     }
 
-    /// Flush all batched work. Remote batches cost one round trip each
-    /// (request + response), with request size growing with the op count
-    /// (the serialized region descriptions). The round trips to distinct
-    /// owners are issued concurrently — the origin blocks until the last
-    /// response (Legion overlaps its equivalence-set requests the same
-    /// way).
-    pub fn flush(self, machine: &mut Machine, origin: NodeId) {
-        let (targets, work) = self.into_batches();
-        let views: Vec<&[Op]> = work.iter().map(|w| w.as_slice()).collect();
-        machine.multi_request(origin, &targets, &views);
-    }
-
-    /// As [`ChargeSet::flush`], but record the round trips into a
-    /// [`ChargeLog`] for later replay instead of charging the live machine.
-    pub fn flush_into(self, log: &mut ChargeLog, origin: NodeId) {
-        let (targets, work) = self.into_batches();
-        log.multi_request(origin, targets, work);
-    }
-
-    fn into_batches(mut self) -> (Vec<RequestTarget>, Vec<Vec<Op>>) {
-        // Deterministic order: sort owners.
-        let mut owners: Vec<NodeId> = self.per_owner.keys().copied().collect();
-        owners.sort_unstable();
-        let targets: Vec<(NodeId, u64, u64)> = owners
-            .iter()
-            .map(|o| (*o, 96 + 24 * self.per_owner[o].len() as u64, 96))
-            .collect();
-        let work: Vec<Vec<Op>> = owners
-            .iter()
-            .map(|o| std::mem::take(self.per_owner.get_mut(o).unwrap()))
-            .collect();
-        (targets, work)
+    /// Record all batched work into `log` as one
+    /// [`Machine::multi_request`](viz_sim::Machine::multi_request) from
+    /// `origin`, leaving the set empty. Remote batches cost one round trip
+    /// each (request + response), with request size growing with the op
+    /// count (the serialized region descriptions). The round trips to
+    /// distinct owners are issued concurrently — the origin blocks until
+    /// the last response (Legion overlaps its equivalence-set requests the
+    /// same way).
+    ///
+    /// Order contract: owners ascending, each owner's ops in the order they
+    /// were added (the sort is stable).
+    pub fn flush_into(&mut self, log: &mut ChargeLog, origin: NodeId) {
+        self.ops.sort_by_key(|(owner, _)| *owner);
+        log.multi_request(
+            origin,
+            self.ops.chunk_by(|a, b| a.0 == b.0).map(|batch| {
+                let target = (batch[0].0, 96 + 24 * batch.len() as u64, 96);
+                (target, batch.iter().map(|(_, op)| *op))
+            }),
+        );
+        self.ops.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use viz_sim::Machine;
+
+    /// Flush `set` through a log and replay it onto `m`.
+    fn flush(set: &mut ChargeSet, m: &mut Machine, origin: NodeId) {
+        let mut log = ChargeLog::new();
+        set.flush_into(&mut log, origin);
+        assert!(set.is_empty(), "a flush drains the set");
+        log.replay(m);
+    }
 
     #[test]
     fn local_charges_advance_origin_only() {
@@ -291,7 +287,7 @@ mod tests {
         let mut c = ChargeSet::new();
         c.add(0, Op::EqSetCreate);
         c.add(0, Op::EqSetCreate);
-        c.flush(&mut m, 0);
+        flush(&mut c, &mut m, 0);
         assert_eq!(m.counters().eqsets_created, 2);
         assert_eq!(m.counters().messages, 0);
         assert!(m.now(0) > 0);
@@ -304,7 +300,7 @@ mod tests {
         let mut c = ChargeSet::new();
         c.add(1, Op::EqSetCreate);
         c.add(2, Op::EqSetCreate);
-        c.flush(&mut m, 0);
+        flush(&mut c, &mut m, 0);
         assert_eq!(m.counters().messages, 4, "two round trips");
         assert!(m.now(0) > 0, "origin blocked on responses");
         assert_eq!(m.counters().eqsets_created, 2, "work served at owners");
@@ -312,25 +308,83 @@ mod tests {
     }
 
     #[test]
-    fn flush_into_replays_identically_to_flush() {
-        let build = || {
-            let mut c = ChargeSet::new();
-            c.add(1, Op::HistScan { entries: 4 });
-            c.add(2, Op::SetTouch);
-            c.add(0, Op::DepRecord);
-            c
-        };
+    fn flush_into_replays_identically_to_direct_calls() {
         let mut direct = Machine::new(3);
-        build().flush(&mut direct, 0);
+        direct.multi_request(
+            0,
+            &[(0, 120, 96), (1, 144, 96), (2, 120, 96)],
+            &[
+                &[Op::DepRecord],
+                &[Op::HistScan { entries: 4 }, Op::EqSetRefine],
+                &[Op::SetTouch],
+            ],
+        );
 
-        let mut log = ChargeLog::new();
-        build().flush_into(&mut log, 0);
+        let mut c = ChargeSet::new();
+        c.add(1, Op::HistScan { entries: 4 });
+        c.add(2, Op::SetTouch);
+        c.add(0, Op::DepRecord);
+        c.add(1, Op::EqSetRefine);
         let mut replayed = Machine::new(3);
-        log.replay(&mut replayed);
+        flush(&mut c, &mut replayed, 0);
 
         assert_eq!(direct.clocks(), replayed.clocks());
         assert_eq!(direct.service_clocks(), replayed.service_clocks());
         assert_eq!(direct.counters(), replayed.counters());
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0usize..9).prop_map(|rects| Op::GeomOp { rects }),
+            (0usize..9).prop_map(|entries| Op::HistScan { entries }),
+            Just(Op::EqSetCreate),
+            Just(Op::EqSetRefine),
+            Just(Op::SetTouch),
+            Just(Op::DepRecord),
+        ]
+    }
+
+    proptest! {
+        /// Several sets (empty ones included) flushed into one log replay
+        /// exactly as one direct `Machine::multi_request` per set, owners
+        /// ascending and each owner's ops in insertion order — the origin
+        /// may own state too.
+        #[test]
+        fn flat_charge_batches_replay_exactly(
+            nodes in 1usize..6,
+            origin in 0usize..5,
+            sets in prop::collection::vec(
+                prop::collection::vec((0usize..5, arb_op()), 0..24),
+                1..5,
+            ),
+        ) {
+            let origin = origin % nodes;
+            let mut direct = Machine::new(nodes);
+            let mut log = ChargeLog::new();
+            let mut set = ChargeSet::new();
+            for ops in &sets {
+                let mut by_owner: Vec<Vec<Op>> = vec![Vec::new(); nodes];
+                for (owner, op) in ops {
+                    by_owner[owner % nodes].push(*op);
+                    set.add(owner % nodes, *op);
+                }
+                let (targets, work): (Vec<_>, Vec<&[Op]>) = by_owner
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, w)| !w.is_empty())
+                    .map(|(owner, w)| ((owner, 96 + 24 * w.len() as u64, 96), w.as_slice()))
+                    .unzip();
+                direct.multi_request(origin, &targets, &work);
+                set.flush_into(&mut log, origin);
+                prop_assert!(set.is_empty());
+            }
+            prop_assert_eq!(log.len(), sets.len());
+            let mut replayed = Machine::new(nodes);
+            log.replay(&mut replayed);
+            prop_assert_eq!(direct.clocks(), replayed.clocks());
+            prop_assert_eq!(direct.service_clocks(), replayed.service_clocks());
+            prop_assert_eq!(direct.counters(), replayed.counters());
+        }
     }
 
     #[test]

@@ -26,8 +26,9 @@ use crate::analysis::visibility::{QuerySpan, VisibilityBackend, VisibilityConfig
 use crate::analysis::warnock::{fold_copies, scan_eq_history, EqEntry};
 use crate::analysis::{group_reqs_by_shard, ChargeSet, ReqOutcome, ShardKey, ShardedState};
 use crate::engine::{CoherenceEngine, GcSweep, ShardCtx, StateSize};
-use crate::plan::MaterializePlan;
+use crate::plan::{MaterializePlan, Source};
 use crate::task::TaskLaunch;
+use std::sync::Arc;
 use viz_geometry::{
     AlgebraStats, Bvh, DynamicBvh, FxHashMap, InternConfig, Rect, SpaceAlgebra, SpaceId,
 };
@@ -37,23 +38,31 @@ use viz_sim::{ChargeLog, NodeId, Op};
 /// A live equivalence set. The domain is a handle into the shard's
 /// [`SpaceAlgebra`] interner: sets refined from the same launch targets
 /// share storage, and the refine/overlap algebra is memoized per shard.
+///
+/// With GC off (the default) every set ever created stays in
+/// `FieldState::sets`, so this struct's size is resident memory: the
+/// `ray_set_does_not_grow` test pins it.
 struct RaySet {
     domain: SpaceId,
+    /// A refinement split *moves* the history into the outside half; the
+    /// dead parent keeps none.
     hist: Vec<EqEntry>,
     owner: NodeId,
     live: bool,
     /// When a *refinement split* kills this set, the two halves that
     /// replaced it — so a commit deferred by an earlier requirement of the
-    /// same launch can chase the split instead of vanishing. Stays empty
+    /// same launch can chase the split instead of vanishing. Stays `None`
     /// for sets occluded by a dominating write (those are never the target
     /// of a pending same-launch commit: interfering requirements of one
     /// launch must be disjoint, commuting ones never occlude).
-    replaced_by: Vec<u32>,
-    /// Anchor positions whose buckets hold this set (anchored index only;
-    /// stays empty on the K-d path). Removal walks exactly these buckets
-    /// instead of sweeping every bucket in the shard — the per-launch cost
-    /// of a kill is the set's own anchor count, not the live-set count.
-    anchors: Vec<u32>,
+    replaced_by: Option<[u32; 2]>,
+    /// Anchor positions whose buckets hold this set: the shard's memoized
+    /// placement of `domain`, shared with every other set of that domain
+    /// (anchored index only; `None` on the K-d path and once unregistered).
+    /// Removal walks exactly these buckets instead of sweeping every bucket
+    /// in the shard — the per-launch cost of a kill is the set's own anchor
+    /// count, not the live-set count.
+    anchors: Option<Arc<[u32]>>,
 }
 
 /// Spatial index over the live sets.
@@ -74,6 +83,12 @@ enum SetIndex {
         /// region-tree query is a hash lookup, not a `position()` sweep of
         /// the child list.
         child_pos: FxHashMap<RegionId, u32>,
+        /// What `lookup` answered for each set domain placed so far. The
+        /// answer is a function of the domain's bbox and the anchors alone,
+        /// and the steady state re-creates the same domains every
+        /// iteration, so placing a set is one probe. Lives and dies with
+        /// `lookup`: an anchor shift builds both afresh.
+        placement: FxHashMap<SpaceId, Arc<[u32]>>,
     },
     /// Fallback when no such partition exists (§7.1): an incrementally
     /// maintained BVH — set churn is absorbed by leaf insert/remove with
@@ -101,6 +116,24 @@ struct ScanScratch {
     req_anchors: Vec<u32>,
     /// Sets killed by refinement within the current requirement.
     killed: Vec<u32>,
+    /// The current requirement's remote work, flushed as one multi-request.
+    charges: ChargeSet,
+    /// The current requirement's per-set base copies, before folding, and
+    /// the operand list of one fold.
+    copies: Vec<(Source, SpaceId)>,
+    fold_ids: Vec<SpaceId>,
+    /// The per-anchor pieces of the current dominating write.
+    pieces: Vec<SpaceId>,
+    /// Constituent sets of the current requirement.
+    relevant: Vec<u32>,
+    /// Deferred commits of the current shard batch: per requirement its
+    /// entry and the end of its target sets in `commit_ids` (they start
+    /// where the previous requirement's end).
+    commits: Vec<(u32, EqEntry)>,
+    commit_ids: Vec<u32>,
+    /// Work list of one commit (targets, plus the halves of any a later
+    /// requirement split).
+    commit_stack: Vec<u32>,
 }
 
 /// Per-(root, field) ray-casting state — one shard.
@@ -146,8 +179,8 @@ impl FieldState {
             hist,
             owner,
             live: true,
-            replaced_by: Vec::new(),
-            anchors: Vec::new(),
+            replaced_by: None,
+            anchors: None,
         });
         self.live += 1;
         id
@@ -263,8 +296,11 @@ impl RayCast {
                         hist: Vec::new(),
                         owner: 0,
                         live: true,
-                        replaced_by: Vec::new(),
-                        anchors: vec![i as u32],
+                        replaced_by: None,
+                        // Exactly its own anchor, as a set contained in
+                        // child `i` needs — not seeded into `placement`,
+                        // which answers by bounding box.
+                        anchors: Some(Arc::from([i as u32])),
                     });
                     buckets.push(vec![i as u32]);
                     child_pos.insert(*c, i as u32);
@@ -278,6 +314,7 @@ impl RayCast {
                         buckets,
                         lookup,
                         child_pos,
+                        placement: FxHashMap::default(),
                     },
                     anchor_memo: FxHashMap::default(),
                     live,
@@ -305,8 +342,8 @@ impl RayCast {
                         hist: Vec::new(),
                         owner: 0,
                         live: true,
-                        replaced_by: Vec::new(),
-                        anchors: Vec::new(),
+                        replaced_by: None,
+                        anchors: None,
                     }],
                     index: SetIndex::Kd { tree },
                     anchor_memo: FxHashMap::default(),
@@ -391,42 +428,34 @@ impl RayCast {
         // Shift: rebuild the anchor buckets under the new partition and
         // re-bucket every live set. This wholesale pass is the one place
         // that still walks every live set — shifts are rare (usage must
-        // 4x-dominate) and rebuild the lookup structures anyway.
-        let children = forest.children(home).to_vec();
-        let anchor_bboxes: Vec<viz_geometry::Rect> =
-            children.iter().map(|c| forest.domain(*c).bbox()).collect();
+        // 4x-dominate) and rebuild the lookup structures (the placement
+        // memo with them) anyway.
+        let children = forest.children(home);
+        let anchor_bboxes: Vec<Rect> = children.iter().map(|c| forest.domain(*c).bbox()).collect();
         let child_pos: FxHashMap<RegionId, u32> = children
             .iter()
             .enumerate()
             .map(|(i, c)| (*c, i as u32))
             .collect();
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); children.len()];
+        state.index = SetIndex::Anchored {
+            partition: home,
+            buckets: vec![Vec::new(); children.len()],
+            lookup: Self::anchor_lookup(&anchor_bboxes),
+            child_pos,
+            placement: FxHashMap::default(),
+        };
         let mut moved = 0usize;
-        for (id, set) in state.sets.iter_mut().enumerate() {
-            set.anchors.clear();
-            if !set.live {
-                continue;
-            }
-            moved += 1;
-            let bb = state.alg.bbox(set.domain);
-            for (i, abb) in anchor_bboxes.iter().enumerate() {
-                if abb.overlaps(&bb) {
-                    buckets[i].push(id as u32);
-                    set.anchors.push(i as u32);
-                }
+        for id in 0..state.sets.len() as u32 {
+            state.sets[id as usize].anchors = None;
+            if state.sets[id as usize].live {
+                moved += 1;
+                Self::index_insert(&mut state.index, &mut state.sets, &state.alg, &[id]);
             }
         }
         log.op(origin, Op::GeomOp { rects: moved });
         for _ in 0..moved {
             log.op(origin, Op::SetTouch);
         }
-        let lookup = Self::anchor_lookup(&anchor_bboxes);
-        state.index = SetIndex::Anchored {
-            partition: home,
-            buckets,
-            lookup,
-            child_pos,
-        };
         // Refresh the anchor memo instead of clearing it wholesale: a
         // memoized list is stale only if the region's overlapping-anchor
         // set actually differs under the new partition. Recompute each
@@ -494,22 +523,43 @@ impl CoherenceEngine for RayCast {
         // vs sets) can be borrowed independently below.
         let state: &mut FieldState = &mut shard;
         let mut outcomes: Vec<ReqOutcome> = Vec::with_capacity(reqs.len());
-        // Deferred commits: (set ids, entry) per requirement.
-        let mut commits: Vec<(Vec<u32>, EqEntry)> = Vec::with_capacity(reqs.len());
+        // The shard's reusable buffers, moved out for the duration of the
+        // call (the `FieldState` methods below borrow the whole state) and
+        // returned, capacity intact, at the end: the scan allocates nothing
+        // for them at steady state.
+        let mut scratch = std::mem::take(&mut state.scratch);
+        let ScanScratch {
+            queries,
+            spans,
+            hits,
+            candidates,
+            req_anchors,
+            killed,
+            charges,
+            copies,
+            fold_ids,
+            pieces,
+            relevant,
+            commits,
+            commit_ids,
+            commit_stack,
+        } = &mut scratch;
+        commits.clear();
+        commit_ids.clear();
 
         // On the K-d path, collect every requirement's query rects up
         // front so the batched backend can resolve the whole shard's
         // candidate set in one sweep (a requirement later in the batch
         // re-resolves against the current tree when an earlier one
         // refined it — see `analysis::visibility`).
-        state.scratch.queries.clear();
-        state.scratch.spans.clear();
+        queries.clear();
+        spans.clear();
         if matches!(state.index, SetIndex::Kd { .. }) {
             for &ri in reqs {
                 let rects = ctx.forest.domain(launch.reqs[ri as usize].region).rects();
-                let start = state.scratch.queries.len() as u32;
-                state.scratch.queries.extend_from_slice(rects);
-                state.scratch.spans.push((start, rects.len() as u32));
+                let start = queries.len() as u32;
+                queries.extend_from_slice(rects);
+                spans.push((start, rects.len() as u32));
             }
             state.vis.begin_batch();
         }
@@ -530,14 +580,9 @@ impl CoherenceEngine for RayCast {
             // ---- Ray casting: find the candidate sets through the index.
             // With anchors this is a (replicated, local) region-tree query;
             // the memoized anchor list makes the steady state O(1).
-            // `candidates`/`req_anchors` are shard scratch, moved out for
-            // the duration of this requirement (borrow split) and returned
-            // below — the scan allocates nothing at steady state.
-            let mut candidates = std::mem::take(&mut state.scratch.candidates);
             candidates.clear();
             // The anchor positions this requirement resolved to (used again
             // by the dominating-write commit below).
-            let mut req_anchors = std::mem::take(&mut state.scratch.req_anchors);
             req_anchors.clear();
             match &mut state.index {
                 SetIndex::Anchored {
@@ -571,7 +616,7 @@ impl CoherenceEngine for RayCast {
                     } else {
                         req_anchors.extend_from_slice(&compute(&mut out.scan_log));
                     }
-                    for a in &req_anchors {
+                    for a in req_anchors.iter() {
                         candidates.extend(buckets[*a as usize].iter().copied());
                     }
                     // A set spanning several anchors appears in each bucket:
@@ -583,11 +628,8 @@ impl CoherenceEngine for RayCast {
                     });
                 }
                 SetIndex::Kd { tree } => {
-                    let hits = &mut state.scratch.hits;
                     hits.clear();
-                    state
-                        .vis
-                        .resolve(tree, &state.scratch.queries, &state.scratch.spans, qk, hits);
+                    state.vis.resolve(tree, queries, spans, qk, hits);
                     hits.sort_unstable();
                     hits.dedup();
                     out.scan_log.op(
@@ -605,16 +647,14 @@ impl CoherenceEngine for RayCast {
             state.candidates_visited += candidates.len() as u64;
 
             // ---- Refine straddlers; collect the constituent sets.
-            // (`relevant` stays requirement-owned: it moves into `commits`.)
-            let mut relevant: Vec<u32> = Vec::new();
-            let mut killed = std::mem::take(&mut state.scratch.killed);
+            relevant.clear();
             killed.clear();
             let mut tests = 0usize;
             // All remote work for this requirement — refinements, history
-            // scans, invalidations — is batched into one concurrent flush
-            // (Legion issues these as parallel active messages).
-            let mut charges = ChargeSet::new();
-            for &c in &candidates {
+            // scans, invalidations — is batched into `charges` and flushed
+            // as one concurrent multi-request (Legion issues these as
+            // parallel active messages).
+            for &c in candidates.iter() {
                 if !state.sets[c as usize].live {
                     continue;
                 }
@@ -631,21 +671,23 @@ impl CoherenceEngine for RayCast {
                 // ray casting still refines on partial overlaps).
                 let inside = state.alg.intersect(dom, target_id);
                 let outside = state.alg.subtract(dom, target_id);
+                // The history moves to the outside half (one copy for the
+                // inside half): the dead parent is retained until a GC
+                // sweep, and must not retain a history with it.
                 let (hist, old_owner) = {
-                    let s = &state.sets[c as usize];
-                    (s.hist.clone(), s.owner)
+                    let s = &mut state.sets[c as usize];
+                    (std::mem::take(&mut s.hist), s.owner)
                 };
                 state.kill(c);
                 killed.push(c);
                 // The inside half migrates to its first user's node.
                 let inside_id = state.new_set(inside, hist.clone(), launch.node);
                 let outside_id = state.new_set(outside, hist, old_owner);
-                state.sets[c as usize].replaced_by = vec![inside_id, outside_id];
-                Self::index_replace(
+                state.sets[c as usize].replaced_by = Some([inside_id, outside_id]);
+                Self::index_insert(
                     &mut state.index,
                     &mut state.sets,
                     &state.alg,
-                    c,
                     &[inside_id, outside_id],
                 );
                 for op in [
@@ -659,7 +701,7 @@ impl CoherenceEngine for RayCast {
                 relevant.push(inside_id);
             }
             if !killed.is_empty() {
-                Self::index_remove_dead(&mut state.index, &mut state.sets, &killed);
+                Self::index_remove_dead(&mut state.index, &mut state.sets, killed);
                 viz_profile::instant(viz_profile::EventKind::EqSetRefined {
                     count: killed.len() as u64,
                 });
@@ -679,8 +721,14 @@ impl CoherenceEngine for RayCast {
                 swept: tests as u64,
             });
 
-            // ---- Scan histories for dependences + plan.
-            let mut deps = Vec::new();
+            // ---- Scan histories for dependences + plan. Every entry
+            // scanned yields at most one dependence.
+            let mut deps = Vec::with_capacity(
+                relevant
+                    .iter()
+                    .map(|n| state.sets[*n as usize].hist.len())
+                    .sum(),
+            );
             let mut plan = if req.privilege.needs_current_values() {
                 MaterializePlan::default()
             } else {
@@ -689,9 +737,8 @@ impl CoherenceEngine for RayCast {
                 };
                 MaterializePlan::identity(op)
             };
-            let mut copies = Vec::new();
             let mut entries_scanned = 0usize;
-            for n in &relevant {
+            for n in relevant.iter() {
                 let s = &state.sets[*n as usize];
                 scan_eq_history(
                     &s.hist,
@@ -700,7 +747,7 @@ impl CoherenceEngine for RayCast {
                     req.privilege,
                     &mut deps,
                     &mut plan,
-                    &mut copies,
+                    copies,
                 );
                 entries_scanned += s.hist.len();
                 charges.add(s.owner, Op::SetTouch);
@@ -717,7 +764,7 @@ impl CoherenceEngine for RayCast {
             for _ in &deps {
                 out.scan_log.op(origin, Op::DepRecord);
             }
-            plan.copies = fold_copies(&mut state.alg, copies);
+            plan.copies = fold_copies(&mut state.alg, copies, fold_ids);
             out.deps = deps;
             out.plan = plan;
 
@@ -729,7 +776,7 @@ impl CoherenceEngine for RayCast {
                 privilege: req.privilege,
             };
             if req.privilege.is_write() {
-                for n in &relevant {
+                for n in relevant.iter() {
                     let owner = state.sets[*n as usize].owner;
                     state.kill(*n);
                     if owner != origin {
@@ -744,56 +791,46 @@ impl CoherenceEngine for RayCast {
                     SetIndex::Anchored { partition, .. } => Some(*partition),
                     SetIndex::Kd { .. } => None,
                 };
-                let pieces: Vec<SpaceId> = match anchored {
+                match anchored {
                     Some(partition) => {
                         // Borrow the child list instead of cloning it: the
                         // clone was O(anchors) per write requirement — the
                         // single largest per-launch term at weak scale.
                         let kids = ctx.forest.children(partition);
-                        let mut out = Vec::with_capacity(req_anchors.len());
-                        for a in &req_anchors {
+                        for a in req_anchors.iter() {
                             let adom = state.region_space(ctx.forest, kids[*a as usize]);
                             let piece = state.alg.intersect(target_id, adom);
                             if !state.alg.is_empty_space(piece) {
-                                out.push(piece);
+                                pieces.push(piece);
                             }
                         }
-                        out
                     }
-                    None => vec![target_id],
-                };
+                    None => pieces.push(target_id),
+                }
                 // The occluded constituent sets coalesce into the fresh
                 // dominating-write sets.
                 viz_profile::instant(viz_profile::EventKind::EqSetCoalesced {
                     count: relevant.len() as u64,
                 });
-                let mut new_ids = Vec::with_capacity(pieces.len());
-                for piece in pieces {
+                // The fresh sets are this requirement's commit targets.
+                let first = commit_ids.len();
+                for piece in pieces.drain(..) {
                     let id = state.new_set(piece, Vec::new(), launch.node);
                     out.scan_log.op(origin, Op::EqSetCreate);
-                    new_ids.push(id);
+                    commit_ids.push(id);
                 }
+                let new_ids = &commit_ids[first..];
                 viz_profile::instant(viz_profile::EventKind::EqSetCreated {
                     count: new_ids.len() as u64,
                 });
-                Self::index_replace(
-                    &mut state.index,
-                    &mut state.sets,
-                    &state.alg,
-                    u32::MAX,
-                    &new_ids,
-                );
-                Self::index_remove_dead(&mut state.index, &mut state.sets, &relevant);
-                commits.push((new_ids, entry));
+                Self::index_insert(&mut state.index, &mut state.sets, &state.alg, new_ids);
+                Self::index_remove_dead(&mut state.index, &mut state.sets, relevant);
             } else {
-                commits.push((relevant, entry));
+                commit_ids.extend_from_slice(relevant);
             }
+            commits.push((commit_ids.len() as u32, entry));
             charges.flush_into(&mut out.scan_log, origin);
             outcomes.push(out);
-            // Return the scratch buffers (capacity intact) to the shard.
-            state.scratch.candidates = candidates;
-            state.scratch.req_anchors = req_anchors;
-            state.scratch.killed = killed;
         }
 
         // ---- Commit: append to each requirement's target sets. The sets
@@ -803,12 +840,15 @@ impl CoherenceEngine for RayCast {
         // launch split after this one's scan forwards the commit to its
         // replacement halves (dropping it would lose the access entirely);
         // sets occluded by a dominating write stay dropped.
-        for (out, (ids, entry)) in outcomes.iter_mut().zip(commits) {
-            let mut stack = ids;
-            while let Some(n) = stack.pop() {
+        let mut first = 0usize;
+        for (out, (end, entry)) in outcomes.iter_mut().zip(commits.iter()) {
+            commit_stack.clear();
+            commit_stack.extend_from_slice(&commit_ids[first..*end as usize]);
+            first = *end as usize;
+            while let Some(n) = commit_stack.pop() {
                 let s = &mut state.sets[n as usize];
                 if !s.live {
-                    stack.extend(s.replaced_by.iter().copied());
+                    commit_stack.extend(s.replaced_by.into_iter().flatten());
                     continue;
                 }
                 if entry.privilege.is_write() && !s.hist.is_empty() {
@@ -825,6 +865,7 @@ impl CoherenceEngine for RayCast {
                 }
             }
         }
+        state.scratch = scratch;
         let delta = state.alg.stats().delta_since(&state.last_stats);
         if delta.hits + delta.fast_hits + delta.misses > 0 {
             viz_profile::instant(viz_profile::EventKind::AlgebraCache {
@@ -857,8 +898,9 @@ impl CoherenceEngine for RayCast {
     /// list would break exactly that ordering.
     ///
     /// `replaced_by` chains only forward commits *within* one launch's
-    /// `analyze_shard`, so between launches the dead sets (and their cloned
-    /// histories) are unreachable garbage.
+    /// `analyze_shard`, so between launches the dead sets are unreachable
+    /// garbage. Only the sets a dominating write occluded still hold a
+    /// history to drop: a refinement split moved its parent's away.
     fn collect(&mut self, _floor: crate::task::TaskId) -> GcSweep {
         let mut sweep = GcSweep::default();
         for (_, s) in self.shards.sweep_mut(self.dirty_only) {
@@ -876,10 +918,8 @@ impl CoherenceEngine for RayCast {
                     sweep.history_entries += set.hist.len();
                 }
             }
+            // (Only dead sets carry `replaced_by`: nothing to renumber.)
             s.sets.retain(|set| set.live);
-            for set in &mut s.sets {
-                set.replaced_by.clear();
-            }
             match &mut s.index {
                 SetIndex::Anchored { buckets, .. } => {
                     // Buckets hold only live ids (`index_remove_dead` runs
@@ -947,29 +987,38 @@ impl RayCast {
     /// Register new sets in the index: for the anchored index, each set is
     /// placed in every anchor bucket its bounding box overlaps (queries
     /// filter exactly and deduplicate). The overlapping anchors come from
-    /// the static anchor-lookup BVH — O(log anchors + hits) per set, with
-    /// membership identical to a linear sweep of `anchor_bboxes` — and are
-    /// recorded on the set so its eventual removal touches only those
-    /// buckets.
-    fn index_replace(
+    /// the placement memo, which asks the static anchor-lookup BVH the
+    /// first time a domain is placed — O(log anchors + hits), with
+    /// membership identical to a linear sweep of `anchor_bboxes` — and the
+    /// list is shared with the set so its eventual removal touches only
+    /// those buckets.
+    fn index_insert(
         index: &mut SetIndex,
         sets: &mut [RaySet],
         alg: &SpaceAlgebra,
-        _old: u32,
         new_ids: &[u32],
     ) {
         match index {
             SetIndex::Anchored {
-                buckets, lookup, ..
+                buckets,
+                lookup,
+                placement,
+                ..
             } => {
                 for id in new_ids {
-                    let bb = alg.bbox(sets[*id as usize].domain);
-                    let anchors = &mut sets[*id as usize].anchors;
-                    anchors.clear();
-                    lookup.query(&bb, anchors);
+                    let set = &mut sets[*id as usize];
+                    let anchors = placement
+                        .entry(set.domain)
+                        .or_insert_with(|| lookup.query_vec(&alg.bbox(set.domain)).into());
+                    debug_assert_eq!(
+                        anchors[..],
+                        lookup.query_vec(&alg.bbox(set.domain))[..],
+                        "memoized placement diverged from the anchor lookup"
+                    );
                     for a in anchors.iter() {
                         buckets[*a as usize].push(*id);
                     }
+                    set.anchors = Some(anchors.clone());
                 }
             }
             SetIndex::Kd { tree } => {
@@ -990,8 +1039,10 @@ impl RayCast {
         match index {
             SetIndex::Anchored { buckets, .. } => {
                 for d in dead {
-                    let anchors = std::mem::take(&mut sets[*d as usize].anchors);
-                    for a in &anchors {
+                    let Some(anchors) = sets[*d as usize].anchors.take() else {
+                        continue;
+                    };
+                    for a in anchors.iter() {
                         let bucket = &mut buckets[*a as usize];
                         if let Some(pos) = bucket.iter().position(|m| m == d) {
                             bucket.swap_remove(pos);
@@ -1084,6 +1135,15 @@ mod tests {
             };
             self.eng.analyze(&launch, &mut ctx)
         }
+    }
+
+    /// With GC off every set ever created is retained (~330 K on the
+    /// `pennant_waves` benchmark), so a field added to `RaySet` is resident
+    /// memory on every workload. 88 bytes before the anchor list became a
+    /// shared `Arc` and `replaced_by` a fixed pair.
+    #[test]
+    fn ray_set_does_not_grow() {
+        assert!(std::mem::size_of::<RaySet>() <= 72);
     }
 
     #[test]

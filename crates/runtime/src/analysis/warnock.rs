@@ -105,24 +105,29 @@ pub(crate) fn scan_eq_history(
 /// structurally what it would have built, and a steady-state launch
 /// re-reading the same sets pays one memo hit per source instead of a
 /// rectangle sweep per set.
+///
+/// Drains `copies`; `ids` is scratch for one fold's operand list (both keep
+/// their capacity for the caller to reuse).
 pub(crate) fn fold_copies(
     alg: &mut SpaceAlgebra,
-    mut copies: Vec<(Source, SpaceId)>,
+    copies: &mut Vec<(Source, SpaceId)>,
+    ids: &mut Vec<SpaceId>,
 ) -> Vec<CopyRange> {
     copies.sort_by_key(|(source, _)| source.fold_key());
-    let mut ids = Vec::new();
-    copies
-        .chunk_by(|a, b| a.0 == b.0)
-        .map(|run| {
-            ids.clear();
-            ids.extend(run.iter().map(|(_, id)| *id));
-            let folded = alg.union_all(&ids);
-            CopyRange {
-                source: run[0].0.clone(),
-                domain: alg.space(folded).clone(),
-            }
-        })
-        .collect()
+    let runs = || copies.chunk_by(|a, b| a.0 == b.0);
+    // Sized exactly: the plan is retained with the launch.
+    let mut folded = Vec::with_capacity(runs().count());
+    folded.extend(runs().map(|run| {
+        ids.clear();
+        ids.extend(run.iter().map(|(_, id)| *id));
+        let folded = alg.union_all(ids);
+        CopyRange {
+            source: run[0].0.clone(),
+            domain: alg.space(folded).clone(),
+        }
+    }));
+    copies.clear();
+    folded
 }
 
 /// A node in the refinement tree: an equivalence set that is either live
@@ -251,6 +256,9 @@ impl CoherenceEngine for Warnock {
         let mut tree = self.shards.lock(key);
         let mut outcomes: Vec<ReqOutcome> = Vec::with_capacity(reqs.len());
         let mut commits: Vec<(Vec<u32>, EqEntry)> = Vec::with_capacity(reqs.len());
+        // One charge batch, flushed (and so emptied) twice per requirement:
+        // after the refinements, then after the history scans.
+        let mut charges = ChargeSet::new();
 
         for &ri in reqs {
             let req = &launch.reqs[ri as usize];
@@ -282,7 +290,6 @@ impl CoherenceEngine for Warnock {
             let mut traversal_tests = 0usize;
             let mut refined = 0usize;
             let mut to_replicate = 0usize;
-            let mut refine_charges = ChargeSet::new();
             while let Some(n) = stack.pop() {
                 traversal_tests += 1;
                 let dom = tree.nodes[n as usize].domain;
@@ -357,12 +364,12 @@ impl CoherenceEngine for Warnock {
                     Op::EqSetCreate,
                     Op::GeomOp { rects: 2 },
                 ] {
-                    refine_charges.add(old_owner, op);
+                    charges.add(old_owner, op);
                 }
                 refined += 1;
                 relevant.push(inside_idx);
             }
-            refine_charges.flush_into(&mut out.scan_log, origin);
+            charges.flush_into(&mut out.scan_log, origin);
             viz_profile::instant(viz_profile::EventKind::BvhTraversal {
                 nodes: traversal_tests as u64,
             });
@@ -403,7 +410,6 @@ impl CoherenceEngine for Warnock {
                 MaterializePlan::identity(op)
             };
             let mut copies = Vec::new();
-            let mut charges = ChargeSet::new();
             let mut entries_scanned = 0usize;
             for n in &relevant {
                 let node = &tree.nodes[*n as usize];
@@ -435,7 +441,7 @@ impl CoherenceEngine for Warnock {
             for _ in &deps {
                 out.scan_log.op(origin, Op::DepRecord);
             }
-            plan.copies = fold_copies(&mut tree.alg, copies);
+            plan.copies = fold_copies(&mut tree.alg, &mut copies, &mut Vec::new());
             out.deps = deps;
             out.plan = plan;
             outcomes.push(out);

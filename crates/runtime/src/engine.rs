@@ -192,7 +192,7 @@ pub(crate) fn assemble_outcomes(
         o.commit_log.replay(machine);
     }
     let mut result = AnalysisResult {
-        deps: Vec::new(),
+        deps: Vec::with_capacity(outcomes.iter().map(|o| o.deps.len()).sum()),
         plans: vec![MaterializePlan::default(); launch.reqs.len()],
     };
     for o in outcomes {

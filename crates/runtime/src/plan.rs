@@ -82,18 +82,17 @@ impl MaterializePlan {
     /// from the same source.
     pub fn normalize(&mut self) {
         self.reductions.sort_by_key(|r| (r.task, r.req));
-        // Merge copy ranges with identical sources.
-        let mut merged: Vec<CopyRange> = Vec::with_capacity(self.copies.len());
+        // Merge copy ranges with identical sources (a left fold, in place).
         self.copies.sort_by_key(|c| c.source.fold_key());
-        for c in self.copies.drain(..) {
-            match merged.last_mut() {
-                Some(last) if last.source == c.source => {
-                    last.domain = last.domain.union(&c.domain);
-                }
-                _ => merged.push(c),
+        self.copies.dedup_by(|c, last| {
+            let same = last.source == c.source;
+            if same {
+                last.domain = last.domain.union(&c.domain);
             }
-        }
-        self.copies = merged;
+            same
+        });
+        // Plans are retained per launch: hold no slack.
+        self.copies.shrink_to_fit();
     }
 
     /// Total points copied (used by the timed executor to price data

@@ -10,12 +10,14 @@
 //! would have made directly, so a serial drive and a sharded drive produce
 //! byte-identical clocks, counters and traces.
 
+use std::ops::Range;
+
 use crate::cost::Op;
 use crate::machine::{Machine, NodeId};
 
 /// One deferred call into the [`Machine`] charging API.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MachineCall {
+enum MachineCall {
     /// [`Machine::op`].
     Op(NodeId, Op),
     /// [`Machine::send`].
@@ -32,19 +34,30 @@ pub enum MachineCall {
         resp_bytes: u64,
         work: Vec<Op>,
     },
-    /// [`Machine::multi_request`].
-    MultiRequest {
-        from: NodeId,
-        targets: Vec<(NodeId, u64, u64)>,
-        work: Vec<Vec<Op>>,
-    },
+    /// [`Machine::multi_request`] to `ChargeLog::targets[targets]`.
+    MultiRequest { from: NodeId, targets: Range<u32> },
 }
 
-/// An append-only sequence of [`MachineCall`]s, recorded during a scan or
-/// commit and replayed later in canonical order.
+/// One round trip of a recorded multi-request: the target and byte sizes
+/// [`Machine::multi_request`] takes, and the ops served there as
+/// `ChargeLog::work[work]`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Target {
+    to: NodeId,
+    req_bytes: u64,
+    resp_bytes: u64,
+    work: Range<u32>,
+}
+
+/// An append-only sequence of [`Machine`] calls, recorded during a scan or
+/// commit and replayed later in canonical order. A multi-request's targets
+/// and their work live in two arenas the log owns, so recording one
+/// allocates nothing once the log has grown.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ChargeLog {
     calls: Vec<MachineCall>,
+    targets: Vec<Target>,
+    work: Vec<Op>,
 }
 
 impl ChargeLog {
@@ -85,16 +98,27 @@ impl ChargeLog {
         });
     }
 
-    pub fn multi_request(
+    /// Record one [`Machine::multi_request`]: a `((to, req_bytes,
+    /// resp_bytes), ops)` batch per target, in issue order.
+    pub fn multi_request<W: IntoIterator<Item = Op>>(
         &mut self,
         from: NodeId,
-        targets: Vec<(NodeId, u64, u64)>,
-        work: Vec<Vec<Op>>,
+        batches: impl IntoIterator<Item = ((NodeId, u64, u64), W)>,
     ) {
+        let first = self.targets.len() as u32;
+        for ((to, req_bytes, resp_bytes), ops) in batches {
+            let start = self.work.len() as u32;
+            self.work.extend(ops);
+            self.targets.push(Target {
+                to,
+                req_bytes,
+                resp_bytes,
+                work: start..self.work.len() as u32,
+            });
+        }
         self.calls.push(MachineCall::MultiRequest {
             from,
-            targets,
-            work,
+            targets: first..self.targets.len() as u32,
         });
     }
 
@@ -115,13 +139,15 @@ impl ChargeLog {
                 } => {
                     machine.request(*from, *to, *req_bytes, *resp_bytes, work);
                 }
-                MachineCall::MultiRequest {
-                    from,
-                    targets,
-                    work,
-                } => {
-                    let views: Vec<&[Op]> = work.iter().map(|w| w.as_slice()).collect();
-                    machine.multi_request(*from, targets, &views);
+                MachineCall::MultiRequest { from, targets } => {
+                    let targets = &self.targets[targets.start as usize..targets.end as usize];
+                    machine.multi_request_with(
+                        *from,
+                        targets.iter().map(|t| {
+                            let ops = &self.work[t.work.start as usize..t.work.end as usize];
+                            ((t.to, t.req_bytes, t.resp_bytes), ops.iter().copied())
+                        }),
+                    );
                 }
             }
         }
@@ -152,8 +178,10 @@ mod tests {
         log.request(0, 2, 96, 64, &[Op::EqSetCreate]);
         log.multi_request(
             0,
-            vec![(1, 120, 96), (2, 120, 96)],
-            vec![vec![Op::HistScan { entries: 3 }], vec![Op::SetTouch]],
+            [
+                ((1, 120, 96), vec![Op::HistScan { entries: 3 }]),
+                ((2, 120, 96), vec![Op::SetTouch]),
+            ],
         );
         let mut replayed = Machine::new(3);
         log.replay(&mut replayed);

@@ -25,7 +25,7 @@ pub mod cost;
 pub mod event;
 pub mod machine;
 
-pub use charge::{ChargeLog, MachineCall};
+pub use charge::ChargeLog;
 pub use cost::{CostModel, Counters, Op};
 pub use event::{Event, EventPool};
 pub use machine::{Machine, NodeId, SimTime};

@@ -208,11 +208,29 @@ impl Machine {
         work: &[&[Op]],
     ) -> SimTime {
         debug_assert_eq!(targets.len(), work.len());
+        self.multi_request_with(
+            from,
+            targets
+                .iter()
+                .zip(work)
+                .map(|(target, ops)| (*target, ops.iter().copied())),
+        )
+    }
+
+    /// [`Machine::multi_request`] over any sequence of
+    /// `((to, req_bytes, resp_bytes), ops)` batches — what a recorded
+    /// [`crate::ChargeLog`] replays from its arenas without materializing
+    /// the slice-of-slices form.
+    pub fn multi_request_with<W: IntoIterator<Item = Op>>(
+        &mut self,
+        from: NodeId,
+        batches: impl IntoIterator<Item = ((NodeId, u64, u64), W)>,
+    ) -> SimTime {
         let mut latest = self.clock[from];
-        for ((to, req_bytes, resp_bytes), ops) in targets.iter().zip(work) {
-            if *to == from {
-                for op in *ops {
-                    self.op(from, *op);
+        for ((to, req_bytes, resp_bytes), ops) in batches {
+            if to == from {
+                for op in ops {
+                    self.op(from, op);
                 }
                 continue;
             }
@@ -220,25 +238,25 @@ impl Machine {
             self.counters.bytes += req_bytes + resp_bytes;
             let injected = self.clock[from];
             self.clock[from] += self.cost.msg_overhead_ns;
-            let arrival = self.clock[from] + self.cost.wire_ns(*req_bytes);
-            let serve_start = self.service[*to].max(arrival);
+            let arrival = self.clock[from] + self.cost.wire_ns(req_bytes);
+            let serve_start = self.service[to].max(arrival);
             let mut served = serve_start;
-            for op in *ops {
-                self.counters.record(*op);
-                served += self.cost.op_ns(*op);
+            for op in ops {
+                self.counters.record(op);
+                served += self.cost.op_ns(op);
             }
             served += self.cost.msg_overhead_ns;
-            self.service[*to] = served;
+            self.service[to] = served;
             self.trace_message(
                 from,
-                *to,
+                to,
                 req_bytes + resp_bytes,
                 injected,
                 arrival,
                 serve_start,
                 served,
             );
-            latest = latest.max(served + self.cost.wire_ns(*resp_bytes));
+            latest = latest.max(served + self.cost.wire_ns(resp_bytes));
         }
         self.advance_to(from, latest);
         self.clock[from]
