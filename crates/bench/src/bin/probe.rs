@@ -46,33 +46,21 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let profile = args.iter().any(|a| a == "--profile");
     let auto_trace = args.iter().any(|a| a == "--auto-trace");
-    let pipeline = args.iter().any(|a| a == "--pipeline") || viz_runtime::default_pipeline();
-    let analysis_threads = args
-        .iter()
-        .position(|a| a == "--analysis-threads")
-        .map(|i| {
+    let pipeline = args.iter().any(|a| a == "--pipeline");
+    let usize_flag = |flag: &str| {
+        args.iter().position(|a| a == flag).map(|i| {
             args.get(i + 1)
-                .expect("--analysis-threads N")
-                .parse::<usize>()
-                .expect("thread count")
+                .and_then(|v| v.parse::<usize>().ok())
+                .unwrap_or_else(|| panic!("{flag} N"))
         })
-        .unwrap_or_else(viz_runtime::default_analysis_threads);
-    let submit_rings = args
-        .iter()
-        .position(|a| a == "--submit-rings")
-        .map(|i| {
-            args.get(i + 1)
-                .expect("--submit-rings N")
-                .parse::<usize>()
-                .expect("ring count")
-        })
-        .unwrap_or_else(viz_runtime::default_submit_rings);
+    };
+    let analysis_threads = usize_flag("--analysis-threads");
+    let submit_rings = usize_flag("--submit-rings");
     let oracle = args.iter().any(|a| a == "--oracle");
     let history_path = args
         .iter()
         .position(|a| a == "--record-history")
         .map(|i| args.get(i + 1).expect("--record-history PATH").clone());
-    let record = oracle || history_path.is_some() || viz_runtime::default_record_history();
     if profile {
         viz_profile::enable();
     }
@@ -82,17 +70,30 @@ fn main() {
     } else {
         app.paper(nodes)
     };
-    let mut rt = Runtime::new(
-        RuntimeConfig::new(engine)
-            .nodes(nodes)
-            .dcr(dcr)
-            .validate(false)
-            .analysis_threads(analysis_threads)
-            .auto_trace(auto_trace)
-            .pipeline(pipeline)
-            .submit_rings(submit_rings)
-            .record_history(record),
-    );
+    // `RuntimeConfig::new` has applied the `VIZ_*` environment; a setter
+    // runs only for a flag that was passed, so flag > environment > default.
+    let mut config = RuntimeConfig::new(engine)
+        .nodes(nodes)
+        .dcr(dcr)
+        .validate(false);
+    if let Some(n) = analysis_threads {
+        config = config.analysis_threads(n);
+    }
+    if auto_trace {
+        config = config.auto_trace(true);
+    }
+    if pipeline {
+        config = config.pipeline(true);
+    }
+    if let Some(n) = submit_rings {
+        config = config.submit_rings(n);
+    }
+    if oracle || history_path.is_some() {
+        config = config.record_history(true);
+    }
+    let analysis_threads = config.analysis_threads;
+    let auto_trace = config.auto_trace.enabled;
+    let mut rt = Runtime::new(config);
     let host = std::time::Instant::now();
     let run = workload.execute(&mut rt);
     let host_submit = host.elapsed().as_secs_f64();

@@ -55,11 +55,9 @@ impl SpaceId {
     }
 }
 
-/// Configuration for the interning/memoization layer.
-///
-/// | env var | default | meaning |
-/// |---|---|---|
-/// | `VIZ_INTERN` | `1` | `0`/`false`/`off` disables fast paths + memo (direct sweeps) |
+/// Configuration for the interning/memoization layer. Enabled by default;
+/// [`InternConfig::disabled`] is the direct-sweep reference the
+/// differential tests compare against.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct InternConfig {
     /// When false, every operation runs the direct rectangle sweep:

@@ -82,7 +82,7 @@ proptest! {
     }
 
     /// `union_all` is the left fold of `IndexSpace::union`, structurally,
-    /// memoized (second round) or not (`VIZ_INTERN=0`).
+    /// memoized (second round) or not (`InternConfig::disabled()`).
     #[test]
     fn union_all_matches_the_chained_fold(spaces in prop::collection::vec(space(), 0..6)) {
         let chained = spaces.iter().skip(1).fold(
@@ -99,7 +99,7 @@ proptest! {
         }
     }
 
-    /// Disabled mode (the `VIZ_INTERN=0` path) also matches direct sweeps.
+    /// Disabled mode (`InternConfig::disabled()`) also matches direct sweeps.
     #[test]
     fn disabled_algebra_matches_direct(pairs in prop::collection::vec((space(), space()), 1..8)) {
         let mut alg = SpaceAlgebra::new(InternConfig::disabled());

@@ -63,7 +63,7 @@ fn push_args(out: &mut String, kind: &EventKind) {
         EventKind::CompositeView { entries } => {
             let _ = write!(out, "{{\"entries\":{entries}}}");
         }
-        EventKind::BvhTraversal { nodes } | EventKind::KdTraversal { nodes } => {
+        EventKind::BvhTraversal { nodes } => {
             let _ = write!(out, "{{\"nodes\":{nodes}}}");
         }
         EventKind::MsgSend { from, to, bytes } => {
@@ -103,12 +103,6 @@ fn push_args(out: &mut String, kind: &EventKind) {
         EventKind::BvhMaintain { refits, rebuilds } => {
             let _ = write!(out, "{{\"refits\":{refits},\"rebuilds\":{rebuilds}}}");
         }
-        EventKind::FlatSnapshot { nodes } => {
-            let _ = write!(out, "{{\"nodes\":{nodes}}}");
-        }
-        EventKind::BatchQuery { queries, hits } => {
-            let _ = write!(out, "{{\"queries\":{queries},\"hits\":{hits}}}");
-        }
         EventKind::HistoryRecord { launches } => {
             let _ = write!(out, "{{\"launches\":{launches}}}");
         }
@@ -120,13 +114,11 @@ fn push_args(out: &mut String, kind: &EventKind) {
             retired,
             freed_words,
             dropped,
-            coarsened,
         } => {
             let _ = write!(
                 out,
                 "{{\"watermark\":{watermark},\"retired\":{retired},\
-                 \"freed_words\":{freed_words},\"dropped\":{dropped},\
-                 \"coarsened\":{coarsened}}}"
+                 \"freed_words\":{freed_words},\"dropped\":{dropped}}}"
             );
         }
         EventKind::ScanSweep { candidates, swept } => {

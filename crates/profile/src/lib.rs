@@ -60,10 +60,9 @@ pub enum EventKind {
     EqSetCoalesced { count: u64 },
     /// A composite view built capturing `entries` entries.
     CompositeView { entries: u64 },
-    /// A refinement-tree (BVH) traversal touching `nodes` nodes.
+    /// A spatial-index (refinement tree, anchor buckets, or dynamic BVH)
+    /// traversal touching `nodes` nodes.
     BvhTraversal { nodes: u64 },
-    /// A K-d tree traversal touching `nodes` nodes.
-    KdTraversal { nodes: u64 },
     /// A message injected by `from` toward `to` (sender-side overhead).
     MsgSend { from: u32, to: u32, bytes: u64 },
     /// A message from `from` served on `to`'s service clock after waiting
@@ -92,12 +91,6 @@ pub enum EventKind {
     /// Incremental BVH maintenance on one shard since the last report:
     /// `refits` ancestor-refit passes vs `rebuilds` full rebuilds.
     BvhMaintain { refits: u64, rebuilds: u64 },
-    /// A shard's `DynamicBvh` was flattened into a `FlatBvh` snapshot of
-    /// `nodes` SoA nodes (batched visibility backend).
-    FlatSnapshot { nodes: u64 },
-    /// One batched candidate-resolution sweep answered `queries` queries
-    /// producing `hits` candidate ids (batch-size histogram source).
-    BatchQuery { queries: u64, hits: u64 },
     /// A launch history snapshot of `launches` launches was exported for
     /// the consistency oracle.
     HistoryRecord { launches: u64 },
@@ -106,14 +99,12 @@ pub enum EventKind {
     OracleCheck { pairs: u64, edges: u64 },
     /// One history-GC sweep: the watermark reached `watermark`, `retired`
     /// ledger entries and `freed_words` precedence-tag words were
-    /// reclaimed, engines dropped `dropped` dead state entries, and
-    /// coarsening performed `coarsened` sibling merges.
+    /// reclaimed, and engines dropped `dropped` dead state entries.
     GcSweep {
         watermark: u64,
         retired: u64,
         freed_words: u64,
         dropped: u64,
-        coarsened: u64,
     },
     /// One launch-analysis scan: the locality index produced `candidates`
     /// candidate sets and the refine loop swept `swept` of them (the
@@ -133,7 +124,6 @@ impl EventKind {
             EventKind::EqSetCoalesced { .. } => "eqset_coalesced",
             EventKind::CompositeView { .. } => "composite_view",
             EventKind::BvhTraversal { .. } => "bvh_traversal",
-            EventKind::KdTraversal { .. } => "kd_traversal",
             EventKind::MsgSend { .. } => "msg_send",
             EventKind::MsgServe { .. } => "msg_serve",
             EventKind::GpuTask { .. } => "gpu_task",
@@ -144,8 +134,6 @@ impl EventKind {
             EventKind::SubmitCombine { .. } => "submit_combine",
             EventKind::AlgebraCache { .. } => "algebra_cache",
             EventKind::BvhMaintain { .. } => "bvh_maintain",
-            EventKind::FlatSnapshot { .. } => "flat_snapshot",
-            EventKind::BatchQuery { .. } => "batch_query",
             EventKind::HistoryRecord { .. } => "history_record",
             EventKind::OracleCheck { .. } => "oracle_check",
             EventKind::GcSweep { .. } => "gc_sweep",
@@ -165,7 +153,6 @@ impl EventKind {
             EventKind::EqSetCoalesced { count } => count,
             EventKind::CompositeView { entries } => entries,
             EventKind::BvhTraversal { nodes } => nodes,
-            EventKind::KdTraversal { nodes } => nodes,
             EventKind::MsgSend { bytes, .. } => bytes,
             EventKind::MsgServe { queued_ns, .. } => queued_ns,
             EventKind::GpuTask { .. } => 1,
@@ -178,9 +165,6 @@ impl EventKind {
             // A cache report counts lookups; maintenance counts operations.
             EventKind::AlgebraCache { hits, misses } => hits + misses,
             EventKind::BvhMaintain { refits, rebuilds } => refits + rebuilds,
-            EventKind::FlatSnapshot { nodes } => nodes,
-            // A batch report counts the queries it resolved in one sweep.
-            EventKind::BatchQuery { queries, .. } => queries,
             EventKind::HistoryRecord { launches } => launches,
             // A check report counts the precedence pairs it proved.
             EventKind::OracleCheck { pairs, .. } => pairs,

@@ -5,7 +5,6 @@ pub mod history;
 pub mod paint;
 pub mod paint_naive;
 pub mod raycast;
-pub mod visibility;
 pub mod warnock;
 
 use std::cell::UnsafeCell;

@@ -368,7 +368,7 @@ pub struct Painter {
 
 impl Painter {
     pub fn new() -> Self {
-        Self::with_intern(crate::config::env_intern())
+        Self::with_intern(InternConfig::default())
     }
 
     /// Build with an explicit interning configuration.

@@ -40,7 +40,7 @@ pub struct PaintNaive {
 
 impl PaintNaive {
     pub fn new() -> Self {
-        Self::with_intern(crate::config::env_intern())
+        Self::with_intern(InternConfig::default())
     }
 
     /// Build with an explicit interning configuration.

@@ -22,7 +22,6 @@
 //! Everything for one `(root, field)` — sets, spatial index, anchor memo,
 //! usage counters — is one shard; nothing an analysis does crosses shards.
 
-use crate::analysis::visibility::{QuerySpan, VisibilityBackend, VisibilityConfig};
 use crate::analysis::warnock::{fold_copies, scan_eq_history, EqEntry};
 use crate::analysis::{group_reqs_by_shard, ChargeSet, ReqOutcome, ShardKey, ShardedState};
 use crate::engine::{CoherenceEngine, GcSweep, ShardCtx, StateSize};
@@ -102,12 +101,8 @@ enum SetIndex {
 /// the workload's high-water mark.
 #[derive(Default)]
 struct ScanScratch {
-    /// Flat list of every requirement's query rects for the current shard
-    /// batch — the batched backend resolves all of them in one sweep (and
-    /// it is exactly the query buffer a GPU dispatch would upload).
-    queries: Vec<Rect>,
-    /// One `(first rect, rect count)` span into `queries` per requirement.
-    spans: Vec<QuerySpan>,
+    /// Traversal stack of the K-d walk.
+    stack: Vec<u32>,
     /// Raw index hits for one requirement, before sort + dedup.
     hits: Vec<u64>,
     /// Deduplicated candidate set ids for one requirement.
@@ -162,9 +157,6 @@ struct FieldState {
     /// (the sweep work a launch pays; tracks requirement overlap, not the
     /// live-set count).
     sets_swept: u64,
-    /// Candidate-resolution backend for the K-d path (scalar walk or
-    /// flattened batched sweep — see [`crate::analysis::visibility`]).
-    vis: Box<dyn VisibilityBackend>,
     scratch: ScanScratch,
     last_stats: AlgebraStats,
     last_refits: u64,
@@ -207,7 +199,6 @@ pub struct RayCast {
     force_kd: bool,
     use_anchor_memo: bool,
     intern: InternConfig,
-    vis: VisibilityConfig,
     /// GC sweeps visit only shards scanned since the previous sweep (see
     /// [`ShardedState::sweep_mut`]); `set_dirty_tracking(false)` restores
     /// the full sweep.
@@ -216,25 +207,17 @@ pub struct RayCast {
 
 impl RayCast {
     pub fn new() -> Self {
-        Self::with_intern(crate::config::env_intern())
+        Self::with_intern(InternConfig::default())
     }
 
-    /// Build with an explicit interning configuration; the visibility
-    /// backend still defaults from the environment.
+    /// Build with an explicit interning configuration (the differential
+    /// tests compare the memoized and direct algebra paths in one process).
     pub fn with_intern(intern: InternConfig) -> Self {
-        Self::with_config(intern, crate::config::env_visibility())
-    }
-
-    /// Build with both the interning and the candidate-resolution
-    /// configuration pinned (the differential tests compare backends in
-    /// one process without touching the environment).
-    pub fn with_config(intern: InternConfig, vis: VisibilityConfig) -> Self {
         RayCast {
             shards: ShardedState::new(),
             force_kd: false,
             use_anchor_memo: true,
             intern,
-            vis,
             dirty_only: true,
         }
     }
@@ -267,7 +250,6 @@ impl RayCast {
         root: RegionId,
         force_kd: bool,
         intern: InternConfig,
-        vis: VisibilityConfig,
     ) -> FieldState {
         let mut alg = SpaceAlgebra::new(intern);
         let mut region_ids = FxHashMap::default();
@@ -324,7 +306,6 @@ impl RayCast {
                     region_ids,
                     candidates_visited: 0,
                     sets_swept: 0,
-                    vis: vis.build(),
                     scratch: ScanScratch::default(),
                     last_stats: AlgebraStats::default(),
                     last_refits: 0,
@@ -354,7 +335,6 @@ impl RayCast {
                     region_ids,
                     candidates_visited: 0,
                     sets_swept: 0,
-                    vis: vis.build(),
                     scratch: ScanScratch::default(),
                     last_stats: AlgebraStats::default(),
                     last_refits: 0,
@@ -486,6 +466,17 @@ impl RayCast {
     }
 }
 
+/// The K-d arm's candidate walk: the ids of every leaf overlapping any of
+/// `rects` (unsorted, possibly repeated across rects). Kept out of line:
+/// inlined into `analyze_shard`'s per-requirement loop it cost the
+/// anchored arm ~4 % of `steady_us_per_launch` on `stencil_steady`.
+#[inline(never)]
+fn kd_walk(tree: &DynamicBvh, rects: &[Rect], stack: &mut Vec<u32>, hits: &mut Vec<u64>) {
+    for r in rects {
+        tree.query_with(r, stack, hits);
+    }
+}
+
 impl Default for RayCast {
     fn default() -> Self {
         Self::new()
@@ -502,9 +493,8 @@ impl CoherenceEngine for RayCast {
         for (key, _) in &groups {
             let force_kd = self.force_kd;
             let intern = self.intern;
-            let vis = self.vis;
             self.shards.get_or_insert_with(*key, || {
-                Self::init_state(ctx.forest, key.0, force_kd, intern, vis)
+                Self::init_state(ctx.forest, key.0, force_kd, intern)
             });
         }
         groups
@@ -529,8 +519,7 @@ impl CoherenceEngine for RayCast {
         // for them at steady state.
         let mut scratch = std::mem::take(&mut state.scratch);
         let ScanScratch {
-            queries,
-            spans,
+            stack,
             hits,
             candidates,
             req_anchors,
@@ -547,24 +536,7 @@ impl CoherenceEngine for RayCast {
         commits.clear();
         commit_ids.clear();
 
-        // On the K-d path, collect every requirement's query rects up
-        // front so the batched backend can resolve the whole shard's
-        // candidate set in one sweep (a requirement later in the batch
-        // re-resolves against the current tree when an earlier one
-        // refined it — see `analysis::visibility`).
-        queries.clear();
-        spans.clear();
-        if matches!(state.index, SetIndex::Kd { .. }) {
-            for &ri in reqs {
-                let rects = ctx.forest.domain(launch.reqs[ri as usize].region).rects();
-                let start = queries.len() as u32;
-                queries.extend_from_slice(rects);
-                spans.push((start, rects.len() as u32));
-            }
-            state.vis.begin_batch();
-        }
-
-        for (qk, &ri) in reqs.iter().enumerate() {
+        for &ri in reqs {
             let req = &launch.reqs[ri as usize];
             let mut out = ReqOutcome {
                 req: ri,
@@ -623,13 +595,10 @@ impl CoherenceEngine for RayCast {
                     // deduplicate so it is scanned (and folded) once.
                     candidates.sort_unstable();
                     candidates.dedup();
-                    viz_profile::instant(viz_profile::EventKind::BvhTraversal {
-                        nodes: candidates.len() as u64,
-                    });
                 }
                 SetIndex::Kd { tree } => {
                     hits.clear();
-                    state.vis.resolve(tree, queries, spans, qk, hits);
+                    kd_walk(tree, target.rects(), stack, hits);
                     hits.sort_unstable();
                     hits.dedup();
                     out.scan_log.op(
@@ -639,11 +608,11 @@ impl CoherenceEngine for RayCast {
                         },
                     );
                     candidates.extend(hits.iter().map(|h| *h as u32));
-                    viz_profile::instant(viz_profile::EventKind::KdTraversal {
-                        nodes: candidates.len() as u64,
-                    });
                 }
             }
+            viz_profile::instant(viz_profile::EventKind::BvhTraversal {
+                nodes: candidates.len() as u64,
+            });
             state.candidates_visited += candidates.len() as u64;
 
             // ---- Refine straddlers; collect the constituent sets.
@@ -947,11 +916,6 @@ impl CoherenceEngine for RayCast {
         }
         sweep
     }
-
-    // Coarsening is native here: a dominating write already replaces every
-    // covered set with one fresh set per anchor (Fig 11), so the engine
-    // ignores `set_coarsening` — there is no re-converged sibling state a
-    // sweep could find that the next write wave would not coalesce anyway.
 
     fn set_dirty_tracking(&mut self, on: bool) {
         self.dirty_only = on;

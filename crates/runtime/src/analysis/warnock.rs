@@ -28,7 +28,7 @@
 //! crosses shards.
 
 use crate::analysis::{group_reqs_by_shard, ChargeSet, ReqOutcome, ShardKey, ShardedState};
-use crate::engine::{CoherenceEngine, GcSweep, ShardCtx, StateSize};
+use crate::engine::{CoherenceEngine, ShardCtx, StateSize};
 use crate::plan::{CopyRange, MaterializePlan, ReduceRange, Source};
 use crate::task::{TaskId, TaskLaunch};
 use viz_geometry::{
@@ -194,13 +194,11 @@ pub struct Warnock {
     shards: ShardedState<FieldTree>,
     memoize: bool,
     intern: InternConfig,
-    coarsen: bool,
-    dirty_only: bool,
 }
 
 impl Warnock {
     pub fn new() -> Self {
-        Self::with_intern(crate::config::env_intern())
+        Self::with_intern(InternConfig::default())
     }
 
     /// As [`Warnock::new`] with an explicit interning configuration.
@@ -209,8 +207,6 @@ impl Warnock {
             shards: ShardedState::new(),
             memoize: true,
             intern,
-            coarsen: false,
-            dirty_only: true,
         }
     }
 
@@ -501,142 +497,8 @@ impl CoherenceEngine for Warnock {
         outcomes
     }
 
-    /// Warnock's refinement is monotonic — without coarsening the whole
-    /// tree stays reachable from the root and there is nothing to reclaim,
-    /// so the sweep is a no-op unless [`set_coarsening`]
-    /// (CoherenceEngine::set_coarsening) enabled the inverse operation.
-    ///
-    /// Coarsening merges sibling leaves whose states *re-converged*: every
-    /// child of an inner node is a leaf with an identical history and
-    /// owner (the common cause is a write covering the parent's whole
-    /// domain, which reset each child to the same single entry). The
-    /// parent — whose domain is by construction the union of its
-    /// children's — becomes a leaf with that history, and the children are
-    /// compacted away. Dependences and plan coverage are unchanged
-    /// (duplicate deps are deduped and same-source copies merged
-    /// downstream); charge counts shrink, which is the point — and the
-    /// reason coarsening is excluded from the byte-differential.
-    fn collect(&mut self, _floor: TaskId) -> GcSweep {
-        let mut sweep = GcSweep::default();
-        if !self.coarsen {
-            return sweep;
-        }
-        for (_, t) in self.shards.sweep_mut(self.dirty_only) {
-            // ---- Phase 1: bottom-up merge. Children always have larger
-            // indices than their parent, so one reverse index scan sees a
-            // merged child (now a leaf) before its own parent examines it —
-            // cascades complete in a single pass.
-            let n = t.nodes.len();
-            let mut dead = vec![false; n];
-            let mut merged_into: Vec<u32> = (0..n as u32).collect();
-            let mut merges = 0usize;
-            for i in (0..n).rev() {
-                let children = match &t.nodes[i].kind {
-                    EqKind::Inner { children } => children.clone(),
-                    EqKind::Leaf { .. } => continue,
-                };
-                let merge = {
-                    let first = &t.nodes[children[0] as usize];
-                    let EqKind::Leaf { hist: h0 } = &first.kind else {
-                        continue;
-                    };
-                    let owner = first.owner;
-                    children
-                        .iter()
-                        .all(|c| {
-                            let node = &t.nodes[*c as usize];
-                            node.owner == owner
-                                && matches!(&node.kind, EqKind::Leaf { hist } if hist == h0)
-                        })
-                        .then(|| (h0.clone(), owner))
-                };
-                let Some((hist, owner)) = merge else { continue };
-                sweep.history_entries += hist.len() * (children.len() - 1);
-                sweep.equivalence_sets += children.len() - 1;
-                t.live_leaves -= children.len() - 1;
-                for c in &children {
-                    dead[*c as usize] = true;
-                    merged_into[*c as usize] = i as u32;
-                }
-                t.nodes[i].kind = EqKind::Leaf { hist };
-                t.nodes[i].owner = owner;
-                merges += 1;
-            }
-            if merges == 0 {
-                continue;
-            }
-            sweep.coarsen_merges += merges;
-
-            // ---- Phase 2: compact the merged-away children out of the
-            // node table and renumber every reference.
-            let mut remap = vec![u32::MAX; n];
-            let mut next = 0u32;
-            for (i, d) in dead.iter().enumerate() {
-                if !*d {
-                    remap[i] = next;
-                    next += 1;
-                }
-            }
-            sweep.index_nodes += n - next as usize;
-            // A dead node resolves to the (transitively) merged ancestor
-            // that absorbed it — memo entries keep descending correctly
-            // because the ancestor's domain contains the dead leaf's.
-            let resolve = |mut i: u32| -> u32 {
-                while dead[i as usize] {
-                    i = merged_into[i as usize];
-                }
-                remap[i as usize]
-            };
-            let mut idx = 0;
-            t.nodes.retain(|_| {
-                let keep = !dead[idx];
-                idx += 1;
-                keep
-            });
-            t.root = remap[t.root as usize];
-            for node in &mut t.nodes {
-                if let EqKind::Inner { children } = &mut node.kind {
-                    for c in children.iter_mut() {
-                        // Dead nodes were children of *merged* parents,
-                        // which are leaves now — surviving inner nodes
-                        // reference live children only.
-                        debug_assert!(!dead[*c as usize]);
-                        *c = remap[*c as usize];
-                    }
-                }
-            }
-            for list in t.memo.values_mut() {
-                for v in list.iter_mut() {
-                    *v = resolve(*v);
-                }
-                let mut seen = FxHashSet::default();
-                list.retain(|v| seen.insert(*v));
-            }
-            // Replication cache: drop pairs for compacted nodes and for
-            // merged parents (now leaves — only inner descriptors are ever
-            // replicated; if a parent re-refines it is fetched afresh).
-            let old = std::mem::take(&mut t.replicated);
-            for (node, origin) in old {
-                if !dead[node as usize] {
-                    let new = remap[node as usize];
-                    if matches!(t.nodes[new as usize].kind, EqKind::Inner { .. }) {
-                        t.replicated.insert((new, origin));
-                        continue;
-                    }
-                }
-                sweep.memo_entries += 1;
-            }
-        }
-        sweep
-    }
-
-    fn set_coarsening(&mut self, on: bool) {
-        self.coarsen = on;
-    }
-
-    fn set_dirty_tracking(&mut self, on: bool) {
-        self.dirty_only = on;
-    }
+    // No `collect`: refinement is monotonic, so the whole tree stays
+    // reachable from the root and a sweep has nothing to reclaim.
 
     fn state_size(&self) -> StateSize {
         let mut size = StateSize::default();

@@ -6,9 +6,9 @@
 //! [`RuntimeConfig::new`](crate::RuntimeConfig::new) applies
 //! [`EnvOverrides::capture`] over [`RuntimeConfig::base`](crate::RuntimeConfig::base),
 //! so setters called afterwards always win; `base()` skips the environment
-//! entirely. Engine construction never sneak-reads the environment — the
-//! resolved [`InternConfig`] / [`VisibilityConfig`] travel inside the
-//! [`RuntimeConfig`](crate::RuntimeConfig).
+//! entirely. [`EnvOverrides::capture`] is the only place this crate reads
+//! the process environment: nothing below `RuntimeConfig::new` — engine
+//! construction included — consults it.
 //!
 //! # Knob table
 //!
@@ -19,22 +19,14 @@
 //! | `VIZ_PIPELINE` | off | `1`/`true` runs analysis on a dedicated driver thread |
 //! | `VIZ_SUBMIT_RINGS` | `8` | submission rings in the pipelined plane (min 2) |
 //! | `VIZ_ORACLE` | off | `1`/`true` records launch history for the consistency oracle |
-//! | `VIZ_INTERN` | on | `0`/`false`/`off`/`no` disables interned-algebra fast paths + memo |
-//! | `VIZ_VIS_BACKEND` | `scalar` | `batch` resolves raycast candidate queries through the flattened SoA snapshot |
-//! | `VIZ_VIS_BATCH_MIN` | `64` | min live K-d leaves before the batch backend flattens |
 //! | `VIZ_GC` | off | `1`/`true` enables history garbage collection (watermark past the oldest unretired launch) |
 //! | `VIZ_GC_INTERVAL` | `1024` | launches between collections (amortizes the sweep) |
 //! | `VIZ_GC_RETAIN` | `256` | most-recent launches always kept un-retired |
-//! | `VIZ_COARSEN` | off | `1`/`true` enables equivalence-set coarsening (merge re-converged siblings) |
-//! | `VIZ_TAG_WINDOW` | `4096` | width (task ids) of the precedence ancestor-bitset window |
 
-use crate::analysis::visibility::{VisibilityConfig, VisibilityKind, DEFAULT_BATCH_MIN};
 use crate::autotrace::AutoTraceConfig;
 use crate::RuntimeConfig;
-use viz_geometry::InternConfig;
 
-/// History-GC and coarsening configuration (the tentpole knobs of the
-/// weak-scaling work; see DESIGN.md §7i).
+/// History-GC configuration (see DESIGN.md §7i).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct GcConfig {
     /// Retire per-task bookkeeping (launch metadata, owned analysis
@@ -52,12 +44,6 @@ pub struct GcConfig {
     /// The most recent `retain` launches are never retired (introspection
     /// of fresh results stays valid between collections).
     pub retain: u32,
-    /// Equivalence-set coarsening: merge sibling sets whose per-field
-    /// histories have re-converged (the inverse of refinement — the paper
-    /// never does this). Preserves dependences and plan coverage (plan
-    /// ranges over merged sets coalesce) but changes *charges* (fewer sets
-    /// to scan); off by default and excluded from the GC differential.
-    pub coarsen: bool,
 }
 
 pub const DEFAULT_GC_INTERVAL: u32 = 1024;
@@ -69,7 +55,6 @@ impl Default for GcConfig {
             enabled: false,
             interval: DEFAULT_GC_INTERVAL,
             retain: DEFAULT_GC_RETAIN,
-            coarsen: false,
         }
     }
 }
@@ -85,24 +70,14 @@ pub struct EnvOverrides {
     pub pipeline: Option<bool>,
     pub submit_rings: Option<usize>,
     pub record_history: Option<bool>,
-    pub intern_enabled: Option<bool>,
-    pub vis_backend: Option<VisibilityKind>,
-    pub vis_batch_min: Option<usize>,
     pub gc: Option<bool>,
     pub gc_interval: Option<u32>,
     pub gc_retain: Option<u32>,
-    pub coarsen: Option<bool>,
-    pub tag_window: Option<u32>,
-    pub dirty_shards: Option<bool>,
 }
 
 fn parse_flag(s: &str) -> bool {
     let s = s.trim();
     s == "1" || s.eq_ignore_ascii_case("true")
-}
-
-fn parse_off(s: &str) -> bool {
-    matches!(s.trim(), "0" | "false" | "off" | "no")
 }
 
 impl EnvOverrides {
@@ -123,21 +98,9 @@ impl EnvOverrides {
             pipeline: flag("VIZ_PIPELINE"),
             submit_rings: num("VIZ_SUBMIT_RINGS"),
             record_history: flag("VIZ_ORACLE"),
-            intern_enabled: get("VIZ_INTERN").map(|s| !parse_off(&s)),
-            vis_backend: get("VIZ_VIS_BACKEND").map(|s| {
-                if s.trim().eq_ignore_ascii_case("batch") {
-                    VisibilityKind::Batch
-                } else {
-                    VisibilityKind::Scalar
-                }
-            }),
-            vis_batch_min: num("VIZ_VIS_BATCH_MIN"),
             gc: flag("VIZ_GC"),
             gc_interval: num32("VIZ_GC_INTERVAL"),
             gc_retain: num32("VIZ_GC_RETAIN"),
-            coarsen: flag("VIZ_COARSEN"),
-            tag_window: num32("VIZ_TAG_WINDOW"),
-            dirty_shards: get("VIZ_DIRTY_SHARDS").map(|s| !parse_off(&s)),
         }
     }
 
@@ -165,16 +128,6 @@ impl EnvOverrides {
         if let Some(on) = self.record_history {
             cfg.record_history = on;
         }
-        if let Some(enabled) = self.intern_enabled {
-            cfg.intern = Some(InternConfig { enabled });
-        }
-        if self.vis_backend.is_some() || self.vis_batch_min.is_some() {
-            let base = cfg.visibility_backend.unwrap_or_default();
-            cfg.visibility_backend = Some(VisibilityConfig {
-                kind: self.vis_backend.unwrap_or(base.kind),
-                batch_min: self.vis_batch_min.unwrap_or(base.batch_min),
-            });
-        }
         if let Some(on) = self.gc {
             cfg.gc.enabled = on;
         }
@@ -184,61 +137,7 @@ impl EnvOverrides {
         if let Some(n) = self.gc_retain {
             cfg.gc.retain = n;
         }
-        if let Some(on) = self.coarsen {
-            cfg.gc.coarsen = on;
-        }
-        if let Some(n) = self.tag_window {
-            cfg.tag_window = n;
-        }
-        if let Some(on) = self.dirty_shards {
-            cfg.dirty_shards = on;
-        }
         cfg
-    }
-}
-
-/// The `VIZ_ANALYSIS_THREADS` default (1 when unset or unparsable).
-pub fn default_analysis_threads() -> usize {
-    EnvOverrides::capture().analysis_threads.unwrap_or(1)
-}
-
-/// The `VIZ_AUTO_TRACE` default (off when unset; `1`/`true` enable).
-pub fn default_auto_trace() -> bool {
-    EnvOverrides::capture().auto_trace.unwrap_or(false)
-}
-
-/// The `VIZ_PIPELINE` default (off when unset; `1`/`true` enable).
-pub fn default_pipeline() -> bool {
-    EnvOverrides::capture().pipeline.unwrap_or(false)
-}
-
-/// The `VIZ_ORACLE` default (off when unset; `1`/`true` enable).
-pub fn default_record_history() -> bool {
-    EnvOverrides::capture().record_history.unwrap_or(false)
-}
-
-/// The `VIZ_SUBMIT_RINGS` default (8 when unset or unparsable; clamped to
-/// at least 2 so one tenant context always fits next to the facade's ring).
-pub fn default_submit_rings() -> usize {
-    EnvOverrides::capture()
-        .submit_rings
-        .unwrap_or(crate::runtime::DEFAULT_SUBMIT_RINGS)
-        .max(2)
-}
-
-/// Resolve the interning config from the environment.
-pub fn env_intern() -> InternConfig {
-    InternConfig {
-        enabled: EnvOverrides::capture().intern_enabled.unwrap_or(true),
-    }
-}
-
-/// Resolve the visibility-backend config from the environment.
-pub fn env_visibility() -> VisibilityConfig {
-    let o = EnvOverrides::capture();
-    VisibilityConfig {
-        kind: o.vis_backend.unwrap_or(VisibilityKind::Scalar),
-        batch_min: o.vis_batch_min.unwrap_or(DEFAULT_BATCH_MIN),
     }
 }
 
@@ -279,21 +178,6 @@ pub const KNOBS: &[Knob] = &[
         effect: "record launch history for the external consistency oracle",
     },
     Knob {
-        var: "VIZ_INTERN",
-        default: "on",
-        effect: "0/false/off/no disables interned-algebra fast paths and memo",
-    },
-    Knob {
-        var: "VIZ_VIS_BACKEND",
-        default: "scalar",
-        effect: "batch = flattened SoA candidate resolution for the raycast K-d path",
-    },
-    Knob {
-        var: "VIZ_VIS_BATCH_MIN",
-        default: "64",
-        effect: "min live K-d leaves before the batch backend flattens",
-    },
-    Knob {
         var: "VIZ_GC",
         default: "off",
         effect: "history garbage collection past the oldest unretired launch",
@@ -307,21 +191,6 @@ pub const KNOBS: &[Knob] = &[
         var: "VIZ_GC_RETAIN",
         default: "256",
         effect: "most-recent launches always kept un-retired",
-    },
-    Knob {
-        var: "VIZ_COARSEN",
-        default: "off",
-        effect: "merge equivalence-set siblings whose histories re-converged",
-    },
-    Knob {
-        var: "VIZ_TAG_WINDOW",
-        default: "4096",
-        effect: "width (task ids) of the precedence ancestor-bitset window",
-    },
-    Knob {
-        var: "VIZ_DIRTY_SHARDS",
-        default: "on",
-        effect: "0/false/off/no makes GC sweeps visit every shard instead of only dirty ones",
     },
 ];
 
@@ -345,9 +214,6 @@ mod tests {
             ("VIZ_ANALYSIS_THREADS", "4"),
             ("VIZ_GC", "1"),
             ("VIZ_GC_RETAIN", "32"),
-            ("VIZ_INTERN", "off"),
-            ("VIZ_VIS_BACKEND", "batch"),
-            ("VIZ_TAG_WINDOW", "512"),
         ]);
         let cfg = EnvOverrides::capture_from(env).apply(RuntimeConfig::base(EngineKind::RayCast));
         assert_eq!(cfg.analysis_threads, 4);
@@ -357,14 +223,6 @@ mod tests {
             cfg.gc.interval, DEFAULT_GC_INTERVAL,
             "untouched knob keeps default"
         );
-        assert!(!cfg.intern.unwrap().enabled);
-        assert_eq!(cfg.visibility_backend.unwrap().kind, VisibilityKind::Batch);
-        assert_eq!(
-            cfg.visibility_backend.unwrap().batch_min,
-            DEFAULT_BATCH_MIN,
-            "paired knob falls back to its default, not to zero"
-        );
-        assert_eq!(cfg.tag_window, 512);
     }
 
     #[test]
@@ -390,8 +248,6 @@ mod tests {
         let cfg = RuntimeConfig::base(EngineKind::Paint);
         assert_eq!(cfg.analysis_threads, 1);
         assert!(!cfg.gc.enabled);
-        assert!(cfg.intern.is_none());
-        assert!(cfg.visibility_backend.is_none());
     }
 
     #[test]
@@ -407,10 +263,27 @@ mod tests {
         assert_eq!(cfg.gc.interval, DEFAULT_GC_INTERVAL);
     }
 
+    /// `VIZ_*` suffixes of the variables only the bench crate reads
+    /// (spelled without the prefix so a grep of this crate's sources for
+    /// `VIZ_` tokens lists exactly the runtime knobs).
+    const BENCH_ONLY: &[&str] = &["BENCH_SMOKE", "FIG_MAX_NODES", "PAPER_SCALE"];
+
+    /// Every `VIZ_[A-Z_]+` token in `text`.
+    fn viz_tokens(text: &str) -> Vec<&str> {
+        text.match_indices("VIZ_")
+            .map(|(at, _)| {
+                let rest = &text[at..];
+                let end = rest
+                    .find(|c: char| !(c.is_ascii_uppercase() || c == '_'))
+                    .unwrap_or(rest.len());
+                &rest[..end]
+            })
+            .collect()
+    }
+
     #[test]
     fn knob_table_covers_every_override() {
-        // Every capture_from key must appear in the documented table, so
-        // the README refresh cannot silently drift.
+        // Every capture_from key must appear in KNOBS and vice versa.
         let probed = std::cell::RefCell::new(Vec::new());
         let _ = EnvOverrides::capture_from(|k| {
             probed.borrow_mut().push(k.to_string());
@@ -424,5 +297,27 @@ mod tests {
             );
         }
         assert_eq!(probed.len(), KNOBS.len(), "stale row in the knob table");
+        assert_eq!(KNOBS.len(), 8);
+
+        // The two prose copies of the table — the README and this module's
+        // doc — name exactly the KNOBS variables (plus the bench-only ones).
+        let module_doc: String = include_str!("config.rs")
+            .lines()
+            .filter(|l| l.starts_with("//! |"))
+            .collect();
+        let readme = include_str!("../../../README.md");
+        for (name, text) in [("README.md", readme), ("config.rs doc", &module_doc)] {
+            let tokens = viz_tokens(text);
+            for tok in &tokens {
+                assert!(
+                    KNOBS.iter().any(|k| k.var == *tok)
+                        || BENCH_ONLY.contains(&&tok["VIZ_".len()..]),
+                    "{name} names {tok}, which is not a knob"
+                );
+            }
+            for k in KNOBS {
+                assert!(tokens.contains(&k.var), "{name} is missing {}", k.var);
+            }
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! The coherence-engine interface shared by all three visibility algorithms.
 
-use crate::analysis::{paint, paint_naive, raycast, visibility, warnock, ReqOutcome, ShardKey};
+use crate::analysis::{paint, paint_naive, raycast, warnock, ReqOutcome, ShardKey};
 use crate::plan::{AnalysisResult, MaterializePlan};
 use crate::sharding::ShardMap;
 use crate::task::TaskLaunch;
@@ -103,34 +103,18 @@ pub trait CoherenceEngine: Send + Sync {
     ///
     /// Contract: the sweep must be *behavior-preserving* — every future
     /// `analyze` produces byte-identical deps, plans, and machine charges
-    /// whether or not `collect` ever ran. (Coarsening, which deliberately
-    /// changes charges, is a separate opt-in: see
-    /// [`CoherenceEngine::set_coarsening`].) Must not charge the machine.
+    /// whether or not `collect` ever ran. Must not charge the machine.
     fn collect(&mut self, _floor: crate::task::TaskId) -> GcSweep {
         GcSweep::default()
     }
-
-    /// Enable equivalence-set coarsening: during [`collect`]
-    /// (CoherenceEngine::collect), merge sibling sets whose per-field
-    /// states have re-converged — the inverse of refinement, which the
-    /// paper's engines never perform. Coarsening preserves dependences and
-    /// plan *coverage* (plan ranges over merged sets coalesce) but shrinks
-    /// retained state and therefore changes simulated charge counts, so it
-    /// is off by default and excluded from the GC byte-differential.
-    ///
-    /// Only Warnock — the engine with monotonic refinement — implements
-    /// it. Ray casting coalesces natively through dominating writes
-    /// (Fig 11) and the painters have no equivalence sets; they ignore the
-    /// flag.
-    fn set_coarsening(&mut self, _on: bool) {}
 
     /// Enable dirty-shard GC sweeps: [`collect`](CoherenceEngine::collect)
     /// visits only the `(root, field)` shards scanned since the previous
     /// sweep (plus a periodic full pass — see
     /// [`crate::analysis::FULL_SWEEP_PERIOD`]) instead of walking every
-    /// shard in the engine. On by default (`VIZ_DIRTY_SHARDS`);
-    /// behavior-preserving either way — an untouched shard has accumulated
-    /// nothing new for a reachability-based sweep to reclaim.
+    /// shard in the engine. On by default; behavior-preserving either way —
+    /// an untouched shard has accumulated nothing new for a
+    /// reachability-based sweep to reclaim.
     fn set_dirty_tracking(&mut self, _on: bool) {}
 }
 
@@ -143,23 +127,16 @@ pub struct GcSweep {
     pub composite_views: usize,
     pub index_nodes: usize,
     pub memo_entries: usize,
-    /// Sibling-set merges performed by coarsening (not "dropped" state,
-    /// but reported with the sweep that did them).
-    pub coarsen_merges: usize,
 }
 
 impl GcSweep {
-    /// Total state entries dropped (coarsening merges excluded).
+    /// Total state entries dropped.
     pub fn total(&self) -> usize {
         self.history_entries
             + self.equivalence_sets
             + self.composite_views
             + self.index_nodes
             + self.memo_entries
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.total() == 0 && self.coarsen_merges == 0
     }
 }
 
@@ -170,7 +147,6 @@ impl std::ops::AddAssign for GcSweep {
         self.composite_views += rhs.composite_views;
         self.index_nodes += rhs.index_nodes;
         self.memo_entries += rhs.memo_entries;
-        self.coarsen_merges += rhs.coarsen_merges;
     }
 }
 
@@ -253,34 +229,20 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Instantiate the engine with the environment's interning and
-    /// visibility-backend configuration (`VIZ_INTERN` / `VIZ_VIS_BACKEND` /
-    /// `VIZ_VIS_BATCH_MIN`).
+    /// Instantiate the engine with the default (interned) algebra.
     pub fn build(self) -> Box<dyn CoherenceEngine> {
-        self.build_with(crate::config::env_intern())
+        self.build_with(viz_geometry::InternConfig::default())
     }
 
     /// Instantiate the engine with an explicit interning configuration
-    /// (used by the differential tests to compare the memoized and direct
-    /// algebra paths without touching the process environment); the
-    /// visibility backend still defaults from the environment.
+    /// (the differential tests compare the memoized and direct algebra
+    /// paths in one process).
     pub fn build_with(self, intern: viz_geometry::InternConfig) -> Box<dyn CoherenceEngine> {
-        self.build_configured(intern, crate::config::env_visibility())
-    }
-
-    /// Instantiate the engine with every analysis knob pinned. The
-    /// candidate-resolution backend only affects the raycast K-d path —
-    /// the other engines take no spatial-index batch and ignore it.
-    pub fn build_configured(
-        self,
-        intern: viz_geometry::InternConfig,
-        vis: visibility::VisibilityConfig,
-    ) -> Box<dyn CoherenceEngine> {
         match self {
             EngineKind::PaintNaive => Box::new(paint_naive::PaintNaive::with_intern(intern)),
             EngineKind::Paint => Box::new(paint::Painter::with_intern(intern)),
             EngineKind::Warnock => Box::new(warnock::Warnock::with_intern(intern)),
-            EngineKind::RayCast => Box::new(raycast::RayCast::with_config(intern, vis)),
+            EngineKind::RayCast => Box::new(raycast::RayCast::with_intern(intern)),
         }
     }
 

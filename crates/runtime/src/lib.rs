@@ -55,12 +55,8 @@ pub mod task;
 pub mod trace;
 pub mod validate;
 
-pub use analysis::visibility::{VisibilityBackend, VisibilityConfig, VisibilityKind};
 pub use autotrace::AutoTraceConfig;
-pub use config::{
-    default_analysis_threads, default_auto_trace, default_pipeline, default_record_history,
-    default_submit_rings, EnvOverrides, GcConfig, Knob, KNOBS,
-};
+pub use config::{EnvOverrides, GcConfig, Knob, KNOBS};
 pub use dag::TaskDag;
 pub use engine::{CoherenceEngine, EngineKind, GcSweep};
 pub use error::RuntimeError;

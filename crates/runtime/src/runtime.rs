@@ -14,7 +14,6 @@
 //!   mode the same code runs on the application thread, so both modes
 //!   produce byte-identical results.
 
-use crate::analysis::visibility::VisibilityConfig;
 use crate::autotrace::{AutoTraceConfig, AutoTracer};
 use crate::config::GcConfig;
 use crate::dag::TaskDag;
@@ -90,40 +89,28 @@ pub struct RuntimeConfig {
     /// [`RuntimeError::RingsExhausted`] past that). Defaults from
     /// `VIZ_SUBMIT_RINGS` (else 8); ignored in synchronous mode.
     pub submit_rings: usize,
-    /// Interning/memoization configuration for the engine's set algebra.
-    /// `None` (the default) reads `VIZ_INTERN` from the environment; the
-    /// differential tests pin it explicitly so both modes can run in one
-    /// process.
-    pub intern: Option<viz_geometry::InternConfig>,
-    /// Candidate-resolution backend for the raycast K-d path (scalar
-    /// per-query walk vs. flattened batched sweep). `None` (the default)
-    /// reads `VIZ_VIS_BACKEND` / `VIZ_VIS_BATCH_MIN` from the environment;
-    /// the differential tests pin it so both backends run in one process.
-    pub visibility_backend: Option<VisibilityConfig>,
+    /// Interning/memoization configuration for the engine's set algebra
+    /// (enabled by default; `InternConfig::disabled()` is the direct-sweep
+    /// reference of the differential tests).
+    pub intern: viz_geometry::InternConfig,
     /// Record the launch history (submitted requirements + emitted
     /// dependence edges + retirement order) for the external consistency
     /// oracle. Defaults from `VIZ_ORACLE`. Export with
     /// [`Runtime::recorded_history`].
     pub record_history: bool,
-    /// History garbage collection + equivalence-set coarsening (see
-    /// [`GcConfig`]). Defaults from `VIZ_GC` / `VIZ_GC_INTERVAL` /
-    /// `VIZ_GC_RETAIN` / `VIZ_COARSEN`. With GC enabled the runtime
-    /// retires per-task bookkeeping below a watermark, so whole-history
+    /// History garbage collection (see [`GcConfig`]). Defaults from
+    /// `VIZ_GC` / `VIZ_GC_INTERVAL` / `VIZ_GC_RETAIN`. With GC enabled the
+    /// runtime retires per-task bookkeeping below a watermark, so whole-history
     /// operations ([`Runtime::execute_values`],
     /// [`Runtime::timed_schedule`]) panic once anything has retired —
     /// GC mode is for analysis streaming, not value execution.
     pub gc: GcConfig,
-    /// Width (in task ids) of the ragged ancestor-bitset window backing
-    /// O(1) [`TaskDag::must_follow`] answers; queries reaching below the
-    /// window fall back to the exact graph walk. Defaults from
-    /// `VIZ_TAG_WINDOW` (else [`crate::dag::DEFAULT_TAG_WINDOW`]).
-    pub tag_window: u32,
     /// Dirty-shard scanning: GC sweeps visit only the (root, field) shards
     /// touched since the last sweep, with a full sweep every
     /// [`crate::analysis::FULL_SWEEP_PERIOD`]-th collection as the
     /// watermark-retirement backstop. Behavior-preserving (the differential
-    /// suite pins dirty-on == dirty-off); on by default, `VIZ_DIRTY_SHARDS=0`
-    /// disables.
+    /// suite pins dirty-on == dirty-off, with `false` as its reference); on
+    /// by default.
     pub dirty_shards: bool,
 }
 
@@ -147,12 +134,6 @@ impl RuntimeConfig {
         crate::config::EnvOverrides::capture().apply(Self::base(engine))
     }
 
-    /// Explicit alias for [`RuntimeConfig::new`], for call sites that want
-    /// to spell out that the environment participates.
-    pub fn from_env(engine: EngineKind) -> Self {
-        Self::new(engine)
-    }
-
     /// The pure built-in defaults — the environment is *not* consulted.
     /// Hermetic tests and the config-precedence suite start here.
     pub fn base(engine: EngineKind) -> Self {
@@ -167,11 +148,9 @@ impl RuntimeConfig {
             pipeline: false,
             pipeline_depth: DEFAULT_PIPELINE_DEPTH,
             submit_rings: DEFAULT_SUBMIT_RINGS,
-            intern: None,
-            visibility_backend: None,
+            intern: viz_geometry::InternConfig::default(),
             record_history: false,
             gc: GcConfig::default(),
-            tag_window: crate::dag::DEFAULT_TAG_WINDOW,
             dirty_shards: true,
         }
     }
@@ -237,17 +216,9 @@ impl RuntimeConfig {
         self
     }
 
-    /// Pin the engine's interning configuration instead of reading
-    /// `VIZ_INTERN` from the environment.
+    /// Pin the engine's interning configuration.
     pub fn intern(mut self, cfg: viz_geometry::InternConfig) -> Self {
-        self.intern = Some(cfg);
-        self
-    }
-
-    /// Pin the raycast candidate-resolution backend instead of reading
-    /// `VIZ_VIS_BACKEND` / `VIZ_VIS_BATCH_MIN` from the environment.
-    pub fn visibility_backend(mut self, cfg: VisibilityConfig) -> Self {
-        self.visibility_backend = Some(cfg);
+        self.intern = cfg;
         self
     }
 
@@ -277,22 +248,9 @@ impl RuntimeConfig {
         self
     }
 
-    /// Toggle equivalence-set coarsening (merge sibling sets whose
-    /// per-field states re-converged — the inverse of refinement).
-    pub fn coarsen(mut self, on: bool) -> Self {
-        self.gc.coarsen = on;
-        self
-    }
-
     /// Pin the whole GC block at once.
     pub fn gc_config(mut self, cfg: GcConfig) -> Self {
         self.gc = cfg;
-        self
-    }
-
-    /// Width of the DAG's ancestor-tag window (clamped to at least 64).
-    pub fn tag_window(mut self, w: u32) -> Self {
-        self.tag_window = w.max(64);
         self
     }
 
@@ -561,9 +519,9 @@ impl Core {
     }
 
     /// Launches that may run before the next collection is due (unbounded
-    /// with GC and coarsening off).
+    /// with GC off).
     fn gc_room(&self) -> usize {
-        if !self.gc.cfg.enabled && !self.gc.cfg.coarsen {
+        if !self.gc.cfg.enabled {
             return usize::MAX;
         }
         (self.gc.next_due.saturating_sub(self.ledger.next_id()) as usize).max(1)
@@ -607,7 +565,7 @@ impl Core {
     /// `next_due`, so the pipelined and synchronous paths collect at the
     /// same launch counts however their callers batch.
     fn maybe_collect(&mut self) {
-        if !self.gc.cfg.enabled && !self.gc.cfg.coarsen {
+        if !self.gc.cfg.enabled {
             return;
         }
         let next = self.ledger.next_id();
@@ -616,11 +574,7 @@ impl Core {
         }
         self.gc.next_due = next + self.gc.cfg.interval.max(1);
         self.gc.collections += 1;
-        let mut floor = if self.gc.cfg.enabled {
-            next.saturating_sub(self.gc.cfg.retain)
-        } else {
-            0
-        };
+        let mut floor = next.saturating_sub(self.gc.cfg.retain);
         // Tracing-aware pinning: an in-flight instance (or a pending auto
         // capture) keeps everything from its base launch alive — the
         // template's footprint survives as long as it replays.
@@ -638,7 +592,7 @@ impl Core {
         self.gc.sweep += sweep;
         let mut freed_words = 0u64;
         let mut retired = 0u64;
-        if self.gc.cfg.enabled && floor > self.ledger.base() {
+        if floor > self.ledger.base() {
             freed_words = self.dag.retire_to(TaskId(floor)) as u64;
             retired = self.ledger.retire_to(floor) as u64;
             self.gc.tag_words_freed += freed_words;
@@ -657,7 +611,6 @@ impl Core {
                     retired,
                     freed_words,
                     dropped: sweep.total() as u64,
-                    coarsened: sweep.coarsen_merges as u64,
                 },
             );
         }
@@ -912,20 +865,14 @@ pub struct Runtime {
 impl Runtime {
     pub fn new(config: RuntimeConfig) -> Self {
         let forest = Arc::new(RwLock::new(RegionForest::new()));
-        // `RuntimeConfig::new` already applied the environment; `None`
-        // here only means "neither the env nor a setter pinned it".
-        let mut engine = config.engine.build_configured(
-            config.intern.unwrap_or_default(),
-            config.visibility_backend.unwrap_or_default(),
-        );
-        engine.set_coarsening(config.gc.coarsen);
+        let mut engine = config.engine.build_with(config.intern);
         engine.set_dirty_tracking(config.dirty_shards);
         let core = Arc::new(RwLock::new(Core {
             engine,
             machine: Machine::with_cost(config.nodes, config.cost),
             shards: ShardMap::new(config.nodes, config.dcr),
             ledger: Ledger::new(),
-            dag: TaskDag::with_window(config.tag_window),
+            dag: TaskDag::new(),
             tracing: Tracing::new(
                 config
                     .auto_trace
@@ -1421,7 +1368,7 @@ impl Runtime {
     }
 
     /// One coherent snapshot of every observable counter: engine state
-    /// sizes (with the algebra roll-up), history-GC/coarsening counters,
+    /// sizes (with the algebra roll-up), history-GC counters,
     /// DAG shape and tag footprint, trace statistics, and the submission
     /// plane. A drain point. This is the stats front door — prefer it over
     /// the historical per-subsystem accessors.
@@ -1437,7 +1384,6 @@ impl Runtime {
             state: core.engine.state_size(),
             gc: crate::stats::GcStats {
                 enabled: gc.cfg.enabled,
-                coarsen: gc.cfg.coarsen,
                 collections: gc.collections,
                 pins: gc.pins,
                 retired_launches: gc.retired_launches,
@@ -1447,7 +1393,6 @@ impl Runtime {
                 composite_views: gc.sweep.composite_views as u64,
                 index_nodes: gc.sweep.index_nodes as u64,
                 memo_entries: gc.sweep.memo_entries as u64,
-                coarsen_merges: gc.sweep.coarsen_merges as u64,
             },
             dag: crate::stats::DagStats {
                 tasks: core.dag.len() as u64,

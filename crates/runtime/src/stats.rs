@@ -3,7 +3,7 @@
 //! accessors (an engine-state getter for [`StateSize`] — which itself
 //! carries the interner's `AlgebraStats` roll-up — `pipeline_metrics` for
 //! the submission-plane counters, and the trace statistics getters) plus
-//! the history-GC and coarsening counters.
+//! the history-GC counters.
 //!
 //! Everything in the snapshot is plain data (`Clone`, `Debug`): probes and
 //! benches can take one, drop the runtime borrow, and format at leisure.
@@ -28,7 +28,7 @@ pub struct RuntimeStats {
     /// Engine-retained analysis state, including the algebra/interner
     /// roll-up.
     pub state: StateSize,
-    /// History-GC and coarsening counters.
+    /// History-GC counters.
     pub gc: GcStats,
     /// Dependence-DAG shape and tag-storage footprint.
     pub dag: DagStats,
@@ -38,12 +38,11 @@ pub struct RuntimeStats {
     pub pipeline: Option<PipelineStats>,
 }
 
-/// History-GC and coarsening counters (see [`crate::config::GcConfig`]).
+/// History-GC counters (see [`crate::config::GcConfig`]).
 #[non_exhaustive]
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GcStats {
     pub enabled: bool,
-    pub coarsen: bool,
     /// Collection sweeps run.
     pub collections: u64,
     /// Sweeps whose floor was clamped by tracing-aware pinning.
@@ -62,8 +61,6 @@ pub struct GcStats {
     pub index_nodes: u64,
     /// Stale memoization entries dropped.
     pub memo_entries: u64,
-    /// Sibling-set merges performed by coarsening.
-    pub coarsen_merges: u64,
 }
 
 /// Dependence-DAG shape and precedence-tag footprint.

@@ -1,14 +1,13 @@
 //! Allocation counts at steady state, as exact numbers.
 //!
-//! Two families. The candidate-resolution path: the raycast backward scan
-//! used to allocate per query (a traversal stack inside
-//! `DynamicBvh::query`, a fresh hits vector and a fresh candidates vector
-//! per requirement); those live in per-shard scratch (`ScanScratch` in
-//! `analysis/raycast.rs`) and inside the [`VisibilityBackend`]
-//! implementations, and both backends must resolve entire batches with
-//! **zero** allocations once warm. And the whole engine: a steady-state
-//! `RayCast` launch re-derives nothing structural, so its allocation count
-//! is small, and identical from one iteration to the next.
+//! Two families. The K-d candidate walk: the raycast backward scan used
+//! to allocate per query (a traversal stack inside `DynamicBvh::query`, a
+//! fresh hits vector per requirement); both live in per-shard scratch
+//! (`ScanScratch` in `analysis/raycast.rs`), and `DynamicBvh::query_with`
+//! over reused buffers must make **zero** allocations once warm. And the
+//! whole engine: a steady-state `RayCast` launch re-derives nothing
+//! structural, so its allocation count is small, and identical from one
+//! iteration to the next.
 //!
 //! The counter is per thread: the test harness runs the tests of this
 //! binary on parallel threads, and a process-wide counter charged each
@@ -18,10 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use viz_apps::{Pennant, PennantConfig, Stencil, StencilConfig, Workload};
-use viz_geometry::{DynamicBvh, InternConfig, Rect};
-use viz_runtime::analysis::visibility::{
-    BatchVisibility, QuerySpan, ScalarVisibility, VisibilityBackend,
-};
+use viz_geometry::{DynamicBvh, Rect};
 use viz_runtime::engine::AnalysisCtx;
 use viz_runtime::{EngineKind, Runtime, RuntimeConfig, ShardMap};
 use viz_sim::Machine;
@@ -68,7 +64,7 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-fn fixture(leaves: u64) -> (DynamicBvh, Vec<Rect>, Vec<QuerySpan>) {
+fn fixture(leaves: u64) -> (DynamicBvh, Vec<Rect>) {
     let mut tree = DynamicBvh::new();
     for i in 0..leaves {
         let x = (i as i64 * 13) % 509;
@@ -77,37 +73,35 @@ fn fixture(leaves: u64) -> (DynamicBvh, Vec<Rect>, Vec<QuerySpan>) {
     }
     // 24 requirements, two rects each — a realistic shard batch.
     let mut queries = Vec::new();
-    let mut spans = Vec::new();
     for k in 0..24i64 {
-        let start = queries.len() as u32;
         queries.push(Rect::xy(k * 19, k * 19 + 60, 0, 80));
         queries.push(Rect::xy(k * 23, k * 23 + 30, 40, 150));
-        spans.push((start, 2));
     }
-    (tree, queries, spans)
+    (tree, queries)
 }
 
-/// Drive `rounds` full batches through a backend, reusing one output
-/// buffer; return allocations observed.
+/// Walk `rounds` full batches the way the raycast K-d arm does — one
+/// `query_with` per rect of a requirement, then sort + dedup — reusing the
+/// traversal stack and the hit buffer; return allocations observed.
 fn run_rounds(
-    backend: &mut dyn VisibilityBackend,
     tree: &DynamicBvh,
     queries: &[Rect],
-    spans: &[QuerySpan],
-    out: &mut Vec<u64>,
+    stack: &mut Vec<u32>,
+    hits: &mut Vec<u64>,
     rounds: usize,
 ) -> u64 {
     let before = allocs();
     for _ in 0..rounds {
-        backend.begin_batch();
         let mut total = 0usize;
-        for k in 0..spans.len() {
-            out.clear();
-            backend.resolve(tree, queries, spans, k, out);
+        for req in queries.chunks(2) {
+            hits.clear();
+            for r in req {
+                tree.query_with(r, stack, hits);
+            }
             // Consume like the scan does, so the work cannot be elided.
-            out.sort_unstable();
-            out.dedup();
-            total += out.len();
+            hits.sort_unstable();
+            hits.dedup();
+            total += hits.len();
         }
         assert!(total > 0, "fixture produced no hits at all");
     }
@@ -115,40 +109,13 @@ fn run_rounds(
 }
 
 #[test]
-fn scalar_backend_steady_state_allocates_nothing() {
-    let (tree, queries, spans) = fixture(256);
-    let mut backend = ScalarVisibility::default();
-    let mut out = Vec::new();
-    // Warm-up grows the traversal stack and the output buffer.
-    run_rounds(&mut backend, &tree, &queries, &spans, &mut out, 2);
-    let steady = run_rounds(&mut backend, &tree, &queries, &spans, &mut out, 20);
-    assert_eq!(steady, 0, "scalar resolve allocated {steady} times warm");
-}
-
-#[test]
-fn batch_backend_steady_state_allocates_nothing() {
-    let (tree, queries, spans) = fixture(256);
-    // batch_min 0: the flattened path runs even for this modest tree.
-    let mut backend = BatchVisibility::new(0);
-    let mut out = Vec::new();
-    // Warm-up takes the snapshot and sizes hits/offsets/out. The epoch
-    // never changes here, so steady state re-sweeps (begin_batch) but
-    // never re-flattens — and the sweep itself must not allocate.
-    run_rounds(&mut backend, &tree, &queries, &spans, &mut out, 2);
-    let steady = run_rounds(&mut backend, &tree, &queries, &spans, &mut out, 20);
-    assert_eq!(steady, 0, "batch resolve allocated {steady} times warm");
-}
-
-#[test]
-fn batch_fallback_steady_state_allocates_nothing() {
-    let (tree, queries, spans) = fixture(16);
-    // Tree below the default threshold: the batch backend's scalar
-    // fallback path must be just as allocation-free.
-    let mut backend = BatchVisibility::new(64);
-    let mut out = Vec::new();
-    run_rounds(&mut backend, &tree, &queries, &spans, &mut out, 2);
-    let steady = run_rounds(&mut backend, &tree, &queries, &spans, &mut out, 20);
-    assert_eq!(steady, 0, "fallback resolve allocated {steady} times warm");
+fn kd_walk_steady_state_allocates_nothing() {
+    let (tree, queries) = fixture(256);
+    let (mut stack, mut hits) = (Vec::new(), Vec::new());
+    // Warm-up grows the traversal stack and the hit buffer.
+    run_rounds(&tree, &queries, &mut stack, &mut hits, 2);
+    let steady = run_rounds(&tree, &queries, &mut stack, &mut hits, 20);
+    assert_eq!(steady, 0, "the K-d walk allocated {steady} times warm");
 }
 
 /// Allocations of the bare RayCast engine (`analyze` over the launch stream
@@ -162,9 +129,7 @@ fn engine_allocs_per_iteration(app: &dyn Workload, nodes: usize) -> Vec<(u64, us
     let launches = rt.launches().to_vec();
     drop(rt);
 
-    // Interning pinned on: the budget is the memoized engine's, also in the
-    // CI leg that runs the workspace under `VIZ_INTERN=0`.
-    let mut engine = EngineKind::RayCast.build_with(InternConfig::default());
+    let mut engine = EngineKind::RayCast.build();
     let mut machine = Machine::new(nodes);
     let mut shards = ShardMap::new(nodes, false);
     let mut per_iteration = Vec::with_capacity(run.iter_end.len());

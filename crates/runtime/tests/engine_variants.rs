@@ -2,6 +2,7 @@
 //! identical* to their parents — only the cost/message profile differs.
 
 use std::sync::Arc;
+use viz_apps::{Circuit, CircuitConfig, Workload};
 use viz_runtime::analysis::{raycast::RayCast, warnock::Warnock};
 use viz_runtime::validate::check_sufficiency;
 use viz_runtime::{
@@ -91,6 +92,28 @@ fn raycast_forced_kd_is_functionally_identical() {
     let (v2, e2) = run(Box::new(RayCast::force_kd_tree()), 2);
     assert_eq!(v1, v2);
     assert_eq!(e1, e2, "the index choice must not change the analysis");
+}
+
+/// The K-d walk against the anchored default on sparse multi-rect ghost
+/// spaces with reductions on aliased nodes: same dependences, same plans.
+#[test]
+fn raycast_forced_kd_matches_anchored_on_circuit() {
+    let analyze = |engine: RayCast| {
+        let mut rt = Runtime::with_engine(
+            RuntimeConfig::base(EngineKind::RayCast).nodes(2),
+            Box::new(engine),
+        );
+        Circuit::new(CircuitConfig {
+            nodes: 2,
+            ..CircuitConfig::small(6, 3)
+        })
+        .execute(&mut rt);
+        rt.results()
+    };
+    let anchored = analyze(RayCast::new());
+    let kd = analyze(RayCast::force_kd_tree());
+    assert!(anchored.iter().any(|r| !r.deps.is_empty()));
+    assert_eq!(anchored, kd);
 }
 
 #[test]

@@ -1,12 +1,11 @@
-//! Differential property test for the interned-algebra layer (`VIZ_INTERN`).
+//! Differential property test for the interned-algebra layer.
 //!
 //! The interner, the algebra memo, and the structural fast paths are pure
 //! memoization: with them on or off, every engine must produce *identical*
 //! analysis — the same dependences, the same materialization plans (compared
 //! structurally, rect list by rect list), and the same executed values —
 //! across serial and sharded drivers and with automatic trace replay on.
-//! The configurations are pinned through [`RuntimeConfig::intern`] rather
-//! than the environment so both modes run in one process.
+//! Both modes run in one process, selected through [`RuntimeConfig::intern`].
 
 use proptest::prelude::*;
 use std::sync::Arc;

@@ -1,8 +1,7 @@
 //! The tentpole's memory claim, as a test: with history GC on, the
 //! retained ledger window, the DAG's tag storage, and the engines' dead
 //! state are bounded by the *retain window*, not by program length — and
-//! the watermark actually advances. Also covers the coarsening
-//! cost/benefit counters and the eager-execution guards.
+//! the watermark actually advances. Also covers the eager-execution guards.
 
 use visibility::apps::{Circuit, CircuitConfig, Stencil, StencilConfig, Workload};
 use visibility::prelude::*;
@@ -103,19 +102,23 @@ fn tag_words_are_bounded_by_the_window() {
 #[test]
 fn engine_sweeps_reclaim_dead_state() {
     // Circuit exercises every engine's sweep path: RayCast reclaims
-    // dominated sets and their histories, Warnock (with coarsening) folds
-    // re-converged siblings, Paint prunes replicated-cache pairs and
-    // spatial-index nodes, and the naive painter drops union-occluded
-    // history entries its commit-time prune cannot see.
-    for engine in EngineKind::all() {
+    // dominated sets and their histories, Paint prunes replicated-cache
+    // pairs and spatial-index nodes, and the naive painter drops
+    // union-occluded history entries its commit-time prune cannot see.
+    // Warnock is absent: its refinement is monotonic, so nothing it holds
+    // ever becomes unreachable.
+    for engine in [
+        EngineKind::PaintNaive,
+        EngineKind::Paint,
+        EngineKind::RayCast,
+    ] {
         let mut rt = Runtime::new(
             RuntimeConfig::new(engine)
                 .nodes(4)
                 .validate(false)
                 .history_gc(true)
                 .gc_interval(16)
-                .gc_retain(32)
-                .coarsen(engine == EngineKind::Warnock),
+                .gc_retain(32),
         );
         long_circuit(40).execute(&mut rt);
         let gc = rt.stats().gc;
@@ -130,46 +133,6 @@ fn engine_sweeps_reclaim_dead_state() {
             gc.collections
         );
     }
-}
-
-#[test]
-fn coarsening_merges_reconverged_siblings_and_reports_cost() {
-    // Circuit's whole-region phases re-converge Warnock's per-piece
-    // refinements each iteration; coarsening must fold the siblings back
-    // up and count the merges. (Stencil never re-converges: its pieces
-    // keep distinct owners forever, which is why it is absent here.)
-    let mut rt = Runtime::new(
-        RuntimeConfig::new(EngineKind::Warnock)
-            .nodes(4)
-            .validate(false)
-            .history_gc(true)
-            .gc_interval(8)
-            .gc_retain(16)
-            .coarsen(true),
-    );
-    let app = long_circuit(30);
-    app.execute(&mut rt);
-    let gc = rt.stats().gc;
-    assert!(gc.coarsen, "knob not reflected in stats");
-    assert!(
-        gc.coarsen_merges > 0,
-        "no sibling sets re-converged across 30 whole-region iterations"
-    );
-    // Benefit measurement: merges must actually shrink the tree.
-    assert!(gc.equivalence_sets > 0 || gc.index_nodes > 0);
-
-    // Coarsening alone (GC off) also works: it only merges live state.
-    let mut rt2 = Runtime::new(
-        RuntimeConfig::new(EngineKind::Warnock)
-            .nodes(4)
-            .validate(false)
-            .gc_interval(8)
-            .coarsen(true),
-    );
-    app.execute(&mut rt2);
-    let stats2 = rt2.stats();
-    assert_eq!(stats2.watermark, 0, "GC off must not retire");
-    assert!(stats2.gc.coarsen_merges > 0);
 }
 
 #[test]

@@ -4,11 +4,6 @@
 //! with GC off, and the simulated machine must observe the exact same
 //! operation stream. Checked across all four engines × serial/sharded
 //! analysis × pipelined submission × auto-tracing.
-//!
-//! Coarsening (`VIZ_GC_COARSEN`) is deliberately *not* in this matrix: it
-//! preserves dependences and plan coverage but coalesces plan ranges over
-//! merged sets, so it is excluded from the byte-differential by contract
-//! (see `GcConfig::coarsen`).
 
 use visibility::apps::{Circuit, CircuitConfig, Stencil, StencilConfig, Workload};
 use visibility::prelude::*;
