@@ -20,7 +20,7 @@
 //!   freshest neighbor values automatically;
 //! * [`DistArray::sum`] / [`DistArray::min`] reduce through per-piece
 //!   `reduce+`/`reduce min` partials folded by a gather task;
-//! * [`DistArray::slice`] names an arbitrary subrange — *aliased* with the
+//! * [`DistArray::fill_slice`] names an arbitrary subrange — *aliased* with the
 //!   block partition, the case that needs content-based coherence (§2).
 //!
 //! Execution stays deferred: build a whole computation, then call

@@ -24,9 +24,8 @@ use viz_runtime::analysis::{
 use viz_runtime::{CoherenceEngine, EngineKind, Runtime, RuntimeConfig};
 
 fn run_with_engine(engine: Box<dyn CoherenceEngine>, workload: &dyn Workload, nodes: usize) {
-    let mut rt = rt_with_engine(engine, workload, nodes);
+    let rt = rt_with_engine(engine, workload, nodes);
     assert!(rt.num_tasks() > 0);
-    rt.machine_mut().reset_counters();
 }
 
 fn rt_with_engine(

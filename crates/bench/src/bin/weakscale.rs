@@ -13,8 +13,11 @@
 //! grow with program length); `gc=1` continues to 16384.
 //!
 //! Usage:
-//!   weakscale [max_nodes] [--app stencil|circuit|pennant]
-//!   weakscale --child <app> <nodes> <gc>      (internal)
+//!
+//! ```text
+//! weakscale [max_nodes] [--app stencil|circuit|pennant]
+//! weakscale --child <app> <nodes> <gc>      (internal)
+//! ```
 
 use std::io::Write as _;
 use std::process::Command;

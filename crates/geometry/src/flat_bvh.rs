@@ -14,8 +14,8 @@
 //!   four contiguous streams instead of striding over node structs.
 //! * **Contiguous subtree leaves.** Pre-order makes every subtree's leaves a
 //!   contiguous run of the leaf arrays. Once traversal reaches a subtree
-//!   with at most [`SCAN_CUTOFF`] leaves it stops descending and tests the
-//!   whole run with [`LEAF_CHUNK`]-wide unrolled comparisons — the
+//!   with at most `SCAN_CUTOFF` leaves it stops descending and tests the
+//!   whole run with `LEAF_CHUNK`-wide unrolled comparisons — the
 //!   "4–8 boxes per step" SIMD-friendly sweep the batch API amortizes over
 //!   a shard's entire pending query set.
 //!

@@ -28,7 +28,7 @@
 //! scalability sore spot the paper observes (§8.1).
 //!
 //! All of a tree's per-node state for one field lives in a single
-//! [`PaintShard`]: the walk, closes and view bookkeeping of one requirement
+//! `PaintShard`: the walk, closes and view bookkeeping of one requirement
 //! never leave its `(root, field)` shard, which is what lets the sharded
 //! driver scan distinct shards concurrently.
 

@@ -18,7 +18,7 @@
 //!    never promoted.
 //!
 //! A promoted repeat hands the predicted instance (the last `L`
-//! signatures) to [`crate::trace::Tracing`], which validates the next `L`
+//! signatures) to the trace state machine ([`crate::trace`]), which validates the next `L`
 //! launches against it while capturing their analysis results, then
 //! replays. Divergence at any point demotes back to observation — the
 //! runtime falls through to normal analysis, it never aborts.

@@ -3,12 +3,13 @@
 //!
 //! Precedence is uniform across all knobs: **explicit builder setters beat
 //! the environment, which beats the built-in defaults.**
-//! [`RuntimeConfig::new`](crate::RuntimeConfig::new) applies
-//! [`EnvOverrides::capture`] over [`RuntimeConfig::base`](crate::RuntimeConfig::base),
-//! so setters called afterwards always win; `base()` skips the environment
-//! entirely. [`EnvOverrides::capture`] is the only place this crate reads
-//! the process environment: nothing below `RuntimeConfig::new` — engine
-//! construction included — consults it.
+//! [`RuntimeConfig::new`] applies [`EnvOverrides::capture`] over
+//! [`RuntimeConfig::base`], so setters called afterwards always win;
+//! `base()` skips the environment entirely. [`EnvOverrides::capture`] is
+//! the only place this crate reads the process environment: nothing below
+//! `RuntimeConfig::new` — engine construction included — consults it.
+//! [`RuntimeConfig`] lives here, beside [`EnvOverrides::apply`], the only
+//! other code that knows its fields.
 //!
 //! # Knob table
 //!
@@ -24,7 +25,8 @@
 //! | `VIZ_GC_RETAIN` | `256` | most-recent launches always kept un-retired |
 
 use crate::autotrace::AutoTraceConfig;
-use crate::RuntimeConfig;
+use crate::engine::EngineKind;
+use viz_sim::CostModel;
 
 /// History-GC configuration (see DESIGN.md §7i).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -59,9 +61,225 @@ impl Default for GcConfig {
     }
 }
 
+/// Configuration for a [`crate::Runtime`].
+///
+/// # Environment variables
+///
+/// Every `VIZ_*` knob parses through this module, which documents the
+/// full table ([`KNOBS`]) — so existing binaries and the differential CI
+/// jobs can flip execution strategies without code changes. Precedence is
+/// strict: builder setters beat the environment beats the built-in default
+/// ([`RuntimeConfig::new`] applies [`EnvOverrides`] once, setters run
+/// after; [`RuntimeConfig::base`] skips the environment entirely).
+///
+/// Marked `#[non_exhaustive]`: construct with [`RuntimeConfig::new`] and
+/// the builder setters.
+#[non_exhaustive]
+#[derive(Clone, Debug)]
+pub struct RuntimeConfig {
+    /// Number of simulated machine nodes.
+    pub nodes: usize,
+    /// Which visibility engine performs the analysis.
+    pub engine: EngineKind,
+    /// Dynamic control replication: shard the analysis across nodes \[4\].
+    pub dcr: bool,
+    /// Cost model for the simulated machine.
+    pub cost: CostModel,
+    /// Check the §4 requirement-aliasing rule (and region/field validity)
+    /// on every submission (on by default; benchmarks at large scales may
+    /// disable it).
+    pub validate_launches: bool,
+    /// Worker threads for the sharded analysis driver: with more than one,
+    /// a batch's per-(root, field) shard scans run concurrently. Defaults
+    /// from `VIZ_ANALYSIS_THREADS` (else 1 = serial).
+    pub analysis_threads: usize,
+    /// Online automatic trace detection: watch the launch stream for
+    /// repeated subsequences and replay them without `begin_trace`
+    /// annotations. `enabled` defaults from `VIZ_AUTO_TRACE`.
+    pub auto_trace: AutoTraceConfig,
+    /// Pipelined submission: launches are validated on the application
+    /// thread, pushed into a bounded queue, and analyzed by a dedicated
+    /// driver thread — application, analysis, and (simulated) execution
+    /// overlap. Results are byte-identical to the synchronous path.
+    /// Defaults from `VIZ_PIPELINE`.
+    pub pipeline: bool,
+    /// Capacity of the submission queue (backpressure bound): a full
+    /// queue blocks [`crate::Runtime::submit`] until the driver catches up.
+    /// In pipelined mode every submission ring gets this depth.
+    pub pipeline_depth: usize,
+    /// Number of per-context SPSC submission rings in the pipelined plane
+    /// (PR 7). Ring 0 is claimed by the [`crate::Runtime`] facade itself, so up
+    /// to `submit_rings - 1` tenant [`crate::Context`]s can be live at once
+    /// ([`crate::Runtime::new_context`] returns
+    /// [`crate::RuntimeError::RingsExhausted`] past that). Defaults from
+    /// `VIZ_SUBMIT_RINGS` (else 8); ignored in synchronous mode.
+    pub submit_rings: usize,
+    /// Interning/memoization configuration for the engine's set algebra
+    /// (enabled by default; `InternConfig::disabled()` is the direct-sweep
+    /// reference of the differential tests).
+    pub intern: viz_geometry::InternConfig,
+    /// Record the launch history (submitted requirements + emitted
+    /// dependence edges + retirement order) for the external consistency
+    /// oracle. Defaults from `VIZ_ORACLE`. Export with
+    /// [`crate::Runtime::recorded_history`].
+    pub record_history: bool,
+    /// History garbage collection (see [`GcConfig`]). Defaults from
+    /// `VIZ_GC` / `VIZ_GC_INTERVAL` / `VIZ_GC_RETAIN`. With GC enabled the
+    /// runtime retires per-task bookkeeping below a watermark, so whole-history
+    /// operations ([`crate::Runtime::execute_values`],
+    /// [`crate::Runtime::timed_schedule`]) panic once anything has retired —
+    /// GC mode is for analysis streaming, not value execution.
+    pub gc: GcConfig,
+    /// Dirty-shard scanning: GC sweeps visit only the (root, field) shards
+    /// touched since the last sweep, with a full sweep every
+    /// [`crate::analysis::FULL_SWEEP_PERIOD`]-th collection as the
+    /// watermark-retirement backstop. Behavior-preserving (the differential
+    /// suite pins dirty-on == dirty-off, with `false` as its reference); on
+    /// by default.
+    pub dirty_shards: bool,
+}
+
+const DEFAULT_PIPELINE_DEPTH: usize = 256;
+pub(crate) const DEFAULT_SUBMIT_RINGS: usize = 8;
+
+impl RuntimeConfig {
+    /// The standard constructor: built-in defaults with the captured
+    /// `VIZ_*` environment applied on top ([`EnvOverrides`]).
+    /// Builder setters run after and therefore win.
+    pub fn new(engine: EngineKind) -> Self {
+        EnvOverrides::capture().apply(Self::base(engine))
+    }
+
+    /// The pure built-in defaults — the environment is *not* consulted.
+    /// Hermetic tests and the config-precedence suite start here.
+    pub fn base(engine: EngineKind) -> Self {
+        RuntimeConfig {
+            nodes: 1,
+            engine,
+            dcr: false,
+            cost: CostModel::default(),
+            validate_launches: true,
+            analysis_threads: 1,
+            auto_trace: AutoTraceConfig::default(),
+            pipeline: false,
+            pipeline_depth: DEFAULT_PIPELINE_DEPTH,
+            submit_rings: DEFAULT_SUBMIT_RINGS,
+            intern: viz_geometry::InternConfig::default(),
+            record_history: false,
+            gc: GcConfig::default(),
+            dirty_shards: true,
+        }
+    }
+
+    pub fn nodes(mut self, n: usize) -> Self {
+        self.nodes = n;
+        self
+    }
+
+    pub fn dcr(mut self, dcr: bool) -> Self {
+        self.dcr = dcr;
+        self
+    }
+
+    pub fn cost(mut self, cost: CostModel) -> Self {
+        self.cost = cost;
+        self
+    }
+
+    pub fn validate(mut self, v: bool) -> Self {
+        self.validate_launches = v;
+        self
+    }
+
+    // --------------------------------------------------------------
+    // Execution strategy (env-var parity documented on the type)
+    // --------------------------------------------------------------
+
+    pub fn analysis_threads(mut self, n: usize) -> Self {
+        self.analysis_threads = n.max(1);
+        self
+    }
+
+    /// Toggle online automatic trace detection.
+    pub fn auto_trace(mut self, on: bool) -> Self {
+        self.auto_trace.enabled = on;
+        self
+    }
+
+    /// Full auto-tracer tuning (promotion length bounds, confidence).
+    /// Replaces the individual `auto_trace_*` setters.
+    pub fn auto_trace_config(mut self, cfg: AutoTraceConfig) -> Self {
+        self.auto_trace = cfg;
+        self
+    }
+
+    /// Toggle the pipelined submission frontend.
+    pub fn pipeline(mut self, on: bool) -> Self {
+        self.pipeline = on;
+        self
+    }
+
+    /// Submission-queue capacity (backpressure bound, min 1).
+    pub fn pipeline_depth(mut self, n: usize) -> Self {
+        self.pipeline_depth = n.max(1);
+        self
+    }
+
+    /// Submission rings in the pipelined plane (min 2: the facade's ring
+    /// plus at least one for tenant contexts).
+    pub fn submit_rings(mut self, n: usize) -> Self {
+        self.submit_rings = n.max(2);
+        self
+    }
+
+    /// Pin the engine's interning configuration.
+    pub fn intern(mut self, cfg: viz_geometry::InternConfig) -> Self {
+        self.intern = cfg;
+        self
+    }
+
+    /// Toggle launch-history recording for the consistency oracle.
+    pub fn record_history(mut self, on: bool) -> Self {
+        self.record_history = on;
+        self
+    }
+
+    /// Toggle history garbage collection (retire per-task bookkeeping and
+    /// dead engine state below the watermark).
+    pub fn history_gc(mut self, on: bool) -> Self {
+        self.gc.enabled = on;
+        self
+    }
+
+    /// Launches between collection sweeps (min 1).
+    pub fn gc_interval(mut self, n: u32) -> Self {
+        self.gc.interval = n.max(1);
+        self
+    }
+
+    /// Launches kept below the frontier at each sweep — the unretired
+    /// window readers may still address.
+    pub fn gc_retain(mut self, n: u32) -> Self {
+        self.gc.retain = n;
+        self
+    }
+
+    /// Pin the whole GC block at once.
+    pub fn gc_config(mut self, cfg: GcConfig) -> Self {
+        self.gc = cfg;
+        self
+    }
+
+    /// Toggle dirty-shard scanning for GC sweeps (on by default).
+    pub fn dirty_shards(mut self, on: bool) -> Self {
+        self.dirty_shards = on;
+        self
+    }
+}
+
 /// The environment's view of every runtime knob: `None` = variable unset
 /// (or unparsable) = fall through to the built-in default. Captured once
-/// by [`RuntimeConfig::new`](crate::RuntimeConfig::new); tests inject a
+/// by [`RuntimeConfig::new`]; tests inject a
 /// fake environment through [`EnvOverrides::capture_from`].
 #[derive(Clone, Debug, Default)]
 pub struct EnvOverrides {
@@ -106,7 +324,7 @@ impl EnvOverrides {
 
     /// Overlay these overrides on a config: set knobs replace the config's
     /// current values, unset knobs leave them alone. Called by
-    /// [`RuntimeConfig::new`](crate::RuntimeConfig::new) *before* any
+    /// [`RuntimeConfig::new`] *before* any
     /// builder setter runs, which is exactly the
     /// explicit > environment > default precedence.
     pub fn apply(&self, mut cfg: RuntimeConfig) -> RuntimeConfig {

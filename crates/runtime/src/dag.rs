@@ -237,7 +237,7 @@ impl TaskDag {
         freed
     }
 
-    /// GC watermark last passed to [`retire_to`].
+    /// GC watermark last passed to [`TaskDag::retire_to`].
     pub fn retired_floor(&self) -> u32 {
         self.floor
     }

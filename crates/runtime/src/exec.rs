@@ -1,127 +1,16 @@
-//! Deferred execution: a value executor (worker threads, real data), a
-//! timed executor (simulated machine, the paper's scaling experiments), and
-//! the scan scheduler of the sharded analysis driver
-//! ([`crate::Runtime::run_batch`]).
+//! Deferred execution: a value executor (worker threads, real data) and a
+//! timed executor (simulated machine, the paper's scaling experiments).
+//! Both replay the committed history; neither touches the analysis.
 
-use crate::analysis::{ReqOutcome, ShardKey};
 use crate::dag::TaskDag;
-use crate::engine::{CoherenceEngine, ShardCtx};
 use crate::instance::PhysicalRegion;
 use crate::plan::{Source, StoredResult};
-use crate::sharding::ShardMap;
 use crate::task::{TaskBody, TaskId, TaskLaunch};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::sync::OnceLock;
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use viz_geometry::{FxHashMap, Point};
 use viz_region::{redop::Value, FieldId, Privilege, RedOpRegistry, RegionForest, RegionId};
 use viz_sim::{Machine, SimTime};
-
-/// Run one batch's shard scans on a scoped worker pool and retire the
-/// launches in order.
-///
-/// Scheduling contract (this is what makes the parallel driver
-/// byte-identical to the serial one):
-///
-/// * Every group for the same shard goes to the *same* worker, and workers
-///   drain their queues in the order enqueued (batch order) — so one
-///   shard's scans and commits happen in launch order, exactly as a serial
-///   engine would apply them. Distinct shards touch disjoint state and may
-///   run concurrently.
-/// * Shards are assigned to workers round-robin in first-seen batch order:
-///   deterministic, and balanced for the wave-structured batches the apps
-///   produce.
-/// * `retire` runs on the calling thread, strictly in batch order, as soon
-///   as all of an item's shard scans have arrived — a pipelined commit
-///   stage: launch *i* replays its recorded charges (pricing and simulated
-///   clocks stay sequentially faithful) while later launches are still
-///   being scanned.
-pub(crate) fn scan_batch(
-    engine: &dyn CoherenceEngine,
-    forest: &RegionForest,
-    shard_map: &ShardMap,
-    launches: &[TaskLaunch],
-    groups: &[Vec<(ShardKey, Vec<u32>)>],
-    threads: usize,
-    mut retire: impl FnMut(usize, Vec<ReqOutcome>),
-) {
-    let n = launches.len();
-    let mut shard_worker: FxHashMap<ShardKey, usize> = FxHashMap::default();
-    let mut next_worker = 0usize;
-    let mut queues: Vec<Vec<(usize, usize)>> = vec![Vec::new(); threads.max(1)];
-    for (i, gs) in groups.iter().enumerate() {
-        for (gi, (key, _)) in gs.iter().enumerate() {
-            let w = *shard_worker.entry(*key).or_insert_with(|| {
-                let w = next_worker;
-                next_worker = (next_worker + 1) % threads.max(1);
-                w
-            });
-            queues[w].push((i, gi));
-        }
-    }
-    let mut remaining: Vec<usize> = groups.iter().map(Vec::len).collect();
-    // Workers hand results back in chunks: cross-thread synchronization
-    // (mutex traffic, driver wakeups) is paid once per ~CHUNK scans instead
-    // of once per scan, which matters because a steady-state shard scan is
-    // only a few microseconds of work.
-    const CHUNK: usize = 32;
-    let (tx, rx) = crossbeam::channel::unbounded::<Vec<(usize, Vec<ReqOutcome>)>>();
-    std::thread::scope(|scope| {
-        for q in queues {
-            if q.is_empty() {
-                continue;
-            }
-            let tx = tx.clone();
-            scope.spawn(move || {
-                let ctx = ShardCtx {
-                    forest,
-                    shards: shard_map,
-                };
-                let mut pending: Vec<(usize, Vec<ReqOutcome>)> = Vec::with_capacity(CHUNK);
-                for (i, gi) in q {
-                    let (key, reqs) = &groups[i][gi];
-                    let span = viz_profile::span(engine.name());
-                    let outcomes = engine.analyze_shard(*key, &launches[i], reqs, &ctx);
-                    drop(span);
-                    pending.push((i, outcomes));
-                    if pending.len() >= CHUNK && tx.send(std::mem::take(&mut pending)).is_err() {
-                        // Receiver gone: the driver bailed (another worker
-                        // panicked). Stop scanning instead of panicking on
-                        // a closed channel — the scope join surfaces the
-                        // original panic.
-                        return;
-                    }
-                }
-                if !pending.is_empty() {
-                    let _ = tx.send(pending);
-                }
-            });
-        }
-        drop(tx);
-        let mut buf: Vec<Vec<ReqOutcome>> = (0..n).map(|_| Vec::new()).collect();
-        let mut next = 0usize;
-        while next < n {
-            while next < n && remaining[next] == 0 {
-                retire(next, std::mem::take(&mut buf[next]));
-                next += 1;
-            }
-            if next >= n {
-                break;
-            }
-            let Ok(chunk) = rx.recv() else {
-                // Every sender hung up with scans outstanding: a worker
-                // panicked. Break and let the scope join re-raise its
-                // panic (with the worker's own message) instead of
-                // masking it behind a RecvError unwrap here.
-                break;
-            };
-            for (i, outcomes) in chunk {
-                buf[i].extend(outcomes);
-                remaining[i] -= 1;
-            }
-        }
-    });
-}
 
 /// Committed outputs of every task, indexed by `(task, requirement)`.
 pub struct ValueStore {
@@ -190,7 +79,9 @@ pub(crate) fn execute_values(
         .map(|i| AtomicUsize::new(dag.preds(TaskId(i as u32)).len()))
         .collect();
     let remaining = AtomicUsize::new(n);
-    let (tx, rx) = crossbeam::channel::unbounded::<usize>();
+    // The ready queue: every worker sends, and they take turns receiving.
+    let (tx, rx) = mpsc::channel::<usize>();
+    let rx = Mutex::new(rx);
     for (i, deg) in indegree.iter().enumerate() {
         if deg.load(Ordering::Relaxed) == 0 {
             tx.send(i).unwrap();
@@ -258,7 +149,7 @@ pub(crate) fn execute_values(
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            let rx = rx.clone();
+            let rx = &rx;
             let tx = tx.clone();
             let remaining = &remaining;
             let indegree = &indegree;
@@ -270,7 +161,11 @@ pub(crate) fn execute_values(
                 // executor holds the core read lock, so mark the thread
                 // and let resolve fail fast with `WouldDeadlock`.
                 let _worker = crate::pipeline::enter_worker();
-                while let Ok(t) = rx.recv() {
+                loop {
+                    // Bound to a `let` so the queue lock is released before
+                    // the task runs.
+                    let next = rx.lock().unwrap().recv();
+                    let Ok(t) = next else { return };
                     if t == usize::MAX {
                         return;
                     }

@@ -71,7 +71,7 @@ impl Ledger {
         }
     }
 
-    #[allow(dead_code)] // used by tests today; the facade slices instead
+    #[cfg(test)]
     pub fn launch(&self, t: TaskId) -> &TaskLaunch {
         &self.launches[self.idx(t)]
     }
@@ -113,9 +113,15 @@ impl Ledger {
         ))
     }
 
-    /// Commit order within a launch differs by path (the sharded pipeline
-    /// retires results before appending launches), so pushes are per-column;
-    /// the column lengths re-converge at every quiescent point.
+    /// One launch's analysis-completion time and stored result. They stay
+    /// two pushes because the commit (`runtime/core.rs`, their only caller)
+    /// grows the DAG row between them, and the order in which the columns
+    /// reallocate is part of the allocation pattern the end-to-end
+    /// harness's `peak_rss_mb` rows are sensitive to. The launch itself
+    /// follows through [`Ledger::push_launch`] (serial path) or
+    /// [`Ledger::append_launches`] (the sharded driver appends a whole
+    /// batch once its workers release it), so the column lengths
+    /// re-converge at every quiescent point.
     pub fn push_done(&mut self, t: SimTime) {
         self.analysis_done.push(t);
     }

@@ -13,7 +13,7 @@
 //! 2. solve **coherence** — a plan for assembling each task's input values
 //!    from the most recent writes and pending reductions (§3.1).
 //!
-//! Both are solved by one of three *visibility engines* behind the
+//! Both are solved by one of four *visibility engines* behind the
 //! [`engine::CoherenceEngine`] trait:
 //!
 //! | Engine | Paper | Module |
@@ -56,20 +56,20 @@ pub mod trace;
 pub mod validate;
 
 pub use autotrace::AutoTraceConfig;
-pub use config::{EnvOverrides, GcConfig, Knob, KNOBS};
+pub use config::{EnvOverrides, GcConfig, Knob, RuntimeConfig, KNOBS};
 pub use dag::TaskDag;
 pub use engine::{CoherenceEngine, EngineKind, GcSweep};
 pub use error::RuntimeError;
 pub use index_launch::{IndexLaunchResult, Projection};
 pub use instance::PhysicalRegion;
 pub use mapper::Mapper;
-pub use pipeline::{CoreRead, CoreWrite, PipelineMetrics, RingCounters};
+pub use pipeline::{PipelineMetrics, RingCounters};
 pub use plan::{
     AnalysisResult, CopyRange, MaterializePlan, ReduceRange, Source, StoredResult, TaskShift,
 };
 pub use record::{LaunchRecord, RecordedHistory};
 pub use runtime::{
-    Context, CtxHandle, LaunchBuilder, LaunchSpec, Runtime, RuntimeConfig, TaskHandle, CTX_GLOBAL,
+    Context, CoreRead, CtxHandle, LaunchBuilder, LaunchSpec, Runtime, TaskHandle, CTX_GLOBAL,
     CTX_PRIMARY,
 };
 pub use sharding::ShardMap;

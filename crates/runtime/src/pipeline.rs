@@ -3,7 +3,7 @@
 //!
 //! With [`crate::RuntimeConfig::pipeline`] set, no application thread runs
 //! the dependence analysis inline. Instead the plane owns a fixed array of
-//! per-context SPSC *submission rings* ([`crate::ring::SpscRing`], sized by
+//! per-context SPSC *submission rings* (`ring::SpscRing`, sized by
 //! [`crate::RuntimeConfig::submit_rings`]): the primary [`crate::Runtime`]
 //! facade claims ring 0, and every [`crate::Runtime::new_context`] tenant
 //! context claims its own. Producers validate and snapshot launches on
@@ -12,7 +12,7 @@
 //!
 //! One *combining dispatcher* thread (`viz-analysis-driver`) sweeps the
 //! rings, drains every pending spec, and commits the combined batch
-//! through [`Core::run_specs`] while holding the core write lock **once
+//! through `Core::run_specs` while holding the core write lock **once
 //! per sweep** instead of once per submission — flat-combining delegation:
 //! producers delegate the serial analysis to the dispatcher and keep
 //! submitting. Per-ring FIFO order is preserved (each context's stream is
@@ -32,31 +32,26 @@
 //! ## Drain points, quiesce, and the drop contract
 //!
 //! Operations that observe committed analysis state quiesce the *whole
-//! plane* ([`SubmitPlane::quiesce`]): snapshot every ring's pushed
+//! plane* (`SubmitPlane::quiesce`): snapshot every ring's pushed
 //! counter, then wait until the matching commit counters catch up — a
 //! monotone condition that terminates even while other producers keep
 //! submitting. Dropping the runtime closes the plane and joins the
 //! dispatcher, which always drains every ring before honoring shutdown —
 //! queued launches are never lost. If the dispatcher dies (an engine bug;
 //! API misuse is rejected on the producer thread before enqueue), the
-//! panic is latched: producers get
-//! [`RuntimeError::DriverPanicked`](crate::RuntimeError::DriverPanicked)
-//! with the count of launches that were queued but will never be analyzed
-//! (also readable as [`PipelineMetrics::lost`]), and dropping the runtime
+//! panic is latched: producers get [`RuntimeError::DriverPanicked`] with
+//! the count of launches that were queued but will never be analyzed (also
+//! readable as [`PipelineMetrics::lost`]), and dropping the runtime
 //! re-raises the original panic payload.
 
 use crate::error::RuntimeError;
 use crate::ring::SpscRing;
 use crate::runtime::{Core, LaunchSpec};
 use crate::task::TaskId;
-use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 use viz_region::RegionForest;
-
-/// Ring slot the primary `Runtime` facade claims at spawn.
-pub(crate) const PRIMARY_RING: usize = 0;
 
 /// Condvar waits are bounded so a (hypothetically) missed wakeup degrades
 /// to a short poll instead of a hang — correctness never depends on
@@ -661,13 +656,11 @@ fn drive(plane: &SubmitPlane, core: &RwLock<Core>, forest: &RwLock<RegionForest>
 // The facade handle
 // ----------------------------------------------------------------------
 
-/// The handle the [`crate::Runtime`] facade owns: the shared plane, the
-/// primary context's state (ring 0), and the dispatcher's join handle.
-/// Dropping it shuts the plane down and joins the dispatcher (which
-/// drains every ring first).
+/// The handle the [`crate::Runtime`] facade owns: the shared plane and the
+/// dispatcher's join handle. Dropping it shuts the plane down and joins
+/// the dispatcher (which drains every ring first).
 pub(crate) struct Pipeline {
-    plane: Arc<SubmitPlane>,
-    primary: Arc<CtxState>,
+    pub(crate) plane: Arc<SubmitPlane>,
     driver: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -679,11 +672,6 @@ impl Pipeline {
         rings: usize,
     ) -> Self {
         let plane = Arc::new(SubmitPlane::new(rings, depth));
-        let primary = CtxState::new(crate::runtime::CTX_PRIMARY);
-        let claimed = plane
-            .claim_ring(&primary)
-            .expect("fresh plane has a free primary ring");
-        debug_assert_eq!(claimed, PRIMARY_RING);
         let driver = {
             let plane = Arc::clone(&plane);
             std::thread::Builder::new()
@@ -693,38 +681,13 @@ impl Pipeline {
         };
         Pipeline {
             plane,
-            primary,
             driver: Some(driver),
         }
-    }
-
-    pub(crate) fn plane(&self) -> &Arc<SubmitPlane> {
-        &self.plane
-    }
-
-    pub(crate) fn primary(&self) -> &Arc<CtxState> {
-        &self.primary
-    }
-
-    /// Push one spec into the primary ring.
-    pub(crate) fn enqueue(&self, spec: LaunchSpec) -> Result<(), RuntimeError> {
-        self.plane
-            .enqueue_all(PRIMARY_RING, &self.primary, vec![spec])
-    }
-
-    /// Push a batch into the primary ring in order.
-    pub(crate) fn enqueue_all(&self, specs: Vec<LaunchSpec>) -> Result<(), RuntimeError> {
-        self.plane.enqueue_all(PRIMARY_RING, &self.primary, specs)
     }
 
     /// Block until every launch submitted (to any ring) has committed.
     pub(crate) fn drain(&self) -> Result<(), RuntimeError> {
         self.plane.quiesce()
-    }
-
-    /// Block until the primary context's commit counter covers `count`.
-    pub(crate) fn wait_committed(&self, count: u64) -> Result<(), RuntimeError> {
-        self.plane.wait_ctx_committed(&self.primary, count)
     }
 
     pub(crate) fn metrics(&self) -> PipelineMetrics {
@@ -752,85 +715,6 @@ impl Drop for Pipeline {
                 }
             }
         }
-    }
-}
-
-// ----------------------------------------------------------------------
-// Guard projections (unchanged from PR 4)
-// ----------------------------------------------------------------------
-
-/// A read guard into a component of the analysis [`Core`], returned by the
-/// [`crate::Runtime`] introspection accessors (`dag()`, `launches()`,
-/// `machine()`, ...). Dereferences to the component; the core stays
-/// read-locked for the guard's lifetime. Accessors drain the pipeline
-/// before locking, so the driver is idle and cannot block behind the
-/// guard; overlapping read guards on the application thread are fine.
-pub struct CoreRead<'a, T: ?Sized> {
-    guard: RwLockReadGuard<'a, Core>,
-    map: fn(&Core) -> &T,
-}
-
-impl<'a, T: ?Sized> CoreRead<'a, T> {
-    pub(crate) fn new(core: &'a RwLock<Core>, map: fn(&Core) -> &T) -> Self {
-        CoreRead {
-            guard: core.read().unwrap(),
-            map,
-        }
-    }
-}
-
-impl<T: ?Sized> Deref for CoreRead<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        (self.map)(&self.guard)
-    }
-}
-
-impl<T: ?Sized> AsRef<T> for CoreRead<'_, T> {
-    fn as_ref(&self) -> &T {
-        (self.map)(&self.guard)
-    }
-}
-
-/// Write counterpart of [`CoreRead`] (e.g. [`crate::Runtime::machine_mut`]).
-pub struct CoreWrite<'a, T: ?Sized> {
-    guard: RwLockWriteGuard<'a, Core>,
-    map: fn(&Core) -> &T,
-    map_mut: fn(&mut Core) -> &mut T,
-}
-
-impl<'a, T: ?Sized> CoreWrite<'a, T> {
-    pub(crate) fn new(
-        core: &'a RwLock<Core>,
-        map: fn(&Core) -> &T,
-        map_mut: fn(&mut Core) -> &mut T,
-    ) -> Self {
-        CoreWrite {
-            guard: core.write().unwrap(),
-            map,
-            map_mut,
-        }
-    }
-}
-
-impl<T: ?Sized> Deref for CoreWrite<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        (self.map)(&self.guard)
-    }
-}
-
-impl<T: ?Sized> DerefMut for CoreWrite<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        (self.map_mut)(&mut self.guard)
-    }
-}
-
-impl<T: ?Sized> AsRef<T> for CoreWrite<'_, T> {
-    fn as_ref(&self) -> &T {
-        (self.map)(&self.guard)
     }
 }
 

@@ -2,10 +2,10 @@
 //! (`viz-oracle`).
 //!
 //! With [`crate::RuntimeConfig::record_history`] set (or `VIZ_ORACLE=1`),
-//! the [`Core`](crate::runtime::Runtime) keeps a [`HistoryRecorder`] and
-//! appends one [`LaunchRecord`] at every commit point — the serial path,
-//! the sharded batch driver's retire stage, trace replay, and fences all
-//! funnel through the same hook, so synchronous, pipelined, annotated-trace
+//! the runtime's core keeps a `HistoryRecorder` and its one per-launch
+//! commit (`runtime/core.rs`) appends one [`LaunchRecord`] — the serial
+//! path, the sharded batch driver's retire stage, trace replay, and fences
+//! all end in that commit, so synchronous, pipelined, annotated-trace
 //! and auto-trace runs produce the same kind of record.
 //!
 //! What is recorded is deliberately *claims, not analysis state*: the

@@ -18,9 +18,9 @@ use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The crossbeam shim carries no `CachePadded`; a 64-byte-aligned wrapper
-/// keeps the producer-written tail and the consumer-written head on
-/// distinct cache lines, which is the entire point of an SPSC layout.
+/// A 64-byte-aligned wrapper keeps the producer-written tail and the
+/// consumer-written head on distinct cache lines, which is the entire point
+/// of an SPSC layout.
 #[repr(align(64))]
 pub(crate) struct CacheAligned<T>(pub T);
 

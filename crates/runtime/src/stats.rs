@@ -10,6 +10,7 @@
 
 use crate::engine::StateSize;
 use crate::pipeline::PipelineMetrics;
+use crate::runtime::Core;
 
 /// One coherent snapshot of the runtime's observable counters, taken at a
 /// drain point (every queued launch has committed).
@@ -36,6 +37,48 @@ pub struct RuntimeStats {
     pub tracing: TracingStats,
     /// Submission-plane counters (`None` in synchronous mode).
     pub pipeline: Option<PipelineStats>,
+}
+
+impl RuntimeStats {
+    /// Assemble the snapshot from a (drained) core and, in pipelined mode,
+    /// the submission plane's counters.
+    pub(crate) fn snapshot(core: &Core, pipeline: Option<&PipelineMetrics>) -> Self {
+        let gc = &core.gc;
+        let book = &core.book;
+        RuntimeStats {
+            engine: core.engine.name(),
+            tasks: book.ledger.total() as u64,
+            retained: book.ledger.retained() as u64,
+            watermark: book.ledger.base(),
+            state: core.engine.state_size(),
+            gc: GcStats {
+                enabled: gc.cfg.enabled,
+                collections: gc.collections,
+                pins: gc.pins,
+                retired_launches: gc.retired_launches,
+                tag_words_freed: gc.tag_words_freed,
+                history_entries: gc.sweep.history_entries as u64,
+                equivalence_sets: gc.sweep.equivalence_sets as u64,
+                composite_views: gc.sweep.composite_views as u64,
+                index_nodes: gc.sweep.index_nodes as u64,
+                memo_entries: gc.sweep.memo_entries as u64,
+            },
+            dag: DagStats {
+                tasks: book.dag.len() as u64,
+                edges: book.dag.edge_count() as u64,
+                tag_words: book.dag.tag_words() as u64,
+                retired_floor: book.dag.retired_floor(),
+            },
+            tracing: TracingStats {
+                replayed_launches: book.tracing.replayed_launches,
+                auto_promotions: book.tracing.auto_promotions,
+                auto_demotions: book.tracing.auto_demotions,
+                violations: book.tracing.violations().len() as u64,
+                rebase_ranges: book.tracing.rebase_ranges() as u64,
+            },
+            pipeline: pipeline.map(PipelineStats::snapshot),
+        }
+    }
 }
 
 /// History-GC counters (see [`crate::config::GcConfig`]).
@@ -113,7 +156,7 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
-    pub(crate) fn snapshot(m: &PipelineMetrics) -> Self {
+    fn snapshot(m: &PipelineMetrics) -> Self {
         PipelineStats {
             submitted: m.submitted(),
             retired: m.retired(),

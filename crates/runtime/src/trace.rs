@@ -6,8 +6,8 @@
 //! experiments do not measure Legion's peak performance, but rather the
 //! performance of the different coherence algorithms", §8). This module
 //! implements it as the natural extension: applications wrap the body of a
-//! repetitive loop in [`crate::Runtime::begin_trace`] /
-//! [`crate::Runtime::end_trace`]; the runtime
+//! repetitive loop in [`crate::Runtime::try_begin_trace`] /
+//! [`crate::Runtime::try_end_trace`]; the runtime
 //!
 //! 1. analyzes the first instance normally (warm-up: partitions are
 //!    discovered, equivalence sets refined, views built);
@@ -40,7 +40,7 @@
 //!   many instances replay (see `push_rebase`).
 //!
 //! Traces also form without annotations: when auto-tracing is enabled, the
-//! [`crate::autotrace::AutoTracer`] watches the launch stream and promotes
+//! auto tracer ([`crate::autotrace`]) watches the launch stream and promotes
 //! detected repeats into the same state machine (`Mode::AutoCapture` /
 //! `Mode::AutoReplay`), with a demotion path back to normal analysis when
 //! the prediction diverges.
@@ -853,12 +853,6 @@ impl Tracing {
         self.active
             .as_ref()
             .is_some_and(|a| matches!(a.mode, Mode::Replay | Mode::AutoReplay))
-    }
-
-    /// Inside a `begin_trace`/`end_trace` region or an auto trace (warming,
-    /// capturing, or replaying)?
-    pub fn in_trace(&self) -> bool {
-        self.active.is_some()
     }
 
     /// A detected repeat is waiting for its first launch to start capture.

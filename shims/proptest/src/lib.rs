@@ -4,8 +4,8 @@
 //! subset of the proptest API the workspace's property tests use:
 //!
 //! * the `proptest!` macro (with `#![proptest_config(...)]`),
-//! * [`Strategy`] with `prop_map`/`boxed`, integer ranges, tuples,
-//!   [`Just`], `prop_oneof!` (weighted and unweighted),
+//! * [`strategy::Strategy`] with `prop_map`/`boxed`, integer ranges, tuples,
+//!   [`strategy::Just`], `prop_oneof!` (weighted and unweighted),
 //!   `prop::collection::{vec, btree_set}`, `any::<bool>()`,
 //!   `any::<prop::sample::Index>()`,
 //! * `prop_assert!`/`prop_assert_eq!`/`prop_assert_ne!`.

@@ -4,7 +4,10 @@
 //! simulated clocks, counters, and makespans. The batched driver only
 //! reorders *host* work (per-`(root, field)` scans run concurrently); the
 //! pipelined commit stage replays every launch's recorded machine charges
-//! in the exact order the serial driver would have issued them.
+//! in the exact order the serial driver would have issued them. The
+//! recorded history is compared too: whatever path a launch took to the
+//! one commit (serial analyze, sharded retire, trace replay, fence), the
+//! recorder saw the same thing.
 
 use visibility::apps::{
     Circuit, CircuitConfig, Pennant, PennantConfig, Stencil, StencilConfig, Workload,
@@ -23,7 +26,8 @@ fn run_one(
         RuntimeConfig::new(engine)
             .nodes(nodes)
             .dcr(dcr)
-            .analysis_threads(threads),
+            .analysis_threads(threads)
+            .record_history(true),
     );
     let run = workload.execute(&mut rt);
     let results: Vec<visibility::runtime::AnalysisResult> = rt.results();
@@ -34,6 +38,7 @@ fn run_one(
     let service_clocks = rt.machine().service_clocks().to_vec();
     let counters = rt.machine().counters().clone();
     let state = rt.stats().state;
+    let history = rt.recorded_history().expect("recording enabled");
     let report = rt.timed_schedule();
     let makespan = report.completion_through(*run.iter_end.last().unwrap());
     Snapshot {
@@ -43,6 +48,7 @@ fn run_one(
         service_clocks,
         counters,
         state,
+        history,
         makespan,
     }
 }
@@ -54,10 +60,17 @@ struct Snapshot {
     service_clocks: Vec<SimTime>,
     counters: visibility::sim::Counters,
     state: visibility::runtime::engine::StateSize,
+    history: visibility::runtime::RecordedHistory,
     makespan: SimTime,
 }
 
-fn assert_identical(workload: &dyn Workload, engine: EngineKind, nodes: usize, dcr: bool) {
+/// Returns the sharded run's snapshot for case-specific checks.
+fn assert_identical(
+    workload: &dyn Workload,
+    engine: EngineKind,
+    nodes: usize,
+    dcr: bool,
+) -> Snapshot {
     let serial = run_one(workload, engine, nodes, dcr, 1);
     let sharded = run_one(workload, engine, nodes, dcr, 4);
     let tag = format!("{} {engine:?} nodes={nodes} dcr={dcr}", workload.name());
@@ -82,6 +95,35 @@ fn assert_identical(workload: &dyn Workload, engine: EngineKind, nodes: usize, d
     assert_eq!(serial.counters, sharded.counters, "{tag}: counters differ");
     assert_eq!(serial.state, sharded.state, "{tag}: state sizes differ");
     assert_eq!(serial.makespan, sharded.makespan, "{tag}: makespans differ");
+    assert_eq!(
+        serial.history.retirement, sharded.history.retirement,
+        "{tag}: retirement orders differ"
+    );
+    assert_eq!(serial.history.len(), sharded.history.len());
+    for (a, b) in serial
+        .history
+        .launches
+        .iter()
+        .zip(&sharded.history.launches)
+    {
+        let t = a.id;
+        assert_eq!(a.id, b.id, "{tag}: recorded ids differ");
+        assert_eq!(a.name, b.name, "{tag}: recorded name of {t:?} differs");
+        assert_eq!(a.node, b.node, "{tag}: recorded node of {t:?} differs");
+        assert_eq!(a.ctx, b.ctx, "{tag}: recorded context of {t:?} differs");
+        assert_eq!(a.reqs, b.reqs, "{tag}: recorded reqs of {t:?} differ");
+        assert_eq!(
+            a.signature, b.signature,
+            "{tag}: signature of {t:?} differs"
+        );
+        assert_eq!(a.deps, b.deps, "{tag}: recorded deps of {t:?} differ");
+        assert_eq!(
+            a.replayed, b.replayed,
+            "{tag}: replay flag of {t:?} differs"
+        );
+        assert_eq!(a.fence, b.fence, "{tag}: fence flag of {t:?} differs");
+    }
+    sharded
 }
 
 #[test]
@@ -135,4 +177,20 @@ fn traced_workloads_fall_back_to_serial_and_stay_identical() {
         ..StencilConfig::small(4, 8, 6)
     });
     assert_identical(&app, EngineKind::RayCast, 2, true);
+    // One compared run in which every way into the commit is taken: the
+    // init waves shard (four workers), the first trace instances analyze
+    // serially, and the later ones replay.
+    let app = Circuit::new(CircuitConfig {
+        nodes: 2,
+        traced: true,
+        with_bodies: false,
+        ..CircuitConfig::small(4, 6)
+    });
+    let sharded = assert_identical(&app, EngineKind::RayCast, 2, true);
+    let replayed = sharded.history.launches.iter().filter(|l| l.replayed);
+    assert!(replayed.count() > 0, "the traced circuit replays");
+    assert!(
+        sharded.history.launches.iter().any(|l| !l.replayed),
+        "and analyzes"
+    );
 }
