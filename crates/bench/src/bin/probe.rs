@@ -26,8 +26,18 @@
 use viz_bench::AppKind;
 use viz_runtime::{EngineKind, Runtime, RuntimeConfig};
 
+const USAGE: &str = "\
+usage: probe <stencil|circuit|pennant> <raycast|warnock|paint|paintnaive> <dcr|nodcr> <nodes> \\
+             [--quick] [--profile] [--analysis-threads N] [--auto-trace] [--pipeline] \\
+             [--submit-rings N] [--oracle] [--record-history PATH]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // The four positionals come first; flags follow.
+    if args.iter().take_while(|a| !a.starts_with("--")).count() < 4 {
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    }
     let app = match args[0].as_str() {
         "stencil" => AppKind::Stencil,
         "circuit" => AppKind::Circuit,
@@ -42,7 +52,7 @@ fn main() {
         a => panic!("unknown engine {a}"),
     };
     let dcr = args[2] == "dcr";
-    let nodes: usize = args[3].parse().unwrap();
+    let nodes: usize = args[3].parse().expect("<nodes>");
     let quick = args.iter().any(|a| a == "--quick");
     let profile = args.iter().any(|a| a == "--profile");
     let auto_trace = args.iter().any(|a| a == "--auto-trace");

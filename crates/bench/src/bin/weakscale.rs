@@ -56,7 +56,7 @@ fn app_from(label: &str) -> AppKind {
 
 const COLUMNS: &str = "app\tgc\tnodes\tlaunches\tretained\twatermark\tanalysis_s\tus_per_launch\t\
                        peak_rss_mb\thistory_entries\tequivalence_sets\tinterned_spaces\t\
-                       dag_tag_words\tgc_collections\tgc_retired\tgc_dropped\tgc_tag_words_freed\t\
+                       gc_collections\tgc_retired\tgc_dropped\t\
                        candidates_visited\tsets_swept";
 
 /// One measurement, printed as a TSV row on stdout (parsed by the parent).
@@ -77,7 +77,7 @@ fn child(app: AppKind, nodes: usize, gc: bool) {
     let stats = rt.stats();
     let us_per_launch = analysis_s * 1e6 / stats.tasks.max(1) as f64;
     println!(
-        "{}\t{}\t{}\t{}\t{}\t{}\t{:.3}\t{:.3}\t{:.1}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+        "{}\t{}\t{}\t{}\t{}\t{}\t{:.3}\t{:.3}\t{:.1}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
         app.label(),
         gc as u8,
         nodes,
@@ -90,7 +90,6 @@ fn child(app: AppKind, nodes: usize, gc: bool) {
         stats.state.history_entries,
         stats.state.equivalence_sets,
         stats.state.interned_spaces,
-        stats.dag.tag_words,
         stats.gc.collections,
         stats.gc.retired_launches,
         stats.gc.history_entries
@@ -98,7 +97,6 @@ fn child(app: AppKind, nodes: usize, gc: bool) {
             + stats.gc.composite_views
             + stats.gc.index_nodes
             + stats.gc.memo_entries,
-        stats.gc.tag_words_freed,
         stats.state.candidates_visited,
         stats.state.sets_swept,
     );

@@ -112,13 +112,11 @@ fn push_args(out: &mut String, kind: &EventKind) {
         EventKind::GcSweep {
             watermark,
             retired,
-            freed_words,
             dropped,
         } => {
             let _ = write!(
                 out,
-                "{{\"watermark\":{watermark},\"retired\":{retired},\
-                 \"freed_words\":{freed_words},\"dropped\":{dropped}}}"
+                "{{\"watermark\":{watermark},\"retired\":{retired},\"dropped\":{dropped}}}"
             );
         }
         EventKind::ScanSweep { candidates, swept } => {

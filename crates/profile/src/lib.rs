@@ -98,12 +98,11 @@ pub enum EventKind {
     /// interfering launch pairs verified against `edges` engine edges.
     OracleCheck { pairs: u64, edges: u64 },
     /// One history-GC sweep: the watermark reached `watermark`, `retired`
-    /// ledger entries and `freed_words` precedence-tag words were
-    /// reclaimed, and engines dropped `dropped` dead state entries.
+    /// ledger entries were reclaimed, and engines dropped `dropped` dead
+    /// state entries.
     GcSweep {
         watermark: u64,
         retired: u64,
-        freed_words: u64,
         dropped: u64,
     },
     /// One launch-analysis scan: the locality index produced `candidates`

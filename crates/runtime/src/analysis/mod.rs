@@ -1,5 +1,5 @@
-//! The three visibility-based coherence engines (paper §5–7) and their
-//! shared machinery.
+//! The four visibility-based coherence engines (the paper's three, §5–7,
+//! plus the naive Fig 7 painter) and their shared machinery.
 
 pub mod history;
 pub mod paint;

@@ -32,8 +32,7 @@ use viz_sim::CostModel;
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct GcConfig {
     /// Retire per-task bookkeeping (launch metadata, owned analysis
-    /// results, precedence tag rows) and dead engine state older than the
-    /// watermark. Dependences, plans, and simulated charges are
+    /// results) and dead engine state older than the watermark. Dependences, plans, and simulated charges are
     /// byte-identical with GC on or off; only
     /// [`Runtime::execute_values`](crate::Runtime::execute_values) /
     /// [`Runtime::timed_schedule`](crate::Runtime::timed_schedule) become

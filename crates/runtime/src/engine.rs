@@ -1,4 +1,5 @@
-//! The coherence-engine interface shared by all three visibility algorithms.
+//! The coherence-engine interface shared by all four engines (the paper's
+//! three visibility algorithms plus the naive painter; see [`EngineKind`]).
 
 use crate::analysis::{paint, paint_naive, raycast, warnock, ReqOutcome, ShardKey};
 use crate::plan::{AnalysisResult, MaterializePlan};

@@ -40,6 +40,19 @@ impl ValueStore {
 
 type InitFn = Arc<dyn Fn(Point) -> Value + Send + Sync>;
 
+/// Inverse of the DAG's predecessor lists: `succs[t]` = the tasks waiting
+/// on `t`, ascending. Built here, once per run, for the executor's
+/// ready-queue — its only reader.
+fn successors(dag: &TaskDag) -> Vec<Vec<TaskId>> {
+    let mut succs = vec![Vec::new(); dag.len()];
+    for t in (0..dag.len() as u32).map(TaskId) {
+        for d in dag.preds(t) {
+            succs[d.index()].push(t);
+        }
+    }
+    succs
+}
+
 /// Run every launch with real values on worker threads, honoring the DAG.
 ///
 /// Inputs are materialized per the engines' plans: base copies from
@@ -74,7 +87,7 @@ pub(crate) fn execute_values(
     }
 
     let outputs: Vec<OnceLock<Vec<PhysicalRegion>>> = (0..n).map(|_| OnceLock::new()).collect();
-    let succs = dag.successors();
+    let succs = successors(dag);
     let indegree: Vec<AtomicUsize> = (0..n)
         .map(|i| AtomicUsize::new(dag.preds(TaskId(i as u32)).len()))
         .collect();
@@ -317,6 +330,19 @@ mod tests {
     use crate::engine::EngineKind;
     use crate::runtime::{LaunchSpec, Runtime, RuntimeConfig};
     use crate::task::RegionRequirement;
+
+    #[test]
+    fn successors_inverts_preds() {
+        let dag = crate::dag::tests::fig5_dag();
+        let succs = successors(&dag);
+        assert_eq!(
+            succs[0],
+            vec![TaskId(3), TaskId(4), TaskId(5)],
+            "t0 feeds all of the second wave"
+        );
+        assert!(succs[8].is_empty());
+        assert_eq!(succs.iter().map(Vec::len).sum::<usize>(), 18);
+    }
 
     /// write 1.0 everywhere, then read it back through the runtime.
     #[test]

@@ -21,7 +21,6 @@ pub(crate) struct GcState {
     /// Sweeps whose floor was clamped by trace pinning.
     pub(crate) pins: u64,
     pub(crate) retired_launches: u64,
-    pub(crate) tag_words_freed: u64,
     pub(crate) sweep: GcSweep,
 }
 
@@ -33,7 +32,6 @@ impl GcState {
             collections: 0,
             pins: 0,
             retired_launches: 0,
-            tag_words_freed: 0,
             sweep: GcSweep::default(),
         }
     }
@@ -50,8 +48,8 @@ impl Core {
     }
 
     /// Run a collection sweep if the watermark interval has elapsed:
-    /// reclaim dead engine state, then retire ledger entries and DAG tag
-    /// rows below `next_id - retain` (clamped by trace pinning). Called
+    /// reclaim dead engine state, then retire ledger entries below
+    /// `next_id - retain` (clamped by trace pinning). Called
     /// after every `run_specs` chunk and every fence; chunks end at
     /// `next_due`, so the pipelined and synchronous paths collect at the
     /// same launch counts however their callers batch.
@@ -79,15 +77,12 @@ impl Core {
         // Engines reclaim *unreachable* state (superseded equivalence
         // sets, dead composite chains) — reachability-based, so the sweep
         // is behavior-preserving by construction; `floor` only gates the
-        // ledger and tag rows below.
+        // ledger below.
         let sweep = self.engine.collect(TaskId(floor));
         self.gc.sweep += sweep;
-        let mut freed_words = 0u64;
         let mut retired = 0u64;
         if floor > book.ledger.base() {
-            freed_words = book.dag.retire_to(TaskId(floor)) as u64;
             retired = book.ledger.retire_to(floor) as u64;
-            self.gc.tag_words_freed += freed_words;
             self.gc.retired_launches += retired;
         }
         if viz_profile::enabled() {
@@ -101,7 +96,6 @@ impl Core {
                 viz_profile::EventKind::GcSweep {
                     watermark: book.ledger.base() as u64,
                     retired,
-                    freed_words,
                     dropped: sweep.total() as u64,
                 },
             );

@@ -31,7 +31,7 @@ pub struct RuntimeStats {
     pub state: StateSize,
     /// History-GC counters.
     pub gc: GcStats,
-    /// Dependence-DAG shape and tag-storage footprint.
+    /// Dependence-DAG shape.
     pub dag: DagStats,
     /// Trace machinery counters (manual and auto).
     pub tracing: TracingStats,
@@ -56,7 +56,6 @@ impl RuntimeStats {
                 collections: gc.collections,
                 pins: gc.pins,
                 retired_launches: gc.retired_launches,
-                tag_words_freed: gc.tag_words_freed,
                 history_entries: gc.sweep.history_entries as u64,
                 equivalence_sets: gc.sweep.equivalence_sets as u64,
                 composite_views: gc.sweep.composite_views as u64,
@@ -66,8 +65,6 @@ impl RuntimeStats {
             dag: DagStats {
                 tasks: book.dag.len() as u64,
                 edges: book.dag.edge_count() as u64,
-                tag_words: book.dag.tag_words() as u64,
-                retired_floor: book.dag.retired_floor(),
             },
             tracing: TracingStats {
                 replayed_launches: book.tracing.replayed_launches,
@@ -92,8 +89,6 @@ pub struct GcStats {
     pub pins: u64,
     /// Ledger entries retired below the watermark.
     pub retired_launches: u64,
-    /// Ancestor-tag words freed from the DAG's bitset window.
-    pub tag_words_freed: u64,
     /// Per-(root,field) history entries dropped by engine sweeps.
     pub history_entries: u64,
     /// Dead equivalence sets reclaimed.
@@ -106,18 +101,15 @@ pub struct GcStats {
     pub memo_entries: u64,
 }
 
-/// Dependence-DAG shape and precedence-tag footprint.
+/// Dependence-DAG shape.
 #[non_exhaustive]
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DagStats {
-    /// Tasks pushed (never shrinks; retirement only frees tag rows).
+    /// Tasks pushed (never shrinks: history GC retires ledger entries, not
+    /// DAG nodes).
     pub tasks: u64,
     /// Dependence edges recorded.
     pub edges: u64,
-    /// 64-bit words currently held by the ragged ancestor-bitset window.
-    pub tag_words: u64,
-    /// Floor below which tag rows were freed by history GC.
-    pub retired_floor: u32,
 }
 
 /// Trace-machinery counters (manual `begin_trace`/`end_trace` regions and

@@ -1,13 +1,15 @@
 //! Allocation counts at steady state, as exact numbers.
 //!
-//! Two families. The K-d candidate walk: the raycast backward scan used
+//! Three families. The K-d candidate walk: the raycast backward scan used
 //! to allocate per query (a traversal stack inside `DynamicBvh::query`, a
 //! fresh hits vector per requirement); both live in per-shard scratch
 //! (`ScanScratch` in `analysis/raycast.rs`), and `DynamicBvh::query_with`
 //! over reused buffers must make **zero** allocations once warm. And the
 //! whole engine: a steady-state `RayCast` launch re-derives nothing
 //! structural, so its allocation count is small, and identical from one
-//! iteration to the next.
+//! iteration to the next. And the commit path's DAG: `TaskDag::push`
+//! stores the dependence vector it is handed and derives nothing that
+//! needs memory of its own, so it allocates only when a column grows.
 //!
 //! The counter is per thread: the test harness runs the tests of this
 //! binary on parallel threads, and a process-wide counter charged each
@@ -19,7 +21,7 @@ use std::cell::Cell;
 use viz_apps::{Pennant, PennantConfig, Stencil, StencilConfig, Workload};
 use viz_geometry::{DynamicBvh, Rect};
 use viz_runtime::engine::AnalysisCtx;
-use viz_runtime::{EngineKind, Runtime, RuntimeConfig, ShardMap};
+use viz_runtime::{EngineKind, Runtime, RuntimeConfig, ShardMap, TaskDag, TaskId};
 use viz_sim::Machine;
 
 struct CountingAlloc;
@@ -210,4 +212,26 @@ fn raycast_pennant_steady_launch_stays_inside_the_allocation_budget() {
         ..PennantConfig::paper(16)
     });
     assert_engine_budget("pennant", &engine_allocs_per_iteration(&app, 16));
+}
+
+#[test]
+fn dag_push_allocates_only_column_growth() {
+    // A two-predecessor lattice, built before counting starts.
+    const N: u32 = 20_000;
+    let deps: Vec<Vec<TaskId>> = (0..N)
+        .map(|i| (i.saturating_sub(2)..i).map(TaskId).collect())
+        .collect();
+    let mut dag = TaskDag::new();
+    let before = allocs();
+    for d in deps {
+        dag.push(d);
+    }
+    let pushed = allocs() - before;
+    // Three columns (`preds`, `depth`, `min_anc`), each doubling at most 16
+    // times on the way to 20 000 entries: none per launch.
+    assert!(
+        pushed <= 3 * 16,
+        "{N} pushes allocated {pushed} times; only amortised column growth is allowed"
+    );
+    assert_eq!(dag.len(), N as usize);
 }

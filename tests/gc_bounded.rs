@@ -1,7 +1,7 @@
 //! The tentpole's memory claim, as a test: with history GC on, the
-//! retained ledger window, the DAG's tag storage, and the engines' dead
-//! state are bounded by the *retain window*, not by program length — and
-//! the watermark actually advances. Also covers the eager-execution guards.
+//! retained ledger window and the engines' dead state are bounded by the
+//! *retain window*, not by program length — and the watermark actually
+//! advances. Also covers the eager-execution guards.
 
 use visibility::apps::{Circuit, CircuitConfig, Stencil, StencilConfig, Workload};
 use visibility::prelude::*;
@@ -66,37 +66,6 @@ fn retained_window_is_bounded_by_retain_not_program_length() {
             }
         }
     }
-}
-
-#[test]
-fn tag_words_are_bounded_by_the_window() {
-    // GC-off: tag memory grows with program length (within the tag
-    // window). GC-on: it tracks the retained suffix.
-    let mut off = Runtime::new(
-        RuntimeConfig::new(EngineKind::RayCast)
-            .nodes(4)
-            .validate(false),
-    );
-    long_stencil(40).execute(&mut off);
-    let off_words = off.stats().dag.tag_words;
-
-    let mut on = Runtime::new(
-        RuntimeConfig::new(EngineKind::RayCast)
-            .nodes(4)
-            .validate(false)
-            .history_gc(true)
-            .gc_interval(16)
-            .gc_retain(32),
-    );
-    long_stencil(40).execute(&mut on);
-    let stats = on.stats();
-    assert!(stats.gc.tag_words_freed > 0, "no tag rows were ever freed");
-    assert!(
-        stats.dag.tag_words * 4 < off_words,
-        "tag words with GC ({}) not clearly below GC-off ({off_words})",
-        stats.dag.tag_words
-    );
-    assert_eq!(stats.dag.retired_floor, stats.watermark);
 }
 
 #[test]

@@ -1,7 +1,6 @@
-//! Property tests for the order-maintenance precedence tags (DESIGN.md §7i):
-//! on random DAGs, the O(1) tag answer of `TaskDag::must_follow` must equal
-//! the exact predecessor walk for **every** pair — across tag-window widths,
-//! and across arbitrary interleavings of pushes with GC retirement.
+//! Property tests for `TaskDag` precedence (DESIGN.md §7i): on random DAGs,
+//! `TaskDag::must_follow` (the `(depth, min_anc)` filters plus the pruned
+//! walk) must equal the unpruned reference walk for **every** ordered pair.
 //!
 //! Release builds skip the DAG's internal debug cross-checks, so this suite
 //! is the differential that runs everywhere `cargo test` does.
@@ -25,10 +24,9 @@ fn random_dag(max_tasks: usize, max_fanin: usize) -> impl Strategy<Value = Rando
     .prop_map(|picks| RandomDag { picks })
 }
 
-/// Materialize the random program into a `TaskDag`, optionally retiring
-/// tag rows below a moving floor every `retire_every` pushes.
-fn build(dag: &RandomDag, window: u32, retire_every: Option<usize>) -> TaskDag {
-    let mut out = TaskDag::with_window(window);
+/// Materialize the random program into a `TaskDag`.
+fn build(dag: &RandomDag) -> TaskDag {
+    let mut out = TaskDag::new();
     for (i, picks) in dag.picks.iter().enumerate() {
         let mut deps: Vec<TaskId> = picks
             .iter()
@@ -38,18 +36,12 @@ fn build(dag: &RandomDag, window: u32, retire_every: Option<usize>) -> TaskDag {
         deps.sort_unstable();
         deps.dedup();
         out.push(deps);
-        if let Some(k) = retire_every {
-            if i > 0 && i % k == 0 {
-                // Keep roughly half the pushed ids tagged.
-                out.retire_to(TaskId((i / 2) as u32));
-            }
-        }
     }
     out
 }
 
-/// Assert tags == walk on all O(n²) ordered pairs.
-fn assert_tags_match_walk(dag: &TaskDag) {
+/// Assert `must_follow` == the reference walk on all O(n²) ordered pairs.
+fn assert_matches_walk(dag: &TaskDag) {
     let n = dag.len() as u32;
     for t in 0..n {
         for anc in 0..n {
@@ -57,7 +49,7 @@ fn assert_tags_match_walk(dag: &TaskDag) {
             assert_eq!(
                 dag.must_follow(t, anc),
                 dag.must_follow_walk(t, anc),
-                "tag answer diverged from the walk oracle for ({t:?}, {anc:?})"
+                "must_follow diverged from the reference walk for ({t:?}, {anc:?})"
             );
         }
     }
@@ -66,35 +58,17 @@ fn assert_tags_match_walk(dag: &TaskDag) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Wide window: every pair should be answered by tags alone.
+    /// Filters + pruned walk agree with the unpruned walk on every pair.
     #[test]
-    fn tags_equal_walk_wide_window(dag in random_dag(120, 5)) {
-        assert_tags_match_walk(&build(&dag, 4096, None));
-    }
-
-    /// Window narrower than the program: deep queries cross the row base
-    /// and must fall back to the walk; near queries stay tagged. Both
-    /// paths and their boundary must agree with the oracle.
-    #[test]
-    fn tags_equal_walk_narrow_window(dag in random_dag(200, 6)) {
-        assert_tags_match_walk(&build(&dag, 64, None));
-    }
-
-    /// Retirement interleaved with pushes: rows freed below the floor and
-    /// rows whose base was raised by it must still answer exactly.
-    #[test]
-    fn tags_equal_walk_with_retirement(
-        dag in random_dag(160, 5),
-        every in 8usize..40,
-    ) {
-        assert_tags_match_walk(&build(&dag, 128, Some(every)));
+    fn must_follow_equals_walk(dag in random_dag(200, 6)) {
+        assert_matches_walk(&build(&dag));
     }
 
     /// Depth tags define a valid schedule: every task's depth is strictly
     /// greater than each predecessor's, and `waves()` partitions by depth.
     #[test]
     fn depth_is_topological(dag in random_dag(120, 5)) {
-        let dag = build(&dag, 256, None);
+        let dag = build(&dag);
         let waves = dag.waves();
         let mut wave_of = vec![0usize; dag.len()];
         for (w, tasks) in waves.iter().enumerate() {
@@ -117,17 +91,16 @@ proptest! {
 #[test]
 fn adversarial_shapes() {
     // Dense diamond lattice: every task depends on the previous two.
-    let mut dag = TaskDag::with_window(64);
+    let mut dag = TaskDag::new();
     dag.push(vec![]);
     dag.push(vec![TaskId(0)]);
     for i in 2..300u32 {
         dag.push(vec![TaskId(i - 2), TaskId(i - 1)]);
     }
-    assert_tags_match_walk(&dag);
+    assert_matches_walk(&dag);
 
-    // Star with a long-range spoke: deps reach arbitrarily far below the
-    // window (regression shape for the out-of-range row union).
-    let mut star = TaskDag::with_window(64);
+    // Star with a long-range spoke among unrelated roots.
+    let mut star = TaskDag::new();
     star.push(vec![]);
     star.push(vec![TaskId(0)]);
     for _ in 2..200u32 {
@@ -135,17 +108,27 @@ fn adversarial_shapes() {
     }
     star.push(vec![TaskId(1), TaskId(150)]);
     star.push(vec![TaskId(1)]);
-    assert_tags_match_walk(&star);
+    assert_matches_walk(&star);
 
-    // Retire *everything*, then keep pushing: new rows start at the floor.
-    let mut gc = TaskDag::with_window(128);
-    gc.push(vec![]);
-    for i in 1..100u32 {
-        gc.push(vec![TaskId(i - 1)]);
+    // A 100 000-task chain with a few long-range spokes, beside one
+    // unrelated root: too long for the all-pairs check or a recursive walk,
+    // so each kind of answer is asked directly.
+    const N: u32 = 100_000;
+    let mut chain = TaskDag::new();
+    chain.push(vec![]); // t0: unrelated root
+    chain.push(vec![]); // t1: head of the chain
+    for i in 2..N {
+        let mut deps = vec![TaskId(i - 1)];
+        if i % 25_000 == 0 {
+            deps.insert(0, TaskId(i / 2));
+        }
+        chain.push(deps);
     }
-    gc.retire_to(TaskId(100));
-    for i in 100..160u32 {
-        gc.push(vec![TaskId(i - 1)]);
-    }
-    assert_tags_match_walk(&gc);
+    let (first, last) = (TaskId(1), TaskId(N - 1));
+    assert!(chain.must_follow(last, first), "positive across the stream");
+    assert!(chain.must_follow(TaskId(75_000), TaskId(37_500)), "spoke");
+    assert!(!chain.must_follow(last, TaskId(0)), "below min_anc");
+    let side = chain.push(vec![TaskId(N - 2)]);
+    assert!(!chain.must_follow(side, last), "equal depth");
+    assert!(!chain.must_follow(last, side), "later id");
 }
