@@ -14,14 +14,18 @@
 //!   serial one on a multi-variable stencil (host time; the analyses are
 //!   bit-identical, see `tests/sharded_determinism.rs`).
 
-use criterion::{BenchmarkId, Criterion};
+use std::hint::black_box;
+use std::time::Instant;
 use viz_apps::{Circuit, CircuitConfig, Stencil, StencilConfig, Workload};
-use viz_bench::{measure, AppKind, RunConfig};
+use viz_bench::{measure, median_of, AppKind, RunConfig};
 use viz_geometry::{IndexSpace, Point, Rect};
 use viz_runtime::analysis::{
     paint::Painter, paint_naive::PaintNaive, raycast::RayCast, warnock::Warnock,
 };
 use viz_runtime::{CoherenceEngine, EngineKind, Runtime, RuntimeConfig};
+
+/// Samples per row of the host-time table.
+const REPS: usize = 9;
 
 fn run_with_engine(engine: Box<dyn CoherenceEngine>, workload: &dyn Workload, nodes: usize) {
     let rt = rt_with_engine(engine, workload, nodes);
@@ -76,9 +80,21 @@ fn a1_paint_views_report() {
     }
 }
 
-fn a2_warnock_memo(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_warnock_memo");
-    g.sample_size(10);
+/// Host seconds of one call to `f`.
+fn secs<O>(f: impl FnOnce() -> O) -> f64 {
+    let t0 = Instant::now();
+    black_box(f());
+    t0.elapsed().as_secs_f64()
+}
+
+/// One row of the host-time table: median of [`REPS`] samples of `sample`
+/// (seconds), printed in microseconds.
+fn row(ablation: &str, variant: &str, param: impl std::fmt::Display, sample: impl FnMut() -> f64) {
+    let us = median_of(REPS, sample) * 1e6;
+    println!("{ablation}\t{variant}\t{param}\t{us:.3}");
+}
+
+fn a2_warnock_memo() {
     for pieces in [4usize, 16] {
         let app = Circuit::new(CircuitConfig {
             with_bodies: false,
@@ -86,37 +102,29 @@ fn a2_warnock_memo(c: &mut Criterion) {
             iterations: 5,
             ..CircuitConfig::small(pieces, 5)
         });
-        g.bench_with_input(BenchmarkId::new("memoized", pieces), &pieces, |b, &n| {
-            b.iter(|| run_with_engine(Box::new(Warnock::new()), &app, n));
+        row("A2_warnock_memo", "memoized", pieces, || {
+            secs(|| run_with_engine(Box::new(Warnock::new()), &app, pieces))
         });
-        g.bench_with_input(BenchmarkId::new("no_memo", pieces), &pieces, |b, &n| {
-            b.iter(|| run_with_engine(Box::new(Warnock::without_memoization()), &app, n));
+        row("A2_warnock_memo", "no_memo", pieces, || {
+            secs(|| run_with_engine(Box::new(Warnock::without_memoization()), &app, pieces))
         });
     }
-    g.finish();
 }
 
-fn a3_raycast_index(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_raycast_bvh");
-    g.sample_size(10);
+fn a3_raycast_index() {
     for pieces in [4usize, 16] {
         let app = Stencil::new(StencilConfig {
             with_bodies: false,
             nodes: pieces,
             ..StencilConfig::small(pieces, 64, 5)
         });
-        g.bench_with_input(
-            BenchmarkId::new("partition_anchors", pieces),
-            &pieces,
-            |b, &n| {
-                b.iter(|| run_with_engine(Box::new(RayCast::new()), &app, n));
-            },
-        );
-        g.bench_with_input(BenchmarkId::new("kd_tree", pieces), &pieces, |b, &n| {
-            b.iter(|| run_with_engine(Box::new(RayCast::force_kd_tree()), &app, n));
+        row("A3_raycast_index", "partition_anchors", pieces, || {
+            secs(|| run_with_engine(Box::new(RayCast::new()), &app, pieces))
+        });
+        row("A3_raycast_index", "kd_tree", pieces, || {
+            secs(|| run_with_engine(Box::new(RayCast::force_kd_tree()), &app, pieces))
         });
     }
-    g.finish();
 }
 
 fn a4_dominating_write_report() {
@@ -150,37 +158,44 @@ fn a4_dominating_write_report() {
     }
 }
 
-fn a5_geometry(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_geometry");
+fn a5_geometry() {
+    // Sub-microsecond ops: one sample times a batch and reports per-op.
+    const BATCH: usize = 1_000;
+    fn per_op<O>(mut op: impl FnMut() -> O) -> f64 {
+        let batch = || {
+            for _ in 0..BATCH {
+                black_box(op());
+            }
+        };
+        secs(batch) / BATCH as f64
+    }
     // The hot shapes: a tile vs its halo ring, and sparse ghost-node sets.
     let tile = IndexSpace::from_rect(Rect::xy(100, 163, 100, 163));
     let grown = IndexSpace::from_rect(Rect::xy(98, 165, 98, 165));
     let halo = grown.subtract(&tile);
-    g.bench_function("halo_subtract", |b| {
-        b.iter(|| grown.subtract(&tile));
-    });
-    g.bench_function("halo_overlap_test", |b| {
-        b.iter(|| halo.overlaps(&tile));
-    });
-    g.bench_function("halo_intersect", |b| {
-        b.iter(|| halo.intersect(&grown));
-    });
     let sparse_a = IndexSpace::from_points((0..400).map(|i| Point::p1(i * 7 % 2048)));
     let sparse_b = IndexSpace::from_points((0..400).map(|i| Point::p1(i * 13 % 2048)));
-    g.bench_function("sparse_intersect", |b| {
-        b.iter(|| sparse_a.intersect(&sparse_b));
+    let a5 = "A5_geometry";
+    row(a5, "halo_subtract", "-", || {
+        per_op(|| grown.subtract(&tile))
     });
-    g.bench_function("sparse_union", |b| {
-        b.iter(|| sparse_a.union(&sparse_b));
+    row(a5, "halo_overlap_test", "-", || {
+        per_op(|| halo.overlaps(&tile))
     });
-    g.finish();
+    row(a5, "halo_intersect", "-", || {
+        per_op(|| halo.intersect(&grown))
+    });
+    row(a5, "sparse_intersect", "-", || {
+        per_op(|| sparse_a.intersect(&sparse_b))
+    });
+    row(a5, "sparse_union", "-", || {
+        per_op(|| sparse_a.union(&sparse_b))
+    });
 }
 
 /// A7: serial vs sharded analysis driver. Same launches, same results —
 /// only the host-side scheduling of the per-(root, field) scans differs.
-fn a7_sharded_driver(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_sharded_driver");
-    g.sample_size(10);
+fn a7_sharded_driver() {
     let app = Stencil::new(StencilConfig {
         pieces: 16,
         tile: 16,
@@ -191,39 +206,29 @@ fn a7_sharded_driver(c: &mut Criterion) {
         vars: 4,
     });
     for threads in [1usize, 4] {
-        g.bench_with_input(
-            BenchmarkId::new("raycast_threads", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let mut rt = Runtime::new(
-                        RuntimeConfig::new(EngineKind::RayCast)
-                            .nodes(4)
-                            .dcr(true)
-                            .validate(false)
-                            .analysis_threads(threads),
-                    );
-                    let run = app.execute(&mut rt);
-                    assert!(!run.iter_end.is_empty());
-                });
-            },
-        );
+        row("A7_sharded_driver", "raycast_threads", threads, || {
+            secs(|| {
+                let mut rt = Runtime::new(
+                    RuntimeConfig::new(EngineKind::RayCast)
+                        .nodes(4)
+                        .dcr(true)
+                        .validate(false)
+                        .analysis_threads(threads),
+                );
+                let run = app.execute(&mut rt);
+                assert!(!run.iter_end.is_empty());
+            })
+        });
     }
-    g.finish();
 }
 
 fn main() {
     a1_paint_views_report();
     a4_dominating_write_report();
-    // Short measurement windows: the workloads are deterministic
-    // simulations, so tight confidence intervals come cheap.
-    let mut c = Criterion::default()
-        .measurement_time(std::time::Duration::from_secs(1))
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .configure_from_args();
-    a2_warnock_memo(&mut c);
-    a3_raycast_index(&mut c);
-    a5_geometry(&mut c);
-    a7_sharded_driver(&mut c);
-    c.final_summary();
+    println!("\n# Ablations A2/A3/A5/A7: host time, median of {REPS} samples");
+    println!("ablation\tvariant\tparam\tmedian_us");
+    a2_warnock_memo();
+    a3_raycast_index();
+    a5_geometry();
+    a7_sharded_driver();
 }

@@ -9,17 +9,15 @@
 //! * wall-clock of the full op stream, direct (`IndexSpace` sweeps) vs
 //!   interned+cached (`SpaceAlgebra` with default config) — the acceptance
 //!   target is a ≥ 2× speedup for the cached path;
-//! * the cache hit rate (hits + fast-path hits over total lookups);
-//! * a TSV of the table at `results/geometry_algebra.tsv`;
-//! * criterion timings for the two paths.
+//! * the cache hit rate (hits + fast-path hits over total lookups).
 //!
 //! Correctness of the memoized path is not measured here — it is proved
 //! structurally by `viz-geometry/tests/prop_interned_algebra.rs` and the
 //! engine differential in `viz-runtime/tests/prop_intern_differential.rs`.
 
-use criterion::Criterion;
 use std::hint::black_box;
 use std::time::Instant;
+use viz_bench::median_of;
 use viz_geometry::{IndexSpace, InternConfig, Rect, SpaceAlgebra};
 
 /// Pieces per side of the simulated 2-D partition; each piece is a
@@ -125,53 +123,40 @@ fn interned_round(
     sum
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
-}
-
 fn speedup_report() {
     const REPS: usize = 7;
     let (targets, domains) = build_spaces();
     let ops = targets.len() * domains.len() * ITERS;
 
-    let direct_s = median(
-        (0..REPS)
-            .map(|_| {
-                let t0 = Instant::now();
-                let mut sum = 0u64;
-                for _ in 0..ITERS {
-                    sum = sum.wrapping_add(direct_round(&targets, &domains));
-                }
-                black_box(sum);
-                t0.elapsed().as_secs_f64()
-            })
-            .collect(),
-    );
+    let direct_s = median_of(REPS, || {
+        let t0 = Instant::now();
+        let mut sum = 0u64;
+        for _ in 0..ITERS {
+            sum = sum.wrapping_add(direct_round(&targets, &domains));
+        }
+        black_box(sum);
+        t0.elapsed().as_secs_f64()
+    });
 
     let mut hit_rate = 0.0;
     let mut interned_count = 0usize;
-    let interned_s = median(
-        (0..REPS)
-            .map(|_| {
-                let mut alg = SpaceAlgebra::new(InternConfig::default());
-                let tids: Vec<_> = targets.iter().map(|s| alg.intern(s)).collect();
-                let dids: Vec<_> = domains.iter().map(|s| alg.intern(s)).collect();
-                let t0 = Instant::now();
-                let mut sum = 0u64;
-                for _ in 0..ITERS {
-                    sum = sum.wrapping_add(interned_round(&mut alg, &tids, &dids));
-                }
-                black_box(sum);
-                let dt = t0.elapsed().as_secs_f64();
-                let st = alg.stats();
-                let looked_up = st.hits + st.fast_hits + st.misses;
-                hit_rate = (st.hits + st.fast_hits) as f64 / looked_up.max(1) as f64;
-                interned_count = st.interned;
-                dt
-            })
-            .collect(),
-    );
+    let interned_s = median_of(REPS, || {
+        let mut alg = SpaceAlgebra::new(InternConfig::default());
+        let tids: Vec<_> = targets.iter().map(|s| alg.intern(s)).collect();
+        let dids: Vec<_> = domains.iter().map(|s| alg.intern(s)).collect();
+        let t0 = Instant::now();
+        let mut sum = 0u64;
+        for _ in 0..ITERS {
+            sum = sum.wrapping_add(interned_round(&mut alg, &tids, &dids));
+        }
+        black_box(sum);
+        let dt = t0.elapsed().as_secs_f64();
+        let st = alg.stats();
+        let looked_up = st.hits + st.fast_hits + st.misses;
+        hit_rate = (st.hits + st.fast_hits) as f64 / looked_up.max(1) as f64;
+        interned_count = st.interned;
+        dt
+    });
 
     // Sanity: both paths agree on one round.
     {
@@ -193,7 +178,7 @@ fn speedup_report() {
         targets.len(),
         domains.len()
     );
-    let tsv = format!(
+    print!(
         "path\ttotal_ms\tns_per_op_group\tspeedup\tcache_hit_rate\tinterned_spaces\n\
          direct\t{:.3}\t{per_op_direct:.1}\t1.00\t-\t-\n\
          interned\t{:.3}\t{per_op_interned:.1}\t{speedup:.2}\t{:.3}\t{interned_count}\n",
@@ -201,16 +186,6 @@ fn speedup_report() {
         interned_s * 1e3,
         hit_rate,
     );
-    print!("{tsv}");
-    let out = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/geometry_algebra.tsv"
-    );
-    if let Err(e) = std::fs::write(out, &tsv) {
-        println!("# could not write {out}: {e}");
-    } else {
-        println!("# wrote {out}");
-    }
     assert!(
         hit_rate > 0.5,
         "cache hit rate {hit_rate:.3} too low for a repeated op stream"
@@ -221,37 +196,6 @@ fn speedup_report() {
     );
 }
 
-fn criterion_benches(c: &mut Criterion) {
-    let (targets, domains) = build_spaces();
-    let mut g = c.benchmark_group("geometry_algebra");
-    g.bench_function("direct", |b| {
-        b.iter(|| direct_round(black_box(&targets), black_box(&domains)))
-    });
-    // Warm: one long-lived algebra, so steady-state rounds are all hits —
-    // the trace-loop regime the speedup table measures.
-    let mut alg = SpaceAlgebra::new(InternConfig::default());
-    let tids: Vec<_> = targets.iter().map(|s| alg.intern(s)).collect();
-    let dids: Vec<_> = domains.iter().map(|s| alg.intern(s)).collect();
-    g.bench_function("interned_warm", |b| {
-        b.iter(|| interned_round(&mut alg, black_box(&tids), black_box(&dids)))
-    });
-    // Cold: a fresh algebra per round — every op misses and pays the
-    // cache-fill cost on top of the sweep (the first-iteration price).
-    g.bench_function("interned_cold", |b| {
-        let mut alg = SpaceAlgebra::new(InternConfig::default());
-        let tids: Vec<_> = targets.iter().map(|s| alg.intern(s)).collect();
-        let dids: Vec<_> = domains.iter().map(|s| alg.intern(s)).collect();
-        b.iter(|| interned_round(&mut alg, black_box(&tids), black_box(&dids)))
-    });
-    g.finish();
-}
-
 fn main() {
     speedup_report();
-    let mut c = Criterion::default()
-        .measurement_time(std::time::Duration::from_secs(1))
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .configure_from_args();
-    criterion_benches(&mut c);
-    c.final_summary();
 }

@@ -8,15 +8,15 @@
 //! not dispatcher backpressure. The wall-clock window covers barrier-synced
 //! submission only; the combined drain happens after the clock stops.
 //!
-//! Reported: a TSV (`results/submit_scaling.tsv`) of aggregate throughput
-//! at 1, 2, 4, and 8 producers with scaling relative to one producer, plus
-//! criterion timings. The acceptance target (≥ 3x aggregate throughput at
-//! 8 producers vs 1) is asserted only when the host has enough cores to
-//! run the producers in parallel; a timesliced host still writes the TSV.
+//! Reported: a TSV on stdout of aggregate throughput at 1, 2, 4, and 8
+//! producers with scaling relative to one producer. The acceptance target
+//! (≥ 3x aggregate throughput at 8 producers vs 1) is asserted only when
+//! the host has enough cores to run the producers in parallel; a timesliced
+//! host still prints the table.
 
-use criterion::{BenchmarkId, Criterion};
 use std::sync::Barrier;
 use std::time::Instant;
+use viz_bench::median_of;
 use viz_region::{FieldId, RegionId};
 use viz_runtime::{EngineKind, LaunchSpec, RegionRequirement, Runtime, RuntimeConfig};
 
@@ -99,11 +99,6 @@ fn run_once(producers: usize) -> f64 {
     elapsed
 }
 
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    v[v.len() / 2]
-}
-
 fn scaling_report() {
     const REPS: usize = 5;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -111,12 +106,11 @@ fn scaling_report() {
         "\n# Submit scaling: {PER_PRODUCER} launches/producer, deep rings \
          (depth 4096), disjoint tenant trees ({cores} host cores)"
     );
-    let mut tsv =
-        String::from("producers\tlaunches\tsubmit_ms\tthroughput_klaunches_s\tscaling_vs_1\n");
+    println!("producers\tlaunches\tsubmit_ms\tthroughput_klaunches_s\tscaling_vs_1");
     let mut base_tput = 0.0f64;
     let mut best_scaling = 0.0f64;
     for &p in &PRODUCER_COUNTS {
-        let secs = median((0..REPS).map(|_| run_once(p)).collect());
+        let secs = median_of(REPS, || run_once(p));
         let launches = p * PER_PRODUCER;
         let tput = launches as f64 / secs;
         if p == 1 {
@@ -124,21 +118,11 @@ fn scaling_report() {
         }
         let scaling = tput / base_tput;
         best_scaling = best_scaling.max(scaling);
-        tsv.push_str(&format!(
-            "{p}\t{launches}\t{:.3}\t{:.1}\t{scaling:.2}\n",
+        println!(
+            "{p}\t{launches}\t{:.3}\t{:.1}\t{scaling:.2}",
             secs * 1e3,
             tput / 1e3,
-        ));
-    }
-    print!("{tsv}");
-    let out = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/submit_scaling.tsv"
-    );
-    if let Err(e) = std::fs::write(out, &tsv) {
-        println!("# could not write {out}: {e}");
-    } else {
-        println!("# wrote {out}");
+        );
     }
     if cores >= 8 {
         assert!(
@@ -154,23 +138,6 @@ fn scaling_report() {
     }
 }
 
-fn criterion_benches(c: &mut Criterion) {
-    let mut g = c.benchmark_group("submit_scaling");
-    g.sample_size(10);
-    for &p in &PRODUCER_COUNTS {
-        g.bench_with_input(BenchmarkId::new("producers", p), &p, |b, &p| {
-            b.iter(|| run_once(p));
-        });
-    }
-    g.finish();
-}
-
 fn main() {
     scaling_report();
-    let mut c = Criterion::default()
-        .measurement_time(std::time::Duration::from_secs(1))
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .configure_from_args();
-    criterion_benches(&mut c);
-    c.final_summary();
 }

@@ -11,13 +11,12 @@
 //!   [`viz_runtime::AnalysisResult`]: every replayed launch stores the
 //!   *same* `Arc` allocation as the template entry it came from, so the
 //!   number of distinct shared allocations stays bounded by the template
-//!   length no matter how many instances replay;
-//! * criterion timings per mode.
+//!   length no matter how many instances replay.
 
-use criterion::{BenchmarkId, Criterion};
 use std::collections::BTreeSet;
 use std::time::Instant;
 use viz_apps::{Stencil, StencilConfig, Workload};
+use viz_bench::median_of;
 use viz_runtime::{EngineKind, Runtime, RuntimeConfig, TaskId};
 
 const PIECES: usize = 64;
@@ -60,11 +59,6 @@ fn run_once(engine: EngineKind, mode: Mode) -> (f64, Runtime) {
     (dt, rt)
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
-}
-
 /// Per-launch host cost per mode, and the replay speedup over analysis.
 fn speedup_report() {
     const REPS: usize = 9;
@@ -76,7 +70,7 @@ fn speedup_report() {
     for engine in [EngineKind::Paint, EngineKind::RayCast] {
         let mut untraced_ns = 0.0;
         for mode in [Mode::Untraced, Mode::Manual, Mode::Auto] {
-            let secs = median((0..REPS).map(|_| run_once(engine, mode).0).collect());
+            let secs = median_of(REPS, || run_once(engine, mode).0);
             let (_, rt) = run_once(engine, mode);
             let ns = secs * 1e9 / rt.num_tasks() as f64;
             if mode == Mode::Untraced {
@@ -142,28 +136,7 @@ fn zero_copy_report() {
     }
 }
 
-fn criterion_benches(c: &mut Criterion) {
-    let mut g = c.benchmark_group("tracing_replay");
-    g.sample_size(10);
-    for mode in [Mode::Untraced, Mode::Manual, Mode::Auto] {
-        g.bench_with_input(
-            BenchmarkId::new("raycast", format!("{mode:?}").to_lowercase()),
-            &mode,
-            |b, &mode| {
-                b.iter(|| run_once(EngineKind::RayCast, mode).0);
-            },
-        );
-    }
-    g.finish();
-}
-
 fn main() {
     speedup_report();
     zero_copy_report();
-    let mut c = Criterion::default()
-        .measurement_time(std::time::Duration::from_secs(1))
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .configure_from_args();
-    criterion_benches(&mut c);
-    c.final_summary();
 }

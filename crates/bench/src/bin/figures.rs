@@ -1,7 +1,8 @@
 //! Regenerate the paper's evaluation figures (Figs 12–17).
 //!
 //! ```text
-//! figures [--fig N | --all] [--max-nodes N] [--reps N] [--artifact] [--out DIR] [--quick]
+//! figures [--fig N | --all] [--max-nodes N] [--reps N] [--artifact] [--tracing]
+//!         [--auto-tracing] [--out DIR] [--quick] [--plot] [--profile PATH]
 //! ```
 //!
 //! * `--fig 12..=17` — one figure; `--all` — all six (default).
@@ -15,24 +16,20 @@
 //! * `--tracing` — also emit the manual dynamic-tracing extension table
 //!   (`ext_tracing_<app>`); `--auto-tracing` — the automatic trace
 //!   detection table (`ext_autotracing_<app>`).
+//! * `--plot` — also print each figure as a terminal chart.
 //! * `--profile PATH` — record a structured trace of the sweep and write a
 //!   Chrome trace-event JSON to `PATH`, a folded-stack flamegraph to
 //!   `PATH.folded`, and per-engine metrics to `PATH.metrics.tsv`.
-//! * `--analysis-threads N` — run every analysis through the sharded
-//!   driver with N worker threads (default: `VIZ_ANALYSIS_THREADS`, else
-//!   serial). The figures are bit-identical either way; only host time
-//!   changes.
-//! * `--pipeline` — route every submission through the deferred-execution
-//!   frontend (per-context submission rings + combining dispatcher;
-//!   default: `VIZ_PIPELINE`). Figures are bit-identical; submission and
-//!   analysis overlap on the host.
-//! * `--submit-rings N` — size the submission plane's ring array (primary
-//!   facade plus N-1 tenant contexts; default: `VIZ_SUBMIT_RINGS`, else 8).
+//!
+//! The sweep builds its runtimes with `RuntimeConfig::new`, so the `VIZ_*`
+//! execution-strategy knobs (`VIZ_ANALYSIS_THREADS`, `VIZ_PIPELINE`,
+//! `VIZ_SUBMIT_RINGS`) apply as they do anywhere else; the tables are
+//! byte-identical under all of them, only host time changes. The committed
+//! `results/` golden is generated with every `VIZ_*` variable unset.
 
 use std::io::Write;
 use viz_bench::{
-    artifact_tsv, autotracing_sweep, init_figure_tsv, paper_node_counts, sweep, tracing_sweep,
-    weak_figure_tsv, AppKind,
+    artifact_tsv, autotracing_sweep, figure_table, paper_node_counts, sweep, tracing_sweep, AppKind,
 };
 
 struct Args {
@@ -81,27 +78,6 @@ fn parse_args() -> Args {
             "--auto-tracing" => args.auto_tracing = true,
             "--plot" => args.plot = true,
             "--profile" => args.profile = Some(it.next().expect("--profile PATH")),
-            "--analysis-threads" => {
-                let n: usize = it
-                    .next()
-                    .expect("--analysis-threads N")
-                    .parse()
-                    .expect("thread count");
-                assert!(n >= 1, "--analysis-threads needs N >= 1");
-                // The sweep builds its runtimes internally; route the
-                // setting through the env default they all read.
-                std::env::set_var("VIZ_ANALYSIS_THREADS", n.to_string());
-            }
-            "--pipeline" => std::env::set_var("VIZ_PIPELINE", "1"),
-            "--submit-rings" => {
-                let n: usize = it
-                    .next()
-                    .expect("--submit-rings N")
-                    .parse()
-                    .expect("ring count");
-                assert!(n >= 2, "--submit-rings needs N >= 2 (primary + tenants)");
-                std::env::set_var("VIZ_SUBMIT_RINGS", n.to_string());
-            }
             other => {
                 eprintln!("unknown argument: {other}");
                 std::process::exit(2);
@@ -109,15 +85,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-fn app_of_fig(fig: u32) -> AppKind {
-    match fig {
-        12 | 15 => AppKind::Stencil,
-        13 | 16 => AppKind::Circuit,
-        14 | 17 => AppKind::Pennant,
-        _ => unreachable!(),
-    }
 }
 
 fn emit(out_dir: &Option<String>, name: &str, content: &str) {
@@ -138,7 +105,7 @@ fn main() {
     }
     let nodes = paper_node_counts(args.max_nodes);
     // Measure each needed app once; init and weak figures share the sweep.
-    let mut apps: Vec<AppKind> = args.figs.iter().map(|f| app_of_fig(*f)).collect();
+    let mut apps: Vec<AppKind> = args.figs.iter().map(|f| AppKind::of_figure(*f)).collect();
     apps.dedup();
     for app in apps {
         eprintln!(
@@ -155,28 +122,10 @@ fn main() {
         let rows = sweep(app, &nodes, !args.quick);
         eprintln!("   swept in {:.1}s host time", t0.elapsed().as_secs_f64());
         for &fig in &args.figs {
-            if app_of_fig(fig) != app {
+            if AppKind::of_figure(fig) != app {
                 continue;
             }
-            let (name, content) = if fig <= 14 {
-                (
-                    format!("fig{fig}_{}_init", app.label()),
-                    format!(
-                        "# Figure {fig}: {} initialization time (simulated seconds)\n{}",
-                        app.label(),
-                        init_figure_tsv(&rows)
-                    ),
-                )
-            } else {
-                (
-                    format!("fig{fig}_{}_weak", app.label()),
-                    format!(
-                        "# Figure {fig}: {} weak scaling (throughput per node)\n{}",
-                        app.label(),
-                        weak_figure_tsv(app, &rows)
-                    ),
-                )
-            };
+            let (name, content) = figure_table(fig, &rows);
             emit(&args.out, &name, &content);
             if args.plot {
                 let (scale, unit) = app.unit_scale();

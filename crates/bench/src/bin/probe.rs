@@ -102,7 +102,7 @@ fn main() {
         config = config.record_history(true);
     }
     let analysis_threads = config.analysis_threads;
-    let auto_trace = config.auto_trace.enabled;
+    let auto_trace = config.auto_trace;
     let mut rt = Runtime::new(config);
     let host = std::time::Instant::now();
     let run = workload.execute(&mut rt);

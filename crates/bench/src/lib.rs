@@ -3,19 +3,21 @@
 //! The benchmark harness regenerating every figure of the paper's
 //! evaluation (§8):
 //!
-//! | Figure | Content | Bench target |
+//! | Figure | Content | `figures --fig N --out results` writes |
 //! |---|---|---|
-//! | Fig 12 | Stencil initialization time | `fig12_stencil_init` |
-//! | Fig 13 | Circuit initialization time | `fig13_circuit_init` |
-//! | Fig 14 | Pennant initialization time | `fig14_pennant_init` |
-//! | Fig 15 | Stencil weak scaling | `fig15_stencil_weak` |
-//! | Fig 16 | Circuit weak scaling | `fig16_circuit_weak` |
-//! | Fig 17 | Pennant weak scaling | `fig17_pennant_weak` |
+//! | Fig 12 | Stencil initialization time | `fig12_stencil_init.tsv` |
+//! | Fig 13 | Circuit initialization time | `fig13_circuit_init.tsv` |
+//! | Fig 14 | Pennant initialization time | `fig14_pennant_init.tsv` |
+//! | Fig 15 | Stencil weak scaling | `fig15_stencil_weak.tsv` |
+//! | Fig 16 | Circuit weak scaling | `fig16_circuit_weak.tsv` |
+//! | Fig 17 | Pennant weak scaling | `fig17_pennant_weak.tsv` |
 //!
-//! plus the `figures` binary, which sweeps node counts 1–512 over the five
-//! runtime configurations of the paper (RayCast ± DCR, Warnock ± DCR, Paint
-//! without DCR) and emits both the artifact's TSV format (Appendix A.4) and
-//! per-figure series.
+//! The `figures` binary is the only producer of these numbers: it sweeps
+//! node counts 1–512 over the five runtime configurations of the paper
+//! (RayCast ± DCR, Warnock ± DCR, Paint without DCR) and emits both the
+//! artifact's TSV format (Appendix A.4) and per-figure series. The tables
+//! under `results/` are its committed output; CI regenerates them and
+//! `tests/figures_golden.rs` checks their 1–8-node prefix on every test run.
 //!
 //! Measurements are *simulated* machine times: the coherence engines run
 //! their real data structures at the configured scale, and the LogP cost
@@ -24,7 +26,6 @@
 
 pub mod plot;
 
-use std::time::Instant;
 use viz_apps::{Circuit, CircuitConfig, Pennant, PennantConfig, Stencil, StencilConfig, Workload};
 use viz_runtime::engine::StateSize;
 use viz_runtime::{EngineKind, Runtime, RuntimeConfig};
@@ -48,6 +49,17 @@ impl AppKind {
             AppKind::Stencil => "stencil",
             AppKind::Circuit => "circuit",
             AppKind::Pennant => "pennant",
+        }
+    }
+
+    /// The app a figure of the evaluation measures (Figs 12–14 are the
+    /// initialization times, Figs 15–17 the weak scaling, in this order).
+    pub fn of_figure(fig: u32) -> AppKind {
+        match fig {
+            12 | 15 => AppKind::Stencil,
+            13 | 16 => AppKind::Circuit,
+            14 | 17 => AppKind::Pennant,
+            _ => panic!("figures are 12..=17, got {fig}"),
         }
     }
 
@@ -80,7 +92,7 @@ impl AppKind {
     }
 
     /// A scaled-down workload (same structure, smaller per-piece size) for
-    /// fast criterion runs.
+    /// `figures --quick` and the ablation reports.
     pub fn bench_scale(self, nodes: usize) -> Box<dyn Workload> {
         match self {
             AppKind::Stencil => Box::new(Stencil::new(StencilConfig {
@@ -187,9 +199,6 @@ pub struct Measurement {
     pub counters: Counters,
     /// Engine state sizes at the end of the run.
     pub state: StateSize,
-    /// Host wall-clock spent in the analysis itself (this implementation's
-    /// real speed, measured by the criterion benches).
-    pub host_analysis_s: f64,
 }
 
 /// Run one workload under one configuration and measure both phases.
@@ -205,9 +214,7 @@ pub fn measure(
             .dcr(config.dcr)
             .validate(false),
     );
-    let host_start = Instant::now();
     let run = workload.execute(&mut rt);
-    let host_analysis_s = host_start.elapsed().as_secs_f64();
     let report = rt.timed_schedule();
     assert!(!run.iter_end.is_empty(), "workload must report iterations");
     let init_ns = report.completion_through(run.iter_end[0]);
@@ -247,7 +254,6 @@ pub fn measure(
         throughput_per_node,
         counters,
         state,
-        host_analysis_s,
     }
 }
 
@@ -276,6 +282,15 @@ pub fn paper_node_counts(max: usize) -> Vec<usize> {
         n *= 2;
     }
     v
+}
+
+/// Median of `reps` host-time samples — the one wall-clock sampler the bench
+/// targets share. Each `sample()` returns its own measurement, so it can set
+/// up (and tear down) outside the window it times.
+pub fn median_of(reps: usize, sample: impl FnMut() -> f64) -> f64 {
+    let mut xs: Vec<f64> = std::iter::repeat_with(sample).take(reps).collect();
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 /// Render measurements as the artifact's TSV (Appendix A.4):
@@ -307,6 +322,30 @@ pub fn init_figure_tsv(rows: &[Measurement]) -> String {
 pub fn weak_figure_tsv(app: AppKind, rows: &[Measurement]) -> String {
     let (scale, unit) = app.unit_scale();
     series_tsv(rows, unit, move |m| m.throughput_per_node / scale)
+}
+
+/// One figure's table as `figures` emits it: its file stem under
+/// `results/` and its content, from the sweep of [`AppKind::of_figure`].
+pub fn figure_table(fig: u32, rows: &[Measurement]) -> (String, String) {
+    let app = AppKind::of_figure(fig);
+    let (kind, title, series) = if fig <= 14 {
+        (
+            "init",
+            "initialization time (simulated seconds)",
+            init_figure_tsv(rows),
+        )
+    } else {
+        (
+            "weak",
+            "weak scaling (throughput per node)",
+            weak_figure_tsv(app, rows),
+        )
+    };
+    let label = app.label();
+    (
+        format!("fig{fig}_{label}_{kind}"),
+        format!("# Figure {fig}: {label} {title}\n{series}"),
+    )
 }
 
 fn series_tsv(rows: &[Measurement], value_name: &str, f: impl Fn(&Measurement) -> f64) -> String {

@@ -6,7 +6,7 @@
 //!             [--out PATH] [--matrix full|quick] [--producers P]
 //! ```
 //!
-//! Writes a TSV summary (default `results/oracle_fuzz.tsv`) with one row
+//! Writes a TSV summary (default `target/oracle_fuzz.tsv`) with one row
 //! per (program, configuration) and exits nonzero if any violation was
 //! found — CI runs this with fixed seeds.
 
@@ -29,7 +29,7 @@ fn parse_args() -> Args {
         seed: 0xC0FFEE,
         launches: 28,
         nodes: 2,
-        out: "results/oracle_fuzz.tsv".into(),
+        out: "target/oracle_fuzz.tsv".into(),
         quick: false,
         producers: 1,
     };
@@ -64,7 +64,7 @@ fn main() {
         cfg.producers = args.producers;
     }
     if let Some(dir) = std::path::Path::new(&args.out).parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
+        std::fs::create_dir_all(dir).expect("create summary dir");
     }
     let mut tsv = std::fs::File::create(&args.out).expect("create summary");
     writeln!(

@@ -29,31 +29,14 @@ use std::hash::{Hash, Hasher};
 use viz_geometry::{FxHashMap, FxHasher};
 use viz_sim::NodeId;
 
-/// Knobs for the online auto-tracer (see [`crate::RuntimeConfig`]).
-#[derive(Clone, Debug)]
-pub struct AutoTraceConfig {
-    /// Master switch (defaults from `VIZ_AUTO_TRACE`).
-    pub enabled: bool,
-    /// Shortest repeat worth promoting. Periods of one launch are almost
-    /// always incidental (e.g. two identical probes), so ≥ 2 by default.
-    pub min_len: u32,
-    /// Longest repeat considered; bounds the detector's window memory.
-    pub max_len: u32,
-    /// How many consecutive identical blocks must be observed before a
-    /// period is promoted (≥ 2; higher = later but safer promotion).
-    pub confidence: u32,
-}
-
-impl Default for AutoTraceConfig {
-    fn default() -> Self {
-        AutoTraceConfig {
-            enabled: false,
-            min_len: 2,
-            max_len: 8192,
-            confidence: 2,
-        }
-    }
-}
+/// Shortest repeat worth promoting. Periods of one launch are almost
+/// always incidental (e.g. two identical probes).
+const MIN_LEN: u64 = 2;
+/// Longest repeat considered; bounds the detector's window memory.
+const MAX_LEN: u64 = 8192;
+/// How many consecutive identical blocks must be observed before a period
+/// is promoted (≥ 2; higher = later but safer promotion).
+const CONFIDENCE: u64 = 2;
 
 /// One launch's signature: everything replay validation compares, plus its
 /// hash. Promoted instances carry these as the prediction to validate
@@ -106,9 +89,14 @@ pub(crate) struct AutoTracer {
 }
 
 impl AutoTracer {
-    pub fn new(cfg: &AutoTraceConfig) -> Self {
-        let confidence = cfg.confidence.max(2) as u64;
-        let max_len = cfg.max_len.max(cfg.min_len).max(1) as u64;
+    pub fn new() -> Self {
+        Self::with_bounds(MIN_LEN, MAX_LEN, CONFIDENCE)
+    }
+
+    /// The detector over other bounds than the runtime's (unit tests use
+    /// short windows). Requires `1 <= min_len <= max_len`, `confidence >= 2`.
+    fn with_bounds(min_len: u64, max_len: u64, confidence: u64) -> Self {
+        assert!(1 <= min_len && min_len <= max_len && confidence >= 2);
         let window = (confidence * max_len) as usize;
         let mut pow = Vec::with_capacity(window + 2);
         pow.push(1u64);
@@ -116,7 +104,7 @@ impl AutoTracer {
             pow.push(pow[k - 1].wrapping_mul(BASE));
         }
         AutoTracer {
-            min_len: cfg.min_len.max(1) as u64,
+            min_len,
             max_len,
             confidence,
             sigs: VecDeque::new(),
@@ -226,13 +214,8 @@ mod tests {
         vec![RegionRequirement::read_write(RegionId(region), FieldId(0))]
     }
 
-    fn tracer(min_len: u32, confidence: u32) -> AutoTracer {
-        AutoTracer::new(&AutoTraceConfig {
-            enabled: true,
-            min_len,
-            max_len: 64,
-            confidence,
-        })
+    fn tracer(min_len: u64, confidence: u64) -> AutoTracer {
+        AutoTracer::with_bounds(min_len, 64, confidence)
     }
 
     /// Feed a stream of (node, region) symbols; return the positions where
@@ -318,12 +301,7 @@ mod tests {
 
     #[test]
     fn window_eviction_keeps_detection_sound() {
-        let mut t = AutoTracer::new(&AutoTraceConfig {
-            enabled: true,
-            min_len: 2,
-            max_len: 4,
-            confidence: 2,
-        });
+        let mut t = AutoTracer::with_bounds(2, 4, 2);
         // Period 6 exceeds max_len 4 — never promoted, and the sliding
         // window stays bounded.
         let stream: Vec<u32> = (0..6).cycle().take(60).collect();

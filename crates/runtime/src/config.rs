@@ -24,7 +24,6 @@
 //! | `VIZ_GC_INTERVAL` | `1024` | launches between collections (amortizes the sweep) |
 //! | `VIZ_GC_RETAIN` | `256` | most-recent launches always kept un-retired |
 
-use crate::autotrace::AutoTraceConfig;
 use crate::engine::EngineKind;
 use viz_sim::CostModel;
 
@@ -94,8 +93,8 @@ pub struct RuntimeConfig {
     pub analysis_threads: usize,
     /// Online automatic trace detection: watch the launch stream for
     /// repeated subsequences and replay them without `begin_trace`
-    /// annotations. `enabled` defaults from `VIZ_AUTO_TRACE`.
-    pub auto_trace: AutoTraceConfig,
+    /// annotations. Defaults from `VIZ_AUTO_TRACE`.
+    pub auto_trace: bool,
     /// Pipelined submission: launches are validated on the application
     /// thread, pushed into a bounded queue, and analyzed by a dedicated
     /// driver thread — application, analysis, and (simulated) execution
@@ -159,7 +158,7 @@ impl RuntimeConfig {
             cost: CostModel::default(),
             validate_launches: true,
             analysis_threads: 1,
-            auto_trace: AutoTraceConfig::default(),
+            auto_trace: false,
             pipeline: false,
             pipeline_depth: DEFAULT_PIPELINE_DEPTH,
             submit_rings: DEFAULT_SUBMIT_RINGS,
@@ -201,14 +200,7 @@ impl RuntimeConfig {
 
     /// Toggle online automatic trace detection.
     pub fn auto_trace(mut self, on: bool) -> Self {
-        self.auto_trace.enabled = on;
-        self
-    }
-
-    /// Full auto-tracer tuning (promotion length bounds, confidence).
-    /// Replaces the individual `auto_trace_*` setters.
-    pub fn auto_trace_config(mut self, cfg: AutoTraceConfig) -> Self {
-        self.auto_trace = cfg;
+        self.auto_trace = on;
         self
     }
 
@@ -260,12 +252,6 @@ impl RuntimeConfig {
     /// window readers may still address.
     pub fn gc_retain(mut self, n: u32) -> Self {
         self.gc.retain = n;
-        self
-    }
-
-    /// Pin the whole GC block at once.
-    pub fn gc_config(mut self, cfg: GcConfig) -> Self {
-        self.gc = cfg;
         self
     }
 
@@ -331,10 +317,7 @@ impl EnvOverrides {
             cfg.analysis_threads = n.max(1);
         }
         if let Some(on) = self.auto_trace {
-            cfg.auto_trace = AutoTraceConfig {
-                enabled: on,
-                ..cfg.auto_trace
-            };
+            cfg.auto_trace = on;
         }
         if let Some(on) = self.pipeline {
             cfg.pipeline = on;
@@ -480,12 +463,7 @@ mod tests {
         assert_eq!(cfg.gc.interval, DEFAULT_GC_INTERVAL);
     }
 
-    /// `VIZ_*` suffixes of the variables only the bench crate reads
-    /// (spelled without the prefix so a grep of this crate's sources for
-    /// `VIZ_` tokens lists exactly the runtime knobs).
-    const BENCH_ONLY: &[&str] = &["BENCH_SMOKE", "FIG_MAX_NODES", "PAPER_SCALE"];
-
-    /// Every `VIZ_[A-Z_]+` token in `text`.
+    /// Every `VIZ_[A-Z_]+` token in `text` (the bare `VIZ_*` glob is not one).
     fn viz_tokens(text: &str) -> Vec<&str> {
         text.match_indices("VIZ_")
             .map(|(at, _)| {
@@ -495,6 +473,7 @@ mod tests {
                     .unwrap_or(rest.len());
                 &rest[..end]
             })
+            .filter(|tok| *tok != "VIZ_")
             .collect()
     }
 
@@ -517,23 +496,29 @@ mod tests {
         assert_eq!(KNOBS.len(), 8);
 
         // The two prose copies of the table — the README and this module's
-        // doc — name exactly the KNOBS variables (plus the bench-only ones).
+        // doc — name exactly the KNOBS variables; DESIGN.md names no other.
         let module_doc: String = include_str!("config.rs")
             .lines()
             .filter(|l| l.starts_with("//! |"))
             .collect();
         let readme = include_str!("../../../README.md");
-        for (name, text) in [("README.md", readme), ("config.rs doc", &module_doc)] {
+        let design = include_str!("../../../DESIGN.md");
+        for (name, text, is_table) in [
+            ("README.md", readme, true),
+            ("config.rs doc", &module_doc, true),
+            ("DESIGN.md", design, false),
+        ] {
             let tokens = viz_tokens(text);
             for tok in &tokens {
                 assert!(
-                    KNOBS.iter().any(|k| k.var == *tok)
-                        || BENCH_ONLY.contains(&&tok["VIZ_".len()..]),
+                    KNOBS.iter().any(|k| k.var == *tok),
                     "{name} names {tok}, which is not a knob"
                 );
             }
-            for k in KNOBS {
-                assert!(tokens.contains(&k.var), "{name} is missing {}", k.var);
+            if is_table {
+                for k in KNOBS {
+                    assert!(tokens.contains(&k.var), "{name} is missing {}", k.var);
+                }
             }
         }
     }

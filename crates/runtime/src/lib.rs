@@ -55,7 +55,6 @@ pub mod task;
 pub mod trace;
 pub mod validate;
 
-pub use autotrace::AutoTraceConfig;
 pub use config::{EnvOverrides, GcConfig, Knob, RuntimeConfig, KNOBS};
 pub use dag::TaskDag;
 pub use engine::{CoherenceEngine, EngineKind, GcSweep};

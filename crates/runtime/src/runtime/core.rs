@@ -146,12 +146,7 @@ impl Core {
             book: Book {
                 ledger: Ledger::new(),
                 dag: TaskDag::new(),
-                tracing: Tracing::new(
-                    config
-                        .auto_trace
-                        .enabled
-                        .then(|| AutoTracer::new(&config.auto_trace)),
-                ),
+                tracing: Tracing::new(config.auto_trace.then(AutoTracer::new)),
                 recorder: config.record_history.then(HistoryRecorder::new),
             },
             analysis_threads: config.analysis_threads,
