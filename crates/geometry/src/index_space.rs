@@ -265,28 +265,14 @@ impl IndexSpace {
         if self.is_empty() || other.is_empty() || !self.bbox().overlaps(&other.bbox()) {
             return IndexSpace::empty();
         }
-        if let Some((ylo, yhi)) = self.common_band(other) {
-            // Linear sweep; output runs are sorted and disjoint, and only
-            // adjacent-run coalescing is needed.
-            let mut rects: Vec<Rect> = Vec::new();
-            let (mut i, mut j) = (0, 0);
-            while i < self.rects.len() && j < other.rects.len() {
-                let a = &self.rects[i];
-                let b = &other.rects[j];
-                let lo = a.lo.x.max(b.lo.x);
-                let hi = a.hi.x.min(b.hi.x);
-                if lo <= hi {
-                    match rects.last_mut() {
-                        Some(r) if r.hi.x + 1 == lo => r.hi.x = hi,
-                        _ => rects.push(Rect::xy(lo, hi, ylo, yhi)),
-                    }
-                }
-                if a.hi.x <= b.hi.x {
-                    i += 1;
-                } else {
-                    j += 1;
-                }
-            }
+        if let Some(band) = self.common_band(other) {
+            let mut rects = Vec::new();
+            sweep_runs(
+                &self.rects,
+                &other.rects,
+                |lo, hi| push_run(&mut rects, band, lo, hi),
+                |_, _| {},
+            );
             return Self::frozen(rects);
         }
         let mut rects = Vec::new();
@@ -311,39 +297,15 @@ impl IndexSpace {
         if other.is_empty() || !self.bbox().overlaps(&other.bbox()) {
             return self.clone();
         }
-        if let Some((ylo, yhi)) = self.common_band(other) {
-            // Linear sweep: walk each of our runs, carving out the other's.
+        if let Some(band) = self.common_band(other) {
             let mut rects = Vec::new();
-            let mut j = 0;
-            for a in self.rects.iter() {
-                let mut cur = a.lo.x;
-                let end = a.hi.x;
-                while j < other.rects.len() && other.rects[j].hi.x < cur {
-                    j += 1;
-                }
-                let mut k = j;
-                while cur <= end {
-                    if k >= other.rects.len() || other.rects[k].lo.x > end {
-                        rects.push(Rect::xy(cur, end, ylo, yhi));
-                        break;
-                    }
-                    let b = &other.rects[k];
-                    if b.lo.x > cur {
-                        rects.push(Rect::xy(cur, b.lo.x - 1, ylo, yhi));
-                    }
-                    cur = cur.max(b.hi.x + 1);
-                    k += 1;
-                }
-            }
-            // Runs are sorted & disjoint; coalesce adjacency.
-            let mut out: Vec<Rect> = Vec::with_capacity(rects.len());
-            for r in rects {
-                match out.last_mut() {
-                    Some(l) if l.hi.x + 1 == r.lo.x => l.hi.x = r.hi.x,
-                    _ => out.push(r),
-                }
-            }
-            return Self::frozen(out);
+            sweep_runs(
+                &self.rects,
+                &other.rects,
+                |_, _| {},
+                |lo, hi| push_run(&mut rects, band, lo, hi),
+            );
+            return Self::frozen(rects);
         }
         let mut pending: Vec<Rect> = self.rects.to_vec();
         for b in other.rects.iter() {
@@ -403,17 +365,53 @@ impl IndexSpace {
         Self::frozen(rects)
     }
 
+    /// `(self ∩ target, self \ target)`: both halves of a refinement,
+    /// structurally what [`intersect`](Self::intersect) and
+    /// [`subtract`](Self::subtract) return. Operands sharing a linear band
+    /// are swept once for both run lists.
+    pub fn split(&self, target: &IndexSpace) -> (IndexSpace, IndexSpace) {
+        if self.is_empty() {
+            return (IndexSpace::empty(), IndexSpace::empty());
+        }
+        if target.is_empty() || !self.bbox().overlaps(&target.bbox()) {
+            return (IndexSpace::empty(), self.clone());
+        }
+        let Some(band) = self.common_band(target) else {
+            return (self.intersect(target), self.subtract(target));
+        };
+        let (mut inside, mut outside) = (Vec::new(), Vec::new());
+        sweep_runs(
+            &self.rects,
+            &target.rects,
+            |lo, hi| push_run(&mut inside, band, lo, hi),
+            |lo, hi| push_run(&mut outside, band, lo, hi),
+        );
+        (Self::frozen(inside), Self::frozen(outside))
+    }
+
     /// Does `self` contain every point of `other`?
     pub fn contains(&self, other: &IndexSpace) -> bool {
         if other.is_empty() {
             return true;
         }
         if !self.bbox().contains_rect(&other.bbox()) {
-            // Quick accept is impossible, but quick reject is: some point of
-            // `other` lies outside our bounding box.
-            if !self.bbox().overlaps(&other.bbox()) {
-                return false;
+            // Some point of `other` lies outside our bounding box.
+            return false;
+        }
+        if self.common_band(other).is_some() {
+            // Our runs are coalesced, so a run of `other` is covered only by
+            // lying inside a single one of them.
+            debug_assert!(self.rects.windows(2).all(|w| w[0].hi.x + 1 < w[1].lo.x));
+            let mut i = 0;
+            for b in other.rects.iter() {
+                while i < self.rects.len() && self.rects[i].hi.x < b.hi.x {
+                    i += 1;
+                }
+                if self.rects.get(i).is_none_or(|a| a.lo.x > b.lo.x) {
+                    return false;
+                }
             }
+            return true;
         }
         other.subtract(self).is_empty()
     }
@@ -433,6 +431,49 @@ impl IndexSpace {
     #[inline]
     pub fn rect_count(&self) -> usize {
         self.rects.len()
+    }
+}
+
+/// Walk the runs of `ours` across those of `theirs` — both the sorted,
+/// disjoint runs of one linear band — reporting, in ascending order, each
+/// piece of `ours` covered by a run of `theirs` and each piece covered by
+/// none. `intersect`, `subtract` and `split` are this one sweep keeping the
+/// first, the second or both lists.
+fn sweep_runs(
+    ours: &[Rect],
+    theirs: &[Rect],
+    mut covered: impl FnMut(i64, i64),
+    mut gap: impl FnMut(i64, i64),
+) {
+    let mut j = 0;
+    for a in ours {
+        let (mut cur, end) = (a.lo.x, a.hi.x);
+        while j < theirs.len() && theirs[j].hi.x < cur {
+            j += 1;
+        }
+        // A run of `theirs` reaching past `end` also meets our next run.
+        let mut k = j;
+        while cur <= end {
+            let Some(b) = theirs.get(k).filter(|b| b.lo.x <= end) else {
+                gap(cur, end);
+                break;
+            };
+            if b.lo.x > cur {
+                gap(cur, b.lo.x - 1);
+            }
+            covered(cur.max(b.lo.x), end.min(b.hi.x));
+            cur = cur.max(b.hi.x + 1);
+            k += 1;
+        }
+    }
+}
+
+/// Append the run `[lo, hi]` of `band` to an ascending run list, coalescing
+/// it with an adjacent last run.
+fn push_run(rects: &mut Vec<Rect>, (ylo, yhi): (i64, i64), lo: i64, hi: i64) {
+    match rects.last_mut() {
+        Some(r) if r.hi.x + 1 == lo => r.hi.x = hi,
+        _ => rects.push(Rect::xy(lo, hi, ylo, yhi)),
     }
 }
 
@@ -539,6 +580,16 @@ mod tests {
         assert!(!a.contains(&b));
         assert!(!b.contains(&a));
         assert!(a.contains(&sp(2, 8)));
+    }
+
+    #[test]
+    fn contains_sweeps_runs_across_a_gap() {
+        let gap = IndexSpace::from_rects([Rect::span(0, 4), Rect::span(6, 9)]);
+        assert!(!gap.contains(&sp(3, 6)));
+        assert!(gap.contains(&IndexSpace::from_rects([
+            Rect::span(1, 2),
+            Rect::span(7, 9)
+        ])));
     }
 
     #[test]

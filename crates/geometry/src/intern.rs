@@ -15,6 +15,9 @@
 //!   structural fast paths (identical ids, empty operands, bounding-box
 //!   disjointness, single-rect pairs, contained-bbox dominance) before
 //!   consulting the memo, and only then falling back to the rectangle sweep.
+//!   A refinement asks for both halves of a set at once
+//!   ([`SpaceAlgebra::split`]): one sweep and one memo entry per cold pair,
+//!   with containment read off an empty outside half.
 //!
 //! **Memo lifetime = operand lifetime.** An entry exists only for a pair of
 //! interned ids and dies when the interner does; nothing is evicted. A
@@ -261,6 +264,8 @@ pub struct SpaceAlgebra {
     /// per result type keeps an entry at 16 bytes.
     spaces: FxHashMap<PairKey, SpaceId>,
     flags: FxHashMap<PairKey, bool>,
+    /// [`SpaceAlgebra::split`] results, both halves under one key.
+    splits: FxHashMap<(SpaceId, SpaceId), (SpaceId, SpaceId)>,
     /// [`SpaceAlgebra::union_all`] results, keyed on the whole operand list.
     folds: FxHashMap<Box<[SpaceId]>, SpaceId>,
     enabled: bool,
@@ -281,6 +286,7 @@ impl SpaceAlgebra {
             interner: SpaceInterner::new(),
             spaces: FxHashMap::default(),
             flags: FxHashMap::default(),
+            splits: FxHashMap::default(),
             folds: FxHashMap::default(),
             enabled: config.enabled,
             hits: 0,
@@ -322,7 +328,10 @@ impl SpaceAlgebra {
             misses: self.misses,
             fast_hits: self.fast_hits,
             interned: self.interner.len(),
-            cache_entries: self.spaces.len() + self.flags.len() + self.folds.len(),
+            cache_entries: self.spaces.len()
+                + self.flags.len()
+                + self.splits.len()
+                + self.folds.len(),
         }
     }
 
@@ -440,6 +449,52 @@ impl SpaceAlgebra {
             }
         }
         self.memo_space((AlgebraOp::Subtract, a, b), IndexSpace::subtract)
+    }
+
+    /// `(dom ∩ target, dom \ target)`: a refinement's two halves from one
+    /// sweep and one memo entry, each the id [`Self::intersect`] and
+    /// [`Self::subtract`] return. `target ⊇ dom` iff the second is
+    /// [`SpaceId::EMPTY`].
+    pub fn split(&mut self, dom: SpaceId, target: SpaceId) -> (SpaceId, SpaceId) {
+        if !self.enabled {
+            return (self.intersect(dom, target), self.subtract(dom, target));
+        }
+        // Fast paths: the ones `intersect` and `subtract` share, so each
+        // half is what that op's own fast path returns.
+        if dom == target {
+            self.fast_hits += 1;
+            return (dom, SpaceId::EMPTY);
+        }
+        if self.is_empty_space(dom) {
+            self.fast_hits += 1;
+            return (SpaceId::EMPTY, SpaceId::EMPTY);
+        }
+        let bd = self.interner.bbox(dom);
+        if self.is_empty_space(target) || !bd.overlaps(&self.interner.bbox(target)) {
+            self.fast_hits += 1;
+            return (SpaceId::EMPTY, dom);
+        }
+        if self
+            .single_rect(target)
+            .is_some_and(|rt| rt.contains_rect(&bd))
+        {
+            self.fast_hits += 1;
+            return (dom, SpaceId::EMPTY);
+        }
+        match self.splits.entry((dom, target)) {
+            Entry::Occupied(e) => {
+                self.hits += 1;
+                *e.get()
+            }
+            Entry::Vacant(v) => {
+                self.misses += 1;
+                let (inside, outside) = self.interner.get(dom).split(self.interner.get(target));
+                *v.insert((
+                    self.interner.intern(&inside),
+                    self.interner.intern(&outside),
+                ))
+            }
+        }
     }
 
     /// `lhs ∪ rhs`. No structural fast path beyond the empty operands —
@@ -659,6 +714,7 @@ mod tests {
                     assert_eq!(alg.space(i), &a.intersect(b));
                     let s = alg.subtract(ia, ib);
                     assert_eq!(alg.space(s), &a.subtract(b));
+                    assert_eq!(alg.split(ia, ib), (i, s));
                     let u = alg.union(ia, ib);
                     assert_eq!(alg.space(u), &a.union(b));
                     assert_eq!(alg.overlaps(ia, ib), a.overlaps(b));
@@ -745,6 +801,7 @@ mod tests {
         ]));
         assert_eq!(alg.intersect(a, a), a);
         assert_eq!(alg.subtract(a, a), SpaceId::EMPTY);
+        assert_eq!(alg.split(a, a), (a, SpaceId::EMPTY));
         assert!(alg.overlaps(a, a));
         assert!(alg.contains(a, a));
         assert_eq!(alg.stats().misses, 0, "no sweep should have run");

@@ -1,0 +1,159 @@
+//! Property tests for the first-touch ("cold pair") geometry — the one-pass
+//! band `split`, the non-allocating band `contains` and the memoized
+//! `SpaceAlgebra::split` — at sizes that reach the sweeps: the other suites
+//! build spaces of at most three rects, which the structural fast paths
+//! answer before any sweep runs.
+//!
+//! The reference is the pair of direct ops, `IndexSpace::intersect` and
+//! `IndexSpace::subtract`, compared *structurally* (rect-list equality): the
+//! engines name equivalence sets by interned id, so a merely point-equal half
+//! would change every plan downstream. On a band all three are one run walk
+//! (`sweep_runs`), so band pairs are also held to point membership.
+
+use proptest::prelude::*;
+use viz_geometry::{IndexSpace, InternConfig, Rect, SpaceAlgebra, SpaceId};
+
+/// `(gap, len)` steps of a 1-D band: up to 64 runs, never adjacent.
+fn steps() -> impl Strategy<Value = Vec<(i64, i64)>> {
+    prop::collection::vec((1i64..5, 0i64..5), 0..65)
+}
+
+fn runs_of(steps: &[(i64, i64)]) -> Vec<(i64, i64)> {
+    let mut x = 0;
+    steps
+        .iter()
+        .map(|&(gap, len)| {
+            let lo = x + gap;
+            x = lo + len + 1;
+            (lo, lo + len)
+        })
+        .collect()
+}
+
+fn band_of(runs: impl IntoIterator<Item = (i64, i64)>) -> IndexSpace {
+    IndexSpace::from_rects(runs.into_iter().map(|(lo, hi)| Rect::span(lo, hi)))
+}
+
+/// A pair of bands of up to 64 runs each. The second is independent of the
+/// first, or derived from it so that the shapes random draws almost never
+/// produce at this size do occur: interleaved but disjoint (runs inside the
+/// first's gaps), nested (sub-runs of its runs), run-adjacent (starting one
+/// past a run's end) and straddling (crossing a run's end).
+fn band_pair() -> impl Strategy<Value = (IndexSpace, IndexSpace)> {
+    (
+        steps(),
+        steps(),
+        0u8..5,
+        prop::collection::vec((any::<bool>(), 0i64..4, 0i64..4), 65),
+    )
+        .prop_map(|(a_steps, b_steps, mode, picks)| {
+            let a = runs_of(&a_steps);
+            let gaps: Vec<(i64, i64)> = a.windows(2).map(|w| (w[0].1 + 1, w[1].0 - 1)).collect();
+            let b = if mode == 0 {
+                runs_of(&b_steps)
+            } else {
+                (if mode == 1 { &gaps } else { &a })
+                    .iter()
+                    .zip(&picks)
+                    .filter(|(_, pick)| pick.0)
+                    .map(|(&(lo, hi), &(_, d, e))| match mode {
+                        1 => ((lo + d).min(hi), hi),
+                        2 => ((lo + d).min(hi), (hi - e).max(lo + d).min(hi)),
+                        3 => (hi + 1, hi + 1 + e),
+                        _ => ((hi - d).max(lo), hi + e),
+                    })
+                    .collect()
+            };
+            (band_of(a), band_of(b))
+        })
+}
+
+/// A 2-D set of 12 to 20 small rects in a 64x64 universe.
+fn plane() -> impl Strategy<Value = IndexSpace> {
+    prop::collection::vec(
+        (0i64..64, 0i64..8, 0i64..64, 0i64..8)
+            .prop_map(|(x, w, y, h)| Rect::xy(x, x + w, y, y + h)),
+        12..21,
+    )
+    .prop_map(IndexSpace::from_rects)
+}
+
+/// Band pairs, 2-D pairs, and a band against a 2-D set (no common band: the
+/// two-sweep arm), each in both orders.
+fn pair() -> impl Strategy<Value = (IndexSpace, IndexSpace)> {
+    prop_oneof![
+        4 => band_pair(),
+        1 => (plane(), plane()),
+        1 => (band_pair(), plane()).prop_map(|((a, _), p)| (a, p)),
+    ]
+}
+
+fn check_split(alg: &mut SpaceAlgebra, a: &IndexSpace, b: &IndexSpace) {
+    let (inside, outside) = (a.intersect(b), a.subtract(b));
+    let (ia, ib) = (alg.intern(a), alg.intern(b));
+    let (i, o) = alg.split(ia, ib);
+    prop_assert_eq!(alg.space(i), &inside, "inside half diverged");
+    prop_assert_eq!(alg.space(o), &outside, "outside half diverged");
+    prop_assert_eq!(o == SpaceId::EMPTY, alg.contains(ib, ia));
+    // The halves are the ids the separate ops name.
+    prop_assert_eq!((alg.intersect(ia, ib), alg.subtract(ia, ib)), (i, o));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `split` is `(intersect, subtract)` and `contains` is "nothing left
+    /// after subtracting", structurally, in both operand orders.
+    #[test]
+    fn split_and_contains_match_the_direct_sweeps(ab in pair()) {
+        let (a, b) = ab;
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            prop_assert_eq!(x.split(y), (x.intersect(y), x.subtract(y)));
+            prop_assert_eq!(x.contains(y), y.subtract(x).is_empty());
+        }
+        prop_assert_eq!(a.split(&a), (a.clone(), IndexSpace::empty()));
+        prop_assert!(a.contains(&a));
+    }
+
+    /// Both halves are the points of the first operand inside / outside the
+    /// second, in normal form: sorted, disjoint, maximal runs.
+    #[test]
+    fn band_split_halves_match_points_and_stay_normalized(ab in band_pair()) {
+        let (a, b) = ab;
+        let (inside, outside) = a.split(&b);
+        let keep = |want: bool| {
+            IndexSpace::from_points(a.points().filter(|p| b.contains_point(*p) == want))
+        };
+        prop_assert_eq!(&inside, &keep(true));
+        prop_assert_eq!(&outside, &keep(false));
+        for half in [inside, outside] {
+            for w in half.rects().windows(2) {
+                prop_assert!(w[0].hi.x + 1 < w[1].lo.x, "{:?} then {:?}", w[0], w[1]);
+            }
+        }
+    }
+
+    /// `SpaceAlgebra::split` agrees with the direct sweeps with interning on
+    /// and off, over pairs sharing one algebra; once every pair has been
+    /// seen, further passes sweep nothing and intern nothing.
+    #[test]
+    fn memoized_split_matches_and_never_sweeps_again(
+        pairs in prop::collection::vec(pair(), 1..6),
+    ) {
+        let mut off = SpaceAlgebra::new(InternConfig::disabled());
+        let mut on = SpaceAlgebra::new(InternConfig::default());
+        for (a, b) in &pairs {
+            check_split(&mut off, a, b);
+            check_split(&mut on, a, b);
+            check_split(&mut on, b, a);
+        }
+        prop_assert_eq!(off.stats().hits + off.stats().fast_hits, 0);
+        let seen = on.stats();
+        for (a, b) in &pairs {
+            check_split(&mut on, a, b);
+            check_split(&mut on, b, a);
+        }
+        prop_assert_eq!(on.stats().misses, seen.misses);
+        prop_assert_eq!(on.stats().interned, seen.interned);
+    }
+}

@@ -322,25 +322,22 @@ impl RegionForest {
         }
     }
 
-    /// Children of `p` whose domain overlaps `space`, via the partition's
-    /// BVH plus an exact check. This is the region-tree "acceleration data
-    /// structure" role from §5.1.
+    /// Children of `p` whose domain overlaps `space`, in child order, via
+    /// the partition's BVH plus an exact check. This is the region-tree
+    /// "acceleration data structure" role from §5.1.
+    ///
+    /// One query with `space`'s bounding box finds every child any of its
+    /// rects can touch; the exact check drops the rest.
     pub fn overlapping_children(&self, p: PartitionId, space: &IndexSpace) -> Vec<RegionId> {
         let node = &self.partitions[p.0 as usize];
-        let mut out = Vec::new();
         let mut candidates = Vec::new();
-        for r in space.rects() {
-            node.child_bvh.query(r, &mut candidates);
-        }
+        node.child_bvh.query(&space.bbox(), &mut candidates);
         candidates.sort_unstable();
-        candidates.dedup();
-        for c in candidates {
-            let child = node.children[c as usize];
-            if self.domain(child).overlaps(space) {
-                out.push(child);
-            }
-        }
-        out
+        candidates
+            .into_iter()
+            .map(|c| node.children[c as usize])
+            .filter(|child| self.domain(*child).overlaps(space))
+            .collect()
     }
 
     /// Partitions of `r` that are both disjoint and complete — the subtrees

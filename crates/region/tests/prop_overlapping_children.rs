@@ -1,0 +1,94 @@
+//! `RegionForest::overlapping_children` against a linear scan of the
+//! children, for sparse multi-rect targets over aliased and incomplete
+//! partitions — its one bounding-box query plus the exact check must name
+//! the same children in the same order.
+
+use proptest::prelude::*;
+use viz_geometry::{IndexSpace, Point, Rect};
+use viz_region::{PartitionId, RegionForest, RegionId};
+
+fn linear_scan(f: &RegionForest, p: PartitionId, target: &IndexSpace) -> Vec<RegionId> {
+    f.children(p)
+        .iter()
+        .copied()
+        .filter(|c| f.domain(*c).overlaps(target))
+        .collect()
+}
+
+const N: i64 = 512;
+
+/// A sparse 1-D set: scattered points (many short runs) or a few spans.
+fn sparse(max_points: usize) -> impl Strategy<Value = IndexSpace> {
+    prop_oneof![
+        prop::collection::btree_set(0..N, 0..max_points)
+            .prop_map(|pts| IndexSpace::from_points(pts.into_iter().map(Point::p1))),
+        prop::collection::vec((0..N, 0i64..24), 0..4).prop_map(|spans| {
+            IndexSpace::from_rects(
+                spans
+                    .into_iter()
+                    .map(|(lo, w)| Rect::span(lo, (lo + w).min(N - 1))),
+            )
+        }),
+    ]
+}
+
+fn plane(rects: std::ops::Range<usize>) -> impl Strategy<Value = IndexSpace> {
+    prop::collection::vec(
+        (0i64..60, 0i64..4, 0i64..60, 0i64..4)
+            .prop_map(|(x, w, y, h)| Rect::xy(x, x + w, y, y + h)),
+        rects,
+    )
+    .prop_map(IndexSpace::from_rects)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Ghost-partition shapes: up to 48 aliased sparse children that need
+    /// not cover the root, queried with sparse targets.
+    #[test]
+    fn sparse_targets_over_aliased_children(
+        children in prop::collection::vec(sparse(24), 1..48),
+        targets in prop::collection::vec(sparse(40), 1..8),
+    ) {
+        let mut f = RegionForest::new();
+        let root = f.create_root_1d("N", N);
+        let p = f.create_partition(root, "G", children);
+        for t in &targets {
+            prop_assert_eq!(f.overlapping_children(p, t), linear_scan(&f, p, t));
+        }
+    }
+
+    /// The same over 2-D multi-rect children and targets.
+    #[test]
+    fn multi_rect_targets_in_the_plane(
+        children in prop::collection::vec(plane(1..4), 1..32),
+        targets in prop::collection::vec(plane(1..12), 1..8),
+    ) {
+        let mut f = RegionForest::new();
+        let root = f.create_root("R", IndexSpace::from_rect(Rect::xy(0, 63, 0, 63)));
+        let p = f.create_partition(root, "T", children);
+        for t in &targets {
+            prop_assert_eq!(f.overlapping_children(p, t), linear_scan(&f, p, t));
+        }
+    }
+
+    /// A target of a few far-apart points whose box covers every piece of
+    /// an equal partition while its rects touch one piece each: the exact
+    /// check has to drop nearly every candidate.
+    #[test]
+    fn box_covers_every_child_rects_touch_few(
+        pieces in 16usize..64,
+        picks in prop::collection::btree_set(0..N, 2..4),
+    ) {
+        let mut f = RegionForest::new();
+        let root = f.create_root_1d("N", N);
+        let p = f.create_equal_partition_1d(root, "P", pieces);
+        let target = IndexSpace::from_points(
+            [0, N - 1].into_iter().chain(picks).map(Point::p1),
+        );
+        let hits = f.overlapping_children(p, &target);
+        prop_assert_eq!(&hits, &linear_scan(&f, p, &target));
+        prop_assert!(hits.len() <= target.rect_count() && hits.len() >= 2);
+    }
+}

@@ -632,14 +632,14 @@ impl CoherenceEngine for RayCast {
                 if !state.alg.overlaps(dom, target_id) {
                     continue;
                 }
-                if state.alg.contains(target_id, dom) {
+                // The Warnock refine — ray casting still refines on partial
+                // overlaps: c's inside/outside halves, nothing outside when
+                // the target contains it.
+                let (inside, outside) = state.alg.split(dom, target_id);
+                if outside == SpaceId::EMPTY {
                     relevant.push(c);
                     continue;
                 }
-                // Split c into inside/outside halves (the Warnock refine —
-                // ray casting still refines on partial overlaps).
-                let inside = state.alg.intersect(dom, target_id);
-                let outside = state.alg.subtract(dom, target_id);
                 // The history moves to the outside half (one copy for the
                 // inside half): the dead parent is retained until a GC
                 // sweep, and must not retain a history with it.

@@ -315,16 +315,15 @@ impl CoherenceEngine for Warnock {
                     }
                     continue;
                 }
-                // Leaf: contained or straddling?
-                let contained = tree.alg.contains(target, dom);
-                if contained {
+                // Leaf: contained (nothing of it outside the target) or
+                // straddling?
+                let (inside, outside) = tree.alg.split(dom, target);
+                if outside == SpaceId::EMPTY {
                     relevant.push(n);
                     continue;
                 }
                 // Refine: split into ∩target and \target (both nonempty
                 // here since the leaf overlaps but is not contained).
-                let inside = tree.alg.intersect(dom, target);
-                let outside = tree.alg.subtract(dom, target);
                 let (hist, old_owner) = {
                     let node = &tree.nodes[n as usize];
                     let EqKind::Leaf { hist } = &node.kind else {
