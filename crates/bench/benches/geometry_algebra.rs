@@ -1,10 +1,11 @@
 //! Set-algebra microbench: memoized [`SpaceAlgebra`] vs direct sweeps.
 //!
 //! The workload replays the op mix the engines issue during a ghost-exchange
-//! dependence analysis — `overlaps`/`contains` filters, then
-//! `intersect`/`subtract` refinements between task targets and equivalence-set
-//! domains — over many identical iterations, which is exactly the repetition
-//! the interner and the algebra cache exist to exploit. Reported:
+//! dependence analysis — an `overlaps` filter, then one `split` refinement
+//! (both halves from one sweep; an empty outside half means the target
+//! contains the set) between task targets and equivalence-set domains — over
+//! many identical iterations, which is exactly the repetition the interner
+//! and the algebra cache exist to exploit. Reported:
 //!
 //! * wall-clock of the full op stream, direct (`IndexSpace` sweeps) vs
 //!   interned+cached (`SpaceAlgebra` with default config) — the acceptance
@@ -86,12 +87,11 @@ fn direct_round(targets: &[IndexSpace], domains: &[IndexSpace]) -> u64 {
             if !t.overlaps(d) {
                 continue;
             }
-            if t.contains(d) {
+            let (inside, outside) = d.split(t);
+            if outside.is_empty() {
                 sum += 1;
                 continue;
             }
-            let inside = d.intersect(t);
-            let outside = d.subtract(t);
             sum += inside.rects().len() as u64 + outside.rects().len() as u64;
         }
     }
@@ -111,12 +111,11 @@ fn interned_round(
             if !alg.overlaps(d, t) {
                 continue;
             }
-            if alg.contains(t, d) {
+            let (inside, outside) = alg.split(d, t);
+            if outside == viz_geometry::SpaceId::EMPTY {
                 sum += 1;
                 continue;
             }
-            let inside = alg.intersect(d, t);
-            let outside = alg.subtract(d, t);
             sum += alg.space(inside).rects().len() as u64 + alg.space(outside).rects().len() as u64;
         }
     }

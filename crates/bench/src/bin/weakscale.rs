@@ -9,8 +9,9 @@
 //!
 //! Output: `results/ext_weakscale_<app>.tsv`, one row per (gc, nodes)
 //! point. The `gc=0` baseline stops at 1024 nodes (that's the point of the
-//! exercise: without retirement the ledger, DAG rows, and dead engine sets
-//! grow with program length); `gc=1` continues to 16384.
+//! exercise: without retirement the ledger and the DAG columns grow with
+//! program length — RayCast's set table does not, it frees a set in the
+//! launch that occludes it); `gc=1` continues to 16384.
 //!
 //! Usage:
 //!

@@ -24,7 +24,7 @@
 
 use crate::analysis::warnock::{fold_copies, scan_eq_history, EqEntry};
 use crate::analysis::{group_reqs_by_shard, ChargeSet, ReqOutcome, ShardKey, ShardedState};
-use crate::engine::{CoherenceEngine, GcSweep, ShardCtx, StateSize};
+use crate::engine::{CoherenceEngine, ShardCtx, StateSize};
 use crate::plan::{MaterializePlan, Source};
 use crate::task::TaskLaunch;
 use std::sync::Arc;
@@ -38,16 +38,19 @@ use viz_sim::{ChargeLog, NodeId, Op};
 /// [`SpaceAlgebra`] interner: sets refined from the same launch targets
 /// share storage, and the refine/overlap algebra is memoized per shard.
 ///
-/// With GC off (the default) every set ever created stays in
-/// `FieldState::sets`, so this struct's size is resident memory: the
-/// `ray_set_does_not_grow` test pins it.
+/// One slot of the `FieldState::sets` slab. The slot number is storage
+/// only; *order* is `born`.
 struct RaySet {
     domain: SpaceId,
-    /// A refinement split *moves* the history into the outside half; the
-    /// dead parent keeps none.
+    /// A refinement split *moves* the history into the outside half; a
+    /// freed slot keeps only the buffer's capacity for its next tenant.
     hist: Vec<EqEntry>,
     owner: NodeId,
     live: bool,
+    /// Per-shard creation stamp. Candidates are visited in creation order —
+    /// that order fixes deps, plans and charged `GeomOp`s — so every index
+    /// entry is a [`key`] carrying it above the slot number.
+    born: u32,
     /// When a *refinement split* kills this set, the two halves that
     /// replaced it — so a commit deferred by an earlier requirement of the
     /// same launch can chase the split instead of vanishing. Stays `None`
@@ -64,14 +67,20 @@ struct RaySet {
     anchors: Option<Arc<[u32]>>,
 }
 
-/// Spatial index over the live sets.
+/// An index entry for the set in `slot`: sorting keys visits sets in birth
+/// order whatever slots they landed in, and `key as u32` is the slot.
+fn key(born: u32, slot: u32) -> u64 {
+    (born as u64) << 32 | slot as u64
+}
+
+/// Spatial index over the live sets, holding their [`key`]s.
 enum SetIndex {
     /// Anchored under the children of a disjoint-and-complete partition:
-    /// `buckets[i]` holds the set ids overlapping child `i` (a set spanning
+    /// `buckets[i]` holds the sets overlapping child `i` (a set spanning
     /// several anchors appears in each; queries deduplicate).
     Anchored {
         partition: PartitionId,
-        buckets: Vec<Vec<u32>>,
+        buckets: Vec<Vec<u64>>,
         /// Static BVH over the anchor-children bounding boxes: placing a
         /// new set resolves the overlapping anchors in O(log anchors +
         /// hits) instead of sweeping every anchor. Exact (leaf rects are
@@ -95,6 +104,22 @@ enum SetIndex {
     Kd { tree: DynamicBvh },
 }
 
+impl SetIndex {
+    /// An index anchored under `partition`'s children, holding `buckets`.
+    fn anchored(forest: &RegionForest, partition: PartitionId, buckets: Vec<Vec<u64>>) -> Self {
+        let children = forest.children(partition);
+        let bbox = |(i, c): (usize, &RegionId)| (i as u32, forest.domain(*c).bbox());
+        let pos = |(i, c): (usize, &RegionId)| (*c, i as u32);
+        SetIndex::Anchored {
+            partition,
+            buckets,
+            lookup: Bvh::build(children.iter().enumerate().map(bbox).collect()),
+            child_pos: children.iter().enumerate().map(pos).collect(),
+            placement: FxHashMap::default(),
+        }
+    }
+}
+
 /// Reusable backward-scan buffers, one struct per shard. Every vector here
 /// used to be allocated fresh per requirement (or per shard batch); holding
 /// them in the shard means the scan stops allocating once each has grown to
@@ -103,10 +128,9 @@ enum SetIndex {
 struct ScanScratch {
     /// Traversal stack of the K-d walk.
     stack: Vec<u32>,
-    /// Raw index hits for one requirement, before sort + dedup.
-    hits: Vec<u64>,
-    /// Deduplicated candidate set ids for one requirement.
-    candidates: Vec<u32>,
+    /// Candidate set keys for one requirement: raw index hits, then sorted
+    /// and deduplicated.
+    candidates: Vec<u64>,
     /// Anchor positions the current requirement resolved to.
     req_anchors: Vec<u32>,
     /// Sets killed by refinement within the current requirement.
@@ -133,7 +157,17 @@ struct ScanScratch {
 
 /// Per-(root, field) ray-casting state — one shard.
 struct FieldState {
+    /// Slab of sets: a slot is live, killed by the launch being analyzed
+    /// (`dead`), or `free`. An occluded set is freed by the launch that
+    /// occluded it, so the table is bounded by the live high-water mark
+    /// plus one launch's kills, not by program length.
     sets: Vec<RaySet>,
+    /// Slots killed since the last `recycle`. They keep `replaced_by` for
+    /// the commit loop and are not reused before it has run.
+    dead: Vec<u32>,
+    free: Vec<u32>,
+    /// The next set's `born`.
+    next_born: u32,
     index: SetIndex,
     /// Memoized overlapping-anchor lists per named region.
     anchor_memo: FxHashMap<RegionId, Vec<u32>>,
@@ -164,18 +198,32 @@ struct FieldState {
 }
 
 impl FieldState {
+    /// Create a live set in a free slot (or a new one) and return the slot.
+    /// A `hist` that owns no buffer — the dominating-write set's, or a clone
+    /// of an empty one — takes over the slot's old history buffer.
     fn new_set(&mut self, domain: SpaceId, hist: Vec<EqEntry>, owner: NodeId) -> u32 {
-        let id = self.sets.len() as u32;
-        self.sets.push(RaySet {
+        let born = self.next_born;
+        self.next_born = born.checked_add(1).expect("recycle renumbers first");
+        self.live += 1;
+        let mut set = RaySet {
             domain,
             hist,
             owner,
             live: true,
+            born,
             replaced_by: None,
             anchors: None,
-        });
-        self.live += 1;
-        id
+        };
+        let Some(slot) = self.free.pop() else {
+            self.sets.push(set);
+            return self.sets.len() as u32 - 1;
+        };
+        let old = &mut self.sets[slot as usize];
+        if set.hist.capacity() == 0 {
+            set.hist = std::mem::take(&mut old.hist);
+        }
+        *old = set;
+        slot
     }
 
     fn region_space(&mut self, forest: &RegionForest, region: RegionId) -> SpaceId {
@@ -189,9 +237,81 @@ impl FieldState {
         if self.sets[id as usize].live {
             self.sets[id as usize].live = false;
             self.live -= 1;
+            self.dead.push(id);
+        }
+    }
+
+    /// Free the slots this launch killed. Runs at the end of
+    /// `analyze_shard`: the commit loop was the last reader of their
+    /// `replaced_by`, and the index dropped them when they died.
+    fn recycle(&mut self) {
+        for slot in self.dead.drain(..) {
+            let set = &mut self.sets[slot as usize];
+            set.hist.clear();
+            set.replaced_by = None;
+            self.free.push(slot);
+        }
+        if self.next_born >= BORN_RENUMBER_AT {
+            self.renumber();
+        }
+        #[cfg(debug_assertions)]
+        self.check_slab();
+    }
+
+    /// Restart the birth stamps at `0..live`, keeping their order, and
+    /// re-key the index entries to match.
+    fn renumber(&mut self) {
+        let mut order: Vec<u32> = (0..self.sets.len() as u32)
+            .filter(|s| self.sets[*s as usize].live)
+            .collect();
+        order.sort_unstable_by_key(|s| self.sets[*s as usize].born);
+        for (born, slot) in order.iter().enumerate() {
+            let set = &mut self.sets[*slot as usize];
+            if let SetIndex::Kd { tree } = &mut self.index {
+                tree.remove(key(set.born, *slot));
+                tree.insert(key(born as u32, *slot), self.alg.bbox(set.domain));
+            }
+            set.born = born as u32;
+        }
+        if let SetIndex::Anchored { buckets, .. } = &mut self.index {
+            for k in buckets.iter_mut().flatten() {
+                *k = key(self.sets[*k as u32 as usize].born, *k as u32);
+            }
+        }
+        self.next_born = order.len() as u32;
+    }
+
+    /// The slab's invariants, checked after every launch in debug builds.
+    #[cfg(debug_assertions)]
+    fn check_slab(&self) {
+        let keys: Vec<u64> = match &self.index {
+            SetIndex::Anchored { buckets, .. } => buckets.iter().flatten().copied().collect(),
+            SetIndex::Kd { tree } => tree.iter().map(|(k, _)| k).collect(),
+        };
+        for k in keys {
+            let set = &self.sets[k as u32 as usize];
+            assert!(set.live, "index names dead slot {}", k as u32);
+            assert_eq!(key(set.born, k as u32), k, "index entry with a stale stamp");
+        }
+        let slots = self.sets.len();
+        assert_eq!(self.live + self.free.len(), slots, "a slot leaked");
+        let mut free = vec![false; slots];
+        for slot in &self.free {
+            let s = &self.sets[*slot as usize];
+            assert!(
+                !s.live && s.hist.is_empty() && s.anchors.is_none() && s.replaced_by.is_none(),
+                "free slot {slot} still holds state"
+            );
+            assert!(!free[*slot as usize], "slot {slot} was freed twice");
+            free[*slot as usize] = true;
         }
     }
 }
+
+/// `recycle` renumbers a shard once its birth stamps pass this, leaving
+/// more headroom than one launch can use (2³¹ new sets are 144 GiB of
+/// slots, since none is reused before the launch ends).
+const BORN_RENUMBER_AT: u32 = 1 << 31;
 
 /// The ray-casting engine ("RayCast" / `neweqcr` in the figures).
 pub struct RayCast {
@@ -199,10 +319,6 @@ pub struct RayCast {
     force_kd: bool,
     use_anchor_memo: bool,
     intern: InternConfig,
-    /// GC sweeps visit only shards scanned since the previous sweep (see
-    /// [`ShardedState::sweep_mut`]); `set_dirty_tracking(false)` restores
-    /// the full sweep.
-    dirty_only: bool,
 }
 
 impl RayCast {
@@ -218,7 +334,6 @@ impl RayCast {
             force_kd: false,
             use_anchor_memo: true,
             intern,
-            dirty_only: true,
         }
     }
 
@@ -259,107 +374,63 @@ impl RayCast {
         } else {
             forest.disjoint_complete_partitions(root)
         };
-        match dc.first() {
+        // Initial sets, born in slot order: one per anchor (they cover the
+        // root since the partition is complete), else the root itself.
+        let initial = |slot: u32, domain, anchors| RaySet {
+            domain,
+            hist: Vec::new(),
+            owner: 0,
+            live: true,
+            born: slot,
+            replaced_by: None,
+            anchors,
+        };
+        let (sets, index) = match dc.first() {
             Some(p) => {
                 let children = forest.children(*p);
                 let mut sets = Vec::with_capacity(children.len());
                 let mut buckets = Vec::with_capacity(children.len());
-                let mut anchor_bboxes = Vec::with_capacity(children.len());
-                let mut child_pos =
-                    FxHashMap::with_capacity_and_hasher(children.len(), Default::default());
-                // Initial sets: one per anchor (they cover the root since
-                // the partition is complete).
                 for (i, c) in children.iter().enumerate() {
+                    let i = i as u32;
                     let domain = alg.intern(forest.domain(*c));
                     region_ids.insert(*c, domain);
-                    anchor_bboxes.push(alg.bbox(domain));
-                    sets.push(RaySet {
-                        domain,
-                        hist: Vec::new(),
-                        owner: 0,
-                        live: true,
-                        replaced_by: None,
-                        // Exactly its own anchor, as a set contained in
-                        // child `i` needs — not seeded into `placement`,
-                        // which answers by bounding box.
-                        anchors: Some(Arc::from([i as u32])),
-                    });
-                    buckets.push(vec![i as u32]);
-                    child_pos.insert(*c, i as u32);
+                    // Exactly its own anchor, as a set contained in child
+                    // `i` needs — not seeded into `placement`, which
+                    // answers by bounding box.
+                    sets.push(initial(i, domain, Some(Arc::from([i]))));
+                    buckets.push(vec![key(i, i)]);
                 }
-                let live = sets.len();
-                let lookup = Self::anchor_lookup(&anchor_bboxes);
-                FieldState {
-                    sets,
-                    index: SetIndex::Anchored {
-                        partition: *p,
-                        buckets,
-                        lookup,
-                        child_pos,
-                        placement: FxHashMap::default(),
-                    },
-                    anchor_memo: FxHashMap::default(),
-                    live,
-                    usage: FxHashMap::default(),
-                    shifts: 0,
-                    alg,
-                    region_ids,
-                    candidates_visited: 0,
-                    sets_swept: 0,
-                    scratch: ScanScratch::default(),
-                    last_stats: AlgebraStats::default(),
-                    last_refits: 0,
-                    last_rebuilds: 0,
-                }
+                (sets, SetIndex::anchored(forest, *p, buckets))
             }
             None => {
                 let mut tree = DynamicBvh::new();
-                tree.insert(0, root_domain.bbox());
+                tree.insert(key(0, 0), root_domain.bbox());
                 let domain = alg.intern(root_domain);
                 region_ids.insert(root, domain);
-                FieldState {
-                    sets: vec![RaySet {
-                        domain,
-                        hist: Vec::new(),
-                        owner: 0,
-                        live: true,
-                        replaced_by: None,
-                        anchors: None,
-                    }],
-                    index: SetIndex::Kd { tree },
-                    anchor_memo: FxHashMap::default(),
-                    live: 1,
-                    usage: FxHashMap::default(),
-                    shifts: 0,
-                    alg,
-                    region_ids,
-                    candidates_visited: 0,
-                    sets_swept: 0,
-                    scratch: ScanScratch::default(),
-                    last_stats: AlgebraStats::default(),
-                    last_refits: 0,
-                    last_rebuilds: 0,
-                }
+                (vec![initial(0, domain, None)], SetIndex::Kd { tree })
             }
+        };
+        FieldState {
+            live: sets.len(),
+            next_born: sets.len() as u32,
+            sets,
+            dead: Vec::new(),
+            free: Vec::new(),
+            index,
+            anchor_memo: FxHashMap::default(),
+            usage: FxHashMap::default(),
+            shifts: 0,
+            alg,
+            region_ids,
+            candidates_visited: 0,
+            sets_swept: 0,
+            scratch: ScanScratch::default(),
+            last_stats: AlgebraStats::default(),
+            last_refits: 0,
+            last_rebuilds: 0,
         }
     }
 
-    /// The anchor-placement index: a static BVH over the anchor bounding
-    /// boxes. Queries are exact (leaf rects are overlap-tested), so the
-    /// anchors reported for a set's bbox are precisely those the linear
-    /// `anchor_bboxes` sweep would report.
-    fn anchor_lookup(anchor_bboxes: &[Rect]) -> Bvh {
-        Bvh::build(
-            anchor_bboxes
-                .iter()
-                .enumerate()
-                .map(|(i, r)| (i as u32, *r))
-                .collect(),
-        )
-    }
-}
-
-impl RayCast {
     /// Times any field state re-anchored to a different partition (§7.1:
     /// "If the application switches to using a different subtree with
     /// disjoint-complete partitions, the runtime shifts the equivalence
@@ -410,26 +481,14 @@ impl RayCast {
         // that still walks every live set — shifts are rare (usage must
         // 4x-dominate) and rebuild the lookup structures (the placement
         // memo with them) anyway.
-        let children = forest.children(home);
-        let anchor_bboxes: Vec<Rect> = children.iter().map(|c| forest.domain(*c).bbox()).collect();
-        let child_pos: FxHashMap<RegionId, u32> = children
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (*c, i as u32))
-            .collect();
-        state.index = SetIndex::Anchored {
-            partition: home,
-            buckets: vec![Vec::new(); children.len()],
-            lookup: Self::anchor_lookup(&anchor_bboxes),
-            child_pos,
-            placement: FxHashMap::default(),
-        };
+        let buckets = vec![Vec::new(); forest.children(home).len()];
+        state.index = SetIndex::anchored(forest, home, buckets);
         let mut moved = 0usize;
         for id in 0..state.sets.len() as u32 {
             state.sets[id as usize].anchors = None;
             if state.sets[id as usize].live {
                 moved += 1;
-                Self::index_insert(&mut state.index, &mut state.sets, &state.alg, &[id]);
+                state.index_insert(&[id]);
             }
         }
         log.op(origin, Op::GeomOp { rects: moved });
@@ -466,7 +525,7 @@ impl RayCast {
     }
 }
 
-/// The K-d arm's candidate walk: the ids of every leaf overlapping any of
+/// The K-d arm's candidate walk: the keys of every leaf overlapping any of
 /// `rects` (unsorted, possibly repeated across rects). Kept out of line:
 /// inlined into `analyze_shard`'s per-requirement loop it cost the
 /// anchored arm ~4 % of `steady_us_per_launch` on `stencil_steady`.
@@ -520,7 +579,6 @@ impl CoherenceEngine for RayCast {
         let mut scratch = std::mem::take(&mut state.scratch);
         let ScanScratch {
             stack,
-            hits,
             candidates,
             req_anchors,
             killed,
@@ -592,22 +650,21 @@ impl CoherenceEngine for RayCast {
                         candidates.extend(buckets[*a as usize].iter().copied());
                     }
                     // A set spanning several anchors appears in each bucket:
-                    // deduplicate so it is scanned (and folded) once.
+                    // deduplicate so it is scanned (and folded) once. Sorted
+                    // keys visit the sets in birth order.
                     candidates.sort_unstable();
                     candidates.dedup();
                 }
                 SetIndex::Kd { tree } => {
-                    hits.clear();
-                    kd_walk(tree, target.rects(), stack, hits);
-                    hits.sort_unstable();
-                    hits.dedup();
+                    kd_walk(tree, target.rects(), stack, candidates);
+                    candidates.sort_unstable();
+                    candidates.dedup();
                     out.scan_log.op(
                         origin,
                         Op::GeomOp {
-                            rects: hits.len().max(1),
+                            rects: candidates.len().max(1),
                         },
                     );
-                    candidates.extend(hits.iter().map(|h| *h as u32));
                 }
             }
             viz_profile::instant(viz_profile::EventKind::BvhTraversal {
@@ -623,7 +680,7 @@ impl CoherenceEngine for RayCast {
             // scans, invalidations — is batched into `charges` and flushed
             // as one concurrent multi-request (Legion issues these as
             // parallel active messages).
-            for &c in candidates.iter() {
+            for c in candidates.iter().map(|k| *k as u32) {
                 if !state.sets[c as usize].live {
                     continue;
                 }
@@ -641,8 +698,7 @@ impl CoherenceEngine for RayCast {
                     continue;
                 }
                 // The history moves to the outside half (one copy for the
-                // inside half): the dead parent is retained until a GC
-                // sweep, and must not retain a history with it.
+                // inside half).
                 let (hist, old_owner) = {
                     let s = &mut state.sets[c as usize];
                     (std::mem::take(&mut s.hist), s.owner)
@@ -653,12 +709,7 @@ impl CoherenceEngine for RayCast {
                 let inside_id = state.new_set(inside, hist.clone(), launch.node);
                 let outside_id = state.new_set(outside, hist, old_owner);
                 state.sets[c as usize].replaced_by = Some([inside_id, outside_id]);
-                Self::index_insert(
-                    &mut state.index,
-                    &mut state.sets,
-                    &state.alg,
-                    &[inside_id, outside_id],
-                );
+                state.index_insert(&[inside_id, outside_id]);
                 for op in [
                     Op::EqSetRefine,
                     Op::EqSetCreate,
@@ -670,7 +721,7 @@ impl CoherenceEngine for RayCast {
                 relevant.push(inside_id);
             }
             if !killed.is_empty() {
-                Self::index_remove_dead(&mut state.index, &mut state.sets, killed);
+                state.index_remove_dead(killed);
                 viz_profile::instant(viz_profile::EventKind::EqSetRefined {
                     count: killed.len() as u64,
                 });
@@ -792,8 +843,8 @@ impl CoherenceEngine for RayCast {
                 viz_profile::instant(viz_profile::EventKind::EqSetCreated {
                     count: new_ids.len() as u64,
                 });
-                Self::index_insert(&mut state.index, &mut state.sets, &state.alg, new_ids);
-                Self::index_remove_dead(&mut state.index, &mut state.sets, relevant);
+                state.index_insert(new_ids);
+                state.index_remove_dead(relevant);
             } else {
                 commit_ids.extend_from_slice(relevant);
             }
@@ -835,6 +886,7 @@ impl CoherenceEngine for RayCast {
             }
         }
         state.scratch = scratch;
+        state.recycle();
         let delta = state.alg.stats().delta_since(&state.last_stats);
         if delta.hits + delta.fast_hits + delta.misses > 0 {
             viz_profile::instant(viz_profile::EventKind::AlgebraCache {
@@ -858,69 +910,6 @@ impl CoherenceEngine for RayCast {
         outcomes
     }
 
-    /// Drop the dead sets that refinement and dominating writes leave
-    /// behind. Compaction is **order-preserving**: live sets keep their
-    /// relative order (and new sets still get larger ids than every
-    /// retained one), so the id-sorted candidate lists visit sets in the
-    /// same sequence as an uncollected engine — which is what keeps deps,
-    /// plans, and charges byte-identical. Reusing freed ids via a free
-    /// list would break exactly that ordering.
-    ///
-    /// `replaced_by` chains only forward commits *within* one launch's
-    /// `analyze_shard`, so between launches the dead sets are unreachable
-    /// garbage. Only the sets a dominating write occluded still hold a
-    /// history to drop: a refinement split moved its parent's away.
-    fn collect(&mut self, _floor: crate::task::TaskId) -> GcSweep {
-        let mut sweep = GcSweep::default();
-        for (_, s) in self.shards.sweep_mut(self.dirty_only) {
-            if s.live == s.sets.len() {
-                continue;
-            }
-            let mut remap = vec![u32::MAX; s.sets.len()];
-            let mut next = 0u32;
-            for (i, set) in s.sets.iter().enumerate() {
-                if set.live {
-                    remap[i] = next;
-                    next += 1;
-                } else {
-                    sweep.equivalence_sets += 1;
-                    sweep.history_entries += set.hist.len();
-                }
-            }
-            // (Only dead sets carry `replaced_by`: nothing to renumber.)
-            s.sets.retain(|set| set.live);
-            match &mut s.index {
-                SetIndex::Anchored { buckets, .. } => {
-                    // Buckets hold only live ids (`index_remove_dead` runs
-                    // after every kill) — just renumber them.
-                    for bucket in buckets.iter_mut() {
-                        for id in bucket.iter_mut() {
-                            debug_assert_ne!(remap[*id as usize], u32::MAX);
-                            *id = remap[*id as usize];
-                        }
-                    }
-                }
-                SetIndex::Kd { tree } => {
-                    // Rebuild over the renumbered live sets: the hit set of
-                    // a query depends only on the leaves, not the tree
-                    // shape, so a fresh tree answers identically.
-                    let mut fresh = DynamicBvh::new();
-                    for (i, set) in s.sets.iter().enumerate() {
-                        fresh.insert(i as u64, s.alg.bbox(set.domain));
-                    }
-                    *tree = fresh;
-                    s.last_refits = tree.refits();
-                    s.last_rebuilds = tree.rebuilds();
-                }
-            }
-        }
-        sweep
-    }
-
-    fn set_dirty_tracking(&mut self, on: bool) {
-        self.dirty_only = on;
-    }
-
     fn state_size(&self) -> StateSize {
         let mut size = StateSize::default();
         for (_, s) in self.shards.iter() {
@@ -930,11 +919,8 @@ impl CoherenceEngine for RayCast {
                 SetIndex::Kd { tree } => tree.len(),
             };
             size.memo_entries += s.anchor_memo.values().map(Vec::len).sum::<usize>();
-            for set in &s.sets {
-                if set.live {
-                    size.history_entries += set.hist.len();
-                }
-            }
+            // (A freed slot's history is empty.)
+            size.history_entries += s.sets.iter().map(|set| set.hist.len()).sum::<usize>();
             let a = s.alg.stats();
             size.interned_spaces += a.interned;
             size.algebra_cache_entries += a.cache_entries;
@@ -947,7 +933,7 @@ impl CoherenceEngine for RayCast {
     }
 }
 
-impl RayCast {
+impl FieldState {
     /// Register new sets in the index: for the anchored index, each set is
     /// placed in every anchor bucket its bounding box overlaps (queries
     /// filter exactly and deduplicate). The overlapping anchors come from
@@ -956,13 +942,9 @@ impl RayCast {
     /// membership identical to a linear sweep of `anchor_bboxes` — and the
     /// list is shared with the set so its eventual removal touches only
     /// those buckets.
-    fn index_insert(
-        index: &mut SetIndex,
-        sets: &mut [RaySet],
-        alg: &SpaceAlgebra,
-        new_ids: &[u32],
-    ) {
-        match index {
+    fn index_insert(&mut self, new_ids: &[u32]) {
+        let (sets, alg) = (&mut self.sets, &self.alg);
+        match &mut self.index {
             SetIndex::Anchored {
                 buckets,
                 lookup,
@@ -980,14 +962,15 @@ impl RayCast {
                         "memoized placement diverged from the anchor lookup"
                     );
                     for a in anchors.iter() {
-                        buckets[*a as usize].push(*id);
+                        buckets[*a as usize].push(key(set.born, *id));
                     }
                     set.anchors = Some(anchors.clone());
                 }
             }
             SetIndex::Kd { tree } => {
                 for id in new_ids {
-                    tree.insert(*id as u64, alg.bbox(sets[*id as usize].domain));
+                    let set = &sets[*id as usize];
+                    tree.insert(key(set.born, *id), alg.bbox(set.domain));
                 }
             }
         }
@@ -999,8 +982,9 @@ impl RayCast {
     /// was O(live sets) per kill batch. `swap_remove` is safe because
     /// queries sort + dedup their candidate lists, so bucket-internal
     /// order is unobservable.
-    fn index_remove_dead(index: &mut SetIndex, sets: &mut [RaySet], dead: &[u32]) {
-        match index {
+    fn index_remove_dead(&mut self, dead: &[u32]) {
+        let sets = &mut self.sets;
+        match &mut self.index {
             SetIndex::Anchored { buckets, .. } => {
                 for d in dead {
                     let Some(anchors) = sets[*d as usize].anchors.take() else {
@@ -1008,7 +992,7 @@ impl RayCast {
                     };
                     for a in anchors.iter() {
                         let bucket = &mut buckets[*a as usize];
-                        if let Some(pos) = bucket.iter().position(|m| m == d) {
+                        if let Some(pos) = bucket.iter().position(|m| *m as u32 == *d) {
                             bucket.swap_remove(pos);
                         }
                     }
@@ -1016,7 +1000,7 @@ impl RayCast {
             }
             SetIndex::Kd { tree } => {
                 for d in dead {
-                    tree.remove(*d as u64);
+                    tree.remove(key(sets[*d as usize].born, *d));
                 }
             }
         }
@@ -1066,7 +1050,18 @@ mod tests {
                 IndexSpace::from_points([9, 18, 19].map(viz_geometry::Point::p1)),
             ],
         );
-        (
+        (Fixture::new(forest, field), n, p, g)
+    }
+
+    /// A second disjoint-and-complete partition of the paper fixture's
+    /// root, so anchor shifts can trigger: Q0 = [0,14], Q1 = [15,29].
+    fn add_q(fx: &mut Fixture, n: RegionId) -> PartitionId {
+        let halves = vec![IndexSpace::span(0, 14), IndexSpace::span(15, 29)];
+        fx.forest.create_partition(n, "Q", halves)
+    }
+
+    impl Fixture {
+        fn new(forest: RegionForest, field: FieldId) -> Self {
             Fixture {
                 forest,
                 field,
@@ -1074,40 +1069,51 @@ mod tests {
                 shards: ShardMap::new(1, false),
                 eng: RayCast::new(),
                 next: 0,
-            },
-            n,
-            p,
-            g,
-        )
-    }
+            }
+        }
 
-    impl Fixture {
-        fn launch(&mut self, region: RegionId, privilege: Privilege) -> AnalysisResult {
-            let id = self.next;
+        fn next_launch(&mut self, region: RegionId, privilege: Privilege) -> TaskLaunch {
             self.next += 1;
-            let launch = TaskLaunch {
-                id: TaskId(id),
-                name: format!("t{id}"),
+            TaskLaunch {
+                id: TaskId(self.next - 1),
+                name: String::new(),
                 node: 0,
                 reqs: vec![RegionRequirement::new(region, self.field, privilege)],
                 duration_ns: 0,
-            };
+            }
+        }
+
+        /// This fixture's forest with a reference engine's `machine`.
+        fn ctx<'a>(&'a self, machine: &'a mut Machine) -> AnalysisCtx<'a> {
+            AnalysisCtx {
+                forest: &self.forest,
+                machine,
+                shards: &self.shards,
+            }
+        }
+
+        /// Analyze on the fixture's engine; whatever the launch killed must
+        /// have been freed by the time it returns.
+        fn analyze(&mut self, launch: &TaskLaunch) -> AnalysisResult {
             let mut ctx = AnalysisCtx {
                 forest: &self.forest,
                 machine: &mut self.machine,
                 shards: &self.shards,
             };
-            self.eng.analyze(&launch, &mut ctx)
+            let result = self.eng.analyze(launch, &mut ctx);
+            let s = self.shard();
+            assert_eq!(s.live + s.free.len(), s.sets.len(), "a killed slot leaked");
+            result
         }
-    }
 
-    /// With GC off every set ever created is retained (~330 K on the
-    /// `pennant_waves` benchmark), so a field added to `RaySet` is resident
-    /// memory on every workload. 88 bytes before the anchor list became a
-    /// shared `Arc` and `replaced_by` a fixed pair.
-    #[test]
-    fn ray_set_does_not_grow() {
-        assert!(std::mem::size_of::<RaySet>() <= 72);
+        fn launch(&mut self, region: RegionId, privilege: Privilege) -> AnalysisResult {
+            let launch = self.next_launch(region, privilege);
+            self.analyze(&launch)
+        }
+
+        fn shard(&mut self) -> &mut FieldState {
+            self.eng.shards.iter_mut().next().expect("a launch ran").1
+        }
     }
 
     #[test]
@@ -1156,45 +1162,64 @@ mod tests {
         assert!(after_ghosts[0] > 3);
     }
 
+    /// One iteration of the paper's loop as launches: a write wave over `p`,
+    /// then a ghost wave over `g`.
+    fn iteration(fx: &mut Fixture, p: PartitionId, g: PartitionId) -> Vec<TaskLaunch> {
+        let sum = Privilege::Reduce(RedOpRegistry::SUM);
+        let mut launches = Vec::new();
+        for (part, privilege) in [(p, Privilege::ReadWrite), (g, sum)] {
+            for i in 0..3 {
+                launches.push(fx.next_launch(fx.forest.subregion(part, i), privilege));
+            }
+        }
+        launches
+    }
+
+    /// §7's pruning, as memory: an occluded set's slot is freed by the
+    /// launch that occluded it (`Fixture::analyze` checks every launch), so
+    /// the table does not grow with program length — with no `collect`.
+    #[test]
+    fn set_table_is_bounded_without_gc() {
+        let slots_after = |iterations: usize| {
+            let (mut fx, _n, p, g) = paper_fixture();
+            for _ in 0..iterations {
+                for launch in iteration(&mut fx, p, g) {
+                    fx.analyze(&launch);
+                }
+            }
+            fx.shard().sets.len()
+        };
+        assert_eq!(slots_after(4), slots_after(40));
+    }
+
+    /// A shard whose birth stamps run out renumbers its live sets in birth
+    /// order: same results as a shard that started at zero.
+    #[test]
+    fn born_wrap_renumbers_in_birth_order() {
+        let (mut fresh, _n, p, g) = paper_fixture();
+        let (mut old, ..) = paper_fixture();
+        for i in 0..4 {
+            for launch in iteration(&mut fresh, p, g) {
+                assert_eq!(old.analyze(&launch), fresh.analyze(&launch));
+            }
+            if i == 0 {
+                old.shard().next_born = BORN_RENUMBER_AT - 8;
+            }
+        }
+        assert!(old.shard().next_born < 64, "the stamps restarted");
+        assert_eq!(old.shard().sets.len(), fresh.shard().sets.len());
+    }
+
     #[test]
     fn raycast_keeps_fewer_sets_than_warnock() {
         use crate::analysis::warnock::Warnock;
         let (mut fx, _n, p, g) = paper_fixture();
-        let sum = Privilege::Reduce(RedOpRegistry::SUM);
         let mut weng = Warnock::new();
         let mut wmachine = Machine::new(1);
-        let mut next = 0u32;
         for _ in 0..4 {
-            for phase in 0..2 {
-                for i in 0..3 {
-                    let (part, privilege) = if phase == 0 {
-                        (p, Privilege::ReadWrite)
-                    } else {
-                        (g, sum)
-                    };
-                    let region = fx.forest.subregion(part, i);
-                    let launch = TaskLaunch {
-                        id: TaskId(next),
-                        name: String::new(),
-                        node: 0,
-                        reqs: vec![RegionRequirement::new(region, fx.field, privilege)],
-                        duration_ns: 0,
-                    };
-                    next += 1;
-                    let mut ctx = AnalysisCtx {
-                        forest: &fx.forest,
-                        machine: &mut wmachine,
-                        shards: &fx.shards,
-                    };
-                    weng.analyze(&launch, &mut ctx);
-                    let mut ctx = AnalysisCtx {
-                        forest: &fx.forest,
-                        machine: &mut fx.machine,
-                        shards: &fx.shards,
-                    };
-                    fx.eng.analyze(&launch, &mut ctx);
-                    fx.next = next;
-                }
+            for launch in iteration(&mut fx, p, g) {
+                weng.analyze(&launch, &mut fx.ctx(&mut wmachine));
+                fx.analyze(&launch);
             }
         }
         let ray = fx.eng.state_size().equivalence_sets;
@@ -1205,28 +1230,24 @@ mod tests {
         );
     }
 
-    #[test]
-    fn kd_fallback_when_no_disjoint_complete_partition() {
+    /// A root whose only partition is aliased and incomplete: `[0, 12]` and
+    /// `[8, 15]` of `[0, 19]`.
+    fn kd_fixture() -> (Fixture, RegionId, RegionId, RegionId) {
         let mut forest = RegionForest::new();
         let n = forest.create_root("N", IndexSpace::span(0, 19));
         let field = forest.add_field(n, "v");
-        // Only an aliased, incomplete partition exists.
-        forest.create_partition(
+        let g = forest.create_partition(
             n,
             "G",
             vec![IndexSpace::span(0, 12), IndexSpace::span(8, 15)],
         );
-        let g = forest.partitions_of(n)[0];
-        let mut fx = Fixture {
-            forest,
-            field,
-            machine: Machine::new(1),
-            shards: ShardMap::new(1, false),
-            eng: RayCast::new(),
-            next: 0,
-        };
-        let g0 = fx.forest.subregion(g, 0);
-        let g1 = fx.forest.subregion(g, 1);
+        let (g0, g1) = (forest.subregion(g, 0), forest.subregion(g, 1));
+        (Fixture::new(forest, field), n, g0, g1)
+    }
+
+    #[test]
+    fn kd_fallback_when_no_disjoint_complete_partition() {
+        let (mut fx, n, g0, g1) = kd_fixture();
         let r0 = fx.launch(g0, Privilege::ReadWrite);
         assert!(r0.deps.is_empty());
         let r1 = fx.launch(g1, Privilege::ReadWrite);
@@ -1235,6 +1256,26 @@ mod tests {
         assert_eq!(r2.deps, vec![TaskId(0), TaskId(1)]);
         let total: u64 = r2.plans[0].copies.iter().map(|c| c.domain.volume()).sum();
         assert_eq!(total, 20);
+    }
+
+    /// The K-d arm frees and reuses slots like the anchored one: the tree
+    /// holds exactly the live sets, under keys `recycle` checks.
+    #[test]
+    fn kd_arm_reuses_slots() {
+        let (mut fx, n, g0, g1) = kd_fixture();
+        let (rw, mut slots) = (Privilege::ReadWrite, Vec::new());
+        for _ in 0..6 {
+            for (region, privilege) in [(g0, rw), (g1, rw), (n, Privilege::Read)] {
+                fx.launch(region, privilege);
+                let s = fx.shard();
+                let SetIndex::Kd { tree } = &s.index else {
+                    unreachable!()
+                };
+                assert_eq!(tree.len(), s.live);
+            }
+            slots.push(fx.shard().sets.len());
+        }
+        assert_eq!(slots[1], slots[5], "the table stopped growing: {slots:?}");
     }
 
     #[test]
@@ -1278,17 +1319,11 @@ mod tests {
     /// anchor sets actually changed under the new partition.
     #[test]
     fn shift_keeps_memo_entries_whose_anchors_are_unchanged() {
-        let (mut fx, _n, p, _g) = paper_fixture();
-        // A second disjoint-and-complete partition: Q0 = [0,14], Q1 = [15,29].
+        let (mut fx, n, p, _g) = paper_fixture();
         // P0 = [0,9] overlaps exactly {Q0}: its memo entry [0] is valid
         // under both partitions. P2 = [20,29] maps to anchor 2 under P but
         // anchor 1 under Q: stale.
-        let n = fx.forest.root_of(fx.forest.subregion(p, 0));
-        let q = fx.forest.create_partition(
-            n,
-            "Q",
-            vec![IndexSpace::span(0, 14), IndexSpace::span(15, 29)],
-        );
+        let q = add_q(&mut fx, n);
         for i in 0..3 {
             fx.launch(fx.forest.subregion(p, i), Privilege::ReadWrite);
         }
@@ -1310,23 +1345,6 @@ mod tests {
         assert_eq!(r.deps, vec![TaskId(2)]);
     }
 
-    /// One step of a random workload over the paper fixture plus a second
-    /// disjoint-complete partition (so anchor shifts can trigger).
-    #[derive(Clone, Debug)]
-    struct RandOp {
-        part: u8,
-        child: u8,
-        privilege: u8,
-    }
-
-    fn rand_op() -> impl Strategy<Value = RandOp> {
-        (0u8..4, 0u8..3, 0u8..3).prop_map(|(part, child, privilege)| RandOp {
-            part,
-            child,
-            privilege,
-        })
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -1336,47 +1354,29 @@ mod tests {
         /// that recomputes every anchor lookup from the region tree.
         #[test]
         fn anchor_memo_agrees_with_unmemoized(
-            ops in prop::collection::vec(rand_op(), 1..60),
+            // (partition, child, privilege) steps over the paper fixture
+            // plus Q.
+            ops in prop::collection::vec((0u8..4, 0u8..3, 0u8..3), 1..60),
         ) {
             let (mut fx, n, p, g) = paper_fixture();
-            let q = fx.forest.create_partition(
-                n,
-                "Q",
-                vec![IndexSpace::span(0, 14), IndexSpace::span(15, 29)],
-            );
+            let q = add_q(&mut fx, n);
             let mut bare = RayCast::without_anchor_memo();
             let mut bare_machine = Machine::new(1);
-            for (i, op) in ops.iter().enumerate() {
-                let region = match op.part {
-                    0 => fx.forest.subregion(p, (op.child % 3) as usize),
-                    1 => fx.forest.subregion(g, (op.child % 3) as usize),
+            for (i, (part, child, privilege)) in ops.into_iter().enumerate() {
+                let region = match part {
+                    0 => fx.forest.subregion(p, (child % 3) as usize),
+                    1 => fx.forest.subregion(g, (child % 3) as usize),
                     // Bias toward Q so shift heuristics actually fire.
-                    _ => fx.forest.subregion(q, (op.child % 2) as usize),
+                    _ => fx.forest.subregion(q, (child % 2) as usize),
                 };
-                let privilege = match op.privilege {
+                let privilege = match privilege {
                     0 => Privilege::ReadWrite,
                     1 => Privilege::Read,
                     _ => Privilege::Reduce(RedOpRegistry::SUM),
                 };
-                let launch = TaskLaunch {
-                    id: TaskId(i as u32),
-                    name: String::new(),
-                    node: 0,
-                    reqs: vec![RegionRequirement::new(region, fx.field, privilege)],
-                    duration_ns: 0,
-                };
-                let mut ctx = AnalysisCtx {
-                    forest: &fx.forest,
-                    machine: &mut fx.machine,
-                    shards: &fx.shards,
-                };
-                let memoized = fx.eng.analyze(&launch, &mut ctx);
-                let mut ctx = AnalysisCtx {
-                    forest: &fx.forest,
-                    machine: &mut bare_machine,
-                    shards: &fx.shards,
-                };
-                let reference = bare.analyze(&launch, &mut ctx);
+                let launch = fx.next_launch(region, privilege);
+                let memoized = fx.analyze(&launch);
+                let reference = bare.analyze(&launch, &mut fx.ctx(&mut bare_machine));
                 prop_assert_eq!(&memoized.deps, &reference.deps, "launch {}", i);
                 prop_assert_eq!(&memoized.plans, &reference.plans, "launch {}", i);
             }

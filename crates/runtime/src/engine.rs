@@ -97,7 +97,7 @@ pub trait CoherenceEngine: Send + Sync {
     }
 
     /// Reclaim analysis state that can no longer influence any future
-    /// launch — superseded equivalence sets, unreachable composite-view
+    /// launch — occluded history entries, unreachable composite-view
     /// chains, stale memo entries. `floor` is the history-GC watermark
     /// (every launch below it has retired); engines whose liveness is
     /// purely reachability-based may ignore it.

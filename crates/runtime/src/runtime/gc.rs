@@ -74,9 +74,9 @@ impl Core {
                 floor = pin;
             }
         }
-        // Engines reclaim *unreachable* state (superseded equivalence
-        // sets, dead composite chains) — reachability-based, so the sweep
-        // is behavior-preserving by construction; `floor` only gates the
+        // Engines reclaim *unreachable* state (occluded history entries,
+        // dead composite chains) — reachability-based, so the sweep is
+        // behavior-preserving by construction; `floor` only gates the
         // ledger below.
         let sweep = self.engine.collect(TaskId(floor));
         self.gc.sweep += sweep;

@@ -155,13 +155,6 @@ fn engine_allocs_per_iteration(app: &dyn Workload, nodes: usize) -> Vec<(u64, us
         }
         per_iteration.push((allocs() - before, end - start));
         start = end;
-        // With GC off the shard's set table is an append-only log, and its
-        // amortized doubling lands in whichever iteration crosses a power
-        // of two. Sweeping the dead sets between iterations (outside the
-        // counted window; a sweep changes no analysis result) keeps the
-        // table at the size the steady state needs, so any difference left
-        // between two iterations is creep.
-        engine.collect(viz_runtime::TaskId(end as u32));
     }
     per_iteration
 }
@@ -192,8 +185,10 @@ fn assert_engine_budget(name: &str, per_iteration: &[(u64, usize)]) {
 
 /// The steady-state allocation budget of one RayCast launch (`analyze`:
 /// `prepare` + `analyze_shard` + charge replay + result assembly). The
-/// count is deterministic, so this cannot flake with host load.
-const ENGINE_ALLOCS_PER_LAUNCH: f64 = 50.0;
+/// count is deterministic, so this cannot flake with host load: 36.4 on
+/// the stencil and 41.1 on pennant, with nothing sweeping the engine
+/// between iterations — killed sets' slots and history buffers are reused.
+const ENGINE_ALLOCS_PER_LAUNCH: f64 = 43.0;
 
 #[test]
 fn raycast_stencil_steady_launch_stays_inside_the_allocation_budget() {

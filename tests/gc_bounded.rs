@@ -70,17 +70,14 @@ fn retained_window_is_bounded_by_retain_not_program_length() {
 
 #[test]
 fn engine_sweeps_reclaim_dead_state() {
-    // Circuit exercises every engine's sweep path: RayCast reclaims
-    // dominated sets and their histories, Paint prunes replicated-cache
-    // pairs and spatial-index nodes, and the naive painter drops
-    // union-occluded history entries its commit-time prune cannot see.
-    // Warnock is absent: its refinement is monotonic, so nothing it holds
-    // ever becomes unreachable.
-    for engine in [
-        EngineKind::PaintNaive,
-        EngineKind::Paint,
-        EngineKind::RayCast,
-    ] {
+    // Circuit exercises both painters' sweep paths: Paint prunes
+    // replicated-cache pairs and spatial-index nodes, and the naive painter
+    // drops union-occluded history entries its commit-time prune cannot
+    // see. Warnock is absent: its refinement is monotonic, so nothing it
+    // holds ever becomes unreachable. RayCast is absent: nothing it holds
+    // outlives the launch that killed it (`set_table_is_bounded_without_gc`
+    // in `analysis/raycast.rs`).
+    for engine in [EngineKind::PaintNaive, EngineKind::Paint] {
         let mut rt = Runtime::new(
             RuntimeConfig::new(engine)
                 .nodes(4)
