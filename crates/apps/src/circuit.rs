@@ -83,6 +83,8 @@ impl CircuitConfig {
 /// The generated circuit topology: wire endpoints as global node ids.
 pub struct Circuit {
     pub cfg: CircuitConfig,
+    /// Read only by task bodies and [`Workload::reference`], so empty
+    /// without bodies (`paper(512)`'s table would be 10 M pairs, 156 MiB).
     wires: Arc<Vec<(i64, i64)>>,
     /// External node ids referenced per piece (the ghost subregions).
     ghosts: Vec<Vec<i64>>,
@@ -92,7 +94,13 @@ impl Circuit {
     pub fn new(cfg: CircuitConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let npp = cfg.nodes_per_piece as i64;
-        let mut wires = Vec::with_capacity(cfg.pieces * cfg.wires_per_piece);
+        // Every wire is drawn either way — the ghosts depend on the draws.
+        let kept = if cfg.with_bodies {
+            cfg.wires_per_piece
+        } else {
+            0
+        };
+        let mut wires = Vec::with_capacity(cfg.pieces * kept);
         let mut ghosts: Vec<Vec<i64>> = vec![Vec::new(); cfg.pieces];
         for piece in 0..cfg.pieces as i64 {
             for _ in 0..cfg.wires_per_piece {
@@ -117,7 +125,9 @@ impl Circuit {
                 } else {
                     piece * npp + rng.random_range(0..npp)
                 };
-                wires.push((src, dst));
+                if cfg.with_bodies {
+                    wires.push((src, dst));
+                }
             }
         }
         for g in &mut ghosts {
@@ -358,8 +368,12 @@ impl Workload for Circuit {
         run
     }
 
+    /// Without bodies there are no probes, and nothing to compare.
     fn reference(&self) -> Vec<Vec<f64>> {
         let cfg = &self.cfg;
+        if !cfg.with_bodies {
+            return Vec::new();
+        }
         let n = self.total_nodes() as usize;
         let wtot = self.total_wires() as usize;
         let wpp = cfg.wires_per_piece;
@@ -487,6 +501,21 @@ mod tests {
                 "piece {i}: deppart {got:?} vs generator {expect:?}"
             );
         }
+    }
+
+    /// Dropping the wire table without bodies leaves the ghosts — the only
+    /// topology the analysis sees — where the full draw puts them.
+    #[test]
+    fn ghosts_do_not_depend_on_bodies() {
+        let bare = Circuit::new(CircuitConfig::paper(8));
+        let full = Circuit::new(CircuitConfig {
+            with_bodies: true,
+            ..CircuitConfig::paper(8)
+        });
+        assert!(bare.wires.is_empty());
+        assert_eq!(full.wires.len(), full.total_wires() as usize);
+        assert!(bare.ghosts.iter().any(|g| !g.is_empty()));
+        assert_eq!(bare.ghosts, full.ghosts);
     }
 
     #[test]

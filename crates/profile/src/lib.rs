@@ -85,8 +85,9 @@ pub enum EventKind {
     /// The combining dispatcher committed `specs` launches drained from
     /// `rings` submission rings under one core lock acquisition.
     SubmitCombine { rings: u64, specs: u64 },
-    /// Memoized set-algebra activity on one shard since the last report:
-    /// `hits` lookups answered from the cache, `misses` recomputed.
+    /// Memoized set-algebra activity since the last report on the algebra
+    /// one shard scan used (its root's, for RayCast and Warnock): `hits`
+    /// lookups answered from the cache, `misses` recomputed.
     AlgebraCache { hits: u64, misses: u64 },
     /// Incremental BVH maintenance on one shard since the last report:
     /// `refits` ancestor-refit passes vs `rebuilds` full rebuilds.

@@ -10,18 +10,123 @@ pub mod warnock;
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use viz_geometry::FxHashMap;
+use viz_geometry::{AlgebraStats, FxHashMap, InternConfig, SpaceAlgebra, SpaceId};
 use viz_region::{FieldId, RegionForest, RegionId};
 use viz_sim::{ChargeLog, NodeId, Op};
 
+use crate::engine::StateSize;
 use crate::task::TaskLaunch;
 
 /// The unit of analysis-state independence: all engines key their state by
 /// the root region of the requirement's region tree and the field (§5–7 —
-/// state on distinct `(root, field)` pairs never interacts). Scans for
-/// distinct shards may therefore run concurrently.
+/// the *histories* on distinct `(root, field)` pairs never interact). Scans
+/// for distinct shards may therefore run concurrently; the one thing the
+/// fields of a root share is its `RootGeometry`.
 pub type ShardKey = (RegionId, FieldId);
+
+/// One root region's geometry, shared by every field shard of the root.
+///
+/// Refinement depends only on region geometry (§6–7): which sets a target
+/// straddles and how each one splits. Every field of a root therefore asks
+/// the same questions of the same spaces, and one interner and set-algebra
+/// memo answers them once. Invisible by construction: charges are priced
+/// per logical operation, never per memo miss, and every output is
+/// structural — which field swept a pair first changes nothing else.
+///
+/// RayCast and Warnock only; the painters keep a per-shard algebra (they do
+/// not refine sets).
+pub(crate) struct RootGeometry {
+    pub alg: SpaceAlgebra,
+    /// Interned handle per named region (launch targets, anchor children).
+    /// Region domains are immutable once the forest has them, so each is
+    /// content-hashed into the interner once per root, not once per
+    /// requirement.
+    region_ids: FxHashMap<RegionId, SpaceId>,
+    /// Algebra counters at the last `AlgebraCache` profile report.
+    last_stats: AlgebraStats,
+}
+
+/// A root's geometry as its field shards hold it. `analyze_shard` locks it
+/// once, at the top: under the sharded driver the shards of one root
+/// serialize on it while distinct roots still overlap.
+pub(crate) type SharedGeometry = Arc<Mutex<RootGeometry>>;
+
+impl RootGeometry {
+    /// Lock a root's geometry. Reads through poison, as `Runtime::stats`
+    /// does for the core lock: the scan that panicked holding this lock
+    /// also poisoned the core, so any scan still reading the geometry
+    /// belongs to a batch that is already lost and whose results are
+    /// discarded, and `state_size` reads only counters.
+    pub fn lock(geometry: &SharedGeometry) -> MutexGuard<'_, RootGeometry> {
+        geometry.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The interned domain of `region`.
+    pub fn region(&mut self, forest: &RegionForest, region: RegionId) -> SpaceId {
+        *self
+            .region_ids
+            .entry(region)
+            .or_insert_with(|| self.alg.intern(forest.domain(region)))
+    }
+
+    /// See [`report_algebra`].
+    pub fn report_stats(&mut self) {
+        report_algebra(&self.alg, &mut self.last_stats);
+    }
+}
+
+/// Emit `alg`'s counter change since `last` as one `AlgebraCache` profile
+/// event (none when nothing was asked), and advance `last`.
+pub(crate) fn report_algebra(alg: &SpaceAlgebra, last: &mut AlgebraStats) {
+    let stats = alg.stats();
+    let delta = stats.delta_since(last);
+    if delta.hits + delta.fast_hits + delta.misses > 0 {
+        viz_profile::instant(viz_profile::EventKind::AlgebraCache {
+            hits: delta.hits + delta.fast_hits,
+            misses: delta.misses,
+        });
+    }
+    *last = stats;
+}
+
+/// An engine's root geometries, one per root region it has seen.
+pub(crate) struct RootGeometries {
+    roots: FxHashMap<RegionId, SharedGeometry>,
+    intern: InternConfig,
+}
+
+impl RootGeometries {
+    pub fn new(intern: InternConfig) -> Self {
+        RootGeometries {
+            roots: FxHashMap::default(),
+            intern,
+        }
+    }
+
+    /// `root`'s geometry, created on first sight (driver thread, from
+    /// `prepare`).
+    pub fn get(&mut self, root: RegionId) -> SharedGeometry {
+        let intern = self.intern;
+        let geometry = self.roots.entry(root).or_insert_with(|| {
+            Arc::new(Mutex::new(RootGeometry {
+                alg: SpaceAlgebra::new(intern),
+                region_ids: FxHashMap::default(),
+                last_stats: AlgebraStats::default(),
+            }))
+        });
+        Arc::clone(geometry)
+    }
+
+    /// Add the algebra roll-up to `size`, once per root: summing per shard
+    /// would count a shared interner once per field.
+    pub fn add_stats(&self, size: &mut StateSize) {
+        for geometry in self.roots.values() {
+            size.add_algebra(RootGeometry::lock(geometry).alg.stats());
+        }
+    }
+}
 
 /// Group a launch's requirements by shard, preserving the first-touch order
 /// of shards and requirement order within each shard.
@@ -200,7 +305,7 @@ impl<S> ShardedState<S> {
 /// What one shard-local analysis produced for one region requirement:
 /// the dependences and plan, plus the machine charges of the scan and the
 /// commit, recorded for canonical-order replay by the driver.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct ReqOutcome {
     /// Requirement index within the launch.
     pub req: u32,
@@ -403,5 +508,89 @@ mod tests {
         assert!(second.is_err(), "double lock must panic");
         drop(h);
         let _ = s.lock(key);
+    }
+
+    /// The root-geometry lock's contract, where ThreadSanitizer looks (CI
+    /// runs the lib tests under it): the two fields of one root scanned
+    /// from two threads at once give exactly a serial run's outcomes —
+    /// deps, plans, charges — and the shared memo ends up the same size.
+    #[test]
+    fn fields_of_one_root_scan_concurrently_as_serially() {
+        use crate::engine::{CoherenceEngine, EngineKind, ShardCtx};
+        use crate::sharding::ShardMap;
+        use crate::task::{RegionRequirement, TaskId};
+        use viz_geometry::{IndexSpace, Point};
+        use viz_region::{Privilege, RedOpRegistry};
+
+        let mut forest = RegionForest::new();
+        let n = forest.create_root("N", IndexSpace::span(0, 29));
+        let fields = [forest.add_field(n, "up"), forest.add_field(n, "dn")];
+        let pieces = (0..3).map(|i| IndexSpace::span(10 * i, 10 * i + 9));
+        let p = forest.create_partition(n, "P", pieces.collect());
+        let ghosts = [&[10, 11, 20][..], &[8, 9, 20, 21], &[9, 18, 19]]
+            .map(|g| IndexSpace::from_points(g.iter().map(|x| Point::p1(*x))));
+        let g = forest.create_partition(n, "G", ghosts.to_vec());
+        // One stream per field: three iterations of writes over P, then
+        // reductions over G.
+        let sum = Privilege::Reduce(RedOpRegistry::SUM);
+        let waves = [(p, Privilege::ReadWrite), (g, sum)].repeat(3);
+        let steps: Vec<_> = waves
+            .iter()
+            .flat_map(|&(part, privilege)| (0..3).map(move |i| (part, i, privilege)))
+            .collect();
+        let streams = [0, 1].map(|f| {
+            let launch = |(k, &(part, i, privilege)): (usize, _)| TaskLaunch {
+                id: TaskId((2 * k + f) as u32),
+                name: String::new(),
+                node: 0,
+                reqs: vec![RegionRequirement::new(
+                    forest.subregion(part, i),
+                    fields[f],
+                    privilege,
+                )],
+                duration_ns: 0,
+            };
+            steps.iter().enumerate().map(launch).collect::<Vec<_>>()
+        });
+        let shards = ShardMap::new(1, false);
+        let ctx = ShardCtx {
+            forest: &forest,
+            shards: &shards,
+        };
+        let scan = |eng: &dyn CoherenceEngine, l: &TaskLaunch| {
+            eng.analyze_shard((n, l.reqs[0].field), l, &[0], &ctx)
+        };
+        for kind in [EngineKind::Warnock, EngineKind::RayCast] {
+            // Serial: the two streams interleaved on one thread.
+            let mut serial = kind.build();
+            let mut expect: [Vec<Vec<ReqOutcome>>; 2] = Default::default();
+            for k in 0..steps.len() {
+                for (stream, out) in streams.iter().zip(&mut expect) {
+                    serial.prepare(&stream[k], &ctx);
+                    out.push(scan(&*serial, &stream[k]));
+                }
+            }
+            // Concurrent: both shards prepared here, one thread per field,
+            // the two scans of every step released together so they race
+            // for the root's lock.
+            let mut eng = kind.build();
+            for l in streams.iter().flatten() {
+                eng.prepare(l, &ctx);
+            }
+            let (eng, step) = (&*eng, &std::sync::Barrier::new(2));
+            let mut got: [Vec<Vec<ReqOutcome>>; 2] = Default::default();
+            std::thread::scope(|scope| {
+                for (stream, out) in streams.iter().zip(&mut got) {
+                    scope.spawn(move || {
+                        for l in stream {
+                            step.wait();
+                            out.push(scan(eng, l));
+                        }
+                    });
+                }
+            });
+            assert_eq!(got, expect, "{kind:?}");
+            assert_eq!(eng.state_size(), serial.state_size(), "{kind:?}");
+        }
     }
 }

@@ -33,7 +33,9 @@
 //! driver scan distinct shards concurrently.
 
 use crate::analysis::history::{HistEntry, VisScan};
-use crate::analysis::{group_reqs_by_shard, ChargeSet, ReqOutcome, ShardKey, ShardedState};
+use crate::analysis::{
+    group_reqs_by_shard, report_algebra, ChargeSet, ReqOutcome, ShardKey, ShardedState,
+};
 use crate::engine::{CoherenceEngine, GcSweep, ShardCtx, StateSize};
 use crate::sharding::ShardMap;
 use crate::task::TaskLaunch;
@@ -583,14 +585,8 @@ impl CoherenceEngine for Painter {
             out.commit_log.op(owner_r, Op::HistScan { entries: 1 });
             shard.mark_touched(ctx.forest, region);
         }
-        let delta = shard.alg.stats().delta_since(&shard.last_stats);
-        if delta.hits + delta.fast_hits + delta.misses > 0 {
-            viz_profile::instant(viz_profile::EventKind::AlgebraCache {
-                hits: delta.hits + delta.fast_hits,
-                misses: delta.misses,
-            });
-        }
-        shard.last_stats = shard.alg.stats();
+        let shard = &mut *shard;
+        report_algebra(&shard.alg, &mut shard.last_stats);
         outcomes
     }
 
@@ -637,11 +633,7 @@ impl CoherenceEngine for Painter {
             size.composite_views += shard.views_alive;
             // Replicated-view bookkeeping is the painter's only cache.
             size.memo_entries += shard.fetched.len();
-            let a = shard.alg.stats();
-            size.interned_spaces += a.interned;
-            size.algebra_cache_entries += a.cache_entries;
-            size.algebra_hits += a.hits + a.fast_hits;
-            size.algebra_misses += a.misses;
+            size.add_algebra(shard.alg.stats());
         }
         size
     }

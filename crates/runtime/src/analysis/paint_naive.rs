@@ -16,7 +16,9 @@
 //! Fig 7 behavior.
 
 use crate::analysis::history::{HistEntry, VisScan};
-use crate::analysis::{group_reqs_by_shard, ChargeSet, ReqOutcome, ShardKey, ShardedState};
+use crate::analysis::{
+    group_reqs_by_shard, report_algebra, ChargeSet, ReqOutcome, ShardKey, ShardedState,
+};
 use crate::engine::{CoherenceEngine, GcSweep, ShardCtx, StateSize};
 use crate::task::TaskLaunch;
 use viz_geometry::{AlgebraStats, IndexSpace, InternConfig, SpaceAlgebra};
@@ -173,14 +175,7 @@ impl CoherenceEngine for PaintNaive {
             }
             hist.push(entry);
         }
-        let delta = shard.alg.stats().delta_since(&shard.last_stats);
-        if delta.hits + delta.fast_hits + delta.misses > 0 {
-            viz_profile::instant(viz_profile::EventKind::AlgebraCache {
-                hits: delta.hits + delta.fast_hits,
-                misses: delta.misses,
-            });
-        }
-        shard.last_stats = shard.alg.stats();
+        report_algebra(&shard.alg, &mut shard.last_stats);
         outcomes
     }
 
@@ -227,11 +222,7 @@ impl CoherenceEngine for PaintNaive {
         let mut sz = StateSize::default();
         for (_, s) in self.shards.iter() {
             sz.history_entries += s.hist.len();
-            let a = s.alg.stats();
-            sz.interned_spaces += a.interned;
-            sz.algebra_cache_entries += a.cache_entries;
-            sz.algebra_hits += a.hits + a.fast_hits;
-            sz.algebra_misses += a.misses;
+            sz.add_algebra(s.alg.stats());
         }
         sz
     }

@@ -20,23 +20,27 @@
 //! near-flat scaling of the `RayCast` curves in Figs 12–17.
 //!
 //! Everything for one `(root, field)` — sets, spatial index, anchor memo,
-//! usage counters — is one shard; nothing an analysis does crosses shards.
+//! usage counters — is one shard. The geometry those sets are made of is
+//! the root's: every field shard of a root interns into, and memoizes its
+//! refinements in, one shared `RootGeometry`.
 
 use crate::analysis::warnock::{fold_copies, scan_eq_history, EqEntry};
-use crate::analysis::{group_reqs_by_shard, ChargeSet, ReqOutcome, ShardKey, ShardedState};
+use crate::analysis::{
+    group_reqs_by_shard, ChargeSet, ReqOutcome, RootGeometries, RootGeometry, ShardKey,
+    ShardedState, SharedGeometry,
+};
 use crate::engine::{CoherenceEngine, ShardCtx, StateSize};
 use crate::plan::{MaterializePlan, Source};
 use crate::task::TaskLaunch;
 use std::sync::Arc;
-use viz_geometry::{
-    AlgebraStats, Bvh, DynamicBvh, FxHashMap, InternConfig, Rect, SpaceAlgebra, SpaceId,
-};
+use viz_geometry::{Bvh, DynamicBvh, FxHashMap, InternConfig, Rect, SpaceAlgebra, SpaceId};
 use viz_region::{PartitionId, Privilege, RegionForest, RegionId};
 use viz_sim::{ChargeLog, NodeId, Op};
 
-/// A live equivalence set. The domain is a handle into the shard's
+/// A live equivalence set. The domain is a handle into the root's
 /// [`SpaceAlgebra`] interner: sets refined from the same launch targets
-/// share storage, and the refine/overlap algebra is memoized per shard.
+/// share storage, and the refine/overlap algebra is memoized per root — a
+/// second field of the root refines the same way at no sweep.
 ///
 /// One slot of the `FieldState::sets` slab. The slot number is storage
 /// only; *order* is `born`.
@@ -176,13 +180,9 @@ struct FieldState {
     /// heuristic of §7.1 that drives anchor shifting.
     usage: FxHashMap<PartitionId, u64>,
     shifts: u64,
-    /// Interned-space storage and memoized set algebra for this shard.
-    alg: SpaceAlgebra,
-    /// Interned handle per named region (launch targets and anchor
-    /// children). Region domains are immutable once the forest has them,
-    /// so a region is content-hashed into the interner once, not once per
-    /// requirement.
-    region_ids: FxHashMap<RegionId, SpaceId>,
+    /// The root's interned spaces, set-algebra memo and region ids, shared
+    /// with every other field shard of the root.
+    geometry: SharedGeometry,
     /// Cumulative candidate ids produced by the spatial index across every
     /// requirement scanned against this shard (post-dedup). Flatness under
     /// weak scaling is *measured* from this, not inferred.
@@ -192,7 +192,6 @@ struct FieldState {
     /// live-set count).
     sets_swept: u64,
     scratch: ScanScratch,
-    last_stats: AlgebraStats,
     last_refits: u64,
     last_rebuilds: u64,
 }
@@ -226,13 +225,6 @@ impl FieldState {
         slot
     }
 
-    fn region_space(&mut self, forest: &RegionForest, region: RegionId) -> SpaceId {
-        *self
-            .region_ids
-            .entry(region)
-            .or_insert_with(|| self.alg.intern(forest.domain(region)))
-    }
-
     fn kill(&mut self, id: u32) {
         if self.sets[id as usize].live {
             self.sets[id as usize].live = false;
@@ -244,7 +236,7 @@ impl FieldState {
     /// Free the slots this launch killed. Runs at the end of
     /// `analyze_shard`: the commit loop was the last reader of their
     /// `replaced_by`, and the index dropped them when they died.
-    fn recycle(&mut self) {
+    fn recycle(&mut self, alg: &SpaceAlgebra) {
         for slot in self.dead.drain(..) {
             let set = &mut self.sets[slot as usize];
             set.hist.clear();
@@ -252,7 +244,7 @@ impl FieldState {
             self.free.push(slot);
         }
         if self.next_born >= BORN_RENUMBER_AT {
-            self.renumber();
+            self.renumber(alg);
         }
         #[cfg(debug_assertions)]
         self.check_slab();
@@ -260,7 +252,7 @@ impl FieldState {
 
     /// Restart the birth stamps at `0..live`, keeping their order, and
     /// re-key the index entries to match.
-    fn renumber(&mut self) {
+    fn renumber(&mut self, alg: &SpaceAlgebra) {
         let mut order: Vec<u32> = (0..self.sets.len() as u32)
             .filter(|s| self.sets[*s as usize].live)
             .collect();
@@ -269,7 +261,7 @@ impl FieldState {
             let set = &mut self.sets[*slot as usize];
             if let SetIndex::Kd { tree } = &mut self.index {
                 tree.remove(key(set.born, *slot));
-                tree.insert(key(born as u32, *slot), self.alg.bbox(set.domain));
+                tree.insert(key(born as u32, *slot), alg.bbox(set.domain));
             }
             set.born = born as u32;
         }
@@ -316,9 +308,9 @@ const BORN_RENUMBER_AT: u32 = 1 << 31;
 /// The ray-casting engine ("RayCast" / `neweqcr` in the figures).
 pub struct RayCast {
     shards: ShardedState<FieldState>,
+    geometry: RootGeometries,
     force_kd: bool,
     use_anchor_memo: bool,
-    intern: InternConfig,
 }
 
 impl RayCast {
@@ -331,9 +323,9 @@ impl RayCast {
     pub fn with_intern(intern: InternConfig) -> Self {
         RayCast {
             shards: ShardedState::new(),
+            geometry: RootGeometries::new(intern),
             force_kd: false,
             use_anchor_memo: true,
-            intern,
         }
     }
 
@@ -364,11 +356,9 @@ impl RayCast {
         forest: &RegionForest,
         root: RegionId,
         force_kd: bool,
-        intern: InternConfig,
+        geometry: SharedGeometry,
     ) -> FieldState {
-        let mut alg = SpaceAlgebra::new(intern);
-        let mut region_ids = FxHashMap::default();
-        let root_domain = forest.domain(root);
+        let mut geom = RootGeometry::lock(&geometry);
         let dc = if force_kd {
             Vec::new()
         } else {
@@ -392,8 +382,7 @@ impl RayCast {
                 let mut buckets = Vec::with_capacity(children.len());
                 for (i, c) in children.iter().enumerate() {
                     let i = i as u32;
-                    let domain = alg.intern(forest.domain(*c));
-                    region_ids.insert(*c, domain);
+                    let domain = geom.region(forest, *c);
                     // Exactly its own anchor, as a set contained in child
                     // `i` needs — not seeded into `placement`, which
                     // answers by bounding box.
@@ -403,13 +392,13 @@ impl RayCast {
                 (sets, SetIndex::anchored(forest, *p, buckets))
             }
             None => {
+                let domain = geom.region(forest, root);
                 let mut tree = DynamicBvh::new();
-                tree.insert(key(0, 0), root_domain.bbox());
-                let domain = alg.intern(root_domain);
-                region_ids.insert(root, domain);
+                tree.insert(key(0, 0), geom.alg.bbox(domain));
                 (vec![initial(0, domain, None)], SetIndex::Kd { tree })
             }
         };
+        drop(geom);
         FieldState {
             live: sets.len(),
             next_born: sets.len() as u32,
@@ -420,12 +409,10 @@ impl RayCast {
             anchor_memo: FxHashMap::default(),
             usage: FxHashMap::default(),
             shifts: 0,
-            alg,
-            region_ids,
+            geometry,
             candidates_visited: 0,
             sets_swept: 0,
             scratch: ScanScratch::default(),
-            last_stats: AlgebraStats::default(),
             last_refits: 0,
             last_rebuilds: 0,
         }
@@ -457,6 +444,7 @@ impl RayCast {
     /// clearly dominates the current one.
     fn maybe_shift(
         state: &mut FieldState,
+        alg: &SpaceAlgebra,
         forest: &RegionForest,
         home: Option<PartitionId>,
         log: &mut ChargeLog,
@@ -488,7 +476,7 @@ impl RayCast {
             state.sets[id as usize].anchors = None;
             if state.sets[id as usize].live {
                 moved += 1;
-                state.index_insert(&[id]);
+                state.index_insert(&[id], alg);
             }
         }
         log.op(origin, Op::GeomOp { rects: moved });
@@ -550,10 +538,9 @@ impl CoherenceEngine for RayCast {
     fn prepare(&mut self, launch: &TaskLaunch, ctx: &ShardCtx<'_>) -> Vec<(ShardKey, Vec<u32>)> {
         let groups = group_reqs_by_shard(launch, ctx.forest);
         for (key, _) in &groups {
-            let force_kd = self.force_kd;
-            let intern = self.intern;
+            let (force_kd, geometry) = (self.force_kd, &mut self.geometry);
             self.shards.get_or_insert_with(*key, || {
-                Self::init_state(ctx.forest, key.0, force_kd, intern)
+                Self::init_state(ctx.forest, key.0, force_kd, geometry.get(key.0))
             });
         }
         groups
@@ -571,6 +558,12 @@ impl CoherenceEngine for RayCast {
         // Split the ShardRef borrow once so disjoint fields (index vs memo
         // vs sets) can be borrowed independently below.
         let state: &mut FieldState = &mut shard;
+        // The root's geometry, locked once for the whole shard batch (the
+        // `Arc` is cloned because `FieldState` methods borrow all of
+        // `state`).
+        let geometry = Arc::clone(&state.geometry);
+        let mut guard = RootGeometry::lock(&geometry);
+        let geom: &mut RootGeometry = &mut guard;
         let mut outcomes: Vec<ReqOutcome> = Vec::with_capacity(reqs.len());
         // The shard's reusable buffers, moved out for the duration of the
         // call (the `FieldState` methods below borrow the whole state) and
@@ -601,10 +594,17 @@ impl CoherenceEngine for RayCast {
                 ..ReqOutcome::default()
             };
             let target = ctx.forest.domain(req.region);
-            let target_id = state.region_space(ctx.forest, req.region);
+            let target_id = geom.region(ctx.forest, req.region);
             if !self.force_kd {
                 let home = Self::home_partition(ctx.forest, req.region);
-                Self::maybe_shift(state, ctx.forest, home, &mut out.scan_log, origin);
+                Self::maybe_shift(
+                    state,
+                    &geom.alg,
+                    ctx.forest,
+                    home,
+                    &mut out.scan_log,
+                    origin,
+                );
             }
 
             // ---- Ray casting: find the candidate sets through the index.
@@ -686,13 +686,13 @@ impl CoherenceEngine for RayCast {
                 }
                 tests += 1;
                 let dom = state.sets[c as usize].domain;
-                if !state.alg.overlaps(dom, target_id) {
+                if !geom.alg.overlaps(dom, target_id) {
                     continue;
                 }
                 // The Warnock refine — ray casting still refines on partial
                 // overlaps: c's inside/outside halves, nothing outside when
                 // the target contains it.
-                let (inside, outside) = state.alg.split(dom, target_id);
+                let (inside, outside) = geom.alg.split(dom, target_id);
                 if outside == SpaceId::EMPTY {
                     relevant.push(c);
                     continue;
@@ -709,7 +709,7 @@ impl CoherenceEngine for RayCast {
                 let inside_id = state.new_set(inside, hist.clone(), launch.node);
                 let outside_id = state.new_set(outside, hist, old_owner);
                 state.sets[c as usize].replaced_by = Some([inside_id, outside_id]);
-                state.index_insert(&[inside_id, outside_id]);
+                state.index_insert(&[inside_id, outside_id], &geom.alg);
                 for op in [
                     Op::EqSetRefine,
                     Op::EqSetCreate,
@@ -763,7 +763,7 @@ impl CoherenceEngine for RayCast {
                 scan_eq_history(
                     &s.hist,
                     s.domain,
-                    &state.alg,
+                    &geom.alg,
                     req.privilege,
                     &mut deps,
                     &mut plan,
@@ -784,7 +784,7 @@ impl CoherenceEngine for RayCast {
             for _ in &deps {
                 out.scan_log.op(origin, Op::DepRecord);
             }
-            plan.copies = fold_copies(&mut state.alg, copies, fold_ids);
+            plan.copies = fold_copies(&mut geom.alg, copies, fold_ids);
             out.deps = deps;
             out.plan = plan;
 
@@ -818,9 +818,9 @@ impl CoherenceEngine for RayCast {
                         // single largest per-launch term at weak scale.
                         let kids = ctx.forest.children(partition);
                         for a in req_anchors.iter() {
-                            let adom = state.region_space(ctx.forest, kids[*a as usize]);
-                            let piece = state.alg.intersect(target_id, adom);
-                            if !state.alg.is_empty_space(piece) {
+                            let adom = geom.region(ctx.forest, kids[*a as usize]);
+                            let piece = geom.alg.intersect(target_id, adom);
+                            if !geom.alg.is_empty_space(piece) {
                                 pieces.push(piece);
                             }
                         }
@@ -843,7 +843,7 @@ impl CoherenceEngine for RayCast {
                 viz_profile::instant(viz_profile::EventKind::EqSetCreated {
                     count: new_ids.len() as u64,
                 });
-                state.index_insert(new_ids);
+                state.index_insert(new_ids, &geom.alg);
                 state.index_remove_dead(relevant);
             } else {
                 commit_ids.extend_from_slice(relevant);
@@ -886,15 +886,8 @@ impl CoherenceEngine for RayCast {
             }
         }
         state.scratch = scratch;
-        state.recycle();
-        let delta = state.alg.stats().delta_since(&state.last_stats);
-        if delta.hits + delta.fast_hits + delta.misses > 0 {
-            viz_profile::instant(viz_profile::EventKind::AlgebraCache {
-                hits: delta.hits + delta.fast_hits,
-                misses: delta.misses,
-            });
-        }
-        state.last_stats = state.alg.stats();
+        state.recycle(&geom.alg);
+        geom.report_stats();
         if let SetIndex::Kd { tree } = &state.index {
             let (refits, rebuilds) = (tree.refits(), tree.rebuilds());
             let (dr, db) = (refits - state.last_refits, rebuilds - state.last_rebuilds);
@@ -921,14 +914,10 @@ impl CoherenceEngine for RayCast {
             size.memo_entries += s.anchor_memo.values().map(Vec::len).sum::<usize>();
             // (A freed slot's history is empty.)
             size.history_entries += s.sets.iter().map(|set| set.hist.len()).sum::<usize>();
-            let a = s.alg.stats();
-            size.interned_spaces += a.interned;
-            size.algebra_cache_entries += a.cache_entries;
-            size.algebra_hits += a.hits + a.fast_hits;
-            size.algebra_misses += a.misses;
             size.candidates_visited += s.candidates_visited;
             size.sets_swept += s.sets_swept;
         }
+        self.geometry.add_stats(&mut size);
         size
     }
 }
@@ -942,8 +931,8 @@ impl FieldState {
     /// membership identical to a linear sweep of `anchor_bboxes` — and the
     /// list is shared with the set so its eventual removal touches only
     /// those buckets.
-    fn index_insert(&mut self, new_ids: &[u32]) {
-        let (sets, alg) = (&mut self.sets, &self.alg);
+    fn index_insert(&mut self, new_ids: &[u32], alg: &SpaceAlgebra) {
+        let sets = &mut self.sets;
         match &mut self.index {
             SetIndex::Anchored {
                 buckets,
@@ -1111,8 +1100,11 @@ mod tests {
             self.analyze(&launch)
         }
 
+        /// The shard of the fixture's current field.
         fn shard(&mut self) -> &mut FieldState {
-            self.eng.shards.iter_mut().next().expect("a launch ran").1
+            let field = self.field;
+            let mut shards = self.eng.shards.iter_mut();
+            shards.find(|(k, _)| k.1 == field).expect("a launch ran").1
         }
     }
 
@@ -1208,6 +1200,52 @@ mod tests {
         }
         assert!(old.shard().next_born < 64, "the stamps restarted");
         assert_eq!(old.shard().sets.len(), fresh.shard().sets.len());
+    }
+
+    /// The geometry is the root's: a second field of `N` running the same
+    /// ghost/write loop as `up` sweeps no pair and interns no space, and
+    /// each field's results are those of a fresh single-field engine.
+    #[test]
+    fn second_field_of_a_root_is_free() {
+        let (mut fx, n, p, g) = paper_fixture();
+        let dn = fx.forest.add_field(n, "dn");
+        let mut geometry = Vec::new();
+        for field in [fx.field, dn] {
+            fx.field = field;
+            let (mut alone, mut machine) = (RayCast::new(), Machine::new(1));
+            for _ in 0..3 {
+                for launch in iteration(&mut fx, p, g) {
+                    let expect = alone.analyze(&launch, &mut fx.ctx(&mut machine));
+                    assert_eq!(fx.analyze(&launch), expect);
+                }
+            }
+            let size = fx.eng.state_size();
+            geometry.push((size.algebra_misses, size.interned_spaces));
+        }
+        assert!(geometry[0].0 > 0, "the loop never reached the memo");
+        assert_eq!(
+            geometry[0], geometry[1],
+            "(misses, interned) after each field"
+        );
+    }
+
+    /// `state_size` — and so `Runtime::stats()` — reads through a root
+    /// lock that a panicking scan poisoned.
+    #[test]
+    fn state_size_reads_through_a_poisoned_root_lock() {
+        let (mut fx, _n, p, g) = paper_fixture();
+        for launch in iteration(&mut fx, p, g) {
+            fx.analyze(&launch);
+        }
+        let before = fx.eng.state_size();
+        let geometry = Arc::clone(&fx.shard().geometry);
+        let poisoner = std::thread::spawn(move || {
+            let _guard = geometry.lock();
+            panic!("a scan panics holding its root's geometry");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(fx.shard().geometry.is_poisoned());
+        assert_eq!(fx.eng.state_size(), before);
     }
 
     #[test]

@@ -24,17 +24,19 @@
 //! from the root, whose authority lives on node 0.
 //!
 //! The whole refinement tree for one `(root, field)` — including its memo
-//! and replication cache — is one shard; nothing an analysis does ever
-//! crosses shards.
+//! and replication cache — is one shard. Its geometry is the root's: every
+//! field tree of a root splits against one shared `RootGeometry`, so a
+//! second field refining the same way sweeps nothing.
 
-use crate::analysis::{group_reqs_by_shard, ChargeSet, ReqOutcome, ShardKey, ShardedState};
+use crate::analysis::{
+    group_reqs_by_shard, ChargeSet, ReqOutcome, RootGeometries, RootGeometry, ShardKey,
+    ShardedState, SharedGeometry,
+};
 use crate::engine::{CoherenceEngine, ShardCtx, StateSize};
 use crate::plan::{CopyRange, MaterializePlan, ReduceRange, Source};
 use crate::task::{TaskId, TaskLaunch};
-use viz_geometry::{
-    AlgebraStats, FxHashMap, FxHashSet, IndexSpace, InternConfig, SpaceAlgebra, SpaceId,
-};
-use viz_region::{Privilege, RegionId};
+use viz_geometry::{FxHashMap, FxHashSet, InternConfig, SpaceAlgebra, SpaceId};
+use viz_region::{Privilege, RegionForest, RegionId};
 use viz_sim::{NodeId, Op};
 
 /// One operation recorded in an equivalence set's history. The domain is
@@ -132,7 +134,7 @@ pub(crate) fn fold_copies(
 
 /// A node in the refinement tree: an equivalence set that is either live
 /// (leaf, holds a history) or refined (inner, holds its two halves). The
-/// domain is an interned handle into the shard's [`SpaceAlgebra`] — sibling
+/// domain is an interned handle into the root's [`SpaceAlgebra`] — sibling
 /// sets produced by the same partition share storage, and the overlap /
 /// containment tests the traversal runs against it are memoized.
 struct EqNode {
@@ -157,21 +159,15 @@ struct FieldTree {
     live_leaves: usize,
     /// Inner tree nodes already replicated at a given machine node.
     replicated: FxHashSet<(u32, NodeId)>,
-    /// Per-shard interner + memoized set algebra for every domain the tree
-    /// touches (set domains, refinement splits, traversal predicates).
-    alg: SpaceAlgebra,
-    /// Interned handle per named target region, so steady-state launches
-    /// skip re-hashing the region's domain.
-    target_ids: FxHashMap<RegionId, SpaceId>,
-    /// Algebra counters at the last profile report (deltas are emitted per
-    /// `analyze_shard`).
-    last_stats: AlgebraStats,
+    /// The root's interner, set-algebra memo and region ids, for every
+    /// domain the tree touches (set domains, refinement splits, traversal
+    /// predicates) — shared with every other field tree of the root.
+    geometry: SharedGeometry,
 }
 
 impl FieldTree {
-    fn new(domain: &IndexSpace, intern: InternConfig) -> Self {
-        let mut alg = SpaceAlgebra::new(intern);
-        let root_domain = alg.intern(domain);
+    fn new(forest: &RegionForest, root: RegionId, geometry: SharedGeometry) -> Self {
+        let root_domain = RootGeometry::lock(&geometry).region(forest, root);
         FieldTree {
             nodes: vec![EqNode {
                 domain: root_domain,
@@ -182,9 +178,7 @@ impl FieldTree {
             memo: FxHashMap::default(),
             live_leaves: 1,
             replicated: FxHashSet::default(),
-            alg,
-            target_ids: FxHashMap::default(),
-            last_stats: AlgebraStats::default(),
+            geometry,
         }
     }
 }
@@ -192,8 +186,8 @@ impl FieldTree {
 /// Warnock's algorithm ("Warnock" / `oldeqcr` in the figures).
 pub struct Warnock {
     shards: ShardedState<FieldTree>,
+    geometry: RootGeometries,
     memoize: bool,
-    intern: InternConfig,
 }
 
 impl Warnock {
@@ -205,8 +199,8 @@ impl Warnock {
     pub fn with_intern(intern: InternConfig) -> Self {
         Warnock {
             shards: ShardedState::new(),
+            geometry: RootGeometries::new(intern),
             memoize: true,
-            intern,
         }
     }
 
@@ -234,8 +228,9 @@ impl CoherenceEngine for Warnock {
     fn prepare(&mut self, launch: &TaskLaunch, ctx: &ShardCtx<'_>) -> Vec<(ShardKey, Vec<u32>)> {
         let groups = group_reqs_by_shard(launch, ctx.forest);
         for (key, _) in &groups {
+            let geometry = &mut self.geometry;
             self.shards.get_or_insert_with(*key, || {
-                FieldTree::new(ctx.forest.domain(key.0), self.intern)
+                FieldTree::new(ctx.forest, key.0, geometry.get(key.0))
             });
         }
         groups
@@ -249,7 +244,11 @@ impl CoherenceEngine for Warnock {
         ctx: &ShardCtx<'_>,
     ) -> Vec<ReqOutcome> {
         let origin = ctx.shards.origin(launch.node);
-        let mut tree = self.shards.lock(key);
+        let mut shard = self.shards.lock(key);
+        let tree: &mut FieldTree = &mut shard;
+        // The root's geometry, locked once for the whole shard batch.
+        let mut guard = RootGeometry::lock(&tree.geometry);
+        let geom: &mut RootGeometry = &mut guard;
         let mut outcomes: Vec<ReqOutcome> = Vec::with_capacity(reqs.len());
         let mut commits: Vec<(Vec<u32>, EqEntry)> = Vec::with_capacity(reqs.len());
         // One charge batch, flushed (and so emptied) twice per requirement:
@@ -262,14 +261,7 @@ impl CoherenceEngine for Warnock {
                 req: ri,
                 ..ReqOutcome::default()
             };
-            let target = match tree.target_ids.get(&req.region) {
-                Some(&id) => id,
-                None => {
-                    let id = tree.alg.intern(ctx.forest.domain(req.region));
-                    tree.target_ids.insert(req.region, id);
-                    id
-                }
-            };
+            let target = geom.region(ctx.forest, req.region);
 
             // ---- Discovery: find the starting nodes (memo hit) or
             // traverse from the tree root (memo miss).
@@ -289,8 +281,8 @@ impl CoherenceEngine for Warnock {
             while let Some(n) = stack.pop() {
                 traversal_tests += 1;
                 let dom = tree.nodes[n as usize].domain;
-                let rects = tree.alg.space(dom).rect_count();
-                let overlap = tree.alg.overlaps(dom, target);
+                let rects = geom.alg.space(dom).rect_count();
+                let overlap = geom.alg.overlaps(dom, target);
                 // Each traversal step tests the target against this node's
                 // (possibly heavily fragmented) domain.
                 out.scan_log.op(
@@ -317,7 +309,7 @@ impl CoherenceEngine for Warnock {
                 }
                 // Leaf: contained (nothing of it outside the target) or
                 // straddling?
-                let (inside, outside) = tree.alg.split(dom, target);
+                let (inside, outside) = geom.alg.split(dom, target);
                 if outside == SpaceId::EMPTY {
                     relevant.push(n);
                     continue;
@@ -414,7 +406,7 @@ impl CoherenceEngine for Warnock {
                 scan_eq_history(
                     hist,
                     node.domain,
-                    &tree.alg,
+                    &geom.alg,
                     req.privilege,
                     &mut deps,
                     &mut plan,
@@ -436,7 +428,7 @@ impl CoherenceEngine for Warnock {
             for _ in &deps {
                 out.scan_log.op(origin, Op::DepRecord);
             }
-            plan.copies = fold_copies(&mut tree.alg, &mut copies, &mut Vec::new());
+            plan.copies = fold_copies(&mut geom.alg, &mut copies, &mut Vec::new());
             out.deps = deps;
             out.plan = plan;
             outcomes.push(out);
@@ -484,15 +476,7 @@ impl CoherenceEngine for Warnock {
                 }
             }
         }
-        let stats = tree.alg.stats();
-        let delta = stats.delta_since(&tree.last_stats);
-        if delta.hits + delta.misses + delta.fast_hits > 0 {
-            viz_profile::instant(viz_profile::EventKind::AlgebraCache {
-                hits: delta.hits + delta.fast_hits,
-                misses: delta.misses,
-            });
-        }
-        tree.last_stats = stats;
+        geom.report_stats();
         outcomes
     }
 
@@ -510,12 +494,8 @@ impl CoherenceEngine for Warnock {
                     size.history_entries += hist.len();
                 }
             }
-            let s = t.alg.stats();
-            size.interned_spaces += s.interned;
-            size.algebra_cache_entries += s.cache_entries;
-            size.algebra_hits += s.hits + s.fast_hits;
-            size.algebra_misses += s.misses;
         }
+        self.geometry.add_stats(&mut size);
         size
     }
 }
@@ -527,7 +507,8 @@ mod tests {
     use crate::plan::AnalysisResult;
     use crate::sharding::ShardMap;
     use crate::task::RegionRequirement;
-    use viz_region::{FieldId, RedOpRegistry, RegionForest};
+    use viz_geometry::IndexSpace;
+    use viz_region::{FieldId, RedOpRegistry};
     use viz_sim::Machine;
 
     struct Fixture {
@@ -558,23 +539,63 @@ mod tests {
     }
 
     impl Fixture {
-        fn launch(&mut self, region: RegionId, privilege: Privilege) -> AnalysisResult {
+        fn next_launch(&mut self, region: RegionId, privilege: Privilege) -> TaskLaunch {
             let id = self.next;
             self.next += 1;
-            let launch = TaskLaunch {
+            TaskLaunch {
                 id: TaskId(id),
                 name: format!("t{id}"),
                 node: 0,
                 reqs: vec![RegionRequirement::new(region, self.field, privilege)],
                 duration_ns: 0,
-            };
+            }
+        }
+
+        /// This fixture's forest with another engine's `machine`.
+        fn ctx<'a>(&'a self, machine: &'a mut Machine) -> AnalysisCtx<'a> {
+            AnalysisCtx {
+                forest: &self.forest,
+                machine,
+                shards: &self.shards,
+            }
+        }
+
+        fn analyze(&mut self, launch: &TaskLaunch) -> AnalysisResult {
             let mut ctx = AnalysisCtx {
                 forest: &self.forest,
                 machine: &mut self.machine,
                 shards: &self.shards,
             };
-            self.eng.analyze(&launch, &mut ctx)
+            self.eng.analyze(launch, &mut ctx)
         }
+
+        fn launch(&mut self, region: RegionId, privilege: Privilege) -> AnalysisResult {
+            let launch = self.next_launch(region, privilege);
+            self.analyze(&launch)
+        }
+    }
+
+    /// The paper's running example (Fig 1): pieces `P` and ghosts `G` of
+    /// `N = [0, 29]`.
+    fn paper_partitions(f: &mut RegionForest, n: RegionId) {
+        f.create_partition(
+            n,
+            "P",
+            vec![
+                IndexSpace::span(0, 9),
+                IndexSpace::span(10, 19),
+                IndexSpace::span(20, 29),
+            ],
+        );
+        f.create_partition(
+            n,
+            "G",
+            vec![
+                IndexSpace::from_points([10, 11, 20].map(viz_geometry::Point::p1)),
+                IndexSpace::from_points([8, 9, 20, 21].map(viz_geometry::Point::p1)),
+                IndexSpace::from_points([9, 18, 19].map(viz_geometry::Point::p1)),
+            ],
+        );
     }
 
     /// Fig 10's refinement cascade: the primary pieces refine the root into
@@ -582,26 +603,7 @@ mod tests {
     /// no new sets.
     #[test]
     fn fig10_refinement_then_steady_state() {
-        let (mut fx, n) = fixture_with(|f, n| {
-            f.create_partition(
-                n,
-                "P",
-                vec![
-                    IndexSpace::span(0, 9),
-                    IndexSpace::span(10, 19),
-                    IndexSpace::span(20, 29),
-                ],
-            );
-            f.create_partition(
-                n,
-                "G",
-                vec![
-                    IndexSpace::from_points([10, 11, 20].map(viz_geometry::Point::p1)),
-                    IndexSpace::from_points([8, 9, 20, 21].map(viz_geometry::Point::p1)),
-                    IndexSpace::from_points([9, 18, 19].map(viz_geometry::Point::p1)),
-                ],
-            );
-        });
+        let (mut fx, n) = fixture_with(paper_partitions);
         let p = fx.forest.partitions_of(n)[0];
         let g = fx.forest.partitions_of(n)[1];
         let sum = Privilege::Reduce(RedOpRegistry::SUM);
@@ -638,26 +640,7 @@ mod tests {
 
     #[test]
     fn dependences_match_paper_example() {
-        let (mut fx, n) = fixture_with(|f, n| {
-            f.create_partition(
-                n,
-                "P",
-                vec![
-                    IndexSpace::span(0, 9),
-                    IndexSpace::span(10, 19),
-                    IndexSpace::span(20, 29),
-                ],
-            );
-            f.create_partition(
-                n,
-                "G",
-                vec![
-                    IndexSpace::from_points([10, 11, 20].map(viz_geometry::Point::p1)),
-                    IndexSpace::from_points([8, 9, 20, 21].map(viz_geometry::Point::p1)),
-                    IndexSpace::from_points([9, 18, 19].map(viz_geometry::Point::p1)),
-                ],
-            );
-        });
+        let (mut fx, n) = fixture_with(paper_partitions);
         let p = fx.forest.partitions_of(n)[0];
         let g = fx.forest.partitions_of(n)[1];
         let sum = Privilege::Reduce(RedOpRegistry::SUM);
@@ -674,6 +657,38 @@ mod tests {
         // overlapping P[0] (t4 on 8,9 and t5 on 9) plus its old write t0.
         let r6 = fx.launch(fx.forest.subregion(p, 0), Privilege::ReadWrite);
         assert_eq!(r6.deps, vec![TaskId(0), TaskId(4), TaskId(5)]);
+    }
+
+    /// The geometry is the root's: a second field of `N` running the same
+    /// ghost/write loop as `up` sweeps no pair and interns no space, and
+    /// each field's results are those of a fresh single-field engine.
+    #[test]
+    fn second_field_of_a_root_is_free() {
+        let (mut fx, n) = fixture_with(paper_partitions);
+        let (p, g) = (fx.forest.partitions_of(n)[0], fx.forest.partitions_of(n)[1]);
+        let dn = fx.forest.add_field(n, "dn");
+        let sum = Privilege::Reduce(RedOpRegistry::SUM);
+        let mut geometry = Vec::new();
+        for field in [fx.field, dn] {
+            fx.field = field;
+            let (mut alone, mut machine) = (Warnock::new(), Machine::new(1));
+            for _ in 0..3 {
+                for (part, privilege) in [(p, Privilege::ReadWrite), (g, sum)] {
+                    for i in 0..3 {
+                        let launch = fx.next_launch(fx.forest.subregion(part, i), privilege);
+                        let expect = alone.analyze(&launch, &mut fx.ctx(&mut machine));
+                        assert_eq!(fx.analyze(&launch), expect);
+                    }
+                }
+            }
+            let size = fx.eng.state_size();
+            geometry.push((size.algebra_misses, size.interned_spaces));
+        }
+        assert!(geometry[0].0 > 0, "the loop never reached the memo");
+        assert_eq!(
+            geometry[0], geometry[1],
+            "(misses, interned) after each field"
+        );
     }
 
     #[test]

@@ -192,13 +192,15 @@ pub struct StateSize {
     /// Entries across the engine's memoization tables (constituent-set and
     /// overlapping-anchor caches).
     pub memo_entries: usize,
-    /// Distinct index spaces interned across the engine's shards.
+    /// Distinct index spaces interned across the engine's algebras: one per
+    /// root region for RayCast and Warnock (every field of a root shares
+    /// it), one per shard for the painters.
     pub interned_spaces: usize,
-    /// Entries currently held in the shards' algebra caches.
+    /// Entries currently held in those algebras' caches.
     pub algebra_cache_entries: usize,
-    /// Cumulative algebra-cache hits across the shards.
+    /// Cumulative algebra-cache hits across those algebras.
     pub algebra_hits: u64,
-    /// Cumulative algebra-cache misses across the shards.
+    /// Cumulative algebra-cache misses across those algebras.
     pub algebra_misses: u64,
     /// Cumulative candidate set ids the spatial indexes handed to the
     /// backward scans (post-dedup), across every requirement analyzed.
@@ -209,6 +211,16 @@ pub struct StateSize {
     /// weak-scale flatness signal: tracks what launches *see*, not how
     /// many sets are alive.
     pub sets_swept: u64,
+}
+
+impl StateSize {
+    /// Add one algebra's counters to the roll-up.
+    pub(crate) fn add_algebra(&mut self, a: viz_geometry::AlgebraStats) {
+        self.interned_spaces += a.interned;
+        self.algebra_cache_entries += a.cache_entries;
+        self.algebra_hits += a.hits + a.fast_hits;
+        self.algebra_misses += a.misses;
+    }
 }
 
 /// The four engines of this reproduction. `Paint`, `Warnock` and `RayCast`

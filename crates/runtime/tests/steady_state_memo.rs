@@ -3,10 +3,10 @@
 //! way, so after the first iterations nothing about a launch is new. For
 //! the set algebra that means a steady iteration sweeps no rectangle list
 //! and interns no space — every refine, overlap test and plan fold is a
-//! memo hit on ids the shard already holds.
+//! memo hit on ids the root's geometry already holds.
 //!
 //! The circuit's working set (512 pieces × a dozen-plus distinct operand
-//! pairs per piece per shard) is several times what the old 4096-entry
+//! pairs per piece per root) is several times what the old 4096-entry
 //! segmented-LRU memo could hold, and it is accessed cyclically — the LRU
 //! worst case: at that capacity every iteration re-swept nearly all of it.
 
@@ -42,7 +42,7 @@ fn steady_iteration_sweeps_nothing_and_interns_nothing() {
     );
     assert_eq!(
         fourth.interned_spaces, third.interned_spaces,
-        "iteration 4 interned spaces the shards did not already hold"
+        "iteration 4 interned spaces the roots did not already hold"
     );
     assert!(fourth.algebra_hits > third.algebra_hits);
 }
@@ -50,11 +50,15 @@ fn steady_iteration_sweeps_nothing_and_interns_nothing() {
 /// The cold path as a count: first touch sweeps a candidate pair at most
 /// twice — one early-exit `overlaps`, and one `split` for both halves and
 /// the containment answer — and pairs whose target is one rect covering the
-/// set's box reach no sweep at all. On this circuit that is 3 062 `overlaps`
-/// sweeps, 2 974 `split` sweeps and 1 999 first-touch plan folds. Four
-/// sweeps per straddler (`overlaps`, `contains`, `intersect`, `subtract`)
-/// read 12 077; `split` without its covering-rect fast path reads 13 983.
+/// set's box reach no sweep at all. And a pair is swept once per *root*, not
+/// once per field: the `voltage` and `charge` shards of `nodes` split the
+/// same ghost spaces against the same pieces through one shared memo. On
+/// this circuit that is 1 531 `overlaps` sweeps, 1 487 `split` sweeps and
+/// 1 487 first-touch plan folds. One memo per `(root, field)` shard read
+/// 3 062 + 2 974 + 1 999 = 8 035; four sweeps per straddler (`overlaps`,
+/// `contains`, `intersect`, `subtract`) read 12 077; `split` without its
+/// covering-rect fast path reads 13 983.
 #[test]
 fn first_iteration_sweeps_each_pair_once() {
-    assert_eq!(state_after(1).algebra_misses, 3062 + 2974 + 1999);
+    assert_eq!(state_after(1).algebra_misses, 1531 + 1487 + 1487);
 }
