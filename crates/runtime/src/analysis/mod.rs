@@ -155,11 +155,6 @@ pub fn group_reqs_by_shard(
 /// data race.
 struct ShardCell<S> {
     busy: AtomicBool,
-    /// Set on every [`ShardedState::lock`] (and at creation), cleared when
-    /// a GC sweep visits the shard — the sweep can then skip shards no
-    /// launch has touched since it last ran, instead of walking every
-    /// `(root, field)` in the engine.
-    dirty: AtomicBool,
     state: UnsafeCell<S>,
 }
 
@@ -202,23 +197,12 @@ impl<S> Drop for ShardRef<'_, S> {
 /// shard at a time.
 pub struct ShardedState<S> {
     shards: FxHashMap<ShardKey, Box<ShardCell<S>>>,
-    /// Sweep generation counter: every `FULL_SWEEP_PERIOD`-th
-    /// [`ShardedState::sweep_mut`] call visits all shards regardless of
-    /// dirtiness.
-    sweeps: u32,
 }
-
-/// Sweeps between forced full passes when dirty-only scanning is enabled:
-/// even a shard never locked again is revisited periodically, so
-/// watermark-dependent retirement cannot be deferred indefinitely on idle
-/// shards.
-pub const FULL_SWEEP_PERIOD: u32 = 16;
 
 impl<S> Default for ShardedState<S> {
     fn default() -> Self {
         ShardedState {
             shards: FxHashMap::default(),
-            sweeps: 0,
         }
     }
 }
@@ -241,7 +225,6 @@ impl<S> ShardedState<S> {
         let cell = self.shards.entry(key).or_insert_with(|| {
             Box::new(ShardCell {
                 busy: AtomicBool::new(false),
-                dirty: AtomicBool::new(true),
                 state: UnsafeCell::new(f()),
             })
         });
@@ -258,8 +241,6 @@ impl<S> ShardedState<S> {
             .unwrap_or_else(|| panic!("shard {key:?} was not created during prepare"));
         let was_busy = cell.busy.swap(true, Ordering::Acquire);
         assert!(!was_busy, "shard {key:?} scanned by two workers at once");
-        // A locked shard may be mutated: mark it for the next GC sweep.
-        cell.dirty.store(true, Ordering::Release);
         ShardRef { cell }
     }
 
@@ -269,22 +250,6 @@ impl<S> ShardedState<S> {
         self.shards
             .iter_mut()
             .map(|(k, cell)| (k, cell.state.get_mut()))
-    }
-
-    /// Iterate shard states for a GC sweep. With `dirty_only`, only shards
-    /// locked (i.e. scanned, and so possibly mutated) since the previous
-    /// sweep are yielded — plus every shard on each
-    /// [`FULL_SWEEP_PERIOD`]-th call, so sweeps whose reclaimable state
-    /// depends on an advancing watermark still drain idle shards
-    /// eventually. Visited shards' dirty flags are cleared; `&mut self`
-    /// guarantees no worker holds a shard.
-    pub fn sweep_mut(&mut self, dirty_only: bool) -> impl Iterator<Item = (&ShardKey, &mut S)> {
-        self.sweeps = self.sweeps.wrapping_add(1);
-        let full = !dirty_only || self.sweeps.is_multiple_of(FULL_SWEEP_PERIOD);
-        self.shards.iter_mut().filter_map(move |(k, cell)| {
-            let was_dirty = cell.dirty.swap(false, Ordering::Acquire);
-            (full || was_dirty).then(move || (k, cell.state.get_mut()))
-        })
     }
 
     /// Iterate shard states for instrumentation. Requires quiescence: panics

@@ -37,7 +37,6 @@ pub struct PaintNaive {
     shards: ShardedState<NaiveShard>,
     prune_occluded: bool,
     intern: InternConfig,
-    dirty_only: bool,
 }
 
 impl PaintNaive {
@@ -51,7 +50,6 @@ impl PaintNaive {
             shards: ShardedState::new(),
             prune_occluded: true,
             intern,
-            dirty_only: true,
         }
     }
 
@@ -190,7 +188,7 @@ impl CoherenceEngine for PaintNaive {
         // the covering writes, §3.2) — so dropping it is observationally
         // identical, independent of the watermark.
         let mut sweep = GcSweep::default();
-        for (_, s) in self.shards.sweep_mut(self.dirty_only) {
+        for (_, s) in self.shards.iter_mut() {
             if !self.prune_occluded {
                 continue; // literal Fig 7 mode: the history only grows
             }

@@ -128,13 +128,6 @@ pub struct RuntimeConfig {
     /// [`crate::Runtime::timed_schedule`]) panic once anything has retired —
     /// GC mode is for analysis streaming, not value execution.
     pub gc: GcConfig,
-    /// Dirty-shard scanning: GC sweeps visit only the (root, field) shards
-    /// touched since the last sweep, with a full sweep every
-    /// [`crate::analysis::FULL_SWEEP_PERIOD`]-th collection as the
-    /// watermark-retirement backstop. Behavior-preserving (the differential
-    /// suite pins dirty-on == dirty-off, with `false` as its reference); on
-    /// by default.
-    pub dirty_shards: bool,
 }
 
 const DEFAULT_PIPELINE_DEPTH: usize = 256;
@@ -165,7 +158,6 @@ impl RuntimeConfig {
             intern: viz_geometry::InternConfig::default(),
             record_history: false,
             gc: GcConfig::default(),
-            dirty_shards: true,
         }
     }
 
@@ -252,12 +244,6 @@ impl RuntimeConfig {
     /// window readers may still address.
     pub fn gc_retain(mut self, n: u32) -> Self {
         self.gc.retain = n;
-        self
-    }
-
-    /// Toggle dirty-shard scanning for GC sweeps (on by default).
-    pub fn dirty_shards(mut self, on: bool) -> Self {
-        self.dirty_shards = on;
         self
     }
 }

@@ -108,15 +108,6 @@ pub trait CoherenceEngine: Send + Sync {
     fn collect(&mut self, _floor: crate::task::TaskId) -> GcSweep {
         GcSweep::default()
     }
-
-    /// Enable dirty-shard GC sweeps: [`collect`](CoherenceEngine::collect)
-    /// visits only the `(root, field)` shards scanned since the previous
-    /// sweep (plus a periodic full pass — see
-    /// [`crate::analysis::FULL_SWEEP_PERIOD`]) instead of walking every
-    /// shard in the engine. On by default; behavior-preserving either way —
-    /// an untouched shard has accumulated nothing new for a
-    /// reachability-based sweep to reclaim.
-    fn set_dirty_tracking(&mut self, _on: bool) {}
 }
 
 /// What one [`CoherenceEngine::collect`] sweep reclaimed (counts of

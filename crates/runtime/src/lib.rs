@@ -23,9 +23,6 @@
 //! | Warnock's algorithm (equivalence sets) | §6 | [`analysis::warnock`] |
 //! | Ray casting (dominating writes) | §7 | [`analysis::raycast`] |
 //!
-//! The [`spec`] module implements the paper's pseudocode *literally* at the
-//! value level (Figs 7, 9, 11) and serves as the executable test oracle.
-//!
 //! Execution is deferred, Legion-style: [`Runtime::submit`] performs the
 //! dynamic analysis immediately; [`Runtime::execute_values`] later runs task bodies
 //! in parallel (worker threads, honoring the dependence DAG), and
@@ -49,7 +46,6 @@ pub mod record;
 pub(crate) mod ring;
 pub mod runtime;
 pub mod sharding;
-pub mod spec;
 pub mod stats;
 pub mod task;
 pub mod trace;

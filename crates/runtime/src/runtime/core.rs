@@ -137,10 +137,8 @@ impl Book {
 
 impl Core {
     pub(super) fn new(config: &RuntimeConfig) -> Self {
-        let mut engine = config.engine.build_with(config.intern);
-        engine.set_dirty_tracking(config.dirty_shards);
         Core {
-            engine,
+            engine: config.engine.build_with(config.intern),
             machine: Machine::with_cost(config.nodes, config.cost.clone()),
             shards: ShardMap::new(config.nodes, config.dcr),
             book: Book {

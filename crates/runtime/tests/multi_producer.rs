@@ -11,9 +11,10 @@
 //! recycling, typed ring exhaustion, and the combining metrics.
 
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use viz_geometry::Point;
 use viz_region::{FieldId, Privilege, RedOpRegistry, RegionId};
+use viz_runtime::analysis::paint_naive::PaintNaive;
 use viz_runtime::{
     EngineKind, LaunchSpec, PhysicalRegion, RegionRequirement, Runtime, RuntimeConfig,
     RuntimeError, TaskId,
@@ -350,12 +351,15 @@ fn ring_slots_recycle_and_exhaustion_is_typed() {
 /// per-ring metrics decompose the global counters exactly.
 #[test]
 fn combining_dispatcher_merges_concurrent_streams() {
-    let mut rt = Runtime::new(
+    // The literal Fig 7 painter: no occlusion pruning, so every launch
+    // scans the whole history.
+    let mut rt = Runtime::with_engine(
         RuntimeConfig::new(EngineKind::PaintNaive)
             .nodes(2)
             .pipeline(true)
             .pipeline_depth(4)
             .submit_rings(3),
+        Box::new(PaintNaive::without_pruning()),
     );
     let (root_a, field_a, _) = setup_tenant(&mut rt, 0);
     let (root_b, field_b, _) = setup_tenant(&mut rt, 1);
@@ -363,9 +367,12 @@ fn combining_dispatcher_merges_concurrent_streams() {
     const COUNT: usize = 120;
     let mut ca = rt.new_context().unwrap();
     let mut cb = rt.new_context().unwrap();
+    let start = Barrier::new(2);
     std::thread::scope(|s| {
         for (ctx, root, field) in [(&mut ca, root_a, field_a), (&mut cb, root_b, field_b)] {
+            let start = &start;
             s.spawn(move || {
+                start.wait();
                 for i in 0..COUNT {
                     // Full-root read-writes: the serial history scan grows
                     // quadratically, so the dispatcher falls behind and
