@@ -295,10 +295,6 @@ impl SpaceAlgebra {
         }
     }
 
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Intern a space (see [`SpaceInterner::intern`]).
     #[inline]
     pub fn intern(&mut self, space: &IndexSpace) -> SpaceId {
@@ -627,32 +623,6 @@ impl SpaceAlgebra {
         }
         let (a, b) = (self.intern(a), self.intern(b));
         self.contains(a, b)
-    }
-
-    pub fn overlaps_spaces(&mut self, a: &IndexSpace, b: &IndexSpace) -> bool {
-        if !self.enabled {
-            return a.overlaps(b);
-        }
-        let (a, b) = (self.intern(a), self.intern(b));
-        self.overlaps(a, b)
-    }
-
-    pub fn intersect_spaces(&mut self, a: &IndexSpace, b: &IndexSpace) -> IndexSpace {
-        if !self.enabled {
-            return a.intersect(b);
-        }
-        let (a, b) = (self.intern(a), self.intern(b));
-        let r = self.intersect(a, b);
-        self.space(r).clone()
-    }
-
-    pub fn subtract_spaces(&mut self, a: &IndexSpace, b: &IndexSpace) -> IndexSpace {
-        if !self.enabled {
-            return a.subtract(b);
-        }
-        let (a, b) = (self.intern(a), self.intern(b));
-        let r = self.subtract(a, b);
-        self.space(r).clone()
     }
 
     pub fn union_spaces(&mut self, a: &IndexSpace, b: &IndexSpace) -> IndexSpace {

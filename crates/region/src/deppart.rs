@@ -15,6 +15,9 @@
 //! * [`difference`], [`intersection`], [`union_pairwise`] — pairwise
 //!   set-algebra on same-color subregions of two partitions.
 //!
+//! Computed partitions get their disjoint/complete flags from
+//! [`RegionForest::create_partition`]'s checks on the root's geometry.
+//!
 //! The circuit ghost partition is then literally
 //! `difference(image(W, endpoints), P)` — see the `circuit_ghosts` test,
 //! which reproduces the Fig 2 construction.
@@ -75,7 +78,7 @@ pub fn image(
         }
         subs.push(IndexSpace::from_points(pts));
     }
-    create_computed(forest, target, name, subs)
+    forest.create_partition(target, name, subs)
 }
 
 /// The preimage of a partition through a relation: subregion `i` of the
@@ -100,7 +103,7 @@ pub fn preimage(
         }
     }
     let subs = buckets.into_iter().map(IndexSpace::from_points).collect();
-    create_computed(forest, source_region, name, subs)
+    forest.create_partition(source_region, name, subs)
 }
 
 /// Pairwise difference: subregion `i` = `a[i] \ b[i]`. Both partitions
@@ -155,37 +158,7 @@ fn pairwise(
         .zip(&cb)
         .map(|(x, y)| op(forest.domain(*x), forest.domain(*y)))
         .collect();
-    create_computed(forest, parent, name, subs)
-}
-
-/// Create a partition from computed subspaces, deriving the
-/// disjoint/complete flags from the geometry (cheap volume-based check for
-/// completeness when disjoint).
-fn create_computed(
-    forest: &mut RegionForest,
-    parent: RegionId,
-    name: impl Into<String>,
-    subs: Vec<IndexSpace>,
-) -> PartitionId {
-    let mut disjoint = true;
-    'outer: for (i, a) in subs.iter().enumerate() {
-        for b in &subs[i + 1..] {
-            if a.overlaps(b) {
-                disjoint = false;
-                break 'outer;
-            }
-        }
-    }
-    let parent_vol = forest.domain(parent).volume();
-    let complete = if disjoint {
-        subs.iter().map(IndexSpace::volume).sum::<u64>() == parent_vol
-    } else {
-        subs.iter()
-            .fold(IndexSpace::empty(), |acc, s| acc.union(s))
-            .volume()
-            == parent_vol
-    };
-    forest.create_partition_with_flags(parent, name, subs, disjoint, complete)
+    forest.create_partition(parent, name, subs)
 }
 
 #[cfg(test)]

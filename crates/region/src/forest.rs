@@ -1,7 +1,8 @@
 //! Region trees: regions, partitions, fields (paper §2, Fig 2(c)).
 
 use std::fmt;
-use viz_geometry::{Bvh, IndexSpace, InternConfig, Rect, SpaceAlgebra};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use viz_geometry::{AlgebraStats, Bvh, IndexSpace, InternConfig, Rect, SpaceAlgebra, SpaceId};
 
 /// A logical region: a named subset of a collection's index space.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -36,6 +37,8 @@ impl fmt::Debug for FieldId {
 struct RegionNode {
     name: String,
     domain: IndexSpace,
+    /// `domain`, interned in the root's geometry when the region was made.
+    space: SpaceId,
     /// The partition this region is a child of (`None` for roots).
     parent: Option<PartitionId>,
     /// Partitions dividing this region.
@@ -55,22 +58,94 @@ struct PartitionNode {
     child_bvh: Bvh,
 }
 
-/// A forest of region trees (Fig 2(c)): the shared, immutable-by-analysis
-/// naming structure for all data in a program.
+/// One root region's geometry: an interner holding every region domain of
+/// the tree, and the set-algebra memo every engine's scans of the tree go
+/// through. Refinement depends only on geometry (§6–7), so the fields of a
+/// root — in any engine — ask the same questions, answered once. Invisible:
+/// charges are priced per logical operation, never per memo miss, and every
+/// output is structural.
+pub struct RootGeometry {
+    pub alg: SpaceAlgebra,
+    /// Algebra counters at the engines' last `AlgebraCache` profile report.
+    pub reported: AlgebraStats,
+}
+
+/// A root's geometry as the forest and the engines' shards hold it. A scan
+/// locks it once per shard batch: the shards of one root serialize on it.
+pub type SharedGeometry = Arc<Mutex<RootGeometry>>;
+
+impl RootGeometry {
+    fn new(intern: InternConfig) -> Self {
+        RootGeometry {
+            alg: SpaceAlgebra::new(intern),
+            reported: AlgebraStats::default(),
+        }
+    }
+
+    /// Lock, reading through poison: a scan that panicked holding it also
+    /// poisoned the runtime's core, so only a lost batch or a counter
+    /// reader ever sees it afterwards.
+    pub fn lock(geometry: &SharedGeometry) -> MutexGuard<'_, RootGeometry> {
+        geometry.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl fmt::Debug for RootGeometry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RootGeometry")
+            .field("stats", &self.alg.stats())
+            .finish()
+    }
+}
+
+/// A forest of region trees (Fig 2(c)): the shared naming structure for all
+/// data in a program.
 ///
-/// The forest records *names and domains only* — values live in physical
-/// instances owned by the runtime. Partitions are verified (or declared) to
-/// be disjoint and/or complete at creation time; the analyses consult these
-/// flags constantly (e.g. the painter's algorithm skips composite views for
-/// disjoint siblings, ray casting anchors equivalence sets under
-/// disjoint-and-complete partitions).
-#[derive(Clone, Debug, Default)]
+/// The forest records names and domains — values live in physical instances
+/// owned by the runtime — and neither changes once created. Partitions are
+/// verified (or declared) to be disjoint and/or complete at creation time;
+/// the analyses consult these flags constantly (e.g. the painter's
+/// algorithm skips composite views for disjoint siblings, ray casting
+/// anchors equivalence sets under disjoint-and-complete partitions).
+///
+/// Each root owns a [`RootGeometry`], built with the forest's
+/// [`InternConfig`], into which every region's domain is interned when the
+/// region is created ([`RegionForest::space`] is an array read). It is a
+/// cache behind a lock, the one part of the forest analysis mutates.
+///
+/// `Clone` is cold: fresh geometries holding only the region domains, built
+/// without locking the source's, so cloning a live forest never waits
+/// behind analysis, and a clone analyzes from scratch as its source did —
+/// runs installed from one clone would otherwise measure a warmed program.
+#[derive(Debug, Default)]
 pub struct RegionForest {
     regions: Vec<RegionNode>,
     partitions: Vec<PartitionNode>,
     roots: Vec<RegionId>,
+    /// Per root, in `roots` order.
+    geometries: Vec<SharedGeometry>,
     /// Field names per root region tree, indexed by `FieldId`.
     fields: Vec<(RegionId, String)>,
+    intern: InternConfig,
+}
+
+impl Clone for RegionForest {
+    fn clone(&self) -> Self {
+        let fresh = || Arc::new(Mutex::new(RootGeometry::new(self.intern)));
+        let mut forest = RegionForest {
+            regions: self.regions.clone(),
+            partitions: self.partitions.clone(),
+            roots: self.roots.clone(),
+            geometries: self.roots.iter().map(|_| fresh()).collect(),
+            fields: self.fields.clone(),
+            intern: self.intern,
+        };
+        for node in &mut forest.regions {
+            let geometry = &forest.geometries[self.root_index(node.root)];
+            node.space = RootGeometry::lock(geometry).alg.intern(&node.domain);
+        }
+        forest
+    }
 }
 
 impl RegionForest {
@@ -78,11 +153,21 @@ impl RegionForest {
         Self::default()
     }
 
+    /// A forest whose root geometries use `intern`.
+    pub fn with_intern(intern: InternConfig) -> Self {
+        RegionForest {
+            intern,
+            ..Self::default()
+        }
+    }
+
     /// Create a new root region (a whole collection).
     pub fn create_root(&mut self, name: impl Into<String>, domain: IndexSpace) -> RegionId {
         let id = RegionId(self.regions.len() as u32);
+        let mut geometry = RootGeometry::new(self.intern);
         self.regions.push(RegionNode {
             name: name.into(),
+            space: geometry.alg.intern(&domain),
             domain,
             parent: None,
             partitions: Vec::new(),
@@ -90,7 +175,13 @@ impl RegionForest {
             depth: 0,
         });
         self.roots.push(id);
+        self.geometries.push(Arc::new(Mutex::new(geometry)));
         id
+    }
+
+    /// Position of `root` in `roots` (ids increase, so it is sorted).
+    fn root_index(&self, root: RegionId) -> usize {
+        self.roots.binary_search(&root).expect("a root")
     }
 
     /// Add a field to the region tree rooted at `root`.
@@ -119,7 +210,7 @@ impl RegionForest {
     /// Partition `parent` into the given subdomains. Disjointness and
     /// completeness are computed from the geometry: candidate overlap pairs
     /// come from a bounding-box BVH (instead of testing all n² pairs) and
-    /// the exact checks run through an interned [`SpaceAlgebra`], so
+    /// the exact checks run through the root's [`SpaceAlgebra`], so
     /// repeated subdomain shapes are checked once.
     ///
     /// # Panics
@@ -130,11 +221,9 @@ impl RegionForest {
         name: impl Into<String>,
         subdomains: Vec<IndexSpace>,
     ) -> PartitionId {
-        // A throwaway validation algebra: the defaults behave identically
-        // to any interning configuration (structural fidelity invariant),
-        // so there is no reason to consult the environment here.
-        let mut alg = SpaceAlgebra::new(InternConfig::default());
-        let parent_id = alg.intern(self.domain(parent));
+        let mut geom = RootGeometry::lock(self.geometry(parent));
+        let alg = &mut geom.alg;
+        let parent_id = self.space(parent);
         let ids: Vec<_> = subdomains.iter().map(|s| alg.intern(s)).collect();
         for (i, s) in ids.iter().enumerate() {
             assert!(
@@ -169,16 +258,15 @@ impl RegionForest {
             }
         }
         // Completeness: children cover the parent. When disjoint, volumes
-        // suffice; otherwise compute the union.
-        let parent_volume = alg.space(parent_id).volume();
+        // suffice; otherwise compute the union (one fold, one result kept).
+        let parent_volume = self.domain(parent).volume();
         let complete = if disjoint {
             subdomains.iter().map(IndexSpace::volume).sum::<u64>() == parent_volume
         } else {
-            let union = ids
-                .iter()
-                .fold(viz_geometry::SpaceId::EMPTY, |acc, s| alg.union(acc, *s));
+            let union = alg.union_all(&ids);
             alg.space(union).volume() == parent_volume
         };
+        drop(geom);
         self.create_partition_with_flags(parent, name, subdomains, disjoint, complete)
     }
 
@@ -198,6 +286,8 @@ impl RegionForest {
             let p = &self.regions[parent.0 as usize];
             (p.root, p.depth)
         };
+        let geometry = Arc::clone(self.geometry(parent));
+        let mut geom = RootGeometry::lock(&geometry);
         let name = name.into();
         let mut children = Vec::with_capacity(subdomains.len());
         let mut bvh_items = Vec::with_capacity(subdomains.len());
@@ -206,6 +296,7 @@ impl RegionForest {
             bvh_items.push((i as u32, domain.bbox()));
             self.regions.push(RegionNode {
                 name: format!("{name}[{i}]"),
+                space: geom.alg.intern(&domain),
                 domain,
                 parent: Some(pid),
                 partitions: Vec::new(),
@@ -234,6 +325,16 @@ impl RegionForest {
         &self.regions[r.0 as usize].domain
     }
 
+    /// `r`'s domain as interned in its root's geometry.
+    pub fn space(&self, r: RegionId) -> SpaceId {
+        self.regions[r.0 as usize].space
+    }
+
+    /// The geometry of `r`'s tree, where [`RegionForest::space`] ids live.
+    pub fn geometry(&self, r: RegionId) -> &SharedGeometry {
+        &self.geometries[self.root_index(self.root_of(r))]
+    }
+
     pub fn region_name(&self, r: RegionId) -> &str {
         &self.regions[r.0 as usize].name
     }
@@ -244,10 +345,6 @@ impl RegionForest {
 
     pub fn num_regions(&self) -> usize {
         self.regions.len()
-    }
-
-    pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
     }
 
     pub fn roots(&self) -> &[RegionId] {
@@ -510,5 +607,60 @@ mod tests {
         assert_eq!(f.path_from_root(q2), vec![r, p0, q2]);
         assert_eq!(f.domain(q2).volume(), 5);
         assert!(f.is_ancestor(r, q2));
+    }
+
+    /// Distinct region domains of `f`, plus the empty space: what a root
+    /// geometry holds before analysis touches it.
+    fn domains_interned(f: &RegionForest) -> usize {
+        let all = (0..f.num_regions() as u32).map(|r| f.domain(RegionId(r)));
+        all.collect::<std::collections::HashSet<_>>().len() + 1
+    }
+
+    /// The verifying `create_partition` checks through the root's geometry
+    /// and leaves behind the region domains plus the aliased ghost
+    /// partition's one `union_all` result — a pairwise `union` chain would
+    /// leave an intermediate union resident too.
+    #[test]
+    fn verified_partitions_intern_their_domains_and_one_union() {
+        let (f, n, ..) = paper_forest();
+        let interned = RootGeometry::lock(f.geometry(n)).alg.stats().interned;
+        assert_eq!(interned, domains_interned(&f) + 1);
+    }
+
+    /// `space(r)` names `domain(r)` in a forest and in its clone, whose ids
+    /// differ: it holds no union between G's pieces and Q's.
+    #[test]
+    fn space_resolves_to_domain_in_forest_and_clone() {
+        let (mut f, _, p, _) = paper_forest();
+        f.create_equal_partition_1d(f.subregion(p, 0), "Q", 2);
+        let m = f.create_root_1d("M", 8);
+        f.create_equal_partition_1d(m, "R", 4);
+        for f in [&f, &f.clone()] {
+            for r in (0..f.num_regions() as u32).map(RegionId) {
+                let geom = RootGeometry::lock(f.geometry(r));
+                assert_eq!(geom.alg.space(f.space(r)), f.domain(r), "{r:?}");
+            }
+        }
+    }
+
+    /// A clone of a forest that analysis has warmed is cold — no counter or
+    /// memo entry, only the region domains, as a twin built without
+    /// verification — and is taken with the source's lock held.
+    #[test]
+    fn clone_of_a_warmed_forest_is_cold() {
+        let (f, n, p, g) = paper_forest();
+        let mut geom = RootGeometry::lock(f.geometry(n));
+        // What an engine's refinement does to the root's geometry.
+        for (&piece, &ghost) in f.children(p).iter().zip(f.children(g).iter().rev()) {
+            let (dom, target) = (f.space(piece), f.space(ghost));
+            if geom.alg.overlaps(dom, target) {
+                geom.alg.split(dom, target);
+            }
+        }
+        assert!(geom.alg.stats().interned > domains_interned(&f) + 1);
+        let cold = RootGeometry::lock(f.clone().geometry(n)).alg.stats();
+        let counters = (cold.hits, cold.fast_hits, cold.misses, cold.cache_entries);
+        assert_eq!(counters, (0, 0, 0, 0));
+        assert_eq!(cold.interned, domains_interned(&f));
     }
 }

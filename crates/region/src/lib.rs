@@ -6,7 +6,9 @@
 //! * [`RegionForest`] — a forest of **region trees**. Each tree has a root
 //!   region (a whole collection), and regions are recursively divided by
 //!   **partitions** into subregions. Subregions are *subsets, not copies* of
-//!   their parent's points.
+//!   their parent's points. Each tree's [`RootGeometry`] interns its region
+//!   domains and memoizes the set algebra the analyses run on them (§5.1's
+//!   region tree as the shared acceleration structure).
 //! * Partitions carry the two properties the analyses exploit:
 //!   **disjointness** (no point in two children — e.g. the primary partition
 //!   of Fig 2(a)) and **completeness** (every parent point in some child).
@@ -23,6 +25,6 @@ pub mod forest;
 pub mod privilege;
 pub mod redop;
 
-pub use forest::{FieldId, PartitionId, RegionForest, RegionId};
+pub use forest::{FieldId, PartitionId, RegionForest, RegionId, RootGeometry, SharedGeometry};
 pub use privilege::Privilege;
 pub use redop::{RedOpRegistry, ReductionOp, ReductionOpId};

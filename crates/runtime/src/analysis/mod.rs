@@ -10,10 +10,10 @@ pub mod warnock;
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, MutexGuard};
 
-use viz_geometry::{AlgebraStats, FxHashMap, InternConfig, SpaceAlgebra, SpaceId};
-use viz_region::{FieldId, RegionForest, RegionId};
+use viz_geometry::{FxHashMap, SpaceAlgebra, SpaceId};
+use viz_region::{FieldId, RegionForest, RegionId, RootGeometry, SharedGeometry};
 use viz_sim::{ChargeLog, NodeId, Op};
 
 use crate::engine::StateSize;
@@ -23,108 +23,43 @@ use crate::task::TaskLaunch;
 /// the root region of the requirement's region tree and the field (§5–7 —
 /// the *histories* on distinct `(root, field)` pairs never interact). Scans
 /// for distinct shards may therefore run concurrently; the one thing the
-/// fields of a root share is its `RootGeometry`.
+/// fields of a root share is the forest's [`RootGeometry`] for that root.
 pub type ShardKey = (RegionId, FieldId);
 
-/// One root region's geometry, shared by every field shard of the root.
-///
-/// Refinement depends only on region geometry (§6–7): which sets a target
-/// straddles and how each one splits. Every field of a root therefore asks
-/// the same questions of the same spaces, and one interner and set-algebra
-/// memo answers them once. Invisible by construction: charges are priced
-/// per logical operation, never per memo miss, and every output is
-/// structural — which field swept a pair first changes nothing else.
-///
-/// RayCast and Warnock only; the painters keep a per-shard algebra (they do
-/// not refine sets).
-pub(crate) struct RootGeometry {
-    pub alg: SpaceAlgebra,
-    /// Interned handle per named region (launch targets, anchor children).
-    /// Region domains are immutable once the forest has them, so each is
-    /// content-hashed into the interner once per root, not once per
-    /// requirement.
-    region_ids: FxHashMap<RegionId, SpaceId>,
-    /// Algebra counters at the last `AlgebraCache` profile report.
-    last_stats: AlgebraStats,
-}
-
-/// A root's geometry as its field shards hold it. `analyze_shard` locks it
-/// once, at the top: under the sharded driver the shards of one root
-/// serialize on it while distinct roots still overlap.
-pub(crate) type SharedGeometry = Arc<Mutex<RootGeometry>>;
-
-impl RootGeometry {
-    /// Lock a root's geometry. Reads through poison, as `Runtime::stats`
-    /// does for the core lock: the scan that panicked holding this lock
-    /// also poisoned the core, so any scan still reading the geometry
-    /// belongs to a batch that is already lost and whose results are
-    /// discarded, and `state_size` reads only counters.
-    pub fn lock(geometry: &SharedGeometry) -> MutexGuard<'_, RootGeometry> {
-        geometry.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The interned domain of `region`.
-    pub fn region(&mut self, forest: &RegionForest, region: RegionId) -> SpaceId {
-        *self
-            .region_ids
-            .entry(region)
-            .or_insert_with(|| self.alg.intern(forest.domain(region)))
-    }
-
-    /// See [`report_algebra`].
-    pub fn report_stats(&mut self) {
-        report_algebra(&self.alg, &mut self.last_stats);
-    }
-}
-
-/// Emit `alg`'s counter change since `last` as one `AlgebraCache` profile
-/// event (none when nothing was asked), and advance `last`.
-pub(crate) fn report_algebra(alg: &SpaceAlgebra, last: &mut AlgebraStats) {
-    let stats = alg.stats();
-    let delta = stats.delta_since(last);
+/// Emit the root's algebra counter change since its last report as one
+/// `AlgebraCache` profile event (none when nothing was asked).
+pub(crate) fn report_algebra(geom: &mut RootGeometry) {
+    let stats = geom.alg.stats();
+    let delta = stats.delta_since(&geom.reported);
     if delta.hits + delta.fast_hits + delta.misses > 0 {
         viz_profile::instant(viz_profile::EventKind::AlgebraCache {
             hits: delta.hits + delta.fast_hits,
             misses: delta.misses,
         });
     }
-    *last = stats;
+    geom.reported = stats;
 }
 
-/// An engine's root geometries, one per root region it has seen.
-pub(crate) struct RootGeometries {
-    roots: FxHashMap<RegionId, SharedGeometry>,
-    intern: InternConfig,
+/// What refinement (Fig 9, `refine`) makes of a set `dom` against a
+/// requirement's `target`.
+pub(crate) enum Refine {
+    /// Nothing in common: the set is not a constituent.
+    Disjoint,
+    /// Wholly inside the target: a constituent as it is.
+    Contained,
+    /// Straddles it: replaced by its `(inside, outside)` halves.
+    Split(SpaceId, SpaceId),
 }
 
-impl RootGeometries {
-    pub fn new(intern: InternConfig) -> Self {
-        RootGeometries {
-            roots: FxHashMap::default(),
-            intern,
-        }
+/// Refine `dom` against `target`: an early-exit `overlaps`, then one
+/// `split` for both halves, contained iff nothing lies outside.
+pub(crate) fn refine(alg: &mut SpaceAlgebra, dom: SpaceId, target: SpaceId) -> Refine {
+    if !alg.overlaps(dom, target) {
+        return Refine::Disjoint;
     }
-
-    /// `root`'s geometry, created on first sight (driver thread, from
-    /// `prepare`).
-    pub fn get(&mut self, root: RegionId) -> SharedGeometry {
-        let intern = self.intern;
-        let geometry = self.roots.entry(root).or_insert_with(|| {
-            Arc::new(Mutex::new(RootGeometry {
-                alg: SpaceAlgebra::new(intern),
-                region_ids: FxHashMap::default(),
-                last_stats: AlgebraStats::default(),
-            }))
-        });
-        Arc::clone(geometry)
-    }
-
-    /// Add the algebra roll-up to `size`, once per root: summing per shard
-    /// would count a shared interner once per field.
-    pub fn add_stats(&self, size: &mut StateSize) {
-        for geometry in self.roots.values() {
-            size.add_algebra(RootGeometry::lock(geometry).alg.stats());
-        }
+    match alg.split(dom, target) {
+        (_, SpaceId::EMPTY) => Refine::Contained,
+        (inside, outside) => Refine::Split(inside, outside),
     }
 }
 
@@ -147,7 +82,8 @@ pub fn group_reqs_by_shard(
     groups
 }
 
-/// One shard's engine state, accessible from worker threads.
+/// One shard's engine state, accessible from worker threads, and its root's
+/// geometry (the forest's, shared with the root's other field shards).
 ///
 /// The driver guarantees at most one worker touches a shard at a time (work
 /// for the same shard is queued to the same worker, in launch order); the
@@ -155,6 +91,7 @@ pub fn group_reqs_by_shard(
 /// data race.
 struct ShardCell<S> {
     busy: AtomicBool,
+    geometry: SharedGeometry,
     state: UnsafeCell<S>,
 }
 
@@ -212,36 +149,48 @@ impl<S> ShardedState<S> {
         Self::default()
     }
 
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// Create the shard if missing (driver thread only).
-    pub fn get_or_insert_with(&mut self, key: ShardKey, f: impl FnOnce() -> S) -> &mut S {
+    /// Create the shard if missing (driver thread only), next to its root's
+    /// geometry in `forest`.
+    pub fn get_or_insert_with(
+        &mut self,
+        key: ShardKey,
+        forest: &RegionForest,
+        f: impl FnOnce() -> S,
+    ) -> &mut S {
         let cell = self.shards.entry(key).or_insert_with(|| {
             Box::new(ShardCell {
                 busy: AtomicBool::new(false),
+                geometry: Arc::clone(forest.geometry(key.0)),
                 state: UnsafeCell::new(f()),
             })
         });
         cell.state.get_mut()
     }
 
-    /// Claim exclusive access to a shard from a worker. Panics if the shard
-    /// does not exist or another worker currently holds it — both indicate a
+    /// Claim exclusive access to a shard from a worker, and lock its root's
+    /// geometry for the whole shard batch: the shards of one root serialize
+    /// on it while distinct roots still overlap. Panics if the shard does not
+    /// exist or another worker currently holds it — both indicate a
     /// scheduling bug, not a recoverable condition.
-    pub fn lock(&self, key: ShardKey) -> ShardRef<'_, S> {
+    pub fn lock(&self, key: ShardKey) -> (ShardRef<'_, S>, MutexGuard<'_, RootGeometry>) {
         let cell = self
             .shards
             .get(&key)
             .unwrap_or_else(|| panic!("shard {key:?} was not created during prepare"));
         let was_busy = cell.busy.swap(true, Ordering::Acquire);
         assert!(!was_busy, "shard {key:?} scanned by two workers at once");
-        ShardRef { cell }
+        (ShardRef { cell }, RootGeometry::lock(&cell.geometry))
+    }
+
+    /// Add the algebra counters of every root with a shard here, once per
+    /// root: summing per shard would count a shared interner once per field.
+    pub(crate) fn add_algebra_stats(&self, size: &mut StateSize) {
+        let mut roots: Vec<_> = self.shards.iter().collect();
+        roots.sort_unstable_by_key(|(key, _)| key.0);
+        roots.dedup_by_key(|(key, _)| key.0);
+        for (_, cell) in roots {
+            size.add_algebra(RootGeometry::lock(&cell.geometry).alg.stats());
+        }
     }
 
     /// Iterate shard states mutably. `&mut self` guarantees no worker holds
@@ -306,6 +255,18 @@ impl ChargeSet {
 
     pub fn add(&mut self, owner: NodeId, op: Op) {
         self.ops.push((owner, op));
+    }
+
+    /// The work of one [`Refine::Split`] at the split set's owner: the
+    /// refine, the two new sets, and the two-rect geometry.
+    pub(crate) fn add_refine(&mut self, owner: NodeId) {
+        let ops = [
+            Op::EqSetRefine,
+            Op::EqSetCreate,
+            Op::EqSetCreate,
+            Op::GeomOp { rects: 2 },
+        ];
+        self.ops.extend(ops.map(|op| (owner, op)));
     }
 
     pub fn is_empty(&self) -> bool {
@@ -458,20 +419,18 @@ mod tests {
 
     #[test]
     fn sharded_state_locks_are_exclusive() {
+        let mut forest = RegionForest::new();
+        let key = (forest.create_root_1d("R", 4), viz_region::FieldId(0));
         let mut s: ShardedState<u32> = ShardedState::new();
-        let key = (viz_region::RegionId(0), viz_region::FieldId(0));
-        *s.get_or_insert_with(key, || 1) += 1;
-        {
-            let mut h = s.lock(key);
-            *h += 1;
-        }
-        let h = s.lock(key);
-        assert_eq!(*h, 3);
+        *s.get_or_insert_with(key, &forest, || 1) += 1;
+        *s.lock(key).0 += 1;
+        let held = s.lock(key);
+        assert_eq!(*held.0, 3);
         let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = s.lock(key);
         }));
         assert!(second.is_err(), "double lock must panic");
-        drop(h);
+        drop(held);
         let _ = s.lock(key);
     }
 
@@ -479,6 +438,7 @@ mod tests {
     /// runs the lib tests under it): the two fields of one root scanned
     /// from two threads at once give exactly a serial run's outcomes —
     /// deps, plans, charges — and the shared memo ends up the same size.
+    /// Every engine takes the lock; each run has a cold clone of the forest.
     #[test]
     fn fields_of_one_root_scan_concurrently_as_serially() {
         use crate::engine::{CoherenceEngine, EngineKind, ShardCtx};
@@ -518,29 +478,31 @@ mod tests {
             steps.iter().enumerate().map(launch).collect::<Vec<_>>()
         });
         let shards = ShardMap::new(1, false);
-        let ctx = ShardCtx {
-            forest: &forest,
-            shards: &shards,
+        let scan = |eng: &dyn CoherenceEngine, l: &TaskLaunch, ctx: &ShardCtx<'_>| {
+            eng.analyze_shard((n, l.reqs[0].field), l, &[0], ctx)
         };
-        let scan = |eng: &dyn CoherenceEngine, l: &TaskLaunch| {
-            eng.analyze_shard((n, l.reqs[0].field), l, &[0], &ctx)
-        };
-        for kind in [EngineKind::Warnock, EngineKind::RayCast] {
+        for kind in EngineKind::all() {
+            let forests = [forest.clone(), forest.clone()];
+            let [serial_ctx, ctx] = forests.each_ref().map(|forest| ShardCtx {
+                forest,
+                shards: &shards,
+            });
             // Serial: the two streams interleaved on one thread.
             let mut serial = kind.build();
             let mut expect: [Vec<Vec<ReqOutcome>>; 2] = Default::default();
             for k in 0..steps.len() {
                 for (stream, out) in streams.iter().zip(&mut expect) {
-                    serial.prepare(&stream[k], &ctx);
-                    out.push(scan(&*serial, &stream[k]));
+                    serial.prepare(&stream[k], &serial_ctx);
+                    out.push(scan(&*serial, &stream[k], &serial_ctx));
                 }
             }
             // Concurrent: both shards prepared here, one thread per field,
             // the two scans of every step released together so they race
             // for the root's lock.
+            let ctx = &ctx;
             let mut eng = kind.build();
             for l in streams.iter().flatten() {
-                eng.prepare(l, &ctx);
+                eng.prepare(l, ctx);
             }
             let (eng, step) = (&*eng, &std::sync::Barrier::new(2));
             let mut got: [Vec<Vec<ReqOutcome>>; 2] = Default::default();
@@ -549,7 +511,7 @@ mod tests {
                     scope.spawn(move || {
                         for l in stream {
                             step.wait();
-                            out.push(scan(eng, l));
+                            out.push(scan(eng, l, ctx));
                         }
                     });
                 }

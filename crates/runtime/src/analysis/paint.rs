@@ -40,10 +40,9 @@ use crate::engine::{CoherenceEngine, GcSweep, ShardCtx, StateSize};
 use crate::sharding::ShardMap;
 use crate::task::TaskLaunch;
 use std::sync::Arc;
-use viz_geometry::{
-    AlgebraStats, FxHashMap, FxHashSet, IndexSpace, InternConfig, Rect, SpaceAlgebra,
-};
-use viz_region::{privilege::PrivilegeSummary, PartitionId, RegionForest, RegionId};
+use viz_geometry::{FxHashMap, FxHashSet, IndexSpace, Rect, SpaceAlgebra};
+use viz_region::privilege::PrivilegeSummary;
+use viz_region::{PartitionId, RegionForest, RegionId};
 use viz_sim::{NodeId, Op};
 
 #[derive(Clone)]
@@ -135,19 +134,9 @@ struct PaintShard {
     entries_alive: usize,
     /// `(view id, node)` pairs already replicated.
     fetched: FxHashSet<(u64, NodeId)>,
-    /// Interned-algebra layer: the occlusion containment tests and the
-    /// write-domain union chains of view capture go through it.
-    alg: SpaceAlgebra,
-    last_stats: AlgebraStats,
 }
 
 impl PaintShard {
-    fn with_intern(intern: InternConfig) -> Self {
-        PaintShard {
-            alg: SpaceAlgebra::new(intern),
-            ..PaintShard::default()
-        }
-    }
     /// Aggregate the state of `region`'s subtree (visiting only touched
     /// nodes).
     fn subtree_agg(
@@ -206,6 +195,7 @@ impl PaintShard {
         q: PartitionId,
         children: &[RegionId],
         keep: Option<RegionId>,
+        alg: &mut SpaceAlgebra,
     ) -> Option<Arc<CompositeView>> {
         let mut nodes = Vec::new();
         for c in children {
@@ -236,7 +226,7 @@ impl PaintShard {
                         entries += 1;
                         bbox = bbox.union_bbox(&h.domain.bbox());
                         if h.privilege.is_write() {
-                            write_domain = self.alg.union_spaces(&write_domain, &h.domain);
+                            write_domain = alg.union_spaces(&write_domain, &h.domain);
                         }
                         summary.add(h.privilege);
                     }
@@ -244,7 +234,7 @@ impl PaintShard {
                         entries += v.entries;
                         views += v.views;
                         bbox = bbox.union_bbox(&v.bbox);
-                        write_domain = self.alg.union_spaces(&write_domain, &v.write_domain);
+                        write_domain = alg.union_spaces(&write_domain, &v.write_domain);
                         summary.merge(v.summary);
                     }
                 }
@@ -266,7 +256,7 @@ impl PaintShard {
 
     /// Append an entry to a node's history, applying the occlusion-pruning
     /// rule for full writes. Returns geometry ops performed.
-    fn append(&mut self, region: RegionId, entry: PathEntry) -> usize {
+    fn append(&mut self, region: RegionId, entry: PathEntry, alg: &mut SpaceAlgebra) -> usize {
         let mut geom = 0;
         let (bbox, summary_priv, write_domain) = match &entry {
             PathEntry::Task(h) => (
@@ -294,7 +284,6 @@ impl PaintShard {
         let is_task = matches!(&entry, PathEntry::Task(_));
         let mut dropped_entries = 0usize;
         let mut dropped_views = 0usize;
-        let alg = &mut self.alg;
         let ns = self.nodes.entry(region).or_default();
         if let Some(wd) = &write_domain {
             ns.hist.retain(|old| {
@@ -362,28 +351,14 @@ impl PaintShard {
 }
 
 /// The optimized painter's algorithm ("Paint" in the figures).
+#[derive(Default)]
 pub struct Painter {
     shards: ShardedState<PaintShard>,
-    intern: InternConfig,
 }
 
 impl Painter {
     pub fn new() -> Self {
-        Self::with_intern(InternConfig::default())
-    }
-
-    /// Build with an explicit interning configuration.
-    pub fn with_intern(intern: InternConfig) -> Self {
-        Painter {
-            shards: ShardedState::new(),
-            intern,
-        }
-    }
-}
-
-impl Default for Painter {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -395,9 +370,8 @@ impl CoherenceEngine for Painter {
     fn prepare(&mut self, launch: &TaskLaunch, ctx: &ShardCtx<'_>) -> Vec<(ShardKey, Vec<u32>)> {
         let groups = group_reqs_by_shard(launch, ctx.forest);
         for (key, _) in &groups {
-            let intern = self.intern;
             self.shards
-                .get_or_insert_with(*key, || PaintShard::with_intern(intern));
+                .get_or_insert_with(*key, ctx.forest, PaintShard::default);
         }
         groups
     }
@@ -410,7 +384,9 @@ impl CoherenceEngine for Painter {
         ctx: &ShardCtx<'_>,
     ) -> Vec<ReqOutcome> {
         let origin = ctx.shards.origin(launch.node);
-        let mut shard = self.shards.lock(key);
+        // Occlusion containment tests and view capture's write-domain
+        // unions go through the root geometry's algebra.
+        let (mut shard, mut geom) = self.shards.lock(key);
         let mut outcomes: Vec<ReqOutcome> = Vec::with_capacity(reqs.len());
         let mut commits: Vec<(RegionId, HistEntry)> = Vec::with_capacity(reqs.len());
 
@@ -466,7 +442,9 @@ impl CoherenceEngine for Painter {
                     }
                     // Close: capture the interfering subtrees bottom-up into
                     // one view, one gather message per remote captured node.
-                    if let Some(view) = shard.close_children(ctx.forest, q, &to_close, keep) {
+                    let closed =
+                        shard.close_children(ctx.forest, q, &to_close, keep, &mut geom.alg);
+                    if let Some(view) = closed {
                         for o in &agg.owners {
                             if *o != owner_a {
                                 out.scan_log
@@ -483,8 +461,8 @@ impl CoherenceEngine for Painter {
                             entries: view.entries as u64,
                         });
                         shard.fetched.insert((view.id, owner_a));
-                        let geom = shard.append(*a, PathEntry::View(view));
-                        out.scan_log.op(owner_a, Op::GeomOp { rects: geom });
+                        let rects = shard.append(*a, PathEntry::View(view), &mut geom.alg);
+                        out.scan_log.op(owner_a, Op::GeomOp { rects });
                         shard.mark_touched(ctx.forest, *a);
                     }
                 }
@@ -578,13 +556,12 @@ impl CoherenceEngine for Painter {
         for (out, (region, entry)) in outcomes.iter_mut().zip(commits) {
             let owner_r = ctx.shards.owner(region, launch.id.0);
             out.commit_log.send(origin, owner_r, 96);
-            let geom = shard.append(region, PathEntry::Task(entry));
-            out.commit_log.op(owner_r, Op::GeomOp { rects: geom });
+            let rects = shard.append(region, PathEntry::Task(entry), &mut geom.alg);
+            out.commit_log.op(owner_r, Op::GeomOp { rects });
             out.commit_log.op(owner_r, Op::HistScan { entries: 1 });
             shard.mark_touched(ctx.forest, region);
         }
-        let shard = &mut *shard;
-        report_algebra(&shard.alg, &mut shard.last_stats);
+        report_algebra(&mut geom);
         outcomes
     }
 
@@ -631,8 +608,8 @@ impl CoherenceEngine for Painter {
             size.composite_views += shard.views_alive;
             // Replicated-view bookkeeping is the painter's only cache.
             size.memo_entries += shard.fetched.len();
-            size.add_algebra(shard.alg.stats());
         }
+        self.shards.add_algebra_stats(&mut size);
         size
     }
 }

@@ -21,35 +21,21 @@ use crate::analysis::{
 };
 use crate::engine::{CoherenceEngine, GcSweep, ShardCtx, StateSize};
 use crate::task::TaskLaunch;
-use viz_geometry::{AlgebraStats, IndexSpace, InternConfig, SpaceAlgebra};
+use viz_geometry::IndexSpace;
 use viz_sim::Op;
 
-/// One shard's state: the global history plus the shard's interned-algebra
-/// layer (the occlusion-prune containment tests go through it).
-struct NaiveShard {
-    hist: Vec<HistEntry>,
-    alg: SpaceAlgebra,
-    last_stats: AlgebraStats,
-}
-
-/// One global history per (root region, field).
+/// One global history per (root region, field); the occlusion-prune
+/// containment tests go through the root's geometry.
 pub struct PaintNaive {
-    shards: ShardedState<NaiveShard>,
+    shards: ShardedState<Vec<HistEntry>>,
     prune_occluded: bool,
-    intern: InternConfig,
 }
 
 impl PaintNaive {
     pub fn new() -> Self {
-        Self::with_intern(InternConfig::default())
-    }
-
-    /// Build with an explicit interning configuration.
-    pub fn with_intern(intern: InternConfig) -> Self {
         PaintNaive {
             shards: ShardedState::new(),
             prune_occluded: true,
-            intern,
         }
     }
 
@@ -77,12 +63,7 @@ impl CoherenceEngine for PaintNaive {
     fn prepare(&mut self, launch: &TaskLaunch, ctx: &ShardCtx<'_>) -> Vec<(ShardKey, Vec<u32>)> {
         let groups = group_reqs_by_shard(launch, ctx.forest);
         for (key, _) in &groups {
-            let intern = self.intern;
-            self.shards.get_or_insert_with(*key, || NaiveShard {
-                hist: Vec::new(),
-                alg: SpaceAlgebra::new(intern),
-                last_stats: AlgebraStats::default(),
-            });
+            self.shards.get_or_insert_with(*key, ctx.forest, Vec::new);
         }
         groups
     }
@@ -95,9 +76,8 @@ impl CoherenceEngine for PaintNaive {
         ctx: &ShardCtx<'_>,
     ) -> Vec<ReqOutcome> {
         let origin = ctx.shards.origin(launch.node);
-        let mut shard = self.shards.lock(key);
-        let shard = &mut *shard;
-        let hist = &mut shard.hist;
+        let (mut hist, mut geom) = self.shards.lock(key);
+        let hist = &mut *hist;
         let mut outcomes: Vec<ReqOutcome> = Vec::with_capacity(reqs.len());
         let mut new_entries: Vec<HistEntry> = Vec::with_capacity(reqs.len());
 
@@ -163,17 +143,17 @@ impl CoherenceEngine for PaintNaive {
                 // §5.1's occlusion rule, applied at entry granularity: an
                 // older entry wholly covered by this write can never be
                 // visible again.
-                let mut geom = 0;
-                let alg = &mut shard.alg;
+                let mut rects = 0;
+                let alg = &mut geom.alg;
                 hist.retain(|old| {
-                    geom += 1;
+                    rects += 1;
                     !alg.contains_spaces(&entry.domain, &old.domain)
                 });
-                out.commit_log.op(0, Op::GeomOp { rects: geom });
+                out.commit_log.op(0, Op::GeomOp { rects });
             }
             hist.push(entry);
         }
-        report_algebra(&shard.alg, &mut shard.last_stats);
+        report_algebra(&mut geom);
         outcomes
     }
 
@@ -188,13 +168,13 @@ impl CoherenceEngine for PaintNaive {
         // the covering writes, §3.2) — so dropping it is observationally
         // identical, independent of the watermark.
         let mut sweep = GcSweep::default();
-        for (_, s) in self.shards.iter_mut() {
+        for (_, hist) in self.shards.iter_mut() {
             if !self.prune_occluded {
                 continue; // literal Fig 7 mode: the history only grows
             }
             let mut cover = IndexSpace::empty();
-            let mut keep = vec![true; s.hist.len()];
-            for (i, e) in s.hist.iter().enumerate().rev() {
+            let mut keep = vec![true; hist.len()];
+            for (i, e) in hist.iter().enumerate().rev() {
                 if !cover.is_empty() && cover.contains(&e.domain) {
                     keep[i] = false;
                     continue;
@@ -204,7 +184,7 @@ impl CoherenceEngine for PaintNaive {
                 }
             }
             let mut idx = 0;
-            s.hist.retain(|_| {
+            hist.retain(|_| {
                 let k = keep[idx];
                 idx += 1;
                 if !k {
@@ -218,10 +198,10 @@ impl CoherenceEngine for PaintNaive {
 
     fn state_size(&self) -> StateSize {
         let mut sz = StateSize::default();
-        for (_, s) in self.shards.iter() {
-            sz.history_entries += s.hist.len();
-            sz.add_algebra(s.alg.stats());
+        for (_, hist) in self.shards.iter() {
+            sz.history_entries += hist.len();
         }
+        self.shards.add_algebra_stats(&mut sz);
         sz
     }
 }

@@ -22,19 +22,19 @@
 //! Everything for one `(root, field)` — sets, spatial index, anchor memo,
 //! usage counters — is one shard. The geometry those sets are made of is
 //! the root's: every field shard of a root interns into, and memoizes its
-//! refinements in, one shared `RootGeometry`.
+//! refinements in, the forest's `RootGeometry` for that root.
 
 use crate::analysis::warnock::{fold_copies, scan_eq_history, EqEntry};
 use crate::analysis::{
-    group_reqs_by_shard, ChargeSet, ReqOutcome, RootGeometries, RootGeometry, ShardKey,
-    ShardedState, SharedGeometry,
+    group_reqs_by_shard, refine, report_algebra, ChargeSet, Refine, ReqOutcome, ShardKey,
+    ShardedState,
 };
 use crate::engine::{CoherenceEngine, ShardCtx, StateSize};
 use crate::plan::{MaterializePlan, Source};
 use crate::task::TaskLaunch;
 use std::sync::Arc;
-use viz_geometry::{Bvh, DynamicBvh, FxHashMap, InternConfig, Rect, SpaceAlgebra, SpaceId};
-use viz_region::{PartitionId, Privilege, RegionForest, RegionId};
+use viz_geometry::{Bvh, DynamicBvh, FxHashMap, Rect, SpaceAlgebra, SpaceId};
+use viz_region::{PartitionId, Privilege, RegionForest, RegionId, RootGeometry};
 use viz_sim::{ChargeLog, NodeId, Op};
 
 /// A live equivalence set. The domain is a handle into the root's
@@ -180,9 +180,6 @@ struct FieldState {
     /// heuristic of §7.1 that drives anchor shifting.
     usage: FxHashMap<PartitionId, u64>,
     shifts: u64,
-    /// The root's interned spaces, set-algebra memo and region ids, shared
-    /// with every other field shard of the root.
-    geometry: SharedGeometry,
     /// Cumulative candidate ids produced by the spatial index across every
     /// requirement scanned against this shard (post-dedup). Flatness under
     /// weak scaling is *measured* from this, not inferred.
@@ -308,22 +305,14 @@ const BORN_RENUMBER_AT: u32 = 1 << 31;
 /// The ray-casting engine ("RayCast" / `neweqcr` in the figures).
 pub struct RayCast {
     shards: ShardedState<FieldState>,
-    geometry: RootGeometries,
     force_kd: bool,
     use_anchor_memo: bool,
 }
 
 impl RayCast {
     pub fn new() -> Self {
-        Self::with_intern(InternConfig::default())
-    }
-
-    /// Build with an explicit interning configuration (the differential
-    /// tests compare the memoized and direct algebra paths in one process).
-    pub fn with_intern(intern: InternConfig) -> Self {
         RayCast {
             shards: ShardedState::new(),
-            geometry: RootGeometries::new(intern),
             force_kd: false,
             use_anchor_memo: true,
         }
@@ -352,13 +341,7 @@ impl RayCast {
     /// (the heuristic "based on which partitions tasks are using" — our
     /// benchmark programs create the primary partition first, which is the
     /// one their tasks write through), else the K-d tree fallback.
-    fn init_state(
-        forest: &RegionForest,
-        root: RegionId,
-        force_kd: bool,
-        geometry: SharedGeometry,
-    ) -> FieldState {
-        let mut geom = RootGeometry::lock(&geometry);
+    fn init_state(forest: &RegionForest, root: RegionId, force_kd: bool) -> FieldState {
         let dc = if force_kd {
             Vec::new()
         } else {
@@ -382,7 +365,7 @@ impl RayCast {
                 let mut buckets = Vec::with_capacity(children.len());
                 for (i, c) in children.iter().enumerate() {
                     let i = i as u32;
-                    let domain = geom.region(forest, *c);
+                    let domain = forest.space(*c);
                     // Exactly its own anchor, as a set contained in child
                     // `i` needs — not seeded into `placement`, which
                     // answers by bounding box.
@@ -392,13 +375,12 @@ impl RayCast {
                 (sets, SetIndex::anchored(forest, *p, buckets))
             }
             None => {
-                let domain = geom.region(forest, root);
                 let mut tree = DynamicBvh::new();
-                tree.insert(key(0, 0), geom.alg.bbox(domain));
-                (vec![initial(0, domain, None)], SetIndex::Kd { tree })
+                tree.insert(key(0, 0), forest.domain(root).bbox());
+                let set = initial(0, forest.space(root), None);
+                (vec![set], SetIndex::Kd { tree })
             }
         };
-        drop(geom);
         FieldState {
             live: sets.len(),
             next_born: sets.len() as u32,
@@ -409,7 +391,6 @@ impl RayCast {
             anchor_memo: FxHashMap::default(),
             usage: FxHashMap::default(),
             shifts: 0,
-            geometry,
             candidates_visited: 0,
             sets_swept: 0,
             scratch: ScanScratch::default(),
@@ -538,9 +519,8 @@ impl CoherenceEngine for RayCast {
     fn prepare(&mut self, launch: &TaskLaunch, ctx: &ShardCtx<'_>) -> Vec<(ShardKey, Vec<u32>)> {
         let groups = group_reqs_by_shard(launch, ctx.forest);
         for (key, _) in &groups {
-            let (force_kd, geometry) = (self.force_kd, &mut self.geometry);
-            self.shards.get_or_insert_with(*key, || {
-                Self::init_state(ctx.forest, key.0, force_kd, geometry.get(key.0))
+            self.shards.get_or_insert_with(*key, ctx.forest, || {
+                Self::init_state(ctx.forest, key.0, self.force_kd)
             });
         }
         groups
@@ -554,15 +534,10 @@ impl CoherenceEngine for RayCast {
         ctx: &ShardCtx<'_>,
     ) -> Vec<ReqOutcome> {
         let origin = ctx.shards.origin(launch.node);
-        let mut shard = self.shards.lock(key);
+        let (mut shard, mut guard) = self.shards.lock(key);
         // Split the ShardRef borrow once so disjoint fields (index vs memo
         // vs sets) can be borrowed independently below.
         let state: &mut FieldState = &mut shard;
-        // The root's geometry, locked once for the whole shard batch (the
-        // `Arc` is cloned because `FieldState` methods borrow all of
-        // `state`).
-        let geometry = Arc::clone(&state.geometry);
-        let mut guard = RootGeometry::lock(&geometry);
         let geom: &mut RootGeometry = &mut guard;
         let mut outcomes: Vec<ReqOutcome> = Vec::with_capacity(reqs.len());
         // The shard's reusable buffers, moved out for the duration of the
@@ -594,7 +569,7 @@ impl CoherenceEngine for RayCast {
                 ..ReqOutcome::default()
             };
             let target = ctx.forest.domain(req.region);
-            let target_id = geom.region(ctx.forest, req.region);
+            let target_id = ctx.forest.space(req.region);
             if !self.force_kd {
                 let home = Self::home_partition(ctx.forest, req.region);
                 Self::maybe_shift(
@@ -685,18 +660,17 @@ impl CoherenceEngine for RayCast {
                     continue;
                 }
                 tests += 1;
-                let dom = state.sets[c as usize].domain;
-                if !geom.alg.overlaps(dom, target_id) {
-                    continue;
-                }
                 // The Warnock refine — ray casting still refines on partial
-                // overlaps: c's inside/outside halves, nothing outside when
-                // the target contains it.
-                let (inside, outside) = geom.alg.split(dom, target_id);
-                if outside == SpaceId::EMPTY {
-                    relevant.push(c);
-                    continue;
-                }
+                // overlaps.
+                let dom = state.sets[c as usize].domain;
+                let (inside, outside) = match refine(&mut geom.alg, dom, target_id) {
+                    Refine::Disjoint => continue,
+                    Refine::Contained => {
+                        relevant.push(c);
+                        continue;
+                    }
+                    Refine::Split(inside, outside) => (inside, outside),
+                };
                 // The history moves to the outside half (one copy for the
                 // inside half).
                 let (hist, old_owner) = {
@@ -710,14 +684,7 @@ impl CoherenceEngine for RayCast {
                 let outside_id = state.new_set(outside, hist, old_owner);
                 state.sets[c as usize].replaced_by = Some([inside_id, outside_id]);
                 state.index_insert(&[inside_id, outside_id], &geom.alg);
-                for op in [
-                    Op::EqSetRefine,
-                    Op::EqSetCreate,
-                    Op::EqSetCreate,
-                    Op::GeomOp { rects: 2 },
-                ] {
-                    charges.add(old_owner, op);
-                }
+                charges.add_refine(old_owner);
                 relevant.push(inside_id);
             }
             if !killed.is_empty() {
@@ -818,7 +785,7 @@ impl CoherenceEngine for RayCast {
                         // single largest per-launch term at weak scale.
                         let kids = ctx.forest.children(partition);
                         for a in req_anchors.iter() {
-                            let adom = geom.region(ctx.forest, kids[*a as usize]);
+                            let adom = ctx.forest.space(kids[*a as usize]);
                             let piece = geom.alg.intersect(target_id, adom);
                             if !geom.alg.is_empty_space(piece) {
                                 pieces.push(piece);
@@ -887,7 +854,7 @@ impl CoherenceEngine for RayCast {
         }
         state.scratch = scratch;
         state.recycle(&geom.alg);
-        geom.report_stats();
+        report_algebra(geom);
         if let SetIndex::Kd { tree } = &state.index {
             let (refits, rebuilds) = (tree.refits(), tree.rebuilds());
             let (dr, db) = (refits - state.last_refits, rebuilds - state.last_rebuilds);
@@ -917,7 +884,7 @@ impl CoherenceEngine for RayCast {
             size.candidates_visited += s.candidates_visited;
             size.sets_swept += s.sets_swept;
         }
-        self.geometry.add_stats(&mut size);
+        self.shards.add_algebra_stats(&mut size);
         size
     }
 }
@@ -1233,18 +1200,18 @@ mod tests {
     /// lock that a panicking scan poisoned.
     #[test]
     fn state_size_reads_through_a_poisoned_root_lock() {
-        let (mut fx, _n, p, g) = paper_fixture();
+        let (mut fx, n, p, g) = paper_fixture();
         for launch in iteration(&mut fx, p, g) {
             fx.analyze(&launch);
         }
         let before = fx.eng.state_size();
-        let geometry = Arc::clone(&fx.shard().geometry);
+        let geometry = Arc::clone(fx.forest.geometry(n));
         let poisoner = std::thread::spawn(move || {
             let _guard = geometry.lock();
             panic!("a scan panics holding its root's geometry");
         });
         assert!(poisoner.join().is_err());
-        assert!(fx.shard().geometry.is_poisoned());
+        assert!(fx.forest.geometry(n).is_poisoned());
         assert_eq!(fx.eng.state_size(), before);
     }
 

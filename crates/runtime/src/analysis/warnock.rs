@@ -25,18 +25,18 @@
 //!
 //! The whole refinement tree for one `(root, field)` — including its memo
 //! and replication cache — is one shard. Its geometry is the root's: every
-//! field tree of a root splits against one shared `RootGeometry`, so a
-//! second field refining the same way sweeps nothing.
+//! field tree of a root splits against the forest's `RootGeometry` for that
+//! root, so a second field refining the same way sweeps nothing.
 
 use crate::analysis::{
-    group_reqs_by_shard, ChargeSet, ReqOutcome, RootGeometries, RootGeometry, ShardKey,
-    ShardedState, SharedGeometry,
+    group_reqs_by_shard, refine, report_algebra, ChargeSet, Refine, ReqOutcome, ShardKey,
+    ShardedState,
 };
 use crate::engine::{CoherenceEngine, ShardCtx, StateSize};
 use crate::plan::{CopyRange, MaterializePlan, ReduceRange, Source};
 use crate::task::{TaskId, TaskLaunch};
-use viz_geometry::{FxHashMap, FxHashSet, InternConfig, SpaceAlgebra, SpaceId};
-use viz_region::{Privilege, RegionForest, RegionId};
+use viz_geometry::{FxHashMap, FxHashSet, SpaceAlgebra, SpaceId};
+use viz_region::{Privilege, RegionForest, RegionId, RootGeometry};
 use viz_sim::{NodeId, Op};
 
 /// One operation recorded in an equivalence set's history. The domain is
@@ -159,18 +159,13 @@ struct FieldTree {
     live_leaves: usize,
     /// Inner tree nodes already replicated at a given machine node.
     replicated: FxHashSet<(u32, NodeId)>,
-    /// The root's interner, set-algebra memo and region ids, for every
-    /// domain the tree touches (set domains, refinement splits, traversal
-    /// predicates) — shared with every other field tree of the root.
-    geometry: SharedGeometry,
 }
 
 impl FieldTree {
-    fn new(forest: &RegionForest, root: RegionId, geometry: SharedGeometry) -> Self {
-        let root_domain = RootGeometry::lock(&geometry).region(forest, root);
+    fn new(forest: &RegionForest, root: RegionId) -> Self {
         FieldTree {
             nodes: vec![EqNode {
-                domain: root_domain,
+                domain: forest.space(root),
                 owner: 0,
                 kind: EqKind::Leaf { hist: Vec::new() },
             }],
@@ -178,7 +173,6 @@ impl FieldTree {
             memo: FxHashMap::default(),
             live_leaves: 1,
             replicated: FxHashSet::default(),
-            geometry,
         }
     }
 }
@@ -186,20 +180,13 @@ impl FieldTree {
 /// Warnock's algorithm ("Warnock" / `oldeqcr` in the figures).
 pub struct Warnock {
     shards: ShardedState<FieldTree>,
-    geometry: RootGeometries,
     memoize: bool,
 }
 
 impl Warnock {
     pub fn new() -> Self {
-        Self::with_intern(InternConfig::default())
-    }
-
-    /// As [`Warnock::new`] with an explicit interning configuration.
-    pub fn with_intern(intern: InternConfig) -> Self {
         Warnock {
             shards: ShardedState::new(),
-            geometry: RootGeometries::new(intern),
             memoize: true,
         }
     }
@@ -228,10 +215,8 @@ impl CoherenceEngine for Warnock {
     fn prepare(&mut self, launch: &TaskLaunch, ctx: &ShardCtx<'_>) -> Vec<(ShardKey, Vec<u32>)> {
         let groups = group_reqs_by_shard(launch, ctx.forest);
         for (key, _) in &groups {
-            let geometry = &mut self.geometry;
-            self.shards.get_or_insert_with(*key, || {
-                FieldTree::new(ctx.forest, key.0, geometry.get(key.0))
-            });
+            self.shards
+                .get_or_insert_with(*key, ctx.forest, || FieldTree::new(ctx.forest, key.0));
         }
         groups
     }
@@ -244,10 +229,8 @@ impl CoherenceEngine for Warnock {
         ctx: &ShardCtx<'_>,
     ) -> Vec<ReqOutcome> {
         let origin = ctx.shards.origin(launch.node);
-        let mut shard = self.shards.lock(key);
+        let (mut shard, mut guard) = self.shards.lock(key);
         let tree: &mut FieldTree = &mut shard;
-        // The root's geometry, locked once for the whole shard batch.
-        let mut guard = RootGeometry::lock(&tree.geometry);
         let geom: &mut RootGeometry = &mut guard;
         let mut outcomes: Vec<ReqOutcome> = Vec::with_capacity(reqs.len());
         let mut commits: Vec<(Vec<u32>, EqEntry)> = Vec::with_capacity(reqs.len());
@@ -261,7 +244,7 @@ impl CoherenceEngine for Warnock {
                 req: ri,
                 ..ReqOutcome::default()
             };
-            let target = geom.region(ctx.forest, req.region);
+            let target = ctx.forest.space(req.region);
 
             // ---- Discovery: find the starting nodes (memo hit) or
             // traverse from the tree root (memo miss).
@@ -281,41 +264,38 @@ impl CoherenceEngine for Warnock {
             while let Some(n) = stack.pop() {
                 traversal_tests += 1;
                 let dom = tree.nodes[n as usize].domain;
-                let rects = geom.alg.space(dom).rect_count();
-                let overlap = geom.alg.overlaps(dom, target);
                 // Each traversal step tests the target against this node's
-                // (possibly heavily fragmented) domain.
+                // (possibly heavily fragmented) domain — inner node or leaf,
+                // one `overlaps` first.
+                let rects = geom.alg.space(dom).rect_count();
                 out.scan_log.op(
                     origin,
                     Op::GeomOp {
                         rects: rects.min(64),
                     },
                 );
-                if !overlap {
-                    continue;
-                }
-                let is_inner = matches!(tree.nodes[n as usize].kind, EqKind::Inner { .. });
-                if is_inner {
-                    // Replication on demand of immutable inner nodes: the
-                    // descriptors this traversal needs and has not yet
-                    // cached are fetched in one batched request below.
-                    if tree.replicated.insert((n, origin)) {
-                        to_replicate += 1;
-                    }
-                    if let EqKind::Inner { children } = &tree.nodes[n as usize].kind {
+                if let EqKind::Inner { children } = &tree.nodes[n as usize].kind {
+                    if geom.alg.overlaps(dom, target) {
+                        // Replication on demand of immutable inner nodes:
+                        // the descriptors this traversal needs and has not
+                        // yet cached are fetched in one batched request
+                        // below.
+                        if tree.replicated.insert((n, origin)) {
+                            to_replicate += 1;
+                        }
                         stack.extend(children.iter().copied());
                     }
                     continue;
                 }
-                // Leaf: contained (nothing of it outside the target) or
-                // straddling?
-                let (inside, outside) = geom.alg.split(dom, target);
-                if outside == SpaceId::EMPTY {
-                    relevant.push(n);
-                    continue;
-                }
-                // Refine: split into ∩target and \target (both nonempty
-                // here since the leaf overlaps but is not contained).
+                let (inside, outside) = match refine(&mut geom.alg, dom, target) {
+                    Refine::Disjoint => continue,
+                    Refine::Contained => {
+                        relevant.push(n);
+                        continue;
+                    }
+                    Refine::Split(inside, outside) => (inside, outside),
+                };
+                // Refine: split into ∩target and \target.
                 let (hist, old_owner) = {
                     let node = &tree.nodes[n as usize];
                     let EqKind::Leaf { hist } = &node.kind else {
@@ -345,14 +325,7 @@ impl CoherenceEngine for Warnock {
                 tree.live_leaves += 1;
                 // Refinement happens at the owner of the split set; the
                 // round trips for one launch are issued concurrently.
-                for op in [
-                    Op::EqSetRefine,
-                    Op::EqSetCreate,
-                    Op::EqSetCreate,
-                    Op::GeomOp { rects: 2 },
-                ] {
-                    charges.add(old_owner, op);
-                }
+                charges.add_refine(old_owner);
                 refined += 1;
                 relevant.push(inside_idx);
             }
@@ -476,7 +449,7 @@ impl CoherenceEngine for Warnock {
                 }
             }
         }
-        geom.report_stats();
+        report_algebra(geom);
         outcomes
     }
 
@@ -495,7 +468,7 @@ impl CoherenceEngine for Warnock {
                 }
             }
         }
-        self.geometry.add_stats(&mut size);
+        self.shards.add_algebra_stats(&mut size);
         size
     }
 }

@@ -112,9 +112,10 @@ pub struct RuntimeConfig {
     /// [`crate::RuntimeError::RingsExhausted`] past that). Defaults from
     /// `VIZ_SUBMIT_RINGS` (else 8); ignored in synchronous mode.
     pub submit_rings: usize,
-    /// Interning/memoization configuration for the engine's set algebra
-    /// (enabled by default; `InternConfig::disabled()` is the direct-sweep
-    /// reference of the differential tests).
+    /// Interning/memoization configuration of the region forest's per-root
+    /// set algebras, which every engine runs on (enabled by default;
+    /// `InternConfig::disabled()` is the direct-sweep reference of the
+    /// differential tests). A forest installed wholesale brings its own.
     pub intern: viz_geometry::InternConfig,
     /// Record the launch history (submitted requirements + emitted
     /// dependence edges + retirement order) for the external consistency
@@ -215,7 +216,7 @@ impl RuntimeConfig {
         self
     }
 
-    /// Pin the engine's interning configuration.
+    /// Pin the forest's interning configuration.
     pub fn intern(mut self, cfg: viz_geometry::InternConfig) -> Self {
         self.intern = cfg;
         self

@@ -183,9 +183,9 @@ pub struct StateSize {
     /// Entries across the engine's memoization tables (constituent-set and
     /// overlapping-anchor caches).
     pub memo_entries: usize,
-    /// Distinct index spaces interned across the engine's algebras: one per
-    /// root region for RayCast and Warnock (every field of a root shares
-    /// it), one per shard for the painters.
+    /// Distinct index spaces interned in the forest's algebras of the roots
+    /// the engine has analyzed — one interner per root for every engine,
+    /// holding the root's region domains and what analysis interned.
     pub interned_spaces: usize,
     /// Entries currently held in those algebras' caches.
     pub algebra_cache_entries: usize,
@@ -233,20 +233,13 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Instantiate the engine with the default (interned) algebra.
+    /// Instantiate the engine (its set algebra is the forest's).
     pub fn build(self) -> Box<dyn CoherenceEngine> {
-        self.build_with(viz_geometry::InternConfig::default())
-    }
-
-    /// Instantiate the engine with an explicit interning configuration
-    /// (the differential tests compare the memoized and direct algebra
-    /// paths in one process).
-    pub fn build_with(self, intern: viz_geometry::InternConfig) -> Box<dyn CoherenceEngine> {
         match self {
-            EngineKind::PaintNaive => Box::new(paint_naive::PaintNaive::with_intern(intern)),
-            EngineKind::Paint => Box::new(paint::Painter::with_intern(intern)),
-            EngineKind::Warnock => Box::new(warnock::Warnock::with_intern(intern)),
-            EngineKind::RayCast => Box::new(raycast::RayCast::with_intern(intern)),
+            EngineKind::PaintNaive => Box::new(paint_naive::PaintNaive::new()),
+            EngineKind::Paint => Box::new(paint::Painter::new()),
+            EngineKind::Warnock => Box::new(warnock::Warnock::new()),
+            EngineKind::RayCast => Box::new(raycast::RayCast::new()),
         }
     }
 

@@ -138,7 +138,7 @@ impl Book {
 impl Core {
     pub(super) fn new(config: &RuntimeConfig) -> Self {
         Core {
-            engine: config.engine.build_with(config.intern),
+            engine: config.engine.build(),
             machine: Machine::with_cost(config.nodes, config.cost.clone()),
             shards: ShardMap::new(config.nodes, config.dcr),
             book: Book {

@@ -162,7 +162,7 @@ pub struct Runtime {
 
 impl Runtime {
     pub fn new(config: RuntimeConfig) -> Self {
-        let forest = Arc::new(RwLock::new(RegionForest::new()));
+        let forest = Arc::new(RwLock::new(RegionForest::with_intern(config.intern)));
         let core = Arc::new(RwLock::new(Core::new(&config)));
         let pipeline = config.pipeline.then(|| {
             Pipeline::spawn(
@@ -229,8 +229,9 @@ impl Runtime {
     // ------------------------------------------------------------------
 
     /// Read access to the region forest. Does *not* drain the pipeline:
-    /// the dispatcher never mutates the forest, so reads (subregion lookups
-    /// while building the next wave) stay concurrent with analysis.
+    /// the dispatcher mutates only the per-root geometry cache, behind its
+    /// own lock, so reads (subregion lookups while building the next wave,
+    /// a cold `clone`) stay concurrent with analysis.
     pub fn forest(&self) -> RwLockReadGuard<'_, RegionForest> {
         self.forest.read().unwrap()
     }

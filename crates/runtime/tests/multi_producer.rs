@@ -11,7 +11,8 @@
 //! recycling, typed ring exhaustion, and the combining metrics.
 
 use proptest::prelude::*;
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use viz_geometry::Point;
 use viz_region::{FieldId, Privilege, RedOpRegistry, RegionId};
 use viz_runtime::analysis::paint_naive::PaintNaive;
@@ -349,6 +350,10 @@ fn ring_slots_recycle_and_exhaustion_is_typed() {
 /// the dispatcher falls behind, both producers stall, and the combining
 /// sweep must repeatedly drain both rings under one lock acquisition. The
 /// per-ring metrics decompose the global counters exactly.
+///
+/// Falling behind is certain, not likely: a `dag()` read guard wedges the
+/// dispatcher on the core write lock until both producers sit in a full
+/// ring, so the sweep after the wedged one finds both rings full.
 #[test]
 fn combining_dispatcher_merges_concurrent_streams() {
     // The literal Fig 7 painter: no occlusion pruning, so every launch
@@ -367,13 +372,16 @@ fn combining_dispatcher_merges_concurrent_streams() {
     const COUNT: usize = 120;
     let mut ca = rt.new_context().unwrap();
     let mut cb = rt.new_context().unwrap();
-    let start = Barrier::new(2);
+    // Submissions each producer has begun; ring `1 + p` counts those that
+    // returned.
+    let begun = [AtomicU64::new(0), AtomicU64::new(0)];
+    let wedge = rt.dag();
     std::thread::scope(|s| {
-        for (ctx, root, field) in [(&mut ca, root_a, field_a), (&mut cb, root_b, field_b)] {
-            let start = &start;
+        let producers = [(&mut ca, root_a, field_a), (&mut cb, root_b, field_b)];
+        for ((ctx, root, field), begun) in producers.into_iter().zip(&begun) {
             s.spawn(move || {
-                start.wait();
                 for i in 0..COUNT {
+                    begun.fetch_add(1, Ordering::SeqCst);
                     // Full-root read-writes: the serial history scan grows
                     // quadratically, so the dispatcher falls behind and
                     // both rings fill.
@@ -388,6 +396,22 @@ fn combining_dispatcher_merges_concurrent_streams() {
                 }
             });
         }
+        // The wedged sweep popped at most a ring's worth from each ring: a
+        // producer that has pushed that much and then sits 20 ms inside its
+        // next submission without a push waits on a full ring.
+        let pushed = |p: usize| metrics.ring(1 + p).submitted;
+        loop {
+            let before = [pushed(0), pushed(1)];
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            let stuck = |p: usize| {
+                let now = pushed(p);
+                now >= 4 && now == before[p] && begun[p].load(Ordering::SeqCst) > now
+            };
+            if stuck(0) && stuck(1) {
+                break;
+            }
+        }
+        drop(wedge);
     });
     drop(ca);
     drop(cb);
