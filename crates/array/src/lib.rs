@@ -27,9 +27,6 @@
 //! `Runtime::execute_values` once and resolve [`Scalar`]s and
 //! [`ArrayProbe`]s against the returned store.
 
-// Deprecated-wrapper allowlist (PR 4): this crate still uses the panicking
-// `launch`/`set_initial` spellings; migrate to `submit` in PR 5.
-
 use std::sync::Arc;
 use viz_geometry::{IndexSpace, Point};
 use viz_region::{deppart, FieldId, PartitionId, RedOpRegistry, RegionId};

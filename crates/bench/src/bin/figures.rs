@@ -28,9 +28,7 @@
 //! `results/` golden is generated with every `VIZ_*` variable unset.
 
 use std::io::Write;
-use viz_bench::{
-    artifact_tsv, autotracing_sweep, figure_table, paper_node_counts, sweep, tracing_sweep, AppKind,
-};
+use viz_bench::{artifact_tsv, figure_table, paper_node_counts, sweep, tracing_tables, AppKind};
 
 struct Args {
     figs: Vec<u32>,
@@ -156,19 +154,15 @@ fn main() {
                 &artifact_tsv(&rows, args.reps),
             );
         }
-        if args.tracing {
-            emit(
-                &args.out,
-                &format!("ext_tracing_{}", app.label()),
-                &tracing_sweep(app, &nodes),
-            );
-        }
-        if args.auto_tracing {
-            emit(
-                &args.out,
-                &format!("ext_autotracing_{}", app.label()),
-                &autotracing_sweep(app, &nodes),
-            );
+        if args.tracing || args.auto_tracing {
+            let [manual, auto] = tracing_tables(app, &nodes);
+            let label = app.label();
+            if args.tracing {
+                emit(&args.out, &format!("ext_tracing_{label}"), &manual);
+            }
+            if args.auto_tracing {
+                emit(&args.out, &format!("ext_autotracing_{label}"), &auto);
+            }
         }
     }
     if let Some(path) = &args.profile {

@@ -26,8 +26,11 @@
 
 pub mod plot;
 
-use viz_apps::{Circuit, CircuitConfig, Pennant, PennantConfig, Stencil, StencilConfig, Workload};
+use viz_apps::{
+    Circuit, CircuitConfig, Pennant, PennantConfig, Stencil, StencilConfig, Workload, WorkloadRun,
+};
 use viz_runtime::engine::StateSize;
+use viz_runtime::exec::TimedReport;
 use viz_runtime::{EngineKind, Runtime, RuntimeConfig};
 use viz_sim::Counters;
 
@@ -219,29 +222,7 @@ pub fn measure(
     assert!(!run.iter_end.is_empty(), "workload must report iterations");
     let init_ns = report.completion_through(run.iter_end[0]);
     let total_ns = report.completion_through(*run.iter_end.last().unwrap());
-    let iters = run.iter_end.len();
-    // Steady state (§8: "once the initial analysis is done the performance
-    // stabilizes"): the median per-iteration delta over the last half of
-    // the iterations, which excludes the pipeline-fill drain after the
-    // first-iteration analysis burst.
-    let per_iter_s = if iters > 1 {
-        let mut deltas: Vec<u64> = run
-            .iter_end
-            .windows(2)
-            .map(|w| report.completion_through(w[1]) - report.completion_through(w[0]))
-            .collect();
-        let half = deltas.split_off(deltas.len() / 2);
-        let mut half = half;
-        half.sort_unstable();
-        half[half.len() / 2] as f64 * 1e-9
-    } else {
-        init_ns as f64 * 1e-9
-    };
-    let throughput_per_node = if per_iter_s > 0.0 {
-        run.elements_per_iter as f64 / per_iter_s / nodes as f64
-    } else {
-        0.0
-    };
+    let (per_iter_s, throughput_per_node) = steady_state(&run, &report, nodes);
     let counters = rt.machine().counters().clone();
     let state = rt.stats().state;
     Measurement {
@@ -255,6 +236,26 @@ pub fn measure(
         counters,
         state,
     }
+}
+
+/// Steady-state seconds per iteration and per-node throughput (§8: "once
+/// the initial analysis is done the performance stabilizes"): the median
+/// per-iteration delta over the last half of the iterations, which
+/// excludes the pipeline-fill drain after the first-iteration analysis
+/// burst. A one-iteration run counts its whole time.
+fn steady_state(run: &WorkloadRun, report: &TimedReport, nodes: usize) -> (f64, f64) {
+    let at = |t| report.completion_through(t);
+    let mut deltas: Vec<u64> = run
+        .iter_end
+        .windows(2)
+        .map(|w| at(w[1]) - at(w[0]))
+        .collect();
+    let mut half = deltas.split_off(deltas.len() / 2);
+    half.sort_unstable();
+    let per_iter_ns = half.get(half.len() / 2).copied();
+    let per_iter_s = per_iter_ns.unwrap_or_else(|| at(run.iter_end[0])) as f64 * 1e-9;
+    let tput = run.elements_per_iter as f64 / per_iter_s / nodes as f64;
+    (per_iter_s, if per_iter_s > 0.0 { tput } else { 0.0 })
 }
 
 /// Sweep an app over node counts × the five configurations.
@@ -390,16 +391,7 @@ fn steady_state_run(
             .auto_trace(auto_trace),
     );
     let run = workload.execute(&mut rt);
-    let report = rt.timed_schedule();
-    let mut deltas: Vec<u64> = run
-        .iter_end
-        .windows(2)
-        .map(|w| report.completion_through(w[1]) - report.completion_through(w[0]))
-        .collect();
-    let mut half = deltas.split_off(deltas.len() / 2);
-    half.sort_unstable();
-    let per_iter_s = half[half.len() / 2] as f64 * 1e-9;
-    let tput = run.elements_per_iter as f64 / per_iter_s / nodes as f64;
+    let (_, tput) = steady_state(&run, &rt.timed_schedule(), nodes);
     (
         tput,
         rt.replayed_launches(),
@@ -408,71 +400,52 @@ fn steady_state_run(
     )
 }
 
-/// The dynamic-tracing extension experiment (E9 in DESIGN.md): the
-/// ray-casting engine with and without per-iteration traces, at paper
-/// scale. Tracing removes the per-launch analysis from the steady state,
-/// which should flatten the no-DCR curve that analysis costs bend.
-pub fn tracing_sweep(app: AppKind, node_counts: &[usize]) -> String {
+/// The tracing extension experiments, as `[ext_tracing, ext_autotracing]`
+/// tables: the ray-casting engine untraced, manually traced
+/// (`begin_trace`/`end_trace` in the app), and *unannotated* on a runtime
+/// that detects the repeats itself, at paper scale. Tracing removes the
+/// per-launch analysis from the steady state, which should flatten the
+/// no-DCR curve that analysis costs bend (E9); auto-traced throughput
+/// should track manual tracing closely — the detector only costs extra
+/// analyzed instances before promotion, which the steady-state median
+/// excludes (E10).
+pub fn tracing_tables(app: AppKind, node_counts: &[usize]) -> [String; 2] {
     let config = RunConfig {
         engine: EngineKind::RayCast,
         dcr: false,
     };
     let (scale, unit) = app.unit_scale();
-    let mut s = format!(
-        "# Extension: dynamic tracing [15] — {} weak scaling, RayCast No DCR
+    let label = app.label();
+    let mut manual = format!(
+        "# Extension: dynamic tracing [15] — {label} weak scaling, RayCast No DCR
          # value: {unit}
 nodes	untraced	traced	replayed_launches
-",
-        app.label()
+"
     );
-    for &nodes in node_counts {
-        let plain = measure(app, app.paper(nodes).as_ref(), config, nodes);
-        let (traced_tput, replayed, _, _) =
-            steady_state_run(app.paper_traced(nodes).as_ref(), config, nodes, false);
-        s.push_str(&format!(
-            "{nodes}	{:.4}	{:.4}	{replayed}
-",
-            plain.throughput_per_node / scale,
-            traced_tput / scale,
-        ));
-    }
-    s
-}
-
-/// The automatic trace detection experiment: the same weak-scaling
-/// workload untraced, manually traced (`begin_trace`/`end_trace` in the
-/// app), and *unannotated* on a runtime that detects the repeats itself.
-/// Auto-traced throughput should track manual tracing closely — the
-/// detector only costs extra analyzed instances before promotion, which
-/// the steady-state median excludes.
-pub fn autotracing_sweep(app: AppKind, node_counts: &[usize]) -> String {
-    let config = RunConfig {
-        engine: EngineKind::RayCast,
-        dcr: false,
-    };
-    let (scale, unit) = app.unit_scale();
-    let mut s = format!(
-        "# Extension: automatic trace detection — {} weak scaling, RayCast No DCR
+    let mut auto = format!(
+        "# Extension: automatic trace detection — {label} weak scaling, RayCast No DCR
          # value: {unit}
 nodes	untraced	traced	auto_traced	replayed_manual	replayed_auto	detected	demoted
-",
-        app.label()
+"
     );
     for &nodes in node_counts {
-        let plain = measure(app, app.paper(nodes).as_ref(), config, nodes);
+        let plain = measure(app, app.paper(nodes).as_ref(), config, nodes).throughput_per_node;
         let (manual_tput, manual_replayed, _, _) =
             steady_state_run(app.paper_traced(nodes).as_ref(), config, nodes, false);
         let (auto_tput, auto_replayed, detected, demoted) =
             steady_state_run(app.paper(nodes).as_ref(), config, nodes, true);
-        s.push_str(&format!(
-            "{nodes}	{:.4}	{:.4}	{:.4}	{manual_replayed}	{auto_replayed}	{detected}	{demoted}
-",
-            plain.throughput_per_node / scale,
-            manual_tput / scale,
-            auto_tput / scale,
+        let (plain, manual_tput, auto_tput) =
+            (plain / scale, manual_tput / scale, auto_tput / scale);
+        manual.push_str(&format!(
+            "{nodes}	{plain:.4}	{manual_tput:.4}	{manual_replayed}
+"
+        ));
+        auto.push_str(&format!(
+            "{nodes}	{plain:.4}	{manual_tput:.4}	{auto_tput:.4}	{manual_replayed}	{auto_replayed}	{detected}	{demoted}
+"
         ));
     }
-    s
+    [manual, auto]
 }
 
 #[cfg(test)]

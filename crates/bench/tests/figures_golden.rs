@@ -4,9 +4,7 @@
 //! go node count by node count, so a `--max-nodes 8` table is a byte prefix
 //! of the full one — and fails the moment any simulated charge moves.
 
-use viz_bench::{
-    artifact_tsv, autotracing_sweep, figure_table, paper_node_counts, sweep, tracing_sweep, AppKind,
-};
+use viz_bench::{artifact_tsv, figure_table, paper_node_counts, sweep, tracing_tables, AppKind};
 use viz_runtime::{EngineKind, RuntimeConfig};
 
 fn assert_prefix_of_golden(stem: &str, table: &str) {
@@ -40,10 +38,8 @@ fn tables_through_8_nodes_match_the_committed_goldens() {
         }
         let label = app.label();
         assert_prefix_of_golden(&format!("artifact_{label}"), &artifact_tsv(&rows, 1));
-        assert_prefix_of_golden(&format!("ext_tracing_{label}"), &tracing_sweep(app, &nodes));
-        assert_prefix_of_golden(
-            &format!("ext_autotracing_{label}"),
-            &autotracing_sweep(app, &nodes),
-        );
+        let [manual, auto] = tracing_tables(app, &nodes);
+        assert_prefix_of_golden(&format!("ext_tracing_{label}"), &manual);
+        assert_prefix_of_golden(&format!("ext_autotracing_{label}"), &auto);
     }
 }

@@ -18,12 +18,14 @@
 //!    never promoted.
 //!
 //! A promoted repeat hands the predicted instance (the last `L`
-//! signatures) to the trace state machine ([`crate::trace`]), which validates the next `L`
-//! launches against it while capturing their analysis results, then
-//! replays. Divergence at any point demotes back to observation — the
-//! runtime falls through to normal analysis, it never aborts.
+//! signatures) to the trace state machine ([`crate::trace`]), which
+//! validates the next `L` launches against it while capturing their
+//! analysis results, verifies one more instance, then replays. Divergence
+//! at any point demotes back to observation — the runtime falls through to
+//! normal analysis, it never aborts.
 
 use crate::task::RegionRequirement;
+use crate::trace::Sig;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use viz_geometry::{FxHashMap, FxHasher};
@@ -37,16 +39,6 @@ const MAX_LEN: u64 = 8192;
 /// How many consecutive identical blocks must be observed before a period
 /// is promoted (≥ 2; higher = later but safer promotion).
 const CONFIDENCE: u64 = 2;
-
-/// One launch's signature: everything replay validation compares, plus its
-/// hash. Promoted instances carry these as the prediction to validate
-/// capture against.
-#[derive(Clone)]
-pub(crate) struct AutoSig {
-    pub node: NodeId,
-    pub reqs: Vec<RegionRequirement>,
-    pub hash: u64,
-}
 
 /// Polynomial rolling-hash base (odd → invertible mod 2^64).
 const BASE: u64 = 0x9E37_79B9_7F4A_7C15 | 1;
@@ -74,9 +66,9 @@ pub(crate) struct AutoTracer {
     min_len: u64,
     max_len: u64,
     confidence: u64,
-    /// Retained signatures: positions `start .. start + sigs.len()` of the
-    /// absolute launch stream.
-    sigs: VecDeque<AutoSig>,
+    /// Retained signatures with their hashes: positions `start .. start +
+    /// sigs.len()` of the absolute launch stream.
+    sigs: VecDeque<(u64, Sig)>,
     /// `prefix[k]` = polynomial hash of the absolute stream prefix ending
     /// at position `start + k`; `prefix.len() == sigs.len() + 1`. Substring
     /// hashes never span a reset, so the anchor is arbitrary.
@@ -96,7 +88,7 @@ impl AutoTracer {
     /// The detector over other bounds than the runtime's (unit tests use
     /// short windows). Requires `1 <= min_len <= max_len`, `confidence >= 2`.
     fn with_bounds(min_len: u64, max_len: u64, confidence: u64) -> Self {
-        assert!(1 <= min_len && min_len <= max_len && confidence >= 2);
+        debug_assert!(1 <= min_len && min_len <= max_len && confidence >= 2);
         let window = (confidence * max_len) as usize;
         let mut pow = Vec::with_capacity(window + 2);
         pow.push(1u64);
@@ -137,9 +129,7 @@ impl AutoTracer {
     fn verify_exact(&self, end: u64, len: u64, blocks: u64) -> bool {
         let first = end - blocks * len;
         (first..end - len).all(|p| {
-            let a = &self.sigs[(p - self.start) as usize];
-            let b = &self.sigs[(p + len - self.start) as usize];
-            a.hash == b.hash && a.node == b.node && a.reqs == b.reqs
+            self.sigs[(p - self.start) as usize] == self.sigs[(p + len - self.start) as usize]
         })
     }
 
@@ -147,17 +137,15 @@ impl AutoTracer {
     /// last `L` signatures, oldest first) when a period `L` is confirmed —
     /// by stream periodicity the *next* `L` launches should equal it
     /// element-for-element. The detector resets itself on promotion.
-    pub fn observe(&mut self, node: NodeId, reqs: &[RegionRequirement]) -> Option<Vec<AutoSig>> {
+    pub fn observe(&mut self, node: NodeId, reqs: &[RegionRequirement]) -> Option<Vec<Sig>> {
         let h = sig_hash(node, reqs);
         let pos = self.start + self.sigs.len() as u64;
-        let top = *self.prefix.back().unwrap();
+        // `prefix` is one longer than `sigs`: this is its last element.
+        let top = self.prefix[self.sigs.len()];
         self.prefix
             .push_back(top.wrapping_mul(BASE).wrapping_add(mix(h)));
-        self.sigs.push_back(AutoSig {
-            node,
-            reqs: reqs.to_vec(),
-            hash: h,
-        });
+        let reqs = reqs.to_vec();
+        self.sigs.push_back((h, Sig { node, reqs }));
         let window = (self.confidence * self.max_len) as usize;
         while self.sigs.len() > window {
             self.sigs.pop_front();
@@ -192,11 +180,11 @@ impl AutoTracer {
             if !all_equal || !self.verify_exact(end, len, self.confidence) {
                 continue;
             }
-            let predicted: Vec<AutoSig> = self
+            let predicted: Vec<Sig> = self
                 .sigs
                 .iter()
                 .skip(self.sigs.len() - len as usize)
-                .cloned()
+                .map(|(_, sig)| sig.clone())
                 .collect();
             self.reset();
             return Some(predicted);

@@ -100,11 +100,6 @@ impl MaterializePlan {
     pub fn copied_points(&self) -> u64 {
         self.copies.iter().map(|c| c.domain.volume()).sum()
     }
-
-    /// Total points folded from reduction instances.
-    pub fn reduced_points(&self) -> u64 {
-        self.reductions.iter().map(|r| r.domain.volume()).sum()
-    }
 }
 
 /// The full result of analyzing one task launch.
@@ -123,6 +118,24 @@ impl AnalysisResult {
         self.deps.dedup();
         for p in &mut self.plans {
             p.normalize();
+        }
+    }
+
+    /// Rewrite every task reference (dependences, copy sources, reduction
+    /// instances) through `f`.
+    pub(crate) fn map_tasks(&mut self, f: impl Fn(TaskId) -> TaskId) {
+        for d in &mut self.deps {
+            *d = f(*d);
+        }
+        for plan in &mut self.plans {
+            for c in &mut plan.copies {
+                if let Source::Task(t, _) = &mut c.source {
+                    *t = f(*t);
+                }
+            }
+            for r in &mut plan.reductions {
+                r.task = f(r.task);
+            }
         }
     }
 }
@@ -205,19 +218,7 @@ impl StoredResult {
             StoredResult::Shared { result, shift } => {
                 let mut r = (**result).clone();
                 if !shift.is_identity() {
-                    for d in &mut r.deps {
-                        *d = shift.apply(*d);
-                    }
-                    for plan in &mut r.plans {
-                        for c in &mut plan.copies {
-                            if let Source::Task(t, _) = &mut c.source {
-                                *t = shift.apply(*t);
-                            }
-                        }
-                        for red in &mut plan.reductions {
-                            red.task = shift.apply(red.task);
-                        }
-                    }
+                    r.map_tasks(|t| shift.apply(t));
                 }
                 r
             }

@@ -34,8 +34,8 @@ pub struct LaunchRecord {
     pub ctx: u32,
     /// The submitted requirements, exactly as analyzed.
     pub reqs: Vec<RegionRequirement>,
-    /// The PR 3 fingerprint of `(node, reqs)` — the canonical signature
-    /// trace replay validates against.
+    /// The auto-tracer's fingerprint of `(node, reqs)` — the canonical
+    /// signature trace replay validates against.
     pub signature: u64,
     /// Dependence edges the engine emitted for this launch (trace-replay
     /// shifts already applied — these are the ids the executors honor).

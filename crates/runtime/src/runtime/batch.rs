@@ -45,14 +45,11 @@ impl Core {
             // Outside traces this only updates detector state and returns
             // `Analyze { record: false }` — the same call the serial
             // driver makes, at the same position in the launch stream.
-            match self
+            let action = self
                 .book
                 .tracing
-                .on_launch(launch.node, &launch.reqs, launch.id.0)
-            {
-                TraceAction::Analyze { record: false } => {}
-                _ => unreachable!("untraced segment launches analyze without recording"),
-            }
+                .on_launch(launch.node, &launch.reqs, launch.id.0);
+            debug_assert!(matches!(action, TraceAction::Analyze { record: false }));
             for req in &launch.reqs {
                 self.shards.touch(req.region, launch.node, launch.id.0);
             }
@@ -65,7 +62,7 @@ impl Core {
             ));
             batch.push(launch);
             batch_bodies.push(spec.body);
-            if self.book.tracing.capture_pending() {
+            if self.book.tracing.is_active() {
                 // A repeat was just detected: capture starts with the next
                 // launch, which must go through the trace machinery.
                 break;

@@ -166,15 +166,7 @@ impl Core {
             duration_ns: spec.duration_ns,
         };
         let origin = self.shards.origin(launch.node);
-        let mut action = book.tracing.on_launch(launch.node, &launch.reqs, id.0);
-        if let TraceAction::Violation(v) = action {
-            // The prediction diverged: demote (annotated traces fall back
-            // to normal analysis and recapture; auto traces return to
-            // observation) — never abort.
-            book.tracing.demote(v);
-            action = book.tracing.on_launch(launch.node, &launch.reqs, id.0);
-        }
-        match action {
+        match book.tracing.on_launch(launch.node, &launch.reqs, id.0) {
             TraceAction::Replay { result, shift } => {
                 // Dynamic tracing [15]: the recorded analysis is reused —
                 // only a template lookup is paid, not the visibility
@@ -224,13 +216,11 @@ impl Core {
                         shift: TaskShift::IDENTITY,
                     }
                 } else {
-                    book.tracing.advance();
                     StoredResult::Owned(result)
                 };
                 let how = Commit::Analyzed { engine, since };
                 book.commit(&self.machine, ctx, origin, &launch, stored, how);
             }
-            TraceAction::Violation(_) => unreachable!("demotion resolves violations"),
         }
         book.ledger.push_launch(launch, spec.body);
         id
@@ -278,13 +268,13 @@ impl Core {
                 }
                 break;
             }
-            if self.book.tracing.pending_or_active() {
+            if self.book.tracing.is_active() {
                 // Trace segment: replay drains launches in bulk (O(1)
                 // each: validate, charge the memo op, retire the shared
                 // result); warm-up/capture launches analyze in order. A
                 // demotion mid-segment drops back out and re-shards the
                 // remainder of the batch.
-                while !items.is_empty() && self.book.tracing.pending_or_active() {
+                while !items.is_empty() && self.book.tracing.is_active() {
                     let s = items.pop_front().unwrap();
                     ids.push(self.launch_one(ctx, s, forest));
                 }

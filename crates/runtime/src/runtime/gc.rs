@@ -65,9 +65,9 @@ impl Core {
         self.gc.next_due = next + self.gc.cfg.interval.max(1);
         self.gc.collections += 1;
         let mut floor = next.saturating_sub(self.gc.cfg.retain);
-        // Tracing-aware pinning: an in-flight instance (or a pending auto
-        // capture) keeps everything from its base launch alive — the
-        // template's footprint survives as long as it replays.
+        // Tracing-aware pinning: an in-flight instance keeps everything
+        // from its base launch alive — the template's footprint survives as
+        // long as it replays.
         if let Some(pin) = book.tracing.pin_floor() {
             if pin < floor {
                 self.gc.pins += 1;

@@ -24,9 +24,9 @@
 //! trace and recaptures, it never aborts) and *contiguous* (anything
 //! launched between instances invalidates the template, which is then
 //! recaptured). Because replays do not update the engine's state, the
-//! runtime rebases any later engine result that references the recorded
-//! instance onto the final replayed instance — valid precisely because the
-//! instances are identical.
+//! runtime rebases any later engine result that references the last
+//! analyzed instance onto the final replayed instance — valid precisely
+//! because the instances are identical.
 //!
 //! Two properties keep replay O(1) per launch:
 //!
@@ -36,18 +36,20 @@
 //!   shift lazily when they read task references out of the plan.
 //! * The rebase map is a sorted, non-overlapping interval map: each
 //!   completed replay instance *supersedes* the previous mapping of its
-//!   recorded window, so the map stays O(active templates) no matter how
+//!   analyzed window, so the map stays O(active templates) no matter how
 //!   many instances replay (see `push_rebase`).
 //!
-//! Traces also form without annotations: when auto-tracing is enabled, the
-//! auto tracer ([`crate::autotrace`]) watches the launch stream and promotes
-//! detected repeats into the same state machine (`Mode::AutoCapture` /
-//! `Mode::AutoReplay`), with a demotion path back to normal analysis when
-//! the prediction diverges.
+//! Traces also form without annotations: with auto-tracing on, the
+//! detector ([`crate::autotrace`]) opens a trace under a fresh auto
+//! [`TraceId`] in `Mode::Capture`, predicting each captured launch. One
+//! `Mode::Verify` instance follows before replay, which rolls into the next
+//! instance every `len` launches (there is no `end_trace`); any divergence
+//! drops the template. Both kinds share one template store and one path
+//! that cuts a diverging replay.
 
-use crate::autotrace::{AutoSig, AutoTracer};
+use crate::autotrace::AutoTracer;
 use crate::error::RuntimeError;
-use crate::plan::{AnalysisResult, Source, StoredResult, TaskShift};
+use crate::plan::{AnalysisResult, StoredResult, TaskShift};
 use crate::task::{RegionRequirement, TaskId};
 use std::sync::Arc;
 use viz_geometry::{FxHashMap, IndexSpace};
@@ -70,12 +72,42 @@ impl TraceId {
     }
 }
 
+/// One launch's signature: everything trace validation compares. Template
+/// entries and the auto-tracer's predictions both carry it.
+#[derive(Clone, PartialEq)]
+pub(crate) struct Sig {
+    pub node: NodeId,
+    pub reqs: Vec<RegionRequirement>,
+}
+
+impl Sig {
+    /// How a launch differs from this signature (`None` when it matches).
+    /// A requirement-count mismatch reports the first index past the
+    /// shorter list.
+    fn mismatch(&self, node: NodeId, reqs: &[RegionRequirement]) -> Option<ViolationKind> {
+        if self.node != node {
+            return Some(ViolationKind::NodeMismatch {
+                recorded: self.node,
+                got: node,
+            });
+        }
+        if self.reqs == reqs {
+            return None;
+        }
+        let index = (self.reqs.iter().zip(reqs))
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| self.reqs.len().min(reqs.len()));
+        Some(ViolationKind::RequirementMismatch {
+            index: index as u32,
+        })
+    }
+}
+
 /// One recorded launch of a trace template. The analysis result is shared
 /// (`Arc`) with every replayed instance — replay never clones it.
 #[derive(Clone)]
 pub(crate) struct TemplateEntry {
-    pub node: NodeId,
-    pub reqs: Vec<RegionRequirement>,
+    pub sig: Sig,
     pub result: Arc<AnalysisResult>,
 }
 
@@ -83,6 +115,11 @@ pub(crate) struct TemplateEntry {
 /// analysis results, based at `base`.
 pub(crate) struct Template {
     pub base: u32,
+    /// First task of the instance the engine last *analyzed*, where its
+    /// stale references point: `base` for annotated traces, `base + len`
+    /// for auto traces (which replay only after analyzing one verification
+    /// instance). Replays rebase this window.
+    pub analyzed: u32,
     pub entries: Vec<TemplateEntry>,
 }
 
@@ -115,6 +152,17 @@ pub(crate) struct TraceState {
     pub last_end: u32,
 }
 
+impl TraceState {
+    /// The template of a trace in `Verify` or `Replay` mode.
+    fn template(&self) -> &Template {
+        // Both modes are entered only after the template is stored, and
+        // only `drop_template` (which also ends the mode) removes it.
+        self.template
+            .as_ref()
+            .expect("verifying or replaying without a template")
+    }
+}
+
 /// Why a trace prediction failed (see [`TraceViolation`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ViolationKind {
@@ -145,25 +193,24 @@ pub struct TraceViolation {
 
 /// What the in-progress instance is doing.
 pub(crate) enum Mode {
-    /// First instance of an annotated trace: analyze normally.
-    Warmup,
-    /// Second instance of an annotated trace: analyze and record.
-    Capture,
-    /// Replaying an annotated trace's template.
+    /// First instance of an annotated trace: analyze normally. A
+    /// `demoted` instance finishes this way and does not count toward
+    /// warm-up/capture.
+    Warmup { demoted: bool },
+    /// Analyze and record. An auto trace validates each launch against the
+    /// detector's prediction before it is analyzed; an annotated trace has
+    /// no prediction and completes at `end_trace`.
+    Capture {
+        predicted: Option<Vec<Sig>>,
+        recording: Vec<TemplateEntry>,
+    },
+    /// Auto traces only: one more analyzed instance, each result compared
+    /// against the template shifted onto it — repeating signatures do not
+    /// imply a repeating analysis, and no user promise vouches for it.
+    Verify,
+    /// Replaying the template. Auto traces wrap to a new instance every
+    /// `len` launches (they have no explicit `end_trace`).
     Replay,
-    /// Recording a speculated repeat: each launch is validated against the
-    /// predicted signatures *before* it is analyzed and recorded.
-    AutoCapture { predicted: Vec<AutoSig> },
-    /// One more analyzed instance after auto-capture: each result is
-    /// compared against the template modulo the instance shift. Signatures
-    /// repeating does not imply the *analysis* repeats — pending reductions
-    /// can accumulate across instances, for example — and unlike an
-    /// annotated trace there is no user promise to lean on. Only a
-    /// shift-stationary instance is promoted to replay.
-    AutoVerify,
-    /// Replaying an auto-detected template; wraps to a new instance every
-    /// `len` launches (auto traces have no explicit `end_trace`).
-    AutoReplay,
 }
 
 pub(crate) struct ActiveTrace {
@@ -172,28 +219,43 @@ pub(crate) struct ActiveTrace {
     pub base: u32,
     pub cursor: u32,
     pub mode: Mode,
-    /// Entries recorded by this instance (when capturing).
-    pub recording: Vec<TemplateEntry>,
     /// The shift applied to replayed results of this instance (computed
     /// once per instance, not per launch).
     pub shift: TaskShift,
-    /// A demoted annotated trace: the rest of the instance is analyzed
-    /// normally and the instance does not count toward warm-up/capture.
-    pub demoted: bool,
 }
 
 impl ActiveTrace {
-    fn is_auto(&self) -> bool {
-        self.id.is_auto()
+    fn new(id: TraceId, base: u32, mode: Mode, shift: TaskShift) -> Self {
+        ActiveTrace {
+            id,
+            base,
+            cursor: 0,
+            mode,
+            shift,
+        }
     }
-}
 
-/// A promotion waiting for its first launch: capture begins at task
-/// `base` (the launch right after the detection point).
-struct PendingAuto {
-    id: TraceId,
-    base: u32,
-    predicted: Vec<AutoSig>,
+    fn capture(predicted: Option<Vec<Sig>>) -> Mode {
+        Mode::Capture {
+            predicted,
+            recording: Vec::new(),
+        }
+    }
+
+    /// An auto trace promoted by the previous launch, whose first capture
+    /// launch has not arrived: interrupting it drops it silently.
+    fn unstarted(&self) -> bool {
+        let auto = matches!(&self.mode, Mode::Capture { predicted, .. } if predicted.is_some());
+        self.cursor == 0 && auto
+    }
+
+    fn violation(&self, kind: ViolationKind) -> TraceViolation {
+        TraceViolation {
+            id: self.id,
+            cursor: self.cursor,
+            kind,
+        }
+    }
 }
 
 /// What the runtime should do with the next launch.
@@ -207,32 +269,27 @@ pub(crate) enum TraceAction {
         result: Arc<AnalysisResult>,
         shift: TaskShift,
     },
-    /// The launch diverges from the prediction: the runtime must call
-    /// [`Tracing::demote`] and then analyze the launch normally.
-    Violation(TraceViolation),
 }
 
 /// The runtime's tracing bookkeeping.
 #[derive(Default)]
 pub(crate) struct Tracing {
+    /// Per-trace state and template, annotated and auto alike. An auto
+    /// trace's entry lives from capture to demotion.
     states: FxHashMap<TraceId, TraceState>,
     active: Option<ActiveTrace>,
-    /// Template of the current auto-detected trace (auto traces are
-    /// one-shot: a demotion discards the template and detection restarts).
-    auto_template: Option<Template>,
     /// Online repeat detector (None when auto-tracing is disabled).
     auto: Option<AutoTracer>,
-    pending_auto: Option<PendingAuto>,
     next_auto_id: u32,
     /// Sorted, non-overlapping ranges: later engine references to a task in
-    /// `start..end` move by `shift` (the distance from the recorded
+    /// `start..end` move by `shift` (the distance from the analyzed
     /// instance to its last replayed one).
     rebases: Vec<(u32, u32, u32)>,
     /// Replays cut short leave a soundness hazard the rebase map cannot
     /// express: the engine's frozen state references the *unreplayed
-    /// suffix* of the recorded window, whose entries superseded the
+    /// suffix* of the analyzed window, whose entries superseded the
     /// replayed prefix's reads and writes. A later raw reference into
-    /// `suffix_lo..suffix_hi` (recorded ids, checked before rebasing)
+    /// `suffix_lo..suffix_hi` (analyzed ids, checked before rebasing)
     /// orders the launch after the previous instance but not after the
     /// aborted instance's prefix — so it must additionally depend on
     /// `prefix_lo..prefix_hi` (the replayed tasks of that instance).
@@ -250,7 +307,7 @@ pub(crate) struct Tracing {
 /// Is one captured instance *self-superseding* — does replaying it with a
 /// shift-rebase preserve every future analysis exactly?
 ///
-/// Replay freezes the engine's retained state at the verification
+/// Replay freezes the engine's retained state at the last analyzed
 /// instance; the rebase map then translates stale references onto the
 /// latest replayed instance. That translation is exact iff the state is
 /// *shift-stationary*: each instance must occlude everything its
@@ -266,7 +323,7 @@ pub(crate) struct Tracing {
 fn instance_is_self_superseding(entries: &[TemplateEntry], forest: &RegionForest) -> bool {
     let mut writes: FxHashMap<(RegionId, FieldId), IndexSpace> = FxHashMap::default();
     for e in entries {
-        for r in &e.reqs {
+        for r in &e.sig.reqs {
             if matches!(r.privilege, Privilege::ReadWrite) {
                 let dom = forest.domain(r.region);
                 writes
@@ -277,7 +334,7 @@ fn instance_is_self_superseding(entries: &[TemplateEntry], forest: &RegionForest
         }
     }
     entries.iter().all(|e| {
-        e.reqs.iter().all(|r| {
+        e.sig.reqs.iter().all(|r| {
             matches!(r.privilege, Privilege::ReadWrite)
                 || writes
                     .get(&(forest.root_of(r.region), r.field))
@@ -297,16 +354,13 @@ fn push_rebase(rebases: &mut Vec<(u32, u32, u32)>, start: u32, end: u32, shift: 
         return;
     }
     let mut out: Vec<(u32, u32, u32)> = Vec::with_capacity(rebases.len() + 2);
+    // Keep what lies outside `[start, end)` of every older range.
     for &(s, e, sh) in rebases.iter() {
-        if e <= start || s >= end {
-            out.push((s, e, sh));
-            continue;
-        }
         if s < start {
-            out.push((s, start, sh));
+            out.push((s, e.min(start), sh));
         }
         if e > end {
-            out.push((end, e, sh));
+            out.push((s.max(end), e, sh));
         }
     }
     if shift > 0 {
@@ -323,29 +377,6 @@ fn push_rebase(rebases: &mut Vec<(u32, u32, u32)>, start: u32, end: u32, shift: 
     *rebases = merged;
 }
 
-/// Classify how a launch differs from its recorded counterpart.
-fn mismatch_kind(
-    want_node: NodeId,
-    want_reqs: &[RegionRequirement],
-    node: NodeId,
-    reqs: &[RegionRequirement],
-) -> ViolationKind {
-    if want_node != node {
-        return ViolationKind::NodeMismatch {
-            recorded: want_node,
-            got: node,
-        };
-    }
-    let index = want_reqs
-        .iter()
-        .zip(reqs.iter())
-        .position(|(a, b)| a != b)
-        .unwrap_or_else(|| want_reqs.len().min(reqs.len()));
-    ViolationKind::RequirementMismatch {
-        index: index as u32,
-    }
-}
-
 impl Tracing {
     pub fn new(auto: Option<AutoTracer>) -> Self {
         Tracing {
@@ -354,9 +385,15 @@ impl Tracing {
         }
     }
 
+    fn reset_detector(&mut self) {
+        if let Some(auto) = &mut self.auto {
+            auto.reset();
+        }
+    }
+
     pub fn begin(&mut self, id: TraceId, next_task: u32) -> Result<(), RuntimeError> {
         if let Some(active) = &self.active {
-            if !active.is_auto() {
+            if !active.id.is_auto() {
                 return Err(RuntimeError::NestedTrace {
                     active: active.id,
                     requested: id,
@@ -364,145 +401,89 @@ impl Tracing {
             }
             // An explicit annotation takes precedence over a speculated
             // auto trace.
-            self.demote_auto();
+            if active.unstarted() {
+                self.active = None;
+            } else {
+                self.demote_auto();
+            }
         }
-        self.pending_auto = None;
-        if let Some(auto) = &mut self.auto {
-            auto.reset();
-        }
+        self.reset_detector();
         let st = self.states.entry(id).or_default();
-        // Replay requires a template and contiguity: nothing may have been
-        // launched since the previous instance ended.
-        let replaying = st.template.is_some() && st.instances >= 2 && st.last_end == next_task;
-        if !replaying && st.template.is_some() && st.last_end != next_task {
-            // Intervening launches changed the engine state: the template
-            // no longer describes reality. Recapture from scratch.
+        // Replay requires a template and contiguity: launches since the
+        // previous instance ended changed the engine state, so the
+        // template no longer describes reality. Recapture from scratch.
+        if st.last_end != next_task && st.template.is_some() {
             st.template = None;
             st.instances = 0;
         }
-        let (mode, shift) = if replaying {
-            let t = st.template.as_ref().unwrap();
-            (Mode::Replay, t.shift_to(next_task))
-        } else if st.instances == 1 {
-            (Mode::Capture, TaskShift::IDENTITY)
-        } else {
-            (Mode::Warmup, TaskShift::IDENTITY)
+        let (mode, shift) = match &st.template {
+            Some(t) if st.instances >= 2 => (Mode::Replay, t.shift_to(next_task)),
+            _ if st.instances == 1 => (ActiveTrace::capture(None), TaskShift::IDENTITY),
+            _ => (Mode::Warmup { demoted: false }, TaskShift::IDENTITY),
         };
-        self.active = Some(ActiveTrace {
-            id,
-            base: next_task,
-            cursor: 0,
-            mode,
-            recording: Vec::new(),
-            shift,
-            demoted: false,
-        });
+        self.active = Some(ActiveTrace::new(id, next_task, mode, shift));
         Ok(())
     }
 
-    /// Decide how to handle a launch. For replays, validates the signature
-    /// and hands back the shared recorded result; for auto-captures,
-    /// validates the prediction; outside traces, feeds the repeat detector.
+    /// Decide how to handle a launch. Outside traces, feeds the repeat
+    /// detector; inside, validates the launch against the prediction or
+    /// template and, when replaying, hands back the shared recorded result.
+    /// A launch that diverges demotes the trace and is analyzed normally —
+    /// never an abort.
     pub fn on_launch(
         &mut self,
         node: NodeId,
         reqs: &[RegionRequirement],
         next_task: u32,
     ) -> TraceAction {
-        if self.active.is_none() {
-            if let Some(p) = self.pending_auto.take() {
-                if p.base == next_task {
-                    self.active = Some(ActiveTrace {
-                        id: p.id,
-                        base: next_task,
-                        cursor: 0,
-                        mode: Mode::AutoCapture {
-                            predicted: p.predicted,
-                        },
-                        recording: Vec::new(),
-                        shift: TaskShift::IDENTITY,
-                        demoted: false,
-                    });
-                } else if let Some(auto) = &mut self.auto {
-                    // Something other than a launch (a fence) intervened:
-                    // the prediction no longer lines up with the id stream.
-                    auto.reset();
-                }
-            }
-        }
         let Some(active) = self.active.as_mut() else {
-            // Observation: feed the detector; a detected repeat schedules
-            // capture to start with the *next* launch.
-            if let Some(auto) = &mut self.auto {
-                if let Some(predicted) = auto.observe(node, reqs) {
-                    let id = TraceId(TraceId::AUTO_BIT | self.next_auto_id);
-                    self.next_auto_id += 1;
-                    self.auto_promotions += 1;
-                    if viz_profile::enabled() {
-                        viz_profile::instant(viz_profile::EventKind::TraceDetect {
-                            trace: id.0,
-                            len: predicted.len() as u64,
-                        });
-                    }
-                    self.pending_auto = Some(PendingAuto {
-                        id,
-                        base: next_task + 1,
-                        predicted,
+            // Observation: feed the detector; a detected repeat starts
+            // capture with the *next* launch.
+            if let Some(predicted) = self.auto.as_mut().and_then(|a| a.observe(node, reqs)) {
+                let id = TraceId(TraceId::AUTO_BIT | self.next_auto_id);
+                self.next_auto_id += 1;
+                self.auto_promotions += 1;
+                if viz_profile::enabled() {
+                    viz_profile::instant(viz_profile::EventKind::TraceDetect {
+                        trace: id.0,
+                        len: predicted.len() as u64,
                     });
                 }
+                let mode = ActiveTrace::capture(Some(predicted));
+                let shift = TaskShift::IDENTITY;
+                self.active = Some(ActiveTrace::new(id, next_task + 1, mode, shift));
             }
             return TraceAction::Analyze { record: false };
         };
-        match active.mode {
-            Mode::Warmup => TraceAction::Analyze { record: false },
-            Mode::Capture => TraceAction::Analyze { record: true },
-            Mode::AutoCapture { ref predicted } => {
-                let want = &predicted[active.cursor as usize];
-                if want.node != node || want.reqs != reqs {
-                    return TraceAction::Violation(TraceViolation {
-                        id: active.id,
-                        cursor: active.cursor,
-                        kind: mismatch_kind(want.node, &want.reqs, node, reqs),
-                    });
-                }
-                TraceAction::Analyze { record: true }
+        // Every id-consuming non-launch (a fence) drops auto traces first,
+        // so an auto trace's instance is never out of step with the ids.
+        debug_assert!(!active.id.is_auto() || active.base + active.cursor == next_task);
+        let cursor = active.cursor as usize;
+        let (want, replayed) = match &active.mode {
+            Mode::Warmup { .. } => {
+                active.cursor += 1;
+                return TraceAction::Analyze { record: false };
             }
-            Mode::AutoVerify => {
-                let t = self
-                    .auto_template
-                    .as_ref()
-                    .expect("verifying without a template");
-                let entry = &t.entries[active.cursor as usize];
-                if entry.node != node || entry.reqs != reqs {
-                    return TraceAction::Violation(TraceViolation {
-                        id: active.id,
-                        cursor: active.cursor,
-                        kind: mismatch_kind(entry.node, &entry.reqs, node, reqs),
-                    });
-                }
-                TraceAction::Analyze { record: true }
-            }
-            Mode::Replay | Mode::AutoReplay => {
-                let is_auto = matches!(active.mode, Mode::AutoReplay);
-                let template = if is_auto {
-                    self.auto_template.as_ref()
-                } else {
-                    self.states[&active.id].template.as_ref()
-                }
-                .expect("replaying without a template");
-                let len = template.len();
-                if is_auto && active.cursor == len {
-                    // Auto traces have no explicit end: completing an
-                    // instance rolls straight into the next one, updating
-                    // the rebase map the way `end`/`begin` would for an
-                    // annotated trace. The engine last *analyzed* the
-                    // verification instance (one past the template), so
-                    // stale engine references live in that window.
+            // Capture ends (and moves to `Verify`) after `predicted.len()`.
+            Mode::Capture { predicted, .. } => match predicted {
+                None => return TraceAction::Analyze { record: true },
+                Some(p) => (&p[cursor], None),
+            },
+            Mode::Verify => (
+                &self.states[&active.id].template().entries[cursor].sig,
+                None,
+            ),
+            Mode::Replay => {
+                let t = self.states[&active.id].template();
+                let len = t.len();
+                if active.id.is_auto() && active.cursor == len {
+                    // Auto traces have no `end`: a completed instance
+                    // rebases as `end` would and rolls into the next one.
                     push_rebase(
                         &mut self.rebases,
-                        template.base + len,
-                        template.base + 2 * len,
-                        active.base - (template.base + len),
+                        t.analyzed,
+                        t.analyzed + len,
+                        active.base - t.analyzed,
                     );
                     if viz_profile::enabled() {
                         viz_profile::instant(viz_profile::EventKind::TraceReplay {
@@ -512,29 +493,29 @@ impl Tracing {
                     }
                     active.base = next_task;
                     active.cursor = 0;
-                    active.shift = template.shift_to(next_task);
+                    active.shift = t.shift_to(next_task);
                 }
-                let Some(entry) = template.entries.get(active.cursor as usize) else {
-                    return TraceAction::Violation(TraceViolation {
-                        id: active.id,
-                        cursor: active.cursor,
-                        kind: ViolationKind::ExtraLaunch { recorded_len: len },
-                    });
+                let Some(entry) = t.entries.get(active.cursor as usize) else {
+                    let v = active.violation(ViolationKind::ExtraLaunch { recorded_len: len });
+                    self.demote(v);
+                    return self.on_launch(node, reqs, next_task);
                 };
-                if entry.node != node || entry.reqs != reqs {
-                    return TraceAction::Violation(TraceViolation {
-                        id: active.id,
-                        cursor: active.cursor,
-                        kind: mismatch_kind(entry.node, &entry.reqs, node, reqs),
-                    });
-                }
-                active.cursor += 1;
-                self.replayed_launches += 1;
-                TraceAction::Replay {
-                    result: Arc::clone(&entry.result),
-                    shift: active.shift,
-                }
+                (&entry.sig, Some(&entry.result))
             }
+        };
+        if let Some(kind) = want.mismatch(node, reqs) {
+            let v = active.violation(kind);
+            self.demote(v);
+            return self.on_launch(node, reqs, next_task);
+        }
+        let Some(result) = replayed else {
+            return TraceAction::Analyze { record: true };
+        };
+        active.cursor += 1;
+        self.replayed_launches += 1;
+        TraceAction::Replay {
+            result: Arc::clone(result),
+            shift: active.shift,
         }
     }
 
@@ -550,268 +531,197 @@ impl Tracing {
         let Some(active) = self.active.as_mut() else {
             return;
         };
-        if matches!(active.mode, Mode::AutoVerify) {
+        let cursor = active.cursor as usize;
+        active.cursor += 1;
+        if let Mode::Verify = active.mode {
             // The analysis ran; check it is the template's result shifted
             // onto this instance. Anything else means the signature repeat
             // was not an *analysis* repeat: failed speculation, demote.
-            let t = self
-                .auto_template
-                .as_ref()
-                .expect("verifying without a template");
+            let t = self.states[&active.id].template();
             let expected = StoredResult::Shared {
-                result: Arc::clone(&t.entries[active.cursor as usize].result),
+                result: Arc::clone(&t.entries[cursor].result),
                 shift: active.shift,
             }
             .resolve();
-            active.cursor += 1;
             if expected != *result {
                 self.demote_auto();
-                return;
-            }
-            if active.cursor == t.len() {
+            } else if active.cursor == t.len() {
                 // Shift-stationary across a full instance: replay from the
                 // next launch. This instance was *analyzed*, so engine
                 // references already point at it — no rebase yet; replays
                 // will supersede this window as they complete.
-                let len = t.len();
-                active.base += len;
+                active.base += t.len();
                 active.cursor = 0;
                 active.shift = t.shift_to(active.base);
-                active.mode = Mode::AutoReplay;
+                active.mode = Mode::Replay;
             }
             return;
         }
-        active.cursor += 1;
-        active.recording.push(TemplateEntry { node, reqs, result });
-        let capture_done = matches!(
-            &active.mode,
-            Mode::AutoCapture { predicted } if active.recording.len() == predicted.len()
-        );
-        if capture_done {
-            // The whole predicted instance analyzed and recorded: one
-            // verification instance follows before any replay.
-            let template = Template {
-                base: active.base,
-                entries: std::mem::take(&mut active.recording),
-            };
-            if !instance_is_self_superseding(&template.entries, forest) {
-                // Replay freezes the engine's state, so it is only sound
-                // when each instance fully supersedes its predecessor.
-                // This one leaves entries that would accumulate across
-                // instances (unflushed reductions, live read epochs on
-                // data the loop never overwrites) — give up on the
-                // candidate and return to observation.
-                self.demote_auto();
-                return;
-            }
-            let active = self.active.as_mut().unwrap();
-            let len = template.len();
-            active.base += len;
-            active.cursor = 0;
-            active.shift = template.shift_to(active.base);
-            active.mode = Mode::AutoVerify;
-            self.auto_template = Some(template);
+        let Mode::Capture {
+            predicted,
+            recording,
+        } = &mut active.mode
+        else {
+            return;
+        };
+        let sig = Sig { node, reqs };
+        recording.push(TemplateEntry { sig, result });
+        if predicted.as_ref().is_none_or(|p| recording.len() < p.len()) {
+            return;
         }
+        // The whole predicted instance analyzed and recorded: one
+        // verification instance follows before any replay.
+        let entries = std::mem::take(recording);
+        if !instance_is_self_superseding(&entries, forest) {
+            // Replay would be unsound: give up on the candidate.
+            self.demote_auto();
+            return;
+        }
+        let len = entries.len() as u32;
+        let template = Template {
+            base: active.base,
+            analyzed: active.base + len,
+            entries,
+        };
+        active.base += len;
+        active.cursor = 0;
+        active.shift = template.shift_to(active.base);
+        active.mode = Mode::Verify;
+        let st = self.states.entry(active.id).or_default();
+        st.template = Some(template);
     }
 
-    /// Count a warm-up launch (first instance; nothing recorded).
-    pub fn advance(&mut self) {
-        if let Some(active) = &mut self.active {
-            active.cursor += 1;
+    /// Forget `active`'s trace state and template. A replay cut short after
+    /// `cursor` launches rebases only the replayed prefix onto this
+    /// instance; the unreplayed suffix keeps its previous mapping, and a
+    /// later reference into it must also order after the prefix.
+    fn drop_template(&mut self, active: &ActiveTrace) {
+        let Some(t) = self.states.remove(&active.id).and_then(|st| st.template) else {
+            return;
+        };
+        let (from, cut, base) = (t.analyzed, active.cursor, active.base);
+        if matches!(active.mode, Mode::Replay) && cut > 0 {
+            push_rebase(&mut self.rebases, from, from + cut, base - from);
+            let suffix_then_prefix = (from + cut, from + t.len(), base, base + cut);
+            self.hazards.push(suffix_then_prefix);
         }
     }
 
     /// Demote the active trace after a violation: annotated traces fall
     /// back to normal analysis for the rest of the instance and recapture
-    /// from scratch; auto traces return to observation. A partially
-    /// replayed prefix gets its own rebase mapping (sound because the
-    /// replayed prefix is identical to the recorded one), while the
-    /// unreplayed suffix keeps the previous instance's mapping.
-    pub fn demote(&mut self, violation: TraceViolation) {
+    /// from scratch; auto traces return to observation.
+    fn demote(&mut self, violation: TraceViolation) {
         self.violations.push(violation);
-        let Some(active) = self.active.as_ref() else {
+        if self.active.as_ref().is_some_and(|a| a.id.is_auto()) {
+            return self.demote_auto();
+        }
+        let Some(mut active) = self.active.take() else {
             return;
         };
-        if active.is_auto() {
-            self.demote_auto();
-            return;
-        }
-        let active = self.active.as_mut().unwrap();
-        if matches!(active.mode, Mode::Replay) && active.cursor > 0 {
-            let t = self.states[&active.id]
-                .template
-                .as_ref()
-                .expect("replaying without a template");
-            push_rebase(
-                &mut self.rebases,
-                t.base,
-                t.base + active.cursor,
-                active.base - t.base,
-            );
-            self.hazards.push((
-                t.base + active.cursor,
-                t.base + t.len(),
-                active.base,
-                active.base + active.cursor,
-            ));
-        }
-        let st = self.states.get_mut(&active.id).unwrap();
-        st.template = None;
-        st.instances = 0;
-        active.mode = Mode::Warmup;
-        active.demoted = true;
-        active.recording.clear();
+        self.drop_template(&active);
+        active.mode = Mode::Warmup { demoted: true };
+        self.active = Some(active);
     }
 
-    /// Drop the active auto trace (prefix-rebasing any partial replay) and
-    /// restart observation.
+    /// Drop the active auto trace and its template, and restart
+    /// observation.
     fn demote_auto(&mut self) {
-        if let Some(active) = &self.active {
-            debug_assert!(active.is_auto());
-            if matches!(active.mode, Mode::AutoReplay) && active.cursor > 0 {
-                if let Some(t) = self.auto_template.as_ref() {
-                    // Stale engine references live in the verification
-                    // instance's window (the last analyzed one); only the
-                    // replayed prefix moves onto this instance.
-                    let analyzed = t.base + t.len();
-                    push_rebase(
-                        &mut self.rebases,
-                        analyzed,
-                        analyzed + active.cursor,
-                        active.base - analyzed,
-                    );
-                    self.hazards.push((
-                        analyzed + active.cursor,
-                        analyzed + t.len(),
-                        active.base,
-                        active.base + active.cursor,
-                    ));
-                }
-            }
+        if let Some(active) = self.active.take() {
+            debug_assert!(active.id.is_auto());
+            self.drop_template(&active);
         }
-        self.active = None;
-        self.auto_template = None;
         self.auto_demotions += 1;
-        if let Some(auto) = &mut self.auto {
-            auto.reset();
-        }
+        self.reset_detector();
     }
 
     /// An execution fence: fences are not analyzed launches, so they break
     /// both in-flight instances and any detected periodicity.
     pub fn barrier(&mut self) {
-        self.pending_auto = None;
-        if let Some(active) = &self.active {
-            let v = TraceViolation {
-                id: active.id,
-                cursor: active.cursor,
-                kind: ViolationKind::Interrupted,
-            };
-            self.demote(v);
-        } else if let Some(auto) = &mut self.auto {
-            auto.reset();
+        match &self.active {
+            Some(active) if !active.unstarted() => {
+                let v = active.violation(ViolationKind::Interrupted);
+                self.demote(v);
+            }
+            _ => {
+                self.active = None;
+                self.reset_detector();
+            }
         }
     }
 
     /// Close an annotated trace instance. A replay that ran short is a
     /// structured violation (the trace recaptures), not an abort; naming
-    /// the wrong trace (or none being open) is a [`RuntimeError`] and
-    /// leaves the tracing state untouched.
+    /// the wrong trace (or none being open — auto traces have no end) is a
+    /// [`RuntimeError`] and leaves the tracing state untouched.
     pub fn end(
         &mut self,
         id: TraceId,
         next_task: u32,
         forest: &RegionForest,
     ) -> Result<Option<TraceViolation>, RuntimeError> {
-        let Some(active) = self.active.take() else {
-            return Err(RuntimeError::EndWithoutBegin { requested: id });
+        let active = match self.active.take() {
+            Some(a) if a.id == id && !id.is_auto() => a,
+            other => {
+                let err = match &other {
+                    Some(a) if !a.unstarted() => RuntimeError::MismatchedTraceEnd {
+                        active: a.id,
+                        requested: id,
+                    },
+                    _ => RuntimeError::EndWithoutBegin { requested: id },
+                };
+                self.active = other;
+                return Err(err);
+            }
         };
-        if active.id != id {
-            let err = RuntimeError::MismatchedTraceEnd {
-                active: active.id,
-                requested: id,
-            };
-            self.active = Some(active);
-            return Err(err);
-        }
-        let st = self.states.get_mut(&id).unwrap();
+        let st = self.states.entry(id).or_default();
         st.last_end = next_task;
         match active.mode {
             Mode::Replay => {
-                let template = st.template.as_ref().unwrap();
-                let len = template.len();
-                let (t_base, shift) = (template.base, active.base - template.base);
+                let (from, len) = (st.template().analyzed, st.template().len());
                 if active.cursor < len {
-                    let v = TraceViolation {
-                        id,
-                        cursor: active.cursor,
-                        kind: ViolationKind::ShortInstance { recorded_len: len },
-                    };
-                    // Only the replayed prefix moves onto this instance;
-                    // the suffix keeps its previous mapping.
-                    push_rebase(&mut self.rebases, t_base, t_base + active.cursor, shift);
-                    if active.cursor > 0 {
-                        self.hazards.push((
-                            t_base + active.cursor,
-                            t_base + len,
-                            active.base,
-                            active.base + active.cursor,
-                        ));
-                    }
-                    st.template = None;
-                    st.instances = 0;
+                    let kind = ViolationKind::ShortInstance { recorded_len: len };
+                    let v = active.violation(kind);
+                    self.drop_template(&active);
                     self.violations.push(v.clone());
                     return Ok(Some(v));
                 }
-                // Later engine-produced references into the *recorded*
+                // Later engine-produced references into the analyzed
                 // instance must point at the corresponding task of this
                 // (latest) one — superseding the previous instance's entry.
-                push_rebase(&mut self.rebases, t_base, t_base + len, shift);
+                push_rebase(&mut self.rebases, from, from + len, active.base - from);
                 st.instances += 1;
             }
-            Mode::Capture => {
-                if instance_is_self_superseding(&active.recording, forest) {
+            Mode::Capture { recording, .. } => {
+                // An instance that would make replay unsound declines the
+                // template: the annotation is a hint, and analysis keeps
+                // running (the next instance re-auditions).
+                st.template = None;
+                if instance_is_self_superseding(&recording, forest) {
+                    let (base, entries) = (active.base, recording);
                     st.template = Some(Template {
-                        base: active.base,
-                        entries: active.recording,
+                        base,
+                        analyzed: base,
+                        entries,
                     });
                     st.instances += 1;
-                } else {
-                    // Replay freezes the engine's state, which is only
-                    // sound when each instance fully supersedes its
-                    // predecessor (same condition auto promotion checks).
-                    // This instance leaves entries that accumulate across
-                    // iterations — reads of data the loop never overwrites,
-                    // unflushed reductions — and a later interfering task
-                    // would need a dependence on *every* instance's copy,
-                    // which the shift-rebase cannot synthesize. Decline the
-                    // template: the annotation is a hint, and analysis
-                    // keeps running (the next instance re-auditions).
-                    st.template = None;
                 }
             }
-            Mode::Warmup => {
-                if active.demoted {
-                    st.instances = 0;
-                } else {
-                    st.instances += 1;
-                }
-            }
-            Mode::AutoCapture { .. } | Mode::AutoVerify | Mode::AutoReplay => {
-                unreachable!("auto traces never reach end_trace")
-            }
+            Mode::Warmup { demoted: true } => st.instances = 0,
+            Mode::Warmup { demoted: false } => st.instances += 1,
+            // Only auto traces verify, and they were refused above.
+            Mode::Verify => {}
         }
         Ok(None)
     }
 
     /// Rebase an engine result produced *after* replayed traces: stale
-    /// references into a recorded instance move onto its last replay.
+    /// references into an analyzed instance move onto its last replay.
     /// Binary search over the sorted interval map.
     pub fn rebase_result(&self, result: &mut AnalysisResult) {
         if self.rebases.is_empty() && self.hazards.is_empty() {
             return;
         }
-        // Hazard expansion first: it keys on the *raw* recorded ids, which
+        // Hazard expansion first: it keys on the *raw* analyzed ids, which
         // the rebase map is about to translate away.
         let mut extra: Vec<TaskId> = Vec::new();
         for d in &result.deps {
@@ -821,27 +731,13 @@ impl Tracing {
                 }
             }
         }
-        let shift = |t: &mut TaskId| {
+        result.map_tasks(|t| {
             let idx = self.rebases.partition_point(|r| r.1 <= t.0);
-            if let Some(&(s, _, sh)) = self.rebases.get(idx) {
-                if t.0 >= s {
-                    t.0 += sh;
-                }
+            match self.rebases.get(idx) {
+                Some(&(s, _, sh)) if t.0 >= s => TaskId(t.0 + sh),
+                _ => t,
             }
-        };
-        for d in &mut result.deps {
-            shift(d);
-        }
-        for plan in &mut result.plans {
-            for c in &mut plan.copies {
-                if let Source::Task(t, _) = &mut c.source {
-                    shift(t);
-                }
-            }
-            for r in &mut plan.reductions {
-                shift(&mut r.task);
-            }
-        }
+        });
         for e in extra {
             if !result.deps.contains(&e) {
                 result.deps.push(e);
@@ -852,33 +748,23 @@ impl Tracing {
     pub fn is_replaying(&self) -> bool {
         self.active
             .as_ref()
-            .is_some_and(|a| matches!(a.mode, Mode::Replay | Mode::AutoReplay))
+            .is_some_and(|a| matches!(a.mode, Mode::Replay))
     }
 
-    /// A detected repeat is waiting for its first launch to start capture.
-    pub fn capture_pending(&self) -> bool {
-        self.pending_auto.is_some()
-    }
-
-    /// The batched driver serializes these launches: trace bookkeeping is
-    /// per-launch-in-order (replay itself is O(1) per launch, so a
-    /// replaying "serial" segment is pure in-order retirement).
-    pub fn pending_or_active(&self) -> bool {
-        self.active.is_some() || self.pending_auto.is_some()
+    /// A trace instance is open (or an auto trace awaits its first
+    /// launch): the batched driver serializes these launches, since trace
+    /// bookkeeping is per-launch-in-order.
+    pub fn is_active(&self) -> bool {
+        self.active.is_some()
     }
 
     /// The lowest task id whose commit-ledger entry trace bookkeeping may
     /// still consult: the base of the in-flight instance (end-of-trace
-    /// validation and shift computation look back to it) or of a pending
-    /// auto capture. `None` when nothing is pinned. Templates themselves
-    /// hold `Arc`s to their recorded results and pin nothing.
+    /// validation and shift computation look back to it). `None` when
+    /// nothing is pinned. Templates themselves hold `Arc`s to their
+    /// recorded results and pin nothing.
     pub fn pin_floor(&self) -> Option<u32> {
-        let a = self.active.as_ref().map(|a| a.base);
-        let p = self.pending_auto.as_ref().map(|p| p.base);
-        match (a, p) {
-            (Some(a), Some(p)) => Some(a.min(p)),
-            (x, y) => x.or(y),
-        }
+        self.active.as_ref().map(|a| a.base)
     }
 
     pub fn violations(&self) -> &[TraceViolation] {

@@ -422,3 +422,91 @@ fn manual_trace_supersedes_auto_trace() {
     assert_eq!(run(false, true), plain, "manual tracing changed values");
     assert_eq!(run(true, true), plain, "mixed tracing changed values");
 }
+
+/// The auto-trace mirror of `tracing.rs`'s
+/// `mid_replay_divergence_orders_after_replayed_prefix`: a launch diverging
+/// mid-replay orders after the replayed prefix, not only after the
+/// analyzed instance whose writes the frozen engine state still names.
+#[test]
+fn auto_mid_replay_divergence_orders_after_replayed_prefix() {
+    let mut rt = build_runtime(EngineKind::RayCast, true, 1);
+    let (_, field, regions) = setup_regions(&mut rt);
+    let submit = |rt: &mut Runtime, i: usize, target: usize, privilege: u8| {
+        let l = AbsLaunch {
+            target,
+            privilege,
+            salt: 7,
+        };
+        rt.submit(spec_of(&l, i, &regions, field)).unwrap().id()
+    };
+    // Unit [RW p0, RW p0, RW p1]: observed twice (the repeat is detected at
+    // task 5), captured (6-8), verified (9-11), replayed (12-14).
+    for i in 0..15 {
+        submit(&mut rt, i, [0, 0, 1][i % 3], 1);
+    }
+    assert!(rt.is_replaying() && rt.replayed_launches() == 3);
+    // Sixth instance: the first RW p0 replays (task 15), then a read of p0
+    // diverges from the recorded RW at cursor 1.
+    let prefix = submit(&mut rt, 15, 0, 1);
+    let divergent = submit(&mut rt, 16, 0, 0);
+    assert_eq!(rt.replayed_launches(), 4);
+    let cursors: Vec<u32> = rt.trace_violations().iter().map(|v| v.cursor).collect();
+    assert_eq!(cursors, [1], "diverged after one replayed launch");
+    assert_eq!(
+        (rt.auto_traces_detected(), rt.auto_traces_demoted()),
+        (1, 1)
+    );
+    // The frozen engine state's last writer of p0 is verification task 10,
+    // which superseded task 9 — the launch the prefix replayed as task 15.
+    // A dep on 10 (rebased to 13) alone would let the read race the
+    // prefix's write.
+    let dag = rt.dag();
+    assert!(
+        dag.must_follow(divergent, prefix),
+        "divergent launch must order after the replayed prefix write: deps {:?}",
+        dag.preds(divergent)
+    );
+    drop(dag);
+    assert!(check_sufficiency(rt.forest(), rt.launches(), rt.dag()).is_empty());
+}
+
+/// A fence or a `begin_trace` that lands between detection and the first
+/// capture launch drops the promoted trace silently: no violation, no
+/// demotion, and the values of the untraced run.
+#[test]
+fn interrupting_a_promotion_before_its_first_launch_is_silent() {
+    let run = |auto: bool| -> Vec<f64> {
+        let mut rt = build_runtime(EngineKind::RayCast, auto, 1);
+        let (root, field, regions) = setup_regions(&mut rt);
+        let mut i = 0;
+        let mut instances = |rt: &mut Runtime, n: usize| {
+            for _ in 0..n * PIECES {
+                let l = AbsLaunch {
+                    target: i % PIECES,
+                    privilege: 1,
+                    salt: 7,
+                };
+                rt.submit(spec_of(&l, i, &regions, field)).unwrap().id();
+                i += 1;
+            }
+        };
+        // Two instances of [RW p0 .. p3]: the last launch promotes the
+        // repeat, and the next operation interrupts it.
+        instances(&mut rt, 2);
+        rt.fence();
+        instances(&mut rt, 2);
+        rt.try_begin_trace(9).unwrap();
+        instances(&mut rt, 1);
+        assert_eq!(rt.try_end_trace(9).unwrap(), None);
+        assert_eq!(rt.auto_traces_detected(), 2 * u64::from(auto));
+        assert!(rt.trace_violations().is_empty());
+        assert_eq!((rt.auto_traces_demoted(), rt.replayed_launches()), (0, 0));
+        let probe = rt.inline_read(root, field).unwrap();
+        assert!(check_sufficiency(rt.forest(), rt.launches(), rt.dag()).is_empty());
+        let store = rt.execute_values();
+        (0..N)
+            .map(|x| store.inline(probe).get(Point::p1(x)))
+            .collect()
+    };
+    assert_eq!(run(true), run(false), "a dropped promotion changed values");
+}

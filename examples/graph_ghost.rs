@@ -10,8 +10,6 @@
 //!
 //! Run: `cargo run --example graph_ghost`
 
-// Deprecated-wrapper allowlist (PR 4): still exercises `launch`/`run_batch`/
-// `set_initial`/`begin_trace`; migrate to `submit` and the `try_*` forms in PR 5.
 use std::sync::Arc;
 use visibility::prelude::*;
 

@@ -2,8 +2,6 @@
 //! calls essential: regions computed at runtime, partitions created
 //! mid-stream, data-dependent control flow, and multiple region trees.
 
-// Deprecated-wrapper allowlist (PR 4): still exercises `launch`/`run_batch`/
-// `set_initial`/`begin_trace`; migrate to `submit` and the `try_*` forms in PR 5.
 use std::sync::Arc;
 use visibility::prelude::*;
 use visibility::runtime::validate::check_sufficiency;

@@ -2,8 +2,6 @@
 //! driven through the facade crate, checked against §3.2's stated
 //! dependences under every engine, in value and timed modes.
 
-// Deprecated-wrapper allowlist (PR 4): still exercises `launch`/`run_batch`/
-// `set_initial`/`begin_trace`; migrate to `submit` and the `try_*` forms in PR 5.
 use std::sync::Arc;
 use visibility::prelude::*;
 use visibility::runtime::validate::{check_sufficiency, count_interfering_pairs};
