@@ -22,9 +22,9 @@
 //!   `PATH.folded`, and per-engine metrics to `PATH.metrics.tsv`.
 //!
 //! The sweep builds its runtimes with `RuntimeConfig::new`, so the `VIZ_*`
-//! execution-strategy knobs (`VIZ_ANALYSIS_THREADS`, `VIZ_PIPELINE`,
-//! `VIZ_SUBMIT_RINGS`) apply as they do anywhere else; the tables are
-//! byte-identical under all of them, only host time changes. The committed
+//! execution-strategy knobs (`VIZ_ANALYSIS_THREADS`, `VIZ_PIPELINE`)
+//! apply as they do anywhere else; the tables are byte-identical under all
+//! of them, only host time changes. The committed
 //! `results/` golden is generated with every `VIZ_*` variable unset.
 
 use std::io::Write;

@@ -54,8 +54,16 @@ struct PartitionNode {
     children: Vec<RegionId>,
     disjoint: bool,
     complete: bool,
-    /// BVH over children bounding boxes, for `overlapping_children`.
+    /// BVH over children bounding boxes, keyed by position: the anchor
+    /// queries (`overlapping_children`, `overlapping_child_bboxes`) and the
+    /// verifying `create_partition`'s disjointness check.
     child_bvh: Bvh,
+}
+
+/// A BVH over `subdomains`' bounding boxes, keyed by position.
+fn child_bvh(subdomains: &[IndexSpace]) -> Bvh {
+    let boxes = subdomains.iter().enumerate();
+    Bvh::build(boxes.map(|(i, s)| (i as u32, s.bbox())).collect())
 }
 
 /// One root region's geometry: an interner holding every region domain of
@@ -221,6 +229,7 @@ impl RegionForest {
         name: impl Into<String>,
         subdomains: Vec<IndexSpace>,
     ) -> PartitionId {
+        let bvh = child_bvh(&subdomains);
         let mut geom = RootGeometry::lock(self.geometry(parent));
         let alg = &mut geom.alg;
         let parent_id = self.space(parent);
@@ -231,15 +240,8 @@ impl RegionForest {
                 "subregion {i} of partition escapes its parent"
             );
         }
-        // Disjointness: no pair of children overlaps. The BVH narrows the
-        // pairs to those whose bounding boxes meet.
-        let bvh = Bvh::build(
-            subdomains
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (i as u32, s.bbox()))
-                .collect(),
-        );
+        // Disjointness: no pair of children overlaps. The partition's BVH
+        // narrows the pairs to those whose bounding boxes meet.
         let mut disjoint = true;
         let mut candidates = Vec::new();
         'outer: for (i, s) in subdomains.iter().enumerate() {
@@ -267,7 +269,7 @@ impl RegionForest {
             alg.space(union).volume() == parent_volume
         };
         drop(geom);
-        self.create_partition_with_flags(parent, name, subdomains, disjoint, complete)
+        self.push_partition(parent, name.into(), subdomains, bvh, disjoint, complete)
     }
 
     /// Partition with caller-asserted flags (skips the O(n²) verification;
@@ -281,6 +283,20 @@ impl RegionForest {
         disjoint: bool,
         complete: bool,
     ) -> PartitionId {
+        let bvh = child_bvh(&subdomains);
+        self.push_partition(parent, name.into(), subdomains, bvh, disjoint, complete)
+    }
+
+    /// Add the partition, its children, and their BVH `child_bvh`.
+    fn push_partition(
+        &mut self,
+        parent: RegionId,
+        name: String,
+        subdomains: Vec<IndexSpace>,
+        child_bvh: Bvh,
+        disjoint: bool,
+        complete: bool,
+    ) -> PartitionId {
         let pid = PartitionId(self.partitions.len() as u32);
         let (root, depth) = {
             let p = &self.regions[parent.0 as usize];
@@ -288,12 +304,9 @@ impl RegionForest {
         };
         let geometry = Arc::clone(self.geometry(parent));
         let mut geom = RootGeometry::lock(&geometry);
-        let name = name.into();
         let mut children = Vec::with_capacity(subdomains.len());
-        let mut bvh_items = Vec::with_capacity(subdomains.len());
         for (i, domain) in subdomains.into_iter().enumerate() {
             let rid = RegionId(self.regions.len() as u32);
-            bvh_items.push((i as u32, domain.bbox()));
             self.regions.push(RegionNode {
                 name: format!("{name}[{i}]"),
                 space: geom.alg.intern(&domain),
@@ -311,7 +324,7 @@ impl RegionForest {
             children,
             disjoint,
             complete,
-            child_bvh: Bvh::build(bvh_items),
+            child_bvh,
         });
         self.regions[parent.0 as usize].partitions.push(pid);
         pid
@@ -419,22 +432,28 @@ impl RegionForest {
         }
     }
 
-    /// Children of `p` whose domain overlaps `space`, in child order, via
-    /// the partition's BVH plus an exact check. This is the region-tree
-    /// "acceleration data structure" role from §5.1.
+    /// Positions (colors) of the children of `p` whose domain overlaps
+    /// `space`, ascending, via the partition's BVH plus an exact check.
+    /// This is the region-tree "acceleration data structure" role from
+    /// §5.1.
     ///
     /// One query with `space`'s bounding box finds every child any of its
     /// rects can touch; the exact check drops the rest.
-    pub fn overlapping_children(&self, p: PartitionId, space: &IndexSpace) -> Vec<RegionId> {
+    pub fn overlapping_children(&self, p: PartitionId, space: &IndexSpace) -> Vec<u32> {
         let node = &self.partitions[p.0 as usize];
-        let mut candidates = Vec::new();
-        node.child_bvh.query(&space.bbox(), &mut candidates);
-        candidates.sort_unstable();
-        candidates
-            .into_iter()
-            .map(|c| node.children[c as usize])
-            .filter(|child| self.domain(*child).overlaps(space))
-            .collect()
+        let mut hits = Vec::new();
+        node.child_bvh.query(&space.bbox(), &mut hits);
+        hits.sort_unstable();
+        hits.retain(|c| self.domain(node.children[*c as usize]).overlaps(space));
+        hits
+    }
+
+    /// Positions of the children of `p` whose bounding box overlaps `bbox`,
+    /// in the partition BVH's traversal order, with no exact check: a
+    /// function of `bbox` and the children alone, so a caller placing sets
+    /// by bounding box can memoize it per shape.
+    pub fn overlapping_child_bboxes(&self, p: PartitionId, bbox: &Rect) -> Vec<u32> {
+        self.partitions[p.0 as usize].child_bvh.query_vec(bbox)
     }
 
     /// Partitions of `r` that are both disjoint and complete — the subtrees
@@ -562,12 +581,14 @@ mod tests {
         let (f, _, p, g) = paper_forest();
         // G[0] = {10, 11, 20} overlaps P[1] (10..19) and P[2] (20..29).
         let g0 = f.subregion(g, 0);
-        let hits = f.overlapping_children(p, f.domain(g0));
-        assert_eq!(hits, vec![f.subregion(p, 1), f.subregion(p, 2)]);
-        // P[0] overlaps G[1] (8, 9) only.
+        assert_eq!(f.overlapping_children(p, f.domain(g0)), vec![1, 2]);
+        // P[0] = 0..9 overlaps G[1] (8, 9) and G[2] (9).
         let p0 = f.subregion(p, 0);
-        let hits = f.overlapping_children(g, f.domain(p0));
-        assert_eq!(hits, vec![f.subregion(g, 1), f.subregion(g, 2)]);
+        assert_eq!(f.overlapping_children(g, f.domain(p0)), vec![1, 2]);
+        // By bounding box, G[0]'s 10..20 also meets only P[1] and P[2].
+        let mut boxes = f.overlapping_child_bboxes(p, &f.domain(g0).bbox());
+        boxes.sort_unstable();
+        assert_eq!(boxes, vec![1, 2]);
     }
 
     #[test]

@@ -1,18 +1,33 @@
-//! `RegionForest::overlapping_children` against a linear scan of the
+//! The region forest's anchor queries against a linear scan of the
 //! children, for sparse multi-rect targets over aliased and incomplete
-//! partitions — its one bounding-box query plus the exact check must name
-//! the same children in the same order.
+//! partitions: `overlapping_children` (one bounding-box query plus the
+//! exact check) must name the same child positions in the same order, and
+//! `overlapping_child_bboxes` the children whose bounding box meets the
+//! query box.
 
 use proptest::prelude::*;
 use viz_geometry::{IndexSpace, Point, Rect};
-use viz_region::{PartitionId, RegionForest, RegionId};
+use viz_region::{PartitionId, RegionForest};
 
-fn linear_scan(f: &RegionForest, p: PartitionId, target: &IndexSpace) -> Vec<RegionId> {
-    f.children(p)
-        .iter()
-        .copied()
-        .filter(|c| f.domain(*c).overlaps(target))
-        .collect()
+fn linear_scan(f: &RegionForest, p: PartitionId, target: &IndexSpace) -> Vec<u32> {
+    let children = f.children(p).iter().enumerate();
+    let hits = children.filter(|(_, c)| f.domain(**c).overlaps(target));
+    hits.map(|(i, _)| i as u32).collect()
+}
+
+fn linear_bbox_scan(f: &RegionForest, p: PartitionId, bbox: &Rect) -> Vec<u32> {
+    let children = f.children(p).iter().enumerate();
+    let hits = children.filter(|(_, c)| f.domain(**c).bbox().overlaps(bbox));
+    hits.map(|(i, _)| i as u32).collect()
+}
+
+/// Both queries of `p` for `target`, each against its linear scan.
+fn check(f: &RegionForest, p: PartitionId, target: &IndexSpace) {
+    assert_eq!(f.overlapping_children(p, target), linear_scan(f, p, target));
+    let bbox = target.bbox();
+    let mut placed = f.overlapping_child_bboxes(p, &bbox);
+    placed.sort_unstable();
+    assert_eq!(placed, linear_bbox_scan(f, p, &bbox));
 }
 
 const N: i64 = 512;
@@ -55,7 +70,7 @@ proptest! {
         let root = f.create_root_1d("N", N);
         let p = f.create_partition(root, "G", children);
         for t in &targets {
-            prop_assert_eq!(f.overlapping_children(p, t), linear_scan(&f, p, t));
+            check(&f, p, t);
         }
     }
 
@@ -69,13 +84,14 @@ proptest! {
         let root = f.create_root("R", IndexSpace::from_rect(Rect::xy(0, 63, 0, 63)));
         let p = f.create_partition(root, "T", children);
         for t in &targets {
-            prop_assert_eq!(f.overlapping_children(p, t), linear_scan(&f, p, t));
+            check(&f, p, t);
         }
     }
 
     /// A target of a few far-apart points whose box covers every piece of
     /// an equal partition while its rects touch one piece each: the exact
-    /// check has to drop nearly every candidate.
+    /// check has to drop nearly every candidate, and placement by bounding
+    /// box names every piece.
     #[test]
     fn box_covers_every_child_rects_touch_few(
         pieces in 16usize..64,
@@ -87,8 +103,9 @@ proptest! {
         let target = IndexSpace::from_points(
             [0, N - 1].into_iter().chain(picks).map(Point::p1),
         );
+        check(&f, p, &target);
         let hits = f.overlapping_children(p, &target);
-        prop_assert_eq!(&hits, &linear_scan(&f, p, &target));
         prop_assert!(hits.len() <= target.rect_count() && hits.len() >= 2);
+        prop_assert_eq!(f.overlapping_child_bboxes(p, &target.bbox()).len(), pieces);
     }
 }

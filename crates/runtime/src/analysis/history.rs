@@ -53,17 +53,16 @@ pub struct VisScan {
 }
 
 impl VisScan {
-    /// `want_values == false` still collects dependences (dependence
+    /// A reduction privilege still collects dependences (dependence
     /// analysis is a subset of the coherence problem, §3.2) but skips the
-    /// plan — used for reduction privileges, which materialize an identity
-    /// fill instead.
-    pub fn new(target: IndexSpace, priv_new: Privilege, want_values: bool) -> Self {
+    /// plan: it materializes an identity fill instead.
+    pub fn new(target: IndexSpace, priv_new: Privilege) -> Self {
         let needed_bbox = target.bbox();
         VisScan {
             priv_new,
             needed: target,
             needed_bbox,
-            want_values,
+            want_values: priv_new.needs_current_values(),
             deps: Vec::new(),
             copies: Vec::new(),
             reductions: Vec::new(),
@@ -133,7 +132,7 @@ impl VisScan {
     pub fn finish(mut self) -> (Vec<TaskId>, MaterializePlan) {
         self.deps.sort_unstable();
         self.deps.dedup();
-        let mut plan = MaterializePlan::default();
+        let mut plan = MaterializePlan::for_privilege(self.priv_new);
         if self.want_values {
             if !self.needed.is_empty() {
                 self.copies.push(CopyRange {
@@ -143,8 +142,6 @@ impl VisScan {
             }
             plan.copies = self.copies;
             plan.reductions = self.reductions;
-        } else if let Privilege::Reduce(op) = self.priv_new {
-            plan = MaterializePlan::identity(op);
         }
         (self.deps, plan)
     }
@@ -170,11 +167,7 @@ mod tests {
         target: (i64, i64),
         p: Privilege,
     ) -> (Vec<TaskId>, MaterializePlan) {
-        let mut s = VisScan::new(
-            IndexSpace::span(target.0, target.1),
-            p,
-            p.needs_current_values(),
-        );
+        let mut s = VisScan::new(IndexSpace::span(target.0, target.1), p);
         for e in hist.iter().rev() {
             s.visit(e);
         }
@@ -309,7 +302,7 @@ mod tests {
 
     #[test]
     fn scan_stops_once_fully_occluded() {
-        let mut s = VisScan::new(IndexSpace::span(0, 9), Privilege::Read, true);
+        let mut s = VisScan::new(IndexSpace::span(0, 9), Privilege::Read);
         s.visit(&entry(5, Privilege::ReadWrite, 0, 9));
         assert!(s.done());
         let before = s.entries_scanned;

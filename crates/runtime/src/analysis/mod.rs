@@ -7,10 +7,7 @@ pub mod paint_naive;
 pub mod raycast;
 pub mod warnock;
 
-use std::cell::UnsafeCell;
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
 use viz_geometry::{FxHashMap, SpaceAlgebra, SpaceId};
 use viz_region::{FieldId, RegionForest, RegionId, RootGeometry, SharedGeometry};
@@ -86,43 +83,21 @@ pub fn group_reqs_by_shard(
 /// geometry (the forest's, shared with the root's other field shards).
 ///
 /// The driver guarantees at most one worker touches a shard at a time (work
-/// for the same shard is queued to the same worker, in launch order); the
-/// atomic flag turns a violation of that contract into a panic instead of a
-/// data race.
+/// for the same shard is queued to the same worker, in launch order), so
+/// the lock is only ever claimed with `try_lock`: a violation of that
+/// contract panics instead of waiting.
 struct ShardCell<S> {
-    busy: AtomicBool,
     geometry: SharedGeometry,
-    state: UnsafeCell<S>,
+    state: Mutex<S>,
 }
 
-// SAFETY: access to `state` is serialized by the `busy` flag (enforced in
-// `ShardedState::lock`); a shard's state never crosses threads while
-// borrowed.
-unsafe impl<S: Send> Sync for ShardCell<S> {}
-
-/// Exclusive access to one shard's state, released on drop.
-pub struct ShardRef<'a, S> {
-    cell: &'a ShardCell<S>,
-}
-
-impl<S> Deref for ShardRef<'_, S> {
-    type Target = S;
-    fn deref(&self) -> &S {
-        // SAFETY: `busy` was claimed in `lock`; no other ShardRef exists.
-        unsafe { &*self.cell.state.get() }
-    }
-}
-
-impl<S> DerefMut for ShardRef<'_, S> {
-    fn deref_mut(&mut self) -> &mut S {
-        // SAFETY: as in `deref`.
-        unsafe { &mut *self.cell.state.get() }
-    }
-}
-
-impl<S> Drop for ShardRef<'_, S> {
-    fn drop(&mut self) {
-        self.cell.busy.store(false, Ordering::Release);
+/// Claim `state` without waiting, reading through poison as
+/// [`RootGeometry::lock`] does; `None` if someone holds it.
+fn try_claim<S>(state: &Mutex<S>) -> Option<MutexGuard<'_, S>> {
+    match state.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
     }
 }
 
@@ -159,27 +134,28 @@ impl<S> ShardedState<S> {
     ) -> &mut S {
         let cell = self.shards.entry(key).or_insert_with(|| {
             Box::new(ShardCell {
-                busy: AtomicBool::new(false),
                 geometry: Arc::clone(forest.geometry(key.0)),
-                state: UnsafeCell::new(f()),
+                state: Mutex::new(f()),
             })
         });
-        cell.state.get_mut()
+        cell.state.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Claim exclusive access to a shard from a worker, and lock its root's
     /// geometry for the whole shard batch: the shards of one root serialize
     /// on it while distinct roots still overlap. Panics if the shard does not
     /// exist or another worker currently holds it — both indicate a
-    /// scheduling bug, not a recoverable condition.
-    pub fn lock(&self, key: ShardKey) -> (ShardRef<'_, S>, MutexGuard<'_, RootGeometry>) {
+    /// scheduling bug, not a recoverable condition. A scan that panicked
+    /// holding the shard leaves it claimable, as the geometry is.
+    pub fn lock(&self, key: ShardKey) -> (MutexGuard<'_, S>, MutexGuard<'_, RootGeometry>) {
         let cell = self
             .shards
             .get(&key)
             .unwrap_or_else(|| panic!("shard {key:?} was not created during prepare"));
-        let was_busy = cell.busy.swap(true, Ordering::Acquire);
-        assert!(!was_busy, "shard {key:?} scanned by two workers at once");
-        (ShardRef { cell }, RootGeometry::lock(&cell.geometry))
+        let Some(state) = try_claim(&cell.state) else {
+            panic!("shard {key:?} scanned by two workers at once");
+        };
+        (state, RootGeometry::lock(&cell.geometry))
     }
 
     /// Add the algebra counters of every root with a shard here, once per
@@ -196,23 +172,22 @@ impl<S> ShardedState<S> {
     /// Iterate shard states mutably. `&mut self` guarantees no worker holds
     /// a shard — used by the GC sweep on the driver thread between batches.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (&ShardKey, &mut S)> {
-        self.shards
-            .iter_mut()
-            .map(|(k, cell)| (k, cell.state.get_mut()))
+        self.shards.iter_mut().map(|(k, cell)| {
+            let state = cell.state.get_mut();
+            (k, state.unwrap_or_else(PoisonError::into_inner))
+        })
     }
 
-    /// Iterate shard states for instrumentation. Requires quiescence: panics
-    /// if any shard is currently claimed by a worker.
-    pub fn iter(&self) -> impl Iterator<Item = (&ShardKey, &S)> {
-        self.shards.iter().map(|(k, cell)| {
-            assert!(
-                !cell.busy.load(Ordering::Acquire),
-                "state inspected while shard {k:?} is being scanned"
-            );
-            // SAFETY: not busy, and `&self` prevents new `lock` claims from
-            // this thread; callers only inspect between analysis phases.
-            (k, unsafe { &*cell.state.get() })
-        })
+    /// Iterate shard states for instrumentation, each held while it is
+    /// visited. Requires quiescence: panics if any shard is currently
+    /// claimed by a worker.
+    pub fn iter(&self) -> impl Iterator<Item = (&ShardKey, MutexGuard<'_, S>)> {
+        self.shards
+            .iter()
+            .map(|(k, cell)| match try_claim(&cell.state) {
+                Some(state) => (k, state),
+                None => panic!("state inspected while shard {k:?} is being scanned"),
+            })
     }
 }
 

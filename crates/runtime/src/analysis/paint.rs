@@ -469,11 +469,7 @@ impl CoherenceEngine for Painter {
             }
 
             // ---- Phase 2: backward visibility scan over the path history.
-            let mut scan = VisScan::new(
-                r_domain.clone(),
-                req.privilege,
-                req.privilege.needs_current_values(),
-            );
+            let mut scan = VisScan::new(r_domain.clone(), req.privilege);
             let mut charges = ChargeSet::new();
             for a in path.iter().rev() {
                 if scan.done() {

@@ -84,11 +84,7 @@ impl CoherenceEngine for PaintNaive {
         for &ri in reqs {
             let req = &launch.reqs[ri as usize];
             let domain = ctx.forest.domain(req.region).clone();
-            let mut scan = VisScan::new(
-                domain.clone(),
-                req.privilege,
-                req.privilege.needs_current_values(),
-            );
+            let mut scan = VisScan::new(domain.clone(), req.privilege);
             for e in hist.iter().rev() {
                 scan.visit(e);
                 if scan.done() && self.prune_occluded {

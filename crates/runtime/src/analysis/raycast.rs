@@ -19,37 +19,43 @@
 //! decomposition every iteration), no global discovery traffic, and the
 //! near-flat scaling of the `RayCast` curves in Figs 12–17.
 //!
+//! `analyze_shard` is §7's phases, one `FieldState` method each over the
+//! shard's `ScanScratch`: per requirement, candidate collection through the
+//! index (`collect_candidates`, anchored or K-d), refinement of the
+//! straddlers (`refine_candidates`), the history scan, and the dominating
+//! write (`dominate`); then the commit of every requirement (`commit`).
+//! Index maintenance is `index_insert` / `index_remove_dead`. What Warnock
+//! also does is Warnock's code: a set's split and commit (`EqSet`) and the
+//! constituent-set scan (`scan_sets`). Anchor queries are the region
+//! forest's, on each partition's one bounding-box tree: the exact anchors
+//! of a requirement (`overlapping_children`) and the anchors a set is
+//! placed under (`overlapping_child_bboxes`).
+//!
 //! Everything for one `(root, field)` — sets, spatial index, anchor memo,
 //! usage counters — is one shard. The geometry those sets are made of is
 //! the root's: every field shard of a root interns into, and memoizes its
 //! refinements in, the forest's `RootGeometry` for that root.
 
-use crate::analysis::warnock::{fold_copies, scan_eq_history, EqEntry};
+use crate::analysis::warnock::{scan_sets, EqEntry, EqSet};
 use crate::analysis::{
     group_reqs_by_shard, refine, report_algebra, ChargeSet, Refine, ReqOutcome, ShardKey,
     ShardedState,
 };
 use crate::engine::{CoherenceEngine, ShardCtx, StateSize};
-use crate::plan::{MaterializePlan, Source};
+use crate::plan::Source;
 use crate::task::TaskLaunch;
 use std::sync::Arc;
-use viz_geometry::{Bvh, DynamicBvh, FxHashMap, Rect, SpaceAlgebra, SpaceId};
-use viz_region::{PartitionId, Privilege, RegionForest, RegionId, RootGeometry};
+use viz_geometry::{DynamicBvh, FxHashMap, Rect, SpaceAlgebra, SpaceId};
+use viz_region::{PartitionId, RegionForest, RegionId};
 use viz_sim::{ChargeLog, NodeId, Op};
 
-/// A live equivalence set. The domain is a handle into the root's
-/// [`SpaceAlgebra`] interner: sets refined from the same launch targets
-/// share storage, and the refine/overlap algebra is memoized per root — a
-/// second field of the root refines the same way at no sweep.
-///
-/// One slot of the `FieldState::sets` slab. The slot number is storage
-/// only; *order* is `born`.
+/// A live equivalence set: one slot of the `FieldState::sets` slab. The
+/// slot number is storage only; *order* is `born`.
 struct RaySet {
-    domain: SpaceId,
-    /// A refinement split *moves* the history into the outside half; a
-    /// freed slot keeps only the buffer's capacity for its next tenant.
-    hist: Vec<EqEntry>,
-    owner: NodeId,
+    /// Domain, owner and history. A refinement split *moves* the history
+    /// into the outside half; a freed slot keeps only the history buffer's
+    /// capacity for its next tenant.
+    eq: EqSet,
     live: bool,
     /// Per-shard creation stamp. Candidates are visited in creation order —
     /// that order fixes deps, plans and charged `GeomOp`s — so every index
@@ -63,7 +69,7 @@ struct RaySet {
     /// launch must be disjoint, commuting ones never occlude).
     replaced_by: Option<[u32; 2]>,
     /// Anchor positions whose buckets hold this set: the shard's memoized
-    /// placement of `domain`, shared with every other set of that domain
+    /// placement of its domain, shared with every other set of that domain
     /// (anchored index only; `None` on the K-d path and once unregistered).
     /// Removal walks exactly these buckets instead of sweeping every bucket
     /// in the shard — the per-launch cost of a kill is the set's own anchor
@@ -85,21 +91,12 @@ enum SetIndex {
     Anchored {
         partition: PartitionId,
         buckets: Vec<Vec<u64>>,
-        /// Static BVH over the anchor-children bounding boxes: placing a
-        /// new set resolves the overlapping anchors in O(log anchors +
-        /// hits) instead of sweeping every anchor. Exact (leaf rects are
-        /// tested), so membership is identical to the linear scan it
-        /// replaces.
-        lookup: Bvh,
-        /// Partition child → anchor position, so anchor resolution from a
-        /// region-tree query is a hash lookup, not a `position()` sweep of
-        /// the child list.
-        child_pos: FxHashMap<RegionId, u32>,
-        /// What `lookup` answered for each set domain placed so far. The
-        /// answer is a function of the domain's bbox and the anchors alone,
-        /// and the steady state re-creates the same domains every
-        /// iteration, so placing a set is one probe. Lives and dies with
-        /// `lookup`: an anchor shift builds both afresh.
+        /// The anchors each set domain placed so far went under: the
+        /// children whose bounding box meets the domain's, from the
+        /// partition's tree in the forest. The answer is a function of the
+        /// domain's bbox and the anchors alone, and the steady state
+        /// re-creates the same domains every iteration, so placing a set is
+        /// one probe. An anchor shift starts it afresh.
         placement: FxHashMap<SpaceId, Arc<[u32]>>,
     },
     /// Fallback when no such partition exists (§7.1): an incrementally
@@ -110,16 +107,12 @@ enum SetIndex {
 
 impl SetIndex {
     /// An index anchored under `partition`'s children, holding `buckets`.
-    fn anchored(forest: &RegionForest, partition: PartitionId, buckets: Vec<Vec<u64>>) -> Self {
-        let children = forest.children(partition);
-        let bbox = |(i, c): (usize, &RegionId)| (i as u32, forest.domain(*c).bbox());
-        let pos = |(i, c): (usize, &RegionId)| (*c, i as u32);
+    fn anchored(partition: PartitionId, buckets: Vec<Vec<u64>>) -> Self {
+        let placement = FxHashMap::default();
         SetIndex::Anchored {
             partition,
             buckets,
-            lookup: Bvh::build(children.iter().enumerate().map(bbox).collect()),
-            child_pos: children.iter().enumerate().map(pos).collect(),
-            placement: FxHashMap::default(),
+            placement,
         }
     }
 }
@@ -159,6 +152,14 @@ struct ScanScratch {
     commit_stack: Vec<u32>,
 }
 
+/// What every phase of one shard batch reads besides the shard: the
+/// forest, the launch's node, and the node the analysis runs on.
+struct ScanCtx<'a> {
+    forest: &'a RegionForest,
+    node: NodeId,
+    origin: NodeId,
+}
+
 /// Per-(root, field) ray-casting state — one shard.
 struct FieldState {
     /// Slab of sets: a slot is live, killed by the launch being analyzed
@@ -195,16 +196,14 @@ struct FieldState {
 
 impl FieldState {
     /// Create a live set in a free slot (or a new one) and return the slot.
-    /// A `hist` that owns no buffer — the dominating-write set's, or a clone
-    /// of an empty one — takes over the slot's old history buffer.
-    fn new_set(&mut self, domain: SpaceId, hist: Vec<EqEntry>, owner: NodeId) -> u32 {
+    /// A history that owns no buffer — the dominating-write set's, or a
+    /// clone of an empty one — takes over the slot's old history buffer.
+    fn new_set(&mut self, eq: EqSet) -> u32 {
         let born = self.next_born;
         self.next_born = born.checked_add(1).expect("recycle renumbers first");
         self.live += 1;
         let mut set = RaySet {
-            domain,
-            hist,
-            owner,
+            eq,
             live: true,
             born,
             replaced_by: None,
@@ -215,8 +214,8 @@ impl FieldState {
             return self.sets.len() as u32 - 1;
         };
         let old = &mut self.sets[slot as usize];
-        if set.hist.capacity() == 0 {
-            set.hist = std::mem::take(&mut old.hist);
+        if set.eq.hist.capacity() == 0 {
+            set.eq.hist = std::mem::take(&mut old.eq.hist);
         }
         *old = set;
         slot
@@ -236,7 +235,7 @@ impl FieldState {
     fn recycle(&mut self, alg: &SpaceAlgebra) {
         for slot in self.dead.drain(..) {
             let set = &mut self.sets[slot as usize];
-            set.hist.clear();
+            set.eq.hist.clear();
             set.replaced_by = None;
             self.free.push(slot);
         }
@@ -258,7 +257,7 @@ impl FieldState {
             let set = &mut self.sets[*slot as usize];
             if let SetIndex::Kd { tree } = &mut self.index {
                 tree.remove(key(set.born, *slot));
-                tree.insert(key(born as u32, *slot), alg.bbox(set.domain));
+                tree.insert(key(born as u32, *slot), alg.bbox(set.eq.domain));
             }
             set.born = born as u32;
         }
@@ -288,7 +287,7 @@ impl FieldState {
         for slot in &self.free {
             let s = &self.sets[*slot as usize];
             assert!(
-                !s.live && s.hist.is_empty() && s.anchors.is_none() && s.replaced_by.is_none(),
+                !s.live && s.eq.hist.is_empty() && s.anchors.is_none() && s.replaced_by.is_none(),
                 "free slot {slot} still holds state"
             );
             assert!(!free[*slot as usize], "slot {slot} was freed twice");
@@ -350,9 +349,11 @@ impl RayCast {
         // Initial sets, born in slot order: one per anchor (they cover the
         // root since the partition is complete), else the root itself.
         let initial = |slot: u32, domain, anchors| RaySet {
-            domain,
-            hist: Vec::new(),
-            owner: 0,
+            eq: EqSet {
+                domain,
+                owner: 0,
+                hist: Vec::new(),
+            },
             live: true,
             born: slot,
             replaced_by: None,
@@ -372,7 +373,7 @@ impl RayCast {
                     sets.push(initial(i, domain, Some(Arc::from([i]))));
                     buckets.push(vec![key(i, i)]);
                 }
-                (sets, SetIndex::anchored(forest, *p, buckets))
+                (sets, SetIndex::anchored(*p, buckets))
             }
             None => {
                 let mut tree = DynamicBvh::new();
@@ -448,16 +449,15 @@ impl RayCast {
         // Shift: rebuild the anchor buckets under the new partition and
         // re-bucket every live set. This wholesale pass is the one place
         // that still walks every live set — shifts are rare (usage must
-        // 4x-dominate) and rebuild the lookup structures (the placement
-        // memo with them) anyway.
+        // 4x-dominate) and start the placement memo afresh anyway.
         let buckets = vec![Vec::new(); forest.children(home).len()];
-        state.index = SetIndex::anchored(forest, home, buckets);
+        state.index = SetIndex::anchored(home, buckets);
         let mut moved = 0usize;
         for id in 0..state.sets.len() as u32 {
             state.sets[id as usize].anchors = None;
             if state.sets[id as usize].live {
                 moved += 1;
-                state.index_insert(&[id], alg);
+                state.index_insert(&[id], alg, forest);
             }
         }
         log.op(origin, Op::GeomOp { rects: moved });
@@ -472,19 +472,14 @@ impl RayCast {
         // precisely because lookups interpret the stored positions against
         // the *current* partition, and the kept value equals the fresh
         // computation against it.
-        let memo = std::mem::take(&mut state.anchor_memo);
-        let SetIndex::Anchored { child_pos, .. } = &state.index else {
-            unreachable!("index was just re-anchored")
-        };
-        for (region, old) in memo {
-            let overlapping = forest.overlapping_children(home, forest.domain(region));
+        for (region, old) in std::mem::take(&mut state.anchor_memo) {
+            let fresh = forest.overlapping_children(home, forest.domain(region));
             log.op(
                 origin,
                 Op::GeomOp {
-                    rects: overlapping.len().max(1),
+                    rects: fresh.len().max(1),
                 },
             );
-            let fresh: Vec<u32> = overlapping.into_iter().map(|c| child_pos[&c]).collect();
             if fresh == old {
                 state.anchor_memo.insert(region, fresh);
             }
@@ -496,8 +491,8 @@ impl RayCast {
 
 /// The K-d arm's candidate walk: the keys of every leaf overlapping any of
 /// `rects` (unsorted, possibly repeated across rects). Kept out of line:
-/// inlined into `analyze_shard`'s per-requirement loop it cost the
-/// anchored arm ~4 % of `steady_us_per_launch` on `stencil_steady`.
+/// inlined into the per-requirement loop it cost the anchored arm ~4 % of
+/// `steady_us_per_launch` on `stencil_steady`.
 #[inline(never)]
 fn kd_walk(tree: &DynamicBvh, rects: &[Rect], stack: &mut Vec<u32>, hits: &mut Vec<u64>) {
     for r in rects {
@@ -533,340 +528,73 @@ impl CoherenceEngine for RayCast {
         reqs: &[u32],
         ctx: &ShardCtx<'_>,
     ) -> Vec<ReqOutcome> {
-        let origin = ctx.shards.origin(launch.node);
-        let (mut shard, mut guard) = self.shards.lock(key);
-        // Split the ShardRef borrow once so disjoint fields (index vs memo
-        // vs sets) can be borrowed independently below.
+        let cx = ScanCtx {
+            forest: ctx.forest,
+            node: launch.node,
+            origin: ctx.shards.origin(launch.node),
+        };
+        let (mut shard, mut geom) = self.shards.lock(key);
         let state: &mut FieldState = &mut shard;
-        let geom: &mut RootGeometry = &mut guard;
         let mut outcomes: Vec<ReqOutcome> = Vec::with_capacity(reqs.len());
         // The shard's reusable buffers, moved out for the duration of the
-        // call (the `FieldState` methods below borrow the whole state) and
-        // returned, capacity intact, at the end: the scan allocates nothing
-        // for them at steady state.
+        // call (the phases borrow the whole state) and returned, capacity
+        // intact, at the end: the scan allocates nothing for them at steady
+        // state.
         let mut scratch = std::mem::take(&mut state.scratch);
-        let ScanScratch {
-            stack,
-            candidates,
-            req_anchors,
-            killed,
-            charges,
-            copies,
-            fold_ids,
-            pieces,
-            relevant,
-            commits,
-            commit_ids,
-            commit_stack,
-        } = &mut scratch;
-        commits.clear();
-        commit_ids.clear();
+        let sc = &mut scratch;
+        sc.commits.clear();
+        sc.commit_ids.clear();
 
         for &ri in reqs {
             let req = &launch.reqs[ri as usize];
+            let target = ctx.forest.space(req.region);
             let mut out = ReqOutcome {
                 req: ri,
                 ..ReqOutcome::default()
             };
-            let target = ctx.forest.domain(req.region);
-            let target_id = ctx.forest.space(req.region);
+            let log = &mut out.scan_log;
             if !self.force_kd {
                 let home = Self::home_partition(ctx.forest, req.region);
-                Self::maybe_shift(
-                    state,
-                    &geom.alg,
-                    ctx.forest,
-                    home,
-                    &mut out.scan_log,
-                    origin,
-                );
+                Self::maybe_shift(state, &geom.alg, ctx.forest, home, log, cx.origin);
             }
-
-            // ---- Ray casting: find the candidate sets through the index.
-            // With anchors this is a (replicated, local) region-tree query;
-            // the memoized anchor list makes the steady state O(1).
-            candidates.clear();
-            // The anchor positions this requirement resolved to (used again
-            // by the dominating-write commit below).
-            req_anchors.clear();
-            match &mut state.index {
-                SetIndex::Anchored {
-                    partition,
-                    buckets,
-                    child_pos,
-                    ..
-                } => {
-                    let compute = |log: &mut ChargeLog| {
-                        let kids = ctx.forest.overlapping_children(*partition, target);
-                        log.op(
-                            origin,
-                            Op::GeomOp {
-                                rects: kids.len().max(1),
-                            },
-                        );
-                        kids.into_iter()
-                            .map(|c| child_pos[&c])
-                            .collect::<Vec<u32>>()
-                    };
-                    if self.use_anchor_memo {
-                        out.scan_log.op(origin, Op::Memo);
-                        match state.anchor_memo.get(&req.region) {
-                            Some(a) => req_anchors.extend_from_slice(a),
-                            None => {
-                                let idx = compute(&mut out.scan_log);
-                                req_anchors.extend_from_slice(&idx);
-                                state.anchor_memo.insert(req.region, idx);
-                            }
-                        }
-                    } else {
-                        req_anchors.extend_from_slice(&compute(&mut out.scan_log));
-                    }
-                    for a in req_anchors.iter() {
-                        candidates.extend(buckets[*a as usize].iter().copied());
-                    }
-                    // A set spanning several anchors appears in each bucket:
-                    // deduplicate so it is scanned (and folded) once. Sorted
-                    // keys visit the sets in birth order.
-                    candidates.sort_unstable();
-                    candidates.dedup();
-                }
-                SetIndex::Kd { tree } => {
-                    kd_walk(tree, target.rects(), stack, candidates);
-                    candidates.sort_unstable();
-                    candidates.dedup();
-                    out.scan_log.op(
-                        origin,
-                        Op::GeomOp {
-                            rects: candidates.len().max(1),
-                        },
-                    );
-                }
-            }
-            viz_profile::instant(viz_profile::EventKind::BvhTraversal {
-                nodes: candidates.len() as u64,
-            });
-            state.candidates_visited += candidates.len() as u64;
-
-            // ---- Refine straddlers; collect the constituent sets.
-            relevant.clear();
-            killed.clear();
-            let mut tests = 0usize;
+            state.collect_candidates(sc, &cx, req.region, self.use_anchor_memo, log);
             // All remote work for this requirement — refinements, history
-            // scans, invalidations — is batched into `charges` and flushed
-            // as one concurrent multi-request (Legion issues these as
-            // parallel active messages).
-            for c in candidates.iter().map(|k| *k as u32) {
-                if !state.sets[c as usize].live {
-                    continue;
-                }
-                tests += 1;
-                // The Warnock refine — ray casting still refines on partial
-                // overlaps.
-                let dom = state.sets[c as usize].domain;
-                let (inside, outside) = match refine(&mut geom.alg, dom, target_id) {
-                    Refine::Disjoint => continue,
-                    Refine::Contained => {
-                        relevant.push(c);
-                        continue;
-                    }
-                    Refine::Split(inside, outside) => (inside, outside),
-                };
-                // The history moves to the outside half (one copy for the
-                // inside half).
-                let (hist, old_owner) = {
-                    let s = &mut state.sets[c as usize];
-                    (std::mem::take(&mut s.hist), s.owner)
-                };
-                state.kill(c);
-                killed.push(c);
-                // The inside half migrates to its first user's node.
-                let inside_id = state.new_set(inside, hist.clone(), launch.node);
-                let outside_id = state.new_set(outside, hist, old_owner);
-                state.sets[c as usize].replaced_by = Some([inside_id, outside_id]);
-                state.index_insert(&[inside_id, outside_id], &geom.alg);
-                charges.add_refine(old_owner);
-                relevant.push(inside_id);
-            }
-            if !killed.is_empty() {
-                state.index_remove_dead(killed);
-                viz_profile::instant(viz_profile::EventKind::EqSetRefined {
-                    count: killed.len() as u64,
-                });
-                viz_profile::instant(viz_profile::EventKind::EqSetCreated {
-                    count: 2 * killed.len() as u64,
-                });
-            }
-            out.scan_log.op(
-                origin,
-                Op::GeomOp {
-                    rects: tests.max(1),
-                },
+            // scans, invalidations — is batched into `sc.charges` and
+            // flushed as one concurrent multi-request (Legion issues these
+            // as parallel active messages).
+            state.refine_candidates(sc, &cx, &mut geom.alg, target, log);
+            let sets = sc.relevant.iter().map(|n| &state.sets[*n as usize].eq);
+            (out.deps, out.plan) = scan_sets(
+                sets,
+                req.privilege,
+                &mut geom.alg,
+                &mut sc.charges,
+                &mut sc.copies,
+                &mut sc.fold_ids,
             );
-            state.sets_swept += tests as u64;
-            viz_profile::instant(viz_profile::EventKind::ScanSweep {
-                candidates: candidates.len() as u64,
-                swept: tests as u64,
-            });
-
-            // ---- Scan histories for dependences + plan. Every entry
-            // scanned yields at most one dependence.
-            let mut deps = Vec::with_capacity(
-                relevant
-                    .iter()
-                    .map(|n| state.sets[*n as usize].hist.len())
-                    .sum(),
-            );
-            let mut plan = if req.privilege.needs_current_values() {
-                MaterializePlan::default()
+            for _ in &out.deps {
+                log.op(cx.origin, Op::DepRecord);
+            }
+            if req.privilege.is_write() {
+                state.dominate(sc, &cx, &mut geom.alg, target, log);
             } else {
-                let Privilege::Reduce(op) = req.privilege else {
-                    unreachable!()
-                };
-                MaterializePlan::identity(op)
-            };
-            let mut entries_scanned = 0usize;
-            for n in relevant.iter() {
-                let s = &state.sets[*n as usize];
-                scan_eq_history(
-                    &s.hist,
-                    s.domain,
-                    &geom.alg,
-                    req.privilege,
-                    &mut deps,
-                    &mut plan,
-                    copies,
-                );
-                entries_scanned += s.hist.len();
-                charges.add(s.owner, Op::SetTouch);
-                charges.add(
-                    s.owner,
-                    Op::HistScan {
-                        entries: s.hist.len(),
-                    },
-                );
+                sc.commit_ids.extend_from_slice(&sc.relevant);
             }
-            viz_profile::instant(viz_profile::EventKind::HistoryScan {
-                entries: entries_scanned as u64,
-            });
-            for _ in &deps {
-                out.scan_log.op(origin, Op::DepRecord);
-            }
-            plan.copies = fold_copies(&mut geom.alg, copies, fold_ids);
-            out.deps = deps;
-            out.plan = plan;
-
-            // ---- Dominating write (Fig 11): one fresh set replaces every
-            // constituent set; the occluded sets are pruned.
             let entry = EqEntry {
                 task: launch.id,
                 req: ri,
                 privilege: req.privilege,
             };
-            if req.privilege.is_write() {
-                for n in relevant.iter() {
-                    let owner = state.sets[*n as usize].owner;
-                    state.kill(*n);
-                    if owner != origin {
-                        charges.add(owner, Op::EqSetRefine);
-                    }
-                }
-                // One fresh set per anchor the write covers, keeping the
-                // index aligned with the disjoint partition (a write within
-                // one anchor — the common case — creates exactly one set,
-                // as in Fig 11).
-                let anchored = match &state.index {
-                    SetIndex::Anchored { partition, .. } => Some(*partition),
-                    SetIndex::Kd { .. } => None,
-                };
-                match anchored {
-                    Some(partition) => {
-                        // Borrow the child list instead of cloning it: the
-                        // clone was O(anchors) per write requirement — the
-                        // single largest per-launch term at weak scale.
-                        let kids = ctx.forest.children(partition);
-                        for a in req_anchors.iter() {
-                            let adom = ctx.forest.space(kids[*a as usize]);
-                            let piece = geom.alg.intersect(target_id, adom);
-                            if !geom.alg.is_empty_space(piece) {
-                                pieces.push(piece);
-                            }
-                        }
-                    }
-                    None => pieces.push(target_id),
-                }
-                // The occluded constituent sets coalesce into the fresh
-                // dominating-write sets.
-                viz_profile::instant(viz_profile::EventKind::EqSetCoalesced {
-                    count: relevant.len() as u64,
-                });
-                // The fresh sets are this requirement's commit targets.
-                let first = commit_ids.len();
-                for piece in pieces.drain(..) {
-                    let id = state.new_set(piece, Vec::new(), launch.node);
-                    out.scan_log.op(origin, Op::EqSetCreate);
-                    commit_ids.push(id);
-                }
-                let new_ids = &commit_ids[first..];
-                viz_profile::instant(viz_profile::EventKind::EqSetCreated {
-                    count: new_ids.len() as u64,
-                });
-                state.index_insert(new_ids, &geom.alg);
-                state.index_remove_dead(relevant);
-            } else {
-                commit_ids.extend_from_slice(relevant);
-            }
-            commits.push((commit_ids.len() as u32, entry));
-            charges.flush_into(&mut out.scan_log, origin);
+            sc.commits.push((sc.commit_ids.len() as u32, entry));
+            sc.charges.flush_into(log, cx.origin);
             outcomes.push(out);
         }
 
-        // ---- Commit: append to each requirement's target sets. The sets
-        // live in the shard this analysis already holds; a requirement that
-        // resolved to no sets (empty target) commits nothing — there is no
-        // state lookup left to fail. A set another requirement of this SAME
-        // launch split after this one's scan forwards the commit to its
-        // replacement halves (dropping it would lose the access entirely);
-        // sets occluded by a dominating write stay dropped.
-        let mut first = 0usize;
-        for (out, (end, entry)) in outcomes.iter_mut().zip(commits.iter()) {
-            commit_stack.clear();
-            commit_stack.extend_from_slice(&commit_ids[first..*end as usize]);
-            first = *end as usize;
-            while let Some(n) = commit_stack.pop() {
-                let s = &mut state.sets[n as usize];
-                if !s.live {
-                    commit_stack.extend(s.replaced_by.into_iter().flatten());
-                    continue;
-                }
-                if entry.privilege.is_write() && !s.hist.is_empty() {
-                    s.hist.clear();
-                }
-                s.hist.push(entry.clone());
-                // One-way commit notification; the append is handled by the
-                // owner's message service. A mutating commit migrates the
-                // set to the task's node (Legion moves equivalence-set
-                // metadata to its active users).
-                out.commit_log.send(origin, s.owner, 64);
-                if entry.privilege.is_mutating() {
-                    s.owner = launch.node;
-                }
-            }
-        }
+        state.commit(sc, &cx, &mut outcomes);
         state.scratch = scratch;
         state.recycle(&geom.alg);
-        report_algebra(geom);
-        if let SetIndex::Kd { tree } = &state.index {
-            let (refits, rebuilds) = (tree.refits(), tree.rebuilds());
-            let (dr, db) = (refits - state.last_refits, rebuilds - state.last_rebuilds);
-            if dr + db > 0 {
-                viz_profile::instant(viz_profile::EventKind::BvhMaintain {
-                    refits: dr,
-                    rebuilds: db,
-                });
-            }
-            state.last_refits = refits;
-            state.last_rebuilds = rebuilds;
-        }
+        report_algebra(&mut geom);
+        state.report_maintenance();
         outcomes
     }
 
@@ -880,7 +608,7 @@ impl CoherenceEngine for RayCast {
             };
             size.memo_entries += s.anchor_memo.values().map(Vec::len).sum::<usize>();
             // (A freed slot's history is empty.)
-            size.history_entries += s.sets.iter().map(|set| set.hist.len()).sum::<usize>();
+            size.history_entries += s.sets.iter().map(|set| set.eq.hist.len()).sum::<usize>();
             size.candidates_visited += s.candidates_visited;
             size.sets_swept += s.sets_swept;
         }
@@ -889,33 +617,247 @@ impl CoherenceEngine for RayCast {
     }
 }
 
+/// The phases of one shard batch, in the order `analyze_shard` runs them.
 impl FieldState {
+    /// Candidate collection — the ray cast: into `sc.candidates`, the keys
+    /// of the sets the index says may overlap `region`, deduplicated (a set
+    /// spanning several anchors is in each of their buckets) and sorted,
+    /// which visits them in birth order. Anchored, this is a (replicated,
+    /// local) region-tree query whose memoized anchor list makes the steady
+    /// state O(1); the anchors stay in `sc.req_anchors` for `dominate`.
+    fn collect_candidates(
+        &mut self,
+        sc: &mut ScanScratch,
+        cx: &ScanCtx<'_>,
+        region: RegionId,
+        memoize: bool,
+        log: &mut ChargeLog,
+    ) {
+        sc.candidates.clear();
+        sc.req_anchors.clear();
+        let target = cx.forest.domain(region);
+        match &self.index {
+            SetIndex::Anchored {
+                partition, buckets, ..
+            } => {
+                let compute = |log: &mut ChargeLog| {
+                    let anchors = cx.forest.overlapping_children(*partition, target);
+                    let rects = anchors.len().max(1);
+                    log.op(cx.origin, Op::GeomOp { rects });
+                    anchors
+                };
+                if memoize {
+                    log.op(cx.origin, Op::Memo);
+                    let memo = &mut self.anchor_memo;
+                    let anchors = memo.entry(region).or_insert_with(|| compute(log));
+                    sc.req_anchors.extend_from_slice(anchors);
+                } else {
+                    sc.req_anchors.extend_from_slice(&compute(log));
+                }
+                for a in &sc.req_anchors {
+                    sc.candidates.extend_from_slice(&buckets[*a as usize]);
+                }
+                sc.candidates.sort_unstable();
+                sc.candidates.dedup();
+            }
+            SetIndex::Kd { tree } => {
+                kd_walk(tree, target.rects(), &mut sc.stack, &mut sc.candidates);
+                sc.candidates.sort_unstable();
+                sc.candidates.dedup();
+                let rects = sc.candidates.len().max(1);
+                log.op(cx.origin, Op::GeomOp { rects });
+            }
+        }
+        viz_profile::instant(viz_profile::EventKind::BvhTraversal {
+            nodes: sc.candidates.len() as u64,
+        });
+        self.candidates_visited += sc.candidates.len() as u64;
+    }
+
+    /// Refinement (Fig 9, as in Warnock — ray casting still refines on
+    /// partial overlaps): each live candidate overlapping `target` is a
+    /// constituent set, as it is when contained, else through the inside
+    /// half of its split, the two halves replacing it in the index. The
+    /// constituents land in `sc.relevant`, in birth order.
+    fn refine_candidates(
+        &mut self,
+        sc: &mut ScanScratch,
+        cx: &ScanCtx<'_>,
+        alg: &mut SpaceAlgebra,
+        target: SpaceId,
+        log: &mut ChargeLog,
+    ) {
+        sc.relevant.clear();
+        sc.killed.clear();
+        let mut tests = 0usize;
+        for c in sc.candidates.iter().map(|k| *k as u32) {
+            if !self.sets[c as usize].live {
+                continue;
+            }
+            tests += 1;
+            let (inside, outside) = match refine(alg, self.sets[c as usize].eq.domain, target) {
+                Refine::Disjoint => continue,
+                Refine::Contained => {
+                    sc.relevant.push(c);
+                    continue;
+                }
+                Refine::Split(inside, outside) => (inside, outside),
+            };
+            let halves = self.sets[c as usize]
+                .eq
+                .split(inside, outside, cx.node, &mut sc.charges);
+            self.kill(c);
+            sc.killed.push(c);
+            let halves = halves.map(|half| self.new_set(half));
+            self.sets[c as usize].replaced_by = Some(halves);
+            self.index_insert(&halves, alg, cx.forest);
+            sc.relevant.push(halves[0]);
+        }
+        if !sc.killed.is_empty() {
+            self.index_remove_dead(&sc.killed);
+            viz_profile::instant(viz_profile::EventKind::EqSetRefined {
+                count: sc.killed.len() as u64,
+            });
+            viz_profile::instant(viz_profile::EventKind::EqSetCreated {
+                count: 2 * sc.killed.len() as u64,
+            });
+        }
+        log.op(
+            cx.origin,
+            Op::GeomOp {
+                rects: tests.max(1),
+            },
+        );
+        self.sets_swept += tests as u64;
+        viz_profile::instant(viz_profile::EventKind::ScanSweep {
+            candidates: sc.candidates.len() as u64,
+            swept: tests as u64,
+        });
+    }
+
+    /// Dominating write (Fig 11): every constituent set is occluded —
+    /// killed and unindexed — and coalesces into one fresh set per anchor
+    /// the write covers (the target itself on the K-d arm), which keeps the
+    /// index aligned with the disjoint partition; a write within one
+    /// anchor, the common case, creates exactly one set. The fresh sets are
+    /// the requirement's commit targets, appended to `sc.commit_ids`.
+    fn dominate(
+        &mut self,
+        sc: &mut ScanScratch,
+        cx: &ScanCtx<'_>,
+        alg: &mut SpaceAlgebra,
+        target: SpaceId,
+        log: &mut ChargeLog,
+    ) {
+        for n in &sc.relevant {
+            let owner = self.sets[*n as usize].eq.owner;
+            self.kill(*n);
+            if owner != cx.origin {
+                sc.charges.add(owner, Op::EqSetRefine);
+            }
+        }
+        match &self.index {
+            SetIndex::Anchored { partition, .. } => {
+                // Borrow the child list instead of cloning it: the clone
+                // was O(anchors) per write requirement — the single largest
+                // per-launch term at weak scale.
+                let kids = cx.forest.children(*partition);
+                for a in &sc.req_anchors {
+                    let piece = alg.intersect(target, cx.forest.space(kids[*a as usize]));
+                    if !alg.is_empty_space(piece) {
+                        sc.pieces.push(piece);
+                    }
+                }
+            }
+            SetIndex::Kd { .. } => sc.pieces.push(target),
+        }
+        viz_profile::instant(viz_profile::EventKind::EqSetCoalesced {
+            count: sc.relevant.len() as u64,
+        });
+        let first = sc.commit_ids.len();
+        for domain in sc.pieces.drain(..) {
+            let hist = Vec::new();
+            let fresh = self.new_set(EqSet {
+                domain,
+                owner: cx.node,
+                hist,
+            });
+            log.op(cx.origin, Op::EqSetCreate);
+            sc.commit_ids.push(fresh);
+        }
+        let fresh = &sc.commit_ids[first..];
+        viz_profile::instant(viz_profile::EventKind::EqSetCreated {
+            count: fresh.len() as u64,
+        });
+        self.index_insert(fresh, alg, cx.forest);
+        self.index_remove_dead(&sc.relevant);
+    }
+
+    /// Commit (Fig 9): append each requirement's entry to its target sets,
+    /// which live in the shard this analysis already holds; a requirement
+    /// that resolved to no sets (empty target) commits nothing. A set that
+    /// another requirement of this SAME launch split after this one's scan
+    /// forwards the commit to its halves (dropping it would lose the access
+    /// entirely); sets occluded by a dominating write stay dropped.
+    fn commit(&mut self, sc: &mut ScanScratch, cx: &ScanCtx<'_>, outcomes: &mut [ReqOutcome]) {
+        let mut first = 0usize;
+        for (out, (end, entry)) in outcomes.iter_mut().zip(&sc.commits) {
+            sc.commit_stack.clear();
+            sc.commit_stack
+                .extend_from_slice(&sc.commit_ids[first..*end as usize]);
+            first = *end as usize;
+            while let Some(n) = sc.commit_stack.pop() {
+                let s = &mut self.sets[n as usize];
+                if s.live {
+                    s.eq.commit(entry, cx.node, cx.origin, &mut out.commit_log);
+                } else {
+                    sc.commit_stack.extend(s.replaced_by.into_iter().flatten());
+                }
+            }
+        }
+    }
+
+    /// Report the K-d tree's refits and rebuilds since the last batch.
+    fn report_maintenance(&mut self) {
+        let SetIndex::Kd { tree } = &self.index else {
+            return;
+        };
+        let (refits, rebuilds) = (tree.refits(), tree.rebuilds());
+        let (dr, db) = (refits - self.last_refits, rebuilds - self.last_rebuilds);
+        if dr + db > 0 {
+            viz_profile::instant(viz_profile::EventKind::BvhMaintain {
+                refits: dr,
+                rebuilds: db,
+            });
+        }
+        self.last_refits = refits;
+        self.last_rebuilds = rebuilds;
+    }
+
     /// Register new sets in the index: for the anchored index, each set is
     /// placed in every anchor bucket its bounding box overlaps (queries
     /// filter exactly and deduplicate). The overlapping anchors come from
-    /// the placement memo, which asks the static anchor-lookup BVH the
-    /// first time a domain is placed — O(log anchors + hits), with
-    /// membership identical to a linear sweep of `anchor_bboxes` — and the
+    /// the placement memo, which asks the forest the first time a domain is
+    /// placed — O(log anchors + hits) on the partition's tree — and the
     /// list is shared with the set so its eventual removal touches only
     /// those buckets.
-    fn index_insert(&mut self, new_ids: &[u32], alg: &SpaceAlgebra) {
+    fn index_insert(&mut self, new_ids: &[u32], alg: &SpaceAlgebra, forest: &RegionForest) {
         let sets = &mut self.sets;
         match &mut self.index {
             SetIndex::Anchored {
+                partition,
                 buckets,
-                lookup,
                 placement,
-                ..
             } => {
                 for id in new_ids {
                     let set = &mut sets[*id as usize];
-                    let anchors = placement
-                        .entry(set.domain)
-                        .or_insert_with(|| lookup.query_vec(&alg.bbox(set.domain)).into());
+                    let domain = set.eq.domain;
+                    let place = || forest.overlapping_child_bboxes(*partition, &alg.bbox(domain));
+                    let anchors = placement.entry(domain).or_insert_with(|| place().into());
                     debug_assert_eq!(
                         anchors[..],
-                        lookup.query_vec(&alg.bbox(set.domain))[..],
-                        "memoized placement diverged from the anchor lookup"
+                        place()[..],
+                        "memoized placement diverged from the forest's"
                     );
                     for a in anchors.iter() {
                         buckets[*a as usize].push(key(set.born, *id));
@@ -926,7 +868,7 @@ impl FieldState {
             SetIndex::Kd { tree } => {
                 for id in new_ids {
                     let set = &sets[*id as usize];
-                    tree.insert(key(set.born, *id), alg.bbox(set.domain));
+                    tree.insert(key(set.born, *id), alg.bbox(set.eq.domain));
                 }
             }
         }
@@ -972,7 +914,7 @@ mod tests {
     use crate::task::{RegionRequirement, TaskId};
     use proptest::prelude::*;
     use viz_geometry::IndexSpace;
-    use viz_region::{FieldId, RedOpRegistry};
+    use viz_region::{FieldId, Privilege, RedOpRegistry};
     use viz_sim::Machine;
 
     struct Fixture {
@@ -1213,6 +1155,34 @@ mod tests {
         assert!(poisoner.join().is_err());
         assert!(fx.forest.geometry(n).is_poisoned());
         assert_eq!(fx.eng.state_size(), before);
+    }
+
+    /// A scan that panics holding its shard leaves the shard readable and
+    /// claimable: `state_size` still reads it, and the next launches still
+    /// analyze, exactly as on an engine no scan panicked in.
+    #[test]
+    fn shard_survives_a_scan_that_panicked_holding_it() {
+        let (mut fx, n, p, g) = paper_fixture();
+        let (mut reference, mut machine) = (RayCast::new(), Machine::new(1));
+        for launch in iteration(&mut fx, p, g) {
+            reference.analyze(&launch, &mut fx.ctx(&mut machine));
+            fx.analyze(&launch);
+        }
+        let before = fx.eng.state_size();
+        let (eng, key) = (&fx.eng, (n, fx.field));
+        let scan = std::thread::scope(|s| {
+            let scan = s.spawn(|| {
+                let _held = eng.shards.lock(key);
+                panic!("a scan panics holding its shard");
+            });
+            scan.join()
+        });
+        assert!(scan.is_err());
+        assert_eq!(fx.eng.state_size(), before);
+        for launch in iteration(&mut fx, p, g) {
+            let expect = reference.analyze(&launch, &mut fx.ctx(&mut machine));
+            assert_eq!(fx.analyze(&launch), expect);
+        }
     }
 
     #[test]

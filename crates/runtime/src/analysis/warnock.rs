@@ -23,6 +23,13 @@
 //! replicate on demand — but *discovery* of brand-new regions must traverse
 //! from the root, whose authority lives on node 0.
 //!
+//! Per requirement a shard batch runs discovery (memo or root descent),
+//! refinement of the straddling leaves, and the history scan; then it
+//! commits every requirement. Three of those phases are written here once
+//! and shared with ray casting, which is "Warnock plus dominating writes"
+//! (§7): an `EqSet`'s `split` and `commit`, and the constituent-set scan
+//! `scan_sets`.
+//!
 //! The whole refinement tree for one `(root, field)` — including its memo
 //! and replication cache — is one shard. Its geometry is the root's: every
 //! field tree of a root splits against the forest's `RootGeometry` for that
@@ -36,8 +43,8 @@ use crate::engine::{CoherenceEngine, ShardCtx, StateSize};
 use crate::plan::{CopyRange, MaterializePlan, ReduceRange, Source};
 use crate::task::{TaskId, TaskLaunch};
 use viz_geometry::{FxHashMap, FxHashSet, SpaceAlgebra, SpaceId};
-use viz_region::{Privilege, RegionForest, RegionId, RootGeometry};
-use viz_sim::{NodeId, Op};
+use viz_region::{Privilege, RegionForest, RegionId};
+use viz_sim::{ChargeLog, NodeId, Op};
 
 /// One operation recorded in an equivalence set's history. The domain is
 /// implicit: it covers the whole set.
@@ -48,6 +55,106 @@ pub(crate) struct EqEntry {
     pub privilege: Privilege,
 }
 
+/// An equivalence set as Warnock and ray casting both keep it. The domain
+/// is an interned handle into the root's [`SpaceAlgebra`]: sibling sets
+/// produced by the same partition share storage, and the overlap and
+/// refinement tests run against it are memoized.
+pub(crate) struct EqSet {
+    pub domain: SpaceId,
+    pub owner: NodeId,
+    pub hist: Vec<EqEntry>,
+}
+
+impl EqSet {
+    /// Refine (Fig 9, `refine`) a set that straddles a target into its
+    /// `(inside, outside)` halves, leaving it an empty history. The split
+    /// is work at the owner, batched into `charges`. The history moves to
+    /// the outside half, which stays put, and is copied to the inside half,
+    /// which migrates to its first user `node` (Legion moves the
+    /// equivalence-set metadata to the mapped node, not the node running
+    /// the analysis).
+    pub(crate) fn split(
+        &mut self,
+        inside: SpaceId,
+        outside: SpaceId,
+        node: NodeId,
+        charges: &mut ChargeSet,
+    ) -> [EqSet; 2] {
+        charges.add_refine(self.owner);
+        let hist = std::mem::take(&mut self.hist);
+        [
+            EqSet {
+                domain: inside,
+                owner: node,
+                hist: hist.clone(),
+            },
+            EqSet {
+                domain: outside,
+                owner: self.owner,
+                hist,
+            },
+        ]
+    }
+
+    /// Commit (Fig 9) `entry` into this live set: a write first clears the
+    /// history, keeping it precise. The append is a one-way 64-byte
+    /// notification handled by the owner's message service; a mutating
+    /// commit migrates the set to the task's `node`.
+    pub(crate) fn commit(
+        &mut self,
+        entry: &EqEntry,
+        node: NodeId,
+        origin: NodeId,
+        log: &mut ChargeLog,
+    ) {
+        if entry.privilege.is_write() {
+            self.hist.clear();
+        }
+        self.hist.push(entry.clone());
+        log.send(origin, self.owner, 64);
+        if entry.privilege.is_mutating() {
+            self.owner = node;
+        }
+    }
+}
+
+/// The history scan over a requirement's constituent `sets`, in order:
+/// each set's [`scan_eq_history`], with its `SetTouch` + `HistScan` batched
+/// at its owner into `charges`, then the base copies folded into the plan.
+/// It neither flushes `charges` nor records the dependences: each engine
+/// orders those against its own charges. `copies` and `fold_ids` are
+/// scratch.
+pub(crate) fn scan_sets<'a>(
+    sets: impl Iterator<Item = &'a EqSet> + Clone,
+    privilege: Privilege,
+    alg: &mut SpaceAlgebra,
+    charges: &mut ChargeSet,
+    copies: &mut Vec<(Source, SpaceId)>,
+    fold_ids: &mut Vec<SpaceId>,
+) -> (Vec<TaskId>, MaterializePlan) {
+    // Every entry scanned yields at most one dependence.
+    let entries = sets.clone().map(|s| s.hist.len()).sum();
+    let mut deps = Vec::with_capacity(entries);
+    let mut plan = MaterializePlan::for_privilege(privilege);
+    for s in sets {
+        scan_eq_history(
+            &s.hist, s.domain, alg, privilege, &mut deps, &mut plan, copies,
+        );
+        charges.add(s.owner, Op::SetTouch);
+        charges.add(
+            s.owner,
+            Op::HistScan {
+                entries: s.hist.len(),
+            },
+        );
+    }
+    viz_profile::instant(viz_profile::EventKind::HistoryScan {
+        entries: entries as u64,
+    });
+    plan.copies = fold_copies(alg, copies, fold_ids);
+    (deps, plan)
+}
+
 /// Scan an equivalence set's history (newest first, no geometry): produces
 /// dependences and the per-set slice of the materialization plan — the
 /// pending reductions go straight into `plan`, the set's base copy onto
@@ -55,7 +162,7 @@ pub(crate) struct EqEntry {
 ///
 /// Invariant exploited: commits reset the history on a write, so a history
 /// is `[write?] ++ (reads | reduces)*` — everything in it is visible.
-pub(crate) fn scan_eq_history(
+fn scan_eq_history(
     hist: &[EqEntry],
     set: SpaceId,
     alg: &SpaceAlgebra,
@@ -110,7 +217,7 @@ pub(crate) fn scan_eq_history(
 ///
 /// Drains `copies`; `ids` is scratch for one fold's operand list (both keep
 /// their capacity for the caller to reuse).
-pub(crate) fn fold_copies(
+fn fold_copies(
     alg: &mut SpaceAlgebra,
     copies: &mut Vec<(Source, SpaceId)>,
     ids: &mut Vec<SpaceId>,
@@ -133,19 +240,11 @@ pub(crate) fn fold_copies(
 }
 
 /// A node in the refinement tree: an equivalence set that is either live
-/// (leaf, holds a history) or refined (inner, holds its two halves). The
-/// domain is an interned handle into the root's [`SpaceAlgebra`] — sibling
-/// sets produced by the same partition share storage, and the overlap /
-/// containment tests the traversal runs against it are memoized.
+/// (a leaf, holding its history) or refined (holding its two halves and an
+/// empty history).
 struct EqNode {
-    domain: SpaceId,
-    owner: NodeId,
-    kind: EqKind,
-}
-
-enum EqKind {
-    Leaf { hist: Vec<EqEntry> },
-    Inner { children: Vec<u32> },
+    set: EqSet,
+    children: Option<[u32; 2]>,
 }
 
 /// Per-(root, field) refinement tree — one shard of Warnock's state.
@@ -163,11 +262,15 @@ struct FieldTree {
 
 impl FieldTree {
     fn new(forest: &RegionForest, root: RegionId) -> Self {
+        let set = EqSet {
+            domain: forest.space(root),
+            owner: 0,
+            hist: Vec::new(),
+        };
         FieldTree {
             nodes: vec![EqNode {
-                domain: forest.space(root),
-                owner: 0,
-                kind: EqKind::Leaf { hist: Vec::new() },
+                set,
+                children: None,
             }],
             root: 0,
             memo: FxHashMap::default(),
@@ -229,14 +332,15 @@ impl CoherenceEngine for Warnock {
         ctx: &ShardCtx<'_>,
     ) -> Vec<ReqOutcome> {
         let origin = ctx.shards.origin(launch.node);
-        let (mut shard, mut guard) = self.shards.lock(key);
-        let tree: &mut FieldTree = &mut shard;
-        let geom: &mut RootGeometry = &mut guard;
+        let (mut tree, mut geom) = self.shards.lock(key);
+        let tree: &mut FieldTree = &mut tree;
+        let alg = &mut geom.alg;
         let mut outcomes: Vec<ReqOutcome> = Vec::with_capacity(reqs.len());
         let mut commits: Vec<(Vec<u32>, EqEntry)> = Vec::with_capacity(reqs.len());
         // One charge batch, flushed (and so emptied) twice per requirement:
         // after the refinements, then after the history scans.
         let mut charges = ChargeSet::new();
+        let (mut copies, mut fold_ids) = (Vec::new(), Vec::new());
 
         for &ri in reqs {
             let req = &launch.reqs[ri as usize];
@@ -263,19 +367,20 @@ impl CoherenceEngine for Warnock {
             let mut to_replicate = 0usize;
             while let Some(n) = stack.pop() {
                 traversal_tests += 1;
-                let dom = tree.nodes[n as usize].domain;
+                let node = &tree.nodes[n as usize];
+                let dom = node.set.domain;
                 // Each traversal step tests the target against this node's
                 // (possibly heavily fragmented) domain — inner node or leaf,
                 // one `overlaps` first.
-                let rects = geom.alg.space(dom).rect_count();
+                let rects = alg.space(dom).rect_count();
                 out.scan_log.op(
                     origin,
                     Op::GeomOp {
                         rects: rects.min(64),
                     },
                 );
-                if let EqKind::Inner { children } = &tree.nodes[n as usize].kind {
-                    if geom.alg.overlaps(dom, target) {
+                if let Some(halves) = node.children {
+                    if alg.overlaps(dom, target) {
                         // Replication on demand of immutable inner nodes:
                         // the descriptors this traversal needs and has not
                         // yet cached are fetched in one batched request
@@ -283,11 +388,11 @@ impl CoherenceEngine for Warnock {
                         if tree.replicated.insert((n, origin)) {
                             to_replicate += 1;
                         }
-                        stack.extend(children.iter().copied());
+                        stack.extend(halves);
                     }
                     continue;
                 }
-                let (inside, outside) = match refine(&mut geom.alg, dom, target) {
+                let (inside, outside) = match refine(alg, dom, target) {
                     Refine::Disjoint => continue,
                     Refine::Contained => {
                         relevant.push(n);
@@ -295,39 +400,19 @@ impl CoherenceEngine for Warnock {
                     }
                     Refine::Split(inside, outside) => (inside, outside),
                 };
-                // Refine: split into ∩target and \target.
-                let (hist, old_owner) = {
-                    let node = &tree.nodes[n as usize];
-                    let EqKind::Leaf { hist } = &node.kind else {
-                        unreachable!()
-                    };
-                    (hist.clone(), node.owner)
-                };
-                let inside_idx = tree.nodes.len() as u32;
-                tree.nodes.push(EqNode {
-                    domain: inside,
-                    // Migrates to its first user: the node where the task
-                    // that named this region executes (Legion moves the
-                    // equivalence set metadata to the mapped node, not the
-                    // node running the analysis).
-                    owner: launch.node,
-                    kind: EqKind::Leaf { hist: hist.clone() },
-                });
-                let outside_idx = tree.nodes.len() as u32;
-                tree.nodes.push(EqNode {
-                    domain: outside,
-                    owner: old_owner,
-                    kind: EqKind::Leaf { hist },
-                });
-                tree.nodes[n as usize].kind = EqKind::Inner {
-                    children: vec![inside_idx, outside_idx],
-                };
-                tree.live_leaves += 1;
                 // Refinement happens at the owner of the split set; the
                 // round trips for one launch are issued concurrently.
-                charges.add_refine(old_owner);
+                let parent = &mut tree.nodes[n as usize].set;
+                let halves = parent.split(inside, outside, launch.node, &mut charges);
+                let first = tree.nodes.len() as u32;
+                tree.nodes.extend(halves.map(|set| EqNode {
+                    set,
+                    children: None,
+                }));
+                tree.nodes[n as usize].children = Some([first, first + 1]);
+                tree.live_leaves += 1;
                 refined += 1;
-                relevant.push(inside_idx);
+                relevant.push(first);
             }
             charges.flush_into(&mut out.scan_log, origin);
             viz_profile::instant(viz_profile::EventKind::BvhTraversal {
@@ -360,50 +445,19 @@ impl CoherenceEngine for Warnock {
 
             // ---- Materialize + dependences per constituent set, charged
             // at each set's owner (batched per owner).
-            let mut deps = Vec::new();
-            let mut plan = if req.privilege.needs_current_values() {
-                MaterializePlan::default()
-            } else {
-                let Privilege::Reduce(op) = req.privilege else {
-                    unreachable!()
-                };
-                MaterializePlan::identity(op)
-            };
-            let mut copies = Vec::new();
-            let mut entries_scanned = 0usize;
-            for n in &relevant {
-                let node = &tree.nodes[*n as usize];
-                let EqKind::Leaf { hist } = &node.kind else {
-                    unreachable!("relevant nodes are leaves")
-                };
-                scan_eq_history(
-                    hist,
-                    node.domain,
-                    &geom.alg,
-                    req.privilege,
-                    &mut deps,
-                    &mut plan,
-                    &mut copies,
-                );
-                entries_scanned += hist.len();
-                charges.add(node.owner, Op::SetTouch);
-                charges.add(
-                    node.owner,
-                    Op::HistScan {
-                        entries: hist.len(),
-                    },
-                );
-            }
+            let sets = relevant.iter().map(|n| &tree.nodes[*n as usize].set);
+            (out.deps, out.plan) = scan_sets(
+                sets,
+                req.privilege,
+                alg,
+                &mut charges,
+                &mut copies,
+                &mut fold_ids,
+            );
             charges.flush_into(&mut out.scan_log, origin);
-            viz_profile::instant(viz_profile::EventKind::HistoryScan {
-                entries: entries_scanned as u64,
-            });
-            for _ in &deps {
+            for _ in &out.deps {
                 out.scan_log.op(origin, Op::DepRecord);
             }
-            plan.copies = fold_copies(&mut geom.alg, &mut copies, &mut Vec::new());
-            out.deps = deps;
-            out.plan = plan;
             outcomes.push(out);
 
             commits.push((
@@ -416,40 +470,26 @@ impl CoherenceEngine for Warnock {
             ));
         }
 
-        // ---- Commit (Fig 9): append to each constituent set; a write
-        // clears the prior history, keeping histories precise. A
+        // ---- Commit (Fig 9): append to each constituent set. A
         // requirement whose scan found no sets (empty target) commits
         // nothing — the loop body simply never runs, there is no state
         // lookup left to panic on. A set another requirement of this SAME
-        // launch refined after this one's scan is now an inner node: the
-        // entry commits to its current leaves instead (their domains are
-        // subsets of the refined set, so the entry stays relevant to every
-        // point — dropping it would lose the access entirely).
-        for (out, (relevant, entry)) in outcomes.iter_mut().zip(commits) {
-            let mut stack = relevant;
+        // launch refined after this one's scan now has halves: the entry
+        // commits to its current leaves instead (their domains are subsets
+        // of the refined set, so the entry stays relevant to every point —
+        // dropping it would lose the access entirely).
+        for (out, (mut stack, entry)) in outcomes.iter_mut().zip(commits) {
             while let Some(n) = stack.pop() {
-                if let EqKind::Inner { children } = &tree.nodes[n as usize].kind {
-                    stack.extend(children.iter().copied());
-                    continue;
-                }
                 let node = &mut tree.nodes[n as usize];
-                let EqKind::Leaf { hist } = &mut node.kind else {
-                    unreachable!("node is leaf or inner")
-                };
-                if entry.privilege.is_write() {
-                    hist.clear();
-                }
-                hist.push(entry.clone());
-                // One-way commit notification; the append is handled by the
-                // owner's message service. A mutating commit migrates the
-                // set to the task's node.
-                out.commit_log.send(origin, node.owner, 64);
-                if entry.privilege.is_mutating() {
-                    node.owner = launch.node;
+                match node.children {
+                    Some(halves) => stack.extend(halves),
+                    None => node
+                        .set
+                        .commit(&entry, launch.node, origin, &mut out.commit_log),
                 }
             }
         }
-        report_algebra(geom);
+        report_algebra(&mut geom);
         outcomes
     }
 
@@ -462,11 +502,8 @@ impl CoherenceEngine for Warnock {
             size.equivalence_sets += t.live_leaves;
             size.index_nodes += t.nodes.len();
             size.memo_entries += t.memo.values().map(Vec::len).sum::<usize>();
-            for n in &t.nodes {
-                if let EqKind::Leaf { hist } = &n.kind {
-                    size.history_entries += hist.len();
-                }
-            }
+            // (A refined node's history is empty.)
+            size.history_entries += t.nodes.iter().map(|n| n.set.hist.len()).sum::<usize>();
         }
         self.shards.add_algebra_stats(&mut size);
         size

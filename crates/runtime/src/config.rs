@@ -18,8 +18,6 @@
 //! | `VIZ_ANALYSIS_THREADS` | `1` | worker threads for the sharded batch analysis (1 = serial) |
 //! | `VIZ_AUTO_TRACE` | off | `1`/`true` enables online automatic trace detection |
 //! | `VIZ_PIPELINE` | off | `1`/`true` runs analysis on a dedicated driver thread |
-//! | `VIZ_SUBMIT_RINGS` | `8` | submission rings in the pipelined plane (min 2) |
-//! | `VIZ_ORACLE` | off | `1`/`true` records launch history for the consistency oracle |
 //! | `VIZ_GC` | off | `1`/`true` enables history garbage collection (watermark past the oldest unretired launch) |
 //! | `VIZ_GC_INTERVAL` | `1024` | launches between collections (amortizes the sweep) |
 //! | `VIZ_GC_RETAIN` | `256` | most-recent launches always kept un-retired |
@@ -109,8 +107,8 @@ pub struct RuntimeConfig {
     /// (PR 7). Ring 0 is claimed by the [`crate::Runtime`] facade itself, so up
     /// to `submit_rings - 1` tenant [`crate::Context`]s can be live at once
     /// ([`crate::Runtime::new_context`] returns
-    /// [`crate::RuntimeError::RingsExhausted`] past that). Defaults from
-    /// `VIZ_SUBMIT_RINGS` (else 8); ignored in synchronous mode.
+    /// [`crate::RuntimeError::RingsExhausted`] past that). Defaults to 8;
+    /// ignored in synchronous mode.
     pub submit_rings: usize,
     /// Interning/memoization configuration of the region forest's per-root
     /// set algebras, which every engine runs on (enabled by default;
@@ -119,7 +117,7 @@ pub struct RuntimeConfig {
     pub intern: viz_geometry::InternConfig,
     /// Record the launch history (submitted requirements + emitted
     /// dependence edges + retirement order) for the external consistency
-    /// oracle. Defaults from `VIZ_ORACLE`. Export with
+    /// oracle (off by default). Export with
     /// [`crate::Runtime::recorded_history`].
     pub record_history: bool,
     /// History garbage collection (see [`GcConfig`]). Defaults from
@@ -258,8 +256,6 @@ pub struct EnvOverrides {
     pub analysis_threads: Option<usize>,
     pub auto_trace: Option<bool>,
     pub pipeline: Option<bool>,
-    pub submit_rings: Option<usize>,
-    pub record_history: Option<bool>,
     pub gc: Option<bool>,
     pub gc_interval: Option<u32>,
     pub gc_retain: Option<u32>,
@@ -286,8 +282,6 @@ impl EnvOverrides {
             analysis_threads: num("VIZ_ANALYSIS_THREADS").filter(|n| *n >= 1),
             auto_trace: flag("VIZ_AUTO_TRACE"),
             pipeline: flag("VIZ_PIPELINE"),
-            submit_rings: num("VIZ_SUBMIT_RINGS"),
-            record_history: flag("VIZ_ORACLE"),
             gc: flag("VIZ_GC"),
             gc_interval: num32("VIZ_GC_INTERVAL"),
             gc_retain: num32("VIZ_GC_RETAIN"),
@@ -308,12 +302,6 @@ impl EnvOverrides {
         }
         if let Some(on) = self.pipeline {
             cfg.pipeline = on;
-        }
-        if let Some(n) = self.submit_rings {
-            cfg.submit_rings = n.max(2);
-        }
-        if let Some(on) = self.record_history {
-            cfg.record_history = on;
         }
         if let Some(on) = self.gc {
             cfg.gc.enabled = on;
@@ -353,16 +341,6 @@ pub const KNOBS: &[Knob] = &[
         var: "VIZ_PIPELINE",
         default: "off",
         effect: "analysis on a dedicated driver thread, overlapped with submission",
-    },
-    Knob {
-        var: "VIZ_SUBMIT_RINGS",
-        default: "8",
-        effect: "submission rings in the pipelined plane (min 2)",
-    },
-    Knob {
-        var: "VIZ_ORACLE",
-        default: "off",
-        effect: "record launch history for the external consistency oracle",
     },
     Knob {
         var: "VIZ_GC",
@@ -480,7 +458,7 @@ mod tests {
             );
         }
         assert_eq!(probed.len(), KNOBS.len(), "stale row in the knob table");
-        assert_eq!(KNOBS.len(), 8);
+        assert_eq!(KNOBS.len(), 6);
 
         // The two prose copies of the table — the README and this module's
         // doc — name exactly the KNOBS variables; DESIGN.md names no other.

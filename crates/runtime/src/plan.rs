@@ -8,7 +8,7 @@
 use crate::task::TaskId;
 use std::sync::Arc;
 use viz_geometry::IndexSpace;
-use viz_region::ReductionOpId;
+use viz_region::{Privilege, ReductionOpId};
 
 /// Where a range of base values comes from.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -69,12 +69,13 @@ pub struct MaterializePlan {
 }
 
 impl MaterializePlan {
-    /// Plan for a reduction privilege: identity fill, nothing else.
-    pub fn identity(op: ReductionOpId) -> Self {
+    /// The empty plan a scan for `privilege` starts from: a reduction fills
+    /// its instance with the operator's identity and needs nothing else;
+    /// any other privilege collects copies and pending reductions.
+    pub fn for_privilege(privilege: Privilege) -> Self {
         MaterializePlan {
-            copies: Vec::new(),
-            reductions: Vec::new(),
-            fill_identity: Some(op),
+            fill_identity: privilege.redop(),
+            ..Self::default()
         }
     }
 
@@ -233,9 +234,11 @@ mod tests {
 
     #[test]
     fn identity_plan_has_no_copies() {
-        let p = MaterializePlan::identity(RedOpRegistry::SUM);
+        let p = MaterializePlan::for_privilege(Privilege::Reduce(RedOpRegistry::SUM));
         assert!(p.copies.is_empty());
         assert_eq!(p.fill_identity, Some(RedOpRegistry::SUM));
+        let read = MaterializePlan::for_privilege(Privilege::Read);
+        assert_eq!(read, MaterializePlan::default());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Launch-history recording for the external consistency oracle
 //! (`viz-oracle`).
 //!
-//! With [`crate::RuntimeConfig::record_history`] set (or `VIZ_ORACLE=1`),
-//! the runtime's core keeps a `HistoryRecorder` and its one per-launch
-//! commit (`runtime/core.rs`) appends one [`LaunchRecord`] — the serial
+//! With [`crate::RuntimeConfig::record_history`] set, the runtime's core
+//! keeps a `HistoryRecorder` and its one per-launch commit
+//! (`runtime/core.rs`) appends one [`LaunchRecord`] — the serial
 //! path, the sharded batch driver's retire stage, trace replay, and fences
 //! all end in that commit, so synchronous, pipelined, annotated-trace
 //! and auto-trace runs produce the same kind of record.

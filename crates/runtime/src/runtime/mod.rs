@@ -582,8 +582,7 @@ impl Runtime {
     }
 
     /// Snapshot the recorded launch history for the consistency oracle
-    /// (`None` unless [`RuntimeConfig::record_history`] / `VIZ_ORACLE` was
-    /// set). A drain point: the snapshot covers every launch submitted so
+    /// (`None` unless [`RuntimeConfig::record_history`] was set). A drain point: the snapshot covers every launch submitted so
     /// far, in commit order.
     pub fn recorded_history(&self) -> Option<RecordedHistory> {
         let core = self.drained();
