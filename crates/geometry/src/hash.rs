@@ -15,6 +15,12 @@ pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
+/// One Fx step: fold `word` into `hash`.
+#[inline]
+pub(crate) fn fx_add(hash: u64, word: u64) -> u64 {
+    (hash.rotate_left(5) ^ word).wrapping_mul(SEED)
+}
+
 /// Multiply-rotate hasher (the rustc "Fx" hash).
 #[derive(Default, Clone)]
 pub struct FxHasher {
@@ -24,7 +30,7 @@ pub struct FxHasher {
 impl FxHasher {
     #[inline]
     fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(SEED);
+        self.hash = fx_add(self.hash, word);
     }
 }
 

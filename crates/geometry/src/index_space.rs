@@ -41,7 +41,7 @@ impl IndexSpace {
     /// Freeze a list that already satisfies the invariant (disjoint, in
     /// normal form).
     #[inline]
-    fn frozen(rects: Vec<Rect>) -> Self {
+    pub(crate) fn frozen(rects: Vec<Rect>) -> Self {
         IndexSpace {
             rects: rects.into(),
         }
@@ -183,22 +183,9 @@ impl IndexSpace {
         &self.rects
     }
 
-    /// If every rectangle spans the same single `y` band, return it: the
-    /// set is effectively one-dimensional and the set operations can run
-    /// as linear interval sweeps instead of pairwise rectangle tests. All
-    /// 1-D element-id spaces (graphs, meshes) hit this path.
-    fn linear_band(&self) -> Option<(i64, i64)> {
-        let first = self.rects.first()?;
-        let band = (first.lo.y, first.hi.y);
-        self.rects
-            .iter()
-            .all(|r| (r.lo.y, r.hi.y) == band)
-            .then_some(band)
-    }
-
-    /// Shared linear band of two sets, if any.
-    fn common_band(&self, other: &IndexSpace) -> Option<(i64, i64)> {
-        match (self.linear_band(), other.linear_band()) {
+    /// Shared linear band of two sets, if any (see [`linear_band`]).
+    fn common_band(&self, other: &IndexSpace) -> Option<Band> {
+        match (linear_band(&self.rects), linear_band(&other.rects)) {
             (Some(a), Some(b)) if a == b => Some(a),
             _ => None,
         }
@@ -235,20 +222,7 @@ impl IndexSpace {
             return false;
         }
         if self.common_band(other).is_some() {
-            // Linear sweep over the sorted, disjoint runs.
-            let (mut i, mut j) = (0, 0);
-            while i < self.rects.len() && j < other.rects.len() {
-                let a = &self.rects[i];
-                let b = &other.rects[j];
-                if a.hi.x < b.lo.x {
-                    i += 1;
-                } else if b.hi.x < a.lo.x {
-                    j += 1;
-                } else {
-                    return true;
-                }
-            }
-            return false;
+            return runs_overlap(&self.rects, &other.rects);
         }
         for a in self.rects.iter() {
             for b in other.rects.iter() {
@@ -334,27 +308,9 @@ impl IndexSpace {
         if other.is_empty() {
             return self.clone();
         }
-        if let Some((ylo, yhi)) = self.common_band(other) {
-            // Linear merge of two sorted run lists.
-            let mut rects: Vec<Rect> = Vec::with_capacity(self.rects.len() + other.rects.len());
-            let (mut i, mut j) = (0, 0);
-            while i < self.rects.len() || j < other.rects.len() {
-                let next = if j >= other.rects.len()
-                    || (i < self.rects.len() && self.rects[i].lo.x <= other.rects[j].lo.x)
-                {
-                    let r = self.rects[i];
-                    i += 1;
-                    r
-                } else {
-                    let r = other.rects[j];
-                    j += 1;
-                    r
-                };
-                match rects.last_mut() {
-                    Some(l) if l.hi.x + 1 >= next.lo.x => l.hi.x = l.hi.x.max(next.hi.x),
-                    _ => rects.push(Rect::xy(next.lo.x, next.hi.x, ylo, yhi)),
-                }
-            }
+        if let Some(band) = self.common_band(other) {
+            let mut rects = Vec::with_capacity(self.rects.len() + other.rects.len());
+            union_runs(&self.rects, &other.rects, band, &mut rects);
             return Self::frozen(rects);
         }
         let mut rects = self.rects.to_vec();
@@ -379,13 +335,7 @@ impl IndexSpace {
         let Some(band) = self.common_band(target) else {
             return (self.intersect(target), self.subtract(target));
         };
-        let (mut inside, mut outside) = (Vec::new(), Vec::new());
-        sweep_runs(
-            &self.rects,
-            &target.rects,
-            |lo, hi| push_run(&mut inside, band, lo, hi),
-            |lo, hi| push_run(&mut outside, band, lo, hi),
-        );
+        let (inside, outside) = split_runs(&self.rects, &target.rects, band);
         (Self::frozen(inside), Self::frozen(outside))
     }
 
@@ -434,6 +384,77 @@ impl IndexSpace {
     }
 }
 
+// The band kernels. Each works on the rect slices of sets sharing one
+// linear band — sorted, disjoint, coalesced runs — and is the only copy of
+// its loop: `IndexSpace`'s band arms call them, and so does `SpaceAlgebra`,
+// which knows each interned space's band and so skips the re-derivation.
+
+/// A `y` range `(lo, hi)` every rect of a set spans.
+pub(crate) type Band = (i64, i64);
+
+/// If every rectangle spans the same single `y` band, return it: the set
+/// is effectively one-dimensional and the set operations can run as linear
+/// interval sweeps instead of pairwise rectangle tests. All 1-D element-id
+/// spaces (graphs, meshes) hit this path.
+pub(crate) fn linear_band(rects: &[Rect]) -> Option<Band> {
+    let first = rects.first()?;
+    let band = (first.lo.y, first.hi.y);
+    rects
+        .iter()
+        .all(|r| (r.lo.y, r.hi.y) == band)
+        .then_some(band)
+}
+
+/// Do two run lists of one band share a point? Exits at the first one.
+pub(crate) fn runs_overlap(ours: &[Rect], theirs: &[Rect]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < ours.len() && j < theirs.len() {
+        let (a, b) = (&ours[i], &theirs[j]);
+        if a.hi.x < b.lo.x {
+            i += 1;
+        } else if b.hi.x < a.lo.x {
+            j += 1;
+        } else {
+            return true;
+        }
+    }
+    false
+}
+
+/// Replace `out` with the runs of `ours ∪ theirs` on `band`: a linear
+/// merge of the two sorted lists, coalescing overlapping and adjacent runs.
+pub(crate) fn union_runs(ours: &[Rect], theirs: &[Rect], (ylo, yhi): Band, out: &mut Vec<Rect>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < ours.len() || j < theirs.len() {
+        let next = if j >= theirs.len() || (i < ours.len() && ours[i].lo.x <= theirs[j].lo.x) {
+            let r = ours[i];
+            i += 1;
+            r
+        } else {
+            let r = theirs[j];
+            j += 1;
+            r
+        };
+        match out.last_mut() {
+            Some(l) if l.hi.x + 1 >= next.lo.x => l.hi.x = l.hi.x.max(next.hi.x),
+            _ => out.push(Rect::xy(next.lo.x, next.hi.x, ylo, yhi)),
+        }
+    }
+}
+
+/// `(ours ∩ theirs, ours \ theirs)` on `band`, as run lists: one sweep.
+pub(crate) fn split_runs(ours: &[Rect], theirs: &[Rect], band: Band) -> (Vec<Rect>, Vec<Rect>) {
+    let (mut inside, mut outside) = (Vec::new(), Vec::new());
+    sweep_runs(
+        ours,
+        theirs,
+        |lo, hi| push_run(&mut inside, band, lo, hi),
+        |lo, hi| push_run(&mut outside, band, lo, hi),
+    );
+    (inside, outside)
+}
+
 /// Walk the runs of `ours` across those of `theirs` — both the sorted,
 /// disjoint runs of one linear band — reporting, in ascending order, each
 /// piece of `ours` covered by a run of `theirs` and each piece covered by
@@ -470,7 +491,7 @@ fn sweep_runs(
 
 /// Append the run `[lo, hi]` of `band` to an ascending run list, coalescing
 /// it with an adjacent last run.
-fn push_run(rects: &mut Vec<Rect>, (ylo, yhi): (i64, i64), lo: i64, hi: i64) {
+fn push_run(rects: &mut Vec<Rect>, (ylo, yhi): Band, lo: i64, hi: i64) {
     match rects.last_mut() {
         Some(r) if r.hi.x + 1 == lo => r.hi.x = hi,
         _ => rects.push(Rect::xy(lo, hi, ylo, yhi)),

@@ -10,6 +10,10 @@
 //! * [`SpaceInterner`] stores each distinct (structurally normalized) space
 //!   once, content-addressed with the [`crate::hash`] machinery. A
 //!   [`SpaceId`] is a handle; id equality is structural space equality.
+//!   It is the one place that knows a space's shape: beside each space it
+//!   records the bounding box and whether the space is empty, one rect, one
+//!   `y` band of runs (`SpaceInterner::band`) or a 2-D set, all found once,
+//!   when the space is first interned.
 //! * [`SpaceAlgebra`] adds a memo table `(op, lhs, rhs) → result` keyed on
 //!   interned ids behind the operation API the engines use, trying cheap
 //!   structural fast paths (identical ids, empty operands, bounding-box
@@ -18,6 +22,16 @@
 //!   A refinement asks for both halves of a set at once
 //!   ([`SpaceAlgebra::split`]): one sweep and one memo entry per cold pair,
 //!   with containment read off an empty outside half.
+//!
+//! **A cold band pair costs its sweep.** When the operands of a `split`,
+//! `overlaps` or `union_all` miss share one band (every 1-D graph / mesh
+//! space), the miss runs `index_space`'s run kernel straight on the
+//! interned slices: no operand's bbox or band is re-derived, and a result is
+//! interned by freezing the kernel's `Vec` once, its bbox and shape read off
+//! its ends (`intern_runs`). The content hash runs four independent lanes,
+//! one per coordinate. [`SpaceAlgebra::overlaps_unmemoized`] asks the same
+//! question as `overlaps` through `&self`, recording nothing: the region
+//! forest's anchor check, whose answers its caller memoizes.
 //!
 //! **Memo lifetime = operand lifetime.** An entry exists only for a pair of
 //! interned ids and dies when the interner does; nothing is evicted. A
@@ -37,11 +51,10 @@
 //! [`InternConfig::enabled`] off, every operation takes the direct sweep, so
 //! the two modes must (and do) agree byte for byte.
 
-use crate::hash::{FxHashMap, FxHasher};
-use crate::index_space::IndexSpace;
+use crate::hash::{fx_add, FxHashMap};
+use crate::index_space::{linear_band, runs_overlap, split_runs, union_runs, Band, IndexSpace};
 use crate::rect::Rect;
 use std::collections::hash_map::Entry;
-use std::hash::{Hash, Hasher};
 
 /// Handle to an interned [`IndexSpace`]. Two ids are equal iff the spaces
 /// are structurally equal (same normalized rect list).
@@ -115,8 +128,9 @@ struct InternedSpace {
     /// Cached bounding box (the disjointness fast paths hit this on every
     /// call; recomputing it is a full rect-list fold).
     bbox: Rect,
-    /// How many rects the space has, as far as the fast paths care — so
-    /// they read this table only, never the shared rect storage.
+    /// How many rects the space has and whether they share one band, as
+    /// far as the fast paths and the band kernels care — so they read this
+    /// table only, never the shared rect storage.
     shape: Shape,
 }
 
@@ -125,28 +139,43 @@ enum Shape {
     Empty,
     /// Exactly one rect: `bbox` is that rect.
     Single,
+    /// Two or more runs, all spanning one `y` band: `bbox`'s `y` range.
+    Band,
+    /// Rects in more than one `y` band.
     Multi,
 }
 
 impl InternedSpace {
     fn new(space: IndexSpace) -> Self {
-        InternedSpace {
-            bbox: space.bbox(),
-            shape: match space.rects() {
-                [] => Shape::Empty,
-                [_] => Shape::Single,
-                _ => Shape::Multi,
-            },
-            space,
-        }
+        let shape = match space.rects() {
+            [] => Shape::Empty,
+            [_] => Shape::Single,
+            rects if linear_band(rects).is_some() => Shape::Band,
+            _ => Shape::Multi,
+        };
+        Self::with_shape(space, shape)
+    }
+
+    /// The cached bbox for a known shape: one rect, or a band's first and
+    /// last runs (sorted by `x`), give it; only a 2-D set folds its rects.
+    fn with_shape(space: IndexSpace, shape: Shape) -> Self {
+        let rects = space.rects();
+        let bbox = match shape {
+            Shape::Single | Shape::Band => {
+                let (first, last) = (rects[0], rects[rects.len() - 1]);
+                Rect::xy(first.lo.x, last.hi.x, first.lo.y, first.hi.y)
+            }
+            Shape::Empty | Shape::Multi => space.bbox(),
+        };
+        InternedSpace { space, bbox, shape }
     }
 }
 
 /// Content-addressed store of normalized index spaces.
 ///
 /// Structurally identical spaces share one slot, so equality of interned
-/// spaces is id (pointer) equality and the per-space metadata (bounding box)
-/// is computed once.
+/// spaces is id (pointer) equality and the per-space metadata (bounding box,
+/// shape) is computed once.
 pub struct SpaceInterner {
     spaces: Vec<InternedSpace>,
     /// content hash → candidate slots (collisions resolved structurally).
@@ -165,10 +194,19 @@ impl Default for SpaceInterner {
     }
 }
 
+/// The interner's one content hash, whichever way a space arrives
+/// (`intern`, `intern_rect`, `intern_runs`): four independent Fx lanes, one
+/// per coordinate, so a long run list's multiply chains overlap instead of
+/// queuing behind one another, folded with the length at the end.
 fn content_hash(rects: &[Rect]) -> u64 {
-    let mut h = FxHasher::default();
-    rects.hash(&mut h);
-    h.finish()
+    let mut lanes = [0u64; 4];
+    for r in rects {
+        lanes[0] = fx_add(lanes[0], r.lo.x as u64);
+        lanes[1] = fx_add(lanes[1], r.lo.y as u64);
+        lanes[2] = fx_add(lanes[2], r.hi.x as u64);
+        lanes[3] = fx_add(lanes[3], r.hi.y as u64);
+    }
+    lanes.into_iter().fold(rects.len() as u64, fx_add)
 }
 
 impl SpaceInterner {
@@ -188,7 +226,7 @@ impl SpaceInterner {
     /// Intern a space. First sight stores a handle to the caller's rect
     /// storage ([`IndexSpace`] is reference-counted), not a copy.
     pub fn intern(&mut self, space: &IndexSpace) -> SpaceId {
-        self.intern_with(space.rects(), || space.clone())
+        self.intern_with(space.rects(), || InternedSpace::new(space.clone()))
     }
 
     /// Intern the one-rect space `{r}` (the empty space for an empty `r`):
@@ -198,23 +236,61 @@ impl SpaceInterner {
         if r.is_empty() {
             return SpaceId::EMPTY;
         }
-        self.intern_with(&[r], || IndexSpace::from_rect(r))
+        self.intern_with(&[r], || InternedSpace::new(IndexSpace::from_rect(r)))
+    }
+
+    /// Intern the output of a band kernel — sorted, coalesced runs of one
+    /// band — as `intern` would the space they make: the same id. A new
+    /// space freezes `runs` once and reads its bbox and shape off the ends.
+    fn intern_runs(&mut self, runs: Vec<Rect>) -> SpaceId {
+        debug_assert!(
+            runs.is_empty() || linear_band(&runs).is_some(),
+            "not one band"
+        );
+        debug_assert!(
+            runs.windows(2).all(|w| w[0].hi.x + 1 < w[1].lo.x),
+            "runs unsorted or not coalesced"
+        );
+        // No runs hash to the empty space's slot, so a new space has some.
+        let shape = if runs.len() == 1 {
+            Shape::Single
+        } else {
+            Shape::Band
+        };
+        match self.find(&runs) {
+            Ok(id) => id,
+            Err(hash) => {
+                let space = InternedSpace::with_shape(IndexSpace::frozen(runs), shape);
+                self.insert(hash, space)
+            }
+        }
     }
 
     /// The slot holding `rects`, stored from `make()` on first sight.
-    fn intern_with(&mut self, rects: &[Rect], make: impl FnOnce() -> IndexSpace) -> SpaceId {
-        let bucket = self.by_hash.entry(content_hash(rects)).or_default();
-        for &slot in bucket.iter() {
+    fn intern_with(&mut self, rects: &[Rect], make: impl FnOnce() -> InternedSpace) -> SpaceId {
+        self.find(rects)
+            .unwrap_or_else(|hash| self.insert(hash, make()))
+    }
+
+    /// The slot holding `rects`, or the content hash a new slot for them
+    /// goes under.
+    fn find(&self, rects: &[Rect]) -> Result<SpaceId, u64> {
+        let hash = content_hash(rects);
+        for &slot in self.by_hash.get(&hash).into_iter().flatten() {
             let stored = self.spaces[slot as usize].space.rects();
             // Re-interning a handle the interner already shares storage
             // with is the common case: same pointer, no rect compare.
             if std::ptr::eq(stored, rects) || stored == rects {
-                return SpaceId(slot);
+                return Ok(SpaceId(slot));
             }
         }
+        Err(hash)
+    }
+
+    fn insert(&mut self, hash: u64, space: InternedSpace) -> SpaceId {
         let slot = self.spaces.len() as u32;
-        bucket.push(slot);
-        self.spaces.push(InternedSpace::new(make()));
+        self.by_hash.entry(hash).or_default().push(slot);
+        self.spaces.push(space);
         SpaceId(slot)
     }
 
@@ -240,6 +316,51 @@ impl SpaceInterner {
     fn single_rect(&self, id: SpaceId) -> Option<Rect> {
         let s = &self.spaces[id.0 as usize];
         (s.shape == Shape::Single).then_some(s.bbox)
+    }
+
+    /// The `y` range `(lo, hi)` every rect of an interned space spans, if
+    /// one does (a one-rect space is a band; the empty space is none).
+    #[inline]
+    pub(crate) fn band(&self, id: SpaceId) -> Option<Band> {
+        let s = &self.spaces[id.0 as usize];
+        matches!(s.shape, Shape::Single | Shape::Band).then_some((s.bbox.lo.y, s.bbox.hi.y))
+    }
+
+    /// The band two interned spaces share, if any.
+    #[inline]
+    fn common_band(&self, a: SpaceId, b: SpaceId) -> Option<Band> {
+        self.band(a).filter(|band| self.band(b) == Some(*band))
+    }
+
+    /// `overlaps`'s structural fast paths on the cached shapes and boxes:
+    /// the answer, or `None` when only a sweep can tell.
+    fn overlaps_fast(&self, a: SpaceId, b: SpaceId) -> Option<bool> {
+        if self.is_empty_space(a) || self.is_empty_space(b) {
+            return Some(false);
+        }
+        if a == b {
+            return Some(true);
+        }
+        let (ba, bb) = (self.bbox(a), self.bbox(b));
+        if !ba.overlaps(&bb) {
+            return Some(false);
+        }
+        match (self.single_rect(a), self.single_rect(b)) {
+            (Some(ra), Some(rb)) => Some(ra.overlaps(&rb)),
+            (_, Some(rb)) if rb.contains_rect(&ba) => Some(true),
+            (Some(ra), _) if ra.contains_rect(&bb) => Some(true),
+            _ => None,
+        }
+    }
+
+    /// The sweep behind `overlaps`: the run kernel on a shared band, else
+    /// the 2-D test.
+    fn sweep_overlaps(&self, a: SpaceId, b: SpaceId) -> bool {
+        let (sa, sb) = (self.get(a), self.get(b));
+        match self.common_band(a, b) {
+            Some(_) => runs_overlap(sa.rects(), sb.rects()),
+            None => sa.overlaps(sb),
+        }
     }
 }
 
@@ -351,8 +472,8 @@ impl SpaceAlgebra {
         }
     }
 
-    /// As [`Self::memo_space`] for the predicates.
-    fn memo_flag(&mut self, key: PairKey, op: fn(&IndexSpace, &IndexSpace) -> bool) -> bool {
+    /// As [`Self::memo_space`] for the predicates: a miss asks `sweep`.
+    fn memo_flag(&mut self, key: PairKey, sweep: impl FnOnce(&SpaceInterner) -> bool) -> bool {
         match self.flags.entry(key) {
             Entry::Occupied(e) => {
                 self.hits += 1;
@@ -360,7 +481,7 @@ impl SpaceAlgebra {
             }
             Entry::Vacant(v) => {
                 self.misses += 1;
-                *v.insert(op(self.interner.get(key.1), self.interner.get(key.2)))
+                *v.insert(sweep(&self.interner))
             }
         }
     }
@@ -484,11 +605,19 @@ impl SpaceAlgebra {
             }
             Entry::Vacant(v) => {
                 self.misses += 1;
-                let (inside, outside) = self.interner.get(dom).split(self.interner.get(target));
-                *v.insert((
-                    self.interner.intern(&inside),
-                    self.interner.intern(&outside),
-                ))
+                let i = &mut self.interner;
+                let (d, t) = (i.get(dom), i.get(target));
+                // What `IndexSpace::split` does, minus re-deriving the band.
+                *v.insert(match i.common_band(dom, target) {
+                    Some(band) => {
+                        let (inside, outside) = split_runs(d.rects(), t.rects(), band);
+                        (i.intern_runs(inside), i.intern_runs(outside))
+                    }
+                    None => {
+                        let (inside, outside) = d.split(t);
+                        (i.intern(&inside), i.intern(&outside))
+                    }
+                })
             }
         }
     }
@@ -516,7 +645,9 @@ impl SpaceAlgebra {
     /// [`IndexSpace::union`] in that order builds, memoized as a unit: a
     /// miss sweeps the fold directly and interns only its result (first
     /// touch pays no per-step intern of intermediates nobody names), a
-    /// repeat is one lookup.
+    /// repeat is one lookup. When every operand after a non-empty first one
+    /// is empty or shares its band, the miss merges runs through two reused
+    /// buffers and freezes only the result.
     pub fn union_all(&mut self, ids: &[SpaceId]) -> SpaceId {
         let [first, rest @ ..] = ids else {
             return SpaceId::EMPTY;
@@ -524,22 +655,44 @@ impl SpaceAlgebra {
         if rest.is_empty() {
             return *first;
         }
-        if self.enabled {
-            if let Some(&r) = self.folds.get(ids) {
-                self.hits += 1;
-                return r;
-            }
-            self.misses += 1;
+        if !self.enabled {
+            return self.interner.intern(&self.chained_union(*first, rest));
         }
-        let mut acc = self.interner.get(*first).clone();
+        if let Some(&r) = self.folds.get(ids) {
+            self.hits += 1;
+            return r;
+        }
+        self.misses += 1;
+        let i = &mut self.interner;
+        let in_band = |band: &Band| {
+            rest.iter()
+                .all(|id| i.is_empty_space(*id) || i.band(*id) == Some(*band))
+        };
+        let r = match i.band(*first).filter(in_band) {
+            Some(band) => {
+                let (mut acc, mut next) = (i.get(*first).rects().to_vec(), Vec::new());
+                for id in rest.iter().filter(|id| !i.is_empty_space(**id)) {
+                    union_runs(&acc, i.get(*id).rects(), band, &mut next);
+                    std::mem::swap(&mut acc, &mut next);
+                }
+                i.intern_runs(acc)
+            }
+            None => {
+                let acc = self.chained_union(*first, rest);
+                self.interner.intern(&acc)
+            }
+        };
+        self.folds.insert(ids.into(), r);
+        r
+    }
+
+    /// `first ∪ rest[0] ∪ …` by chaining [`IndexSpace::union`].
+    fn chained_union(&self, first: SpaceId, rest: &[SpaceId]) -> IndexSpace {
+        let mut acc = self.interner.get(first).clone();
         for id in rest {
             acc = acc.union(self.interner.get(*id));
         }
-        let r = self.interner.intern(&acc);
-        if self.enabled {
-            self.folds.insert(ids.into(), r);
-        }
-        r
+        acc
     }
 
     /// `lhs ∩ rhs ≠ ∅` — the hottest predicate in the analysis.
@@ -547,35 +700,25 @@ impl SpaceAlgebra {
         if !self.enabled {
             return self.interner.get(a).overlaps(self.interner.get(b));
         }
-        if self.is_empty_space(a) || self.is_empty_space(b) {
+        if let Some(answer) = self.interner.overlaps_fast(a, b) {
             self.fast_hits += 1;
-            return false;
+            return answer;
         }
-        if a == b {
-            self.fast_hits += 1;
-            return true;
+        self.memo_flag((AlgebraOp::Overlaps, a, b), |i| i.sweep_overlaps(a, b))
+    }
+
+    /// [`Self::overlaps`] without the memo: the same fast paths, then the
+    /// same sweep, recording no entry and no counter. For a caller holding
+    /// only `&self` whose answers are memoized one level up — the region
+    /// forest's anchor check — where an entry per question would be a miss
+    /// the memo never sees again.
+    pub fn overlaps_unmemoized(&self, a: SpaceId, b: SpaceId) -> bool {
+        if !self.enabled {
+            return self.interner.get(a).overlaps(self.interner.get(b));
         }
-        let (ba, bb) = (self.interner.bbox(a), self.interner.bbox(b));
-        if !ba.overlaps(&bb) {
-            self.fast_hits += 1;
-            return false;
-        }
-        match (self.single_rect(a), self.single_rect(b)) {
-            (Some(ra), Some(rb)) => {
-                self.fast_hits += 1;
-                return ra.overlaps(&rb);
-            }
-            (_, Some(rb)) if rb.contains_rect(&ba) => {
-                self.fast_hits += 1;
-                return true;
-            }
-            (Some(ra), _) if ra.contains_rect(&bb) => {
-                self.fast_hits += 1;
-                return true;
-            }
-            _ => {}
-        }
-        self.memo_flag((AlgebraOp::Overlaps, a, b), IndexSpace::overlaps)
+        self.interner
+            .overlaps_fast(a, b)
+            .unwrap_or_else(|| self.interner.sweep_overlaps(a, b))
     }
 
     /// Does `lhs` contain every point of `rhs`?
@@ -610,7 +753,7 @@ impl SpaceAlgebra {
             self.fast_hits += 1;
             return false;
         }
-        self.memo_flag((AlgebraOp::Contains, a, b), IndexSpace::contains)
+        self.memo_flag((AlgebraOp::Contains, a, b), |i| i.get(a).contains(i.get(b)))
     }
 
     // Convenience forms for call sites holding plain spaces (the painter
@@ -745,8 +888,52 @@ mod tests {
         }
     }
 
+    /// Changing any one coordinate of any one rect changes the hash: each
+    /// of the four lanes is read, at every position.
+    #[test]
+    fn content_hash_reads_every_lane() {
+        let rects = [
+            Rect::xy(0, 4, 0, 2),
+            Rect::xy(7, 9, 0, 2),
+            Rect::xy(1, 3, 5, 6),
+        ];
+        let base = content_hash(&rects);
+        for k in 0..rects.len() {
+            for coord in 0..4 {
+                let mut changed = rects;
+                let r = &mut changed[k];
+                *[&mut r.lo.x, &mut r.lo.y, &mut r.hi.x, &mut r.hi.y][coord] += 1;
+                assert_ne!(content_hash(&changed), base, "rect {k}, coordinate {coord}");
+            }
+        }
+        assert_ne!(content_hash(&rects[..2]), base, "the length is read");
+    }
+
+    /// The cached box of a band is read off its ends and equals the fold;
+    /// a one-rect space is a band, a 2-D set and the empty set are not.
+    #[test]
+    fn shapes_and_bands() {
+        let mut i = SpaceInterner::new();
+        let band = i.intern(&IndexSpace::from_rects([
+            Rect::xy(0, 4, 2, 3),
+            Rect::xy(9, 12, 2, 3),
+        ]));
+        assert_eq!(i.band(band), Some((2, 3)));
+        assert_eq!(i.bbox(band), Rect::xy(0, 12, 2, 3));
+        let single = i.intern_rect(Rect::xy(5, 6, 1, 4));
+        assert_eq!(i.band(single), Some((1, 4)));
+        let plane = i.intern(&IndexSpace::from_rects([
+            Rect::xy(0, 4, 0, 0),
+            Rect::xy(0, 2, 3, 3),
+        ]));
+        assert_eq!(i.band(plane), None);
+        assert_eq!(i.bbox(plane), Rect::xy(0, 4, 0, 3));
+        assert_eq!(i.band(SpaceId::EMPTY), None);
+    }
+
     #[test]
     fn shared_storage_keeps_the_contract() {
+        use crate::hash::FxHasher;
         use std::hash::BuildHasher;
         let build = || IndexSpace::from_rects([Rect::span(0, 4), Rect::span(10, 14)]);
         let (a, b) = (build(), build());

@@ -1,13 +1,15 @@
 //! Property tests for the first-touch ("cold pair") geometry — the one-pass
-//! band `split`, the non-allocating band `contains` and the memoized
-//! `SpaceAlgebra::split` — at sizes that reach the sweeps: the other suites
-//! build spaces of at most three rects, which the structural fast paths
-//! answer before any sweep runs.
+//! band `split`, the non-allocating band `contains`, and the memoized
+//! `SpaceAlgebra::split`, `union_all` and `overlaps`, whose band misses run
+//! the run kernels on interned slices — at sizes that reach the sweeps: the
+//! other suites build spaces of at most three rects, which the structural
+//! fast paths answer before any sweep runs.
 //!
-//! The reference is the pair of direct ops, `IndexSpace::intersect` and
-//! `IndexSpace::subtract`, compared *structurally* (rect-list equality): the
-//! engines name equivalence sets by interned id, so a merely point-equal half
-//! would change every plan downstream. On a band all three are one run walk
+//! The reference is the direct ops — `IndexSpace::intersect` and
+//! `IndexSpace::subtract`, the chained `IndexSpace::union` — compared
+//! *structurally* (rect-list equality): the engines name equivalence sets by
+//! interned id, so a merely point-equal half would change every plan
+//! downstream. On a band all three split ops are one run walk
 //! (`sweep_runs`), so band pairs are also held to point membership.
 
 use proptest::prelude::*;
@@ -88,12 +90,48 @@ fn pair() -> impl Strategy<Value = (IndexSpace, IndexSpace)> {
     ]
 }
 
+/// The operands of one `union_all`: 0–6 spaces of the `y == 0` band — runs
+/// of up to 64, single spans, empties anywhere (first included) — and, in a
+/// third of the lists, one more operand at a random position that leaves the
+/// band: runs of another `y` band, or a 2-D set. Either forces the fold
+/// that chains `IndexSpace::union`.
+fn fold_list() -> impl Strategy<Value = Vec<IndexSpace>> {
+    let operand = prop_oneof![
+        3 => steps().prop_map(|s| band_of(runs_of(&s))),
+        1 => (0i64..240, 0i64..40).prop_map(|(lo, len)| IndexSpace::span(lo, lo + len)),
+        1 => Just(IndexSpace::empty()),
+    ];
+    let stray = prop_oneof![
+        steps().prop_map(|s| {
+            IndexSpace::from_rects(
+                runs_of(&s)
+                    .into_iter()
+                    .map(|(lo, hi)| Rect::xy(lo, hi, 1, 1)),
+            )
+        }),
+        plane(),
+    ];
+    let at = any::<prop::sample::Index>();
+    (prop::collection::vec(operand, 0..7), 0u8..3, stray, at).prop_map(
+        |(mut list, pick, stray, at)| {
+            if pick == 0 {
+                list.insert(at.index(list.len() + 1), stray);
+            }
+            list
+        },
+    )
+}
+
 fn check_split(alg: &mut SpaceAlgebra, a: &IndexSpace, b: &IndexSpace) {
     let (inside, outside) = (a.intersect(b), a.subtract(b));
     let (ia, ib) = (alg.intern(a), alg.intern(b));
     let (i, o) = alg.split(ia, ib);
     prop_assert_eq!(alg.space(i), &inside, "inside half diverged");
     prop_assert_eq!(alg.space(o), &outside, "outside half diverged");
+    // The cached boxes, read off a band's ends, are the full folds.
+    for half in [i, o] {
+        prop_assert_eq!(alg.bbox(half), alg.space(half).bbox());
+    }
     prop_assert_eq!(o == SpaceId::EMPTY, alg.contains(ib, ia));
     // The halves are the ids the separate ops name.
     prop_assert_eq!((alg.intersect(ia, ib), alg.subtract(ia, ib)), (i, o));
@@ -155,5 +193,50 @@ proptest! {
         }
         prop_assert_eq!(on.stats().misses, seen.misses);
         prop_assert_eq!(on.stats().interned, seen.interned);
+    }
+
+    /// `union_all` is the chained `IndexSpace::union`, structurally, with
+    /// interning on (the band merge through two buffers, or the chained
+    /// fold when an operand leaves the band or the first is empty) and off;
+    /// the result is the id interning the chained space names, with its
+    /// box; a repeat call is one hit.
+    #[test]
+    fn band_union_all_matches_the_chained_fold(spaces in fold_list()) {
+        let chained = spaces.iter().skip(1).fold(
+            spaces.first().cloned().unwrap_or_default(),
+            |acc, s| acc.union(s),
+        );
+        for config in [InternConfig::default(), InternConfig::disabled()] {
+            let mut alg = SpaceAlgebra::new(config);
+            let ids: Vec<_> = spaces.iter().map(|s| alg.intern(s)).collect();
+            let folded = alg.union_all(&ids);
+            prop_assert_eq!(alg.space(folded), &chained);
+            prop_assert_eq!(alg.bbox(folded), chained.bbox());
+            let seen = alg.stats();
+            prop_assert_eq!(alg.union_all(&ids), folded);
+            if config.enabled && ids.len() > 1 {
+                prop_assert_eq!(alg.stats().hits, seen.hits + 1, "a repeat fold missed");
+                prop_assert_eq!(alg.stats().misses, seen.misses);
+            }
+            prop_assert_eq!(alg.intern(&chained), folded);
+        }
+    }
+
+    /// The `&self` `overlaps` answers what `IndexSpace::overlaps` does, in
+    /// both orders and against itself, with interning on and off, and
+    /// records nothing: no memo entry and no counter.
+    #[test]
+    fn unmemoized_overlaps_matches_and_records_nothing(ab in pair()) {
+        let (a, b) = ab;
+        for config in [InternConfig::default(), InternConfig::disabled()] {
+            let mut alg = SpaceAlgebra::new(config);
+            let (ia, ib) = (alg.intern(&a), alg.intern(&b));
+            let before = alg.stats();
+            for (x, y, ix, iy) in [(&a, &b, ia, ib), (&b, &a, ib, ia), (&a, &a, ia, ia)] {
+                prop_assert_eq!(alg.overlaps_unmemoized(ix, iy), x.overlaps(y));
+            }
+            prop_assert_eq!(alg.stats(), before);
+            prop_assert_eq!(alg.overlaps(ia, ib), a.overlaps(&b));
+        }
     }
 }

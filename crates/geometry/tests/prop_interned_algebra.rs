@@ -9,7 +9,28 @@
 //! [`IndexSpace`] operation.
 
 use proptest::prelude::*;
-use viz_geometry::{IndexSpace, InternConfig, Rect, SpaceAlgebra, SpaceInterner};
+use viz_geometry::{IndexSpace, InternConfig, Rect, SpaceAlgebra, SpaceId, SpaceInterner};
+
+/// A band of up to 11 runs at `y ∈ [2, 3]`, never adjacent.
+fn band() -> impl Strategy<Value = IndexSpace> {
+    prop::collection::vec((1i64..4, 0i64..4), 0..12).prop_map(|steps| {
+        let mut x = 0;
+        IndexSpace::from_rects(steps.into_iter().map(|(gap, len)| {
+            let lo = x + gap;
+            x = lo + len + 1;
+            Rect::xy(lo, lo + len, 2, 3)
+        }))
+    })
+}
+
+/// `{r}` as `intersect`'s single-rect fast path interns it: through
+/// `intern_rect`, from two one-rect operands neither of which is `r`.
+fn via_intern_rect(alg: &mut SpaceAlgebra, r: Rect) -> SpaceId {
+    let (ylo, yhi) = (r.lo.y, r.hi.y);
+    let left = alg.intern(&Rect::xy(r.lo.x - 1, r.hi.x, ylo, yhi).into());
+    let right = alg.intern(&Rect::xy(r.lo.x, r.hi.x + 1, ylo, yhi).into());
+    alg.intersect(left, right)
+}
 
 /// A small random index space out of up to 4 random rects in a 64x64
 /// universe; duplicates across cases are likely, which is exactly what the
@@ -128,6 +149,41 @@ proptest! {
             prop_assert_eq!(by_rect, by_space);
             prop_assert_eq!(i.get(by_rect), &space);
             prop_assert_eq!(i.bbox(by_rect), space.bbox());
+        }
+    }
+
+    /// The three ways into the interner agree: a band half `split` built
+    /// from runs, the same rects interned as a space, and — for a one-run
+    /// half — the rect alone (`intern_rect`) name one slot with one bbox,
+    /// whichever path sees the space first.
+    #[test]
+    fn split_halves_intern_like_their_rects(
+        dom in band(),
+        target in band(),
+        split_first in any::<bool>(),
+    ) {
+        let mut alg = SpaceAlgebra::new(InternConfig::default());
+        let (d, t) = (alg.intern(&dom), alg.intern(&target));
+        let halves = [dom.intersect(&target), dom.subtract(&target)];
+        let direct = |alg: &mut SpaceAlgebra| {
+            halves.clone().map(|h| match h.rects() {
+                [r] => via_intern_rect(alg, *r),
+                _ => alg.intern(&h),
+            })
+        };
+        let (by_split, by_direct) = if split_first {
+            let (i, o) = alg.split(d, t);
+            ([i, o], direct(&mut alg))
+        } else {
+            let by_direct = direct(&mut alg);
+            let (i, o) = alg.split(d, t);
+            ([i, o], by_direct)
+        };
+        prop_assert_eq!(by_split, by_direct);
+        for (id, half) in by_split.iter().zip(&halves) {
+            prop_assert_eq!(alg.space(*id), half);
+            prop_assert_eq!(alg.bbox(*id), half.bbox());
+            prop_assert_eq!(alg.intern(half), *id);
         }
     }
 

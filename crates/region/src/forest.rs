@@ -437,14 +437,22 @@ impl RegionForest {
     /// This is the region-tree "acceleration data structure" role from
     /// §5.1.
     ///
-    /// One query with `space`'s bounding box finds every child any of its
-    /// rects can touch; the exact check drops the rest.
-    pub fn overlapping_children(&self, p: PartitionId, space: &IndexSpace) -> Vec<u32> {
+    /// `space` is interned in `alg`, the geometry of `p`'s root (the
+    /// caller holds its lock). One query with `space`'s cached bounding box
+    /// finds every child any of its rects can touch; the exact check drops
+    /// the rest through [`SpaceAlgebra::overlaps_unmemoized`], which reads
+    /// both operands' shapes off the interner and leaves no memo entry.
+    pub fn overlapping_children(
+        &self,
+        p: PartitionId,
+        space: SpaceId,
+        alg: &SpaceAlgebra,
+    ) -> Vec<u32> {
         let node = &self.partitions[p.0 as usize];
         let mut hits = Vec::new();
-        node.child_bvh.query(&space.bbox(), &mut hits);
+        node.child_bvh.query(&alg.bbox(space), &mut hits);
         hits.sort_unstable();
-        hits.retain(|c| self.domain(node.children[*c as usize]).overlaps(space));
+        hits.retain(|c| alg.overlaps_unmemoized(self.space(node.children[*c as usize]), space));
         hits
     }
 
@@ -578,13 +586,20 @@ mod tests {
 
     #[test]
     fn overlapping_children_matches_brute_force() {
-        let (f, _, p, g) = paper_forest();
+        let (f, n, p, g) = paper_forest();
+        let geom = RootGeometry::lock(f.geometry(n));
         // G[0] = {10, 11, 20} overlaps P[1] (10..19) and P[2] (20..29).
         let g0 = f.subregion(g, 0);
-        assert_eq!(f.overlapping_children(p, f.domain(g0)), vec![1, 2]);
+        assert_eq!(
+            f.overlapping_children(p, f.space(g0), &geom.alg),
+            vec![1, 2]
+        );
         // P[0] = 0..9 overlaps G[1] (8, 9) and G[2] (9).
         let p0 = f.subregion(p, 0);
-        assert_eq!(f.overlapping_children(g, f.domain(p0)), vec![1, 2]);
+        assert_eq!(
+            f.overlapping_children(g, f.space(p0), &geom.alg),
+            vec![1, 2]
+        );
         // By bounding box, G[0]'s 10..20 also meets only P[1] and P[2].
         let mut boxes = f.overlapping_child_bboxes(p, &f.domain(g0).bbox());
         boxes.sort_unstable();

@@ -3,11 +3,13 @@
 //! partitions: `overlapping_children` (one bounding-box query plus the
 //! exact check) must name the same child positions in the same order, and
 //! `overlapping_child_bboxes` the children whose bounding box meets the
-//! query box.
+//! query box. Every property runs on a forest with interning on and on one
+//! built with `InternConfig::disabled()`, so the exact check's fast paths
+//! and band kernel and its direct arm are held to the same scan.
 
 use proptest::prelude::*;
-use viz_geometry::{IndexSpace, Point, Rect};
-use viz_region::{PartitionId, RegionForest};
+use viz_geometry::{IndexSpace, InternConfig, Point, Rect};
+use viz_region::{PartitionId, RegionForest, RegionId, RootGeometry};
 
 fn linear_scan(f: &RegionForest, p: PartitionId, target: &IndexSpace) -> Vec<u32> {
     let children = f.children(p).iter().enumerate();
@@ -21,13 +23,31 @@ fn linear_bbox_scan(f: &RegionForest, p: PartitionId, bbox: &Rect) -> Vec<u32> {
     hits.map(|(i, _)| i as u32).collect()
 }
 
-/// Both queries of `p` for `target`, each against its linear scan.
-fn check(f: &RegionForest, p: PartitionId, target: &IndexSpace) {
-    assert_eq!(f.overlapping_children(p, target), linear_scan(f, p, target));
+/// Both queries of `p` for `target`, each against its linear scan, with
+/// `target` interned into the geometry of `root`; returns the exact hits.
+fn check(f: &RegionForest, root: RegionId, p: PartitionId, target: &IndexSpace) -> Vec<u32> {
+    let mut geom = RootGeometry::lock(f.geometry(root));
+    let t = geom.alg.intern(target);
+    let before = geom.alg.stats();
+    let hits = f.overlapping_children(p, t, &geom.alg);
+    assert_eq!(hits, linear_scan(f, p, target));
+    assert_eq!(
+        geom.alg.stats(),
+        before,
+        "the anchor check touched the memo"
+    );
     let bbox = target.bbox();
     let mut placed = f.overlapping_child_bboxes(p, &bbox);
     placed.sort_unstable();
     assert_eq!(placed, linear_bbox_scan(f, p, &bbox));
+    hits
+}
+
+fn forests() -> [RegionForest; 2] {
+    [
+        RegionForest::new(),
+        RegionForest::with_intern(InternConfig::disabled()),
+    ]
 }
 
 const N: i64 = 512;
@@ -66,11 +86,12 @@ proptest! {
         children in prop::collection::vec(sparse(24), 1..48),
         targets in prop::collection::vec(sparse(40), 1..8),
     ) {
-        let mut f = RegionForest::new();
-        let root = f.create_root_1d("N", N);
-        let p = f.create_partition(root, "G", children);
-        for t in &targets {
-            check(&f, p, t);
+        for mut f in forests() {
+            let root = f.create_root_1d("N", N);
+            let p = f.create_partition(root, "G", children.clone());
+            for t in &targets {
+                check(&f, root, p, t);
+            }
         }
     }
 
@@ -80,11 +101,12 @@ proptest! {
         children in prop::collection::vec(plane(1..4), 1..32),
         targets in prop::collection::vec(plane(1..12), 1..8),
     ) {
-        let mut f = RegionForest::new();
-        let root = f.create_root("R", IndexSpace::from_rect(Rect::xy(0, 63, 0, 63)));
-        let p = f.create_partition(root, "T", children);
-        for t in &targets {
-            check(&f, p, t);
+        for mut f in forests() {
+            let root = f.create_root("R", IndexSpace::from_rect(Rect::xy(0, 63, 0, 63)));
+            let p = f.create_partition(root, "T", children.clone());
+            for t in &targets {
+                check(&f, root, p, t);
+            }
         }
     }
 
@@ -97,15 +119,15 @@ proptest! {
         pieces in 16usize..64,
         picks in prop::collection::btree_set(0..N, 2..4),
     ) {
-        let mut f = RegionForest::new();
-        let root = f.create_root_1d("N", N);
-        let p = f.create_equal_partition_1d(root, "P", pieces);
         let target = IndexSpace::from_points(
             [0, N - 1].into_iter().chain(picks).map(Point::p1),
         );
-        check(&f, p, &target);
-        let hits = f.overlapping_children(p, &target);
-        prop_assert!(hits.len() <= target.rect_count() && hits.len() >= 2);
-        prop_assert_eq!(f.overlapping_child_bboxes(p, &target.bbox()).len(), pieces);
+        for mut f in forests() {
+            let root = f.create_root_1d("N", N);
+            let p = f.create_equal_partition_1d(root, "P", pieces);
+            let hits = check(&f, root, p, &target);
+            prop_assert!(hits.len() <= target.rect_count() && hits.len() >= 2);
+            prop_assert_eq!(f.overlapping_child_bboxes(p, &target.bbox()).len(), pieces);
+        }
     }
 }

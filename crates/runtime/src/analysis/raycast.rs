@@ -29,7 +29,11 @@
 //! constituent-set scan (`scan_sets`). Anchor queries are the region
 //! forest's, on each partition's one bounding-box tree: the exact anchors
 //! of a requirement (`overlapping_children`) and the anchors a set is
-//! placed under (`overlapping_child_bboxes`).
+//! placed under (`overlapping_child_bboxes`). The exact check runs on the
+//! interned target through the root's geometry, reading its cached box and
+//! band, and memoizes nothing there: the shard's anchor memo already holds
+//! its answer per region, so a memo entry per child would be a miss never
+//! asked again.
 //!
 //! Everything for one `(root, field)` — sets, spatial index, anchor memo,
 //! usage counters — is one shard. The geometry those sets are made of is
@@ -473,7 +477,7 @@ impl RayCast {
         // the *current* partition, and the kept value equals the fresh
         // computation against it.
         for (region, old) in std::mem::take(&mut state.anchor_memo) {
-            let fresh = forest.overlapping_children(home, forest.domain(region));
+            let fresh = forest.overlapping_children(home, forest.space(region), alg);
             log.op(
                 origin,
                 Op::GeomOp {
@@ -557,7 +561,7 @@ impl CoherenceEngine for RayCast {
                 let home = Self::home_partition(ctx.forest, req.region);
                 Self::maybe_shift(state, &geom.alg, ctx.forest, home, log, cx.origin);
             }
-            state.collect_candidates(sc, &cx, req.region, self.use_anchor_memo, log);
+            state.collect_candidates(sc, &cx, &geom.alg, req.region, self.use_anchor_memo, log);
             // All remote work for this requirement — refinements, history
             // scans, invalidations — is batched into `sc.charges` and
             // flushed as one concurrent multi-request (Legion issues these
@@ -624,24 +628,27 @@ impl FieldState {
     /// spanning several anchors is in each of their buckets) and sorted,
     /// which visits them in birth order. Anchored, this is a (replicated,
     /// local) region-tree query whose memoized anchor list makes the steady
-    /// state O(1); the anchors stay in `sc.req_anchors` for `dominate`.
+    /// state O(1); the anchors stay in `sc.req_anchors` for `dominate`. A
+    /// first touch's exact anchor check reads the root's geometry without
+    /// adding to its memo.
     fn collect_candidates(
         &mut self,
         sc: &mut ScanScratch,
         cx: &ScanCtx<'_>,
+        alg: &SpaceAlgebra,
         region: RegionId,
         memoize: bool,
         log: &mut ChargeLog,
     ) {
         sc.candidates.clear();
         sc.req_anchors.clear();
-        let target = cx.forest.domain(region);
         match &self.index {
             SetIndex::Anchored {
                 partition, buckets, ..
             } => {
                 let compute = |log: &mut ChargeLog| {
-                    let anchors = cx.forest.overlapping_children(*partition, target);
+                    let target = cx.forest.space(region);
+                    let anchors = cx.forest.overlapping_children(*partition, target, alg);
                     let rects = anchors.len().max(1);
                     log.op(cx.origin, Op::GeomOp { rects });
                     anchors
@@ -661,7 +668,8 @@ impl FieldState {
                 sc.candidates.dedup();
             }
             SetIndex::Kd { tree } => {
-                kd_walk(tree, target.rects(), &mut sc.stack, &mut sc.candidates);
+                let target = cx.forest.domain(region).rects();
+                kd_walk(tree, target, &mut sc.stack, &mut sc.candidates);
                 sc.candidates.sort_unstable();
                 sc.candidates.dedup();
                 let rects = sc.candidates.len().max(1);
