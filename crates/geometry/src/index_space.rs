@@ -22,7 +22,7 @@ use std::sync::Arc;
 /// [`IndexSpace::same_points`] for set equality.
 ///
 /// The list is immutable and reference-counted: every operation builds its
-/// result in a `Vec` and freezes it once, so `clone()` is a pointer copy and
+/// result in a buffer and freezes it once, so `clone()` is a pointer copy and
 /// the interner, the equivalence sets and every stored plan that name the
 /// same space share one allocation. Equality and hashing stay
 /// content-based.
@@ -39,9 +39,10 @@ impl IndexSpace {
     }
 
     /// Freeze a list that already satisfies the invariant (disjoint, in
-    /// normal form).
+    /// normal form): one copy into the shared allocation, from a `Vec` or a
+    /// kernel's buffer alike.
     #[inline]
-    pub(crate) fn frozen(rects: Vec<Rect>) -> Self {
+    pub(crate) fn frozen(rects: impl Into<Arc<[Rect]>>) -> Self {
         IndexSpace {
             rects: rects.into(),
         }
@@ -239,15 +240,9 @@ impl IndexSpace {
         if self.is_empty() || other.is_empty() || !self.bbox().overlaps(&other.bbox()) {
             return IndexSpace::empty();
         }
-        if let Some(band) = self.common_band(other) {
-            let mut rects = Vec::new();
-            sweep_runs(
-                &self.rects,
-                &other.rects,
-                |lo, hi| push_run(&mut rects, band, lo, hi),
-                |_, _| {},
-            );
-            return Self::frozen(rects);
+        if self.common_band(other).is_some() {
+            let mut kernel = SplitRuns::default();
+            return Self::frozen(kernel.split(&self.rects, &other.rects).0);
         }
         let mut rects = Vec::new();
         for a in self.rects.iter() {
@@ -271,15 +266,9 @@ impl IndexSpace {
         if other.is_empty() || !self.bbox().overlaps(&other.bbox()) {
             return self.clone();
         }
-        if let Some(band) = self.common_band(other) {
-            let mut rects = Vec::new();
-            sweep_runs(
-                &self.rects,
-                &other.rects,
-                |_, _| {},
-                |lo, hi| push_run(&mut rects, band, lo, hi),
-            );
-            return Self::frozen(rects);
+        if self.common_band(other).is_some() {
+            let mut kernel = SplitRuns::default();
+            return Self::frozen(kernel.split(&self.rects, &other.rects).1);
         }
         let mut pending: Vec<Rect> = self.rects.to_vec();
         for b in other.rects.iter() {
@@ -332,10 +321,11 @@ impl IndexSpace {
         if target.is_empty() || !self.bbox().overlaps(&target.bbox()) {
             return (IndexSpace::empty(), self.clone());
         }
-        let Some(band) = self.common_band(target) else {
+        if self.common_band(target).is_none() {
             return (self.intersect(target), self.subtract(target));
-        };
-        let (inside, outside) = split_runs(&self.rects, &target.rects, band);
+        }
+        let mut kernel = SplitRuns::default();
+        let (inside, outside) = kernel.split(&self.rects, &target.rects);
         (Self::frozen(inside), Self::frozen(outside))
     }
 
@@ -443,59 +433,82 @@ pub(crate) fn union_runs(ours: &[Rect], theirs: &[Rect], (ylo, yhi): Band, out: 
     }
 }
 
-/// `(ours ∩ theirs, ours \ theirs)` on `band`, as run lists: one sweep.
-pub(crate) fn split_runs(ours: &[Rect], theirs: &[Rect], band: Band) -> (Vec<Rect>, Vec<Rect>) {
-    let (mut inside, mut outside) = (Vec::new(), Vec::new());
-    sweep_runs(
-        ours,
-        theirs,
-        |lo, hi| push_run(&mut inside, band, lo, hi),
-        |lo, hi| push_run(&mut outside, band, lo, hi),
-    );
-    (inside, outside)
+/// The band split kernel and its two output buffers: `(ours ∩ theirs, ours
+/// \ theirs)` for the sorted, coalesced runs of one band, in one
+/// branch-free walk. `intersect`, `subtract` and `split` all call it;
+/// `SpaceAlgebra` keeps one and reuses its buffers across misses.
+///
+/// Each step looks at one run `a` of ours and one run `b` of theirs and
+/// writes both candidate pieces of `a` — the gap before `b` and the part `b`
+/// covers — to the next free slot of its buffer, keeping each by bumping
+/// that buffer's count when the piece is non-empty. It then consumes
+/// whichever run ends first (`b` on a tie: ours' next run starts past it).
+/// Where the unconsumed part of `a` starts follows from the indices alone:
+/// a consumed run of theirs ended inside `a`. No output piece can be
+/// adjacent to the one before it, since both inputs are coalesced, so
+/// nothing is merged. The data-dependent choices are selects, not jumps: on
+/// a stream of distinct pairs a branchy walk mispredicts nearly every
+/// piece.
+///
+/// The buffers are never shrunk and grow to `ours.len() + theirs.len()`
+/// runs, more than either half can hold (each step writes at most one piece
+/// of each, and each step consumes a run), so a step never checks for room
+/// and entries past a half's count are stale.
+#[derive(Default)]
+pub(crate) struct SplitRuns {
+    inside: Vec<Rect>,
+    outside: Vec<Rect>,
 }
 
-/// Walk the runs of `ours` across those of `theirs` — both the sorted,
-/// disjoint runs of one linear band — reporting, in ascending order, each
-/// piece of `ours` covered by a run of `theirs` and each piece covered by
-/// none. `intersect`, `subtract` and `split` are this one sweep keeping the
-/// first, the second or both lists.
-fn sweep_runs(
-    ours: &[Rect],
-    theirs: &[Rect],
-    mut covered: impl FnMut(i64, i64),
-    mut gap: impl FnMut(i64, i64),
-) {
-    let mut j = 0;
-    for a in ours {
-        let (mut cur, end) = (a.lo.x, a.hi.x);
-        while j < theirs.len() && theirs[j].hi.x < cur {
-            j += 1;
+impl SplitRuns {
+    /// `(ours ∩ theirs, ours \ theirs)` as run lists, borrowed from the
+    /// buffers until the next split.
+    pub(crate) fn split(&mut self, ours: &[Rect], theirs: &[Rect]) -> (&[Rect], &[Rect]) {
+        let (Some(first), Some(last)) = (ours.first(), ours.last()) else {
+            return (&[], &[]);
+        };
+        // Only the runs of theirs that meet ours' extent can cut it.
+        let theirs = &theirs[..theirs.partition_point(|b| b.lo.x <= last.hi.x)];
+        let theirs = &theirs[theirs.partition_point(|b| b.hi.x < first.lo.x)..];
+        let room = ours.len() + theirs.len();
+        if self.inside.len() < room {
+            self.inside.resize(room, Rect::EMPTY);
+            self.outside.resize(room, Rect::EMPTY);
         }
-        // A run of `theirs` reaching past `end` also meets our next run.
-        let mut k = j;
-        while cur <= end {
-            let Some(b) = theirs.get(k).filter(|b| b.lo.x <= end) else {
-                gap(cur, end);
-                break;
-            };
-            if b.lo.x > cur {
-                gap(cur, b.lo.x - 1);
-            }
-            covered(cur.max(b.lo.x), end.min(b.hi.x));
-            cur = cur.max(b.hi.x + 1);
-            k += 1;
+        let (inside, outside) = (&mut self.inside[..room], &mut self.outside[..room]);
+        let (mut i, mut j, mut n_in, mut n_out) = (0, 0, 0, 0);
+        // One past the last consumed run of theirs.
+        let mut from = i64::MIN;
+        while i < ours.len() && j < theirs.len() {
+            let (a, b) = (ours[i], theirs[j]);
+            // `cur <= a.hi.x` always, so the gap is empty iff `b` starts at
+            // or before `cur` (when the wrapped `b.lo.x - 1` is not read).
+            let cur = a.lo.x.max(from);
+            let gap = a.hi.x.min(b.lo.x.wrapping_sub(1));
+            outside[n_out] = run_of(a, cur, gap);
+            n_out += (cur < b.lo.x) as usize;
+            let (lo, hi) = (cur.max(b.lo.x), a.hi.x.min(b.hi.x));
+            inside[n_in] = run_of(a, lo, hi);
+            n_in += (lo <= hi) as usize;
+            let b_first = b.hi.x < a.hi.x;
+            from = if b_first { b.hi.x + 1 } else { from };
+            j += b_first as usize;
+            i += !b_first as usize;
         }
+        // Theirs is used up: the rest of ours is outside.
+        if let Some((a, rest)) = ours[i..].split_first() {
+            outside[n_out] = run_of(*a, a.lo.x.max(from), a.hi.x);
+            outside[n_out + 1..][..rest.len()].copy_from_slice(rest);
+            n_out += 1 + rest.len();
+        }
+        (&inside[..n_in], &outside[..n_out])
     }
 }
 
-/// Append the run `[lo, hi]` of `band` to an ascending run list, coalescing
-/// it with an adjacent last run.
-fn push_run(rects: &mut Vec<Rect>, (ylo, yhi): Band, lo: i64, hi: i64) {
-    match rects.last_mut() {
-        Some(r) if r.hi.x + 1 == lo => r.hi.x = hi,
-        _ => rects.push(Rect::xy(lo, hi, ylo, yhi)),
-    }
+/// The piece `[lo, hi]` of run `a` (empty when `lo > hi`).
+#[inline(always)]
+fn run_of(a: Rect, lo: i64, hi: i64) -> Rect {
+    Rect::xy(lo, hi, a.lo.y, a.hi.y)
 }
 
 impl fmt::Debug for IndexSpace {
@@ -736,6 +749,20 @@ mod tests {
             start.elapsed() < std::time::Duration::from_secs(30),
             "normalize worst case regressed to quadratic"
         );
+    }
+
+    /// A run of the cutting set may start at `i64::MIN`: the kernel never
+    /// reads the wrapped coordinate before it.
+    #[test]
+    fn band_split_at_the_lowest_coordinate() {
+        let m = i64::MIN;
+        let ours = IndexSpace::from_rects([Rect::span(m, m + 4), Rect::span(m + 8, m + 9)]);
+        let theirs = IndexSpace::from_rects([Rect::span(m, m + 1), Rect::span(m + 3, m + 8)]);
+        let (inside, outside) = ours.split(&theirs);
+        let runs =
+            |s: &[(i64, i64)]| IndexSpace::from_rects(s.iter().map(|&(lo, hi)| Rect::span(lo, hi)));
+        assert_eq!(inside, runs(&[(m, m + 1), (m + 3, m + 4), (m + 8, m + 8)]));
+        assert_eq!(outside, runs(&[(m + 2, m + 2), (m + 9, m + 9)]));
     }
 
     #[test]

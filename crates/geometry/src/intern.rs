@@ -27,11 +27,18 @@
 //! `overlaps` or `union_all` miss share one band (every 1-D graph / mesh
 //! space), the miss runs `index_space`'s run kernel straight on the
 //! interned slices: no operand's bbox or band is re-derived, and a result is
-//! interned by freezing the kernel's `Vec` once, its bbox and shape read off
-//! its ends (`intern_runs`). The content hash runs four independent lanes,
-//! one per coordinate. [`SpaceAlgebra::overlaps_unmemoized`] asks the same
-//! question as `overlaps` through `&self`, recording nothing: the region
-//! forest's anchor check, whose answers its caller memoizes.
+//! interned by freezing one copy of the kernel's output, its bbox and shape
+//! read off its ends (`intern_runs`). A `split` miss runs the branch-free
+//! split kernel (`SplitRuns`) in buffers the algebra keeps. The content
+//! hash runs four independent lanes, one per coordinate.
+//! [`SpaceAlgebra::overlaps_unmemoized`] asks the same question as
+//! `overlaps` through `&self`, recording nothing: the region forest's
+//! anchor check, whose answers its caller memoizes.
+//!
+//! **A read of a whole target folds nothing.** A requirement's constituent
+//! sets tile its target, so a plan fold over all of them from one source is
+//! the target. [`SpaceAlgebra::union_all_covering`] answers such a fold on a
+//! band with the target's own id, without a merge.
 //!
 //! **Memo lifetime = operand lifetime.** An entry exists only for a pair of
 //! interned ids and dies when the interner does; nothing is evicted. A
@@ -52,7 +59,7 @@
 //! the two modes must (and do) agree byte for byte.
 
 use crate::hash::{fx_add, FxHashMap};
-use crate::index_space::{linear_band, runs_overlap, split_runs, union_runs, Band, IndexSpace};
+use crate::index_space::{linear_band, runs_overlap, union_runs, Band, IndexSpace, SplitRuns};
 use crate::rect::Rect;
 use std::collections::hash_map::Entry;
 
@@ -241,10 +248,11 @@ impl SpaceInterner {
 
     /// Intern the output of a band kernel — sorted, coalesced runs of one
     /// band — as `intern` would the space they make: the same id. A new
-    /// space freezes `runs` once and reads its bbox and shape off the ends.
-    fn intern_runs(&mut self, runs: Vec<Rect>) -> SpaceId {
+    /// space freezes one copy of `runs` and reads its bbox and shape off the
+    /// ends.
+    fn intern_runs(&mut self, runs: &[Rect]) -> SpaceId {
         debug_assert!(
-            runs.is_empty() || linear_band(&runs).is_some(),
+            runs.is_empty() || linear_band(runs).is_some(),
             "not one band"
         );
         debug_assert!(
@@ -257,7 +265,7 @@ impl SpaceInterner {
         } else {
             Shape::Band
         };
-        match self.find(&runs) {
+        match self.find(runs) {
             Ok(id) => id,
             Err(hash) => {
                 let space = InternedSpace::with_shape(IndexSpace::frozen(runs), shape);
@@ -389,6 +397,8 @@ pub struct SpaceAlgebra {
     splits: FxHashMap<(SpaceId, SpaceId), (SpaceId, SpaceId)>,
     /// [`SpaceAlgebra::union_all`] results, keyed on the whole operand list.
     folds: FxHashMap<Box<[SpaceId]>, SpaceId>,
+    /// The band split kernel's buffers, reused by every `split` miss.
+    split_runs: SplitRuns,
     enabled: bool,
     hits: u64,
     misses: u64,
@@ -409,6 +419,7 @@ impl SpaceAlgebra {
             flags: FxHashMap::default(),
             splits: FxHashMap::default(),
             folds: FxHashMap::default(),
+            split_runs: SplitRuns::default(),
             enabled: config.enabled,
             hits: 0,
             misses: 0,
@@ -607,10 +618,11 @@ impl SpaceAlgebra {
                 self.misses += 1;
                 let i = &mut self.interner;
                 let (d, t) = (i.get(dom), i.get(target));
-                // What `IndexSpace::split` does, minus re-deriving the band.
+                // What `IndexSpace::split` does, minus re-deriving the band
+                // and with the kernel's buffers reused.
                 *v.insert(match i.common_band(dom, target) {
-                    Some(band) => {
-                        let (inside, outside) = split_runs(d.rects(), t.rects(), band);
+                    Some(_) => {
+                        let (inside, outside) = self.split_runs.split(d.rects(), t.rects());
                         (i.intern_runs(inside), i.intern_runs(outside))
                     }
                     None => {
@@ -675,7 +687,7 @@ impl SpaceAlgebra {
                     union_runs(&acc, i.get(*id).rects(), band, &mut next);
                     std::mem::swap(&mut acc, &mut next);
                 }
-                i.intern_runs(acc)
+                i.intern_runs(&acc)
             }
             None => {
                 let acc = self.chained_union(*first, rest);
@@ -684,6 +696,34 @@ impl SpaceAlgebra {
         };
         self.folds.insert(ids.into(), r);
         r
+    }
+
+    /// [`Self::union_all`] of operands the caller knows tile `whole` —
+    /// pairwise disjoint, inside it and covering it, as a requirement's
+    /// constituent sets tile its target. When `whole` is a band every
+    /// non-empty operand lies in, the fold is `whole` itself: no merge, no
+    /// memo entry, one fast hit. That is structural, not just the same
+    /// points: a band's sorted, coalesced runs are the only normal form of
+    /// its points, so chaining [`IndexSpace::union`] rebuilds exactly
+    /// `whole`'s runs (debug builds check it). Otherwise — interning off,
+    /// one operand, a 2-D `whole` or operands in other bands — it is
+    /// `union_all`.
+    pub fn union_all_covering(&mut self, ids: &[SpaceId], whole: SpaceId) -> SpaceId {
+        let i = &self.interner;
+        let in_band = |band: Band| {
+            ids.iter()
+                .all(|id| i.is_empty_space(*id) || i.band(*id) == Some(band))
+        };
+        if !(self.enabled && ids.len() > 1 && i.band(whole).is_some_and(in_band)) {
+            return self.union_all(ids);
+        }
+        debug_assert_eq!(
+            &self.chained_union(ids[0], &ids[1..]),
+            self.interner.get(whole),
+            "the operands do not tile the whole"
+        );
+        self.fast_hits += 1;
+        whole
     }
 
     /// `first ∪ rest[0] ∪ …` by chaining [`IndexSpace::union`].

@@ -9,8 +9,11 @@
 //! `IndexSpace::subtract`, the chained `IndexSpace::union` — compared
 //! *structurally* (rect-list equality): the engines name equivalence sets by
 //! interned id, so a merely point-equal half would change every plan
-//! downstream. On a band all three split ops are one run walk
-//! (`sweep_runs`), so band pairs are also held to point membership.
+//! downstream. On a band all three split ops are one branch-free run walk
+//! (`SplitRuns`, whose buffers `SpaceAlgebra` reuses across misses), so band
+//! pairs are also held to point membership. A plan fold that reads a whole
+//! band target (`union_all_covering`) is held to the target and to both
+//! folds.
 
 use proptest::prelude::*;
 use viz_geometry::{IndexSpace, InternConfig, Rect, SpaceAlgebra, SpaceId};
@@ -122,6 +125,42 @@ fn fold_list() -> impl Strategy<Value = Vec<IndexSpace>> {
     )
 }
 
+/// A nonempty band of up to 64 runs, and up to five bands to cut it by.
+fn band_and_cuts() -> impl Strategy<Value = (IndexSpace, Vec<IndexSpace>)> {
+    let band = prop::collection::vec((1i64..5, 0i64..5), 1..65);
+    let cut = prop_oneof![
+        3 => steps().prop_map(|s| band_of(runs_of(&s))),
+        1 => (0i64..240, 0i64..40).prop_map(|(lo, len)| IndexSpace::span(lo, lo + len)),
+    ];
+    (band, prop::collection::vec(cut, 1..6))
+        .prop_map(|(band, cuts)| (band_of(runs_of(&band)), cuts))
+}
+
+/// The nonempty tiles `whole` falls into when every tile is split against
+/// each cut in turn, shuffled by `seed`.
+fn tiles_of(whole: &IndexSpace, cuts: &[IndexSpace], seed: u64) -> Vec<IndexSpace> {
+    let mut alg = SpaceAlgebra::default();
+    let mut tiles = vec![alg.intern(whole)];
+    for cut in cuts {
+        let cut = alg.intern(cut);
+        tiles = tiles
+            .into_iter()
+            .flat_map(|tile| <[SpaceId; 2]>::from(alg.split(tile, cut)))
+            .filter(|tile| *tile != SpaceId::EMPTY)
+            .collect();
+    }
+    let mut tiles: Vec<IndexSpace> = tiles.iter().map(|t| alg.space(*t).clone()).collect();
+    // Tiles are disjoint, so their first points are distinct keys.
+    tiles.sort_by_key(|t| (seed ^ t.rects()[0].lo.x as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    tiles
+}
+
+fn chained(spaces: &[IndexSpace]) -> IndexSpace {
+    spaces
+        .iter()
+        .fold(IndexSpace::empty(), |acc, s| acc.union(s))
+}
+
 fn check_split(alg: &mut SpaceAlgebra, a: &IndexSpace, b: &IndexSpace) {
     let (inside, outside) = (a.intersect(b), a.subtract(b));
     let (ia, ib) = (alg.intern(a), alg.intern(b));
@@ -219,6 +258,83 @@ proptest! {
                 prop_assert_eq!(alg.stats().misses, seen.misses);
             }
             prop_assert_eq!(alg.intern(&chained), folded);
+        }
+    }
+
+    /// Tiles of a band — the split halves a requirement's constituent sets
+    /// are, shuffled — fold back to the band itself: `union_all_covering`
+    /// names `whole`, structurally what `union_all` and the chained
+    /// `IndexSpace::union` build, with interning on and off. With interning
+    /// on and more than one tile it is one fast hit and no miss.
+    #[test]
+    fn covering_fold_is_the_whole(wc in band_and_cuts(), seed in 0u64..u64::MAX) {
+        let (whole, cuts) = wc;
+        let tiles = tiles_of(&whole, &cuts, seed);
+        prop_assert_eq!(&chained(&tiles), &whole);
+        for config in [InternConfig::default(), InternConfig::disabled()] {
+            let mut alg = SpaceAlgebra::new(config);
+            let w = alg.intern(&whole);
+            let ids: Vec<_> = tiles.iter().map(|t| alg.intern(t)).collect();
+            let before = alg.stats();
+            let covering = alg.union_all_covering(&ids, w);
+            let after = alg.stats();
+            prop_assert_eq!(covering, w);
+            if config.enabled && ids.len() > 1 {
+                prop_assert_eq!(after.fast_hits, before.fast_hits + 1);
+                prop_assert_eq!(after.misses, before.misses);
+                prop_assert_eq!(after.cache_entries, before.cache_entries);
+            }
+            prop_assert_eq!(alg.union_all(&ids), w);
+        }
+    }
+
+    /// A tall band (`y` 0..3) tiled into horizontal strips shares no band
+    /// with its tiles, so the covering fold is `union_all` — one miss, no
+    /// fast hit — and still names a space with the band's points.
+    #[test]
+    fn tall_band_strips_fall_back_to_union_all(band in steps(), seed in 0u64..u64::MAX) {
+        let runs = runs_of(&band);
+        let whole = IndexSpace::from_rects(runs.iter().map(|&(lo, hi)| Rect::xy(lo, hi, 0, 3)));
+        let mut strips: Vec<IndexSpace> = (0..4)
+            .map(|y| IndexSpace::from_rects(runs.iter().map(|&(lo, hi)| Rect::xy(lo, hi, y, y))))
+            .collect();
+        strips.sort_by_key(|s| (seed ^ s.bbox().lo.y as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        for config in [InternConfig::default(), InternConfig::disabled()] {
+            let mut alg = SpaceAlgebra::new(config);
+            let w = alg.intern(&whole);
+            let ids: Vec<_> = strips.iter().map(|s| alg.intern(s)).collect();
+            let before = alg.stats();
+            let covering = alg.union_all_covering(&ids, w);
+            let after = alg.stats();
+            if config.enabled && !whole.is_empty() {
+                prop_assert_eq!(after.fast_hits, before.fast_hits);
+                prop_assert_eq!(after.misses, before.misses + 1);
+            }
+            prop_assert_eq!(alg.union_all(&ids), covering);
+            prop_assert_eq!(alg.space(covering), &chained(&strips));
+            prop_assert!(alg.space(covering).same_points(&whole));
+        }
+    }
+
+    /// One algebra splits band pairs largest first, so every later split
+    /// runs in buffers longer than it needs, holding the previous split's
+    /// pieces past its own: each half is still exactly the points of its
+    /// first operand inside / outside the second.
+    #[test]
+    fn reused_split_buffers_stay_exact(pairs in prop::collection::vec(band_pair(), 1..8)) {
+        let mut pairs = pairs;
+        pairs.sort_by_key(|(a, b)| std::cmp::Reverse(a.rect_count() + b.rect_count()));
+        let mut alg = SpaceAlgebra::default();
+        for (a, b) in &pairs {
+            for (x, y) in [(a, b), (b, a)] {
+                let (ix, iy) = (alg.intern(x), alg.intern(y));
+                let (inside, outside) = alg.split(ix, iy);
+                let keep = |want: bool| {
+                    IndexSpace::from_points(x.points().filter(|p| y.contains_point(*p) == want))
+                };
+                prop_assert_eq!(alg.space(inside), &keep(true));
+                prop_assert_eq!(alg.space(outside), &keep(false));
+            }
         }
     }
 

@@ -570,6 +570,7 @@ impl CoherenceEngine for RayCast {
             let sets = sc.relevant.iter().map(|n| &state.sets[*n as usize].eq);
             (out.deps, out.plan) = scan_sets(
                 sets,
+                target,
                 req.privilege,
                 &mut geom.alg,
                 &mut sc.charges,

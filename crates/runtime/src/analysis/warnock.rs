@@ -121,11 +121,12 @@ impl EqSet {
 /// The history scan over a requirement's constituent `sets`, in order:
 /// each set's [`scan_eq_history`], with its `SetTouch` + `HistScan` batched
 /// at its owner into `charges`, then the base copies folded into the plan.
-/// It neither flushes `charges` nor records the dependences: each engine
-/// orders those against its own charges. `copies` and `fold_ids` are
-/// scratch.
+/// The sets must tile `target` (they do after refinement). It neither
+/// flushes `charges` nor records the dependences: each engine orders those
+/// against its own charges. `copies` and `fold_ids` are scratch.
 pub(crate) fn scan_sets<'a>(
     sets: impl Iterator<Item = &'a EqSet> + Clone,
+    target: SpaceId,
     privilege: Privilege,
     alg: &mut SpaceAlgebra,
     charges: &mut ChargeSet,
@@ -151,7 +152,7 @@ pub(crate) fn scan_sets<'a>(
     viz_profile::instant(viz_profile::EventKind::HistoryScan {
         entries: entries as u64,
     });
-    plan.copies = fold_copies(alg, copies, fold_ids);
+    plan.copies = fold_copies(alg, target, copies, fold_ids);
     (deps, plan)
 }
 
@@ -215,21 +216,32 @@ fn scan_eq_history(
 /// re-reading the same sets pays one memo hit per source instead of a
 /// rectangle sweep per set.
 ///
+/// The sets tile `target`, so when they all name one source the fold is
+/// the target: [`SpaceAlgebra::union_all_covering`] answers it without a
+/// merge when the target is a band (a whole piece read back from its
+/// refined fragments).
+///
 /// Drains `copies`; `ids` is scratch for one fold's operand list (both keep
 /// their capacity for the caller to reuse).
 fn fold_copies(
     alg: &mut SpaceAlgebra,
+    target: SpaceId,
     copies: &mut Vec<(Source, SpaceId)>,
     ids: &mut Vec<SpaceId>,
 ) -> Vec<CopyRange> {
     copies.sort_by_key(|(source, _)| source.fold_key());
     let runs = || copies.chunk_by(|a, b| a.0 == b.0);
     // Sized exactly: the plan is retained with the launch.
-    let mut folded = Vec::with_capacity(runs().count());
+    let groups = runs().count();
+    let mut folded = Vec::with_capacity(groups);
     folded.extend(runs().map(|run| {
         ids.clear();
         ids.extend(run.iter().map(|(_, id)| *id));
-        let folded = alg.union_all(ids);
+        let folded = if groups == 1 {
+            alg.union_all_covering(ids, target)
+        } else {
+            alg.union_all(ids)
+        };
         CopyRange {
             source: run[0].0.clone(),
             domain: alg.space(folded).clone(),
@@ -448,6 +460,7 @@ impl CoherenceEngine for Warnock {
             let sets = relevant.iter().map(|n| &tree.nodes[*n as usize].set);
             (out.deps, out.plan) = scan_sets(
                 sets,
+                target,
                 req.privilege,
                 alg,
                 &mut charges,

@@ -54,20 +54,23 @@ fn steady_iteration_sweeps_nothing_and_interns_nothing() {
 /// once per field: the `voltage` and `charge` shards of `nodes` split the
 /// same ghost spaces against the same pieces through one shared memo. On
 /// this circuit that is 1 531 `overlaps` sweeps, 1 487 `split` sweeps and
-/// 1 487 first-touch plan folds. One memo per `(root, field)` shard read
-/// 3 062 + 2 974 + 1 999 = 8 035; four sweeps per straddler (`overlaps`,
-/// `contains`, `intersect`, `subtract`) read 12 077; `split` without its
-/// covering-rect fast path reads 13 983.
+/// 464 first-touch plan folds, all of them multi-source: the other 1 023
+/// folds each read a whole band target from one source, and answer with the
+/// target's own id without a merge (`union_all_covering`; with them merged
+/// this read 4 505). One memo per `(root, field)` shard read 3 062 + 2 974 +
+/// 1 999 = 8 035; four sweeps per straddler (`overlaps`, `contains`,
+/// `intersect`, `subtract`) read 12 077; `split` without its covering-rect
+/// fast path reads 13 983.
 #[test]
 fn first_iteration_sweeps_each_pair_once() {
-    assert_eq!(state_after(1).algebra_misses, 1531 + 1487 + 1487);
+    assert_eq!(state_after(1).algebra_misses, 1531 + 1487 + 464);
 }
 
 /// What the first iteration leaves in the roots' interners: the region
 /// domains, each distinct split half and each distinct fold result. A band
 /// miss interns its kernel's runs directly (`intern_runs`), so this pins
 /// that it interns exactly the spaces — no more, no fewer — that interning
-/// the `IndexSpace` results did. The same iteration reads 23 813 hits.
+/// the `IndexSpace` results did. The same iteration reads 24 836 hits, the 1 023 covering folds among them.
 #[test]
 fn first_iteration_interns_each_result_once() {
     assert_eq!(state_after(1).interned_spaces, 4977);
