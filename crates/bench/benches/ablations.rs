@@ -19,9 +19,7 @@ use std::time::Instant;
 use viz_apps::{Circuit, CircuitConfig, Stencil, StencilConfig, Workload};
 use viz_bench::{measure, median_of, AppKind, RunConfig};
 use viz_geometry::{IndexSpace, Point, Rect};
-use viz_runtime::analysis::{
-    paint::Painter, paint_naive::PaintNaive, raycast::RayCast, warnock::Warnock,
-};
+use viz_runtime::analysis::{eqsets::EqSetEngine, paint::Painter, paint_naive::PaintNaive};
 use viz_runtime::{CoherenceEngine, EngineKind, Runtime, RuntimeConfig};
 
 /// Samples per row of the host-time table.
@@ -103,10 +101,16 @@ fn a2_warnock_memo() {
             ..CircuitConfig::small(pieces, 5)
         });
         row("A2_warnock_memo", "memoized", pieces, || {
-            secs(|| run_with_engine(Box::new(Warnock::new()), &app, pieces))
+            secs(|| run_with_engine(Box::new(EqSetEngine::warnock()), &app, pieces))
         });
         row("A2_warnock_memo", "no_memo", pieces, || {
-            secs(|| run_with_engine(Box::new(Warnock::without_memoization()), &app, pieces))
+            secs(|| {
+                run_with_engine(
+                    Box::new(EqSetEngine::warnock().without_memoization()),
+                    &app,
+                    pieces,
+                )
+            })
         });
     }
 }
@@ -119,10 +123,16 @@ fn a3_raycast_index() {
             ..StencilConfig::small(pieces, 64, 5)
         });
         row("A3_raycast_index", "partition_anchors", pieces, || {
-            secs(|| run_with_engine(Box::new(RayCast::new()), &app, pieces))
+            secs(|| run_with_engine(Box::new(EqSetEngine::raycast()), &app, pieces))
         });
         row("A3_raycast_index", "kd_tree", pieces, || {
-            secs(|| run_with_engine(Box::new(RayCast::force_kd_tree()), &app, pieces))
+            secs(|| {
+                run_with_engine(
+                    Box::new(EqSetEngine::raycast().force_kd_tree()),
+                    &app,
+                    pieces,
+                )
+            })
         });
     }
 }

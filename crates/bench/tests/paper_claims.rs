@@ -1,8 +1,8 @@
 //! The conclusions EXPERIMENTS.md draws from the committed `results/`
 //! tables, asserted on those tables: `figures_golden` shows what moved in
 //! a re-blessed golden, this shows whether the claims survived. It reads
-//! the committed files only, so it is instant. Covered so far: the tracing
-//! tables (E9 and E10).
+//! the committed files only, so it is instant. Covered so far: the
+//! initialization times of Figs 12–14 and the tracing tables (E9 and E10).
 
 use std::collections::BTreeMap;
 use viz_bench::AppKind;
@@ -29,6 +29,77 @@ fn rows(stem: &str) -> Vec<(String, Row)> {
     };
     let label = |r: Row| (format!("{stem} at {} nodes", r["nodes"]), r);
     lines.map(|l| label(row(l))).collect()
+}
+
+/// Figs 12–14 (init time) per app: the table's name, its 64-node row and
+/// its 512-node row.
+fn init_rows() -> Vec<(String, Row, Row)> {
+    let table = |fig: u32| {
+        let stem = format!("fig{fig}_{}_init", AppKind::of_figure(fig).label());
+        let rows = rows(&stem);
+        let at = |nodes: f64| {
+            let row = rows.iter().find(|(_, r)| r["nodes"] == nodes);
+            row.unwrap_or_else(|| panic!("{stem} has no {nodes}-node row"))
+                .1
+                .clone()
+        };
+        (stem.clone(), at(64.0), at(512.0))
+    };
+    (12..=14).map(table).collect()
+}
+
+/// Figs 12–14: "the universally poor performance of … Warnock's algorithm";
+/// DCR "slightly mitigates" it. At 512 nodes in every app Warnock with DCR
+/// takes at least ten times ray casting's init time with DCR (14–37×), and
+/// without DCR longer still.
+#[test]
+fn figs12_14_warnock_init_explodes() {
+    for (table, _, r) in init_rows() {
+        let (warnock, raycast) = (r["Warnock, DCR"], r["RayCast, DCR"]);
+        assert!(
+            warnock >= 10.0 * raycast,
+            "EXPERIMENTS.md Figs 12–14 (Warnock ≥ 10× RayCast, DCR): {table} at 512: {r:?}"
+        );
+        assert!(
+            r["Warnock, No DCR"] > warnock,
+            "EXPERIMENTS.md Figs 12–14 (DCR mitigates Warnock): {table} at 512: {r:?}"
+        );
+    }
+}
+
+/// Figs 12–14: the painter grows superlinearly but clearly below Warnock —
+/// at 512 nodes in every app, strictly between ray casting and Warnock
+/// (both with DCR).
+#[test]
+fn figs12_14_paint_init_lies_between_raycast_and_warnock() {
+    for (table, _, r) in init_rows() {
+        let paint = r["Paint, No DCR"];
+        assert!(
+            r["RayCast, DCR"] < paint && paint < r["Warnock, DCR"],
+            "EXPERIMENTS.md Figs 12–14 (RayCast < Paint < Warnock): {table} at 512: {r:?}"
+        );
+    }
+}
+
+/// Figs 12–14: "ray casting is the best by far, near-flat" — with DCR its
+/// init time grows least from 64 to 512 nodes of the five configurations,
+/// in every app (1.14 / 1.40 / 1.54×).
+#[test]
+fn figs12_14_raycast_dcr_init_is_flattest() {
+    for (table, at64, at512) in init_rows() {
+        let growth = |config: &str| at512[config] / at64[config];
+        let flat = growth("RayCast, DCR");
+        for config in at512
+            .keys()
+            .filter(|c| *c != "nodes" && *c != "RayCast, DCR")
+        {
+            assert!(
+                flat < growth(config),
+                "EXPERIMENTS.md Figs 12–14 (RayCast DCR flattest): {table}: 512/64 is {flat:.3}, {config} {:.3}",
+                growth(config)
+            );
+        }
+    }
 }
 
 /// E9: "with the analysis memoized, even the single-analysis-node

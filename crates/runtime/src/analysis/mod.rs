@@ -1,15 +1,14 @@
 //! The four visibility-based coherence engines (the paper's three, §5–7,
 //! plus the naive Fig 7 painter) and their shared machinery.
 
+pub mod eqsets;
 pub mod history;
 pub mod paint;
 pub mod paint_naive;
-pub mod raycast;
-pub mod warnock;
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
-use viz_geometry::{FxHashMap, SpaceAlgebra, SpaceId};
+use viz_geometry::FxHashMap;
 use viz_region::{FieldId, RegionForest, RegionId, RootGeometry, SharedGeometry};
 use viz_sim::{ChargeLog, NodeId, Op};
 
@@ -35,29 +34,6 @@ pub(crate) fn report_algebra(geom: &mut RootGeometry) {
         });
     }
     geom.reported = stats;
-}
-
-/// What refinement (Fig 9, `refine`) makes of a set `dom` against a
-/// requirement's `target`.
-pub(crate) enum Refine {
-    /// Nothing in common: the set is not a constituent.
-    Disjoint,
-    /// Wholly inside the target: a constituent as it is.
-    Contained,
-    /// Straddles it: replaced by its `(inside, outside)` halves.
-    Split(SpaceId, SpaceId),
-}
-
-/// Refine `dom` against `target`: an early-exit `overlaps`, then one
-/// `split` for both halves, contained iff nothing lies outside.
-pub(crate) fn refine(alg: &mut SpaceAlgebra, dom: SpaceId, target: SpaceId) -> Refine {
-    if !alg.overlaps(dom, target) {
-        return Refine::Disjoint;
-    }
-    match alg.split(dom, target) {
-        (_, SpaceId::EMPTY) => Refine::Contained,
-        (inside, outside) => Refine::Split(inside, outside),
-    }
 }
 
 /// Group a launch's requirements by shard, preserving the first-touch order
@@ -230,18 +206,6 @@ impl ChargeSet {
 
     pub fn add(&mut self, owner: NodeId, op: Op) {
         self.ops.push((owner, op));
-    }
-
-    /// The work of one [`Refine::Split`] at the split set's owner: the
-    /// refine, the two new sets, and the two-rect geometry.
-    pub(crate) fn add_refine(&mut self, owner: NodeId) {
-        let ops = [
-            Op::EqSetRefine,
-            Op::EqSetCreate,
-            Op::EqSetCreate,
-            Op::GeomOp { rects: 2 },
-        ];
-        self.ops.extend(ops.map(|op| (owner, op)));
     }
 
     pub fn is_empty(&self) -> bool {

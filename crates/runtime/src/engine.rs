@@ -1,7 +1,7 @@
 //! The coherence-engine interface shared by all four engines (the paper's
 //! three visibility algorithms plus the naive painter; see [`EngineKind`]).
 
-use crate::analysis::{paint, paint_naive, raycast, warnock, ReqOutcome, ShardKey};
+use crate::analysis::{eqsets::EqSetEngine, paint, paint_naive, ReqOutcome, ShardKey};
 use crate::plan::{AnalysisResult, MaterializePlan};
 use crate::sharding::ShardMap;
 use crate::task::TaskLaunch;
@@ -238,8 +238,8 @@ impl EngineKind {
         match self {
             EngineKind::PaintNaive => Box::new(paint_naive::PaintNaive::new()),
             EngineKind::Paint => Box::new(paint::Painter::new()),
-            EngineKind::Warnock => Box::new(warnock::Warnock::new()),
-            EngineKind::RayCast => Box::new(raycast::RayCast::new()),
+            EngineKind::Warnock => Box::new(EqSetEngine::warnock()),
+            EngineKind::RayCast => Box::new(EqSetEngine::raycast()),
         }
     }
 

@@ -20,8 +20,8 @@
 //! |---|---|---|
 //! | Painter's algorithm (naive, Fig 7) | §5 | [`analysis::paint_naive`] |
 //! | Painter's + region-tree composite views | §5.1 | [`analysis::paint`] |
-//! | Warnock's algorithm (equivalence sets) | §6 | [`analysis::warnock`] |
-//! | Ray casting (dominating writes) | §7 | [`analysis::raycast`] |
+//! | Warnock's algorithm (equivalence sets) | §6 | [`analysis::eqsets`] |
+//! | Ray casting (dominating writes) | §7 | [`analysis::eqsets`] |
 //!
 //! Execution is deferred, Legion-style: [`Runtime::submit`] performs the
 //! dynamic analysis immediately; [`Runtime::execute_values`] later runs task bodies

@@ -197,7 +197,8 @@ impl Runtime {
     }
 
     /// A runtime with a custom engine instance (used by the ablation
-    /// benches for engine variants like `Warnock::without_memoization`).
+    /// benches for engine variants like
+    /// `EqSetEngine::warnock().without_memoization()`).
     pub fn with_engine(config: RuntimeConfig, engine: Box<dyn CoherenceEngine>) -> Self {
         let rt = Self::new(config);
         rt.core.write().unwrap().engine = engine;

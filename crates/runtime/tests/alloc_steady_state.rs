@@ -3,7 +3,7 @@
 //! Three families. The K-d candidate walk: the raycast backward scan used
 //! to allocate per query (a traversal stack inside `DynamicBvh::query`, a
 //! fresh hits vector per requirement); both live in per-shard scratch
-//! (`ScanScratch` in `analysis/raycast.rs`), and `DynamicBvh::query_with`
+//! (`ScanScratch` in `analysis/eqsets.rs`), and `DynamicBvh::query_with`
 //! over reused buffers must make **zero** allocations once warm. And the
 //! whole engine: a steady-state `RayCast` launch re-derives nothing
 //! structural, so its allocation count is small, and identical from one

@@ -4,7 +4,7 @@
 //! any analysis results.
 
 use std::sync::Arc;
-use viz_runtime::analysis::raycast::RayCast;
+use viz_runtime::analysis::eqsets::EqSetEngine;
 use viz_runtime::validate::check_sufficiency;
 use viz_runtime::{
     CoherenceEngine, EngineKind, LaunchSpec, PhysicalRegion, RegionRequirement, Runtime,
@@ -84,7 +84,7 @@ fn shifting_preserves_results() {
         .map(|(_, v)| v)
         .collect();
 
-    let engine = Box::new(RayCast::new());
+    let engine = Box::new(EqSetEngine::raycast());
     let mut rt = Runtime::with_engine(RuntimeConfig::new(EngineKind::RayCast), engine);
     let (root, f, p, q) = build(&mut rt);
     program(&mut rt, p, q, f);
@@ -101,7 +101,7 @@ fn shifting_preserves_results() {
 
 #[test]
 fn shift_actually_happens_and_steady_state_is_clean() {
-    let mut engine = RayCast::new();
+    let mut engine = EqSetEngine::raycast();
     // Drive the engine directly so we can inspect the shift count.
     let mut rt = Runtime::single_node(EngineKind::PaintNaive); // placeholder runtime for regions
     let (_, f, p, q) = build(&mut rt);
@@ -110,7 +110,7 @@ fn shift_actually_happens_and_steady_state_is_clean() {
     let mut machine = viz_sim::Machine::new(1);
     let mut next = 0u32;
     let mut launch =
-        |engine: &mut RayCast, machine: &mut viz_sim::Machine, region: viz_region::RegionId| {
+        |engine: &mut EqSetEngine, machine: &mut viz_sim::Machine, region: viz_region::RegionId| {
             let l = viz_runtime::TaskLaunch {
                 id: viz_runtime::TaskId(next),
                 name: String::new(),
@@ -148,7 +148,7 @@ fn shift_actually_happens_and_steady_state_is_clean() {
 fn no_shift_when_usage_is_mixed() {
     let mut rt = Runtime::with_engine(
         RuntimeConfig::new(EngineKind::RayCast),
-        Box::new(RayCast::new()),
+        Box::new(EqSetEngine::raycast()),
     );
     let (root, f, p, q) = build(&mut rt);
     // Alternate P and Q launches: neither dominates 4:1, so no shift —

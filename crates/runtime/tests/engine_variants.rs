@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 use viz_apps::{Circuit, CircuitConfig, Workload};
-use viz_runtime::analysis::{raycast::RayCast, warnock::Warnock};
+use viz_runtime::analysis::eqsets::EqSetEngine;
 use viz_runtime::validate::check_sufficiency;
 use viz_runtime::{
     CoherenceEngine, EngineKind, LaunchSpec, PhysicalRegion, RegionRequirement, Runtime,
@@ -75,30 +75,43 @@ fn run(engine: Box<dyn CoherenceEngine>, nodes: usize) -> (Vec<f64>, usize) {
     (vals, edges)
 }
 
-#[test]
-fn warnock_without_memoization_is_functionally_identical() {
-    let (v1, e1) = run(Box::new(Warnock::new()), 2);
-    let (v2, e2) = run(Box::new(Warnock::without_memoization()), 2);
-    assert_eq!(v1, v2);
-    assert_eq!(
-        e1, e2,
-        "memoization must not change the dependence relation"
-    );
+/// Every variant of the equivalence-set engine, by its constructors: the
+/// two algorithms, each with its discovery memo off, and ray casting on the
+/// K-d fallback.
+fn variants() -> [(&'static str, EqSetEngine); 5] {
+    [
+        ("warnock", EqSetEngine::warnock()),
+        (
+            "warnock, no memo",
+            EqSetEngine::warnock().without_memoization(),
+        ),
+        ("raycast", EqSetEngine::raycast()),
+        (
+            "raycast, no memo",
+            EqSetEngine::raycast().without_memoization(),
+        ),
+        ("raycast, K-d", EqSetEngine::raycast().force_kd_tree()),
+    ]
 }
 
+/// Memoization and the index choice must change neither the values nor
+/// the dependence relation, and neither may the algorithm.
 #[test]
-fn raycast_forced_kd_is_functionally_identical() {
-    let (v1, e1) = run(Box::new(RayCast::new()), 2);
-    let (v2, e2) = run(Box::new(RayCast::force_kd_tree()), 2);
-    assert_eq!(v1, v2);
-    assert_eq!(e1, e2, "the index choice must not change the analysis");
+fn every_variant_is_functionally_identical() {
+    for nodes in [1, 2] {
+        let runs = variants().map(|(label, engine)| (label, run(Box::new(engine), nodes)));
+        let (_, expect) = &runs[0];
+        for (label, got) in &runs {
+            assert_eq!(got, expect, "{label} at {nodes} nodes: (values, edges)");
+        }
+    }
 }
 
 /// The K-d walk against the anchored default on sparse multi-rect ghost
 /// spaces with reductions on aliased nodes: same dependences, same plans.
 #[test]
 fn raycast_forced_kd_matches_anchored_on_circuit() {
-    let analyze = |engine: RayCast| {
+    let analyze = |engine: EqSetEngine| {
         let mut rt = Runtime::with_engine(
             RuntimeConfig::base(EngineKind::RayCast).nodes(2),
             Box::new(engine),
@@ -110,17 +123,8 @@ fn raycast_forced_kd_matches_anchored_on_circuit() {
         .execute(&mut rt);
         rt.results()
     };
-    let anchored = analyze(RayCast::new());
-    let kd = analyze(RayCast::force_kd_tree());
+    let anchored = analyze(EqSetEngine::raycast());
+    let kd = analyze(EqSetEngine::raycast().force_kd_tree());
     assert!(anchored.iter().any(|r| !r.deps.is_empty()));
     assert_eq!(anchored, kd);
-}
-
-#[test]
-fn variants_match_the_default_engines_cross_family() {
-    let (v1, _) = run(Box::new(Warnock::new()), 1);
-    let (v2, _) = run(Box::new(RayCast::new()), 1);
-    let (v3, _) = run(Box::new(RayCast::force_kd_tree()), 1);
-    assert_eq!(v1, v2);
-    assert_eq!(v2, v3);
 }

@@ -76,7 +76,7 @@ fn engine_sweeps_reclaim_dead_state() {
     // see. Warnock is absent: its refinement is monotonic, so nothing it
     // holds ever becomes unreachable. RayCast is absent: nothing it holds
     // outlives the launch that killed it (`set_table_is_bounded_without_gc`
-    // in `analysis/raycast.rs`).
+    // in `analysis/eqsets.rs`).
     for engine in [EngineKind::PaintNaive, EngineKind::Paint] {
         let mut rt = Runtime::new(
             RuntimeConfig::new(engine)
