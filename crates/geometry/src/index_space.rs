@@ -297,10 +297,9 @@ impl IndexSpace {
         if other.is_empty() {
             return self.clone();
         }
-        if let Some(band) = self.common_band(other) {
-            let mut rects = Vec::with_capacity(self.rects.len() + other.rects.len());
-            union_runs(&self.rects, &other.rects, band, &mut rects);
-            return Self::frozen(rects);
+        if self.common_band(other).is_some() {
+            let mut kernel = MergeRuns::default();
+            return Self::frozen(kernel.union_all(&self.rects, [&other.rects[..]]));
         }
         let mut rects = self.rects.to_vec();
         for r in other.rects.iter() {
@@ -341,7 +340,7 @@ impl IndexSpace {
         if self.common_band(other).is_some() {
             // Our runs are coalesced, so a run of `other` is covered only by
             // lying inside a single one of them.
-            debug_assert!(self.rects.windows(2).all(|w| w[0].hi.x + 1 < w[1].lo.x));
+            debug_assert!(sorted_coalesced(&self.rects));
             let mut i = 0;
             for b in other.rects.iter() {
                 while i < self.rects.len() && self.rects[i].hi.x < b.hi.x {
@@ -395,8 +394,26 @@ pub(crate) fn linear_band(rects: &[Rect]) -> Option<Band> {
         .then_some(band)
 }
 
-/// Do two run lists of one band share a point? Exits at the first one.
+/// Are `runs` sorted by `x` and coalesced: no two overlapping or adjacent?
+/// What every band kernel assumes of its operands (overflow-safe at
+/// `i64::MAX`).
+pub(crate) fn sorted_coalesced(runs: &[Rect]) -> bool {
+    runs.windows(2)
+        .all(|w| w[0].hi.x.saturating_add(1) < w[1].lo.x)
+}
+
+/// Do two run lists of one band share a point? A one-run operand, in either
+/// order, is a binary search for the first run of the other that does not
+/// end before it; otherwise a walk that exits at the first shared point.
 pub(crate) fn runs_overlap(ours: &[Rect], theirs: &[Rect]) -> bool {
+    debug_assert!(
+        sorted_coalesced(ours) && sorted_coalesced(theirs),
+        "runs unsorted or not coalesced"
+    );
+    if let ([r], runs) | (runs, [r]) = (ours, theirs) {
+        let i = runs.partition_point(|b| b.hi.x < r.lo.x);
+        return runs.get(i).is_some_and(|b| b.lo.x <= r.hi.x);
+    }
     let (mut i, mut j) = (0, 0);
     while i < ours.len() && j < theirs.len() {
         let (a, b) = (&ours[i], &theirs[j]);
@@ -411,26 +428,88 @@ pub(crate) fn runs_overlap(ours: &[Rect], theirs: &[Rect]) -> bool {
     false
 }
 
-/// Replace `out` with the runs of `ours ∪ theirs` on `band`: a linear
-/// merge of the two sorted lists, coalescing overlapping and adjacent runs.
-pub(crate) fn union_runs(ours: &[Rect], theirs: &[Rect], (ylo, yhi): Band, out: &mut Vec<Rect>) {
-    out.clear();
-    let (mut i, mut j) = (0, 0);
-    while i < ours.len() || j < theirs.len() {
-        let next = if j >= theirs.len() || (i < ours.len() && ours[i].lo.x <= theirs[j].lo.x) {
-            let r = ours[i];
-            i += 1;
-            r
-        } else {
-            let r = theirs[j];
-            j += 1;
-            r
-        };
-        match out.last_mut() {
-            Some(l) if l.hi.x + 1 >= next.lo.x => l.hi.x = l.hi.x.max(next.hi.x),
-            _ => out.push(Rect::xy(next.lo.x, next.hi.x, ylo, yhi)),
+/// The band merge kernel and its two buffers: the union of the sorted,
+/// coalesced runs of one band, one branch-free walk per operand pair, folded
+/// left over a list of such operands. `IndexSpace::union`'s band arm calls it
+/// with fresh buffers; `SpaceAlgebra` keeps one and reuses its buffers
+/// across `union_all` misses.
+///
+/// The walk holds the current output run. Each step takes whichever
+/// operand's next run starts first, writes the current run to the next free
+/// slot, and keeps it by bumping the count when the taken run starts past
+/// its end plus one; otherwise the taken run extends it. Both are written
+/// as selects, not jumps. The end-plus-one saturates, so a run ending at `i64::MAX`
+/// absorbs every run after it instead of wrapping.
+///
+/// The buffers are never shrunk and grow to `ours.len() + theirs.len()`
+/// runs, more than the union can hold, so a step never checks for room and
+/// entries past the count are stale.
+#[derive(Default)]
+pub(crate) struct MergeRuns {
+    acc: Vec<Rect>,
+    next: Vec<Rect>,
+}
+
+impl MergeRuns {
+    /// The left fold `((first ∪ rest₀) ∪ rest₁) ∪ …` as a run list, borrowed
+    /// from the buffers until the next fold: the first merge reads both
+    /// operands in place, each later one the previous result.
+    pub(crate) fn union_all<'a>(
+        &mut self,
+        first: &[Rect],
+        rest: impl IntoIterator<Item = &'a [Rect]>,
+    ) -> &[Rect] {
+        let mut rest = rest.into_iter();
+        let mut n = merge_runs(first, rest.next().unwrap_or_default(), &mut self.acc);
+        for runs in rest {
+            n = merge_runs(&self.acc[..n], runs, &mut self.next);
+            std::mem::swap(&mut self.acc, &mut self.next);
         }
+        &self.acc[..n]
     }
+}
+
+/// Write the runs of `ours ∪ theirs` to the front of `out`, grown to room
+/// for both operands, and return how many there are.
+fn merge_runs(ours: &[Rect], theirs: &[Rect], out: &mut Vec<Rect>) -> usize {
+    debug_assert!(
+        sorted_coalesced(ours) && sorted_coalesced(theirs),
+        "runs unsorted or not coalesced"
+    );
+    let room = ours.len() + theirs.len();
+    if out.len() < room {
+        out.resize(room, Rect::EMPTY);
+    }
+    let out = &mut out[..room];
+    let (Some(a), Some(b)) = (ours.first(), theirs.first()) else {
+        let runs = if ours.is_empty() { theirs } else { ours };
+        out[..runs.len()].copy_from_slice(runs);
+        return runs.len();
+    };
+    let a_first = a.lo.x <= b.lo.x;
+    let mut cur = if a_first { *a } else { *b };
+    let (mut i, mut j, mut n) = (a_first as usize, !a_first as usize, 0);
+    let mut step = |r: Rect| {
+        let joins = r.lo.x <= cur.hi.x.saturating_add(1);
+        out[n] = cur;
+        n += !joins as usize;
+        cur.lo.x = if joins { cur.lo.x } else { r.lo.x };
+        cur.hi.x = if joins { cur.hi.x.max(r.hi.x) } else { r.hi.x };
+    };
+    while i < ours.len() && j < theirs.len() {
+        let (a, b) = (ours[i], theirs[j]);
+        let a_first = a.lo.x <= b.lo.x;
+        step(if a_first { a } else { b });
+        i += a_first as usize;
+        j += !a_first as usize;
+    }
+    // One operand is used up; the other's rest may still join the current
+    // run.
+    for r in ours[i..].iter().chain(&theirs[j..]) {
+        step(*r);
+    }
+    out[n] = cur;
+    n + 1
 }
 
 /// The band split kernel and its two output buffers: `(ours ∩ theirs, ours
@@ -763,6 +842,25 @@ mod tests {
             |s: &[(i64, i64)]| IndexSpace::from_rects(s.iter().map(|&(lo, hi)| Rect::span(lo, hi)));
         assert_eq!(inside, runs(&[(m, m + 1), (m + 3, m + 4), (m + 8, m + 8)]));
         assert_eq!(outside, runs(&[(m + 2, m + 2), (m + 9, m + 9)]));
+    }
+
+    /// A run may end at `i64::MAX`: the merge's adjacency test saturates
+    /// instead of wrapping, so the runs after it are absorbed, not kept
+    /// beside it. Both union paths run the one kernel.
+    #[test]
+    fn band_union_at_the_highest_coordinate() {
+        let m = i64::MAX;
+        let whole = sp(0, m);
+        let runs = IndexSpace::from_rects([Rect::span(10, 12), Rect::span(20, 22)]);
+        assert_eq!(whole.union(&runs), whole);
+        assert_eq!(runs.union(&whole), whole);
+        let tail = IndexSpace::from_rects([Rect::span(m - 9, m - 5), Rect::span(m - 2, m)]);
+        let near = IndexSpace::from_rects([Rect::span(m - 4, m - 3), Rect::span(m, m)]);
+        assert_eq!(tail.union(&near), sp(m - 9, m));
+        let mut alg = crate::SpaceAlgebra::default();
+        let ids = [&whole, &runs, &near].map(|s| alg.intern(s));
+        let folded = alg.union_all(&ids);
+        assert_eq!(alg.space(folded), &whole);
     }
 
     #[test]

@@ -29,8 +29,10 @@
 //! interned slices: no operand's bbox or band is re-derived, and a result is
 //! interned by freezing one copy of the kernel's output, its bbox and shape
 //! read off its ends (`intern_runs`). A `split` miss runs the branch-free
-//! split kernel (`SplitRuns`) in buffers the algebra keeps. The content
-//! hash runs four independent lanes, one per coordinate.
+//! split kernel (`SplitRuns`) and a `union_all` miss the branch-free merge
+//! kernel (`MergeRuns`), each in buffers the algebra keeps. An `overlaps`
+//! with a one-run operand is a binary search. The content hash runs four
+//! independent lanes, one per coordinate.
 //! [`SpaceAlgebra::overlaps_unmemoized`] asks the same question as
 //! `overlaps` through `&self`, recording nothing: the region forest's
 //! anchor check, whose answers its caller memoizes.
@@ -59,7 +61,9 @@
 //! the two modes must (and do) agree byte for byte.
 
 use crate::hash::{fx_add, FxHashMap};
-use crate::index_space::{linear_band, runs_overlap, union_runs, Band, IndexSpace, SplitRuns};
+use crate::index_space::{
+    linear_band, runs_overlap, sorted_coalesced, Band, IndexSpace, MergeRuns, SplitRuns,
+};
 use crate::rect::Rect;
 use std::collections::hash_map::Entry;
 
@@ -255,10 +259,7 @@ impl SpaceInterner {
             runs.is_empty() || linear_band(runs).is_some(),
             "not one band"
         );
-        debug_assert!(
-            runs.windows(2).all(|w| w[0].hi.x + 1 < w[1].lo.x),
-            "runs unsorted or not coalesced"
-        );
+        debug_assert!(sorted_coalesced(runs), "runs unsorted or not coalesced");
         // No runs hash to the empty space's slot, so a new space has some.
         let shape = if runs.len() == 1 {
             Shape::Single
@@ -397,8 +398,10 @@ pub struct SpaceAlgebra {
     splits: FxHashMap<(SpaceId, SpaceId), (SpaceId, SpaceId)>,
     /// [`SpaceAlgebra::union_all`] results, keyed on the whole operand list.
     folds: FxHashMap<Box<[SpaceId]>, SpaceId>,
-    /// The band split kernel's buffers, reused by every `split` miss.
+    /// The band kernels' buffers: the split's, reused by every `split`
+    /// miss, and the merge's, by every `union_all` miss on a band.
     split_runs: SplitRuns,
+    merge_runs: MergeRuns,
     enabled: bool,
     hits: u64,
     misses: u64,
@@ -420,6 +423,7 @@ impl SpaceAlgebra {
             splits: FxHashMap::default(),
             folds: FxHashMap::default(),
             split_runs: SplitRuns::default(),
+            merge_runs: MergeRuns::default(),
             enabled: config.enabled,
             hits: 0,
             misses: 0,
@@ -658,8 +662,9 @@ impl SpaceAlgebra {
     /// miss sweeps the fold directly and interns only its result (first
     /// touch pays no per-step intern of intermediates nobody names), a
     /// repeat is one lookup. When every operand after a non-empty first one
-    /// is empty or shares its band, the miss merges runs through two reused
-    /// buffers and freezes only the result.
+    /// is empty or shares its band, the miss runs the band merge kernel
+    /// (`MergeRuns`) from the interned slices through the two buffers the
+    /// algebra keeps, and freezes only the result.
     pub fn union_all(&mut self, ids: &[SpaceId]) -> SpaceId {
         let [first, rest @ ..] = ids else {
             return SpaceId::EMPTY;
@@ -681,13 +686,11 @@ impl SpaceAlgebra {
                 .all(|id| i.is_empty_space(*id) || i.band(*id) == Some(*band))
         };
         let r = match i.band(*first).filter(in_band) {
-            Some(band) => {
-                let (mut acc, mut next) = (i.get(*first).rects().to_vec(), Vec::new());
-                for id in rest.iter().filter(|id| !i.is_empty_space(**id)) {
-                    union_runs(&acc, i.get(*id).rects(), band, &mut next);
-                    std::mem::swap(&mut acc, &mut next);
-                }
-                i.intern_runs(&acc)
+            Some(_) => {
+                let rest = rest.iter().filter(|id| !i.is_empty_space(**id));
+                let rest = rest.map(|id| i.get(*id).rects());
+                let runs = self.merge_runs.union_all(i.get(*first).rects(), rest);
+                i.intern_runs(runs)
             }
             None => {
                 let acc = self.chained_union(*first, rest);

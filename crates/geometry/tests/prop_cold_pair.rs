@@ -13,7 +13,10 @@
 //! (`SplitRuns`, whose buffers `SpaceAlgebra` reuses across misses), so band
 //! pairs are also held to point membership. A plan fold that reads a whole
 //! band target (`union_all_covering`) is held to the target and to both
-//! folds.
+//! folds. Both unions of a band, `IndexSpace::union` and a `union_all`
+//! miss, run one branch-free merge kernel (`MergeRuns`), and an `overlaps`
+//! with a one-run operand is a binary search: both are held to point
+//! membership / a linear scan, with runs at `i64::MIN` and `i64::MAX`.
 
 use proptest::prelude::*;
 use viz_geometry::{IndexSpace, InternConfig, Rect, SpaceAlgebra, SpaceId};
@@ -153,6 +156,62 @@ fn tiles_of(whole: &IndexSpace, cuts: &[IndexSpace], seed: u64) -> Vec<IndexSpac
     // Tiles are disjoint, so their first points are distinct keys.
     tiles.sort_by_key(|t| (seed ^ t.rects()[0].lo.x as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     tiles
+}
+
+/// One band's runs from raw `(region, offset, len)` draws: a run near
+/// `i64::MIN`, near 0 or ending near `i64::MAX` (at it for offset 0). The
+/// draws overlap, nest and abut each other at random, and are coalesced
+/// into the band's normal form.
+fn extreme_band(draws: &[(u8, i64, i64)]) -> IndexSpace {
+    let mut raw: Vec<(i64, i64)> = draws
+        .iter()
+        .map(|&(region, offset, len)| match region {
+            0 => (i64::MIN + offset, i64::MIN + offset + len),
+            1 => (offset - 100, offset - 100 + len),
+            _ => (i64::MAX - offset - len, i64::MAX - offset),
+        })
+        .collect();
+    raw.sort_unstable();
+    let mut runs: Vec<(i64, i64)> = Vec::new();
+    for (lo, hi) in raw {
+        match runs.last_mut() {
+            Some(last) if lo as i128 <= last.1 as i128 + 1 => last.1 = last.1.max(hi),
+            _ => runs.push((lo, hi)),
+        }
+    }
+    band_of(runs)
+}
+
+/// One raw draw for [`extreme_band`]: a run of up to 24 points in a
+/// 60-point window, at the window's extreme end one time in four.
+fn extreme_draw() -> impl Strategy<Value = (u8, i64, i64)> {
+    let offset = prop_oneof![1 => Just(0i64), 3 => 0i64..60];
+    (0u8..3, offset, 0i64..24)
+}
+
+/// Up to eight raw draws: runs of different operands often meet.
+fn extreme_draws() -> impl Strategy<Value = Vec<(u8, i64, i64)>> {
+    prop::collection::vec(extreme_draw(), 0..9)
+}
+
+/// Every point where membership in one of `spaces` can change: each run's
+/// ends and the points just outside them.
+fn probes<'a>(spaces: impl IntoIterator<Item = &'a IndexSpace>) -> Vec<i64> {
+    let ends = spaces.into_iter().flat_map(|s| s.rects()).flat_map(|r| {
+        let (lo, hi) = (r.lo.x, r.hi.x);
+        [lo.saturating_sub(1), lo, hi, hi.saturating_add(1)]
+    });
+    ends.collect()
+}
+
+/// Sorted by `x` with a gap between every two runs (checked in `i128`).
+fn is_normal(space: &IndexSpace) -> bool {
+    let runs = space.rects();
+    runs.windows(2)
+        .all(|w| (w[0].hi.x as i128) + 1 < w[1].lo.x as i128)
+        && runs
+            .iter()
+            .all(|r| r.lo.x <= r.hi.x && (r.lo.y, r.hi.y) == (0, 0))
 }
 
 fn chained(spaces: &[IndexSpace]) -> IndexSpace {
@@ -353,6 +412,59 @@ proptest! {
             }
             prop_assert_eq!(alg.stats(), before);
             prop_assert_eq!(alg.overlaps(ia, ib), a.overlaps(&b));
+        }
+    }
+
+    /// A union on a band holds exactly the points of its operands, in
+    /// normal form, whatever they share — overlapping, nested and adjacent
+    /// runs, runs at `i64::MIN` and `i64::MAX`: `IndexSpace::union` of two
+    /// operands in both orders, and `union_all` of two to five, which is
+    /// also the chained `IndexSpace::union`. Membership is compared at every
+    /// point where it can change.
+    #[test]
+    fn band_merge_matches_point_membership(
+        draws in prop::collection::vec(extreme_draws(), 2..6),
+    ) {
+        let spaces: Vec<IndexSpace> = draws.iter().map(|d| extreme_band(d)).collect();
+        let in_any = |x: i64, ops: &[IndexSpace]| {
+            ops.iter().any(|s| s.contains_point(viz_geometry::Point::p1(x)))
+        };
+        let check = |union: &IndexSpace, ops: &[IndexSpace]| {
+            prop_assert!(is_normal(union), "{:?}", union);
+            for x in probes(ops.iter().chain([union])) {
+                let p = viz_geometry::Point::p1(x);
+                prop_assert_eq!(union.contains_point(p), in_any(x, ops), "at {}", x);
+            }
+        };
+        let (a, b) = (&spaces[0], &spaces[1]);
+        check(&a.union(b), &spaces[..2]);
+        check(&b.union(a), &spaces[..2]);
+        let mut alg = SpaceAlgebra::default();
+        let ids: Vec<_> = spaces.iter().map(|s| alg.intern(s)).collect();
+        let folded = alg.union_all(&ids);
+        let folded = alg.space(folded).clone();
+        check(&folded, &spaces);
+        prop_assert_eq!(&folded, &chained(&spaces));
+    }
+
+    /// An `overlaps` with a one-run operand — the anchor check's piece
+    /// against a band, a still-whole piece against a target — answers what
+    /// a linear scan of the other operand's runs does, in both argument
+    /// orders, through `IndexSpace::overlaps` and both algebra forms.
+    #[test]
+    fn one_run_overlap_matches_the_walk(
+        draws in extreme_draws(),
+        run in extreme_draw(),
+    ) {
+        let (band, one) = (extreme_band(&draws), extreme_band(&[run]));
+        let r = one.rects()[0];
+        let expect = band.rects().iter().any(|b| b.lo.x <= r.hi.x && r.lo.x <= b.hi.x);
+        let mut alg = SpaceAlgebra::default();
+        let (ib, io) = (alg.intern(&band), alg.intern(&one));
+        for (x, y, ix, iy) in [(&band, &one, ib, io), (&one, &band, io, ib)] {
+            prop_assert_eq!(x.overlaps(y), expect);
+            prop_assert_eq!(alg.overlaps_unmemoized(ix, iy), expect);
+            prop_assert_eq!(alg.overlaps(ix, iy), expect);
         }
     }
 }

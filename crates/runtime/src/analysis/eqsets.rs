@@ -354,12 +354,13 @@ enum SetIndex {
     Anchored {
         partition: PartitionId,
         buckets: Vec<Vec<u64>>,
-        /// The anchors each set domain placed so far went under: the
+        /// The anchors each set domain placed through it went under: the
         /// children whose bounding box meets the domain's, from the
         /// partition's tree in the forest. The answer is a function of the
         /// domain's bbox and the anchors alone, and the steady state
         /// re-creates the same domains every iteration, so placing a set is
-        /// one probe. An anchor shift starts it afresh.
+        /// one probe. Split halves skip it: they filter their parent's list
+        /// (`index_insert`). An anchor shift starts it afresh.
         placement: FxHashMap<SpaceId, Arc<[u32]>>,
     },
     /// Fallback when no such partition exists (§7.1): an incrementally
@@ -513,8 +514,6 @@ impl FieldState {
         if self.next_born >= BORN_RENUMBER_AT {
             self.renumber(alg);
         }
-        #[cfg(debug_assertions)]
-        self.check_slab();
     }
 
     /// Restart the birth stamps at `0..live`, keeping their order, and
@@ -542,8 +541,12 @@ impl FieldState {
     }
 
     /// The slab's invariants, checked after every launch in debug builds.
+    /// On the anchored arm every live set is placed exactly: its anchors are
+    /// its domain's box answer from the forest (an initial set, whose domain
+    /// is its one anchor's child, may hold just that anchor), and its key
+    /// sits in exactly those buckets.
     #[cfg(any(test, debug_assertions))]
-    fn check_slab(&self) {
+    fn check_slab(&self, forest: &RegionForest, alg: &SpaceAlgebra) {
         let slots = self.sets.len();
         let keys: Vec<u64> = match &self.index {
             SetIndex::Tree { .. } => {
@@ -573,6 +576,30 @@ impl FieldState {
             let set = &self.sets[k as u32 as usize];
             assert!(set.live, "index names dead slot {}", k as u32);
             assert_eq!(key(set.born, k as u32), k, "index entry with a stale stamp");
+        }
+        if let SetIndex::Anchored {
+            partition, buckets, ..
+        } = &self.index
+        {
+            let kids = forest.children(*partition);
+            let mut held: Vec<(u32, u32)> = Vec::new();
+            for (a, bucket) in buckets.iter().enumerate() {
+                held.extend(bucket.iter().map(|k| (*k as u32, a as u32)));
+            }
+            let mut placed = Vec::new();
+            for (slot, s) in self.sets.iter().enumerate().filter(|(_, s)| s.live) {
+                let anchors = s.anchors.as_deref().expect("a live anchored set is placed");
+                let domain = s.eq.domain;
+                let boxes = forest.overlapping_child_bboxes(*partition, &alg.bbox(domain));
+                assert!(
+                    anchors == boxes || holds_own_anchor(forest, kids, anchors, domain),
+                    "set {slot} is under {anchors:?}, its box meets {boxes:?}"
+                );
+                placed.extend(anchors.iter().map(|a| (slot as u32, *a)));
+            }
+            held.sort_unstable();
+            placed.sort_unstable();
+            assert_eq!(held, placed, "the buckets do not hold the sets' anchors");
         }
         assert_eq!(self.live + self.free.len(), slots, "a slot leaked");
         let mut free = vec![false; slots];
@@ -780,7 +807,7 @@ impl EqSetEngine {
             state.sets[id as usize].anchors = None;
             if state.sets[id as usize].live {
                 moved += 1;
-                state.index_insert(&[id], alg, forest);
+                state.index_insert(&[id], None, alg, forest);
             }
         }
         log.op(origin, Op::GeomOp { rects: moved });
@@ -927,6 +954,8 @@ impl CoherenceEngine for EqSetEngine {
         state.commit(sc, &cx, &mut outcomes);
         state.scratch = scratch;
         state.recycle(&geom.alg);
+        #[cfg(debug_assertions)]
+        state.check_slab(ctx.forest, &geom.alg);
         report_algebra(&mut geom);
         state.report_maintenance();
         outcomes
@@ -1147,7 +1176,7 @@ impl FieldState {
         sc.killed.push(c);
         let halves = halves.map(|half| self.new_set(half));
         self.sets[c as usize].replaced_by = Some(halves);
-        self.index_insert(&halves, alg, cx.forest);
+        self.index_insert(&halves, Some(c), alg, cx.forest);
         sc.relevant.push(halves[0]);
     }
 
@@ -1210,7 +1239,7 @@ impl FieldState {
         viz_profile::instant(viz_profile::EventKind::EqSetCreated {
             count: fresh.len() as u64,
         });
-        self.index_insert(fresh, alg, cx.forest);
+        self.index_insert(fresh, None, alg, cx.forest);
         self.index_remove_dead(&sc.relevant);
     }
 
@@ -1259,12 +1288,26 @@ impl FieldState {
 
     /// Register new sets in the index: for the anchored index, each set is
     /// placed in every anchor bucket its bounding box overlaps (queries
-    /// filter exactly and deduplicate). The overlapping anchors come from
-    /// the placement memo, which asks the forest the first time a domain is
-    /// placed — O(log anchors + hits) on the partition's tree — and the
-    /// list is shared with the set so its eventual removal touches only
-    /// those buckets. The tree needs nothing: `replaced_by` links them.
-    fn index_insert(&mut self, new_ids: &[u32], alg: &SpaceAlgebra, forest: &RegionForest) {
+    /// filter exactly and deduplicate), and the list is shared with the set
+    /// so its eventual removal touches only those buckets. The tree needs
+    /// nothing: `replaced_by` links them.
+    ///
+    /// The halves of a split `parent` inherit its placement: a half's box
+    /// lies inside the parent's, so the children whose box meets it are the
+    /// parent's box anchors whose box meets it — the parent's list,
+    /// filtered, and the parent's `Arc` itself when nothing drops out. An
+    /// initial set is the exception: it holds just its own anchor, narrower
+    /// than its box answer when children's boxes overlap, so its box answer
+    /// comes from the placement memo. Any other set — a dominating write's,
+    /// or every set an anchor shift re-buckets — is placed through that
+    /// memo, which asks the forest the first time a domain is placed.
+    fn index_insert(
+        &mut self,
+        new_ids: &[u32],
+        parent: Option<u32>,
+        alg: &SpaceAlgebra,
+        forest: &RegionForest,
+    ) {
         let sets = &mut self.sets;
         match &mut self.index {
             SetIndex::Anchored {
@@ -1272,20 +1315,48 @@ impl FieldState {
                 buckets,
                 placement,
             } => {
+                let kids = forest.children(*partition);
+                let place = |domain: SpaceId| {
+                    forest.overlapping_child_bboxes(*partition, &alg.bbox(domain))
+                };
+                let mut placed = |domain: SpaceId| -> Arc<[u32]> {
+                    let anchors = placement.entry(domain);
+                    anchors.or_insert_with(|| place(domain).into()).clone()
+                };
+                let outer = parent.map(|p| {
+                    let p = &sets[p as usize];
+                    let anchors = p.anchors.clone().expect("a live anchored set is placed");
+                    if holds_own_anchor(forest, kids, &anchors, p.eq.domain) {
+                        placed(p.eq.domain)
+                    } else {
+                        anchors
+                    }
+                });
                 for id in new_ids {
                     let set = &mut sets[*id as usize];
                     let domain = set.eq.domain;
-                    let place = || forest.overlapping_child_bboxes(*partition, &alg.bbox(domain));
-                    let anchors = placement.entry(domain).or_insert_with(|| place().into());
+                    let anchors = match &outer {
+                        Some(outer) => {
+                            let bbox = alg.bbox(domain);
+                            let meets =
+                                |a: &u32| alg.bbox(forest.space(kids[*a as usize])).overlaps(&bbox);
+                            if outer.iter().all(meets) {
+                                outer.clone()
+                            } else {
+                                outer.iter().copied().filter(meets).collect()
+                            }
+                        }
+                        None => placed(domain),
+                    };
                     debug_assert_eq!(
                         anchors[..],
-                        place()[..],
-                        "memoized placement diverged from the forest's"
+                        place(domain)[..],
+                        "a set's placement diverged from the forest's"
                     );
                     for a in anchors.iter() {
                         buckets[*a as usize].push(key(set.born, *id));
                     }
-                    set.anchors = Some(anchors.clone());
+                    set.anchors = Some(anchors);
                 }
             }
             SetIndex::Kd { tree } => {
@@ -1328,6 +1399,18 @@ impl FieldState {
             SetIndex::Tree { .. } => {}
         }
     }
+}
+
+/// Is `anchors` just the anchor whose child space `domain` is? An initial
+/// set's list is that, not its box answer: narrower when children's boxes
+/// overlap.
+fn holds_own_anchor(
+    forest: &RegionForest,
+    kids: &[RegionId],
+    anchors: &[u32],
+    domain: SpaceId,
+) -> bool {
+    matches!(anchors, [a] if forest.space(kids[*a as usize]) == domain)
 }
 
 /// Profile `count` refinement splits of one requirement.
@@ -1453,7 +1536,10 @@ mod tests {
                 shards: &self.shards,
             };
             let result = self.eng.analyze(launch, &mut ctx);
-            self.shard().check_slab();
+            let key = (self.forest.root_of(launch.reqs[0].region), self.field);
+            let (shard, geometry) = self.eng.shards.lock(key);
+            shard.check_slab(&self.forest, &geometry.alg);
+            drop((shard, geometry));
             result
         }
 
@@ -1905,6 +1991,69 @@ mod tests {
         // write, through a freshly recomputed anchor list.
         let r = fx.launch(fx.forest.subregion(p, 2), Privilege::Read);
         assert_eq!(r.deps, vec![TaskId(2)]);
+    }
+
+    /// The sorted anchors of the live set whose domain is `space`.
+    fn anchors_of(fx: &Fixture, root: RegionId, space: &IndexSpace) -> Vec<u32> {
+        let (shard, geometry) = fx.eng.shards.lock((root, fx.field));
+        let mut live = shard.sets.iter().filter(|s| s.live);
+        let set = live
+            .find(|s| geometry.alg.space(s.eq.domain) == space)
+            .unwrap_or_else(|| panic!("no live set is {space:?}"));
+        let mut anchors = set
+            .anchors
+            .as_deref()
+            .expect("a live set is placed")
+            .to_vec();
+        anchors.sort_unstable();
+        anchors
+    }
+
+    /// Interleaved children tile the root with overlapping boxes: P0 =
+    /// {0..4, 10..14, 20..24}, P1 = {5..9, 15..19, 25..29}. An initial set
+    /// holds only its own anchor, so its halves are placed from its box
+    /// answer, [0, 1], not from that list; a later half inherits its
+    /// parent's list, filtered by box. Every placement is the forest's box
+    /// query (`Fixture::analyze` checks each live set after every launch).
+    #[test]
+    fn interleaved_anchors_place_halves_by_box() {
+        let runs =
+            |lo: i64| IndexSpace::from_rects([0, 10, 20].map(|x| Rect::span(lo + x, lo + x + 4)));
+        let (mut fx, n) = fixture_with(EqSetEngine::raycast(), |f, n| {
+            f.create_partition(n, "P", vec![runs(0), runs(5)]);
+            let reads = [(2, 3), (0, 1), (12, 17)].map(|(lo, hi)| IndexSpace::span(lo, hi));
+            f.create_partition(n, "R", reads.to_vec());
+        });
+        let read = fx.forest.partitions_of(n)[1];
+        let sum = Privilege::Reduce(RedOpRegistry::SUM);
+        let space = |runs: &[(i64, i64)]| {
+            IndexSpace::from_rects(runs.iter().map(|&(lo, hi)| Rect::span(lo, hi)))
+        };
+        // Splits initial P0: the outside half's box meets both children.
+        fx.launch(fx.forest.subregion(read, 0), sum);
+        assert_eq!(anchors_of(&fx, n, &space(&[(2, 3)])), [0]);
+        let rest = space(&[(0, 1), (4, 4), (10, 14), (20, 24)]);
+        assert_eq!(anchors_of(&fx, n, &rest), [0, 1]);
+        assert_eq!(anchors_of(&fx, n, &runs(5)), [1], "initial P1 is as built");
+        // Splits that half: the inside one drops anchor 1.
+        fx.launch(fx.forest.subregion(read, 1), sum);
+        assert_eq!(anchors_of(&fx, n, &space(&[(0, 1)])), [0]);
+        let rest = space(&[(4, 4), (10, 14), (20, 24)]);
+        assert_eq!(anchors_of(&fx, n, &rest), [0, 1]);
+        // Splits a non-initial half and initial P1.
+        fx.launch(fx.forest.subregion(read, 2), sum);
+        for half in [
+            space(&[(12, 14)]),
+            space(&[(4, 4), (10, 11), (20, 24)]),
+            space(&[(15, 17)]),
+            space(&[(5, 9), (18, 19), (25, 29)]),
+        ] {
+            assert_eq!(anchors_of(&fx, n, &half), [0, 1], "{half:?}");
+        }
+        let mut deps = fx.launch(n, Privilege::Read).deps;
+        deps.sort_unstable();
+        deps.dedup();
+        assert_eq!(deps, [TaskId(0), TaskId(1), TaskId(2)]);
     }
 
     proptest! {
