@@ -14,6 +14,7 @@
 //! the same filters. A consumer that needs O(1) positives builds its own
 //! closure beside the query (as `viz-oracle`'s `depa::Precedence` does).
 
+use crate::runs::{Loc, Runs};
 use crate::task::TaskId;
 
 /// Harness-pinned (`crates/e2e` samples half its `must_follow` pairs within
@@ -21,15 +22,23 @@ use crate::task::TaskId;
 /// `benchmark` PR.
 pub const DEFAULT_TAG_WINDOW: u32 = 4096;
 
-/// Dependence DAG over recorded launches.
+/// Dependence DAG over recorded launches: every predecessor list is one
+/// run in an append-only chunked column, and each task has one row.
 #[derive(Clone, Debug, Default)]
 pub struct TaskDag {
-    /// `preds[t]` = tasks `t` must wait for (sorted, deduplicated).
-    preds: Vec<Vec<TaskId>>,
-    /// Longest-path depth of each task (0 for roots).
-    depth: Vec<u32>,
-    /// Smallest ancestor id of each task (`u32::MAX` for roots).
-    min_anc: Vec<u32>,
+    /// Every task's predecessors (sorted, deduplicated), one run each.
+    edges: Runs<TaskId>,
+    rows: Vec<Row>,
+}
+
+#[derive(Copy, Clone, Debug)]
+struct Row {
+    /// Where the task's predecessors sit in `edges`.
+    preds: Loc,
+    /// Longest-path depth (0 for roots).
+    depth: u32,
+    /// Smallest ancestor id (`u32::MAX` for roots).
+    min_anc: u32,
 }
 
 impl TaskDag {
@@ -38,42 +47,53 @@ impl TaskDag {
     }
 
     /// Append the next task (ids must be added in program order) with its
-    /// dependences. O(deps); `deps` is stored as is, so a push allocates
-    /// nothing beyond the amortised growth of the three columns.
+    /// dependences. O(deps).
     pub fn push(&mut self, deps: Vec<TaskId>) -> TaskId {
-        let id = TaskId(self.preds.len() as u32);
+        self.push_slice(&deps)
+    }
+
+    /// [`TaskDag::push`] from a borrowed list: the edges are copied into the
+    /// DAG's own column, so a push allocates nothing beyond that column's
+    /// growth.
+    pub fn push_slice(&mut self, deps: &[TaskId]) -> TaskId {
+        let id = TaskId(self.rows.len() as u32);
         debug_assert!(deps.iter().all(|d| *d < id), "dependence on the future");
         let mut depth = 0u32;
         let mut min_anc = u32::MAX;
-        for d in &deps {
-            depth = depth.max(self.depth[d.index()] + 1);
-            min_anc = min_anc.min(self.min_anc[d.index()]).min(d.0);
+        for d in deps {
+            let row = &self.rows[d.index()];
+            depth = depth.max(row.depth + 1);
+            min_anc = min_anc.min(row.min_anc).min(d.0);
         }
-        self.preds.push(deps);
-        self.depth.push(depth);
-        self.min_anc.push(min_anc);
+        let preds = self.edges.push(deps.len(), deps.iter().copied());
+        self.rows.push(Row {
+            preds,
+            depth,
+            min_anc,
+        });
         id
     }
 
     pub fn len(&self) -> usize {
-        self.preds.len()
+        self.rows.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.preds.is_empty()
+        self.rows.is_empty()
     }
 
     pub fn preds(&self, t: TaskId) -> &[TaskId] {
-        &self.preds[t.index()]
+        self.edges.get(self.rows[t.index()].preds)
     }
 
     /// Exact negative filters: `anc` can be a proper ancestor of `d` only if
     /// it is earlier, strictly shallower, and not below `d`'s smallest
     /// ancestor.
     fn may_follow(&self, d: TaskId, anc: TaskId) -> bool {
-        d > anc
-            && self.depth[d.index()] > self.depth[anc.index()]
-            && self.min_anc[d.index()] <= anc.0
+        d > anc && {
+            let (row, anc_row) = (&self.rows[d.index()], &self.rows[anc.index()]);
+            row.depth > anc_row.depth && row.min_anc <= anc.0
+        }
     }
 
     /// Is `anc` reachable from `t` through dependence edges (i.e. must `t`
@@ -122,7 +142,7 @@ impl TaskDag {
         }
         // Depth-first over predecessors; ids decrease along edges so we can
         // prune anything below `anc`.
-        let mut seen = vec![false; self.preds.len()];
+        let mut seen = vec![false; self.rows.len()];
         let mut stack = vec![t];
         while let Some(cur) = stack.pop() {
             for d in self.preds(cur) {
@@ -153,30 +173,26 @@ impl TaskDag {
 
     /// Total number of edges.
     pub fn edge_count(&self) -> usize {
-        self.preds.iter().map(Vec::len).sum()
+        self.rows.iter().map(|r| r.preds.len as usize).sum()
     }
 
     /// The length of the longest dependence chain (critical path in tasks).
     pub fn critical_path_len(&self) -> usize {
-        self.depth.iter().max().map_or(0, |d| *d as usize + 1)
+        self.depths().max().map_or(0, |d| d as usize + 1)
     }
 
     /// Partition tasks into "waves" that could run concurrently: a task's
     /// wave is one past the max wave of its predecessors (its tag depth).
     pub fn waves(&self) -> Vec<Vec<TaskId>> {
-        let max_wave = self.depth.iter().max().copied().unwrap_or(0) as usize;
-        let mut waves = vec![
-            Vec::new();
-            if self.depth.is_empty() {
-                0
-            } else {
-                max_wave + 1
-            }
-        ];
-        for (i, w) in self.depth.iter().enumerate() {
-            waves[*w as usize].push(TaskId(i as u32));
+        let mut waves = vec![Vec::new(); self.critical_path_len()];
+        for (i, w) in self.depths().enumerate() {
+            waves[w as usize].push(TaskId(i as u32));
         }
         waves
+    }
+
+    fn depths(&self) -> impl Iterator<Item = u32> + '_ {
+        self.rows.iter().map(|r| r.depth)
     }
 }
 

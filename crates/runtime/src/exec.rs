@@ -4,7 +4,8 @@
 
 use crate::dag::TaskDag;
 use crate::instance::PhysicalRegion;
-use crate::plan::{Source, StoredResult};
+use crate::ledger::Results;
+use crate::plan::Source;
 use crate::task::{TaskBody, TaskId, TaskLaunch};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
@@ -64,7 +65,7 @@ pub(crate) fn execute_values(
     redops: &RedOpRegistry,
     launches: &[TaskLaunch],
     bodies: &[Option<TaskBody>],
-    results: &[StoredResult],
+    results: &Results,
     dag: &TaskDag,
     initial: &FxHashMap<(RegionId, FieldId), InitFn>,
 ) -> ValueStore {
@@ -113,11 +114,10 @@ pub(crate) fn execute_values(
         // Replayed launches share the trace template's result; task
         // references are in template coordinates and get shifted here,
         // at the read, instead of deep-cloning the plans per instance.
-        let shift = results[t].shift();
-        let result = results[t].raw();
+        let shift = results.shift(t);
         let mut instances = Vec::with_capacity(launch.reqs.len());
         for (ri, req) in launch.reqs.iter().enumerate() {
-            let plan = &result.plans[ri];
+            let plan = results.plan(t, ri);
             let domain = forest.domain(req.region).clone();
             let init_val = plan
                 .fill_identity
@@ -127,7 +127,7 @@ pub(crate) fn execute_values(
             if let Privilege::Reduce(op) = req.privilege {
                 inst = inst.with_fold(op, redops.get(op).fold);
             }
-            for copy in &plan.copies {
+            for copy in plan.copies {
                 match &copy.source {
                     Source::Initial => {
                         let key = (forest.root_of(req.region), req.field);
@@ -143,7 +143,7 @@ pub(crate) fn execute_values(
                 }
             }
             // `plan.normalize()` sorted reductions into program order.
-            for red in &plan.reductions {
+            for red in plan.reductions {
                 let src = &outputs[shift.apply(red.task).index()]
                     .get()
                     .expect("reduction source not yet executed — dependence missing")
@@ -246,7 +246,7 @@ impl TimedSchedule {
     pub(crate) fn run(
         forest: &RegionForest,
         launches: &[TaskLaunch],
-        results: &[StoredResult],
+        results: &Results,
         dag: &TaskDag,
         analysis_done: &[SimTime],
         machine: &mut Machine,
@@ -272,9 +272,10 @@ impl TimedSchedule {
             // whose own completion gates the task.
             // Replayed launches keep task references in template
             // coordinates; shift them onto this instance at the read.
-            let shift = results[t].shift();
-            for plan in &results[t].raw().plans {
-                for copy in &plan.copies {
+            let shift = results.shift(t);
+            for k in 0..results.plan_count(t) {
+                let plan = results.plan(t, k);
+                for copy in plan.copies {
                     if let Source::Task(s, _) = &copy.source {
                         let s = shift.apply(*s);
                         let src_node = launches[s.index()].node;
@@ -286,7 +287,7 @@ impl TimedSchedule {
                         }
                     }
                 }
-                for red in &plan.reductions {
+                for red in plan.reductions {
                     let src = shift.apply(red.task);
                     let src_node = launches[src.index()].node;
                     if src_node != launch.node {

@@ -8,8 +8,13 @@
 //! keeps addressing tasks by id, while steady-state memory is bounded by
 //! the unretired window instead of growing with program length.
 
-use crate::plan::StoredResult;
+use crate::plan::{
+    AnalysisResult, CopyRange, MaterializePlan, ReduceRange, StoredResult, TaskShift,
+};
+use crate::runs::{to_u32, Loc, Runs};
 use crate::task::{TaskBody, TaskId, TaskLaunch};
+use std::sync::Arc;
+use viz_region::ReductionOpId;
 use viz_sim::SimTime;
 
 pub(crate) struct Ledger {
@@ -17,7 +22,7 @@ pub(crate) struct Ledger {
     base: u32,
     launches: Vec<TaskLaunch>,
     bodies: Vec<Option<TaskBody>>,
-    results: Vec<StoredResult>,
+    results: Results,
     /// Simulated time at which each launch's analysis completed on its
     /// origin node — execution cannot start earlier.
     analysis_done: Vec<SimTime>,
@@ -29,7 +34,7 @@ impl Ledger {
             base: 0,
             launches: Vec::new(),
             bodies: Vec::new(),
-            results: Vec::new(),
+            results: Results::default(),
             analysis_done: Vec::new(),
         }
     }
@@ -58,6 +63,8 @@ impl Ledger {
         self.launches.len()
     }
 
+    /// A retired or uncommitted id is the caller's bug; these panics are
+    /// the accessors' documented contract.
     #[inline]
     fn idx(&self, t: TaskId) -> usize {
         match t.0.checked_sub(self.base) {
@@ -76,10 +83,6 @@ impl Ledger {
         &self.launches[self.idx(t)]
     }
 
-    pub fn result(&self, t: TaskId) -> &StoredResult {
-        &self.results[self.idx(t)]
-    }
-
     pub fn done(&self, t: TaskId) -> SimTime {
         self.analysis_done[self.idx(t)]
     }
@@ -89,36 +92,34 @@ impl Ledger {
         &self.launches
     }
 
-    pub fn results(&self) -> &[StoredResult] {
+    /// The retained launches' stored results; row `i` is task `base + i`.
+    pub fn results(&self) -> &Results {
         &self.results
+    }
+
+    /// See [`Results::shared_result_addr`].
+    pub fn shared_result_addr(&self, t: TaskId) -> Option<usize> {
+        self.results.shared_result_addr(self.idx(t))
     }
 
     /// The full, never-collected history — `None` once anything was
     /// retired. Value execution and the timed schedule replay the whole
     /// program and refuse to run from a partial ledger.
     #[allow(clippy::type_complexity)]
-    pub fn full(
-        &self,
-    ) -> Option<(
-        &[TaskLaunch],
-        &[Option<TaskBody>],
-        &[StoredResult],
-        &[SimTime],
-    )> {
+    pub fn full(&self) -> Option<(&[TaskLaunch], &[Option<TaskBody>], &Results, &[SimTime])> {
         (self.base == 0).then_some((
             self.launches.as_slice(),
             self.bodies.as_slice(),
-            self.results.as_slice(),
+            &self.results,
             self.analysis_done.as_slice(),
         ))
     }
 
     /// One launch's analysis-completion time and stored result. They stay
-    /// two pushes because the commit (`runtime/core.rs`, their only caller)
-    /// grows the DAG row between them, and the order in which the columns
-    /// reallocate is part of the allocation pattern the end-to-end
-    /// harness's `peak_rss_mb` rows are sensitive to. The launch itself
-    /// follows through [`Ledger::push_launch`] (serial path) or
+    /// two pushes, with the DAG row grown between them by the commit
+    /// (`runtime/core.rs`, their only caller), so the commit's heap-call
+    /// order is the one DESIGN.md §7l measured. The launch itself follows
+    /// through [`Ledger::push_launch`] (serial path) or
     /// [`Ledger::append_launches`] (the sharded driver appends a whole
     /// batch once its workers release it), so the column lengths
     /// re-converge at every quiescent point.
@@ -148,7 +149,7 @@ impl Ledger {
     /// Retire every task below `floor`: drop its launch metadata, body,
     /// stored result, and completion time. Monotone; returns how many
     /// entries were dropped. O(retained) per call — the drain shifts only
-    /// the bounded unretired window.
+    /// the bounded unretired window, and the result runs free whole chunks.
     pub fn retire_to(&mut self, floor: u32) -> usize {
         debug_assert_eq!(self.launches.len(), self.results.len());
         let k = (floor.min(self.next_id()).saturating_sub(self.base)) as usize;
@@ -157,17 +158,225 @@ impl Ledger {
         }
         self.launches.drain(..k);
         self.bodies.drain(..k);
-        self.results.drain(..k);
+        self.results.retire(k);
         self.analysis_done.drain(..k);
         self.base += k as u32;
         k
     }
 }
 
+/// Every retained launch's stored analysis, one row per launch. An
+/// analyzed launch's plans, copies and reductions are one run each in
+/// append-only chunked columns ([`Runs`]), so a stored result is no heap
+/// block of its own and its data never moves once written; its
+/// dependences live only in the DAG. A captured or replayed launch keeps
+/// sharing its template's result.
+#[derive(Default)]
+pub(crate) struct Results {
+    rows: Vec<Row>,
+    plans: Runs<PlanRow>,
+    copies: Runs<CopyRange>,
+    reductions: Runs<ReduceRange>,
+}
+
+enum Row {
+    /// An analyzed launch: one run per column.
+    Owned {
+        plans: Loc,
+        copies: Loc,
+        reductions: Loc,
+    },
+    /// A captured or replayed launch: the template's result, with task
+    /// references shifted onto this instance at the read.
+    Shared {
+        result: Arc<AnalysisResult>,
+        shift: TaskShift,
+    },
+}
+
+impl Row {
+    /// The row's plan, copy and reduction runs (empty when shared).
+    fn locs(&self) -> [Loc; 3] {
+        match self {
+            Row::Owned {
+                plans,
+                copies,
+                reductions,
+            } => [*plans, *copies, *reductions],
+            Row::Shared { .. } => [Loc::default(); 3],
+        }
+    }
+}
+
+/// One plan of an analyzed launch. Its copies and reductions end at these
+/// offsets into the launch's runs and start where the previous plan's end.
+struct PlanRow {
+    fill_identity: Option<ReductionOpId>,
+    copies_end: u32,
+    reductions_end: u32,
+}
+
+/// A stored plan as its readers see it. Task references are in the
+/// coordinates [`Results::shift`] maps onto the launch.
+pub(crate) struct PlanView<'a> {
+    pub fill_identity: Option<ReductionOpId>,
+    pub copies: &'a [CopyRange],
+    pub reductions: &'a [ReduceRange],
+}
+
+impl Results {
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Store one launch's result. An owned result's plans move into the
+    /// runs (its vectors are freed here); its dependences are dropped,
+    /// since the commit already gave them to the DAG.
+    fn push(&mut self, r: StoredResult) {
+        let row = match r {
+            StoredResult::Owned(AnalysisResult { plans, .. }) => self.push_plans(plans),
+            StoredResult::Shared { result, shift } => Row::Shared { result, shift },
+        };
+        self.rows.push(row);
+    }
+
+    fn push_plans(&mut self, mut plans: Vec<MaterializePlan>) -> Row {
+        let (mut copies_end, mut reductions_end) = (0, 0);
+        let rows = plans.iter().map(|p| {
+            copies_end += p.copies.len();
+            reductions_end += p.reductions.len();
+            PlanRow {
+                fill_identity: p.fill_identity,
+                copies_end: to_u32(copies_end),
+                reductions_end: to_u32(reductions_end),
+            }
+        });
+        let plans_loc = self.plans.push(plans.len(), rows);
+        let copies = self.copies.push(
+            copies_end,
+            plans.iter_mut().flat_map(|p| p.copies.drain(..)),
+        );
+        let reductions = self.reductions.push(
+            reductions_end,
+            plans.iter_mut().flat_map(|p| p.reductions.drain(..)),
+        );
+        Row::Owned {
+            plans: plans_loc,
+            copies,
+            reductions,
+        }
+    }
+
+    /// The shift that maps row `i`'s task references onto the launch.
+    pub fn shift(&self, i: usize) -> TaskShift {
+        match &self.rows[i] {
+            Row::Owned { .. } => TaskShift::IDENTITY,
+            Row::Shared { shift, .. } => *shift,
+        }
+    }
+
+    /// Row `i`'s number of plans (one per requirement).
+    pub fn plan_count(&self, i: usize) -> usize {
+        match &self.rows[i] {
+            Row::Owned { plans, .. } => plans.len as usize,
+            Row::Shared { result, .. } => result.plans.len(),
+        }
+    }
+
+    /// Plan `k` of row `i`.
+    pub fn plan(&self, i: usize, k: usize) -> PlanView<'_> {
+        match &self.rows[i] {
+            Row::Owned {
+                plans,
+                copies,
+                reductions,
+            } => {
+                let rows = self.plans.get(*plans);
+                let (copies_start, reductions_start) = match k.checked_sub(1) {
+                    Some(j) => (rows[j].copies_end, rows[j].reductions_end),
+                    None => (0, 0),
+                };
+                let row = &rows[k];
+                PlanView {
+                    fill_identity: row.fill_identity,
+                    copies: &self.copies.get(*copies)
+                        [copies_start as usize..row.copies_end as usize],
+                    reductions: &self.reductions.get(*reductions)
+                        [reductions_start as usize..row.reductions_end as usize],
+                }
+            }
+            Row::Shared { result, .. } => {
+                let plan = &result.plans[k];
+                PlanView {
+                    fill_identity: plan.fill_identity,
+                    copies: &plan.copies,
+                    reductions: &plan.reductions,
+                }
+            }
+        }
+    }
+
+    /// Row `i` materialized with its shift applied, `deps` as its
+    /// dependences (the DAG's row for the launch: what
+    /// [`StoredResult::resolve`] gives). Allocates; for introspection.
+    pub fn resolve(&self, i: usize, deps: &[TaskId]) -> AnalysisResult {
+        let mut r = AnalysisResult {
+            deps: Vec::new(),
+            plans: (0..self.plan_count(i))
+                .map(|k| {
+                    let plan = self.plan(i, k);
+                    MaterializePlan {
+                        copies: plan.copies.to_vec(),
+                        reductions: plan.reductions.to_vec(),
+                        fill_identity: plan.fill_identity,
+                    }
+                })
+                .collect(),
+        };
+        let shift = self.shift(i);
+        if !shift.is_identity() {
+            r.map_tasks(|t| shift.apply(t));
+        }
+        r.deps = deps.to_vec();
+        r
+    }
+
+    /// The address of the shared template result behind row `i` (`None`
+    /// for an analyzed launch): pointer identity shows replay shares one
+    /// allocation per template entry.
+    pub fn shared_result_addr(&self, i: usize) -> Option<usize> {
+        match &self.rows[i] {
+            Row::Shared { result, .. } => Some(Arc::as_ptr(result) as usize),
+            Row::Owned { .. } => None,
+        }
+    }
+
+    /// Drop the first `k` rows and every chunk no retained row reads.
+    fn retire(&mut self, k: usize) {
+        self.rows.drain(..k);
+        // Runs are appended in row order, so the first retained non-empty
+        // run of a column sits in its lowest live chunk.
+        let floor = |col: usize| {
+            self.rows
+                .iter()
+                .map(|r| r.locs()[col])
+                .find(|l| l.len > 0)
+                .map_or(u32::MAX, |l| l.chunk)
+        };
+        self.plans.retire_before(floor(0));
+        self.copies.retire_before(floor(1));
+        self.reductions.retire_before(floor(2));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::AnalysisResult;
+    use crate::plan::Source;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use viz_geometry::IndexSpace;
+    use viz_region::RedOpRegistry;
 
     fn launch(id: u32) -> TaskLaunch {
         TaskLaunch {
@@ -220,5 +429,171 @@ mod tests {
         }
         l.retire_to(2);
         l.launch(TaskId(1));
+    }
+
+    fn task(rng: &mut StdRng) -> TaskId {
+        TaskId(rng.random_range(0..64u32))
+    }
+
+    fn space(rng: &mut StdRng) -> IndexSpace {
+        let lo = rng.random_range(0..100i64);
+        IndexSpace::span(lo, lo + rng.random_range(0..8i64))
+    }
+
+    /// A random result: 0–4 plans (empty ones included), each with 0–3
+    /// copies and 0–2 reductions, or a first plan of `huge` copies.
+    fn result(rng: &mut StdRng, huge: usize) -> AnalysisResult {
+        let plans = (0..rng.random_range(0..5usize).max(usize::from(huge > 0)))
+            .map(|k| {
+                let n = if k == 0 && huge > 0 {
+                    huge
+                } else {
+                    rng.random_range(0..4usize)
+                };
+                MaterializePlan {
+                    copies: (0..n)
+                        .map(|_| CopyRange {
+                            source: if rng.random_bool() {
+                                Source::Initial
+                            } else {
+                                Source::Task(task(rng), rng.random_range(0..3u32))
+                            },
+                            domain: space(rng),
+                        })
+                        .collect(),
+                    reductions: (0..rng.random_range(0..3usize))
+                        .map(|_| ReduceRange {
+                            task: task(rng),
+                            req: rng.random_range(0..3u32),
+                            redop: RedOpRegistry::SUM,
+                            domain: space(rng),
+                        })
+                        .collect(),
+                    fill_identity: rng.random_bool().then_some(RedOpRegistry::MAX),
+                }
+            })
+            .collect();
+        AnalysisResult {
+            deps: (0..rng.random_range(0..3u32)).map(TaskId).collect(),
+            plans,
+        }
+    }
+
+    fn shared(rng: &mut StdRng) -> StoredResult {
+        let shift = if rng.random_bool() {
+            TaskShift::IDENTITY
+        } else {
+            let lo = rng.random_range(0..32u32);
+            TaskShift {
+                lo,
+                hi: lo + rng.random_range(1..32u32),
+                delta: rng.random_range(1..100u32),
+            }
+        };
+        StoredResult::Shared {
+            result: Arc::new(result(rng, 0)),
+            shift,
+        }
+    }
+
+    /// Commit `r` to the ledger and to the reference.
+    fn push(l: &mut Ledger, reference: &mut Vec<StoredResult>, r: StoredResult) {
+        let id = l.next_id();
+        reference.push(r.clone());
+        l.push_done(0);
+        l.push_result(r);
+        l.push_launch(launch(id), None);
+    }
+
+    /// Every retained row reads back what the reference resolves to.
+    fn check(l: &Ledger, reference: &[StoredResult]) {
+        let results = l.results();
+        assert_eq!(results.len(), l.retained());
+        assert_eq!(results.len(), reference.len());
+        for (i, r) in reference.iter().enumerate() {
+            let expected = r.resolve();
+            assert_eq!(results.resolve(i, &expected.deps), expected, "row {i}");
+            let shared = match r {
+                StoredResult::Shared { result, .. } => Some(Arc::as_ptr(result) as usize),
+                StoredResult::Owned(_) => None,
+            };
+            assert_eq!(results.shared_result_addr(i), shared);
+        }
+        // Each column holds no chunk below its lowest retained run.
+        let columns = [
+            (results.plans.first_chunk(), results.plans.chunks()),
+            (results.copies.first_chunk(), results.copies.chunks()),
+            (
+                results.reductions.first_chunk(),
+                results.reductions.chunks(),
+            ),
+        ];
+        for (col, (first, held)) in columns.into_iter().enumerate() {
+            match results
+                .rows
+                .iter()
+                .map(|r| r.locs()[col])
+                .find(|l| l.len > 0)
+            {
+                Some(lowest) => assert_eq!(first, lowest.chunk, "column {col}"),
+                None => assert_eq!(held, 0, "column {col}"),
+            }
+        }
+    }
+
+    fn retire(l: &mut Ledger, reference: &mut Vec<StoredResult>, floor: u32) {
+        let k = l.retire_to(floor);
+        reference.drain(..k);
+        check(l, reference);
+    }
+
+    #[test]
+    fn chunked_results_match_stored_results() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let mut l = Ledger::new();
+        let mut reference = Vec::new();
+        let chunk_copies = Runs::<CopyRange>::LEN;
+        for step in 0..3000 {
+            match step {
+                // More copies than a chunk holds: a chunk of its own.
+                100 => {
+                    let r = StoredResult::Owned(result(&mut rng, chunk_copies + 5));
+                    push(&mut l, &mut reference, r);
+                }
+                // The first retained rows are shared.
+                1000 => {
+                    let floor = l.next_id();
+                    for _ in 0..3 {
+                        push(&mut l, &mut reference, shared(&mut rng));
+                    }
+                    retire(&mut l, &mut reference, floor);
+                    assert!(l.results().shared_result_addr(0).is_some());
+                }
+                // Everything retires.
+                2000 => {
+                    let all = l.next_id();
+                    retire(&mut l, &mut reference, all);
+                    assert_eq!(l.retained(), 0);
+                    let r = &l.results;
+                    assert_eq!(
+                        r.plans.chunks() + r.copies.chunks() + r.reductions.chunks(),
+                        0
+                    );
+                }
+                _ if rng.random_range(0..10u32) == 0 => {
+                    let floor = rng.random_range(l.base()..l.next_id() + 1);
+                    retire(&mut l, &mut reference, floor);
+                }
+                _ if rng.random_range(0..3u32) == 0 => {
+                    push(&mut l, &mut reference, shared(&mut rng));
+                }
+                _ => {
+                    let r = StoredResult::Owned(result(&mut rng, 0));
+                    push(&mut l, &mut reference, r);
+                }
+            }
+            check(&l, &reference);
+        }
+        assert!(l.base() > 0 && l.retained() > 0);
     }
 }

@@ -44,6 +44,7 @@ pub mod pipeline;
 pub mod plan;
 pub mod record;
 pub(crate) mod ring;
+mod runs;
 pub mod runtime;
 pub mod sharding;
 pub mod stats;

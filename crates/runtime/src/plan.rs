@@ -92,8 +92,6 @@ impl MaterializePlan {
             }
             same
         });
-        // Plans are retained per launch: hold no slack.
-        self.copies.shrink_to_fit();
     }
 
     /// Total points copied (used by the timed executor to price data
@@ -193,24 +191,6 @@ pub enum StoredResult {
 }
 
 impl StoredResult {
-    /// The stored result *before* shifting (template coordinates for
-    /// `Shared`). Pair reads of task references with [`StoredResult::shift`].
-    #[inline]
-    pub fn raw(&self) -> &AnalysisResult {
-        match self {
-            StoredResult::Owned(r) => r,
-            StoredResult::Shared { result, .. } => result,
-        }
-    }
-
-    #[inline]
-    pub fn shift(&self) -> TaskShift {
-        match self {
-            StoredResult::Owned(_) => TaskShift::IDENTITY,
-            StoredResult::Shared { shift, .. } => *shift,
-        }
-    }
-
     /// Materialize the result with the shift applied (allocates; for
     /// introspection and differential tests, not the replay hot path).
     pub fn resolve(&self) -> AnalysisResult {

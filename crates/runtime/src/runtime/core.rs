@@ -80,9 +80,10 @@ impl Book {
     /// caller afterwards (the sharded driver can only hand its batch over
     /// once its workers have released it).
     ///
-    /// The statement order — completion time, dependence clone, recorder,
-    /// DAG row, stored result — is the order the columns reallocate in,
-    /// which `peak_rss_mb` is sensitive to: keep it.
+    /// The dependences are stored once, in the DAG: an analyzed launch's
+    /// are read in place, a replayed launch's are shifted into a list
+    /// first. The stored result then moves into the ledger, which frees
+    /// the engine's vectors.
     #[inline]
     pub(super) fn commit(
         &mut self,
@@ -97,10 +98,12 @@ impl Book {
         self.ledger.push_done(done);
         // The dependence edges in global ids (rebased, replay shift
         // applied): what the DAG and the recorder see.
-        let deps: Vec<TaskId> = match &stored {
-            StoredResult::Owned(r) => r.deps.clone(),
+        let shifted: Vec<TaskId>;
+        let deps: &[TaskId] = match &stored {
+            StoredResult::Owned(r) => &r.deps,
             StoredResult::Shared { result, shift } => {
-                result.deps.iter().map(|d| shift.apply(*d)).collect()
+                shifted = result.deps.iter().map(|d| shift.apply(*d)).collect();
+                &shifted
             }
         };
         if let Commit::Analyzed { engine, since } = how {
@@ -125,12 +128,12 @@ impl Book {
                 &launch.name,
                 launch.node,
                 &launch.reqs,
-                &deps,
+                deps,
                 matches!(how, Commit::Replayed),
                 matches!(how, Commit::Fence),
             );
         }
-        self.dag.push(deps);
+        self.dag.push_slice(deps);
         self.ledger.push_result(stored);
     }
 }

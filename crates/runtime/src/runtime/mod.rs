@@ -37,7 +37,7 @@ use crate::engine::{CoherenceEngine, EngineKind};
 use crate::error::RuntimeError;
 use crate::exec::{TimedReport, TimedSchedule, ValueStore};
 use crate::pipeline::{Pipeline, PipelineMetrics};
-use crate::plan::{AnalysisResult, StoredResult};
+use crate::plan::AnalysisResult;
 use crate::record::RecordedHistory;
 use crate::stats::RuntimeStats;
 use crate::task::{RegionRequirement, TaskBody, TaskId, TaskLaunch};
@@ -391,10 +391,7 @@ impl Runtime {
     /// replay path shares one allocation per template entry instead of
     /// deep-cloning the `AnalysisResult`.
     pub fn shared_result_addr(&self, t: TaskId) -> Option<usize> {
-        match self.drained().book.ledger.result(t) {
-            StoredResult::Shared { result, .. } => Some(Arc::as_ptr(result) as usize),
-            StoredResult::Owned(_) => None,
-        }
+        self.drained().book.ledger.shared_result_addr(t)
     }
 
     /// Repeats promoted by the auto-tracer so far.
@@ -530,11 +527,11 @@ impl Runtime {
     /// shift applied). With history GC the vector starts at the watermark.
     pub fn results(&self) -> Vec<AnalysisResult> {
         let core = self.drained();
-        core.book
-            .ledger
-            .results()
-            .iter()
-            .map(StoredResult::resolve)
+        let (ledger, dag) = (&core.book.ledger, &core.book.dag);
+        let base = ledger.base();
+        let results = ledger.results();
+        (0..results.len())
+            .map(|i| results.resolve(i, dag.preds(TaskId(base + i as u32))))
             .collect()
     }
 

@@ -8,8 +8,11 @@
 //! whole engine: a steady-state `RayCast` launch re-derives nothing
 //! structural, so its allocation count is small, and identical from one
 //! iteration to the next. And the commit path's DAG: `TaskDag::push`
-//! stores the dependence vector it is handed and derives nothing that
-//! needs memory of its own, so it allocates only when a column grows.
+//! copies the dependences it is handed into its own chunked column and
+//! derives nothing that needs memory of its own, so it allocates only when
+//! a column grows. Beside the counts, the bytes a drained runtime holds
+//! per committed launch: a stored result is rows in chunked columns, not
+//! vectors of its own.
 //!
 //! The counter is per thread: the test harness runs the tests of this
 //! binary on parallel threads, and a process-wide counter charged each
@@ -21,7 +24,7 @@ use std::cell::Cell;
 use viz_apps::{Pennant, PennantConfig, Stencil, StencilConfig, Workload};
 use viz_geometry::{DynamicBvh, Rect};
 use viz_runtime::engine::AnalysisCtx;
-use viz_runtime::{EngineKind, Runtime, RuntimeConfig, ShardMap, TaskDag, TaskId};
+use viz_runtime::{EngineKind, LaunchSpec, Runtime, RuntimeConfig, ShardMap, TaskDag, TaskId};
 use viz_sim::Machine;
 
 struct CountingAlloc;
@@ -31,6 +34,8 @@ thread_local! {
     // allocates and never runs lazy initialisation, so the allocator cannot
     // re-enter itself through it.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    // Bytes allocated minus bytes freed by this thread.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count_one() {
@@ -39,21 +44,28 @@ fn count_one() {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
 }
 
+fn track(bytes: i64) {
+    let _ = LIVE.try_with(|c| c.set(c.get() + bytes));
+}
+
 // SAFETY: delegates verbatim to `System`; the counter has no effect on the
 // returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        track(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow is a new allocation for steady-state purposes.
         count_one();
+        track(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -64,6 +76,11 @@ static COUNTER: CountingAlloc = CountingAlloc;
 /// Allocations made by the calling thread so far.
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// Bytes the calling thread has allocated and not freed.
+fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
 }
 
 fn fixture(leaves: u64) -> (DynamicBvh, Vec<Rect>) {
@@ -229,4 +246,98 @@ fn dag_push_allocates_only_column_growth() {
         "{N} pushes allocated {pushed} times; only amortised column growth is allowed"
     );
     assert_eq!(dag.len(), N as usize);
+}
+
+#[test]
+fn dag_push_slice_allocates_only_column_growth() {
+    const N: u32 = 20_000;
+    let deps: Vec<Vec<TaskId>> = (0..N)
+        .map(|i| (i.saturating_sub(2)..i).map(TaskId).collect())
+        .collect();
+    let mut dag = TaskDag::new();
+    let before = allocs();
+    for d in &deps {
+        dag.push_slice(d);
+    }
+    let pushed = allocs() - before;
+    assert!(
+        pushed <= 3 * 16,
+        "{N} pushes allocated {pushed} times; only amortised column growth is allowed"
+    );
+    assert_eq!(dag.len(), N as usize);
+    assert_eq!(dag.preds(TaskId(N - 1)), &deps[N as usize - 1][..]);
+}
+
+/// Bytes a synchronous RayCast runtime holds per committed launch once it
+/// has drained `app`'s whole launch stream, fed through
+/// `Runtime::submit_batch` one top-level iteration at a time onto the
+/// app's finished region forest. Everything the runtime keeps counts:
+/// engine state, the commit ledger, the DAG. Deterministic: the sizes of
+/// every allocation are a function of the stream alone.
+fn held_bytes_per_launch(app: &dyn Workload, nodes: usize) -> f64 {
+    let config = RuntimeConfig::base(EngineKind::RayCast).nodes(nodes);
+    let mut rt = Runtime::new(config.clone());
+    let run = app.execute(&mut rt);
+    rt.flush();
+    let forest = rt.forest().clone();
+    let launches = rt.launches().to_vec();
+    drop(rt);
+    let mut batches = Vec::with_capacity(run.iter_end.len());
+    let mut start = 0usize;
+    for end in &run.iter_end {
+        let end = end.index() + 1;
+        let batch: Vec<LaunchSpec> = launches[start..end]
+            .iter()
+            .map(|l| LaunchSpec::new(l.name.clone(), l.node, l.reqs.clone(), l.duration_ns, None))
+            .collect();
+        batches.push(batch);
+        start = end;
+    }
+
+    let mut rt = Runtime::new(config);
+    *rt.forest_mut() = forest;
+    let before = live_bytes();
+    for batch in batches {
+        rt.submit_batch(batch).expect("captured launches are valid");
+    }
+    rt.flush();
+    let held = live_bytes() - before;
+    assert_eq!(rt.num_tasks(), launches.len());
+    held as f64 / launches.len() as f64
+}
+
+/// What a drained runtime may hold per committed launch, in bytes, over
+/// 50 iterations (6 464 stencil and 3 266 pennant launches): 432.3 and
+/// 408.6 measured, 598.3 and 618.5 when every stored result was four or
+/// five vectors of its own and the DAG kept a second copy of its
+/// dependences. A shorter stream measures the columns' first 64 KiB
+/// chunks more than the launches in them.
+const STENCIL_HELD_BYTES_PER_LAUNCH: f64 = 450.0;
+const PENNANT_HELD_BYTES_PER_LAUNCH: f64 = 425.0;
+
+#[test]
+fn drained_stencil_holds_inside_the_byte_budget() {
+    let app = Stencil::new(StencilConfig {
+        pieces: 64,
+        iterations: 50,
+        ..StencilConfig::paper(64)
+    });
+    let held = held_bytes_per_launch(&app, 64);
+    assert!(
+        held <= STENCIL_HELD_BYTES_PER_LAUNCH,
+        "stencil: {held:.1} bytes held per launch, budget {STENCIL_HELD_BYTES_PER_LAUNCH}"
+    );
+}
+
+#[test]
+fn drained_pennant_holds_inside_the_byte_budget() {
+    let app = Pennant::new(PennantConfig {
+        iterations: 50,
+        ..PennantConfig::paper(16)
+    });
+    let held = held_bytes_per_launch(&app, 16);
+    assert!(
+        held <= PENNANT_HELD_BYTES_PER_LAUNCH,
+        "pennant: {held:.1} bytes held per launch, budget {PENNANT_HELD_BYTES_PER_LAUNCH}"
+    );
 }
