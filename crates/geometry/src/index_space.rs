@@ -67,12 +67,7 @@ impl IndexSpace {
     /// Build from arbitrary (possibly overlapping, possibly empty)
     /// rectangles.
     pub fn from_rects<I: IntoIterator<Item = Rect>>(rects: I) -> Self {
-        let mut acc = Vec::new();
-        for r in rects {
-            Self::add_rect(&mut acc, r);
-        }
-        Self::normalize(&mut acc);
-        Self::frozen(acc)
+        Self::frozen(RectSweep::default().build(rects))
     }
 
     /// Build from a set of points; consecutive 1-D runs are coalesced.
@@ -98,84 +93,8 @@ impl IndexSpace {
         if let Some(r) = run {
             rects.push(r);
         }
-        Self::normalize(&mut rects);
+        normalize(&mut rects, &mut Vec::new(), &mut Vec::new());
         Self::frozen(rects)
-    }
-
-    /// Add a rectangle's points to a disjoint list (keeps the disjointness
-    /// invariant, does not re-normalize; callers batch adds and call
-    /// `normalize` once).
-    fn add_rect(rects: &mut Vec<Rect>, r: Rect) {
-        if r.is_empty() {
-            return;
-        }
-        // Insert only the parts of `r` not already covered.
-        let mut pending = vec![r];
-        for have in rects.iter() {
-            if pending.is_empty() {
-                break;
-            }
-            let mut next = Vec::with_capacity(pending.len());
-            for p in pending {
-                if p.overlaps(have) {
-                    next.extend(p.subtract(have));
-                } else {
-                    next.push(p);
-                }
-            }
-            pending = next;
-        }
-        rects.extend(pending);
-    }
-
-    /// Restore sorted order and coalesce adjacent rectangles.
-    ///
-    /// Disjoint rectangles have pairwise-distinct `lo` points, so one sort
-    /// establishes a total row-major order, and both merge passes preserve
-    /// it: a merge keeps the surviving rectangle's `lo` and only grows its
-    /// `hi`. The loop therefore never needs to re-sort, and each pass is
-    /// linear — the vertical pass tracks the most recent rectangle per
-    /// column band (within a band, row-major order is ascending `lo.y`, so
-    /// only band-consecutive rectangles can be y-adjacent).
-    fn normalize(rects: &mut Vec<Rect>) {
-        if rects.len() <= 1 {
-            return;
-        }
-        rects.sort_unstable_by_key(|r| (r.lo, r.hi));
-        loop {
-            let mut merged = false;
-            // Horizontal merge: same row band, x-adjacent.
-            let mut out: Vec<Rect> = Vec::with_capacity(rects.len());
-            for r in rects.drain(..) {
-                if let Some(last) = out.last_mut() {
-                    if last.lo.y == r.lo.y && last.hi.y == r.hi.y && last.hi.x + 1 == r.lo.x {
-                        last.hi.x = r.hi.x;
-                        merged = true;
-                        continue;
-                    }
-                }
-                out.push(r);
-            }
-            // Vertical merge: same column band, y-adjacent.
-            let mut col: crate::hash::FxHashMap<(i64, i64), usize> =
-                crate::hash::FxHashMap::default();
-            let mut vout: Vec<Rect> = Vec::with_capacity(out.len());
-            for r in out {
-                if let Some(&i) = col.get(&(r.lo.x, r.hi.x)) {
-                    if vout[i].hi.y + 1 == r.lo.y {
-                        vout[i].hi.y = r.hi.y;
-                        merged = true;
-                        continue;
-                    }
-                }
-                col.insert((r.lo.x, r.hi.x), vout.len());
-                vout.push(r);
-            }
-            *rects = vout;
-            if !merged {
-                break;
-            }
-        }
     }
 
     /// The disjoint rectangles making up this set.
@@ -244,18 +163,7 @@ impl IndexSpace {
             let mut kernel = SplitRuns::default();
             return Self::frozen(kernel.split(&self.rects, &other.rects).0);
         }
-        let mut rects = Vec::new();
-        for a in self.rects.iter() {
-            for b in other.rects.iter() {
-                let i = a.intersect(b);
-                if !i.is_empty() {
-                    rects.push(i);
-                }
-            }
-        }
-        // Pairwise intersections of two disjoint families are disjoint.
-        Self::normalize(&mut rects);
-        Self::frozen(rects)
+        Self::frozen(RectSweep::default().intersect(&self.rects, &other.rects))
     }
 
     /// `X\Y`: the subset of `self` not sharing points with `other`.
@@ -270,23 +178,7 @@ impl IndexSpace {
             let mut kernel = SplitRuns::default();
             return Self::frozen(kernel.split(&self.rects, &other.rects).1);
         }
-        let mut pending: Vec<Rect> = self.rects.to_vec();
-        for b in other.rects.iter() {
-            if pending.is_empty() {
-                break;
-            }
-            let mut next = Vec::with_capacity(pending.len());
-            for a in pending {
-                if a.overlaps(b) {
-                    next.extend(a.subtract(b));
-                } else {
-                    next.push(a);
-                }
-            }
-            pending = next;
-        }
-        Self::normalize(&mut pending);
-        Self::frozen(pending)
+        Self::frozen(RectSweep::default().subtract(&self.rects, &other.rects))
     }
 
     /// `X ∪ Y` as point sets.
@@ -301,18 +193,14 @@ impl IndexSpace {
             let mut kernel = MergeRuns::default();
             return Self::frozen(kernel.union_all(&self.rects, [&other.rects[..]]));
         }
-        let mut rects = self.rects.to_vec();
-        for r in other.rects.iter() {
-            Self::add_rect(&mut rects, *r);
-        }
-        Self::normalize(&mut rects);
-        Self::frozen(rects)
+        Self::frozen(RectSweep::default().union_all(&self.rects, [&other.rects[..]]))
     }
 
     /// `(self ∩ target, self \ target)`: both halves of a refinement,
     /// structurally what [`intersect`](Self::intersect) and
     /// [`subtract`](Self::subtract) return. Operands sharing a linear band
-    /// are swept once for both run lists.
+    /// are swept once for both run lists; other operands run both 2-D
+    /// sweeps in one kernel.
     pub fn split(&self, target: &IndexSpace) -> (IndexSpace, IndexSpace) {
         if self.is_empty() {
             return (IndexSpace::empty(), IndexSpace::empty());
@@ -321,7 +209,9 @@ impl IndexSpace {
             return (IndexSpace::empty(), self.clone());
         }
         if self.common_band(target).is_none() {
-            return (self.intersect(target), self.subtract(target));
+            let mut kernel = RectSweep::default();
+            let (inside, outside) = kernel.split(&self.rects, &target.rects);
+            return (Self::frozen(inside), Self::frozen(outside));
         }
         let mut kernel = SplitRuns::default();
         let (inside, outside) = kernel.split(&self.rects, &target.rects);
@@ -590,6 +480,229 @@ fn run_of(a: Rect, lo: i64, hi: i64) -> Rect {
     Rect::xy(lo, hi, a.lo.y, a.hi.y)
 }
 
+// The 2-D kernel. Sets that share no band are rect lists swept pairwise; the
+// kernel below holds the only copy of each such loop, with its buffers.
+// `IndexSpace`'s 2-D arms call a fresh one, as its band arms call a fresh
+// `SplitRuns`; `SpaceAlgebra` keeps one for every miss and interns the
+// results straight from its buffers.
+
+/// The 2-D set-algebra kernel and its five buffers: `intersect`, `subtract`,
+/// both at once (`split`), building from arbitrary rects (`build`) and
+/// the left fold `((s₀ ∪ s₁) ∪ s₂) ∪ …` (`union_all`), each ending in one
+/// [`normalize`]. Each result is borrowed from the buffers until the next
+/// call. A 2-D normal form depends on the order rects arrive in, and
+/// interned ids, plans and charges depend on the rect lists (the figure
+/// goldens pin them), so the order of every loop here is part of its
+/// result.
+///
+/// `acc` holds an `intersect`, `build` or `union_all` result and
+/// `pending` a `subtract` result (a `split` holds both); `next` is the other
+/// half of the cut sweep's double buffer, and `out` / `vout` are
+/// `normalize`'s two passes.
+#[derive(Default)]
+pub(crate) struct RectSweep {
+    acc: Vec<Rect>,
+    pending: Vec<Rect>,
+    next: Vec<Rect>,
+    out: Vec<Rect>,
+    vout: Vec<Rect>,
+}
+
+impl RectSweep {
+    /// `ours ∩ theirs`: every non-empty pairwise intersection, normalized.
+    /// Pairwise intersections of two disjoint families are disjoint.
+    pub(crate) fn intersect(&mut self, ours: &[Rect], theirs: &[Rect]) -> &[Rect] {
+        self.acc.clear();
+        for a in ours {
+            for b in theirs {
+                let i = a.intersect(b);
+                if !i.is_empty() {
+                    self.acc.push(i);
+                }
+            }
+        }
+        normalize(&mut self.acc, &mut self.out, &mut self.vout);
+        &self.acc
+    }
+
+    /// `ours \ theirs`: `ours`' rects with each of theirs cut out in turn,
+    /// normalized.
+    pub(crate) fn subtract(&mut self, ours: &[Rect], theirs: &[Rect]) -> &[Rect] {
+        self.pending.clear();
+        self.pending.extend_from_slice(ours);
+        cut_all(&mut self.pending, &mut self.next, theirs);
+        normalize(&mut self.pending, &mut self.out, &mut self.vout);
+        &self.pending
+    }
+
+    /// `(ours ∩ theirs, ours \ theirs)`: [`intersect`](Self::intersect)
+    /// then [`subtract`](Self::subtract), both results kept.
+    pub(crate) fn split(&mut self, ours: &[Rect], theirs: &[Rect]) -> (&[Rect], &[Rect]) {
+        self.intersect(ours, theirs);
+        self.subtract(ours, theirs);
+        (&self.acc, &self.pending)
+    }
+
+    /// The points of arbitrary (possibly overlapping, possibly empty)
+    /// rects, added one by one and normalized once.
+    pub(crate) fn build(&mut self, rects: impl IntoIterator<Item = Rect>) -> &[Rect] {
+        self.acc.clear();
+        for r in rects {
+            self.add_rect(r);
+        }
+        normalize(&mut self.acc, &mut self.out, &mut self.vout);
+        &self.acc
+    }
+
+    /// The left fold `((first ∪ rest₀) ∪ rest₁) ∪ …` of normalized rect
+    /// lists, step for step what chaining [`IndexSpace::union`] builds: an
+    /// empty side is the other side, a step whose two sides share a band
+    /// merges their runs (the `MergeRuns` walk), and any other step adds the
+    /// operand's rects to the accumulator and normalizes.
+    pub(crate) fn union_all<'a>(
+        &mut self,
+        first: &[Rect],
+        rest: impl IntoIterator<Item = &'a [Rect]>,
+    ) -> &[Rect] {
+        self.acc.clear();
+        self.acc.extend_from_slice(first);
+        for rects in rest {
+            self.union_step(rects);
+        }
+        &self.acc
+    }
+
+    fn union_step(&mut self, other: &[Rect]) {
+        if self.acc.is_empty() {
+            self.acc.extend_from_slice(other);
+            return;
+        }
+        if other.is_empty() {
+            return;
+        }
+        match (linear_band(&self.acc), linear_band(other)) {
+            (Some(a), Some(b)) if a == b => {
+                let n = merge_runs(&self.acc, other, &mut self.next);
+                self.next.truncate(n);
+                std::mem::swap(&mut self.acc, &mut self.next);
+            }
+            _ => {
+                for r in other {
+                    self.add_rect(*r);
+                }
+                normalize(&mut self.acc, &mut self.out, &mut self.vout);
+            }
+        }
+    }
+
+    /// Add the points of `r` not already in `acc` (keeps `acc` disjoint,
+    /// does not normalize; callers batch adds and normalize once).
+    fn add_rect(&mut self, r: Rect) {
+        if r.is_empty() {
+            return;
+        }
+        self.pending.clear();
+        self.pending.push(r);
+        cut_all(&mut self.pending, &mut self.next, &self.acc);
+        self.acc.extend_from_slice(&self.pending);
+    }
+}
+
+/// Cut each rect of `cuts` in turn out of the disjoint rects in `pending`,
+/// with `next` as the other half of the double buffer; stops early once
+/// nothing is left.
+fn cut_all(pending: &mut Vec<Rect>, next: &mut Vec<Rect>, cuts: &[Rect]) {
+    for b in cuts {
+        if pending.is_empty() {
+            break;
+        }
+        next.clear();
+        for a in pending.drain(..) {
+            if a.overlaps(b) {
+                next.extend(a.subtract(b));
+            } else {
+                next.push(a);
+            }
+        }
+        std::mem::swap(pending, next);
+    }
+}
+
+/// Up to this many rects, `normalize`'s vertical pass finds a rect's column
+/// partner by scanning back through its output instead of building a map.
+const SCAN_COLUMNS: usize = 16;
+
+/// Restore sorted order and coalesce adjacent rectangles of a disjoint
+/// list, with `out` and `vout` as the two passes' buffers.
+///
+/// Disjoint rectangles have pairwise-distinct `lo` points, so one sort
+/// establishes a total row-major order, and both merge passes preserve it: a
+/// merge keeps the surviving rectangle's `lo` and only grows its `hi`. The
+/// loop therefore never needs to re-sort, and each pass is linear — the
+/// vertical pass tracks the most recent rectangle per column band (within a
+/// band, row-major order is ascending `lo.y`, so only band-consecutive
+/// rectangles can be y-adjacent). That rectangle is the last one pushed with
+/// the same `x` range, since a merge never changes a rectangle's `x` range:
+/// a short list finds it by a reverse scan, a long one by a map built fresh
+/// each pass.
+fn normalize(rects: &mut Vec<Rect>, out: &mut Vec<Rect>, vout: &mut Vec<Rect>) {
+    if rects.len() <= 1 {
+        return;
+    }
+    rects.sort_unstable_by_key(|r| (r.lo, r.hi));
+    loop {
+        let mut merged = false;
+        // Horizontal merge: same row band, x-adjacent.
+        out.clear();
+        for r in rects.drain(..) {
+            if let Some(last) = out.last_mut() {
+                if last.lo.y == r.lo.y && last.hi.y == r.hi.y && last.hi.x + 1 == r.lo.x {
+                    last.hi.x = r.hi.x;
+                    merged = true;
+                    continue;
+                }
+            }
+            out.push(r);
+        }
+        // Vertical merge: same column band, y-adjacent.
+        vout.clear();
+        if out.len() <= SCAN_COLUMNS {
+            for &r in out.iter() {
+                let column = vout
+                    .iter_mut()
+                    .rev()
+                    .find(|v| v.lo.x == r.lo.x && v.hi.x == r.hi.x);
+                if let Some(v) = column {
+                    if v.hi.y + 1 == r.lo.y {
+                        v.hi.y = r.hi.y;
+                        merged = true;
+                        continue;
+                    }
+                }
+                vout.push(r);
+            }
+        } else {
+            let mut col: crate::hash::FxHashMap<(i64, i64), usize> =
+                crate::hash::FxHashMap::default();
+            for &r in out.iter() {
+                if let Some(&i) = col.get(&(r.lo.x, r.hi.x)) {
+                    if vout[i].hi.y + 1 == r.lo.y {
+                        vout[i].hi.y = r.hi.y;
+                        merged = true;
+                        continue;
+                    }
+                }
+                col.insert((r.lo.x, r.hi.x), vout.len());
+                vout.push(r);
+            }
+        }
+        std::mem::swap(rects, vout);
+        if !merged {
+            break;
+        }
+    }
+}
+
 impl fmt::Debug for IndexSpace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
@@ -779,6 +892,8 @@ mod tests {
     fn normalize_matches_quadratic_oracle() {
         // Random tilings: build via the public API (new normalize), then
         // re-normalize the raw disjoint rect list with the old algorithm.
+        // From 2 to 40 raw rects, so both ways the vertical pass finds a
+        // column partner (the short scan, the map) meet the oracle.
         let mut state = 0xfeed_beefu64;
         let mut rnd = move |m: i64| {
             state = state
@@ -786,27 +901,39 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((state >> 33) as i64).rem_euclid(m)
         };
+        let (mut scanned, mut mapped) = (0, 0);
         for _ in 0..200 {
             let mut raw = Vec::new();
-            for _ in 0..12 {
+            for _ in 0..2 + rnd(39) {
                 let x = rnd(40);
                 let y = rnd(40);
                 raw.push(Rect::xy(x, x + rnd(12), y, y + rnd(12)));
             }
             // Replay from_rects by hand so the oracle sees the same raw
             // disjoint list the new normalize sees.
-            let mut rects = Vec::new();
+            let mut kernel = RectSweep::default();
             for r in &raw {
-                IndexSpace::add_rect(&mut rects, *r);
+                kernel.add_rect(*r);
             }
-            let expect = normalize_oracle(rects.clone());
-            IndexSpace::normalize(&mut rects);
-            assert_eq!(rects, expect, "normalize diverged from oracle on {raw:?}");
-            let s = IndexSpace::frozen(rects);
+            let expect = normalize_oracle(kernel.acc.clone());
+            // Every pass sees at most the raw count and at least the final
+            // one.
+            scanned += (kernel.acc.len() <= SCAN_COLUMNS) as usize;
+            normalize(&mut kernel.acc, &mut kernel.out, &mut kernel.vout);
+            mapped += (kernel.acc.len() > SCAN_COLUMNS) as usize;
+            assert_eq!(
+                kernel.acc, expect,
+                "normalize diverged from oracle on {raw:?}"
+            );
+            let s = IndexSpace::frozen(&kernel.acc[..]);
             let direct = IndexSpace::from_points(raw.iter().flat_map(|r| r.points()));
             assert_eq!(s.volume(), direct.volume());
             assert!(s.same_points(&direct));
         }
+        assert!(
+            scanned >= 20 && mapped >= 20,
+            "{scanned} scanned, {mapped} mapped"
+        );
     }
 
     #[test]

@@ -37,6 +37,15 @@
 //! `overlaps` through `&self`, recording nothing: the region forest's
 //! anchor check, whose answers its caller memoizes.
 //!
+//! **A cold 2-D pair allocates only what it keeps.** Every other miss — a
+//! 2-D `split`, `intersect`, `subtract` or `union`, a `union_all` whose
+//! operands leave one band — runs the 2-D kernel (`RectSweep`), the one copy
+//! of those rect-list loops, in buffers the algebra keeps, and interns the
+//! result straight from them (`intern_rects`): a result already interned
+//! costs a hash and a compare, a new one one frozen copy. The interner
+//! chains the slots of one content hash through the slots themselves, so a
+//! new space adds a map entry, not a bucket of its own.
+//!
 //! **A read of a whole target folds nothing.** A requirement's constituent
 //! sets tile its target, so a plan fold over all of them from one source is
 //! the target. [`SpaceAlgebra::union_all_covering`] answers such a fold on a
@@ -62,7 +71,7 @@
 
 use crate::hash::{fx_add, FxHashMap};
 use crate::index_space::{
-    linear_band, runs_overlap, sorted_coalesced, Band, IndexSpace, MergeRuns, SplitRuns,
+    linear_band, runs_overlap, sorted_coalesced, Band, IndexSpace, MergeRuns, RectSweep, SplitRuns,
 };
 use crate::rect::Rect;
 use std::collections::hash_map::Entry;
@@ -143,7 +152,13 @@ struct InternedSpace {
     /// far as the fast paths and the band kernels care — so they read this
     /// table only, never the shared rect storage.
     shape: Shape,
+    /// The next older slot under the same content hash ([`NO_SLOT`] ends
+    /// the chain). It sits in what was padding.
+    same_hash: u32,
 }
+
+/// The end of a hash chain.
+const NO_SLOT: u32 = u32::MAX;
 
 #[derive(Copy, Clone, PartialEq, Eq)]
 enum Shape {
@@ -178,7 +193,12 @@ impl InternedSpace {
             }
             Shape::Empty | Shape::Multi => space.bbox(),
         };
-        InternedSpace { space, bbox, shape }
+        InternedSpace {
+            space,
+            bbox,
+            shape,
+            same_hash: NO_SLOT,
+        }
     }
 }
 
@@ -189,8 +209,10 @@ impl InternedSpace {
 /// shape) is computed once.
 pub struct SpaceInterner {
     spaces: Vec<InternedSpace>,
-    /// content hash → candidate slots (collisions resolved structurally).
-    by_hash: FxHashMap<u64, Vec<u32>>,
+    /// content hash → the newest slot under it, whose `same_hash` links the
+    /// older ones (collisions resolved structurally): a new space costs an
+    /// entry, not a bucket of its own.
+    by_hash: FxHashMap<u64, u32>,
 }
 
 impl Default for SpaceInterner {
@@ -206,9 +228,10 @@ impl Default for SpaceInterner {
 }
 
 /// The interner's one content hash, whichever way a space arrives
-/// (`intern`, `intern_rect`, `intern_runs`): four independent Fx lanes, one
-/// per coordinate, so a long run list's multiply chains overlap instead of
-/// queuing behind one another, folded with the length at the end.
+/// (`intern`, `intern_rect`, `intern_runs`, `intern_rects`): four
+/// independent Fx lanes, one per coordinate, so a long run list's multiply
+/// chains overlap instead of queuing behind one another, folded with the
+/// length at the end.
 fn content_hash(rects: &[Rect]) -> u64 {
     let mut lanes = [0u64; 4];
     for r in rects {
@@ -275,6 +298,13 @@ impl SpaceInterner {
         }
     }
 
+    /// Intern the output of a 2-D kernel — a normalized rect list,
+    /// borrowed from its buffer — as `intern` would the space it makes: the
+    /// same id, the same bbox and shape. Only a new space freezes a copy.
+    fn intern_rects(&mut self, rects: &[Rect]) -> SpaceId {
+        self.intern_with(rects, || InternedSpace::new(IndexSpace::frozen(rects)))
+    }
+
     /// The slot holding `rects`, stored from `make()` on first sight.
     fn intern_with(&mut self, rects: &[Rect], make: impl FnOnce() -> InternedSpace) -> SpaceId {
         self.find(rects)
@@ -284,21 +314,37 @@ impl SpaceInterner {
     /// The slot holding `rects`, or the content hash a new slot for them
     /// goes under.
     fn find(&self, rects: &[Rect]) -> Result<SpaceId, u64> {
-        let hash = content_hash(rects);
-        for &slot in self.by_hash.get(&hash).into_iter().flatten() {
-            let stored = self.spaces[slot as usize].space.rects();
+        self.find_under(content_hash(rects), rects)
+    }
+
+    /// The slot on `hash`'s chain holding `rects`, or `hash`.
+    fn find_under(&self, hash: u64, rects: &[Rect]) -> Result<SpaceId, u64> {
+        let mut slot = self.by_hash.get(&hash).copied().unwrap_or(NO_SLOT);
+        while slot != NO_SLOT {
+            let s = &self.spaces[slot as usize];
+            let stored = s.space.rects();
             // Re-interning a handle the interner already shares storage
             // with is the common case: same pointer, no rect compare.
             if std::ptr::eq(stored, rects) || stored == rects {
                 return Ok(SpaceId(slot));
             }
+            slot = s.same_hash;
         }
         Err(hash)
     }
 
-    fn insert(&mut self, hash: u64, space: InternedSpace) -> SpaceId {
+    /// `intern`, with `hash` standing in for the content hash: puts spaces
+    /// on one chain.
+    #[cfg(test)]
+    fn intern_under(&mut self, hash: u64, space: &IndexSpace) -> SpaceId {
+        self.find_under(hash, space.rects())
+            .unwrap_or_else(|hash| self.insert(hash, InternedSpace::new(space.clone())))
+    }
+
+    /// Store `space` in a new slot at the head of `hash`'s chain.
+    fn insert(&mut self, hash: u64, mut space: InternedSpace) -> SpaceId {
         let slot = self.spaces.len() as u32;
-        self.by_hash.entry(hash).or_default().push(slot);
+        space.same_hash = self.by_hash.insert(hash, slot).unwrap_or(NO_SLOT);
         self.spaces.push(space);
         SpaceId(slot)
     }
@@ -398,10 +444,13 @@ pub struct SpaceAlgebra {
     splits: FxHashMap<(SpaceId, SpaceId), (SpaceId, SpaceId)>,
     /// [`SpaceAlgebra::union_all`] results, keyed on the whole operand list.
     folds: FxHashMap<Box<[SpaceId]>, SpaceId>,
-    /// The band kernels' buffers: the split's, reused by every `split`
-    /// miss, and the merge's, by every `union_all` miss on a band.
+    /// The kernels' buffers: the band split's, reused by every band miss of
+    /// `split`, `intersect` and `subtract`; the band merge's, by every
+    /// `union_all` miss on a band; and the 2-D kernel's, by every other
+    /// miss.
     split_runs: SplitRuns,
     merge_runs: MergeRuns,
+    rect_sweep: RectSweep,
     enabled: bool,
     hits: u64,
     misses: u64,
@@ -424,6 +473,7 @@ impl SpaceAlgebra {
             folds: FxHashMap::default(),
             split_runs: SplitRuns::default(),
             merge_runs: MergeRuns::default(),
+            rect_sweep: RectSweep::default(),
             enabled: config.enabled,
             hits: 0,
             misses: 0,
@@ -468,12 +518,13 @@ impl SpaceAlgebra {
     }
 
     /// `op(lhs, rhs)` through the memo: a miss sweeps, interns the result
-    /// and remembers it.
-    fn memo_space(
-        &mut self,
-        key: PairKey,
-        op: fn(&IndexSpace, &IndexSpace) -> IndexSpace,
-    ) -> SpaceId {
+    /// from the kernel's buffer and remembers it.
+    ///
+    /// Past the fast paths both operands are non-empty (and an intersect's
+    /// or subtract's boxes overlap), so the `IndexSpace` op would take its
+    /// band arm or its 2-D arm: the miss runs that arm's kernel on the
+    /// interned slices, minus re-deriving the band.
+    fn memo_space(&mut self, key: PairKey) -> SpaceId {
         match self.spaces.entry(key) {
             Entry::Occupied(e) => {
                 self.hits += 1;
@@ -481,8 +532,22 @@ impl SpaceAlgebra {
             }
             Entry::Vacant(v) => {
                 self.misses += 1;
-                let r = op(self.interner.get(key.1), self.interner.get(key.2));
-                *v.insert(self.interner.intern(&r))
+                let (op, a, b) = key;
+                let i = &mut self.interner;
+                let (ra, rb) = (i.get(a).rects(), i.get(b).rects());
+                let (split, merge) = (&mut self.split_runs, &mut self.merge_runs);
+                let sweep = &mut self.rect_sweep;
+                *v.insert(match (op, i.common_band(a, b)) {
+                    (AlgebraOp::Intersect, Some(_)) => i.intern_runs(split.split(ra, rb).0),
+                    (AlgebraOp::Subtract, Some(_)) => i.intern_runs(split.split(ra, rb).1),
+                    (AlgebraOp::Union, Some(_)) => i.intern_runs(merge.union_all(ra, [rb])),
+                    (AlgebraOp::Intersect, None) => i.intern_rects(sweep.intersect(ra, rb)),
+                    (AlgebraOp::Subtract, None) => i.intern_rects(sweep.subtract(ra, rb)),
+                    (AlgebraOp::Union, None) => i.intern_rects(sweep.union_all(ra, [rb])),
+                    (AlgebraOp::Overlaps | AlgebraOp::Contains, _) => {
+                        unreachable!("{op:?} is a predicate")
+                    }
+                })
             }
         }
     }
@@ -548,7 +613,7 @@ impl SpaceAlgebra {
             }
             _ => {}
         }
-        self.memo_space((AlgebraOp::Intersect, a, b), IndexSpace::intersect)
+        self.memo_space((AlgebraOp::Intersect, a, b))
     }
 
     /// `lhs \ rhs` (the paper's `X\Y`).
@@ -580,7 +645,7 @@ impl SpaceAlgebra {
                 return SpaceId::EMPTY;
             }
         }
-        self.memo_space((AlgebraOp::Subtract, a, b), IndexSpace::subtract)
+        self.memo_space((AlgebraOp::Subtract, a, b))
     }
 
     /// `(dom ∩ target, dom \ target)`: a refinement's two halves from one
@@ -623,15 +688,16 @@ impl SpaceAlgebra {
                 let i = &mut self.interner;
                 let (d, t) = (i.get(dom), i.get(target));
                 // What `IndexSpace::split` does, minus re-deriving the band
-                // and with the kernel's buffers reused.
+                // and with the kernels' buffers reused; each half is interned
+                // straight from them.
                 *v.insert(match i.common_band(dom, target) {
                     Some(_) => {
                         let (inside, outside) = self.split_runs.split(d.rects(), t.rects());
                         (i.intern_runs(inside), i.intern_runs(outside))
                     }
                     None => {
-                        let (inside, outside) = d.split(t);
-                        (i.intern(&inside), i.intern(&outside))
+                        let (inside, outside) = self.rect_sweep.split(d.rects(), t.rects());
+                        (i.intern_rects(inside), i.intern_rects(outside))
                     }
                 })
             }
@@ -654,7 +720,7 @@ impl SpaceAlgebra {
             self.fast_hits += 1;
             return a;
         }
-        self.memo_space((AlgebraOp::Union, a, b), IndexSpace::union)
+        self.memo_space((AlgebraOp::Union, a, b))
     }
 
     /// The left fold `((s₀ ∪ s₁) ∪ s₂) ∪ …`, structurally what chaining
@@ -663,8 +729,9 @@ impl SpaceAlgebra {
     /// touch pays no per-step intern of intermediates nobody names), a
     /// repeat is one lookup. When every operand after a non-empty first one
     /// is empty or shares its band, the miss runs the band merge kernel
-    /// (`MergeRuns`) from the interned slices through the two buffers the
-    /// algebra keeps, and freezes only the result.
+    /// (`MergeRuns`) from the interned slices, otherwise the 2-D kernel's
+    /// fold (`RectSweep`); both run in buffers the algebra keeps, and only a
+    /// new result is frozen.
     pub fn union_all(&mut self, ids: &[SpaceId]) -> SpaceId {
         let [first, rest @ ..] = ids else {
             return SpaceId::EMPTY;
@@ -673,7 +740,8 @@ impl SpaceAlgebra {
             return *first;
         }
         if !self.enabled {
-            return self.interner.intern(&self.chained_union(*first, rest));
+            let rects = swept_fold(&mut self.rect_sweep, &self.interner, ids);
+            return self.interner.intern_rects(rects);
         }
         if let Some(&r) = self.folds.get(ids) {
             self.hits += 1;
@@ -693,8 +761,8 @@ impl SpaceAlgebra {
                 i.intern_runs(runs)
             }
             None => {
-                let acc = self.chained_union(*first, rest);
-                self.interner.intern(&acc)
+                let rects = swept_fold(&mut self.rect_sweep, i, ids);
+                i.intern_rects(rects)
             }
         };
         self.folds.insert(ids.into(), r);
@@ -721,21 +789,12 @@ impl SpaceAlgebra {
             return self.union_all(ids);
         }
         debug_assert_eq!(
-            &self.chained_union(ids[0], &ids[1..]),
-            self.interner.get(whole),
+            swept_fold(&mut self.rect_sweep, &self.interner, ids),
+            self.interner.get(whole).rects(),
             "the operands do not tile the whole"
         );
         self.fast_hits += 1;
         whole
-    }
-
-    /// `first ∪ rest[0] ∪ …` by chaining [`IndexSpace::union`].
-    fn chained_union(&self, first: SpaceId, rest: &[SpaceId]) -> IndexSpace {
-        let mut acc = self.interner.get(first).clone();
-        for id in rest {
-            acc = acc.union(self.interner.get(*id));
-        }
-        acc
     }
 
     /// `lhs ∩ rhs ≠ ∅` — the hottest predicate in the analysis.
@@ -819,6 +878,13 @@ impl SpaceAlgebra {
         let r = self.union(a, b);
         self.space(r).clone()
     }
+}
+
+/// The left fold of a nonempty `ids` through the 2-D kernel, structurally
+/// what chaining [`IndexSpace::union`] builds, borrowed from `sweep`.
+fn swept_fold<'k>(sweep: &'k mut RectSweep, i: &SpaceInterner, ids: &[SpaceId]) -> &'k [Rect] {
+    let rest = ids[1..].iter().map(|id| i.get(*id).rects());
+    sweep.union_all(i.get(ids[0]).rects(), rest)
 }
 
 #[cfg(test)]
@@ -990,6 +1056,38 @@ mod tests {
         assert_eq!(i.intern(&b), id);
         // First sight shares the caller's storage instead of copying it.
         assert_eq!(i.get(id).rects().as_ptr(), a.rects().as_ptr());
+    }
+
+    /// Spaces whose hashes collide share one chain: `find` walks it to each
+    /// of them, and re-interning any adds no slot. The chain link sits in
+    /// padding.
+    #[test]
+    fn hash_chains_resolve_collisions() {
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(std::mem::size_of::<InternedSpace>(), 56);
+        let mut i = SpaceInterner::new();
+        let real = i.intern(&sp(0, 9));
+        // Under the hash `sp(0, 9)` really has, and under an unused one.
+        for hash in [content_hash(&[Rect::span(0, 9)]), 0x5eed] {
+            let spaces = [
+                sp(20, 29),
+                IndexSpace::from_rects([Rect::xy(0, 3, 0, 3), Rect::xy(5, 6, 2, 7)]),
+                IndexSpace::from_rects([Rect::span(0, 4), Rect::span(10, 14)]),
+            ];
+            let before = i.len();
+            let ids = spaces.each_ref().map(|s| i.intern_under(hash, s));
+            assert_eq!(i.len(), before + 3, "three distinct spaces, three slots");
+            for (s, id) in spaces.iter().zip(ids) {
+                assert_eq!(i.find_under(hash, s.rects()), Ok(id));
+                assert_eq!(i.get(id), s);
+                let copy = IndexSpace::from_rects(s.rects().iter().copied());
+                assert_eq!(i.intern_under(hash, &copy), id);
+            }
+            assert_eq!(i.len(), before + 3, "re-interning added a slot");
+            assert_eq!(i.find_under(hash, &[Rect::span(40, 41)]), Err(hash));
+        }
+        assert_eq!(i.intern(&sp(0, 9)), real);
+        assert_eq!(i.intern(&IndexSpace::empty()), SpaceId::EMPTY);
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //! miss, run one branch-free merge kernel (`MergeRuns`), and an `overlaps`
 //! with a one-run operand is a binary search: both are held to point
 //! membership / a linear scan, with runs at `i64::MIN` and `i64::MAX`.
+//!
+//! Off the band, the `IndexSpace` ops and the algebra's misses all run one
+//! 2-D kernel (`RectSweep`), so the direct ops cannot be its reference:
+//! [`reference`] keeps plain-vector copies of the 2-D loops, and stencil's
+//! tiles and halo rings, L-shapes, pinwheel tilings and scattered lists are
+//! held to them rect for rect, ids included.
 
 use proptest::prelude::*;
 use viz_geometry::{IndexSpace, InternConfig, Rect, SpaceAlgebra, SpaceId};
@@ -465,6 +471,326 @@ proptest! {
             prop_assert_eq!(x.overlaps(y), expect);
             prop_assert_eq!(alg.overlaps_unmemoized(ix, iy), expect);
             prop_assert_eq!(alg.overlaps(ix, iy), expect);
+        }
+    }
+}
+
+/// The allocating 2-D loops `IndexSpace`'s 2-D arms and `SpaceAlgebra`'s 2-D
+/// misses ran before they shared one kernel (`RectSweep`), over plain
+/// vectors, each result normalized by the quadratic re-sorting pass: the
+/// structural reference for the kernel. A union step whose two sides share
+/// a band ran the band merge instead; on a band the 2-D loop lands on the
+/// same runs, the band's only normal form, so the reference needs no band
+/// arm.
+mod reference {
+    use viz_geometry::Rect;
+
+    pub fn normalize(mut rects: Vec<Rect>) -> Vec<Rect> {
+        if rects.len() <= 1 {
+            return rects;
+        }
+        loop {
+            rects.sort_unstable_by_key(|r| (r.lo, r.hi));
+            let mut merged = false;
+            let mut out: Vec<Rect> = Vec::with_capacity(rects.len());
+            for r in rects.drain(..) {
+                if let Some(last) = out.last_mut() {
+                    if last.lo.y == r.lo.y && last.hi.y == r.hi.y && last.hi.x + 1 == r.lo.x {
+                        last.hi.x = r.hi.x;
+                        merged = true;
+                        continue;
+                    }
+                }
+                out.push(r);
+            }
+            let mut i = 0;
+            while i < out.len() {
+                let mut j = i + 1;
+                while j < out.len() {
+                    let (a, b) = (out[i], out[j]);
+                    if a.lo.x == b.lo.x && a.hi.x == b.hi.x && a.hi.y + 1 == b.lo.y {
+                        out[i].hi.y = b.hi.y;
+                        out.remove(j);
+                        merged = true;
+                    } else {
+                        j += 1;
+                    }
+                }
+                i += 1;
+            }
+            rects = out;
+            if !merged {
+                return rects;
+            }
+        }
+    }
+
+    /// `pending` with each rect of `cuts` cut out in turn.
+    fn cut_all(mut pending: Vec<Rect>, cuts: &[Rect]) -> Vec<Rect> {
+        for b in cuts {
+            if pending.is_empty() {
+                break;
+            }
+            let mut next = Vec::with_capacity(pending.len());
+            for a in pending {
+                if a.overlaps(b) {
+                    next.extend(a.subtract(b));
+                } else {
+                    next.push(a);
+                }
+            }
+            pending = next;
+        }
+        pending
+    }
+
+    pub fn intersect(ours: &[Rect], theirs: &[Rect]) -> Vec<Rect> {
+        let mut rects = Vec::new();
+        for a in ours {
+            for b in theirs {
+                let i = a.intersect(b);
+                if !i.is_empty() {
+                    rects.push(i);
+                }
+            }
+        }
+        normalize(rects)
+    }
+
+    pub fn subtract(ours: &[Rect], theirs: &[Rect]) -> Vec<Rect> {
+        normalize(cut_all(ours.to_vec(), theirs))
+    }
+
+    pub fn union(ours: &[Rect], theirs: &[Rect]) -> Vec<Rect> {
+        let mut rects = ours.to_vec();
+        for r in theirs {
+            if !r.is_empty() {
+                let rest = cut_all(vec![*r], &rects);
+                rects.extend(rest);
+            }
+        }
+        normalize(rects)
+    }
+
+    /// `((first ∪ rest₀) ∪ rest₁) ∪ …`, the empty sides short-circuited.
+    pub fn fold(spaces: &[&[Rect]]) -> Vec<Rect> {
+        let mut acc = spaces[0].to_vec();
+        for s in &spaces[1..] {
+            if acc.is_empty() {
+                acc = s.to_vec();
+            } else if !s.is_empty() {
+                acc = union(&acc, s);
+            }
+        }
+        acc
+    }
+}
+
+/// One of stencil's shapes on a grid of `w`×`h` tiles: a tile, a tile and
+/// half its right neighbour (two rects), or a tile's 2-cell halo ring
+/// clipped to the 3×3-tile domain (up to four rects).
+fn grid_shape() -> impl Strategy<Value = IndexSpace> {
+    (0i64..3, 0i64..3, 3i64..9, 3i64..9, 0u8..3).prop_map(|(tx, ty, w, h, kind)| {
+        let tile = Rect::xy(tx * w, tx * w + w - 1, ty * h, ty * h + h - 1);
+        match kind {
+            0 => IndexSpace::from_rect(tile),
+            1 => IndexSpace::from_rects([
+                tile,
+                Rect::xy(tile.hi.x + 1, tile.hi.x + w, tile.lo.y, tile.lo.y + h / 2),
+            ]),
+            _ => {
+                let domain = Rect::xy(0, 3 * w - 1, 0, 3 * h - 1);
+                let grown = Rect::xy(tile.lo.x - 2, tile.hi.x + 2, tile.lo.y - 2, tile.hi.y + 2);
+                IndexSpace::from_rect(grown.intersect(&domain))
+                    .subtract(&IndexSpace::from_rect(tile))
+            }
+        }
+    })
+}
+
+/// Some of the five rects of a pinwheel tiling of an `s`×`s` square — four
+/// rects turning around a centre one — or an L of two rects, offset.
+fn tiling_shape() -> impl Strategy<Value = IndexSpace> {
+    (0i64..15, 0i64..64, 0i64..64, 1u8..32, 0i64..10, 0i64..10).prop_map(
+        |(s, a, b, mask, ox, oy)| {
+            let s = 6 + s;
+            let p = 1 + a % (s - 2);
+            let q = p + 1 + b % (s - 1 - p);
+            let at = |x0, x1, y0, y1| Rect::xy(x0 + ox, x1 + ox, y0 + oy, y1 + oy);
+            if mask >= 28 {
+                // An L: a foot and a leg standing on its left end.
+                return IndexSpace::from_rects([at(0, q, 0, p - 1), at(0, p - 1, p, s - 1)]);
+            }
+            let tiles = pinwheel(s, p, q).map(|r| at(r.lo.x, r.hi.x, r.lo.y, r.hi.y));
+            let picked = tiles
+                .iter()
+                .enumerate()
+                .filter(|(k, _)| mask & (1 << k) != 0);
+            IndexSpace::from_rects(picked.map(|(_, r)| *r))
+        },
+    )
+}
+
+/// The pinwheel tiling of `[0, s)²` around the centre `[p, q)²`.
+fn pinwheel(s: i64, p: i64, q: i64) -> [Rect; 5] {
+    [
+        Rect::xy(0, q - 1, 0, p - 1),
+        Rect::xy(q, s - 1, 0, q - 1),
+        Rect::xy(p, s - 1, q, s - 1),
+        Rect::xy(0, p - 1, p, s - 1),
+        Rect::xy(p, q - 1, p, q - 1),
+    ]
+}
+
+/// A random normalized list from 2 to 40 raw rects in a 32×32 universe:
+/// short and long, on both sides of `normalize`'s 16-rect scan.
+fn scattered_shape() -> impl Strategy<Value = IndexSpace> {
+    prop::collection::vec(
+        (0i64..32, 0i64..6, 0i64..32, 0i64..6)
+            .prop_map(|(x, w, y, h)| Rect::xy(x, x + w, y, y + h)),
+        2..41,
+    )
+    .prop_map(IndexSpace::from_rects)
+}
+
+/// A 2-D operand: stencil's tiles and halos, tilings, scattered lists, and
+/// now and then the empty set.
+fn shape_2d() -> impl Strategy<Value = IndexSpace> {
+    prop_oneof![
+        3 => grid_shape(),
+        2 => tiling_shape(),
+        2 => scattered_shape(),
+        1 => Just(IndexSpace::empty()),
+    ]
+}
+
+/// `alg.space(id)` is `expect` rect for rect, and `id` is what interning
+/// `expect` names.
+fn check_id(alg: &mut SpaceAlgebra, id: SpaceId, expect: &[Rect], what: &str) {
+    prop_assert_eq!(alg.space(id).rects(), expect, "{} diverged", what);
+    let built = IndexSpace::from_rects(expect.iter().copied());
+    prop_assert_eq!(
+        built.rects(),
+        expect,
+        "a normal list is its own normal form"
+    );
+    prop_assert_eq!(alg.intern(&built), id, "{} is not the reference's id", what);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The 2-D kernel is the loops it replaced: `IndexSpace`'s `intersect`,
+    /// `subtract`, `union` and `split` are the reference rect for rect, in
+    /// both operand orders.
+    #[test]
+    fn two_d_ops_match_the_reference_loops(a in shape_2d(), b in shape_2d()) {
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            let (rx, ry) = (x.rects(), y.rects());
+            let (inside, outside) = (reference::intersect(rx, ry), reference::subtract(rx, ry));
+            prop_assert_eq!(x.intersect(y).rects(), &inside[..]);
+            prop_assert_eq!(x.subtract(y).rects(), &outside[..]);
+            let (i, o) = x.split(y);
+            prop_assert_eq!((i.rects(), o.rects()), (&inside[..], &outside[..]));
+            prop_assert_eq!(x.union(y).rects(), &reference::union(rx, ry)[..]);
+        }
+    }
+
+    /// `SpaceAlgebra::split` misses and repeats on 2-D pairs name the ids of
+    /// the reference halves, interning on and off; a repeat is one hit.
+    #[test]
+    fn two_d_split_misses_name_the_reference_ids(
+        pairs in prop::collection::vec((shape_2d(), shape_2d()), 1..5),
+    ) {
+        for config in [InternConfig::default(), InternConfig::disabled()] {
+            let mut alg = SpaceAlgebra::new(config);
+            for _ in 0..2 {
+                for (a, b) in &pairs {
+                    let (ia, ib) = (alg.intern(a), alg.intern(b));
+                    let (i, o) = alg.split(ia, ib);
+                    check_id(&mut alg, i, &reference::intersect(a.rects(), b.rects()), "inside");
+                    check_id(&mut alg, o, &reference::subtract(a.rects(), b.rects()), "outside");
+                    let u = alg.union(ia, ib);
+                    check_id(&mut alg, u, &reference::union(a.rects(), b.rects()), "union");
+                }
+            }
+            if config.enabled {
+                let seen = alg.stats();
+                for (a, b) in &pairs {
+                    let (ia, ib) = (alg.intern(a), alg.intern(b));
+                    alg.split(ia, ib);
+                }
+                prop_assert_eq!(alg.stats().misses, seen.misses, "a repeat split swept");
+                prop_assert_eq!(alg.stats().interned, seen.interned);
+            }
+        }
+    }
+
+    /// A 2-D `union_all` miss is the reference fold; a repeat is one hit;
+    /// interning off gives the same id.
+    #[test]
+    fn two_d_fold_misses_name_the_reference_ids(
+        spaces in prop::collection::vec(shape_2d(), 2..10),
+    ) {
+        let slices: Vec<&[Rect]> = spaces.iter().map(IndexSpace::rects).collect();
+        let expect = reference::fold(&slices);
+        for config in [InternConfig::default(), InternConfig::disabled()] {
+            let mut alg = SpaceAlgebra::new(config);
+            let ids: Vec<SpaceId> = spaces.iter().map(|s| alg.intern(s)).collect();
+            let folded = alg.union_all(&ids);
+            check_id(&mut alg, folded, &expect, "fold");
+            let seen = alg.stats();
+            prop_assert_eq!(alg.union_all(&ids), folded);
+            if config.enabled {
+                prop_assert_eq!(alg.stats().hits, seen.hits + 1, "a repeat fold missed");
+            }
+        }
+    }
+
+    /// The tiles of a pinwheel and of stencil's 3×3 grid fold back to the
+    /// points of their square, shuffled: `union_all_covering` over a 2-D
+    /// tiling is the reference fold (not always one rect: a 2-D normal form
+    /// depends on the order) and the `union_all` id; over the columns of one
+    /// band it is the band itself, which debug builds check against the
+    /// kernel's fold.
+    #[test]
+    fn covering_folds_of_2d_tilings_match_the_reference(
+        s in 0i64..15, a in 0i64..64, b in 0i64..64, w in 2i64..7, seed in 0u64..u64::MAX,
+    ) {
+        let s = 6 + s;
+        let p = 1 + a % (s - 2);
+        let q = p + 1 + b % (s - 1 - p);
+        let grid: Vec<Rect> = (0..9)
+            .map(|k| Rect::xy(k % 3 * w, k % 3 * w + w - 1, k / 3 * w, k / 3 * w + w - 1))
+            .collect();
+        let columns: Vec<Rect> = (0..s).map(|x| Rect::xy(x, x, 0, w)).collect();
+        let shuffle = |rects: &[Rect]| {
+            let mut spaces: Vec<IndexSpace> =
+                rects.iter().map(|r| IndexSpace::from_rect(*r)).collect();
+            spaces.sort_by_key(|t| {
+                let r = t.rects()[0];
+                (seed ^ (r.lo.x * 64 + r.lo.y) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            });
+            spaces
+        };
+        let cases = [
+            (shuffle(&pinwheel(s, p, q)), Rect::xy(0, s - 1, 0, s - 1)),
+            (shuffle(&grid), Rect::xy(0, 3 * w - 1, 0, 3 * w - 1)),
+            (shuffle(&columns), Rect::xy(0, s - 1, 0, w)),
+        ];
+        for (tiles, whole) in &cases {
+            let slices: Vec<&[Rect]> = tiles.iter().map(IndexSpace::rects).collect();
+            let expect = reference::fold(&slices);
+            let points = IndexSpace::from_rects(expect.iter().copied());
+            prop_assert!(points.same_points(&IndexSpace::from_rect(*whole)));
+            for config in [InternConfig::default(), InternConfig::disabled()] {
+                let mut alg = SpaceAlgebra::new(config);
+                let w = alg.intern(&IndexSpace::from_rect(*whole));
+                let ids: Vec<SpaceId> = tiles.iter().map(|t| alg.intern(t)).collect();
+                let covering = alg.union_all_covering(&ids, w);
+                check_id(&mut alg, covering, &expect, "covering fold");
+                prop_assert_eq!(alg.union_all(&ids), covering);
+            }
         }
     }
 }

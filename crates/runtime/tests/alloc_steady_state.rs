@@ -217,6 +217,35 @@ fn raycast_stencil_steady_launch_stays_inside_the_allocation_budget() {
     assert_engine_budget("stencil", &engine_allocs_per_iteration(&app, 64));
 }
 
+/// The cold allocation budget of one RayCast launch over 64-piece
+/// stencil's first iteration (192 launches, the app's set-up included),
+/// where every refinement and plan fold meets its operands for the first
+/// time. The 2-D split and fold misses run one kernel in buffers the
+/// algebra keeps and intern straight from them, so they allocate only for
+/// the spaces they add: 48.3 per launch, 108.6 when every step of those
+/// loops built and froze a space of its own and the interner kept a
+/// bucket per space. Deterministic, like the steady budget.
+const STENCIL_COLD_ALLOCS_PER_LAUNCH: f64 = 50.0;
+
+#[test]
+fn raycast_stencil_cold_iteration_stays_inside_the_allocation_budget() {
+    let app = Stencil::new(StencilConfig {
+        pieces: 64,
+        iterations: 5,
+        ..StencilConfig::paper(64)
+    });
+    let (allocs, launches) = engine_allocs_per_iteration(&app, 64)[0];
+    let per_launch = allocs as f64 / launches as f64;
+    // As for the steady budget, debug builds allocate for their checks.
+    if !cfg!(debug_assertions) {
+        assert!(
+            per_launch <= STENCIL_COLD_ALLOCS_PER_LAUNCH,
+            "stencil: iteration 1 allocated {per_launch:.1} times per launch \
+             ({allocs} over {launches} launches), budget {STENCIL_COLD_ALLOCS_PER_LAUNCH}"
+        );
+    }
+}
+
 #[test]
 fn raycast_pennant_steady_launch_stays_inside_the_allocation_budget() {
     let app = Pennant::new(PennantConfig {
