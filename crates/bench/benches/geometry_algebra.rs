@@ -14,7 +14,7 @@
 //!
 //! Correctness of the memoized path is not measured here — it is proved
 //! structurally by `viz-geometry/tests/prop_interned_algebra.rs` and the
-//! engine differential in `viz-runtime/tests/prop_intern_differential.rs`.
+//! engine differential: the `intern` axis of `tests/differential.rs`.
 
 use std::hint::black_box;
 use std::time::Instant;

@@ -86,7 +86,7 @@ fn main() {
             if args.quick && ci % matrix.len() != p % matrix.len() && ci != 0 {
                 continue;
             }
-            let history = run_program(&prog, *cfg);
+            let history = run_program(&prog, *cfg).history;
             let report = check(&history);
             total_runs += 1;
             total_violations += report.violations.len() as u64;

@@ -32,6 +32,9 @@ pub mod record;
 
 pub use checker::{check, CheckReport, Violation};
 pub use depa::Precedence;
-pub use gen::{drive_matrix, generate, run_program, DriveConfig, GenProgram, Mode, ALL_MODES};
+pub use gen::{
+    drive_matrix, generate, generate_over, run_program, DriveConfig, Forest, GenOp, GenProgram,
+    GenRegion, GenReq, Mode, Run, ALL_MODES,
+};
 pub use history::{DecodeError, HLaunch, HPrivilege, HRequirement, History};
 pub use record::{capture, resolve};

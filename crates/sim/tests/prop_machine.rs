@@ -117,3 +117,16 @@ proptest! {
         }
     }
 }
+
+/// The case `clocks_are_monotone_and_counted` once shrank to: a lone
+/// barrier on an idle machine is one all-reduce, 2·(n−1) messages, and
+/// moves no clock backwards.
+#[test]
+fn lone_barrier_is_one_all_reduce() {
+    let mut m = Machine::new(4);
+    m.barrier();
+    assert_eq!(m.counters().messages, 6);
+    for n in 0..4 {
+        assert!(m.time() >= m.now(n));
+    }
+}
