@@ -30,6 +30,8 @@ fn run_with_engine(engine: Box<dyn CoherenceEngine>, workload: &dyn Workload, no
     assert!(rt.num_tasks() > 0);
 }
 
+/// Untraced, as the paper's §8 runs it: every ablation compares engines or
+/// drivers on the launches they analyze, and a replayed launch skips them.
 fn rt_with_engine(
     engine: Box<dyn CoherenceEngine>,
     workload: &dyn Workload,
@@ -38,7 +40,8 @@ fn rt_with_engine(
     let mut rt = Runtime::with_engine(
         RuntimeConfig::new(EngineKind::RayCast)
             .nodes(nodes)
-            .validate(false),
+            .validate(false)
+            .auto_trace(false),
         engine,
     );
     let run = workload.execute(&mut rt);
@@ -205,6 +208,7 @@ fn a5_geometry() {
 
 /// A7: serial vs sharded analysis driver. Same launches, same results —
 /// only the host-side scheduling of the per-(root, field) scans differs.
+/// Untraced (§8), so every launch reaches the driver.
 fn a7_sharded_driver() {
     let app = Stencil::new(StencilConfig {
         pieces: 16,
@@ -223,7 +227,8 @@ fn a7_sharded_driver() {
                         .nodes(4)
                         .dcr(true)
                         .validate(false)
-                        .analysis_threads(threads),
+                        .analysis_threads(threads)
+                        .auto_trace(false),
                 );
                 let run = app.execute(&mut rt);
                 assert!(!run.iter_end.is_empty());

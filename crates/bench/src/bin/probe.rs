@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! probe <stencil|circuit|pennant> <raycast|warnock|paint|paintnaive> <dcr|nodcr> <nodes> \
-//!       [--quick] [--profile] [--analysis-threads N] [--auto-trace] [--pipeline] \
+//!       [--quick] [--profile] [--analysis-threads N] [--untraced] [--pipeline] \
 //!       [--submit-rings N] [--oracle] [--record-history PATH]
 //! ```
 //!
@@ -11,8 +11,10 @@
 //! per-engine metrics table (TSV) to the output. `--analysis-threads N`
 //! runs the analysis through the sharded driver with N workers (the
 //! reported figures are bit-identical to serial; only host time changes).
-//! `--auto-trace` enables automatic trace detection and reports what the
-//! detector promoted, replayed, and demoted. `--pipeline` routes
+//! Automatic trace detection is on, as it is by default, and the probe
+//! reports what the detector promoted, replayed, and demoted; `--untraced`
+//! turns it off and analyzes every launch, as the paper's §8 runs do (and
+//! `figures`). `--pipeline` routes
 //! submissions through the deferred-execution frontend (bounded queue +
 //! analysis driver thread) and reports queue depth/stall statistics; the
 //! figures again stay bit-identical, only host overlap changes.
@@ -28,7 +30,7 @@ use viz_runtime::{EngineKind, Runtime, RuntimeConfig};
 
 const USAGE: &str = "\
 usage: probe <stencil|circuit|pennant> <raycast|warnock|paint|paintnaive> <dcr|nodcr> <nodes> \\
-             [--quick] [--profile] [--analysis-threads N] [--auto-trace] [--pipeline] \\
+             [--quick] [--profile] [--analysis-threads N] [--untraced] [--pipeline] \\
              [--submit-rings N] [--oracle] [--record-history PATH]";
 
 fn main() {
@@ -55,7 +57,7 @@ fn main() {
     let nodes: usize = args[3].parse().expect("<nodes>");
     let quick = args.iter().any(|a| a == "--quick");
     let profile = args.iter().any(|a| a == "--profile");
-    let auto_trace = args.iter().any(|a| a == "--auto-trace");
+    let untraced = args.iter().any(|a| a == "--untraced");
     let pipeline = args.iter().any(|a| a == "--pipeline");
     let usize_flag = |flag: &str| {
         args.iter().position(|a| a == flag).map(|i| {
@@ -89,8 +91,8 @@ fn main() {
     if let Some(n) = analysis_threads {
         config = config.analysis_threads(n);
     }
-    if auto_trace {
-        config = config.auto_trace(true);
+    if untraced {
+        config = config.auto_trace(false);
     }
     if pipeline {
         config = config.pipeline(true);

@@ -63,13 +63,16 @@ const COLUMNS: &str = "app\tgc\tnodes\tlaunches\tretained\twatermark\tanalysis_s
 /// One measurement, printed as a TSV row on stdout (parsed by the parent).
 fn child(app: AppKind, nodes: usize, gc: bool) {
     // Analysis-streaming mode: no task bodies, no timed schedule — those
-    // replay the full history, which is exactly what GC retires.
+    // replay the full history, which is exactly what GC retires. Untraced,
+    // as the paper's §8 runs it: the flatness gate is about the analysis
+    // cost per launch, which a replayed launch skips.
     let workload = app.paper(nodes);
     let mut rt = Runtime::new(
         RuntimeConfig::new(EngineKind::RayCast)
             .nodes(nodes)
             .validate(false)
-            .history_gc(gc),
+            .history_gc(gc)
+            .auto_trace(false),
     );
     let start = Instant::now();
     let run = workload.execute(&mut rt);

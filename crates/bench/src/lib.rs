@@ -205,6 +205,8 @@ pub struct Measurement {
 }
 
 /// Run one workload under one configuration and measure both phases.
+/// Untraced, as the paper's §8 runs it: the figures measure the coherence
+/// algorithms, not the replay that skips them.
 pub fn measure(
     app: AppKind,
     workload: &dyn Workload,
@@ -215,7 +217,8 @@ pub fn measure(
         RuntimeConfig::new(config.engine)
             .nodes(nodes)
             .dcr(config.dcr)
-            .validate(false),
+            .validate(false)
+            .auto_trace(false),
     );
     let run = workload.execute(&mut rt);
     let report = rt.timed_schedule();

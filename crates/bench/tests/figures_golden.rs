@@ -22,11 +22,12 @@ fn assert_prefix_of_golden(stem: &str, table: &str) {
 #[test]
 fn tables_through_8_nodes_match_the_committed_goldens() {
     // The sweeps build their runtimes through `RuntimeConfig::new`, as this
-    // probe does. Auto-tracing replays launches the goldens analyze, and GC
-    // retires history `timed_schedule` needs; neither leg can reproduce them.
+    // probe does. GC retires history `timed_schedule` needs, so a `VIZ_GC`
+    // leg cannot reproduce them. Auto-tracing is on by default and the
+    // sweeps turn it off themselves (§8), so this test runs under defaults.
     let env = RuntimeConfig::new(EngineKind::RayCast);
-    if env.auto_trace || env.gc.enabled {
-        eprintln!("figures_golden: skipped (VIZ_AUTO_TRACE / VIZ_GC change simulated time)");
+    if env.gc.enabled {
+        eprintln!("figures_golden: skipped (VIZ_GC changes simulated time)");
         return;
     }
     let nodes = paper_node_counts(8);

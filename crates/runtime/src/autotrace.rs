@@ -26,6 +26,7 @@
 
 use crate::task::RegionRequirement;
 use crate::trace::Sig;
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use viz_geometry::{FxHashMap, FxHasher};
@@ -59,28 +60,105 @@ fn mix(h: u64) -> u64 {
     h.wrapping_mul(0xFF51_AFD7_ED55_8CCD).rotate_left(31)
 }
 
+/// `BASE^k`, by squaring.
+fn base_pow(mut k: u64) -> u64 {
+    let (mut acc, mut square) = (1u64, BASE);
+    while k > 0 {
+        if k & 1 == 1 {
+            acc = acc.wrapping_mul(square);
+        }
+        square = square.wrapping_mul(square);
+        k >>= 1;
+    }
+    acc
+}
+
+/// One retained launch of the window: the polynomial hash of the stream
+/// through it, its node, and where its requirements sit in the detector's
+/// flat requirement buffer (`reqs` entries from absolute offset `first`).
+#[derive(Copy, Clone)]
+struct Slot {
+    prefix: u64,
+    node: NodeId,
+    first: u64,
+    reqs: u32,
+}
+
+/// The last [`CHAIN`] absolute positions of one signature hash: the most
+/// recent, and the distances from it back to the older ones. A distance
+/// saturates at `u16::MAX`, which is farther than any period considered
+/// (`max_len < u16::MAX`), so 24 bytes hold what a candidate needs.
+#[derive(Copy, Clone)]
+struct Chain {
+    last: u64,
+    older: [u16; CHAIN - 1],
+    /// Older positions recorded, at most `CHAIN - 1`.
+    count: u8,
+}
+
+impl Chain {
+    fn new(p: u64) -> Self {
+        Chain {
+            last: p,
+            older: [0; CHAIN - 1],
+            count: 0,
+        }
+    }
+
+    fn push(&mut self, p: u64) {
+        let gap = u16::try_from(p - self.last).unwrap_or(u16::MAX);
+        self.older.copy_within(..CHAIN - 2, 1);
+        self.older[0] = 0;
+        for d in &mut self.older {
+            *d = d.saturating_add(gap);
+        }
+        self.last = p;
+        self.count = (self.count + 1).min(CHAIN as u8 - 1);
+    }
+
+    /// The distances from `p` back to the recorded positions, nearest
+    /// first.
+    fn distances(&self, p: u64) -> impl Iterator<Item = u64> + '_ {
+        let to_last = p - self.last;
+        let older = self.older[..usize::from(self.count)].iter();
+        std::iter::once(to_last).chain(older.map(move |&d| to_last + u64::from(d)))
+    }
+}
+
 /// The online repeat detector. Feed every observed (non-traced) launch to
 /// [`AutoTracer::observe`]; it returns the predicted instance when a repeat
-/// is confirmed.
-pub(crate) struct AutoTracer {
+/// is confirmed. A fresh detector allocates nothing; once its buffers have
+/// grown to the window (or to the longest stretch observed between
+/// resets), observing allocates nothing either: only a promotion builds
+/// the predicted instance.
+pub struct AutoTracer {
     min_len: u64,
     max_len: u64,
     confidence: u64,
-    /// Retained signatures with their hashes: positions `start .. start +
-    /// sigs.len()` of the absolute launch stream.
-    sigs: VecDeque<(u64, Sig)>,
-    /// `prefix[k]` = polynomial hash of the absolute stream prefix ending
-    /// at position `start + k`; `prefix.len() == sigs.len() + 1`. Substring
-    /// hashes never span a reset, so the anchor is arbitrary.
-    prefix: VecDeque<u64>,
+    /// Retained launches: positions `start .. start + slots.len()` of the
+    /// absolute launch stream.
+    slots: VecDeque<Slot>,
     start: u64,
-    /// `BASE^k` for k up to the window length.
-    pow: Vec<u64>,
-    /// Recent absolute positions of each signature hash, ascending.
-    chains: FxHashMap<u64, Vec<u64>>,
+    /// The polynomial hash of the stream before `start` (the prefix hash
+    /// of an evicted slot). Substring hashes never span a reset, so the
+    /// anchor is arbitrary.
+    start_prefix: u64,
+    /// Every retained launch's requirements, back to back; `reqs[0]` sits
+    /// at absolute offset `reqs_start`.
+    reqs: VecDeque<RegionRequirement>,
+    reqs_start: u64,
+    /// Recent absolute positions of each signature hash.
+    chains: FxHashMap<u64, Chain>,
+}
+
+impl Default for AutoTracer {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl AutoTracer {
+    /// The detector with the runtime's bounds.
     pub fn new() -> Self {
         Self::with_bounds(MIN_LEN, MAX_LEN, CONFIDENCE)
     }
@@ -89,105 +167,134 @@ impl AutoTracer {
     /// short windows). Requires `1 <= min_len <= max_len`, `confidence >= 2`.
     fn with_bounds(min_len: u64, max_len: u64, confidence: u64) -> Self {
         debug_assert!(1 <= min_len && min_len <= max_len && confidence >= 2);
-        let window = (confidence * max_len) as usize;
-        let mut pow = Vec::with_capacity(window + 2);
-        pow.push(1u64);
-        for k in 1..=window + 1 {
-            pow.push(pow[k - 1].wrapping_mul(BASE));
-        }
+        debug_assert!(max_len < u64::from(u16::MAX), "a chain's distances are u16");
         AutoTracer {
             min_len,
             max_len,
             confidence,
-            sigs: VecDeque::new(),
-            prefix: VecDeque::from([0u64]),
+            slots: VecDeque::new(),
             start: 0,
-            pow,
+            start_prefix: 0,
+            reqs: VecDeque::new(),
+            reqs_start: 0,
             chains: FxHashMap::default(),
         }
     }
 
-    /// Forget everything observed so far (promotion, demotion, fences, and
-    /// explicit trace annotations all discontinue the stream).
+    /// Forget everything observed so far (demotion, fences and explicit
+    /// trace annotations discontinue the stream). Buffers keep their
+    /// capacity.
     pub fn reset(&mut self) {
-        self.sigs.clear();
-        self.prefix.clear();
-        self.prefix.push_back(0);
+        self.slots.clear();
         self.start = 0;
+        self.start_prefix = 0;
+        self.reqs.clear();
+        self.reqs_start = 0;
         self.chains.clear();
     }
 
-    /// Hash of the signature block at absolute positions `[a, b)`.
-    fn seg_hash(&self, a: u64, b: u64) -> u64 {
-        let ia = (a - self.start) as usize;
-        let ib = (b - self.start) as usize;
-        self.prefix[ib].wrapping_sub(self.prefix[ia].wrapping_mul(self.pow[ib - ia]))
+    fn slot(&self, p: u64) -> &Slot {
+        &self.slots[(p - self.start) as usize]
     }
 
-    /// Element-wise check that the last `blocks` blocks of length `len`
-    /// (ending at absolute position `end`) are identical.
-    fn verify_exact(&self, end: u64, len: u64, blocks: u64) -> bool {
-        let first = end - blocks * len;
-        (first..end - len).all(|p| {
-            self.sigs[(p - self.start) as usize] == self.sigs[(p + len - self.start) as usize]
-        })
+    /// The requirements of a retained launch.
+    fn reqs_of(&self, s: &Slot) -> impl Iterator<Item = &RegionRequirement> {
+        let at = (s.first - self.reqs_start) as usize;
+        self.reqs.range(at..at + s.reqs as usize)
+    }
+
+    /// Polynomial hash of the stream before absolute position `p`
+    /// (`start <= p <= start + slots.len()`).
+    fn prefix(&self, p: u64) -> u64 {
+        match p - self.start {
+            0 => self.start_prefix,
+            k => self.slots[k as usize - 1].prefix,
+        }
+    }
+
+    /// Do the retained launches at absolute positions `a` and `b` have the
+    /// same signature, element for element?
+    fn same_sig(&self, a: u64, b: u64) -> bool {
+        let (sa, sb) = (self.slot(a), self.slot(b));
+        sa.node == sb.node && sa.reqs == sb.reqs && self.reqs_of(sa).eq(self.reqs_of(sb))
+    }
+
+    /// Are the last `confidence` blocks of length `len` ending at absolute
+    /// position `end` identical? The block hashes screen; an element-wise
+    /// check confirms, so a hash collision never promotes.
+    fn repeats(&self, end: u64, len: u64) -> bool {
+        if len < self.min_len || len > self.max_len {
+            return false;
+        }
+        if end - self.start < self.confidence * len {
+            return false; // not enough history retained
+        }
+        // The hash of the `k`-th block back, `[end - (k+1)·len, end - k·len)`.
+        let shift = base_pow(len);
+        let block = |k: u64| {
+            let (a, b) = (end - (k + 1) * len, end - k * len);
+            self.prefix(b)
+                .wrapping_sub(self.prefix(a).wrapping_mul(shift))
+        };
+        let first = end - self.confidence * len;
+        (1..self.confidence).all(|k| block(k) == block(0))
+            && (first..end - len).all(|p| self.same_sig(p, p + len))
     }
 
     /// Feed one observed launch. Returns the predicted repeat unit (the
     /// last `L` signatures, oldest first) when a period `L` is confirmed —
     /// by stream periodicity the *next* `L` launches should equal it
-    /// element-for-element. The detector resets itself on promotion.
+    /// element-for-element. A promotion ends the observed stream: the
+    /// caller replaces or resets the detector before observing again.
     pub fn observe(&mut self, node: NodeId, reqs: &[RegionRequirement]) -> Option<Vec<Sig>> {
-        let h = sig_hash(node, reqs);
-        let pos = self.start + self.sigs.len() as u64;
-        // `prefix` is one longer than `sigs`: this is its last element.
-        let top = self.prefix[self.sigs.len()];
-        self.prefix
-            .push_back(top.wrapping_mul(BASE).wrapping_add(mix(h)));
-        let reqs = reqs.to_vec();
-        self.sigs.push_back((h, Sig { node, reqs }));
+        let hash = sig_hash(node, reqs);
+        let pos = self.start + self.slots.len() as u64;
+        let prefix = self.prefix(pos).wrapping_mul(BASE).wrapping_add(mix(hash));
+        let first = self.reqs_start + self.reqs.len() as u64;
+        self.reqs.extend(reqs.iter().cloned());
+        self.slots.push_back(Slot {
+            prefix,
+            node,
+            first,
+            reqs: reqs.len() as u32,
+        });
         let window = (self.confidence * self.max_len) as usize;
-        while self.sigs.len() > window {
-            self.sigs.pop_front();
-            self.prefix.pop_front();
+        while self.slots.len() > window {
+            let gone = self.slots.pop_front().expect("window is non-empty");
+            self.reqs.drain(..gone.reqs as usize);
+            self.reqs_start += u64::from(gone.reqs);
+            self.start_prefix = gone.prefix;
             self.start += 1;
         }
         // Candidate periods: distances to recent occurrences of this
-        // signature, smallest first (the chain is ascending).
-        let chain = self.chains.entry(h).or_default();
-        let candidates: Vec<u64> = chain.iter().rev().map(|&p| pos - p).collect();
-        chain.push(pos);
-        if chain.len() > CHAIN {
-            chain.remove(0);
+        // signature, smallest first, walked on a copy of its chain.
+        let recent = match self.chains.entry(hash) {
+            Entry::Occupied(mut chain) => {
+                let recent = *chain.get();
+                chain.get_mut().push(pos);
+                Some(recent)
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(Chain::new(pos));
+                None
+            }
+        };
+        let end = pos + 1;
+        let period = (recent.iter())
+            .flat_map(|chain| chain.distances(pos))
+            .find(|&len| self.repeats(end, len));
+        if let Some(len) = period {
+            let from = self.slots.len() - len as usize;
+            let predicted = self.slots.range(from..).map(|s| Sig {
+                node: s.node,
+                reqs: self.reqs_of(s).cloned().collect(),
+            });
+            return Some(predicted.collect());
         }
         if self.chains.len() > 4 * window.max(64) {
             // Prune hashes whose last occurrence fell out of the window.
             let start = self.start;
-            self.chains
-                .retain(|_, c| c.last().is_some_and(|&p| p >= start));
-        }
-        let end = pos + 1;
-        for len in candidates {
-            if len < self.min_len || len > self.max_len {
-                continue;
-            }
-            if end - self.start < self.confidence * len {
-                continue; // not enough history retained
-            }
-            let base_block = self.seg_hash(end - len, end);
-            let all_equal = (1..self.confidence)
-                .all(|k| self.seg_hash(end - (k + 1) * len, end - k * len) == base_block);
-            if !all_equal || !self.verify_exact(end, len, self.confidence) {
-                continue;
-            }
-            let predicted: Vec<Sig> = self
-                .sigs
-                .iter()
-                .skip(self.sigs.len() - len as usize)
-                .map(|(_, sig)| sig.clone())
-                .collect();
-            self.reset();
-            return Some(predicted);
+            self.chains.retain(|_, c| c.last >= start);
         }
         None
     }
@@ -213,6 +320,7 @@ mod tests {
         for (i, &s) in stream.iter().enumerate() {
             if let Some(p) = t.observe(0, &req(s)) {
                 fired.push((i, p.len()));
+                t.reset();
             }
         }
         fired
@@ -288,13 +396,26 @@ mod tests {
     }
 
     #[test]
+    fn chains_keep_the_last_positions_nearest_first() {
+        let mut c = Chain::new(3);
+        for p in [5, 9, 100_000, 100_004, 100_005, 100_006, 100_007, 100_008] {
+            c.push(p);
+        }
+        // Nine positions pushed, eight kept; 3 is gone, and the distances
+        // back to 5 and 9 saturate: still farther than any period.
+        let far = 2 + u64::from(u16::MAX);
+        let got: Vec<u64> = c.distances(100_010).collect();
+        assert_eq!(got, [2, 3, 4, 5, 6, 10, far, far]);
+    }
+
+    #[test]
     fn window_eviction_keeps_detection_sound() {
         let mut t = AutoTracer::with_bounds(2, 4, 2);
         // Period 6 exceeds max_len 4 — never promoted, and the sliding
         // window stays bounded.
         let stream: Vec<u32> = (0..6).cycle().take(60).collect();
         assert!(drive(&mut t, &stream).is_empty());
-        assert!(t.sigs.len() <= 8);
+        assert!(t.slots.len() <= 8);
         // A detectable period arriving later still fires.
         assert_eq!(drive(&mut t, &[9, 8, 9, 8]).last().map(|f| f.1), Some(2));
     }

@@ -16,7 +16,6 @@
 //! | Variable | Default | Effect |
 //! |---|---|---|
 //! | `VIZ_ANALYSIS_THREADS` | `1` | worker threads for the sharded batch analysis (1 = serial) |
-//! | `VIZ_AUTO_TRACE` | off | `1`/`true` enables online automatic trace detection |
 //! | `VIZ_PIPELINE` | off | `1`/`true` runs analysis on a dedicated driver thread |
 //! | `VIZ_GC` | off | `1`/`true` enables history garbage collection (watermark past the oldest unretired launch) |
 //! | `VIZ_GC_INTERVAL` | `1024` | launches between collections (amortizes the sweep) |
@@ -91,7 +90,9 @@ pub struct RuntimeConfig {
     pub analysis_threads: usize,
     /// Online automatic trace detection: watch the launch stream for
     /// repeated subsequences and replay them without `begin_trace`
-    /// annotations. Defaults from `VIZ_AUTO_TRACE`.
+    /// annotations. On by default: replay is the steady state. Only the
+    /// paper's untraced measurements (§8) and tests of the analyzed path
+    /// turn it off, with [`RuntimeConfig::auto_trace`].
     pub auto_trace: bool,
     /// Pipelined submission: launches are validated on the application
     /// thread, pushed into a bounded queue, and analyzed by a dedicated
@@ -150,7 +151,7 @@ impl RuntimeConfig {
             cost: CostModel::default(),
             validate_launches: true,
             analysis_threads: 1,
-            auto_trace: false,
+            auto_trace: true,
             pipeline: false,
             pipeline_depth: DEFAULT_PIPELINE_DEPTH,
             submit_rings: DEFAULT_SUBMIT_RINGS,
@@ -189,7 +190,8 @@ impl RuntimeConfig {
         self
     }
 
-    /// Toggle online automatic trace detection.
+    /// Toggle online automatic trace detection (on by default; off only
+    /// for untraced measurements and tests of the analyzed path).
     pub fn auto_trace(mut self, on: bool) -> Self {
         self.auto_trace = on;
         self
@@ -254,7 +256,6 @@ impl RuntimeConfig {
 #[derive(Clone, Debug, Default)]
 pub struct EnvOverrides {
     pub analysis_threads: Option<usize>,
-    pub auto_trace: Option<bool>,
     pub pipeline: Option<bool>,
     pub gc: Option<bool>,
     pub gc_interval: Option<u32>,
@@ -280,7 +281,6 @@ impl EnvOverrides {
         let flag = |k: &str| get(k).map(|s| parse_flag(&s));
         EnvOverrides {
             analysis_threads: num("VIZ_ANALYSIS_THREADS").filter(|n| *n >= 1),
-            auto_trace: flag("VIZ_AUTO_TRACE"),
             pipeline: flag("VIZ_PIPELINE"),
             gc: flag("VIZ_GC"),
             gc_interval: num32("VIZ_GC_INTERVAL"),
@@ -296,9 +296,6 @@ impl EnvOverrides {
     pub fn apply(&self, mut cfg: RuntimeConfig) -> RuntimeConfig {
         if let Some(n) = self.analysis_threads {
             cfg.analysis_threads = n.max(1);
-        }
-        if let Some(on) = self.auto_trace {
-            cfg.auto_trace = on;
         }
         if let Some(on) = self.pipeline {
             cfg.pipeline = on;
@@ -331,11 +328,6 @@ pub const KNOBS: &[Knob] = &[
         var: "VIZ_ANALYSIS_THREADS",
         default: "1",
         effect: "worker threads for the sharded batch analysis (1 = serial)",
-    },
-    Knob {
-        var: "VIZ_AUTO_TRACE",
-        default: "off",
-        effect: "online automatic trace detection",
     },
     Knob {
         var: "VIZ_PIPELINE",
@@ -413,6 +405,7 @@ mod tests {
         let cfg = RuntimeConfig::base(EngineKind::Paint);
         assert_eq!(cfg.analysis_threads, 1);
         assert!(!cfg.gc.enabled);
+        assert!(cfg.auto_trace, "replay is the default steady state");
     }
 
     #[test]
@@ -458,7 +451,7 @@ mod tests {
             );
         }
         assert_eq!(probed.len(), KNOBS.len(), "stale row in the knob table");
-        assert_eq!(KNOBS.len(), 6);
+        assert_eq!(KNOBS.len(), 5);
 
         // The two prose copies of the table — the README and this module's
         // doc — name exactly the KNOBS variables; DESIGN.md names no other.

@@ -99,6 +99,28 @@ impl MaterializePlan {
     pub fn copied_points(&self) -> u64 {
         self.copies.iter().map(|c| c.domain.volume()).sum()
     }
+
+    /// `self` with `shift` applied equals `other` (see
+    /// [`AnalysisResult::eq_shifted`]).
+    fn eq_shifted(&self, shift: TaskShift, other: &MaterializePlan) -> bool {
+        let source = |a: &Source, b: &Source| match (a, b) {
+            (Source::Task(t, r), Source::Task(u, s)) => shift.apply(*t) == *u && r == s,
+            _ => a == b,
+        };
+        // Interned domains share one allocation: equal pointers need no
+        // walk over the rects (`IndexSpace`'s `==` always walks them).
+        let domain = |a: &IndexSpace, b: &IndexSpace| std::ptr::eq(a.rects(), b.rects()) || a == b;
+        self.fill_identity == other.fill_identity
+            && self.copies.len() == other.copies.len()
+            && self.reductions.len() == other.reductions.len()
+            && (self.copies.iter().zip(&other.copies))
+                .all(|(a, b)| source(&a.source, &b.source) && domain(&a.domain, &b.domain))
+            && (self.reductions.iter().zip(&other.reductions)).all(|(a, b)| {
+                shift.apply(a.task) == b.task
+                    && (a.req, a.redop) == (b.req, b.redop)
+                    && domain(&a.domain, &b.domain)
+            })
+    }
 }
 
 /// The full result of analyzing one task launch.
@@ -118,6 +140,17 @@ impl AnalysisResult {
         for p in &mut self.plans {
             p.normalize();
         }
+    }
+
+    /// Is `other` this result with `shift` applied? The verdict of
+    /// `StoredResult::Shared { result: self, shift }.resolve() == *other`,
+    /// compared in place: nothing is copied, and a mismatch stops at the
+    /// first differing element.
+    pub fn eq_shifted(&self, shift: TaskShift, other: &AnalysisResult) -> bool {
+        self.deps.len() == other.deps.len()
+            && self.plans.len() == other.plans.len()
+            && (self.deps.iter().zip(&other.deps)).all(|(a, b)| shift.apply(*a) == *b)
+            && (self.plans.iter().zip(&other.plans)).all(|(a, b)| a.eq_shifted(shift, b))
     }
 
     /// Rewrite every task reference (dependences, copy sources, reduction

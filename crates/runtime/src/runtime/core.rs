@@ -208,12 +208,8 @@ impl Core {
                     // Capturing: the template shares the result with the
                     // runtime's own storage (identity shift) — no clone.
                     let result = Arc::new(result);
-                    book.tracing.record(
-                        launch.node,
-                        launch.reqs.clone(),
-                        Arc::clone(&result),
-                        forest,
-                    );
+                    book.tracing
+                        .record(launch.node, &launch.reqs, Arc::clone(&result), forest);
                     StoredResult::Shared {
                         result,
                         shift: TaskShift::IDENTITY,

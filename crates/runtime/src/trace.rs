@@ -39,9 +39,10 @@
 //!   analyzed window, so the map stays O(active templates) no matter how
 //!   many instances replay (see `push_rebase`).
 //!
-//! Traces also form without annotations: with auto-tracing on, the
-//! detector ([`crate::autotrace`]) opens a trace under a fresh auto
-//! [`TraceId`] in `Mode::Capture`, predicting each captured launch. One
+//! Traces also form without annotations: with auto-tracing on (the
+//! default), the detector ([`crate::autotrace`]) opens a trace under a
+//! fresh auto [`TraceId`] in `Mode::Capture`, predicting each captured
+//! launch. One
 //! `Mode::Verify` instance follows before replay, which rolls into the next
 //! instance every `len` launches (there is no `end_trace`); any divergence
 //! drops the template. Both kinds share one template store and one path
@@ -49,11 +50,11 @@
 
 use crate::autotrace::AutoTracer;
 use crate::error::RuntimeError;
-use crate::plan::{AnalysisResult, StoredResult, TaskShift};
+use crate::plan::{AnalysisResult, TaskShift};
 use crate::task::{RegionRequirement, TaskId};
 use std::sync::Arc;
-use viz_geometry::{FxHashMap, IndexSpace};
-use viz_region::{FieldId, Privilege, RegionForest, RegionId};
+use viz_geometry::{FxHashMap, SpaceId};
+use viz_region::{FieldId, Privilege, RegionForest, RegionId, RootGeometry};
 use viz_sim::NodeId;
 
 /// Application-chosen trace identifier. Ids with [`TraceId::AUTO_BIT`] set
@@ -74,8 +75,8 @@ impl TraceId {
 
 /// One launch's signature: everything trace validation compares. Template
 /// entries and the auto-tracer's predictions both carry it.
-#[derive(Clone, PartialEq)]
-pub(crate) struct Sig {
+#[derive(Clone, Debug, PartialEq)]
+pub struct Sig {
     pub node: NodeId,
     pub reqs: Vec<RegionRequirement>,
 }
@@ -320,27 +321,41 @@ pub(crate) struct Tracing {
 /// overwrites stays pending forever; a read of a constant field leaves an
 /// unoccluded epoch per instance) and a post-trace task would need
 /// references to every skipped instance — which a shift can't synthesize.
+///
+/// The check runs on the forest's interned domains: per `(root, field)`
+/// one `union_all` of the distinct written spaces, then one memoized
+/// `contains` per distinct other space, all through the root's algebra.
 fn instance_is_self_superseding(entries: &[TemplateEntry], forest: &RegionForest) -> bool {
-    let mut writes: FxHashMap<(RegionId, FieldId), IndexSpace> = FxHashMap::default();
-    for e in entries {
-        for r in &e.sig.reqs {
-            if matches!(r.privilege, Privilege::ReadWrite) {
-                let dom = forest.domain(r.region);
-                writes
-                    .entry((forest.root_of(r.region), r.field))
-                    .and_modify(|w| *w = w.union(dom))
-                    .or_insert_with(|| dom.clone());
-            }
+    // Per `(root, field)`: the spaces written, and the spaces otherwise
+    // accessed.
+    type Accesses = (Vec<SpaceId>, Vec<SpaceId>);
+    let mut keys: FxHashMap<(RegionId, FieldId), Accesses> = FxHashMap::default();
+    for r in entries.iter().flat_map(|e| &e.sig.reqs) {
+        let (writes, others) = keys.entry((forest.root_of(r.region), r.field)).or_default();
+        match r.privilege {
+            Privilege::ReadWrite => writes.push(forest.space(r.region)),
+            _ => others.push(forest.space(r.region)),
         }
     }
-    entries.iter().all(|e| {
-        e.sig.reqs.iter().all(|r| {
-            matches!(r.privilege, Privilege::ReadWrite)
-                || writes
-                    .get(&(forest.root_of(r.region), r.field))
-                    .is_some_and(|w| w.contains(forest.domain(r.region)))
-        })
-    })
+    for ((root, _), (mut writes, mut others)) in keys {
+        if others.is_empty() {
+            continue;
+        }
+        if writes.is_empty() {
+            return false;
+        }
+        for spaces in [&mut writes, &mut others] {
+            spaces.sort_unstable();
+            spaces.dedup();
+        }
+        let mut geometry = RootGeometry::lock(forest.geometry(root));
+        let alg = &mut geometry.alg;
+        let covered = alg.union_all(&writes);
+        if !others.iter().all(|&s| alg.contains(covered, s)) {
+            return false;
+        }
+    }
+    true
 }
 
 /// Insert `[start, end) -> +shift` into the sorted interval map,
@@ -440,6 +455,10 @@ impl Tracing {
             // Observation: feed the detector; a detected repeat starts
             // capture with the *next* launch.
             if let Some(predicted) = self.auto.as_mut().and_then(|a| a.observe(node, reqs)) {
+                // The promotion ends the observed stream, and nothing is
+                // observed while a trace is open: free the window (a
+                // fresh detector allocates nothing until it observes).
+                self.auto = Some(AutoTracer::new());
                 let id = TraceId(TraceId::AUTO_BIT | self.next_auto_id);
                 self.next_auto_id += 1;
                 self.auto_promotions += 1;
@@ -520,11 +539,13 @@ impl Tracing {
     }
 
     /// Record a captured entry (called when `on_launch` said `record`). The
-    /// result is shared with the runtime's own storage — no clone.
+    /// result is shared with the runtime's own storage — no clone. An auto
+    /// trace moves the predicted signature (which the launch matched) into
+    /// the template; only an annotated capture copies `reqs`.
     pub fn record(
         &mut self,
         node: NodeId,
-        reqs: Vec<RegionRequirement>,
+        reqs: &[RegionRequirement],
         result: Arc<AnalysisResult>,
         forest: &RegionForest,
     ) {
@@ -538,12 +559,7 @@ impl Tracing {
             // onto this instance. Anything else means the signature repeat
             // was not an *analysis* repeat: failed speculation, demote.
             let t = self.states[&active.id].template();
-            let expected = StoredResult::Shared {
-                result: Arc::clone(&t.entries[cursor].result),
-                shift: active.shift,
-            }
-            .resolve();
-            if expected != *result {
+            if !t.entries[cursor].result.eq_shifted(active.shift, &result) {
                 self.demote_auto();
             } else if active.cursor == t.len() {
                 // Shift-stationary across a full instance: replay from the
@@ -563,6 +579,10 @@ impl Tracing {
         } = &mut active.mode
         else {
             return;
+        };
+        let reqs = match predicted {
+            Some(p) => std::mem::take(&mut p[cursor].reqs),
+            None => reqs.to_vec(),
         };
         let sig = Sig { node, reqs };
         recording.push(TemplateEntry { sig, result });
@@ -781,6 +801,125 @@ impl Tracing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use viz_geometry::IndexSpace;
+    use viz_region::RedOpRegistry;
+
+    /// The coverage check as it was before it ran on interned geometry:
+    /// per `(root, field)` a chain of `IndexSpace::union`s over the written
+    /// domains, then `contains` for every other access.
+    fn chained_union_verdict(entries: &[TemplateEntry], forest: &RegionForest) -> bool {
+        let mut writes: FxHashMap<(RegionId, FieldId), IndexSpace> = FxHashMap::default();
+        for r in entries.iter().flat_map(|e| &e.sig.reqs) {
+            if matches!(r.privilege, Privilege::ReadWrite) {
+                let dom = forest.domain(r.region);
+                writes
+                    .entry((forest.root_of(r.region), r.field))
+                    .and_modify(|w| *w = w.union(dom))
+                    .or_insert_with(|| dom.clone());
+            }
+        }
+        entries.iter().flat_map(|e| &e.sig.reqs).all(|r| {
+            matches!(r.privilege, Privilege::ReadWrite)
+                || writes
+                    .get(&(forest.root_of(r.region), r.field))
+                    .is_some_and(|w| w.contains(forest.domain(r.region)))
+        })
+    }
+
+    fn entries(launches: &[Vec<RegionRequirement>]) -> Vec<TemplateEntry> {
+        let result = Arc::new(AnalysisResult::default());
+        (launches.iter().enumerate())
+            .map(|(i, reqs)| TemplateEntry {
+                sig: Sig {
+                    node: i % 3,
+                    reqs: reqs.clone(),
+                },
+                result: Arc::clone(&result),
+            })
+            .collect()
+    }
+
+    /// Both verdicts on `launches` and on every prefix of it; returns the
+    /// verdict on the whole.
+    fn same_verdicts(launches: &[Vec<RegionRequirement>], forest: &RegionForest) -> bool {
+        for n in 1..=launches.len() {
+            let e = entries(&launches[..n]);
+            assert_eq!(
+                instance_is_self_superseding(&e, forest),
+                chained_union_verdict(&e, forest),
+                "the verdicts differ on the first {n} launches"
+            );
+        }
+        instance_is_self_superseding(&entries(launches), forest)
+    }
+
+    #[test]
+    fn interned_coverage_check_gives_the_chained_union_verdict() {
+        let mut forest = RegionForest::new();
+        let root = forest.create_root_1d("A", 64);
+        let (f_in, f_out) = (forest.add_field(root, "in"), forest.add_field(root, "out"));
+        let p = forest.create_equal_partition_1d(root, "P", 8);
+        let halos: Vec<IndexSpace> = (0..8)
+            .map(|i| IndexSpace::span((i * 8 - 2).max(0), (i * 8 + 9).min(63)))
+            .collect();
+        let h = forest.create_partition(root, "H", halos);
+        let piece = |k| forest.subregion(p, k);
+        let halo = |k| forest.subregion(h, k);
+        let sum = Privilege::Reduce(RedOpRegistry::SUM);
+
+        // A stencil-shaped instance: each piece writes `out` reading its
+        // tile and halo of `in`, then rewrites its tile of `in`. Its prefixes
+        // read halos before every tile is written: uncovered until the end.
+        let mut stencil = Vec::new();
+        for k in 0..8 {
+            stencil.push(vec![
+                RegionRequirement::read_write(piece(k), f_out),
+                RegionRequirement::read(piece(k), f_in),
+                RegionRequirement::read(halo(k), f_in),
+            ]);
+        }
+        for k in 0..8 {
+            stencil.push(vec![RegionRequirement::read_write(piece(k), f_in)]);
+        }
+        assert!(same_verdicts(&stencil, &forest));
+
+        // Reductions into the halos, which the pieces' writes cover.
+        let mut reduce = stencil.clone();
+        reduce.push(vec![RegionRequirement::new(halo(3), f_out, sum)]);
+        assert!(same_verdicts(&reduce, &forest));
+
+        // Not covering: seven of eight pieces written, the whole read.
+        let mut short: Vec<_> = (0..7)
+            .map(|k| vec![RegionRequirement::read_write(piece(k), f_in)])
+            .collect();
+        short.push(vec![RegionRequirement::read(root, f_in)]);
+        assert!(!same_verdicts(&short, &forest));
+
+        // Not covering: a field only ever read (a constant), and one only
+        // reduced into (pending reductions accumulate).
+        let constant = vec![
+            vec![RegionRequirement::read_write(root, f_out)],
+            vec![RegionRequirement::read(piece(0), f_in)],
+        ];
+        assert!(!same_verdicts(&constant, &forest));
+        let reduced = vec![vec![RegionRequirement::new(piece(2), f_in, sum)]];
+        assert!(!same_verdicts(&reduced, &forest));
+
+        // An empty region read on a field nothing writes: not covered.
+        let e = forest.create_partition(root, "E", vec![IndexSpace::empty()]);
+        let empty = forest.subregion(e, 0);
+        let unwritten = vec![vec![RegionRequirement::read(empty, f_in)]];
+        assert!(!same_verdicts(&unwritten, &forest));
+
+        // A second root is checked on its own.
+        let other = forest.create_root_1d("B", 16);
+        let g = forest.add_field(other, "v");
+        let mut two_roots = stencil.clone();
+        two_roots.push(vec![RegionRequirement::read(other, g)]);
+        assert!(!same_verdicts(&two_roots, &forest));
+        two_roots.insert(0, vec![RegionRequirement::read_write(other, g)]);
+        assert!(same_verdicts(&two_roots, &forest));
+    }
 
     fn ranges(v: &[(u32, u32, u32)]) -> Vec<(u32, u32, u32)> {
         let mut r = Vec::new();

@@ -1,6 +1,6 @@
 //! Allocation counts at steady state, as exact numbers.
 //!
-//! Three families. The K-d candidate walk: the raycast backward scan used
+//! Four families. The K-d candidate walk: the raycast backward scan used
 //! to allocate per query (a traversal stack inside `DynamicBvh::query`, a
 //! fresh hits vector per requirement); both live in per-shard scratch
 //! (`ScanScratch` in `analysis/eqsets.rs`), and `DynamicBvh::query_with`
@@ -10,7 +10,9 @@
 //! iteration to the next. And the commit path's DAG: `TaskDag::push`
 //! copies the dependences it is handed into its own chunked column and
 //! derives nothing that needs memory of its own, so it allocates only when
-//! a column grows. Beside the counts, the bytes a drained runtime holds
+//! a column grows. And the auto-tracer's repeat detector, which sees every
+//! untraced launch: once its buffers have grown, observing a launch
+//! allocates nothing. Beside the counts, the bytes a drained runtime holds
 //! per committed launch: a stored result is rows in chunked columns, not
 //! vectors of its own.
 //!
@@ -23,8 +25,12 @@ use std::cell::Cell;
 
 use viz_apps::{Pennant, PennantConfig, Stencil, StencilConfig, Workload};
 use viz_geometry::{DynamicBvh, Rect};
+use viz_region::{FieldId, RegionId};
+use viz_runtime::autotrace::AutoTracer;
 use viz_runtime::engine::AnalysisCtx;
-use viz_runtime::{EngineKind, LaunchSpec, Runtime, RuntimeConfig, ShardMap, TaskDag, TaskId};
+use viz_runtime::{
+    EngineKind, LaunchSpec, RegionRequirement, Runtime, RuntimeConfig, ShardMap, TaskDag, TaskId,
+};
 use viz_sim::Machine;
 
 struct CountingAlloc;
@@ -297,14 +303,103 @@ fn dag_push_slice_allocates_only_column_growth() {
     assert_eq!(dag.preds(TaskId(N - 1)), &deps[N as usize - 1][..]);
 }
 
+/// A square-free word over three letters (no block occurs twice in a row,
+/// so no period ever repeats): the runs of 1s between consecutive 0s of
+/// the Thue–Morse sequence.
+fn square_free(n: usize) -> Vec<usize> {
+    let mut word = Vec::with_capacity(n);
+    let mut ones = 0;
+    for k in 1u32.. {
+        if word.len() == n {
+            return word;
+        }
+        if k.count_ones() % 2 == 1 {
+            ones += 1;
+        } else {
+            word.push(ones);
+            ones = 0;
+        }
+    }
+    unreachable!()
+}
+
+/// Feed `letters` (each the node of one launch with `reqs`) to the
+/// detector, resetting it after each promotion as the runtime's demotions
+/// and fences do; return the allocations the calls that promoted nothing
+/// made, and the allocations and lengths of the promotions.
+fn observe_all(
+    t: &mut AutoTracer,
+    letters: &[usize],
+    reqs: &[RegionRequirement],
+) -> (u64, Vec<(u64, usize)>) {
+    let (mut quiet, mut promotions) = (0, Vec::new());
+    for &node in letters {
+        let before = allocs();
+        let promoted = t.observe(node, reqs);
+        let made = allocs() - before;
+        match promoted {
+            Some(instance) => {
+                promotions.push((made, instance.len()));
+                t.reset();
+            }
+            None => quiet += made,
+        }
+    }
+    (quiet, promotions)
+}
+
+#[test]
+fn warm_detector_observes_without_allocating() {
+    let reqs = [
+        RegionRequirement::read_write(RegionId(1), FieldId(0)),
+        RegionRequirement::read(RegionId(2), FieldId(0)),
+    ];
+    // A promotion replaces the runtime's detector with a fresh one, which
+    // allocates nothing until it observes.
+    let before = allocs();
+    let mut t = AutoTracer::new();
+    assert_eq!(allocs() - before, 0, "a fresh detector allocated");
+
+    // Aperiodic: nothing is ever promoted. The first 40 000 launches fill
+    // the window (2 · 8 192) and slide it; the next 20 000 allocate nothing.
+    let word = square_free(60_000);
+    let (_, promoted) = observe_all(&mut t, &word[..40_000], &reqs);
+    assert!(promoted.is_empty(), "a square-free stream has no period");
+    let (quiet, promoted) = observe_all(&mut t, &word[40_000..], &reqs);
+    assert!(promoted.is_empty());
+    assert_eq!(
+        quiet, 0,
+        "observing an aperiodic stream allocated {quiet} times warm"
+    );
+
+    // Periodic, after a reset (a demotion or fence; buffers keep their
+    // capacity): a period of 7 is promoted after two instances. Warm,
+    // observing allocates nothing; only a promotion builds the predicted
+    // instance: its vector and one requirement list per launch.
+    let period: Vec<usize> = (0..7).collect();
+    let stream: Vec<usize> = period.iter().cycle().take(7 * 40).copied().collect();
+    t.reset();
+    observe_all(&mut t, &stream[..14], &reqs);
+    let (quiet, promoted) = observe_all(&mut t, &stream[14..], &reqs);
+    assert_eq!(promoted, vec![(8, 7); 19]);
+    assert_eq!(
+        quiet, 0,
+        "observing a periodic stream allocated {quiet} times warm"
+    );
+}
+
 /// Bytes a synchronous RayCast runtime holds per committed launch once it
 /// has drained `app`'s whole launch stream, fed through
 /// `Runtime::submit_batch` one top-level iteration at a time onto the
 /// app's finished region forest. Everything the runtime keeps counts:
 /// engine state, the commit ledger, the DAG. Deterministic: the sizes of
-/// every allocation are a function of the stream alone.
+/// every allocation are a function of the stream alone. Untraced: the
+/// budget is an analyzed launch's (a replayed one stores a shared template
+/// result and holds less).
 fn held_bytes_per_launch(app: &dyn Workload, nodes: usize) -> f64 {
-    let config = RuntimeConfig::base(EngineKind::RayCast).nodes(nodes);
+    let config = RuntimeConfig::base(EngineKind::RayCast)
+        .nodes(nodes)
+        .auto_trace(false);
     let mut rt = Runtime::new(config.clone());
     let run = app.execute(&mut rt);
     rt.flush();

@@ -85,7 +85,11 @@ fn shifting_preserves_results() {
         .collect();
 
     let engine = Box::new(EqSetEngine::raycast());
-    let mut rt = Runtime::with_engine(RuntimeConfig::new(EngineKind::RayCast), engine);
+    // Untraced, so the shifting engine analyzes every launch.
+    let mut rt = Runtime::with_engine(
+        RuntimeConfig::new(EngineKind::RayCast).auto_trace(false),
+        engine,
+    );
     let (root, f, p, q) = build(&mut rt);
     program(&mut rt, p, q, f);
     let probe = rt.inline_read(root, f).unwrap();
@@ -147,7 +151,7 @@ fn shift_actually_happens_and_steady_state_is_clean() {
 #[test]
 fn no_shift_when_usage_is_mixed() {
     let mut rt = Runtime::with_engine(
-        RuntimeConfig::new(EngineKind::RayCast),
+        RuntimeConfig::new(EngineKind::RayCast).auto_trace(false),
         Box::new(EqSetEngine::raycast()),
     );
     let (root, f, p, q) = build(&mut rt);

@@ -5,8 +5,10 @@
 //! is the `auto_trace::` axis of the differential matrix
 //! (`tests/differential.rs` at the workspace root). Here: a clean loop is
 //! promoted and replays, adversarial near-repeats never are, fences and
-//! manual traces interrupt it, and a mid-replay divergence stays ordered.
+//! manual traces interrupt it, a mid-replay divergence stays ordered, and
+//! the three apps' iterations pass the coverage check and replay.
 
+use viz_apps::{Circuit, CircuitConfig, Pennant, PennantConfig, Stencil, StencilConfig, Workload};
 use viz_geometry::Point;
 use viz_oracle::gen::{
     run_program, DriveConfig, Forest, GenOp, GenProgram, GenRegion::Piece, GenReq, Run,
@@ -242,4 +244,30 @@ fn interrupting_a_promotion_before_its_first_launch_is_silent() {
             .collect()
     };
     assert_eq!(run(true), run(false), "a dropped promotion changed values");
+}
+
+/// Replay starts only once an instance has passed the capture-time
+/// coverage check, so the apps replaying under the default config is that
+/// check's verdict on their iterations.
+#[test]
+fn apps_iterations_cover_themselves_and_replay_by_default() {
+    let apps: [(&str, Box<dyn Workload>); 3] = [
+        (
+            "stencil",
+            Box::new(Stencil::new(StencilConfig::small(4, 6, 6))),
+        ),
+        (
+            "circuit",
+            Box::new(Circuit::new(CircuitConfig::small(4, 6))),
+        ),
+        (
+            "pennant",
+            Box::new(Pennant::new(PennantConfig::small(4, 6))),
+        ),
+    ];
+    for (name, app) in apps {
+        let mut rt = Runtime::new(RuntimeConfig::base(EngineKind::RayCast).nodes(4));
+        app.execute(&mut rt);
+        assert!(rt.replayed_launches() > 0, "{name}: the default replays");
+    }
 }

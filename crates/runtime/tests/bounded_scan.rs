@@ -3,7 +3,8 @@
 //! count. Growing the live set 16x at fixed per-launch overlap (one
 //! partition piece per launch) must leave the per-launch sweep work within
 //! a small constant factor — if any per-launch full sweep creeps back into
-//! the raycast scan path, this test catches it as a 16x blow-up.
+//! the raycast scan path, this test catches it as a 16x blow-up. Untraced:
+//! the rounds repeat, and a replayed launch scans nothing.
 
 use std::sync::Arc;
 use viz_runtime::{
@@ -13,7 +14,11 @@ use viz_runtime::{
 /// Per-launch scan counters for a disjoint piece-writes program over an
 /// `n`-way partition, `iters` rounds.
 fn per_launch_scan(n: usize, iters: usize) -> (f64, f64) {
-    let mut rt = Runtime::new(RuntimeConfig::base(EngineKind::RayCast).nodes(1));
+    let mut rt = Runtime::new(
+        RuntimeConfig::base(EngineKind::RayCast)
+            .nodes(1)
+            .auto_trace(false),
+    );
     let root = rt.forest_mut().create_root_1d("A", (n * 8) as i64);
     let f = rt.forest_mut().add_field(root, "v");
     let p = rt.forest_mut().create_equal_partition_1d(root, "P", n);
@@ -70,7 +75,11 @@ fn sweep_work_tracks_overlap_not_live_sets() {
 /// more launches, monotonically more visits.
 #[test]
 fn counters_are_cumulative_and_exported() {
-    let mut rt = Runtime::new(RuntimeConfig::base(EngineKind::RayCast).nodes(1));
+    let mut rt = Runtime::new(
+        RuntimeConfig::base(EngineKind::RayCast)
+            .nodes(1)
+            .auto_trace(false),
+    );
     let root = rt.forest_mut().create_root_1d("A", 64);
     let f = rt.forest_mut().add_field(root, "v");
     let p = rt.forest_mut().create_equal_partition_1d(root, "P", 8);

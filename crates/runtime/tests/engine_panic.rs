@@ -95,7 +95,12 @@ fn stats_survive_an_engine_panic_and_submissions_report_poison() {
 #[test]
 fn sharded_driver_surfaces_the_workers_own_panic() {
     record_panic_messages();
-    let config = RuntimeConfig::base(EngineKind::RayCast).analysis_threads(4);
+    // Untraced: the batch cycles four fields, so auto-tracing would replay
+    // it before scan 40 runs, and replay never enters the scan driver whose
+    // panic path this test is about.
+    let config = RuntimeConfig::base(EngineKind::RayCast)
+        .analysis_threads(4)
+        .auto_trace(false);
     // A 64-launch batch over four shards, one scan each: the worker that
     // runs scan 40 dies holding results the driver is waiting for, so the
     // driver is blocked in `recv` when the channel closes.

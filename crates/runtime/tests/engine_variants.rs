@@ -13,7 +13,13 @@ use viz_runtime::{
 /// Drive a ghost-exchange loop through a custom engine; return final values
 /// and (edges, makespan-relevant counters).
 fn run(engine: Box<dyn CoherenceEngine>, nodes: usize) -> (Vec<f64>, usize) {
-    let mut rt = Runtime::with_engine(RuntimeConfig::new(EngineKind::RayCast).nodes(nodes), engine);
+    // Untraced: the variants are compared on launches they all analyze.
+    let mut rt = Runtime::with_engine(
+        RuntimeConfig::new(EngineKind::RayCast)
+            .nodes(nodes)
+            .auto_trace(false),
+        engine,
+    );
     let root = rt.forest_mut().create_root_1d("A", 48);
     let f = rt.forest_mut().add_field(root, "v");
     let p = rt.forest_mut().create_equal_partition_1d(root, "P", 4);
@@ -113,7 +119,9 @@ fn every_variant_is_functionally_identical() {
 fn raycast_forced_kd_matches_anchored_on_circuit() {
     let analyze = |engine: EqSetEngine| {
         let mut rt = Runtime::with_engine(
-            RuntimeConfig::base(EngineKind::RayCast).nodes(2),
+            RuntimeConfig::base(EngineKind::RayCast)
+                .nodes(2)
+                .auto_trace(false),
             Box::new(engine),
         );
         Circuit::new(CircuitConfig {

@@ -9,6 +9,9 @@
 //! pairs per piece per root) is several times what the old 4096-entry
 //! segmented-LRU memo could hold, and it is accessed cyclically — the LRU
 //! worst case: at that capacity every iteration re-swept nearly all of it.
+//!
+//! Untraced, so every iteration reaches the engine: a replayed one would
+//! sweep and intern nothing for want of analysis.
 
 use viz_apps::{Circuit, CircuitConfig, Workload};
 use viz_runtime::engine::StateSize;
@@ -24,7 +27,11 @@ fn state_after(iterations: usize) -> StateSize {
         with_bodies: false,
         ..CircuitConfig::small(512, iterations)
     });
-    let mut rt = Runtime::new(RuntimeConfig::base(EngineKind::RayCast).nodes(4));
+    let mut rt = Runtime::new(
+        RuntimeConfig::base(EngineKind::RayCast)
+            .nodes(4)
+            .auto_trace(false),
+    );
     app.execute(&mut rt);
     rt.stats().state
 }

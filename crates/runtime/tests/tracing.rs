@@ -19,7 +19,7 @@ struct Loop {
 }
 
 fn setup(engine: EngineKind) -> Loop {
-    // Pin auto-tracing off regardless of `VIZ_AUTO_TRACE`: these tests
+    // Pin auto-tracing off (it is on by default): these tests
     // assert exact replay counts for *annotated* traces against untraced
     // control runs (the auto/manual interplay is tested in
     // `autotracing.rs`).

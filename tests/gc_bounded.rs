@@ -1,7 +1,9 @@
 //! The tentpole's memory claim, as a test: with history GC on, the
 //! retained ledger window and the engines' dead state are bounded by the
 //! *retain window*, not by program length — and the watermark actually
-//! advances. Also covers the eager-execution guards.
+//! advances. Also covers the eager-execution guards. The bounds are on
+//! analyzed launches, so the runs are untraced: a replayed launch never
+//! reaches the engines.
 
 use visibility::apps::{Circuit, CircuitConfig, Stencil, StencilConfig, Workload};
 use visibility::prelude::*;
@@ -33,7 +35,8 @@ fn retained_window_is_bounded_by_retain_not_program_length() {
                     .validate(false)
                     .history_gc(true)
                     .gc_interval(16)
-                    .gc_retain(32),
+                    .gc_retain(32)
+                    .auto_trace(false),
             );
             long_stencil(iterations).execute(&mut rt);
             let stats = rt.stats();
@@ -84,7 +87,8 @@ fn engine_sweeps_reclaim_dead_state() {
                 .validate(false)
                 .history_gc(true)
                 .gc_interval(16)
-                .gc_retain(32),
+                .gc_retain(32)
+                .auto_trace(false),
         );
         long_circuit(40).execute(&mut rt);
         let gc = rt.stats().gc;

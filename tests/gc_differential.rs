@@ -27,12 +27,15 @@ const MODES: [Mode; 4] = [
 ];
 
 fn configure(engine: EngineKind, mode: Mode, nodes: usize) -> RuntimeConfig {
-    let cfg = RuntimeConfig::new(engine).nodes(nodes).validate(false);
+    let cfg = RuntimeConfig::new(engine)
+        .nodes(nodes)
+        .validate(false)
+        .auto_trace(matches!(mode, Mode::AutoTraced));
     match mode {
         Mode::Serial => cfg.analysis_threads(1),
         Mode::Sharded => cfg.analysis_threads(4),
         Mode::Pipelined => cfg.analysis_threads(1).pipeline(true),
-        Mode::AutoTraced => cfg.analysis_threads(1).auto_trace(true),
+        Mode::AutoTraced => cfg.analysis_threads(1),
     }
 }
 
@@ -155,7 +158,8 @@ fn traced_stencil_with_fences_gc_on_off_agree() {
 /// launch counts they landed on — and with them the watermark and
 /// PaintNaive's occlusion-sweep charges — depended on how the caller (or
 /// the pipelined dispatcher) happened to batch. One captured stream fed in
-/// batches of 1, 7 and all at once must be indistinguishable.
+/// batches of 1, 7 and all at once must be indistinguishable. Untraced, so
+/// the engines' sweeps run on every launch.
 #[test]
 fn gc_sweep_points_ignore_batch_boundaries() {
     let app = Circuit::new(CircuitConfig {
@@ -171,6 +175,7 @@ fn gc_sweep_points_ignore_batch_boundaries() {
                     .validate(false)
                     .pipeline(false)
                     .analysis_threads(threads)
+                    .auto_trace(false)
             };
             let mut capture = Runtime::new(config().history_gc(false));
             app.execute(&mut capture);

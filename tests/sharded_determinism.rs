@@ -21,12 +21,14 @@ fn run_one(
     nodes: usize,
     dcr: bool,
     threads: usize,
+    auto_trace: bool,
 ) -> Snapshot {
     let mut rt = Runtime::new(
         RuntimeConfig::new(engine)
             .nodes(nodes)
             .dcr(dcr)
             .analysis_threads(threads)
+            .auto_trace(auto_trace)
             .record_history(true),
     );
     let run = workload.execute(&mut rt);
@@ -64,16 +66,32 @@ struct Snapshot {
     makespan: SimTime,
 }
 
-/// Returns the sharded run's snapshot for case-specific checks.
+/// Untraced, so every launch of a batch takes the scan driver, and under
+/// the default, which replays the apps' loops once detected. Returns the
+/// default's sharded snapshot for case-specific checks.
 fn assert_identical(
     workload: &dyn Workload,
     engine: EngineKind,
     nodes: usize,
     dcr: bool,
 ) -> Snapshot {
-    let serial = run_one(workload, engine, nodes, dcr, 1);
-    let sharded = run_one(workload, engine, nodes, dcr, 4);
-    let tag = format!("{} {engine:?} nodes={nodes} dcr={dcr}", workload.name());
+    assert_identical_as(workload, engine, nodes, dcr, false);
+    assert_identical_as(workload, engine, nodes, dcr, true)
+}
+
+fn assert_identical_as(
+    workload: &dyn Workload,
+    engine: EngineKind,
+    nodes: usize,
+    dcr: bool,
+    auto_trace: bool,
+) -> Snapshot {
+    let serial = run_one(workload, engine, nodes, dcr, 1, auto_trace);
+    let sharded = run_one(workload, engine, nodes, dcr, 4, auto_trace);
+    let tag = format!(
+        "{} {engine:?} nodes={nodes} dcr={dcr} auto_trace={auto_trace}",
+        workload.name()
+    );
     assert_eq!(
         serial.results.len(),
         sharded.results.len(),

@@ -1,4 +1,5 @@
-//! Invariants of the timed executor across engines and mappings.
+//! Invariants of the timed executor across engines and mappings. The runs
+//! are untraced, so every launch carries its engine's analysis charge.
 
 use viz_apps::{Circuit, CircuitConfig, Workload};
 use viz_runtime::{EngineKind, Runtime, RuntimeConfig, TaskId};
@@ -23,7 +24,8 @@ fn schedule(
         RuntimeConfig::new(engine)
             .nodes(nodes)
             .dcr(dcr)
-            .validate(false),
+            .validate(false)
+            .auto_trace(false),
     );
     let run = app.execute(&mut rt);
     let report = rt.timed_schedule();

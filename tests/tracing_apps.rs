@@ -8,10 +8,13 @@ use visibility::apps::{
 use visibility::prelude::*;
 use visibility::runtime::validate::check_sufficiency;
 
+/// Both runs leave auto-tracing off: the plain one analyzes every launch,
+/// and every replay of the traced one comes from its annotations.
 fn run_traced_vs_plain(plain: &dyn Workload, traced: &dyn Workload, engine: EngineKind) {
-    let mut rt_p = Runtime::single_node(engine);
+    let untraced = || Runtime::new(RuntimeConfig::new(engine).auto_trace(false));
+    let mut rt_p = untraced();
     let run_p = plain.execute(&mut rt_p);
-    let mut rt_t = Runtime::single_node(engine);
+    let mut rt_t = untraced();
     let run_t = traced.execute(&mut rt_t);
 
     assert!(

@@ -78,6 +78,12 @@ fn pennant_all_engines_all_shapes() {
     }
 }
 
+/// A one-node runtime that analyzes every launch: the tests below compare
+/// the engines' own state and dependences, which a replayed launch skips.
+fn untraced(engine: EngineKind) -> Runtime {
+    Runtime::new(RuntimeConfig::new(engine).auto_trace(false))
+}
+
 /// A longer stencil run: the steady-state loop must keep analysis state
 /// bounded for the equivalence-set engines (ray casting coalesces; Warnock
 /// stabilizes once the partitions are discovered).
@@ -85,7 +91,7 @@ fn pennant_all_engines_all_shapes() {
 fn long_run_state_stays_bounded() {
     for engine in [EngineKind::Warnock, EngineKind::RayCast] {
         let app = Stencil::new(StencilConfig::small(4, 6, 8));
-        let mut rt = Runtime::single_node(engine);
+        let mut rt = untraced(engine);
         app.execute(&mut rt);
         let sets = rt.stats().state.equivalence_sets;
         assert!(
@@ -103,7 +109,7 @@ fn raycast_coalesces_more_than_warnock_on_apps() {
         let mut counts = Vec::new();
         for engine in [EngineKind::Warnock, EngineKind::RayCast] {
             let app = Circuit::new(CircuitConfig::small(6, iterations));
-            let mut rt = Runtime::single_node(engine);
+            let mut rt = untraced(engine);
             app.execute(&mut rt);
             counts.push(rt.stats().state.equivalence_sets);
         }
@@ -125,7 +131,7 @@ fn engines_agree_on_dag_shape() {
     let mut shapes = Vec::new();
     for engine in [EngineKind::Paint, EngineKind::Warnock, EngineKind::RayCast] {
         let app = Pennant::new(PennantConfig::small(3, 3));
-        let mut rt = Runtime::single_node(engine);
+        let mut rt = untraced(engine);
         app.execute(&mut rt);
         shapes.push((
             rt.num_tasks(),
