@@ -17,12 +17,14 @@
 //!    comparison) before promotion — hash collisions and near-repeats are
 //!    never promoted.
 //!
-//! A promoted repeat hands the predicted instance (the last `L`
-//! signatures) to the trace state machine ([`crate::trace`]), which
-//! validates the next `L` launches against it while capturing their
-//! analysis results, verifies one more instance, then replays. Divergence
-//! at any point demotes back to observation — the runtime falls through to
-//! normal analysis, it never aborts.
+//! A promotion fires on the launch that completes the second identical
+//! block and hands the block's signatures (the last `L` observed) to the
+//! trace state machine ([`crate::trace`]). Once that launch has committed,
+//! the block's committed analysis results become the template (capture is
+//! retroactive: the block was analyzed as it was observed); the next `L`
+//! launches are analyzed and verified against it, then replay starts.
+//! Divergence at any point demotes back to observation — the runtime falls
+//! through to normal analysis, it never aborts.
 
 use crate::task::RegionRequirement;
 use crate::trace::Sig;
@@ -193,6 +195,15 @@ impl AutoTracer {
         self.chains.clear();
     }
 
+    /// How many of the latest observed launches a promotion could still
+    /// read back: the detected block lies within the observed stream and
+    /// is at most `max_len` long. The runtime keeps their committed rows
+    /// out of GC's reach, since a promotion builds its template from them.
+    pub(crate) fn lookback(&self) -> u32 {
+        let observed = self.start + self.slots.len() as u64;
+        observed.min(self.max_len) as u32
+    }
+
     fn slot(&self, p: u64) -> &Slot {
         &self.slots[(p - self.start) as usize]
     }
@@ -259,8 +270,8 @@ impl AutoTracer {
             reqs: reqs.len() as u32,
         });
         let window = (self.confidence * self.max_len) as usize;
-        while self.slots.len() > window {
-            let gone = self.slots.pop_front().expect("window is non-empty");
+        let excess = self.slots.len().saturating_sub(window);
+        for gone in self.slots.drain(..excess) {
             self.reqs.drain(..gone.reqs as usize);
             self.reqs_start += u64::from(gone.reqs);
             self.start_prefix = gone.prefix;

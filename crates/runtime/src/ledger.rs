@@ -97,6 +97,12 @@ impl Ledger {
         &self.results
     }
 
+    /// Task `t`'s stored result with its shift applied, `deps` (its DAG
+    /// row) as its dependences: see [`Results::resolve`].
+    pub fn resolve(&self, t: TaskId, deps: &[TaskId]) -> AnalysisResult {
+        self.results.resolve(self.idx(t), deps)
+    }
+
     /// See [`Results::shared_result_addr`].
     pub fn shared_result_addr(&self, t: TaskId) -> Option<usize> {
         self.results.shared_result_addr(self.idx(t))

@@ -19,7 +19,8 @@ use viz_region::RegionForest;
 impl Core {
     /// The sharded scan pipeline over the untraced prefix of `items`:
     /// stops early (after the detection point) when the auto-tracer
-    /// promotes a repeat, leaving the rest for the caller to re-dispatch.
+    /// promotes a repeat, which it opens once the batch has committed,
+    /// leaving the rest for the caller to re-dispatch.
     pub(super) fn run_batch_sharded(
         &mut self,
         ctx: u32,
@@ -30,6 +31,7 @@ impl Core {
         let mut batch: Vec<TaskLaunch> = Vec::with_capacity(items.len());
         let mut batch_bodies: Vec<Option<TaskBody>> = Vec::with_capacity(items.len());
         let mut groups: Vec<Vec<(ShardKey, Vec<u32>)>> = Vec::with_capacity(items.len());
+        let mut promoted = None;
         // Phase A (this thread): assign ids, feed the auto-trace detector,
         // first-touch the shard map, and let the engine create missing
         // shard state. The grouping depends only on the region forest, so
@@ -43,13 +45,13 @@ impl Core {
                 duration_ns: spec.duration_ns,
             };
             // Outside traces this only updates detector state and returns
-            // `Analyze { record: false }` — the same call the serial
-            // driver makes, at the same position in the launch stream.
+            // `Analyze { record: false }` or, on the launch completing a
+            // repeat, `Promote` — the same call the serial driver makes,
+            // at the same position in the launch stream.
             let action = self
                 .book
                 .tracing
                 .on_launch(launch.node, &launch.reqs, launch.id.0);
-            debug_assert!(matches!(action, TraceAction::Analyze { record: false }));
             for req in &launch.reqs {
                 self.shards.touch(req.region, launch.node, launch.id.0);
             }
@@ -62,11 +64,13 @@ impl Core {
             ));
             batch.push(launch);
             batch_bodies.push(spec.body);
-            if self.book.tracing.is_active() {
-                // A repeat was just detected: capture starts with the next
-                // launch, which must go through the trace machinery.
+            if let TraceAction::Promote { predicted } = action {
+                // A repeat was just detected: verification starts with the
+                // next launch, which must go through the trace machinery.
+                promoted = Some(predicted);
                 break;
             }
+            debug_assert!(matches!(action, TraceAction::Analyze { record: false }));
         }
         let count = batch.len();
         // Phase B (workers) + C (pipelined commit on this thread): workers
@@ -108,6 +112,11 @@ impl Core {
             },
         );
         book.ledger.append_launches(&mut batch, &mut batch_bodies);
+        if let Some(predicted) = promoted {
+            // As in the serial driver: the promoting launch is committed.
+            book.tracing
+                .promote(predicted, &book.ledger, &book.dag, forest);
+        }
         (0..count as u32).map(|k| TaskId(base + k)).collect()
     }
 }

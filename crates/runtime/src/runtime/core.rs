@@ -169,7 +169,7 @@ impl Core {
             duration_ns: spec.duration_ns,
         };
         let origin = self.shards.origin(launch.node);
-        match book.tracing.on_launch(launch.node, &launch.reqs, id.0) {
+        let (record, promoted) = match book.tracing.on_launch(launch.node, &launch.reqs, id.0) {
             TraceAction::Replay { result, shift } => {
                 // Dynamic tracing [15]: the recorded analysis is reused —
                 // only a template lookup is paid, not the visibility
@@ -185,43 +185,51 @@ impl Core {
                     stored,
                     Commit::Replayed,
                 );
+                book.ledger.push_launch(launch, spec.body);
+                return id;
             }
-            TraceAction::Analyze { record } => {
-                // First-touch ownership of analysis state.
-                for req in &launch.reqs {
-                    self.shards.touch(req.region, launch.node, id.0);
-                }
-                let engine = self.engine.name();
-                let host_span = viz_profile::span(engine);
-                let since = self.machine.now(origin);
-                let mut actx = AnalysisCtx {
-                    forest,
-                    machine: &mut self.machine,
-                    shards: &self.shards,
-                };
-                let mut result = self.engine.analyze(&launch, &mut actx);
-                drop(host_span);
-                // Stale references into a recorded-and-replayed instance
-                // move onto its latest replay.
-                book.tracing.rebase_result(&mut result);
-                let stored = if record {
-                    // Capturing: the template shares the result with the
-                    // runtime's own storage (identity shift) — no clone.
-                    let result = Arc::new(result);
-                    book.tracing
-                        .record(launch.node, &launch.reqs, Arc::clone(&result), forest);
-                    StoredResult::Shared {
-                        result,
-                        shift: TaskShift::IDENTITY,
-                    }
-                } else {
-                    StoredResult::Owned(result)
-                };
-                let how = Commit::Analyzed { engine, since };
-                book.commit(&self.machine, ctx, origin, &launch, stored, how);
-            }
+            TraceAction::Analyze { record } => (record, None),
+            TraceAction::Promote { predicted } => (false, Some(predicted)),
+        };
+        // First-touch ownership of analysis state.
+        for req in &launch.reqs {
+            self.shards.touch(req.region, launch.node, id.0);
         }
+        let engine = self.engine.name();
+        let host_span = viz_profile::span(engine);
+        let since = self.machine.now(origin);
+        let mut actx = AnalysisCtx {
+            forest,
+            machine: &mut self.machine,
+            shards: &self.shards,
+        };
+        let mut result = self.engine.analyze(&launch, &mut actx);
+        drop(host_span);
+        // Stale references into a recorded-and-replayed instance move onto
+        // its latest replay.
+        book.tracing.rebase_result(&mut result);
+        let stored = if record {
+            // Capturing or verifying: the trace shares the result with the
+            // runtime's own storage (identity shift) — no clone.
+            let result = Arc::new(result);
+            book.tracing
+                .record(launch.node, &launch.reqs, Arc::clone(&result));
+            StoredResult::Shared {
+                result,
+                shift: TaskShift::IDENTITY,
+            }
+        } else {
+            StoredResult::Owned(result)
+        };
+        let how = Commit::Analyzed { engine, since };
+        book.commit(&self.machine, ctx, origin, &launch, stored, how);
         book.ledger.push_launch(launch, spec.body);
+        if let Some(predicted) = promoted {
+            // The repeat's last launch is committed: its block is the
+            // template.
+            book.tracing
+                .promote(predicted, &book.ledger, &book.dag, forest);
+        }
         id
     }
 
@@ -270,9 +278,9 @@ impl Core {
             if self.book.tracing.is_active() {
                 // Trace segment: replay drains launches in bulk (O(1)
                 // each: validate, charge the memo op, retire the shared
-                // result); warm-up/capture launches analyze in order. A
-                // demotion mid-segment drops back out and re-shards the
-                // remainder of the batch.
+                // result); warm-up, capture and verify launches analyze in
+                // order. A demotion mid-segment drops back out and
+                // re-shards the remainder of the batch.
                 while !items.is_empty() && self.book.tracing.is_active() {
                     let s = items.pop_front().unwrap();
                     ids.push(self.launch_one(ctx, s, forest));

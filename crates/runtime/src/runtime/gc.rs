@@ -67,8 +67,9 @@ impl Core {
         let mut floor = next.saturating_sub(self.gc.cfg.retain);
         // Tracing-aware pinning: an in-flight instance keeps everything
         // from its base launch alive — the template's footprint survives as
-        // long as it replays.
-        if let Some(pin) = book.tracing.pin_floor() {
+        // long as it replays — and an observed stream keeps the rows a
+        // promotion would build its template from.
+        if let Some(pin) = book.tracing.pin_floor(next) {
             if pin < floor {
                 self.gc.pins += 1;
                 floor = pin;

@@ -417,6 +417,13 @@ impl Runtime {
         self.drained().book.tracing.rebase_ranges()
     }
 
+    /// The trace state machine, for unit tests that inspect a template.
+    #[cfg(test)]
+    pub(crate) fn tracing(&self) -> CoreRead<'_, crate::trace::Tracing> {
+        self.drain();
+        CoreRead::new(&self.core, |c| &c.book.tracing)
+    }
+
     /// An execution fence: a no-op task ordered after *every* task launched
     /// so far (and, transitively, before everything launched later that
     /// depends on it — callers typically route post-fence work through the

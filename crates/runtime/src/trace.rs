@@ -40,16 +40,20 @@
 //!   many instances replay (see `push_rebase`).
 //!
 //! Traces also form without annotations: with auto-tracing on (the
-//! default), the detector ([`crate::autotrace`]) opens a trace under a
-//! fresh auto [`TraceId`] in `Mode::Capture`, predicting each captured
-//! launch. One
-//! `Mode::Verify` instance follows before replay, which rolls into the next
-//! instance every `len` launches (there is no `end_trace`); any divergence
-//! drops the template. Both kinds share one template store and one path
-//! that cuts a diverging replay.
+//! default), the detector ([`crate::autotrace`]) promotes a repeat on the
+//! launch that completes its second identical block. That launch is
+//! analyzed and committed like any other; then `Tracing::promote` builds
+//! the template from the block's committed rows (capture is retroactive:
+//! the block was analyzed as it was observed) and opens a fresh auto
+//! [`TraceId`] in `Mode::Verify`. One verified instance precedes replay,
+//! which rolls into the next instance every `len` launches (there is no
+//! `end_trace`); any divergence drops the template. Both kinds share one
+//! template type and one path that cuts a diverging replay.
 
 use crate::autotrace::AutoTracer;
+use crate::dag::TaskDag;
 use crate::error::RuntimeError;
+use crate::ledger::Ledger;
 use crate::plan::{AnalysisResult, TaskShift};
 use crate::task::{RegionRequirement, TaskId};
 use std::sync::Arc;
@@ -119,7 +123,8 @@ pub(crate) struct Template {
     /// First task of the instance the engine last *analyzed*, where its
     /// stale references point: `base` for annotated traces, `base + len`
     /// for auto traces (which replay only after analyzing one verification
-    /// instance). Replays rebase this window.
+    /// instance, the one after the block they were built from). Replays
+    /// rebase this window.
     pub analyzed: u32,
     pub entries: Vec<TemplateEntry>,
 }
@@ -143,25 +148,17 @@ impl Template {
     }
 }
 
+/// An annotated trace between instances.
 #[derive(Default)]
 pub(crate) struct TraceState {
     /// Completed (analyzed) instances so far.
     pub instances: u32,
+    /// The template, while no instance is open (an open instance holds it
+    /// in its `Mode::Replay`).
     pub template: Option<Template>,
     /// Task id one past the end of the last completed instance (for the
     /// contiguity check).
     pub last_end: u32,
-}
-
-impl TraceState {
-    /// The template of a trace in `Verify` or `Replay` mode.
-    fn template(&self) -> &Template {
-        // Both modes are entered only after the template is stored, and
-        // only `drop_template` (which also ends the mode) removes it.
-        self.template
-            .as_ref()
-            .expect("verifying or replaying without a template")
-    }
 }
 
 /// Why a trace prediction failed (see [`TraceViolation`]).
@@ -192,26 +189,24 @@ pub struct TraceViolation {
     pub kind: ViolationKind,
 }
 
-/// What the in-progress instance is doing.
+/// What the in-progress instance is doing. The modes that read a template
+/// hold it.
 pub(crate) enum Mode {
     /// First instance of an annotated trace: analyze normally. A
     /// `demoted` instance finishes this way and does not count toward
     /// warm-up/capture.
     Warmup { demoted: bool },
-    /// Analyze and record. An auto trace validates each launch against the
-    /// detector's prediction before it is analyzed; an annotated trace has
-    /// no prediction and completes at `end_trace`.
-    Capture {
-        predicted: Option<Vec<Sig>>,
-        recording: Vec<TemplateEntry>,
-    },
-    /// Auto traces only: one more analyzed instance, each result compared
-    /// against the template shifted onto it — repeating signatures do not
+    /// Annotated traces only: analyze and record; the instance completes
+    /// at `end_trace`.
+    Capture { recording: Vec<TemplateEntry> },
+    /// Auto traces only: one more analyzed instance, each launch checked
+    /// against the template's signature and each result against the
+    /// template's result shifted onto it — repeating signatures do not
     /// imply a repeating analysis, and no user promise vouches for it.
-    Verify,
+    Verify(Template),
     /// Replaying the template. Auto traces wrap to a new instance every
     /// `len` launches (they have no explicit `end_trace`).
-    Replay,
+    Replay(Template),
 }
 
 pub(crate) struct ActiveTrace {
@@ -236,18 +231,10 @@ impl ActiveTrace {
         }
     }
 
-    fn capture(predicted: Option<Vec<Sig>>) -> Mode {
-        Mode::Capture {
-            predicted,
-            recording: Vec::new(),
-        }
-    }
-
-    /// An auto trace promoted by the previous launch, whose first capture
+    /// An auto trace promoted by the previous launch, whose first verify
     /// launch has not arrived: interrupting it drops it silently.
     fn unstarted(&self) -> bool {
-        let auto = matches!(&self.mode, Mode::Capture { predicted, .. } if predicted.is_some());
-        self.cursor == 0 && auto
+        self.cursor == 0 && matches!(self.mode, Mode::Verify(_))
     }
 
     fn violation(&self, kind: ViolationKind) -> TraceViolation {
@@ -261,9 +248,14 @@ impl ActiveTrace {
 
 /// What the runtime should do with the next launch.
 pub(crate) enum TraceAction {
-    /// Not in a trace (or warming up / capturing): run the engine. The
-    /// bool says whether the result must be recorded into the template.
+    /// Not in a trace (or warming up / capturing / verifying): run the
+    /// engine. The bool says whether the result must go to
+    /// [`Tracing::record`].
     Analyze { record: bool },
+    /// The launch completes a detected repeat: run the engine and commit
+    /// as for `Analyze { record: false }`, then hand `predicted` to
+    /// [`Tracing::promote`].
+    Promote { predicted: Vec<Sig> },
     /// Replay: the recorded result (shared, not cloned) plus the shift
     /// mapping it onto this instance.
     Replay {
@@ -275,8 +267,8 @@ pub(crate) enum TraceAction {
 /// The runtime's tracing bookkeeping.
 #[derive(Default)]
 pub(crate) struct Tracing {
-    /// Per-trace state and template, annotated and auto alike. An auto
-    /// trace's entry lives from capture to demotion.
+    /// Annotated traces' state between instances. An auto trace has no
+    /// entry: it lives in `active` from promotion to demotion.
     states: FxHashMap<TraceId, TraceState>,
     active: Option<ActiveTrace>,
     /// Online repeat detector (None when auto-tracing is disabled).
@@ -325,12 +317,15 @@ pub(crate) struct Tracing {
 /// The check runs on the forest's interned domains: per `(root, field)`
 /// one `union_all` of the distinct written spaces, then one memoized
 /// `contains` per distinct other space, all through the root's algebra.
-fn instance_is_self_superseding(entries: &[TemplateEntry], forest: &RegionForest) -> bool {
+fn instance_is_self_superseding<'a>(
+    sigs: impl IntoIterator<Item = &'a Sig>,
+    forest: &RegionForest,
+) -> bool {
     // Per `(root, field)`: the spaces written, and the spaces otherwise
     // accessed.
     type Accesses = (Vec<SpaceId>, Vec<SpaceId>);
     let mut keys: FxHashMap<(RegionId, FieldId), Accesses> = FxHashMap::default();
-    for r in entries.iter().flat_map(|e| &e.sig.reqs) {
+    for r in sigs.into_iter().flat_map(|sig| &sig.reqs) {
         let (writes, others) = keys.entry((forest.root_of(r.region), r.field)).or_default();
         match r.privilege {
             Privilege::ReadWrite => writes.push(forest.space(r.region)),
@@ -431,20 +426,27 @@ impl Tracing {
             st.template = None;
             st.instances = 0;
         }
-        let (mode, shift) = match &st.template {
-            Some(t) if st.instances >= 2 => (Mode::Replay, t.shift_to(next_task)),
-            _ if st.instances == 1 => (ActiveTrace::capture(None), TaskShift::IDENTITY),
-            _ => (Mode::Warmup { demoted: false }, TaskShift::IDENTITY),
+        // A template exists only after warm-up and capture completed.
+        let (mode, shift) = match st.template.take() {
+            Some(t) => {
+                let shift = t.shift_to(next_task);
+                (Mode::Replay(t), shift)
+            }
+            None if st.instances == 1 => {
+                let recording = Vec::new();
+                (Mode::Capture { recording }, TaskShift::IDENTITY)
+            }
+            None => (Mode::Warmup { demoted: false }, TaskShift::IDENTITY),
         };
         self.active = Some(ActiveTrace::new(id, next_task, mode, shift));
         Ok(())
     }
 
     /// Decide how to handle a launch. Outside traces, feeds the repeat
-    /// detector; inside, validates the launch against the prediction or
-    /// template and, when replaying, hands back the shared recorded result.
-    /// A launch that diverges demotes the trace and is analyzed normally —
-    /// never an abort.
+    /// detector; inside, validates the launch against the template and,
+    /// when replaying, hands back the shared recorded result. A launch that
+    /// diverges demotes the trace and is analyzed normally — never an
+    /// abort.
     pub fn on_launch(
         &mut self,
         node: NodeId,
@@ -452,48 +454,31 @@ impl Tracing {
         next_task: u32,
     ) -> TraceAction {
         let Some(active) = self.active.as_mut() else {
-            // Observation: feed the detector; a detected repeat starts
-            // capture with the *next* launch.
+            // Observation: feed the detector. The launch that completes a
+            // repeat is analyzed like any other, and promotes once it has
+            // committed.
             if let Some(predicted) = self.auto.as_mut().and_then(|a| a.observe(node, reqs)) {
                 // The promotion ends the observed stream, and nothing is
                 // observed while a trace is open: free the window (a
                 // fresh detector allocates nothing until it observes).
                 self.auto = Some(AutoTracer::new());
-                let id = TraceId(TraceId::AUTO_BIT | self.next_auto_id);
-                self.next_auto_id += 1;
-                self.auto_promotions += 1;
-                if viz_profile::enabled() {
-                    viz_profile::instant(viz_profile::EventKind::TraceDetect {
-                        trace: id.0,
-                        len: predicted.len() as u64,
-                    });
-                }
-                let mode = ActiveTrace::capture(Some(predicted));
-                let shift = TaskShift::IDENTITY;
-                self.active = Some(ActiveTrace::new(id, next_task + 1, mode, shift));
+                return TraceAction::Promote { predicted };
             }
             return TraceAction::Analyze { record: false };
         };
         // Every id-consuming non-launch (a fence) drops auto traces first,
         // so an auto trace's instance is never out of step with the ids.
         debug_assert!(!active.id.is_auto() || active.base + active.cursor == next_task);
-        let cursor = active.cursor as usize;
         let (want, replayed) = match &active.mode {
             Mode::Warmup { .. } => {
                 active.cursor += 1;
                 return TraceAction::Analyze { record: false };
             }
-            // Capture ends (and moves to `Verify`) after `predicted.len()`.
-            Mode::Capture { predicted, .. } => match predicted {
-                None => return TraceAction::Analyze { record: true },
-                Some(p) => (&p[cursor], None),
-            },
-            Mode::Verify => (
-                &self.states[&active.id].template().entries[cursor].sig,
-                None,
-            ),
-            Mode::Replay => {
-                let t = self.states[&active.id].template();
+            Mode::Capture { .. } => return TraceAction::Analyze { record: true },
+            // Verify ends (and moves to `Replay`) in `record` after
+            // `t.len()` launches.
+            Mode::Verify(t) => (&t.entries[active.cursor as usize].sig, None),
+            Mode::Replay(t) => {
                 let len = t.len();
                 if active.id.is_auto() && active.cursor == len {
                     // Auto traces have no `end`: a completed instance
@@ -530,85 +515,110 @@ impl Tracing {
         let Some(result) = replayed else {
             return TraceAction::Analyze { record: true };
         };
+        let result = Arc::clone(result);
         active.cursor += 1;
         self.replayed_launches += 1;
         TraceAction::Replay {
-            result: Arc::clone(result),
+            result,
             shift: active.shift,
         }
     }
 
-    /// Record a captured entry (called when `on_launch` said `record`). The
-    /// result is shared with the runtime's own storage — no clone. An auto
-    /// trace moves the predicted signature (which the launch matched) into
-    /// the template; only an annotated capture copies `reqs`.
+    /// Promote the repeat the launch just committed completed
+    /// (`on_launch` said `Promote`). Capture is retroactive: the detected
+    /// block is the last `predicted.len()` committed launches, analyzed as
+    /// they were observed, so the template is read off their ledger rows
+    /// and DAG edges — already rebased, exactly what analyzing them
+    /// returned. The trace opens in `Verify` on the next launch.
+    pub fn promote(
+        &mut self,
+        predicted: Vec<Sig>,
+        ledger: &Ledger,
+        dag: &TaskDag,
+        forest: &RegionForest,
+    ) {
+        let id = TraceId(TraceId::AUTO_BIT | self.next_auto_id);
+        self.next_auto_id += 1;
+        self.auto_promotions += 1;
+        let len = predicted.len() as u32;
+        if viz_profile::enabled() {
+            viz_profile::instant(viz_profile::EventKind::TraceDetect {
+                trace: id.0,
+                len: u64::from(len),
+            });
+        }
+        let next = ledger.next_id();
+        // `pin_floor` keeps every row a promotion can read; should GC have
+        // retired the block anyway, the promotion is declined, not read.
+        let Some(base) = next.checked_sub(len).filter(|&b| b >= ledger.base()) else {
+            return self.demote_auto();
+        };
+        if !instance_is_self_superseding(&predicted, forest) {
+            // Replay would be unsound: give up on the candidate.
+            return self.demote_auto();
+        }
+        let entries = (predicted.into_iter().zip((base..next).map(TaskId)))
+            .map(|(sig, t)| TemplateEntry {
+                sig,
+                result: Arc::new(ledger.resolve(t, dag.preds(t))),
+            })
+            .collect();
+        let template = Template {
+            base,
+            analyzed: next,
+            entries,
+        };
+        let shift = template.shift_to(next);
+        self.active = Some(ActiveTrace::new(id, next, Mode::Verify(template), shift));
+    }
+
+    /// Record an analyzed entry (called when `on_launch` said `record`):
+    /// an annotated capture stores it, sharing the result with the
+    /// runtime's own storage (no clone); a verify instance compares it with
+    /// the template.
     pub fn record(
         &mut self,
         node: NodeId,
         reqs: &[RegionRequirement],
         result: Arc<AnalysisResult>,
-        forest: &RegionForest,
     ) {
         let Some(active) = self.active.as_mut() else {
             return;
         };
         let cursor = active.cursor as usize;
         active.cursor += 1;
-        if let Mode::Verify = active.mode {
-            // The analysis ran; check it is the template's result shifted
-            // onto this instance. Anything else means the signature repeat
-            // was not an *analysis* repeat: failed speculation, demote.
-            let t = self.states[&active.id].template();
-            if !t.entries[cursor].result.eq_shifted(active.shift, &result) {
-                self.demote_auto();
-            } else if active.cursor == t.len() {
-                // Shift-stationary across a full instance: replay from the
-                // next launch. This instance was *analyzed*, so engine
-                // references already point at it — no rebase yet; replays
-                // will supersede this window as they complete.
-                active.base += t.len();
-                active.cursor = 0;
-                active.shift = t.shift_to(active.base);
-                active.mode = Mode::Replay;
+        let t = match &mut active.mode {
+            Mode::Verify(t) => t,
+            Mode::Capture { recording } => {
+                let sig = Sig {
+                    node,
+                    reqs: reqs.to_vec(),
+                };
+                recording.push(TemplateEntry { sig, result });
+                return;
             }
+            Mode::Warmup { .. } | Mode::Replay(_) => return,
+        };
+        // The analysis ran; check it is the template's result shifted onto
+        // this instance. Anything else means the signature repeat was not
+        // an *analysis* repeat: failed speculation, demote.
+        if !t.entries[cursor].result.eq_shifted(active.shift, &result) {
+            return self.demote_auto();
+        }
+        if active.cursor < t.len() {
             return;
         }
-        let Mode::Capture {
-            predicted,
-            recording,
-        } = &mut active.mode
-        else {
-            return;
-        };
-        let reqs = match predicted {
-            Some(p) => std::mem::take(&mut p[cursor].reqs),
-            None => reqs.to_vec(),
-        };
-        let sig = Sig { node, reqs };
-        recording.push(TemplateEntry { sig, result });
-        if predicted.as_ref().is_none_or(|p| recording.len() < p.len()) {
-            return;
-        }
-        // The whole predicted instance analyzed and recorded: one
-        // verification instance follows before any replay.
-        let entries = std::mem::take(recording);
-        if !instance_is_self_superseding(&entries, forest) {
-            // Replay would be unsound: give up on the candidate.
-            self.demote_auto();
-            return;
-        }
-        let len = entries.len() as u32;
-        let template = Template {
-            base: active.base,
-            analyzed: active.base + len,
-            entries,
-        };
-        active.base += len;
+        // Shift-stationary across a full instance: replay from the next
+        // launch. This instance was *analyzed*, so engine references
+        // already point at it — no rebase yet; replays will supersede this
+        // window as they complete.
+        active.base += t.len();
         active.cursor = 0;
-        active.shift = template.shift_to(active.base);
-        active.mode = Mode::Verify;
-        let st = self.states.entry(active.id).or_default();
-        st.template = Some(template);
+        active.shift = t.shift_to(active.base);
+        let mode = std::mem::replace(&mut active.mode, Mode::Warmup { demoted: false });
+        if let Mode::Verify(t) = mode {
+            active.mode = Mode::Replay(t);
+        }
     }
 
     /// Forget `active`'s trace state and template. A replay cut short after
@@ -616,11 +626,12 @@ impl Tracing {
     /// instance; the unreplayed suffix keeps its previous mapping, and a
     /// later reference into it must also order after the prefix.
     fn drop_template(&mut self, active: &ActiveTrace) {
-        let Some(t) = self.states.remove(&active.id).and_then(|st| st.template) else {
+        self.states.remove(&active.id);
+        let Mode::Replay(t) = &active.mode else {
             return;
         };
         let (from, cut, base) = (t.analyzed, active.cursor, active.base);
-        if matches!(active.mode, Mode::Replay) && cut > 0 {
+        if cut > 0 {
             push_rebase(&mut self.rebases, from, from + cut, base - from);
             let suffix_then_prefix = (from + cut, from + t.len(), base, base + cut);
             self.hazards.push(suffix_then_prefix);
@@ -643,8 +654,8 @@ impl Tracing {
         self.active = Some(active);
     }
 
-    /// Drop the active auto trace and its template, and restart
-    /// observation.
+    /// Drop the active auto trace (if any) and its template, count a
+    /// demotion, and restart observation.
     fn demote_auto(&mut self) {
         if let Some(active) = self.active.take() {
             debug_assert!(active.id.is_auto());
@@ -693,35 +704,38 @@ impl Tracing {
                 return Err(err);
             }
         };
+        if let Mode::Replay(t) = &active.mode {
+            if active.cursor < t.len() {
+                let kind = ViolationKind::ShortInstance {
+                    recorded_len: t.len(),
+                };
+                let v = active.violation(kind);
+                self.drop_template(&active);
+                self.violations.push(v.clone());
+                return Ok(Some(v));
+            }
+        }
         let st = self.states.entry(id).or_default();
         st.last_end = next_task;
         match active.mode {
-            Mode::Replay => {
-                let (from, len) = (st.template().analyzed, st.template().len());
-                if active.cursor < len {
-                    let kind = ViolationKind::ShortInstance { recorded_len: len };
-                    let v = active.violation(kind);
-                    self.drop_template(&active);
-                    self.violations.push(v.clone());
-                    return Ok(Some(v));
-                }
+            Mode::Replay(t) => {
                 // Later engine-produced references into the analyzed
                 // instance must point at the corresponding task of this
                 // (latest) one — superseding the previous instance's entry.
-                push_rebase(&mut self.rebases, from, from + len, active.base - from);
+                let from = t.analyzed;
+                push_rebase(&mut self.rebases, from, from + t.len(), active.base - from);
                 st.instances += 1;
+                st.template = Some(t);
             }
-            Mode::Capture { recording, .. } => {
+            Mode::Capture { recording } => {
                 // An instance that would make replay unsound declines the
                 // template: the annotation is a hint, and analysis keeps
                 // running (the next instance re-auditions).
-                st.template = None;
-                if instance_is_self_superseding(&recording, forest) {
-                    let (base, entries) = (active.base, recording);
+                if instance_is_self_superseding(recording.iter().map(|e| &e.sig), forest) {
                     st.template = Some(Template {
-                        base,
-                        analyzed: base,
-                        entries,
+                        base: active.base,
+                        analyzed: active.base,
+                        entries: recording,
                     });
                     st.instances += 1;
                 }
@@ -729,7 +743,7 @@ impl Tracing {
             Mode::Warmup { demoted: true } => st.instances = 0,
             Mode::Warmup { demoted: false } => st.instances += 1,
             // Only auto traces verify, and they were refused above.
-            Mode::Verify => {}
+            Mode::Verify(_) => {}
         }
         Ok(None)
     }
@@ -768,7 +782,7 @@ impl Tracing {
     pub fn is_replaying(&self) -> bool {
         self.active
             .as_ref()
-            .is_some_and(|a| matches!(a.mode, Mode::Replay))
+            .is_some_and(|a| matches!(a.mode, Mode::Replay(_)))
     }
 
     /// A trace instance is open (or an auto trace awaits its first
@@ -779,12 +793,18 @@ impl Tracing {
     }
 
     /// The lowest task id whose commit-ledger entry trace bookkeeping may
-    /// still consult: the base of the in-flight instance (end-of-trace
-    /// validation and shift computation look back to it). `None` when
-    /// nothing is pinned. Templates themselves hold `Arc`s to their
-    /// recorded results and pin nothing.
-    pub fn pin_floor(&self) -> Option<u32> {
-        self.active.as_ref().map(|a| a.base)
+    /// still consult, `next` being the next task id: the base of the
+    /// in-flight instance (end-of-trace validation and shift computation
+    /// look back to it), or while the detector observes, the oldest row a
+    /// promotion could build its template from. `None` when nothing is
+    /// pinned. Templates themselves hold `Arc`s to their recorded results
+    /// and pin nothing.
+    pub fn pin_floor(&self, next: u32) -> Option<u32> {
+        match (&self.active, &self.auto) {
+            (Some(a), _) => Some(a.base),
+            (None, Some(auto)) => Some(next.saturating_sub(auto.lookback())),
+            (None, None) => None,
+        }
     }
 
     pub fn violations(&self) -> &[TraceViolation] {
@@ -802,14 +822,14 @@ impl Tracing {
 mod tests {
     use super::*;
     use viz_geometry::IndexSpace;
-    use viz_region::RedOpRegistry;
+    use viz_region::{PartitionId, RedOpRegistry};
 
     /// The coverage check as it was before it ran on interned geometry:
     /// per `(root, field)` a chain of `IndexSpace::union`s over the written
     /// domains, then `contains` for every other access.
-    fn chained_union_verdict(entries: &[TemplateEntry], forest: &RegionForest) -> bool {
+    fn chained_union_verdict(sigs: &[Sig], forest: &RegionForest) -> bool {
         let mut writes: FxHashMap<(RegionId, FieldId), IndexSpace> = FxHashMap::default();
-        for r in entries.iter().flat_map(|e| &e.sig.reqs) {
+        for r in sigs.iter().flat_map(|sig| &sig.reqs) {
             if matches!(r.privilege, Privilege::ReadWrite) {
                 let dom = forest.domain(r.region);
                 writes
@@ -818,7 +838,7 @@ mod tests {
                     .or_insert_with(|| dom.clone());
             }
         }
-        entries.iter().flat_map(|e| &e.sig.reqs).all(|r| {
+        sigs.iter().flat_map(|sig| &sig.reqs).all(|r| {
             matches!(r.privilege, Privilege::ReadWrite)
                 || writes
                     .get(&(forest.root_of(r.region), r.field))
@@ -826,15 +846,11 @@ mod tests {
         })
     }
 
-    fn entries(launches: &[Vec<RegionRequirement>]) -> Vec<TemplateEntry> {
-        let result = Arc::new(AnalysisResult::default());
+    fn sigs(launches: &[Vec<RegionRequirement>]) -> Vec<Sig> {
         (launches.iter().enumerate())
-            .map(|(i, reqs)| TemplateEntry {
-                sig: Sig {
-                    node: i % 3,
-                    reqs: reqs.clone(),
-                },
-                result: Arc::clone(&result),
+            .map(|(i, reqs)| Sig {
+                node: i % 3,
+                reqs: reqs.clone(),
             })
             .collect()
     }
@@ -843,14 +859,14 @@ mod tests {
     /// verdict on the whole.
     fn same_verdicts(launches: &[Vec<RegionRequirement>], forest: &RegionForest) -> bool {
         for n in 1..=launches.len() {
-            let e = entries(&launches[..n]);
+            let e = sigs(&launches[..n]);
             assert_eq!(
                 instance_is_self_superseding(&e, forest),
                 chained_union_verdict(&e, forest),
                 "the verdicts differ on the first {n} launches"
             );
         }
-        instance_is_self_superseding(&entries(launches), forest)
+        instance_is_self_superseding(&sigs(launches), forest)
     }
 
     #[test]
@@ -919,6 +935,107 @@ mod tests {
         assert!(!same_verdicts(&two_roots, &forest));
         two_roots.insert(0, vec![RegionRequirement::read_write(other, g)]);
         assert!(same_verdicts(&two_roots, &forest));
+    }
+
+    /// A runtime over one 1-D root with `pieces` equal pieces and a halo
+    /// around each: the runtime, the root's two fields and the two
+    /// partitions.
+    fn halo_runtime(auto: bool, pieces: usize) -> (crate::Runtime, [FieldId; 2], [PartitionId; 2]) {
+        let cfg = crate::RuntimeConfig::new(crate::EngineKind::RayCast).nodes(2);
+        let mut rt = crate::Runtime::new(cfg.auto_trace(auto));
+        let n = 8 * pieces as i64;
+        let mut forest = rt.forest_mut();
+        let root = forest.create_root_1d("A", n);
+        let fields = [forest.add_field(root, "in"), forest.add_field(root, "out")];
+        let p = forest.create_equal_partition_1d(root, "P", pieces);
+        let halos = (0..pieces as i64)
+            .map(|i| IndexSpace::span((i * 8 - 2).max(0), (i * 8 + 9).min(n - 1)))
+            .collect();
+        let h = forest.create_partition(root, "H", halos);
+        drop(forest);
+        (rt, fields, [p, h])
+    }
+
+    /// For a pure period-`L` stream, the launch completing the second block
+    /// promotes, that block is the template, the third is verified, and
+    /// the first replayed launch is at position `3·L`.
+    #[test]
+    fn first_replay_is_at_three_periods() {
+        for len in [2usize, 5, 8] {
+            let (mut rt, [f, _], [p, _]) = halo_runtime(true, len);
+            let mut first_replay = None;
+            for i in 0..5 * len {
+                let piece = rt.forest().subregion(p, i % len);
+                rt.task("w").write(piece, f).submit().unwrap();
+                if first_replay.is_none() && rt.replayed_launches() == 1 {
+                    first_replay = Some(i);
+                }
+            }
+            assert_eq!(first_replay, Some(3 * len), "period {len}");
+            assert_eq!(rt.replayed_launches(), 2 * len as u64, "period {len}");
+            assert_eq!(
+                (rt.auto_traces_detected(), rt.auto_traces_demoted()),
+                (1, 0)
+            );
+        }
+    }
+
+    /// The template read off the promoting block's committed rows is, entry
+    /// for entry, what the untraced runtime analyzes for that block:
+    /// dependences, copies and reductions.
+    #[test]
+    fn retroactive_template_is_the_untraced_analysis_of_its_block() {
+        const PIECES: usize = 4;
+        let iteration =
+            |rt: &mut crate::Runtime, [f_in, f_out]: [FieldId; 2], [p, h]: [PartitionId; 2]| {
+                for k in 0..PIECES {
+                    let (piece, halo) = (rt.forest().subregion(p, k), rt.forest().subregion(h, k));
+                    rt.task("stencil")
+                        .write(piece, f_out)
+                        .read(halo, f_in)
+                        .submit()
+                        .unwrap();
+                }
+                for k in 0..PIECES {
+                    let (piece, halo) = (rt.forest().subregion(p, k), rt.forest().subregion(h, k));
+                    rt.task("sum")
+                        .reduce(halo, f_in, RedOpRegistry::SUM)
+                        .read(piece, f_out)
+                        .submit()
+                        .unwrap();
+                    rt.task("copy")
+                        .write(piece, f_in)
+                        .read(piece, f_out)
+                        .submit()
+                        .unwrap();
+                }
+            };
+        let (mut auto, fields, parts) = halo_runtime(true, PIECES);
+        let (mut plain, _, _) = halo_runtime(false, PIECES);
+        for _ in 0..2 {
+            iteration(&mut auto, fields, parts);
+            iteration(&mut plain, fields, parts);
+        }
+        assert_eq!(auto.auto_traces_detected(), 1, "the second block promotes");
+        let untraced = plain.results();
+        let tracing = auto.tracing();
+        let Some(Mode::Verify(t)) = tracing.active.as_ref().map(|a| &a.mode) else {
+            panic!("the promoted trace verifies next");
+        };
+        let len = 3 * PIECES as u32;
+        assert_eq!((t.base, t.analyzed, t.len()), (len, 2 * len, len));
+        for (k, entry) in t.entries.iter().enumerate() {
+            let task = (t.base as usize) + k;
+            assert_eq!(*entry.result, untraced[task], "task {task}");
+            assert!(
+                !entry.result.deps.is_empty(),
+                "task {task} depends on the first block"
+            );
+        }
+        assert!(t
+            .entries
+            .iter()
+            .any(|e| e.result.plans.iter().any(|p| !p.copies.is_empty())));
     }
 
     fn ranges(v: &[(u32, u32, u32)]) -> Vec<(u32, u32, u32)> {

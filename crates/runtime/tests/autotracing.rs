@@ -82,18 +82,49 @@ fn long_loop_is_detected_and_replays() {
     );
     assert_eq!(serial.detected, 1, "one trace must be promoted");
     assert_eq!(sharded.detected, 1);
-    // Detection after 2 observed instances, capture on the 3rd, one
-    // analyzed verification instance on the 4th: at least the remaining
-    // 6 instances replay.
-    assert!(
-        serial.replayed >= 6 * 8,
-        "expected >= 48 replayed launches, got {}",
-        serial.replayed
-    );
+    // Detection on the last launch of the 2nd observed instance, whose
+    // rows are the template; one analyzed verification instance on the
+    // 3rd: the remaining 7 instances replay.
+    assert_eq!(serial.replayed, 7 * 8, "replayed launches");
     assert_eq!(
         serial.replayed, sharded.replayed,
         "drivers disagree on replay"
     );
+}
+
+/// The template is read off the promoting block's committed rows, so GC
+/// must not retire them while the detector observes: at a sweep after
+/// every launch (or every fourth) with two launches retained, a period-8
+/// stream of ten instances still replays its last seven.
+#[test]
+fn promotion_reads_its_block_under_aggressive_gc() {
+    for interval in [1, 4] {
+        let mut rt = Runtime::new(
+            RuntimeConfig::new(EngineKind::RayCast)
+                .nodes(2)
+                .history_gc(true)
+                .gc_interval(interval)
+                .gc_retain(2),
+        );
+        let forest = Forest::build(&halo(), &mut rt);
+        for _ in 0..10 {
+            for k in 0..PIECES {
+                rt.submit(forest.single(Piece(0, k), RW, 7)).unwrap();
+            }
+            for k in 0..PIECES {
+                let sum = Privilege::Reduce(RedOpRegistry::SUM);
+                rt.submit(forest.single(Piece(1, k), sum, 3)).unwrap();
+            }
+        }
+        let stats = rt.stats();
+        assert!(stats.watermark > 0, "interval {interval}: GC retired rows");
+        assert_eq!(
+            (rt.auto_traces_detected(), rt.auto_traces_demoted()),
+            (1, 0),
+            "interval {interval}"
+        );
+        assert_eq!(rt.replayed_launches(), 7 * 8, "interval {interval}");
+    }
 }
 
 /// Near-repeats — instances that agree except for one launch's privilege,
@@ -180,12 +211,13 @@ fn auto_mid_replay_divergence_orders_after_replayed_prefix() {
             .id()
     };
     // Unit [RW p0, RW p0, RW p1]: observed twice (the repeat is detected at
-    // task 5), captured (6-8), verified (9-11), replayed (12-14).
-    for i in 0..15 {
+    // task 5, and tasks 3-5 are the template), verified (6-8), replayed
+    // (9-11).
+    for i in 0..12 {
         submit(&mut rt, [0, 0, 1][i % 3], RW);
     }
     assert!(rt.is_replaying() && rt.replayed_launches() == 3);
-    // Sixth instance: the first RW p0 replays (task 15), then a read of p0
+    // Fifth instance: the first RW p0 replays (task 12), then a read of p0
     // diverges from the recorded RW at cursor 1.
     let prefix = submit(&mut rt, 0, RW);
     let divergent = submit(&mut rt, 0, Privilege::Read);
@@ -196,9 +228,9 @@ fn auto_mid_replay_divergence_orders_after_replayed_prefix() {
         (rt.auto_traces_detected(), rt.auto_traces_demoted()),
         (1, 1)
     );
-    // The frozen engine state's last writer of p0 is verification task 10,
-    // which superseded task 9 — the launch the prefix replayed as task 15.
-    // A dep on 10 (rebased to 13) alone would let the read race the
+    // The frozen engine state's last writer of p0 is verification task 7,
+    // which superseded task 6 — the launch the prefix replayed as task 12.
+    // A dep on 7 (rebased to 10) alone would let the read race the
     // prefix's write.
     let dag = rt.dag();
     assert!(
@@ -211,7 +243,7 @@ fn auto_mid_replay_divergence_orders_after_replayed_prefix() {
 }
 
 /// A fence or a `begin_trace` that lands between detection and the first
-/// capture launch drops the promoted trace silently: no violation, no
+/// verify launch drops the promoted trace silently: no violation, no
 /// demotion, and the values of the untraced run.
 #[test]
 fn interrupting_a_promotion_before_its_first_launch_is_silent() {
@@ -246,9 +278,9 @@ fn interrupting_a_promotion_before_its_first_launch_is_silent() {
     assert_eq!(run(true), run(false), "a dropped promotion changed values");
 }
 
-/// Replay starts only once an instance has passed the capture-time
-/// coverage check, so the apps replaying under the default config is that
-/// check's verdict on their iterations.
+/// Replay starts only once the promoted block has passed the coverage
+/// check, so the apps replaying under the default config is that check's
+/// verdict on their iterations.
 #[test]
 fn apps_iterations_cover_themselves_and_replay_by_default() {
     let apps: [(&str, Box<dyn Workload>); 3] = [

@@ -46,6 +46,7 @@ struct Observed {
     results: Vec<AnalysisResult>,
     names: Vec<String>,
     counters: Counters,
+    replayed: u64,
 }
 
 fn run(
@@ -74,6 +75,7 @@ fn run(
         results: rt.results(),
         names,
         counters,
+        replayed: rt.replayed_launches(),
     }
 }
 
@@ -85,6 +87,11 @@ fn differential(workload: &dyn Workload, nodes: usize) {
             let ctx = format!("{} {engine:?} {mode:?}", workload.name());
 
             assert_eq!(off.watermark, 0, "{ctx}: GC-off run must retire nothing");
+            assert_eq!(on.replayed, off.replayed, "{ctx}: GC changed what replays");
+            if let Mode::AutoTraced = mode {
+                // Otherwise the mode would compare two analyzed runs.
+                assert!(off.replayed > 0, "{ctx}: nothing replayed");
+            }
             assert_eq!(on.tasks, off.tasks, "{ctx}: program length diverged");
             assert!(
                 on.watermark > 0,

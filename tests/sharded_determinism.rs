@@ -184,6 +184,54 @@ fn pennant_sharded_matches_serial_bit_exactly() {
     }
 }
 
+/// Under the default (auto-tracing on), the serial and two-thread drivers
+/// promote at the same launch and replay the same launches: the sharded
+/// driver ends its batch at the promoting launch and opens the trace once
+/// that launch has committed, as the serial driver does.
+#[test]
+fn serial_and_sharded_promote_at_the_same_launch() {
+    let apps: [Box<dyn Workload>; 3] = [
+        Box::new(Stencil::new(StencilConfig::small(4, 8, 6))),
+        Box::new(Circuit::new(CircuitConfig::small(4, 6))),
+        Box::new(Pennant::new(PennantConfig::small(4, 6))),
+    ];
+    for app in apps {
+        let run = |threads: usize| {
+            let mut rt = Runtime::new(
+                RuntimeConfig::new(EngineKind::RayCast)
+                    .nodes(4)
+                    .analysis_threads(threads)
+                    .record_history(true),
+            );
+            app.execute(&mut rt);
+            // A verify launch stores its result shared with the trace, so
+            // the first shared row is the launch after the promoting one.
+            let tasks = rt.num_tasks() as u32;
+            let first_shared = (0..tasks).find(|&t| rt.shared_result_addr(TaskId(t)).is_some());
+            let history = rt.recorded_history().expect("recording enabled");
+            let first_replayed = history.launches.iter().find(|l| l.replayed).map(|l| l.id);
+            (
+                first_shared.map(|t| t - 1),
+                first_replayed,
+                rt.replayed_launches(),
+                rt.auto_traces_detected(),
+                rt.auto_traces_demoted(),
+            )
+        };
+        let serial = run(1);
+        let sharded = run(2);
+        let name = app.name();
+        assert_eq!(
+            serial, sharded,
+            "{name}: (promoted at, first replayed, replayed, detected, demoted)"
+        );
+        assert!(
+            serial.0.is_some() && serial.2 > 0,
+            "{name}: the default promotes and replays"
+        );
+    }
+}
+
 #[test]
 fn traced_workloads_fall_back_to_serial_and_stay_identical() {
     // Inside begin/end_trace the batched driver must defer to the serial
