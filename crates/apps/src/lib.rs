@@ -22,6 +22,8 @@
 //!   durations calibrated to the paper's single-node throughputs; this mode
 //!   drives the machine-scale figures.
 
+#![forbid(unsafe_code)]
+
 pub mod circuit;
 pub mod pennant;
 pub mod stencil;

@@ -27,6 +27,8 @@
 //! `Runtime::execute_values` once and resolve [`Scalar`]s and
 //! [`ArrayProbe`]s against the returned store.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 use viz_geometry::{IndexSpace, Point};
 use viz_region::{deppart, FieldId, PartitionId, RedOpRegistry, RegionId};

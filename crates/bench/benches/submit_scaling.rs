@@ -1,11 +1,11 @@
 //! Submit-scaling bench: aggregate submission throughput as producer
 //! contexts are added (PR 7's multi-producer submission plane).
 //!
-//! Each producer claims its own SPSC ring and pushes launches against its
-//! own private region tree, so producers share *nothing* on the submission
-//! path — no queue lock, no core lock, no handoff. Rings are deep
-//! (`pipeline_depth(4096)`) so the measurement captures ring-push cost,
-//! not dispatcher backpressure. The wall-clock window covers barrier-synced
+//! Each producer is its own context and pushes launches against its own
+//! private region tree into the plane's one submission queue, so producers
+//! share only the queue lock on the submission path — no core lock. Each
+//! producer's share is deep (`pipeline_depth(4096)`) so the measurement
+//! captures push cost, not dispatcher backpressure. The wall-clock window covers barrier-synced
 //! submission only; the combined drain happens after the clock stops.
 //!
 //! Reported: a TSV on stdout of aggregate throughput at 1, 2, 4, and 8
@@ -41,7 +41,7 @@ fn setup_tenant(rt: &mut Runtime, t: usize) -> Tenant {
 }
 
 /// One run: `producers` contexts, barrier-released, each pushing
-/// `PER_PRODUCER` launches into its own ring. Returns the submission
+/// `PER_PRODUCER` launches into the shared queue. Returns the submission
 /// wall-clock (barrier release to last producer done).
 fn run_once(producers: usize) -> f64 {
     let mut rt = Runtime::new(

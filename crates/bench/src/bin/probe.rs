@@ -18,8 +18,8 @@
 //! submissions through the deferred-execution frontend (bounded queue +
 //! analysis driver thread) and reports queue depth/stall statistics; the
 //! figures again stay bit-identical, only host overlap changes.
-//! `--submit-rings N` sizes the submission plane's ring array (primary
-//! facade plus N-1 tenant contexts; `RuntimeConfig::submit_rings`).
+//! `--submit-rings N` caps the submission plane's live producers (the
+//! primary facade plus N-1 tenant contexts; `RuntimeConfig::submit_rings`).
 //! `--oracle` records the run's history and judges it with the external
 //! saturation checker (viz-oracle) after scheduling; a violation is a
 //! nonzero exit. `--record-history PATH` writes the recorded history in

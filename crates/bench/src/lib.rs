@@ -24,6 +24,8 @@
 //! model converts the resulting operation/message streams into time (see
 //! `viz-sim` and DESIGN.md §3).
 
+#![forbid(unsafe_code)]
+
 pub mod plot;
 
 use viz_apps::{

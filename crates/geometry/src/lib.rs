@@ -34,6 +34,8 @@
 //! `X ⊕ Y` (union preferring `Y`'s values) is realized at the value layer in
 //! `viz-runtime` on top of these domain operations.
 
+#![forbid(unsafe_code)]
+
 pub mod bvh;
 pub mod dbvh;
 pub mod flat_bvh;

@@ -24,6 +24,8 @@
 //!   sweeps generated programs across all four engines × serial/sharded ×
 //!   pipeline × auto-trace (the only modules that touch `viz-runtime`).
 
+#![forbid(unsafe_code)]
+
 pub mod checker;
 pub mod depa;
 pub mod gen;

@@ -94,8 +94,8 @@ fn push_args(out: &mut String, kind: &EventKind) {
         EventKind::PipelineStall { waited_ns } => {
             let _ = write!(out, "{{\"waited_ns\":{waited_ns}}}");
         }
-        EventKind::SubmitCombine { rings, specs } => {
-            let _ = write!(out, "{{\"rings\":{rings},\"specs\":{specs}}}");
+        EventKind::SubmitCombine { producers, specs } => {
+            let _ = write!(out, "{{\"producers\":{producers},\"specs\":{specs}}}");
         }
         EventKind::AlgebraCache { hits, misses } => {
             let _ = write!(out, "{{\"hits\":{hits},\"misses\":{misses}}}");

@@ -23,6 +23,8 @@
 //! one process per simulated node), a folded-stack flamegraph text, and a
 //! metrics TSV.
 
+#![forbid(unsafe_code)]
+
 pub mod export;
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -82,9 +84,10 @@ pub enum EventKind {
     /// A submission blocked `waited_ns` on a full pipeline queue
     /// (backpressure: the application ran a full queue ahead of analysis).
     PipelineStall { waited_ns: u64 },
-    /// The combining dispatcher committed `specs` launches drained from
-    /// `rings` submission rings under one core lock acquisition.
-    SubmitCombine { rings: u64, specs: u64 },
+    /// The combining dispatcher committed `specs` launches from
+    /// `producers` contexts, taken from the submission queue at once,
+    /// under one core lock acquisition.
+    SubmitCombine { producers: u64, specs: u64 },
     /// Memoized set-algebra activity since the last report on the algebra
     /// one shard scan used (its root's, for RayCast and Warnock): `hits`
     /// lookups answered from the cache, `misses` recomputed.

@@ -20,6 +20,8 @@
 //!   identity, supporting the lazy partial accumulation that makes
 //!   reductions "semi-transparent" in the visibility reduction (§3.1).
 
+#![forbid(unsafe_code)]
+
 pub mod deppart;
 pub mod forest;
 pub mod privilege;

@@ -100,16 +100,17 @@ pub struct RuntimeConfig {
     /// overlap. Results are byte-identical to the synchronous path.
     /// Defaults from `VIZ_PIPELINE`.
     pub pipeline: bool,
-    /// Capacity of the submission queue (backpressure bound): a full
-    /// queue blocks [`crate::Runtime::submit`] until the driver catches up.
-    /// In pipelined mode every submission ring gets this depth.
+    /// Backpressure bound, per producer: a submission blocks while this
+    /// many of its own producer's launches sit in the submission queue, not
+    /// yet taken by the driver. Other producers are not affected.
     pub pipeline_depth: usize,
-    /// Number of per-context SPSC submission rings in the pipelined plane
-    /// (PR 7). Ring 0 is claimed by the [`crate::Runtime`] facade itself, so up
-    /// to `submit_rings - 1` tenant [`crate::Context`]s can be live at once
+    /// Live producers on the pipelined submission plane. The
+    /// [`crate::Runtime`] facade is one, so up to `submit_rings - 1` tenant
+    /// [`crate::Context`]s can be live at once
     /// ([`crate::Runtime::new_context`] returns
     /// [`crate::RuntimeError::RingsExhausted`] past that). Defaults to 8;
-    /// ignored in synchronous mode.
+    /// ignored in synchronous mode. (Named for the per-producer rings the
+    /// one shared queue replaced; callers still use the name.)
     pub submit_rings: usize,
     /// Interning/memoization configuration of the region forest's per-root
     /// set algebras, which every engine runs on (enabled by default;
@@ -203,14 +204,14 @@ impl RuntimeConfig {
         self
     }
 
-    /// Submission-queue capacity (backpressure bound, min 1).
+    /// Per-producer submission-queue bound (backpressure, min 1).
     pub fn pipeline_depth(mut self, n: usize) -> Self {
         self.pipeline_depth = n.max(1);
         self
     }
 
-    /// Submission rings in the pipelined plane (min 2: the facade's ring
-    /// plus at least one for tenant contexts).
+    /// Live producers on the pipelined plane (min 2: the facade plus at
+    /// least one tenant context).
     pub fn submit_rings(mut self, n: usize) -> Self {
         self.submit_rings = n.max(2);
         self

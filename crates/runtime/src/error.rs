@@ -42,8 +42,8 @@ pub enum RuntimeError {
     /// rejected instead of re-raising the foreign panic on this thread.
     Poisoned { what: &'static str },
     /// The pipeline dispatcher thread panicked. `lost` counts launches
-    /// that were queued but will never be analyzed (dequeued-mid-batch or
-    /// still sitting in a submission ring). Dropping the runtime re-raises
+    /// that were queued but will never be analyzed (taken mid-batch or
+    /// still sitting in the submission queue). Dropping the runtime re-raises
     /// the dispatcher's original panic payload.
     DriverPanicked { lost: u64 },
     /// A blocking resolve was attempted from inside a runtime worker (the
@@ -51,9 +51,14 @@ pub enum RuntimeError {
     /// can never succeed — the waiter is the thread that would have to
     /// make the progress — so the call fails instead of hanging.
     WouldDeadlock,
-    /// Every submission ring is claimed by a live context; drop one (or
-    /// raise [`crate::RuntimeConfig::submit_rings`]) before creating more.
+    /// `rings` producers — the facade and `rings - 1` tenant contexts —
+    /// are already live on the submission plane; drop a context (or raise
+    /// [`crate::RuntimeConfig::submit_rings`]) before creating more.
     RingsExhausted { rings: usize },
+    /// A [`crate::TaskHandle`] this runtime never issued (one from another
+    /// runtime): its `seq` is not below the `issued` sequence numbers the
+    /// facade has handed out.
+    UnknownHandle { seq: u32, issued: u32 },
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -124,8 +129,16 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::RingsExhausted { rings } => {
                 write!(
                     f,
-                    "all {rings} submission rings are claimed by live contexts \
-                     (drop a context or raise RuntimeConfig::submit_rings)"
+                    "all {rings} producer places on the submission plane are taken \
+                     by live contexts (drop a context or raise \
+                     RuntimeConfig::submit_rings)"
+                )
+            }
+            RuntimeError::UnknownHandle { seq, issued } => {
+                write!(
+                    f,
+                    "task handle {seq} was not issued by this runtime \
+                     (it has issued {issued})"
                 )
             }
         }

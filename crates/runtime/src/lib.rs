@@ -29,6 +29,8 @@
 //! [`exec::TimedSchedule`] replays the same DAG on the simulated machine for
 //! the paper's scaling experiments.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod autotrace;
 pub mod config;
@@ -43,7 +45,6 @@ pub mod mapper;
 pub mod pipeline;
 pub mod plan;
 pub mod record;
-pub(crate) mod ring;
 mod runs;
 pub mod runtime;
 pub mod sharding;
@@ -59,7 +60,7 @@ pub use error::RuntimeError;
 pub use index_launch::{IndexLaunchResult, Projection};
 pub use instance::PhysicalRegion;
 pub use mapper::Mapper;
-pub use pipeline::{PipelineMetrics, RingCounters};
+pub use pipeline::PipelineMetrics;
 pub use plan::{
     AnalysisResult, CopyRange, MaterializePlan, ReduceRange, Source, StoredResult, TaskShift,
 };

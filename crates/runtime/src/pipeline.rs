@@ -1,62 +1,54 @@
-//! The multi-producer submission plane (PR 4's pipelined frontend,
-//! rebuilt in PR 7 for many concurrent task streams).
+//! The submission plane of the pipelined frontend
+//! ([`crate::RuntimeConfig::pipeline`]).
 //!
-//! With [`crate::RuntimeConfig::pipeline`] set, no application thread runs
-//! the dependence analysis inline. Instead the plane owns a fixed array of
-//! per-context SPSC *submission rings* (`ring::SpscRing`, sized by
-//! [`crate::RuntimeConfig::submit_rings`]): the primary [`crate::Runtime`]
-//! facade claims ring 0, and every [`crate::Runtime::new_context`] tenant
-//! context claims its own. Producers validate and snapshot launches on
-//! their own threads and push into their private ring wait-free — never
-//! contending on a shared queue lock, never blocking on lock handoff.
-//!
-//! One *combining dispatcher* thread (`viz-analysis-driver`) sweeps the
-//! rings, drains every pending spec, and commits the combined batch
-//! through `Core::run_specs` while holding the core write lock **once
-//! per sweep** instead of once per submission — flat-combining delegation:
-//! producers delegate the serial analysis to the dispatcher and keep
-//! submitting. Per-ring FIFO order is preserved (each context's stream is
-//! analyzed in its program order); the interleaving *between* contexts is
-//! the commit order the dispatcher observed, which is also the order the
+//! No application thread runs the dependence analysis inline. Producers —
+//! the [`crate::Runtime`] facade and every [`crate::Runtime::new_context`]
+//! tenant — validate and snapshot launches on their own threads and push
+//! them, tagged with their context, into one FIFO queue. One dispatcher
+//! thread (`viz-analysis-driver`) takes everything queued in one lock
+//! acquisition, then holds the forest read lock and the core write lock
+//! **once per sweep** and commits each run of consecutive same-context
+//! specs through `Core::run_specs` — flat combining: producers delegate
+//! the serial analysis to the dispatcher and keep submitting. Each
+//! context's stream is analyzed in its program order; the interleaving
+//! *between* contexts is the queue order, which is the commit order the
 //! history recorder sees — so recorded histories are well-defined under
 //! concurrent producers.
 //!
 //! ## Backpressure
 //!
-//! Every ring is bounded ([`crate::RuntimeConfig::pipeline_depth`]): a
-//! full ring stalls that producer (and only that producer) until the
-//! dispatcher catches up. Stalls and ring depths are counted per ring in
-//! [`PipelineMetrics`]; combined batches are emitted as
-//! [`viz_profile::EventKind::SubmitCombine`] events.
+//! A producer blocks while [`crate::RuntimeConfig::pipeline_depth`] of its
+//! *own* specs sit in the queue, not yet taken by the dispatcher: a full
+//! producer stalls that producer (and only that producer) until the
+//! dispatcher catches up. Stalls and the in-flight depth are counted in
+//! [`PipelineMetrics`]; combined sweeps are emitted as
+//! [`viz_profile::EventKind::SubmitCombine`] events. At most
+//! [`crate::RuntimeConfig::submit_rings`] producers (the facade included)
+//! are live at once.
 //!
 //! ## Drain points, quiesce, and the drop contract
 //!
 //! Operations that observe committed analysis state quiesce the *whole
-//! plane* (`SubmitPlane::quiesce`): snapshot every ring's pushed
-//! counter, then wait until the matching commit counters catch up — a
-//! monotone condition that terminates even while other producers keep
-//! submitting. Dropping the runtime closes the plane and joins the
-//! dispatcher, which always drains every ring before honoring shutdown —
-//! queued launches are never lost. If the dispatcher dies (an engine bug;
-//! API misuse is rejected on the producer thread before enqueue), the
-//! panic is latched: producers get [`RuntimeError::DriverPanicked`] with
-//! the count of launches that were queued but will never be analyzed (also
-//! readable as [`PipelineMetrics::lost`]), and dropping the runtime
-//! re-raises the original panic payload.
+//! plane* (`SubmitPlane::quiesce`): read the submitted counter once, then
+//! wait until the retired counter catches up — a monotone condition that
+//! terminates even while other producers keep submitting. Dropping the
+//! runtime closes the plane and joins the dispatcher, which empties the
+//! queue before honoring shutdown — queued launches are never lost. If
+//! the dispatcher dies (an engine bug; API misuse is rejected on the
+//! producer thread before enqueue), the panic is latched: producers get
+//! [`RuntimeError::DriverPanicked`] with the count of launches that were
+//! queued but will never be analyzed (also readable as
+//! [`PipelineMetrics::lost`]), and dropping the runtime re-raises the
+//! original panic payload.
 
 use crate::error::RuntimeError;
-use crate::ring::SpscRing;
 use crate::runtime::{Core, LaunchSpec};
 use crate::task::TaskId;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::time::Instant;
 use viz_region::RegionForest;
-
-/// Condvar waits are bounded so a (hypothetically) missed wakeup degrades
-/// to a short poll instead of a hang — correctness never depends on
-/// doorbell delivery, only progress latency does.
-const WAIT_TICK: Duration = Duration::from_millis(1);
 
 /// Publish `value` into `cell` if it exceeds the current maximum.
 ///
@@ -116,29 +108,6 @@ pub(crate) fn in_worker() -> bool {
 // ----------------------------------------------------------------------
 
 #[derive(Default)]
-pub(crate) struct RingStats {
-    submitted: AtomicU64,
-    retired: AtomicU64,
-    stalls: AtomicU64,
-    stalled_ns: AtomicU64,
-    max_depth: AtomicU64,
-}
-
-/// A point-in-time snapshot of one submission ring's counters.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct RingCounters {
-    /// Launches pushed into this ring.
-    pub submitted: u64,
-    /// Launches from this ring the dispatcher committed.
-    pub retired: u64,
-    /// Times this ring's producer stalled on a full ring.
-    pub stalls: u64,
-    /// Wall-clock nanoseconds this ring's producer spent stalled.
-    pub stalled_ns: u64,
-    /// High-water occupancy observed at push.
-    pub max_depth: u64,
-}
-
 pub(crate) struct MetricsInner {
     submitted: AtomicU64,
     retired: AtomicU64,
@@ -151,30 +120,13 @@ pub(crate) struct MetricsInner {
     combined_specs: AtomicU64,
     /// Largest single combined sweep.
     max_combine: AtomicU64,
-    /// Sweeps that drained more than one ring (true combining).
+    /// Sweeps whose batch held more than one context (true combining).
     multi_ring_combines: AtomicU64,
     /// Latched when the dispatcher thread panicked.
     panicked: AtomicBool,
-    rings: Box<[RingStats]>,
 }
 
 impl MetricsInner {
-    fn new(rings: usize) -> Self {
-        MetricsInner {
-            submitted: AtomicU64::new(0),
-            retired: AtomicU64::new(0),
-            stalls: AtomicU64::new(0),
-            stalled_ns: AtomicU64::new(0),
-            max_depth: AtomicU64::new(0),
-            combines: AtomicU64::new(0),
-            combined_specs: AtomicU64::new(0),
-            max_combine: AtomicU64::new(0),
-            multi_ring_combines: AtomicU64::new(0),
-            panicked: AtomicBool::new(false),
-            rings: (0..rings).map(|_| RingStats::default()).collect(),
-        }
-    }
-
     fn lost_now(&self) -> u64 {
         if self.panicked.load(Ordering::SeqCst) {
             self.submitted
@@ -195,17 +147,18 @@ pub struct PipelineMetrics {
 }
 
 impl PipelineMetrics {
-    /// Launches pushed into any submission ring.
+    /// Launches pushed into the submission queue.
     pub fn submitted(&self) -> u64 {
         self.inner.submitted.load(Ordering::Acquire)
     }
 
-    /// Launches the dispatcher has drained and committed.
+    /// Launches the dispatcher has taken and committed.
     pub fn retired(&self) -> u64 {
         self.inner.retired.load(Ordering::Acquire)
     }
 
-    /// Times a producer blocked on a full ring (backpressure).
+    /// Submissions that blocked on their producer's full share of the
+    /// queue (backpressure).
     pub fn stalls(&self) -> u64 {
         self.inner.stalls.load(Ordering::Acquire)
     }
@@ -238,7 +191,8 @@ impl PipelineMetrics {
         self.inner.max_combine.load(Ordering::Acquire)
     }
 
-    /// Sweeps that drained more than one ring under one lock acquisition.
+    /// Sweeps whose batch held more than one producer context under one
+    /// lock acquisition.
     pub fn multi_ring_combines(&self) -> u64 {
         self.inner.multi_ring_combines.load(Ordering::Acquire)
     }
@@ -253,23 +207,6 @@ impl PipelineMetrics {
     pub fn lost(&self) -> u64 {
         self.inner.lost_now()
     }
-
-    /// Number of submission rings (the `submit_rings` knob).
-    pub fn rings(&self) -> usize {
-        self.inner.rings.len()
-    }
-
-    /// Snapshot of ring `i`'s counters.
-    pub fn ring(&self, i: usize) -> RingCounters {
-        let r = &self.inner.rings[i];
-        RingCounters {
-            submitted: r.submitted.load(Ordering::Acquire),
-            retired: r.retired.load(Ordering::Acquire),
-            stalls: r.stalls.load(Ordering::Acquire),
-            stalled_ns: r.stalled_ns.load(Ordering::Acquire),
-            max_depth: r.max_depth.load(Ordering::Acquire),
-        }
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -279,7 +216,7 @@ impl PipelineMetrics {
 /// Everything a producer context (and its outstanding handles) needs to
 /// track its stream: per-context program-order counters and the global
 /// task ids the dispatcher assigned. Handles hold an `Arc` to this, so it
-/// stays valid after the context detaches and its ring slot is reused.
+/// stays valid after the context detaches.
 pub(crate) struct CtxState {
     /// Context id, recorded with every launch (fence scope).
     pub(crate) ctx: u32,
@@ -288,9 +225,14 @@ pub(crate) struct CtxState {
     pub(crate) pushed: AtomicU64,
     /// Prefix of `pushed` whose analysis has committed.
     pub(crate) committed: AtomicU64,
+    /// This context's specs in the queue, not yet taken by the
+    /// dispatcher. Written under the queue lock only, which orders it.
+    /// A `u32` fits in the padding after `ctx`, so the struct stays 56
+    /// bytes and the heap layout `peak_rss_mb` follows (DESIGN §7l) with it.
+    queued: AtomicU32,
     /// Global [`TaskId`]s assigned to this context's launches, indexed by
     /// context-local sequence number.
-    pub(crate) assigned: Mutex<Vec<TaskId>>,
+    assigned: Mutex<Vec<TaskId>>,
 }
 
 impl CtxState {
@@ -299,78 +241,98 @@ impl CtxState {
             ctx,
             pushed: AtomicU64::new(0),
             committed: AtomicU64::new(0),
+            queued: AtomicU32::new(0),
             assigned: Mutex::new(Vec::new()),
         })
+    }
+
+    /// The assigned ids. Holders only push or copy ids, which cannot
+    /// panic, so the lock is never poisoned.
+    pub(crate) fn assigned(&self) -> MutexGuard<'_, Vec<TaskId>> {
+        self.assigned.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The id assigned to context-local sequence `seq`, if committed.
     pub(crate) fn try_id(&self, seq: u32) -> Option<TaskId> {
         if self.committed.load(Ordering::Acquire) > seq as u64 {
-            Some(self.assigned.lock().unwrap()[seq as usize])
+            Some(self.assigned()[seq as usize])
         } else {
             None
         }
     }
 
+    /// This context's specs queued and not yet taken.
+    #[cfg(test)]
+    pub(crate) fn queued(&self) -> u32 {
+        self.queued.load(Ordering::Relaxed)
+    }
+
     /// Record an inline (synchronous-path) commit: id known immediately.
     pub(crate) fn record_inline(&self, id: TaskId) {
-        self.assigned.lock().unwrap().push(id);
+        self.assigned().push(id);
         self.pushed.fetch_add(1, Ordering::Release);
         self.committed.fetch_add(1, Ordering::Release);
     }
-}
-
-/// One submission ring plus its claim state. The `state` mutex serializes
-/// claim/release against the dispatcher's per-sweep state read; the ring
-/// itself is touched lock-free by exactly the claimant and the dispatcher.
-struct RingSlot {
-    claimed: AtomicBool,
-    ring: SpscRing<LaunchSpec>,
-    /// The current claimant's context state (placeholder when unclaimed).
-    state: Mutex<Arc<CtxState>>,
-    /// Backpressure: producers wait here for the dispatcher to pop.
-    space_lock: Mutex<()>,
-    space: Condvar,
 }
 
 // ----------------------------------------------------------------------
 // The plane
 // ----------------------------------------------------------------------
 
+/// One run of consecutive specs from one context, in its program order.
+type Run = (Arc<CtxState>, Vec<LaunchSpec>);
+
+struct Queue {
+    /// The FIFO of `(context, spec)`, stored as runs: a push from the
+    /// context of the last run extends it.
+    runs: VecDeque<Run>,
+    /// Specs across `runs`.
+    len: usize,
+    /// Live producers, the facade included.
+    producers: usize,
+    shutdown: bool,
+}
+
 pub(crate) struct SubmitPlane {
-    rings: Box<[RingSlot]>,
-    /// Doorbell: producers wake the dispatcher when it advertised sleep.
-    sleeping: AtomicBool,
-    door_lock: Mutex<()>,
-    bell: Condvar,
-    /// Commit progress: drain/resolve waiters park here.
-    progress_lock: Mutex<()>,
+    queue: Mutex<Queue>,
+    /// Wakes the dispatcher: a spec landed in an empty queue, or shutdown.
+    work: Condvar,
+    /// Wakes producers and drain waiters: the dispatcher took specs
+    /// (space), committed them (progress), or died.
     progress: Condvar,
-    shutdown: AtomicBool,
+    /// Per-producer bound on queued specs (`pipeline_depth`).
+    depth: u32,
+    /// Bound on live producers (`submit_rings`).
+    max_producers: usize,
     metrics: Arc<MetricsInner>,
 }
 
 impl SubmitPlane {
-    fn new(rings: usize, depth: usize) -> Self {
-        let rings = rings.max(1);
+    fn new(max_producers: usize, depth: usize) -> Self {
         SubmitPlane {
-            rings: (0..rings)
-                .map(|_| RingSlot {
-                    claimed: AtomicBool::new(false),
-                    ring: SpscRing::new(depth.max(1)),
-                    state: Mutex::new(CtxState::new(u32::MAX)),
-                    space_lock: Mutex::new(()),
-                    space: Condvar::new(),
-                })
-                .collect(),
-            sleeping: AtomicBool::new(false),
-            door_lock: Mutex::new(()),
-            bell: Condvar::new(),
-            progress_lock: Mutex::new(()),
+            queue: Mutex::new(Queue {
+                runs: VecDeque::new(),
+                len: 0,
+                // The facade's own stream.
+                producers: 1,
+                shutdown: false,
+            }),
+            work: Condvar::new(),
             progress: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            metrics: Arc::new(MetricsInner::new(rings)),
+            depth: depth.clamp(1, u32::MAX as usize) as u32,
+            max_producers: max_producers.max(1),
+            metrics: Arc::default(),
         }
+    }
+
+    /// The queue. No code that can panic runs under this lock (no engine
+    /// work, no user callbacks), so it is never poisoned.
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, cv: &Condvar, guard: MutexGuard<'a, Queue>) -> MutexGuard<'a, Queue> {
+        cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
     }
 
     pub(crate) fn panic_error(&self) -> RuntimeError {
@@ -379,96 +341,87 @@ impl SubmitPlane {
         }
     }
 
-    /// Claim a free ring for `state`'s context. Serialized against other
-    /// claimants and the dispatcher by each slot's state mutex.
-    pub(crate) fn claim_ring(&self, state: &Arc<CtxState>) -> Result<usize, RuntimeError> {
-        for (i, slot) in self.rings.iter().enumerate() {
-            if slot.claimed.load(Ordering::Acquire) {
-                continue;
-            }
-            let mut guard = slot.state.lock().unwrap();
-            if slot.claimed.load(Ordering::Relaxed) {
-                continue; // lost the race for this slot
-            }
-            *guard = Arc::clone(state);
-            slot.claimed.store(true, Ordering::Release);
-            return Ok(i);
+    /// Admit one more producer, or [`RuntimeError::RingsExhausted`] when
+    /// `submit_rings` are already live.
+    pub(crate) fn join(&self) -> Result<(), RuntimeError> {
+        let mut q = self.lock();
+        if q.producers >= self.max_producers {
+            return Err(RuntimeError::RingsExhausted {
+                rings: self.max_producers,
+            });
         }
-        Err(RuntimeError::RingsExhausted {
-            rings: self.rings.len(),
-        })
+        q.producers += 1;
+        Ok(())
     }
 
-    /// Detach a context: wait for its queued specs to commit (so the ring
-    /// is empty and its stream is fully analyzed), then free the slot for
-    /// the next context. Handles keep resolving through their own
-    /// [`CtxState`] after release.
-    pub(crate) fn release_ring(&self, index: usize) {
-        let slot = &self.rings[index];
-        let state = slot.state.lock().unwrap().clone();
+    /// Detach a producer: wait for its queued specs to commit (its stream
+    /// is fully analyzed), then free its place for the next one. Handles
+    /// keep resolving through their own [`CtxState`] after this.
+    pub(crate) fn leave(&self, state: &CtxState) {
         let want = state.pushed.load(Ordering::Acquire);
         // A dead dispatcher never commits the remainder; give up then.
         let _ = self.wait_until(|| state.committed.load(Ordering::Acquire) >= want);
-        let _guard = slot.state.lock().unwrap();
-        slot.claimed.store(false, Ordering::Release);
+        self.lock().producers -= 1;
     }
 
-    /// Push a batch into ring `index` in order, stalling per spec on a
-    /// full ring (backpressure). Returns [`RuntimeError::DriverPanicked`]
-    /// — with the lost-launch count — instead of blocking forever once
-    /// the dispatcher has died.
+    /// Push a batch in order, blocking per spec while `depth` of this
+    /// producer's specs are queued (backpressure). Returns
+    /// [`RuntimeError::DriverPanicked`] — with the lost-launch count —
+    /// instead of blocking forever once the dispatcher has died.
     pub(crate) fn enqueue_all(
         &self,
-        index: usize,
-        state: &CtxState,
+        state: &Arc<CtxState>,
         specs: Vec<LaunchSpec>,
     ) -> Result<(), RuntimeError> {
-        let slot = &self.rings[index];
-        let stats = &self.metrics.rings[index];
+        let m = &*self.metrics;
         let mut stall_started: Option<Instant> = None;
         let mut result = Ok(());
-        'push: for spec in specs {
-            let mut item = spec;
-            loop {
-                if self.metrics.panicked.load(Ordering::SeqCst) {
-                    result = Err(self.panic_error());
-                    break 'push;
+        // Set once a spec lands in an empty queue: the dispatcher may be
+        // asleep, and is woken before this producer waits or returns —
+        // not while the batch still holds the lock it would wake into.
+        let mut wake = false;
+        let mut q = self.lock();
+        let mut specs = specs.into_iter();
+        while let Some(spec) = specs.next() {
+            while state.queued.load(Ordering::Relaxed) >= self.depth
+                && !m.panicked.load(Ordering::SeqCst)
+            {
+                if std::mem::take(&mut wake) {
+                    self.work.notify_one();
                 }
-                match slot.ring.try_push(item) {
-                    Ok(()) => break,
-                    Err(back) => {
-                        item = back;
-                        stall_started.get_or_insert_with(Instant::now);
-                        self.ring_doorbell();
-                        let guard = slot.space_lock.lock().unwrap();
-                        let _ = slot.space.wait_timeout(guard, WAIT_TICK).unwrap();
-                    }
+                stall_started.get_or_insert_with(Instant::now);
+                q = self.wait(&self.progress, q);
+            }
+            if m.panicked.load(Ordering::SeqCst) {
+                result = Err(self.panic_error());
+                break;
+            }
+            wake |= q.len == 0;
+            q.len += 1;
+            match q.runs.back_mut() {
+                Some((last, run)) if Arc::ptr_eq(last, state) => run.push(spec),
+                _ => {
+                    let mut run = Vec::with_capacity(1 + specs.len());
+                    run.push(spec);
+                    q.runs.push_back((Arc::clone(state), run));
                 }
             }
+            state.queued.fetch_add(1, Ordering::Relaxed);
             state.pushed.fetch_add(1, Ordering::Release);
-            let m = &self.metrics;
             let submitted = m.submitted.fetch_add(1, Ordering::AcqRel) + 1;
-            stats.submitted.fetch_add(1, Ordering::AcqRel);
-            observe_max(
-                &stats.max_depth,
-                state
-                    .pushed
-                    .load(Ordering::Acquire)
-                    .saturating_sub(state.committed.load(Ordering::Acquire)),
-            );
             observe_max(
                 &m.max_depth,
                 submitted.saturating_sub(m.retired.load(Ordering::Acquire)),
             );
-            self.ring_doorbell();
+        }
+        drop(q);
+        if wake {
+            self.work.notify_one();
         }
         if let Some(t0) = stall_started {
             let waited_ns = t0.elapsed().as_nanos() as u64;
-            let m = &self.metrics;
             m.stalls.fetch_add(1, Ordering::AcqRel);
             m.stalled_ns.fetch_add(waited_ns, Ordering::AcqRel);
-            stats.stalls.fetch_add(1, Ordering::AcqRel);
-            stats.stalled_ns.fetch_add(waited_ns, Ordering::AcqRel);
             if viz_profile::enabled() {
                 viz_profile::instant(viz_profile::EventKind::PipelineStall { waited_ns });
             }
@@ -476,23 +429,14 @@ impl SubmitPlane {
         result
     }
 
-    /// Wake the dispatcher if it advertised sleep. The SeqCst fence orders
-    /// the preceding ring publish before the flag read; the dispatcher's
-    /// bounded wait is the backstop either way.
-    fn ring_doorbell(&self) {
-        std::sync::atomic::fence(Ordering::SeqCst);
-        if self.sleeping.load(Ordering::SeqCst) {
-            let _guard = self.door_lock.lock().unwrap();
-            self.bell.notify_all();
-        }
-    }
-
-    /// Park until `cond` holds or the dispatcher has died.
+    /// Park until `cond` holds or the dispatcher has died. `cond` reads
+    /// counters the dispatcher bumps before it takes the queue lock to
+    /// notify, so checking it under that lock cannot miss a wakeup.
     fn wait_until(&self, cond: impl Fn() -> bool) -> Result<(), RuntimeError> {
         if cond() {
             return Ok(());
         }
-        let mut guard = self.progress_lock.lock().unwrap();
+        let mut q = self.lock();
         loop {
             if cond() {
                 return Ok(());
@@ -500,30 +444,18 @@ impl SubmitPlane {
             if self.metrics.panicked.load(Ordering::SeqCst) {
                 return Err(self.panic_error());
             }
-            let (next, _) = self.progress.wait_timeout(guard, WAIT_TICK).unwrap();
-            guard = next;
+            q = self.wait(&self.progress, q);
         }
     }
 
-    /// Quiesce the whole plane: everything pushed to *any* ring before
-    /// this call has committed when it returns. The per-ring snapshot
-    /// makes the wait condition monotone, so quiesce terminates even
-    /// while other producers keep submitting concurrently.
+    /// Quiesce the whole plane: everything pushed before this call has
+    /// committed when it returns. The queue is FIFO and `submitted` is
+    /// read once, so the wait terminates even while other producers keep
+    /// submitting.
     pub(crate) fn quiesce(&self) -> Result<(), RuntimeError> {
-        let mut targets: Vec<(Arc<CtxState>, u64)> = Vec::new();
-        for slot in self.rings.iter() {
-            if !slot.claimed.load(Ordering::Acquire) {
-                continue;
-            }
-            let state = slot.state.lock().unwrap().clone();
-            let want = state.pushed.load(Ordering::Acquire);
-            targets.push((state, want));
-        }
-        self.wait_until(|| {
-            targets
-                .iter()
-                .all(|(state, want)| state.committed.load(Ordering::Acquire) >= *want)
-        })
+        let m = &*self.metrics;
+        let want = m.submitted.load(Ordering::Acquire);
+        self.wait_until(|| m.retired.load(Ordering::Acquire) >= want)
     }
 
     /// Wait until `state`'s commit counter covers `count` launches.
@@ -533,12 +465,6 @@ impl SubmitPlane {
         count: u64,
     ) -> Result<(), RuntimeError> {
         self.wait_until(|| state.committed.load(Ordering::Acquire) >= count)
-    }
-
-    fn has_work(&self) -> bool {
-        self.rings
-            .iter()
-            .any(|slot| slot.claimed.load(Ordering::Acquire) && !slot.ring.is_empty())
     }
 }
 
@@ -554,100 +480,77 @@ struct Bomb<'a>(&'a SubmitPlane);
 impl Drop for Bomb<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
+            let _q = self.0.lock();
             self.0.metrics.panicked.store(true, Ordering::SeqCst);
-            for slot in self.0.rings.iter() {
-                let _guard = slot.space_lock.lock().unwrap();
-                slot.space.notify_all();
-            }
-            let _guard = self.0.progress_lock.lock().unwrap();
-            drop(_guard);
             self.0.progress.notify_all();
         }
     }
 }
 
-/// The dispatcher loop: sweep every claimed ring, drain each fully, and
-/// commit the combined batch through the shared [`Core`] under one write
-/// lock. Exits when the plane is shut down *and* every ring is empty —
-/// shutdown is only honored after a final drain, which is the drop-flush
-/// guarantee.
+/// The dispatcher loop: take everything queued, and commit the combined
+/// batch through the shared [`Core`] under one write lock. Exits when the
+/// plane is shut down *and* the queue is empty — shutdown is only honored
+/// after a final drain, which is the drop-flush guarantee.
 fn drive(plane: &SubmitPlane, core: &RwLock<Core>, forest: &RwLock<RegionForest>) {
     let _worker = enter_worker();
-    let bomb = Bomb(plane);
-    let mut batches: Vec<(usize, Arc<CtxState>, Vec<LaunchSpec>)> = Vec::new();
+    let _bomb = Bomb(plane);
+    let mut batch: Vec<Run> = Vec::new();
     loop {
-        let mut total = 0usize;
-        for (i, slot) in plane.rings.iter().enumerate() {
-            if !slot.claimed.load(Ordering::Acquire) {
-                continue;
+        let (total, producers) = {
+            let mut q = plane.lock();
+            while q.len == 0 {
+                if q.shutdown {
+                    return;
+                }
+                q = plane.wait(&plane.work, q);
             }
-            let mut specs = Vec::new();
-            if slot.ring.pop_all(&mut specs) > 0 {
-                // Free space first: the producer can refill this ring
-                // while we analyze the batch (submission/analysis overlap).
-                let guard = slot.space_lock.lock().unwrap();
-                drop(guard);
-                slot.space.notify_all();
-                total += specs.len();
-                let state = slot.state.lock().unwrap().clone();
-                batches.push((i, state, specs));
-            }
-        }
-        if total == 0 {
-            if plane.shutdown.load(Ordering::SeqCst) && !plane.has_work() {
-                drop(bomb);
-                return;
-            }
-            let guard = plane.door_lock.lock().unwrap();
-            plane.sleeping.store(true, Ordering::SeqCst);
-            if !plane.has_work() && !plane.shutdown.load(Ordering::SeqCst) {
-                let (guard, _) = plane.bell.wait_timeout(guard, WAIT_TICK).unwrap();
-                drop(guard);
-            }
-            plane.sleeping.store(false, Ordering::SeqCst);
-            continue;
-        }
-        let rings_in_sweep = batches.len();
+            batch.extend(q.runs.drain(..));
+            // Every queued spec is taken, so each context's count drops to
+            // zero; counting the non-zero ones counts the producers.
+            let producers = batch
+                .iter()
+                .filter(|(state, _)| state.queued.swap(0, Ordering::Relaxed) > 0)
+                .count();
+            (std::mem::take(&mut q.len) as u64, producers)
+        };
+        // Free space first: producers refill while this batch is analyzed
+        // (submission/analysis overlap).
+        plane.progress.notify_all();
         if viz_profile::enabled() {
             viz_profile::instant(viz_profile::EventKind::SubmitCombine {
-                rings: rings_in_sweep as u64,
-                specs: total as u64,
+                producers: producers as u64,
+                specs: total,
             });
-            viz_profile::instant(viz_profile::EventKind::PipelineDepth {
-                depth: total as u64,
-            });
+            viz_profile::instant(viz_profile::EventKind::PipelineDepth { depth: total });
         }
         {
             // Lock order everywhere is forest before core. The forest is
             // only write-locked by `forest_mut`, which quiesces first, so
             // the dispatcher's read lock never contends with a writer
             // mid-batch. One core write-lock acquisition commits every
-            // ring's sub-batch — the flat-combining step.
-            let forest = forest.read().unwrap();
-            let mut core = core.write().unwrap();
-            for (index, state, specs) in batches.drain(..) {
-                let n = specs.len() as u64;
-                let ids = core.run_specs(state.ctx, specs, &forest);
-                {
-                    let mut assigned = state.assigned.lock().unwrap();
-                    assigned.extend(ids);
-                }
+            // producer's runs — the flat-combining step. A poisoned lock
+            // means an earlier holder panicked mid-commit; panicking here
+            // latches that as `DriverPanicked`.
+            let forest = forest.read().expect("region forest poisoned");
+            let mut core = core.write().expect("runtime core poisoned");
+            for (state, run) in batch.drain(..) {
+                let n = run.len() as u64;
+                let ids = core.run_specs(state.ctx, run, &forest);
+                state.assigned().extend(ids);
                 state.committed.fetch_add(n, Ordering::Release);
-                plane.metrics.rings[index]
-                    .retired
-                    .fetch_add(n, Ordering::AcqRel);
             }
         }
         let m = &plane.metrics;
-        m.retired.fetch_add(total as u64, Ordering::AcqRel);
+        m.retired.fetch_add(total, Ordering::AcqRel);
         m.combines.fetch_add(1, Ordering::AcqRel);
-        m.combined_specs.fetch_add(total as u64, Ordering::AcqRel);
-        observe_max(&m.max_combine, total as u64);
-        if rings_in_sweep > 1 {
+        m.combined_specs.fetch_add(total, Ordering::AcqRel);
+        observe_max(&m.max_combine, total);
+        if producers > 1 {
             m.multi_ring_combines.fetch_add(1, Ordering::AcqRel);
         }
-        let guard = plane.progress_lock.lock().unwrap();
-        drop(guard);
+        // Through the lock: a waiter that read the old counters under it
+        // is parked by the time this notifies.
+        drop(plane.lock());
         plane.progress.notify_all();
     }
 }
@@ -658,7 +561,7 @@ fn drive(plane: &SubmitPlane, core: &RwLock<Core>, forest: &RwLock<RegionForest>
 
 /// The handle the [`crate::Runtime`] facade owns: the shared plane and the
 /// dispatcher's join handle. Dropping it shuts the plane down and joins
-/// the dispatcher (which drains every ring first).
+/// the dispatcher (which empties the queue first).
 pub(crate) struct Pipeline {
     pub(crate) plane: Arc<SubmitPlane>,
     driver: Option<std::thread::JoinHandle<()>>,
@@ -669,11 +572,13 @@ impl Pipeline {
         core: Arc<RwLock<Core>>,
         forest: Arc<RwLock<RegionForest>>,
         depth: usize,
-        rings: usize,
+        max_producers: usize,
     ) -> Self {
-        let plane = Arc::new(SubmitPlane::new(rings, depth));
+        let plane = Arc::new(SubmitPlane::new(max_producers, depth));
         let driver = {
             let plane = Arc::clone(&plane);
+            // `Runtime::new` is infallible: a host that cannot start one
+            // thread cannot run the pipelined frontend at all.
             std::thread::Builder::new()
                 .name("viz-analysis-driver".into())
                 .spawn(move || drive(&plane, &core, &forest))
@@ -685,7 +590,7 @@ impl Pipeline {
         }
     }
 
-    /// Block until every launch submitted (to any ring) has committed.
+    /// Block until every launch submitted so far has committed.
     pub(crate) fn drain(&self) -> Result<(), RuntimeError> {
         self.plane.quiesce()
     }
@@ -699,13 +604,8 @@ impl Pipeline {
 
 impl Drop for Pipeline {
     fn drop(&mut self) {
-        self.plane.shutdown.store(true, Ordering::SeqCst);
-        self.plane.ring_doorbell();
-        {
-            // Nudge the doorbell even if the dispatcher was mid-transition.
-            let _guard = self.plane.door_lock.lock().unwrap();
-            self.plane.bell.notify_all();
-        }
+        self.plane.lock().shutdown = true;
+        self.plane.work.notify_one();
         if let Some(driver) = self.driver.take() {
             if let Err(payload) = driver.join() {
                 // Surface the dispatcher's death unless we are already

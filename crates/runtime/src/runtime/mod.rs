@@ -10,7 +10,7 @@
 //!   producer and one core.
 //! * `producer.rs` — the one submission path the facade and every tenant
 //!   [`Context`] share: validation, then either an inline commit under the
-//!   core lock (synchronous mode) or a push into the producer's ring for
+//!   core lock (synchronous mode) or a push into the submission queue for
 //!   the dispatcher (`RuntimeConfig::pipeline`, see [`crate::pipeline`]).
 //! * `core.rs` — everything the analysis driver owns (visibility engine,
 //!   shard map, tracing state machine, per-task bookkeeping) and the one
@@ -150,8 +150,8 @@ pub struct Runtime {
     core: Arc<RwLock<Core>>,
     pipeline: Option<Pipeline>,
     nodes: usize,
-    /// The facade's own submission stream (ring 0 of the submission plane
-    /// in pipelined mode; inline commits in synchronous mode).
+    /// The facade's own submission stream (the plane's first producer in
+    /// pipelined mode; inline commits in synchronous mode).
     primary: Producer,
     /// Next tenant context id ([`CTX_PRIMARY`] + 1 and up). Stays at its
     /// initial value iff no [`Context`] was ever created — the condition
@@ -173,12 +173,7 @@ impl Runtime {
             )
         });
         let plane = pipeline.as_ref().map(|p| &p.plane);
-        let primary = Producer::new(plane, CTX_PRIMARY, config.validate_launches)
-            .expect("a fresh plane has a free ring");
-        debug_assert!(
-            primary.ring.as_ref().is_none_or(|(_, index)| *index == 0),
-            "the facade owns ring 0"
-        );
+        let primary = Producer::new(plane, CTX_PRIMARY, config.validate_launches);
         Runtime {
             forest,
             redops: RedOpRegistry::new(),
@@ -205,10 +200,10 @@ impl Runtime {
         rt
     }
 
-    /// Wait until every submission ring has fully drained (no-op in
-    /// synchronous mode). Panics if the dispatcher died — accessors that
-    /// need committed state cannot return it; use the fallible submission
-    /// API ([`Runtime::submit`] returns
+    /// Wait until every launch submitted before the call, by any producer,
+    /// has committed (no-op in synchronous mode). Panics if the dispatcher
+    /// died — accessors that need committed state cannot return it; use
+    /// the fallible submission API ([`Runtime::submit`] returns
     /// [`RuntimeError::DriverPanicked`]) to observe the failure as a value.
     fn drain(&self) {
         if let Some(p) = &self.pipeline {
@@ -606,16 +601,21 @@ impl Runtime {
     /// but borrows the runtime, so every context must be dropped before
     /// the runtime can be moved or dropped.
     ///
-    /// In pipelined mode the context claims a private SPSC submission
-    /// ring; with all [`RuntimeConfig::submit_rings`] rings claimed this
-    /// returns [`RuntimeError::RingsExhausted`] (rings are recycled when
-    /// contexts drop). In synchronous mode submissions take the core lock
-    /// inline, so contexts still work — just without submission overlap.
+    /// In pipelined mode the context pushes into the shared submission
+    /// queue, bounded to [`RuntimeConfig::pipeline_depth`] of its own
+    /// specs; with [`RuntimeConfig::submit_rings`] producers live (the
+    /// facade included) this returns [`RuntimeError::RingsExhausted`]
+    /// (a dropped context frees its place). In synchronous mode
+    /// submissions take the core lock inline, so contexts still work —
+    /// just without submission overlap.
     pub fn new_context(&self) -> Result<Context<'_>, RuntimeError> {
         let ctx = self.next_ctx.fetch_add(1, Ordering::AcqRel);
         assert!(ctx < CTX_GLOBAL, "context ids exhausted");
-        let plane = self.primary.ring.as_ref().map(|(plane, _)| plane);
-        let producer = Producer::new(plane, ctx, self.primary.validate)?;
+        let plane = self.primary.ring.as_ref();
+        if let Some(plane) = plane {
+            plane.join()?;
+        }
+        let producer = Producer::new(plane, ctx, self.primary.validate);
         Ok(Context::new(
             Arc::clone(&self.core),
             Arc::clone(&self.forest),

@@ -1,6 +1,6 @@
 //! One producer path: the [`crate::Runtime`] facade and every tenant
 //! [`Context`] submit through a [`Producer`] — validation, the single
-//! inline-vs-ring decision, program-order sequence numbers and handle
+//! inline-vs-queue decision, program-order sequence numbers and handle
 //! resolution. With `mod.rs` this is the address of the harness's
 //! `runtime.validate_ns_per_launch` and `runtime.residual_ns_per_launch`
 //! rows.
@@ -74,12 +74,12 @@ fn core_write(core: &RwLock<Core>) -> Result<RwLockWriteGuard<'_, Core>, Runtime
         .map_err(|_| RuntimeError::Poisoned { what: "core" })
 }
 
-/// One program-ordered submission stream: its context bookkeeping, its
-/// submission ring when the runtime is pipelined, and the sequence numbers
-/// it has handed out. Launches commit inline under the core lock
-/// (synchronous mode) or through the ring and the combining dispatcher
-/// (pipelined mode) — decided in [`Producer::submit_batch`] and nowhere
-/// else.
+/// One program-ordered submission stream: its context bookkeeping, the
+/// submission plane when the runtime is pipelined, and the sequence
+/// numbers it has handed out. Launches commit inline under the core lock
+/// (synchronous mode) or through the plane's queue and the combining
+/// dispatcher (pipelined mode) — decided in [`Producer::submit_batch`] and
+/// nowhere else.
 ///
 /// The forest and core handles stay with the owner ([`crate::Runtime`] or
 /// [`Context`]) and are lent per call: the facade's drop order (forest,
@@ -88,39 +88,30 @@ fn core_write(core: &RwLock<Core>) -> Result<RwLockWriteGuard<'_, Core>, Runtime
 /// would reorder it.
 pub(crate) struct Producer {
     pub(super) state: Arc<CtxState>,
-    /// The submission plane and this producer's claimed ring (pipelined
-    /// mode only).
-    pub(super) ring: Option<(Arc<SubmitPlane>, usize)>,
+    /// The submission plane (pipelined mode only).
+    pub(super) ring: Option<Arc<SubmitPlane>>,
     pub(super) validate: bool,
     /// Sequence numbers handed out so far (submissions + fences).
     pub(super) submitted: u32,
 }
 
 impl Producer {
-    /// Open stream `ctx`, claiming a submission ring when there is a
-    /// `plane` ([`RuntimeError::RingsExhausted`] if none is free).
-    pub(super) fn new(
-        plane: Option<&Arc<SubmitPlane>>,
-        ctx: u32,
-        validate: bool,
-    ) -> Result<Self, RuntimeError> {
-        let state = CtxState::new(ctx);
-        let ring = match plane {
-            Some(plane) => Some((Arc::clone(plane), plane.claim_ring(&state)?)),
-            None => None,
-        };
-        Ok(Producer {
-            state,
-            ring,
+    /// Open stream `ctx`, on `plane` when the runtime is pipelined. The
+    /// caller has admitted it there ([`SubmitPlane::join`]; the facade's
+    /// place is reserved when the plane is built).
+    pub(super) fn new(plane: Option<&Arc<SubmitPlane>>, ctx: u32, validate: bool) -> Self {
+        Producer {
+            state: CtxState::new(ctx),
+            ring: plane.cloned(),
             validate,
             submitted: 0,
-        })
+        }
     }
 
     /// Submit a batch in order and return its sequence numbers. Validation
     /// is atomic: every spec is checked before any is enqueued, so an
     /// `Err` leaves the stream unchanged. Never drains; blocks only on this
-    /// producer's own ring backpressure.
+    /// producer's own backpressure.
     ///
     /// `specs` is a `Vec`, or `[spec]` for a single launch — whose `Vec` is
     /// then built after validation, where the single-launch path has always
@@ -141,7 +132,7 @@ impl Producer {
         let base = self.submitted;
         let n = specs.len() as u32;
         match &self.ring {
-            Some((plane, index)) => plane.enqueue_all(*index, &self.state, specs)?,
+            Some(plane) => plane.enqueue_all(&self.state, specs)?,
             None => {
                 let forest = forest_read(forest)?;
                 // Always through run_specs, even for one spec, so its GC
@@ -172,20 +163,29 @@ impl Producer {
     /// Wait until everything this producer submitted has committed
     /// (pipelined mode; synchronous commits are already inline).
     pub(super) fn flush(&self) -> Result<(), RuntimeError> {
-        if let Some((plane, _)) = &self.ring {
+        if let Some(plane) = &self.ring {
             let want = self.state.pushed.load(Ordering::Acquire);
             plane.wait_ctx_committed(&self.state, want)?;
         }
         Ok(())
     }
 
+    /// Resolve sequence number `seq` of this stream;
+    /// [`RuntimeError::UnknownHandle`] if it was never issued here (a
+    /// handle from another runtime).
     pub(super) fn resolve(&self, seq: u32) -> Result<TaskId, RuntimeError> {
-        resolve(&self.state, self.ring.as_ref().map(|(p, _)| &**p), seq)
+        if seq >= self.submitted {
+            return Err(RuntimeError::UnknownHandle {
+                seq,
+                issued: self.submitted,
+            });
+        }
+        resolve(&self.state, self.ring.as_deref(), seq)
     }
 }
 
-/// Block until launch `seq` of stream `state` has committed and return the
-/// [`TaskId`] it was assigned.
+/// Block until launch `seq` of stream `state`, an issued sequence number,
+/// has committed and return the [`TaskId`] it was assigned.
 ///
 /// Errors instead of blocking forever in two cases:
 /// [`RuntimeError::DriverPanicked`] when the dispatcher has died with the
@@ -206,20 +206,21 @@ fn resolve(
     if in_worker() {
         return Err(RuntimeError::WouldDeadlock);
     }
-    // Synchronous producers commit inline, so an unknown seq can only be a
-    // handle this runtime never issued.
-    let plane = plane.expect("resolve of a handle this runtime never issued");
-    plane.wait_ctx_committed(state, seq as u64 + 1)?;
-    Ok(state
-        .try_id(seq)
-        .expect("committed launches have assigned ids"))
+    // A synchronous stream commits every issued launch inline, so only a
+    // pipelined one can still be behind.
+    debug_assert!(plane.is_some(), "synchronous launch {seq} uncommitted");
+    if let Some(plane) = plane {
+        plane.wait_ctx_committed(state, seq as u64 + 1)?;
+    }
+    // The wait covered `seq`, so its id is assigned.
+    Ok(state.assigned()[seq as usize])
 }
 
 /// An independent producer stream over a shared [`crate::Runtime`] (PR 7):
 /// tenant contexts submit concurrently from their own threads, each with
 /// its own program-order counter and fence scope. Created by
 /// [`crate::Runtime::new_context`]; dropping a context quiesces its stream
-/// and recycles its submission ring.
+/// and frees its place on the submission plane.
 ///
 /// Submissions return [`CtxHandle`]s, which resolve to the global
 /// [`TaskId`] the combining dispatcher assigned (ids interleave across
@@ -263,9 +264,12 @@ impl Context<'_> {
     /// Submit one launch on this context's stream. Validated on the
     /// calling thread; analyzed by the dispatcher (pipelined) or inline
     /// under the core lock (synchronous). Blocks only on this context's
-    /// ring backpressure — never on other producers.
+    /// own backpressure — never on other producers.
     pub fn submit(&mut self, spec: LaunchSpec) -> Result<CtxHandle, RuntimeError> {
-        self.submit_batch(vec![spec]).map(|mut v| v.pop().unwrap())
+        let seqs = self
+            .producer
+            .submit_batch(&self.forest, &self.core, vec![spec])?;
+        Ok(self.handle(seqs.start))
     }
 
     /// Submit a batch in order on this context's stream. Validation is
@@ -274,13 +278,15 @@ impl Context<'_> {
         let seqs = self
             .producer
             .submit_batch(&self.forest, &self.core, specs)?;
-        Ok(seqs
-            .map(|seq| CtxHandle {
-                seq,
-                state: Arc::clone(&self.producer.state),
-                plane: self.producer.ring.as_ref().map(|(p, _)| Arc::clone(p)),
-            })
-            .collect())
+        Ok(seqs.map(|seq| self.handle(seq)).collect())
+    }
+
+    fn handle(&self, seq: u32) -> CtxHandle {
+        CtxHandle {
+            seq,
+            state: Arc::clone(&self.producer.state),
+            plane: self.producer.ring.clone(),
+        }
     }
 
     /// A *scoped* execution fence: ordered after every launch this context
@@ -290,7 +296,7 @@ impl Context<'_> {
     pub fn fence(&mut self) -> Result<TaskId, RuntimeError> {
         self.flush()?;
         let ctx = self.ctx_id();
-        let deps = self.producer.state.assigned.lock().unwrap().clone();
+        let deps = self.producer.state.assigned().clone();
         self.producer
             .fence(&self.core, |core| core.fence_scoped(ctx, deps))
     }
@@ -304,10 +310,10 @@ impl Context<'_> {
 
 impl Drop for Context<'_> {
     fn drop(&mut self) {
-        if let Some((plane, index)) = self.producer.ring.take() {
+        if let Some(plane) = self.producer.ring.take() {
             // Quiesces this context's stream (its queued launches are
-            // never lost), then frees the ring for the next context.
-            plane.release_ring(index);
+            // never lost), then frees its place for the next context.
+            plane.leave(&self.producer.state);
         }
     }
 }
@@ -348,6 +354,7 @@ impl CtxHandle {
 
 #[cfg(test)]
 mod tests {
+    use super::{Context, Producer};
     use crate::pipeline::enter_worker;
     use crate::{
         EngineKind, LaunchSpec, RegionRequirement, Runtime, RuntimeConfig, RuntimeError, TaskId,
@@ -478,8 +485,8 @@ mod tests {
         assert_eq!(rt.try_resolve(h).unwrap(), TaskId(0));
     }
 
-    /// With the dispatcher wedged, pushes from two rings pile up and the
-    /// release sweep must drain both under one core-lock acquisition.
+    /// With the dispatcher wedged, pushes from two producers pile up and
+    /// the release sweep must commit them under one core-lock acquisition.
     #[test]
     fn wedged_dispatcher_release_is_one_combined_sweep() {
         let mut rt = Runtime::new(
@@ -494,7 +501,8 @@ mod tests {
         let metrics = rt.pipeline_metrics().unwrap();
         let core = Arc::clone(&rt.core);
         let gate = core.write().unwrap();
-        // Primary ring: two facade launches. Tenant ring: two more.
+        // The facade: two launches. A tenant: two more.
+        let mut facade_returned = 0u64;
         for _ in 0..2 {
             rt.submit(LaunchSpec::new(
                 "p",
@@ -504,6 +512,7 @@ mod tests {
                 None,
             ))
             .unwrap();
+            facade_returned += 1;
         }
         let mut ctx = rt.new_context().unwrap();
         for _ in 0..2 {
@@ -516,9 +525,10 @@ mod tests {
             ))
             .unwrap();
         }
-        // The dispatcher may have grabbed at most one early sub-batch
-        // before blocking on the core lock; everything still queued when
-        // the gate opens commits in combined sweeps.
+        let tenant_tasks = ctx.num_tasks() as u64;
+        // The dispatcher may have taken at most one early batch before
+        // blocking on the core lock; everything still queued when the gate
+        // opens commits in combined sweeps.
         drop(gate);
         drop(ctx);
         rt.flush();
@@ -528,9 +538,89 @@ mod tests {
         assert!(metrics.combines() >= 1);
         assert!(metrics.max_combine() >= 2, "queued pushes combined");
         assert_eq!(
-            metrics.ring(0).submitted + metrics.ring(1).submitted,
-            4,
-            "per-ring counters decompose the total"
+            facade_returned + tenant_tasks,
+            metrics.submitted(),
+            "per-producer submissions decompose the total"
         );
+    }
+
+    /// Backpressure is per producer: with the dispatcher wedged, a tenant
+    /// whose share of the queue is full blocks, and the facade still
+    /// submits past it and returns.
+    #[test]
+    fn a_full_producer_blocks_only_itself() {
+        use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+        let mut rt = Runtime::new(
+            RuntimeConfig::new(EngineKind::RayCast)
+                .pipeline(true)
+                .pipeline_depth(2),
+        );
+        let root_a = rt.forest_mut().create_root_1d("A", 16);
+        let fa = rt.forest_mut().add_field(root_a, "v");
+        let root_b = rt.forest_mut().create_root_1d("B", 16);
+        let fb = rt.forest_mut().add_field(root_b, "v");
+        let on_a = || {
+            LaunchSpec::new(
+                "p",
+                0,
+                vec![RegionRequirement::read_write(root_a, fa)],
+                0,
+                None,
+            )
+        };
+        let on_b = || {
+            LaunchSpec::new(
+                "t",
+                0,
+                vec![RegionRequirement::read_write(root_b, fb)],
+                0,
+                None,
+            )
+        };
+        let metrics = rt.pipeline_metrics().unwrap();
+        let core = Arc::clone(&rt.core);
+        let gate = core.write().unwrap();
+        // Wedge the dispatcher: once it has taken the facade's first launch
+        // it waits on the core lock and takes nothing more.
+        rt.submit(on_a()).unwrap();
+        while rt.primary.state.queued() > 0 {
+            std::thread::yield_now();
+        }
+        // A tenant built beside the facade instead of borrowed from it (as
+        // `new_context` does), so the facade can submit while it is live.
+        let plane = Arc::clone(rt.primary.ring.as_ref().unwrap());
+        plane.join().unwrap();
+        let ctx = rt.next_ctx.fetch_add(1, SeqCst);
+        let mut tenant = Context::new(
+            Arc::clone(&rt.core),
+            Arc::clone(&rt.forest),
+            Producer::new(Some(&plane), ctx, true),
+        );
+        let tenant_state = Arc::clone(&tenant.producer.state);
+        let (begun, returned) = (AtomicU64::new(0), AtomicU64::new(0));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..3 {
+                    begun.fetch_add(1, SeqCst);
+                    tenant.submit(on_b()).unwrap();
+                    returned.fetch_add(1, SeqCst);
+                }
+            });
+            // Two queued and a third begun: the tenant is blocked, because
+            // only a take frees its share and the dispatcher takes nothing
+            // until the gate opens.
+            while !(tenant_state.queued() == 2 && begun.load(SeqCst) == 3) {
+                std::thread::yield_now();
+            }
+            rt.submit(on_a()).unwrap();
+            rt.submit(on_a()).unwrap();
+            assert_eq!(returned.load(SeqCst), 2, "the tenant is still blocked");
+            drop(gate);
+        });
+        drop(tenant);
+        rt.flush();
+        assert_eq!(metrics.submitted(), 6);
+        assert_eq!(metrics.retired(), 6);
+        assert!(metrics.stalls() >= 1, "the tenant stalled");
     }
 }

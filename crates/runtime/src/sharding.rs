@@ -17,7 +17,7 @@
 //! Ownership versioning is keyed by the **global launch id**, which the
 //! combining dispatcher assigns at commit time (PR 7). A combined batch
 //! that interleaves several producer contexts therefore needs no special
-//! handling here: whatever order the rings were drained in, each launch's
+//! handling here: however the producers' pushes interleaved, each launch's
 //! view of the shard map is determined solely by its committed id, exactly
 //! as if the interleaved stream had been submitted by one producer.
 
@@ -128,9 +128,9 @@ mod tests {
 
     #[test]
     fn combined_multi_context_batches_version_by_commit_order() {
-        // PR 7: a combined sweep interleaves launches from several rings;
+        // A combined sweep interleaves launches from several contexts;
         // ids are assigned at commit, so the touch order below is exactly
-        // the dispatcher's commit order regardless of the source ring.
+        // the dispatcher's commit order regardless of the source context.
         // Context A committed ids {0, 2}, context B ids {1, 3}.
         let mut s = ShardMap::new(4, true);
         let ra = RegionId(1);
@@ -142,7 +142,7 @@ mod tests {
         assert_eq!(s.owner(ra, 2), 3, "A's state stays where A first put it");
         assert_eq!(s.owner(rb, 3), 2, "B's state stays where B first put it");
         // A launch committed before a region's first touch never sees it,
-        // even when the touch came from another context's ring.
+        // even when the touch came from another context.
         assert_eq!(s.owner(rb, 0), 0);
     }
 }

@@ -144,7 +144,6 @@ pub struct PipelineStats {
     pub combined_specs: u64,
     pub max_combine: u64,
     pub multi_ring_combines: u64,
-    pub rings: u64,
 }
 
 impl PipelineStats {
@@ -159,7 +158,6 @@ impl PipelineStats {
             combined_specs: m.combined_specs(),
             max_combine: m.max_combine(),
             multi_ring_combines: m.multi_ring_combines(),
-            rings: m.rings() as u64,
         }
     }
 }

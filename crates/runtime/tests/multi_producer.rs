@@ -4,7 +4,7 @@
 //! from its own thread, gets exactly the analysis and values it gets
 //! alone, over random programs — is the `producers::` axis of the
 //! differential matrix (`tests/differential.rs` at the workspace root).
-//! Here: scoped fences, ring-slot recycling, typed ring exhaustion, and
+//! Here: scoped fences, producer-place recycling, typed exhaustion, and
 //! the combining metrics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,9 +58,9 @@ fn scoped_fence_orders_only_its_context() {
     );
 }
 
-/// Ring slots recycle: live contexts are bounded by `submit_rings - 1`,
-/// exhaustion is a typed error, and dropped slots are reclaimed by later
-/// tenants indefinitely.
+/// Producer places recycle: live contexts are bounded by
+/// `submit_rings - 1`, exhaustion is a typed error, and a dropped
+/// context's place is reclaimed by later tenants indefinitely.
 #[test]
 fn ring_slots_recycle_and_exhaustion_is_typed() {
     let mut rt = Runtime::new(
@@ -72,13 +72,15 @@ fn ring_slots_recycle_and_exhaustion_is_typed() {
     let c1 = rt.new_context().unwrap();
     match rt.new_context() {
         Err(RuntimeError::RingsExhausted { rings }) => assert_eq!(rings, 2),
-        Ok(_) => panic!("second tenant cannot claim a ring"),
+        Ok(_) => panic!("a second tenant cannot join a 2-producer plane"),
         Err(e) => panic!("expected RingsExhausted, got {e}"),
     }
     drop(c1);
     let mut total = 0u32;
     for round in 0..6u32 {
-        let mut c = rt.new_context().expect("dropped slot was reclaimed");
+        let mut c = rt
+            .new_context()
+            .expect("a dropped context's place was reclaimed");
         let h = c
             .submit(forest.single(Root(0), Privilege::ReadWrite, round))
             .unwrap();
@@ -90,14 +92,14 @@ fn ring_slots_recycle_and_exhaustion_is_typed() {
     assert_eq!(rt.num_tasks(), total as usize);
 }
 
-/// Two producers flooding 4-deep rings with serial-scan-heavy launches:
-/// the dispatcher falls behind, both producers stall, and the combining
-/// sweep must repeatedly drain both rings under one lock acquisition. The
-/// per-ring metrics decompose the global counters exactly.
+/// Two producers flooding 4-deep shares of the queue with serial-scan-heavy
+/// launches: the dispatcher falls behind, both producers stall, and the
+/// combining sweep must repeatedly take both streams under one lock
+/// acquisition. Per-producer counts decompose the global counters exactly.
 ///
 /// Falling behind is certain, not likely: a `dag()` read guard wedges the
-/// dispatcher on the core write lock until both producers sit in a full
-/// ring, so the sweep after the wedged one finds both rings full.
+/// dispatcher on the core write lock until both producers sit on a full
+/// share, so the sweep after the wedged one finds both shares full.
 #[test]
 fn combining_dispatcher_merges_concurrent_streams() {
     // The literal Fig 7 painter: no occlusion pruning, so every launch
@@ -117,39 +119,52 @@ fn combining_dispatcher_merges_concurrent_streams() {
     const COUNT: usize = 120;
     let mut ca = rt.new_context().unwrap();
     let mut cb = rt.new_context().unwrap();
-    // Submissions each producer has begun; ring `1 + p` counts those that
-    // returned.
+    // Submissions each producer has begun, and those that returned.
     let begun = [AtomicU64::new(0), AtomicU64::new(0)];
+    let returned = [AtomicU64::new(0), AtomicU64::new(0)];
+    // Launches that were still uncommitted when a later submission of the
+    // same producer returned more than 2 x pipeline_depth later.
+    let overdue = [AtomicU64::new(0), AtomicU64::new(0)];
     let wedge = rt.dag();
     std::thread::scope(|s| {
         let producers = [(&mut ca, root_a, field_a), (&mut cb, root_b, field_b)];
-        for ((ctx, root, field), begun) in producers.into_iter().zip(&begun) {
+        for (p, (ctx, root, field)) in producers.into_iter().enumerate() {
+            let (begun, returned, overdue) = (&begun[p], &returned[p], &overdue[p]);
             s.spawn(move || {
+                let mut handles = Vec::with_capacity(COUNT);
                 for i in 0..COUNT {
                     begun.fetch_add(1, Ordering::SeqCst);
                     // Full-root read-writes: the serial history scan grows
                     // quadratically, so the dispatcher falls behind and
-                    // both rings fill.
-                    ctx.submit(LaunchSpec::new(
-                        format!("t{i}"),
-                        0,
-                        vec![RegionRequirement::read_write(root, field)],
-                        0,
-                        None,
-                    ))
-                    .unwrap();
+                    // both shares fill.
+                    handles.push(
+                        ctx.submit(LaunchSpec::new(
+                            format!("t{i}"),
+                            0,
+                            vec![RegionRequirement::read_write(root, field)],
+                            0,
+                            None,
+                        ))
+                        .unwrap(),
+                    );
+                    returned.fetch_add(1, Ordering::SeqCst);
+                    // In flight at a push: at most a full share queued plus
+                    // one taken batch, so launch `i - 8` has committed.
+                    if i >= 8 && handles[i - 8].try_id().is_none() {
+                        overdue.fetch_add(1, Ordering::SeqCst);
+                    }
                 }
             });
         }
-        // The wedged sweep popped at most a ring's worth from each ring: a
-        // producer that has pushed that much and then sits 20 ms inside its
-        // next submission without a push waits on a full ring.
-        let pushed = |p: usize| metrics.ring(1 + p).submitted;
+        // The wedged sweep took at most a share from each producer: a
+        // producer that has returned that much and then sits 20 ms inside
+        // its next submission without returning waits on a full share.
+        let done = |p: usize| returned[p].load(Ordering::SeqCst);
         loop {
-            let before = [pushed(0), pushed(1)];
+            let before = [done(0), done(1)];
             std::thread::sleep(std::time::Duration::from_millis(20));
             let stuck = |p: usize| {
-                let now = pushed(p);
+                let now = done(p);
                 now >= 4 && now == before[p] && begun[p].load(Ordering::SeqCst) > now
             };
             if stuck(0) && stuck(1) {
@@ -158,6 +173,7 @@ fn combining_dispatcher_merges_concurrent_streams() {
         }
         drop(wedge);
     });
+    let tenant_tasks = ca.num_tasks() + cb.num_tasks();
     drop(ca);
     drop(cb);
     rt.flush();
@@ -166,34 +182,36 @@ fn combining_dispatcher_merges_concurrent_streams() {
     assert_eq!(metrics.combined_specs(), metrics.retired());
     assert!(metrics.combines() >= 1);
     assert!(metrics.max_combine() >= 1);
-    // Depth counts in-flight specs: up to `pipeline_depth` queued in the
-    // ring plus up to `pipeline_depth` popped but not yet committed, per
-    // ring — so 2×4 per producer, summed across the two producers.
+    // Depth counts in-flight specs: up to `pipeline_depth` queued plus up
+    // to `pipeline_depth` taken but not yet committed, per producer — so
+    // 2×4 per producer, summed across the two producers.
     assert!(
         metrics.max_depth() >= 1 && metrics.max_depth() <= 16,
-        "in-flight depth is bounded by rings x 2 x pipeline_depth (got {})",
+        "in-flight depth is bounded by producers x 2 x pipeline_depth (got {})",
         metrics.max_depth()
     );
-    assert!(
-        metrics.ring(1).max_depth <= 8 && metrics.ring(2).max_depth <= 8,
-        "per-ring in-flight depth is bounded by 2 x pipeline_depth"
+    assert_eq!(
+        [
+            overdue[0].load(Ordering::SeqCst),
+            overdue[1].load(Ordering::SeqCst)
+        ],
+        [0, 0],
+        "per-producer in-flight depth is bounded by 2 x pipeline_depth"
     );
     assert!(
         metrics.multi_ring_combines() >= 1,
         "two stalled producers must co-occur in at least one sweep"
     );
-    let ring_submitted: u64 = (0..3).map(|i| metrics.ring(i).submitted).sum();
-    assert_eq!(ring_submitted, metrics.submitted());
+    let returned: u64 = returned.iter().map(|r| r.load(Ordering::SeqCst)).sum();
+    assert_eq!(returned, metrics.submitted());
     assert_eq!(
-        metrics.ring(1).submitted + metrics.ring(2).submitted,
-        2 * COUNT as u64,
-        "tenant rings carry every launch"
+        tenant_tasks,
+        2 * COUNT,
+        "the tenant contexts carry every launch"
     );
     assert!(
-        metrics.ring(1).stalls > 0 && metrics.ring(2).stalls > 0,
-        "4-deep rings under serial-scan launches must stall both producers"
+        metrics.stalls() >= 2,
+        "4-deep shares under serial-scan launches must stall both producers"
     );
-    let ring_stalls: u64 = (0..3).map(|i| metrics.ring(i).stalls).sum();
-    assert_eq!(ring_stalls, metrics.stalls());
     assert_eq!(rt.num_tasks(), 2 * COUNT);
 }

@@ -346,3 +346,34 @@ fn handles_are_program_ordered_across_spellings() {
     assert_eq!(rt.num_tasks(), 7);
     assert_eq!(rt.launches().as_ref().len(), 7);
 }
+
+/// A handle from another runtime, whose `seq` is past everything this
+/// facade issued, is a typed error in both modes — not a panic
+/// (synchronous) nor a wait for a launch that will never commit
+/// (pipelined). The resolve runs on its own thread, so a hang fails the
+/// test on the timeout instead of wedging it.
+#[test]
+fn foreign_handle_is_a_typed_error() {
+    let mut other = build_runtime(EngineKind::Paint, 1, false);
+    let forest = halo(&mut other);
+    let foreign = (0..3)
+        .map(|i| other.submit(forest.single(Piece(0, i), RW, 1)).unwrap())
+        .last()
+        .unwrap();
+    for pipelined in [false, true] {
+        let mut rt = build_runtime(EngineKind::Paint, 1, pipelined);
+        let forest = halo(&mut rt);
+        rt.submit(forest.single(Piece(0, 0), RW, 1)).unwrap();
+        let rt = std::sync::Arc::new(rt);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let resolver = std::sync::Arc::clone(&rt);
+        // A panicking resolver drops `tx` unsent: `Disconnected`.
+        let thread = std::thread::spawn(move || tx.send(resolver.try_resolve(foreign)));
+        let got = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .unwrap_or_else(|e| panic!("resolve failed to return ({e}; pipelined: {pipelined})"));
+        thread.join().unwrap().unwrap();
+        assert_eq!(got, Err(RuntimeError::UnknownHandle { seq: 2, issued: 1 }));
+        assert!(got.unwrap_err().to_string().contains("not issued"));
+    }
+}

@@ -20,6 +20,8 @@
 //! * [`event`] — a minimal Realm-like deferred-execution event layer used by
 //!   the executor to propagate completion times through task/copy graphs.
 
+#![forbid(unsafe_code)]
+
 pub mod charge;
 pub mod cost;
 pub mod event;

@@ -53,6 +53,8 @@
 //! assert_eq!(store.inline(probe).get(viz_geometry::Point::p1(42)), 84.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use viz_apps as apps;
 pub use viz_array as array;
 pub use viz_geometry as geometry;
