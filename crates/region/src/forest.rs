@@ -200,15 +200,13 @@ impl RegionForest {
         id
     }
 
-    /// All fields of the tree containing `region`.
-    pub fn fields_of(&self, region: RegionId) -> Vec<FieldId> {
-        let root = self.root_of(region);
+    /// Does `field` exist and belong to the tree containing `region`? O(1):
+    /// a field records its root, so this is one lookup and one compare, with
+    /// no scan of the forest's fields. `region` must exist.
+    pub fn has_field(&self, region: RegionId, field: FieldId) -> bool {
         self.fields
-            .iter()
-            .enumerate()
-            .filter(|(_, (r, _))| *r == root)
-            .map(|(i, _)| FieldId(i as u32))
-            .collect()
+            .get(field.0 as usize)
+            .is_some_and(|(root, _)| *root == self.root_of(region))
     }
 
     pub fn field_name(&self, f: FieldId) -> &str {
@@ -574,14 +572,18 @@ mod tests {
         let (mut f, n, _, _) = paper_forest();
         let up = f.add_field(n, "up");
         let down = f.add_field(n, "down");
-        assert_eq!(f.fields_of(n), vec![up, down]);
         let m = f.create_root_1d("M", 10);
         let v = f.add_field(m, "v");
-        assert_eq!(f.fields_of(m), vec![v]);
         assert_eq!(f.field_name(down), "down");
-        // Fields of a subtree region resolve to the root's fields.
+        // Fields of a subtree region resolve to the root's fields; a field of
+        // another root, or one never added, is not the region's.
         let p0 = f.subregion(f.partitions_of(n)[0], 0);
-        assert_eq!(f.fields_of(p0), vec![up, down]);
+        for r in [n, p0] {
+            assert!(f.has_field(r, up) && f.has_field(r, down));
+            assert!(!f.has_field(r, v));
+        }
+        assert!(f.has_field(m, v) && !f.has_field(m, up));
+        assert!(!f.has_field(n, FieldId(99)));
     }
 
     #[test]

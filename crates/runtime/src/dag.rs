@@ -56,16 +56,31 @@ impl TaskDag {
     /// DAG's own column, so a push allocates nothing beyond that column's
     /// growth.
     pub fn push_slice(&mut self, deps: &[TaskId]) -> TaskId {
+        self.push_mapped(deps, |d| d)
+    }
+
+    /// [`TaskDag::push_slice`] of `deps` with `map` applied to each as it
+    /// is read: a replayed launch's template dependences go into the column
+    /// through the instance's shift, with no shifted copy in between. `map`
+    /// must keep the list ascending (a `TaskShift` does).
+    pub(crate) fn push_mapped(
+        &mut self,
+        deps: &[TaskId],
+        map: impl Fn(TaskId) -> TaskId,
+    ) -> TaskId {
         let id = TaskId(self.rows.len() as u32);
-        debug_assert!(deps.iter().all(|d| *d < id), "dependence on the future");
+        debug_assert!(
+            deps.iter().all(|d| map(*d) < id),
+            "dependence on the future"
+        );
         let mut depth = 0u32;
         let mut min_anc = u32::MAX;
-        for d in deps {
+        for d in deps.iter().map(|d| map(*d)) {
             let row = &self.rows[d.index()];
             depth = depth.max(row.depth + 1);
             min_anc = min_anc.min(row.min_anc).min(d.0);
         }
-        let preds = self.edges.push(deps.len(), deps.iter().copied());
+        let preds = self.edges.push(deps.len(), deps.iter().map(|d| map(*d)));
         self.rows.push(Row {
             preds,
             depth,

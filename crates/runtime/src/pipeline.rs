@@ -267,11 +267,19 @@ impl CtxState {
         self.queued.load(Ordering::Relaxed)
     }
 
-    /// Record an inline (synchronous-path) commit: id known immediately.
-    pub(crate) fn record_inline(&self, id: TaskId) {
-        self.assigned().push(id);
-        self.pushed.fetch_add(1, Ordering::Release);
-        self.committed.fetch_add(1, Ordering::Release);
+    /// Record inline (synchronous-path) commits, ids known immediately: one
+    /// lock and one count per batch, as the dispatcher records a run.
+    pub(crate) fn record_inline(&self, ids: &[TaskId]) {
+        let n = ids.len() as u64;
+        let mut assigned = self.assigned();
+        // Pushed one by one, the list keeps growing by doubling: an exact
+        // reserve per batch would leave a drained runtime holding more.
+        for id in ids {
+            assigned.push(*id);
+        }
+        drop(assigned);
+        self.pushed.fetch_add(n, Ordering::Release);
+        self.committed.fetch_add(n, Ordering::Release);
     }
 }
 

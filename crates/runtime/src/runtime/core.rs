@@ -81,9 +81,11 @@ impl Book {
     /// once its workers have released it).
     ///
     /// The dependences are stored once, in the DAG: an analyzed launch's
-    /// are read in place, a replayed launch's are shifted into a list
-    /// first. The stored result then moves into the ledger, which frees
-    /// the engine's vectors.
+    /// are read in place, a shared (recorded or replayed) result's go in
+    /// through its shift as they are copied, so a replayed commit allocates
+    /// nothing beyond column growth. Only an attached recorder gets a
+    /// shifted list of its own. The stored result then moves into the
+    /// ledger, which frees the engine's vectors.
     #[inline]
     pub(super) fn commit(
         &mut self,
@@ -96,16 +98,6 @@ impl Book {
     ) {
         let done = machine.now(origin);
         self.ledger.push_done(done);
-        // The dependence edges in global ids (rebased, replay shift
-        // applied): what the DAG and the recorder see.
-        let shifted: Vec<TaskId>;
-        let deps: &[TaskId] = match &stored {
-            StoredResult::Owned(r) => &r.deps,
-            StoredResult::Shared { result, shift } => {
-                shifted = result.deps.iter().map(|d| shift.apply(*d)).collect();
-                &shifted
-            }
-        };
         if let Commit::Analyzed { engine, since } = how {
             if viz_profile::enabled() {
                 viz_profile::sim_event(
@@ -122,6 +114,16 @@ impl Book {
             }
         }
         if let Some(rec) = &mut self.recorder {
+            // The dependence edges in global ids (rebased, replay shift
+            // applied), as the DAG stores them.
+            let shifted: Vec<TaskId>;
+            let deps: &[TaskId] = match &stored {
+                StoredResult::Owned(r) => &r.deps,
+                StoredResult::Shared { result, shift } => {
+                    shifted = result.deps.iter().map(|d| shift.apply(*d)).collect();
+                    &shifted
+                }
+            };
             rec.commit(
                 ctx,
                 launch.id,
@@ -133,7 +135,12 @@ impl Book {
                 matches!(how, Commit::Fence),
             );
         }
-        self.dag.push_slice(deps);
+        match &stored {
+            StoredResult::Owned(r) => self.dag.push_slice(&r.deps),
+            StoredResult::Shared { result, shift } => {
+                self.dag.push_mapped(&result.deps, |d| shift.apply(d))
+            }
+        };
         self.ledger.push_result(stored);
     }
 }
@@ -281,8 +288,7 @@ impl Core {
                 // result); warm-up, capture and verify launches analyze in
                 // order. A demotion mid-segment drops back out and
                 // re-shards the remainder of the batch.
-                while !items.is_empty() && self.book.tracing.is_active() {
-                    let s = items.pop_front().unwrap();
+                while let Some(s) = items.pop_front_if(|_| self.book.tracing.is_active()) {
                     ids.push(self.launch_one(ctx, s, forest));
                 }
                 continue;

@@ -255,7 +255,7 @@ impl Runtime {
             if root.0 as usize >= forest.num_regions() {
                 return Err(RuntimeError::UnknownRegion { region: root });
             }
-            if !forest.fields_of(root).contains(&field) {
+            if !forest.has_field(root, field) {
                 return Err(RuntimeError::UnknownField {
                     region: root,
                     field,

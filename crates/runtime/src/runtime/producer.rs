@@ -16,16 +16,17 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use viz_region::{Privilege, RegionForest};
 
-/// Validate one submission against the forest: every region and field must
-/// exist, and §4 requires region arguments of one task to have disjoint
-/// domains unless both are read-only or both reduce with the same
-/// operator.
+/// Validate one submission against the forest: every region must exist and
+/// every field must belong to its region's tree ([`RegionForest::has_field`],
+/// one lookup per requirement), and §4 requires region arguments of one task
+/// to have disjoint domains unless both are read-only or both reduce with
+/// the same operator. Allocates nothing.
 fn validate_spec(forest: &RegionForest, reqs: &[RegionRequirement]) -> Result<(), RuntimeError> {
     for r in reqs {
         if r.region.0 as usize >= forest.num_regions() {
             return Err(RuntimeError::UnknownRegion { region: r.region });
         }
-        if !forest.fields_of(r.region).contains(&r.field) {
+        if !forest.has_field(r.region, r.field) {
             return Err(RuntimeError::UnknownField {
                 region: r.region,
                 field: r.field,
@@ -111,7 +112,9 @@ impl Producer {
     /// Submit a batch in order and return its sequence numbers. Validation
     /// is atomic: every spec is checked before any is enqueued, so an
     /// `Err` leaves the stream unchanged. Never drains; blocks only on this
-    /// producer's own backpressure.
+    /// producer's own backpressure. The forest is read-locked once per
+    /// batch: a synchronous batch validates and commits under that one
+    /// guard, a pipelined one releases it before it enqueues.
     ///
     /// `specs` is a `Vec`, or `[spec]` for a single launch — whose `Vec` is
     /// then built after validation, where the single-launch path has always
@@ -122,8 +125,8 @@ impl Producer {
         core: &RwLock<Core>,
         specs: impl AsRef<[LaunchSpec]> + Into<Vec<LaunchSpec>>,
     ) -> Result<Range<u32>, RuntimeError> {
+        let forest = forest_read(forest)?;
         if self.validate {
-            let forest = forest_read(forest)?;
             for s in specs.as_ref() {
                 validate_spec(&forest, &s.reqs)?;
             }
@@ -132,15 +135,17 @@ impl Producer {
         let base = self.submitted;
         let n = specs.len() as u32;
         match &self.ring {
-            Some(plane) => plane.enqueue_all(&self.state, specs)?,
+            Some(plane) => {
+                // Backpressure may block here; the dispatcher takes its own
+                // read lock.
+                drop(forest);
+                plane.enqueue_all(&self.state, specs)?;
+            }
             None => {
-                let forest = forest_read(forest)?;
                 // Always through run_specs, even for one spec, so its GC
                 // hook covers every launch path.
                 let ids = core_write(core)?.run_specs(self.state.ctx, specs, &forest);
-                for id in ids {
-                    self.state.record_inline(id);
-                }
+                self.state.record_inline(&ids);
             }
         }
         self.submitted = base + n;
@@ -155,7 +160,7 @@ impl Producer {
         commit: impl FnOnce(&mut Core) -> TaskId,
     ) -> Result<TaskId, RuntimeError> {
         let id = commit(&mut *core_write(core)?);
-        self.state.record_inline(id);
+        self.state.record_inline(&[id]);
         self.submitted += 1;
         Ok(id)
     }
@@ -446,6 +451,26 @@ mod tests {
             ))
             .unwrap_err();
         assert!(matches!(err, RuntimeError::UnknownField { .. }));
+        // A field that exists but belongs to another root is just as
+        // unknown here, to a launch and to initial contents alike.
+        let other = rt.forest_mut().create_root_1d("B", 10);
+        let foreign = rt.forest_mut().add_field(other, "w");
+        let refused = |e: &RuntimeError| {
+            matches!(e, RuntimeError::UnknownField { region, field }
+                if *region == root && *field == foreign)
+        };
+        let err = rt
+            .submit(LaunchSpec::new(
+                "bad",
+                0,
+                vec![RegionRequirement::read(root, foreign)],
+                0,
+                None,
+            ))
+            .unwrap_err();
+        assert!(refused(&err), "{err}");
+        let err = rt.try_set_initial(root, foreign, |_| 1.0).unwrap_err();
+        assert!(refused(&err), "{err}");
         // Failed submissions consume no task id.
         assert_eq!(rt.num_tasks(), 0);
     }

@@ -12,9 +12,13 @@
 //! derives nothing that needs memory of its own, so it allocates only when
 //! a column grows. And the auto-tracer's repeat detector, which sees every
 //! untraced launch: once its buffers have grown, observing a launch
-//! allocates nothing. Beside the counts, the bytes a drained runtime holds
-//! per committed launch: a stored result is rows in chunked columns, not
-//! vectors of its own.
+//! allocates nothing. And the replayed launch, a runtime's steady state:
+//! submitted through `Runtime::submit_batch`, it is validated, matched
+//! against its template and committed through the instance's shift without
+//! allocating, so a replayed iteration allocates per batch, not per launch.
+//! Beside the counts, the bytes a drained runtime holds per committed
+//! launch: a stored result is rows in chunked columns, not vectors of its
+//! own.
 //!
 //! The counter is per thread: the test harness runs the tests of this
 //! binary on parallel threads, and a process-wide counter charged each
@@ -25,11 +29,12 @@ use std::cell::Cell;
 
 use viz_apps::{Pennant, PennantConfig, Stencil, StencilConfig, Workload};
 use viz_geometry::{DynamicBvh, Rect};
-use viz_region::{FieldId, RegionId};
+use viz_region::{FieldId, RegionForest, RegionId};
 use viz_runtime::autotrace::AutoTracer;
 use viz_runtime::engine::AnalysisCtx;
 use viz_runtime::{
     EngineKind, LaunchSpec, RegionRequirement, Runtime, RuntimeConfig, ShardMap, TaskDag, TaskId,
+    TaskLaunch,
 };
 use viz_sim::Machine;
 
@@ -143,23 +148,34 @@ fn kd_walk_steady_state_allocates_nothing() {
     assert_eq!(steady, 0, "the K-d walk allocated {steady} times warm");
 }
 
-/// Allocations of the bare RayCast engine (`analyze` over the launch stream
-/// `app` submits) in each top-level iteration, with that iteration's launch
-/// count. Iteration 0 includes the app's set-up launches.
-fn engine_allocs_per_iteration(app: &dyn Workload, nodes: usize) -> Vec<(u64, usize)> {
-    let mut rt = Runtime::new(RuntimeConfig::base(EngineKind::RayCast).nodes(nodes));
+/// Run `app` on a runtime built from `config` and return what feeding its
+/// launch stream again needs: the finished region forest, the launches, and
+/// the last launch of each top-level iteration.
+fn capture(
+    app: &dyn Workload,
+    config: RuntimeConfig,
+) -> (RegionForest, Vec<TaskLaunch>, Vec<TaskId>) {
+    let mut rt = Runtime::new(config);
     let run = app.execute(&mut rt);
     rt.flush();
     let forest = rt.forest().clone();
     let launches = rt.launches().to_vec();
-    drop(rt);
+    (forest, launches, run.iter_end)
+}
+
+/// Allocations of the bare RayCast engine (`analyze` over the launch stream
+/// `app` submits) in each top-level iteration, with that iteration's launch
+/// count. Iteration 0 includes the app's set-up launches.
+fn engine_allocs_per_iteration(app: &dyn Workload, nodes: usize) -> Vec<(u64, usize)> {
+    let (forest, launches, iter_end) =
+        capture(app, RuntimeConfig::base(EngineKind::RayCast).nodes(nodes));
 
     let mut engine = EngineKind::RayCast.build();
     let mut machine = Machine::new(nodes);
     let mut shards = ShardMap::new(nodes, false);
-    let mut per_iteration = Vec::with_capacity(run.iter_end.len());
+    let mut per_iteration = Vec::with_capacity(iter_end.len());
     let mut start = 0usize;
-    for end in &run.iter_end {
+    for end in &iter_end {
         let end = end.index() + 1;
         let before = allocs();
         for launch in &launches[start..end] {
@@ -400,15 +416,10 @@ fn held_bytes_per_launch(app: &dyn Workload, nodes: usize) -> f64 {
     let config = RuntimeConfig::base(EngineKind::RayCast)
         .nodes(nodes)
         .auto_trace(false);
-    let mut rt = Runtime::new(config.clone());
-    let run = app.execute(&mut rt);
-    rt.flush();
-    let forest = rt.forest().clone();
-    let launches = rt.launches().to_vec();
-    drop(rt);
-    let mut batches = Vec::with_capacity(run.iter_end.len());
+    let (forest, launches, iter_end) = capture(app, config.clone());
+    let mut batches = Vec::with_capacity(iter_end.len());
     let mut start = 0usize;
-    for end in &run.iter_end {
+    for end in &iter_end {
         let end = end.index() + 1;
         let batch: Vec<LaunchSpec> = launches[start..end]
             .iter()
@@ -431,8 +442,8 @@ fn held_bytes_per_launch(app: &dyn Workload, nodes: usize) -> f64 {
 }
 
 /// What a drained runtime may hold per committed launch, in bytes, over
-/// 50 iterations (6 464 stencil and 3 266 pennant launches): 432.3 and
-/// 408.6 measured, 598.3 and 618.5 when every stored result was four or
+/// 50 iterations (6 464 stencil and 3 266 pennant launches): 425.4 and
+/// 408.2 measured, 598.3 and 618.5 when every stored result was four or
 /// five vectors of its own and the DAG kept a second copy of its
 /// dependences. A shorter stream measures the columns' first 64 KiB
 /// chunks more than the launches in them.
@@ -464,4 +475,118 @@ fn drained_pennant_holds_inside_the_byte_budget() {
         held <= PENNANT_HELD_BYTES_PER_LAUNCH,
         "pennant: {held:.1} bytes held per launch, budget {PENNANT_HELD_BYTES_PER_LAUNCH}"
     );
+}
+
+/// `app`'s launch stream as the benchmark harness submits it: per top-level
+/// iteration, its waves (maximal runs of consecutive launches with one
+/// name), each one `submit_batch` call; iteration 0 also carries the
+/// set-up launches. Returns the app's finished forest beside them.
+fn waves_per_iteration(
+    app: &dyn Workload,
+    nodes: usize,
+) -> (RegionForest, Vec<Vec<Vec<LaunchSpec>>>) {
+    let (forest, launches, iter_end) =
+        capture(app, RuntimeConfig::base(EngineKind::RayCast).nodes(nodes));
+    let mut iterations = Vec::with_capacity(iter_end.len());
+    let mut start = 0usize;
+    for end in &iter_end {
+        let end = end.index() + 1;
+        let mut waves: Vec<Vec<LaunchSpec>> = Vec::new();
+        for (k, l) in launches[start..end].iter().enumerate() {
+            if k == 0 || launches[start + k - 1].name != l.name {
+                waves.push(Vec::new());
+            }
+            let spec = LaunchSpec::new(l.name.clone(), l.node, l.reqs.clone(), l.duration_ns, None);
+            waves.last_mut().expect("pushed above").push(spec);
+        }
+        iterations.push(waves);
+        start = end;
+    }
+    (forest, iterations)
+}
+
+/// Allocations, `submit_batch` calls and launches of every iteration from
+/// the first one a synchronous runtime (the defaults: auto-tracing on)
+/// starts while replaying, each counted over its `submit_batch` calls only
+/// (the specs are built before) and each checked to be replayed whole.
+fn replayed_iteration_allocs(app: &dyn Workload, nodes: usize) -> Vec<(u64, u64, u64)> {
+    let (forest, iterations) = waves_per_iteration(app, nodes);
+    let mut rt = Runtime::new(RuntimeConfig::base(EngineKind::RayCast).nodes(nodes));
+    *rt.forest_mut() = forest;
+    let mut counts = Vec::new();
+    for waves in iterations {
+        let measured = !counts.is_empty() || rt.is_replaying();
+        let replayed = rt.replayed_launches();
+        let (batches, launches) = (
+            waves.len() as u64,
+            waves.iter().map(Vec::len).sum::<usize>() as u64,
+        );
+        let before = allocs();
+        for wave in waves {
+            rt.submit_batch(wave).expect("captured launches are valid");
+        }
+        let made = allocs() - before;
+        if measured {
+            assert_eq!(
+                rt.replayed_launches() - replayed,
+                launches,
+                "an iteration after replay began was not replayed whole"
+            );
+            counts.push((made, batches, launches));
+        }
+    }
+    assert!(
+        counts.len() >= 2,
+        "the runtime replayed fewer than two iterations"
+    );
+    counts
+}
+
+/// What one `submit_batch` call of replayed launches may allocate: the
+/// returned handles and the batch's id list (a replayed launch itself
+/// allocates nothing).
+const REPLAY_ALLOCS_PER_BATCH: u64 = 2;
+
+/// Column growth an iteration may add, whatever its length. After three
+/// iterations an iteration is shorter than the history before it, so each
+/// per-launch column a replayed commit appends to doubles at most once:
+/// the ledger's launches, bodies, completion times and result rows, the
+/// DAG's rows and the context's ids (6). The DAG's chunked edge column adds
+/// at most one chunk and grows its chunk list once (2), and each instance
+/// after the first rebuilds the trace's rebase list (2). Measured over the
+/// five replayed iterations: pennant 16, 12, 12, 12, 18 allocations (5
+/// calls each), stencil 10, 6, 6, 6, 12 (2 calls each); the first was 483
+/// and 394 (7.4 and 3.1 per launch) when validation listed a tree's fields
+/// per requirement and a replayed commit built its shifted dependences.
+const REPLAY_COLUMN_GROWTH: u64 = 10;
+
+fn assert_replay_budget(name: &str, iterations: &[(u64, u64, u64)]) {
+    for &(made, batches, launches) in iterations {
+        let budget = REPLAY_ALLOCS_PER_BATCH * batches + REPLAY_COLUMN_GROWTH;
+        assert!(
+            made <= budget,
+            "{name}: a replayed iteration of {launches} launches in {batches} batches \
+             allocated {made} times ({:.2} per launch), budget {budget}",
+            made as f64 / launches as f64
+        );
+    }
+}
+
+#[test]
+fn replayed_pennant_iteration_allocates_per_batch_not_per_launch() {
+    let app = Pennant::new(PennantConfig {
+        iterations: 8,
+        ..PennantConfig::paper(16)
+    });
+    assert_replay_budget("pennant", &replayed_iteration_allocs(&app, 16));
+}
+
+#[test]
+fn replayed_stencil_iteration_allocates_per_batch_not_per_launch() {
+    let app = Stencil::new(StencilConfig {
+        pieces: 64,
+        iterations: 8,
+        ..StencilConfig::paper(64)
+    });
+    assert_replay_budget("stencil", &replayed_iteration_allocs(&app, 64));
 }

@@ -6,8 +6,10 @@
 # parent's median [q1, q3] -> the change's median [q1, q3] and the number
 # of pairs the change won. Odd pairs run the change first, so a drifting
 # host favours neither side. A metric named `*_per_s` is better higher,
-# every other one lower. Exits non-zero if a run fails or reports
-# incorrect results.
+# every other one lower. Both binaries are copied to paths of equal length
+# under one temporary directory before timing: the length of a binary's
+# path alone moves `peak_rss_mb` by 3-5 % (the process's startup layout
+# follows it). Exits non-zero if a run fails or reports incorrect results.
 set -eu
 [ $# -ge 4 ] || { sed -n '2p' "$0" >&2; exit 2; }
 parent=$1 change=$2 workload=$3 pairs=$4
@@ -19,6 +21,10 @@ if [ $# -gt 0 ]; then
 fi
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT INT TERM
+mkdir "$tmp/a" "$tmp/b"
+cp "$parent" "$tmp/a/viz-e2e"
+cp "$change" "$tmp/b/viz-e2e"
+parent=$tmp/a/viz-e2e change=$tmp/b/viz-e2e
 
 # run <side> <pair> <binary> [extra args…]: one run, its metrics appended
 # to $tmp/values as `side pair metric value` lines.
