@@ -20,10 +20,11 @@
 //! figures again stay bit-identical, only host overlap changes.
 //! `--submit-rings N` caps the submission plane's live producers (the
 //! primary facade plus N-1 tenant contexts; `RuntimeConfig::submit_rings`).
-//! `--oracle` records the run's history and judges it with the external
-//! saturation checker (viz-oracle) after scheduling; a violation is a
-//! nonzero exit. `--record-history PATH` writes the recorded history in
-//! the portable `VZH1` binary format for offline checking.
+//! `--oracle` judges the run's committed history (the runtime's ledger and
+//! DAG) with the external saturation checker (viz-oracle) after
+//! scheduling; a violation is a nonzero exit. `--record-history PATH`
+//! writes that history in the portable `VZH1` binary format for offline
+//! checking.
 
 use viz_bench::AppKind;
 use viz_runtime::{EngineKind, Runtime, RuntimeConfig};
@@ -99,9 +100,6 @@ fn main() {
     }
     if let Some(n) = submit_rings {
         config = config.submit_rings(n);
-    }
-    if oracle || history_path.is_some() {
-        config = config.record_history(true);
     }
     let analysis_threads = config.analysis_threads;
     let auto_trace = config.auto_trace;
@@ -197,7 +195,7 @@ fn main() {
     }
     println!("counters: {:#?}", rt.machine().counters());
     if oracle || history_path.is_some() {
-        let history = viz_oracle::capture(&rt).expect("history recording was enabled");
+        let history = viz_oracle::capture(&rt).expect("timed_schedule ran: nothing was retired");
         if let Some(path) = &history_path {
             let bytes = history.encode();
             std::fs::write(path, &bytes).expect("write history");

@@ -1,5 +1,5 @@
-//! Capture: convert a runtime's recorded launch history into the
-//! self-contained [`History`] the checker judges.
+//! Capture: convert a runtime's committed launch history (read off its
+//! ledger and DAG) into the self-contained [`History`] the checker judges.
 //!
 //! This is the only module (besides the fuzz driver in [`crate::gen`])
 //! allowed to import `viz-runtime`: it resolves each requirement's region
@@ -56,8 +56,8 @@ pub fn resolve(recorded: &RecordedHistory, forest: &RegionForest) -> History {
     }
 }
 
-/// Drain the runtime and capture its full history (`None` when the
-/// runtime was built without [`viz_runtime::RuntimeConfig::record_history`]).
+/// Drain the runtime and capture its full history (`None` once history GC
+/// has retired a launch).
 pub fn capture(rt: &Runtime) -> Option<History> {
     let recorded = rt.recorded_history()?;
     Some(resolve(&recorded, &rt.forest()))
@@ -70,7 +70,7 @@ mod tests {
 
     #[test]
     fn capture_resolves_geometry_and_roots() {
-        let cfg = RuntimeConfig::new(EngineKind::RayCast).record_history(true);
+        let cfg = RuntimeConfig::new(EngineKind::RayCast);
         let mut rt = Runtime::new(cfg);
         let root = rt.forest_mut().create_root_1d("A", 40);
         let f = rt.forest_mut().add_field(root, "v");
@@ -78,7 +78,7 @@ mod tests {
         let piece = rt.forest().subregion(p, 2);
         rt.task("w").write(piece, f).submit().unwrap();
         rt.task("r").read(root, f).submit().unwrap();
-        let h = capture(&rt).expect("recording on");
+        let h = capture(&rt).expect("nothing retired");
         assert_eq!(h.len(), 2);
         assert_eq!(h.launches[0].reqs[0].root, root.0);
         assert_eq!(h.launches[0].reqs[0].region, piece.0);

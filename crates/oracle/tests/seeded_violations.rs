@@ -16,11 +16,7 @@ use viz_runtime::{
 /// t2: Read root         deps [1, ...]   (RAW on piece0's cells)
 /// ```
 fn recorded_chain() -> History {
-    let mut rt = Runtime::new(
-        RuntimeConfig::new(EngineKind::RayCast)
-            .record_history(true)
-            .auto_trace(false),
-    );
+    let mut rt = Runtime::new(RuntimeConfig::new(EngineKind::RayCast).auto_trace(false));
     let root = rt.forest_mut().create_root_1d("A", 40);
     let f = rt.forest_mut().add_field(root, "v");
     let p = rt.forest_mut().create_equal_partition_1d(root, "P", 4);
@@ -55,16 +51,12 @@ fn recorded_chain() -> History {
     ))
     .unwrap();
     rt.execute_values();
-    capture(&rt).expect("recording was enabled")
+    capture(&rt).expect("nothing was retired")
 }
 
 /// A recorded annotated-trace program whose third instance replays.
 fn recorded_trace() -> History {
-    let mut rt = Runtime::new(
-        RuntimeConfig::new(EngineKind::RayCast)
-            .record_history(true)
-            .auto_trace(false),
-    );
+    let mut rt = Runtime::new(RuntimeConfig::new(EngineKind::RayCast).auto_trace(false));
     let root = rt.forest_mut().create_root_1d("A", 40);
     let f = rt.forest_mut().add_field(root, "v");
     let p = rt.forest_mut().create_equal_partition_1d(root, "P", 4);
@@ -86,7 +78,7 @@ fn recorded_trace() -> History {
         rt.try_end_trace(1).unwrap();
     }
     rt.execute_values();
-    capture(&rt).expect("recording was enabled")
+    capture(&rt).expect("nothing was retired")
 }
 
 #[test]

@@ -103,9 +103,6 @@ fn push_args(out: &mut String, kind: &EventKind) {
         EventKind::BvhMaintain { refits, rebuilds } => {
             let _ = write!(out, "{{\"refits\":{refits},\"rebuilds\":{rebuilds}}}");
         }
-        EventKind::HistoryRecord { launches } => {
-            let _ = write!(out, "{{\"launches\":{launches}}}");
-        }
         EventKind::OracleCheck { pairs, edges } => {
             let _ = write!(out, "{{\"pairs\":{pairs},\"edges\":{edges}}}");
         }

@@ -95,9 +95,6 @@ pub enum EventKind {
     /// Incremental BVH maintenance on one shard since the last report:
     /// `refits` ancestor-refit passes vs `rebuilds` full rebuilds.
     BvhMaintain { refits: u64, rebuilds: u64 },
-    /// A launch history snapshot of `launches` launches was exported for
-    /// the consistency oracle.
-    HistoryRecord { launches: u64 },
     /// The oracle's saturation checker judged one history: `pairs`
     /// interfering launch pairs verified against `edges` engine edges.
     OracleCheck { pairs: u64, edges: u64 },
@@ -137,7 +134,6 @@ impl EventKind {
             EventKind::SubmitCombine { .. } => "submit_combine",
             EventKind::AlgebraCache { .. } => "algebra_cache",
             EventKind::BvhMaintain { .. } => "bvh_maintain",
-            EventKind::HistoryRecord { .. } => "history_record",
             EventKind::OracleCheck { .. } => "oracle_check",
             EventKind::GcSweep { .. } => "gc_sweep",
             EventKind::ScanSweep { .. } => "scan_sweep",
@@ -168,7 +164,6 @@ impl EventKind {
             // A cache report counts lookups; maintenance counts operations.
             EventKind::AlgebraCache { hits, misses } => hits + misses,
             EventKind::BvhMaintain { refits, rebuilds } => refits + rebuilds,
-            EventKind::HistoryRecord { launches } => launches,
             // A check report counts the precedence pairs it proved.
             EventKind::OracleCheck { pairs, .. } => pairs,
             // A sweep report counts the state entries it reclaimed.

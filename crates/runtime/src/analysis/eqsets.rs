@@ -1512,6 +1512,7 @@ mod tests {
                 id: TaskId(self.next - 1),
                 name: String::new(),
                 node: 0,
+                ctx: 0,
                 reqs: vec![RegionRequirement::new(region, self.field, privilege)],
                 duration_ns: 0,
             }

@@ -407,6 +407,7 @@ mod tests {
                 id: TaskId((2 * k + f) as u32),
                 name: String::new(),
                 node: 0,
+                ctx: 0,
                 reqs: vec![RegionRequirement::new(
                     forest.subregion(part, i),
                     fields[f],

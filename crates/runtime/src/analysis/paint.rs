@@ -674,6 +674,7 @@ mod tests {
                 id: TaskId(id),
                 name: format!("t{id}"),
                 node: 0,
+                ctx: 0,
                 reqs: vec![RegionRequirement::new(region, self.field_up, privilege)],
                 duration_ns: 0,
             };
@@ -831,6 +832,7 @@ mod tests {
                     id: TaskId(id),
                     name: format!("t{id}"),
                     node: 0,
+                    ctx: 0,
                     reqs: vec![RegionRequirement::new(region, f, privilege)],
                     duration_ns: 0,
                 };

@@ -117,11 +117,6 @@ pub struct RuntimeConfig {
     /// `InternConfig::disabled()` is the direct-sweep reference of the
     /// differential tests). A forest installed wholesale brings its own.
     pub intern: viz_geometry::InternConfig,
-    /// Record the launch history (submitted requirements + emitted
-    /// dependence edges + retirement order) for the external consistency
-    /// oracle (off by default). Export with
-    /// [`crate::Runtime::recorded_history`].
-    pub record_history: bool,
     /// History garbage collection (see [`GcConfig`]). Defaults from
     /// `VIZ_GC` / `VIZ_GC_INTERVAL` / `VIZ_GC_RETAIN`. With GC enabled the
     /// runtime retires per-task bookkeeping below a watermark, so whole-history
@@ -157,7 +152,6 @@ impl RuntimeConfig {
             pipeline_depth: DEFAULT_PIPELINE_DEPTH,
             submit_rings: DEFAULT_SUBMIT_RINGS,
             intern: viz_geometry::InternConfig::default(),
-            record_history: false,
             gc: GcConfig::default(),
         }
     }
@@ -220,12 +214,6 @@ impl RuntimeConfig {
     /// Pin the forest's interning configuration.
     pub fn intern(mut self, cfg: viz_geometry::InternConfig) -> Self {
         self.intern = cfg;
-        self
-    }
-
-    /// Toggle launch-history recording for the consistency oracle.
-    pub fn record_history(mut self, on: bool) -> Self {
-        self.record_history = on;
         self
     }
 

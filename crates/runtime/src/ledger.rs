@@ -7,15 +7,70 @@
 //! panic with a clear message on retired ids — so the rest of the runtime
 //! keeps addressing tasks by id, while steady-state memory is bounded by
 //! the unretired window instead of growing with program length.
+//!
+//! The ledger and the DAG are also the history the external consistency
+//! oracle (`viz-oracle`) judges: [`Ledger::history`] reads each launch's
+//! requirements and context, its DAG row as its dependence edges, and
+//! whether its row was replayed or a fence. Commit order is id order on
+//! every path (serial, sharded batch, replay, fence), so the retirement
+//! order is the ids'.
 
+use crate::dag::TaskDag;
 use crate::plan::{
     AnalysisResult, CopyRange, MaterializePlan, ReduceRange, StoredResult, TaskShift,
 };
 use crate::runs::{to_u32, Loc, Runs};
-use crate::task::{TaskBody, TaskId, TaskLaunch};
+use crate::task::{RegionRequirement, TaskBody, TaskId, TaskLaunch};
 use std::sync::Arc;
 use viz_region::ReductionOpId;
-use viz_sim::SimTime;
+use viz_sim::{NodeId, SimTime};
+
+/// One committed launch, as the engine claimed it: what was submitted plus
+/// the dependence edges it emitted.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LaunchRecord {
+    pub id: TaskId,
+    pub name: String,
+    pub node: NodeId,
+    /// The producer context that submitted this launch
+    /// ([`TaskLaunch::ctx`]). Scoped fences carry their context's id: the
+    /// oracle only requires a fence to follow launches in its own scope.
+    pub ctx: u32,
+    /// The submitted requirements, exactly as analyzed.
+    pub reqs: Vec<RegionRequirement>,
+    /// The auto-tracer's fingerprint of `(node, reqs)` — the canonical
+    /// signature trace replay validates against.
+    pub signature: u64,
+    /// The launch's DAG row: the dependence edges the executors honor,
+    /// trace-replay shifts already applied.
+    pub deps: Vec<TaskId>,
+    /// Was this launch's analysis synthesized from a trace template
+    /// (annotated or auto) instead of running the visibility engine?
+    pub replayed: bool,
+    /// Is this an execution fence (ordered after everything prior)?
+    pub fence: bool,
+}
+
+/// A complete committed history: every launch plus the retirement order.
+/// Region-tree geometry is snapshotted separately at export time (the
+/// forest only grows, so the final snapshot covers every launch).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RecordedHistory {
+    pub engine: String,
+    pub launches: Vec<LaunchRecord>,
+    /// Task ids in the order their analyses committed (retired).
+    pub retirement: Vec<TaskId>,
+}
+
+impl RecordedHistory {
+    pub fn len(&self) -> usize {
+        self.launches.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.launches.is_empty()
+    }
+}
 
 pub(crate) struct Ledger {
     /// Number of retired (dropped) leading entries — the GC watermark.
@@ -121,6 +176,31 @@ impl Ledger {
         ))
     }
 
+    /// The oracle's history, read off the rows with `dag` (whose row `i`
+    /// is task `i`) as the dependence edges. `None` once anything was
+    /// retired, as [`Ledger::full`] is: the oracle judges whole histories.
+    pub fn history(&self, dag: &TaskDag, engine: &str) -> Option<RecordedHistory> {
+        let (launches, ..) = self.full()?;
+        let launches: Vec<LaunchRecord> = (launches.iter().zip(&self.results.rows))
+            .map(|(l, row)| LaunchRecord {
+                id: l.id,
+                name: l.name.clone(),
+                node: l.node,
+                ctx: l.ctx,
+                reqs: l.reqs.clone(),
+                signature: crate::autotrace::sig_hash(l.node, &l.reqs),
+                deps: dag.preds(l.id).to_vec(),
+                replayed: matches!(row, Row::Replayed { .. }),
+                fence: matches!(row, Row::Fence),
+            })
+            .collect();
+        Some(RecordedHistory {
+            engine: engine.to_string(),
+            retirement: launches.iter().map(|l| l.id).collect(),
+            launches,
+        })
+    }
+
     /// One launch's analysis-completion time and stored result. They stay
     /// two pushes, with the DAG row grown between them by the commit
     /// (`runtime/core.rs`, their only caller), so the commit's heap-call
@@ -133,8 +213,20 @@ impl Ledger {
         self.analysis_done.push(t);
     }
 
+    /// An analyzed launch's result: its own, or (capturing or verifying a
+    /// trace) shared with the trace at the identity shift.
     pub fn push_result(&mut self, r: StoredResult) {
         self.results.push(r);
+    }
+
+    /// A replayed launch's result: its template's, shifted onto it.
+    pub fn push_replayed(&mut self, result: Arc<AnalysisResult>, shift: TaskShift) {
+        self.results.rows.push(Row::Replayed { result, shift });
+    }
+
+    /// A fence's row: no plans (its dependences are all in the DAG).
+    pub fn push_fence(&mut self) {
+        self.results.rows.push(Row::Fence);
     }
 
     pub fn push_launch(&mut self, launch: TaskLaunch, body: Option<TaskBody>) {
@@ -176,7 +268,8 @@ impl Ledger {
 /// append-only chunked columns ([`Runs`]), so a stored result is no heap
 /// block of its own and its data never moves once written; its
 /// dependences live only in the DAG. A captured or replayed launch keeps
-/// sharing its template's result.
+/// sharing its template's result. The row's variant is how the launch got
+/// its analysis, which the oracle's history reads.
 #[derive(Default)]
 pub(crate) struct Results {
     rows: Vec<Row>,
@@ -192,16 +285,21 @@ enum Row {
         copies: Loc,
         reductions: Loc,
     },
-    /// A captured or replayed launch: the template's result, with task
-    /// references shifted onto this instance at the read.
-    Shared {
+    /// An analyzed launch capturing or verifying a trace: its result,
+    /// shared with the trace.
+    Captured { result: Arc<AnalysisResult> },
+    /// A replayed launch: the template's result, with task references
+    /// shifted onto this instance at the read.
+    Replayed {
         result: Arc<AnalysisResult>,
         shift: TaskShift,
     },
+    /// An execution fence.
+    Fence,
 }
 
 impl Row {
-    /// The row's plan, copy and reduction runs (empty when shared).
+    /// The row's plan, copy and reduction runs (empty unless owned).
     fn locs(&self) -> [Loc; 3] {
         match self {
             Row::Owned {
@@ -209,7 +307,7 @@ impl Row {
                 copies,
                 reductions,
             } => [*plans, *copies, *reductions],
-            Row::Shared { .. } => [Loc::default(); 3],
+            _ => [Loc::default(); 3],
         }
     }
 }
@@ -235,13 +333,16 @@ impl Results {
         self.rows.len()
     }
 
-    /// Store one launch's result. An owned result's plans move into the
-    /// runs (its vectors are freed here); its dependences are dropped,
-    /// since the commit already gave them to the DAG.
+    /// Store one analyzed launch's result. An owned result's plans move
+    /// into the runs (its vectors are freed here); its dependences are
+    /// dropped, since the commit already gave them to the DAG.
     fn push(&mut self, r: StoredResult) {
         let row = match r {
             StoredResult::Owned(AnalysisResult { plans, .. }) => self.push_plans(plans),
-            StoredResult::Shared { result, shift } => Row::Shared { result, shift },
+            StoredResult::Shared { result, shift } => {
+                debug_assert!(shift.is_identity(), "a captured result is unshifted");
+                Row::Captured { result }
+            }
         };
         self.rows.push(row);
     }
@@ -276,8 +377,8 @@ impl Results {
     /// The shift that maps row `i`'s task references onto the launch.
     pub fn shift(&self, i: usize) -> TaskShift {
         match &self.rows[i] {
-            Row::Owned { .. } => TaskShift::IDENTITY,
-            Row::Shared { shift, .. } => *shift,
+            Row::Replayed { shift, .. } => *shift,
+            _ => TaskShift::IDENTITY,
         }
     }
 
@@ -285,7 +386,8 @@ impl Results {
     pub fn plan_count(&self, i: usize) -> usize {
         match &self.rows[i] {
             Row::Owned { plans, .. } => plans.len as usize,
-            Row::Shared { result, .. } => result.plans.len(),
+            Row::Captured { result } | Row::Replayed { result, .. } => result.plans.len(),
+            Row::Fence => 0,
         }
     }
 
@@ -311,7 +413,7 @@ impl Results {
                         [reductions_start as usize..row.reductions_end as usize],
                 }
             }
-            Row::Shared { result, .. } => {
+            Row::Captured { result } | Row::Replayed { result, .. } => {
                 let plan = &result.plans[k];
                 PlanView {
                     fill_identity: plan.fill_identity,
@@ -319,6 +421,9 @@ impl Results {
                     reductions: &plan.reductions,
                 }
             }
+            // Cannot fire: a fence's `plan_count` is 0, and readers ask for
+            // plans below it.
+            Row::Fence => panic!("a fence has no plans"),
         }
     }
 
@@ -348,12 +453,14 @@ impl Results {
     }
 
     /// The address of the shared template result behind row `i` (`None`
-    /// for an analyzed launch): pointer identity shows replay shares one
-    /// allocation per template entry.
+    /// for an owned result or a fence): pointer identity shows replay
+    /// shares one allocation per template entry.
     pub fn shared_result_addr(&self, i: usize) -> Option<usize> {
         match &self.rows[i] {
-            Row::Shared { result, .. } => Some(Arc::as_ptr(result) as usize),
-            Row::Owned { .. } => None,
+            Row::Captured { result } | Row::Replayed { result, .. } => {
+                Some(Arc::as_ptr(result) as usize)
+            }
+            Row::Owned { .. } | Row::Fence => None,
         }
     }
 
@@ -389,6 +496,7 @@ mod tests {
             id: TaskId(id),
             name: format!("t{id}"),
             node: 0,
+            ctx: 0,
             reqs: Vec::new(),
             duration_ns: 0,
         }
@@ -502,12 +610,30 @@ mod tests {
         }
     }
 
-    /// Commit `r` to the ledger and to the reference.
+    /// Commit `r` to the ledger and to the reference: a shifted shared
+    /// result as a replay, any other as an analysis.
     fn push(l: &mut Ledger, reference: &mut Vec<StoredResult>, r: StoredResult) {
         let id = l.next_id();
         reference.push(r.clone());
         l.push_done(0);
-        l.push_result(r);
+        match r {
+            StoredResult::Shared { result, shift } if !shift.is_identity() => {
+                l.push_replayed(result, shift)
+            }
+            r => l.push_result(r),
+        }
+        l.push_launch(launch(id), None);
+    }
+
+    /// Commit a fence: no plans.
+    fn fence(l: &mut Ledger, reference: &mut Vec<StoredResult>) {
+        let id = l.next_id();
+        reference.push(StoredResult::Owned(AnalysisResult {
+            deps: Vec::new(),
+            plans: Vec::new(),
+        }));
+        l.push_done(0);
+        l.push_fence();
         l.push_launch(launch(id), None);
     }
 
@@ -593,6 +719,7 @@ mod tests {
                 _ if rng.random_range(0..3u32) == 0 => {
                     push(&mut l, &mut reference, shared(&mut rng));
                 }
+                _ if rng.random_range(0..20u32) == 0 => fence(&mut l, &mut reference),
                 _ => {
                     let r = StoredResult::Owned(result(&mut rng, 0));
                     push(&mut l, &mut reference, r);
@@ -601,5 +728,14 @@ mod tests {
             check(&l, &reference);
         }
         assert!(l.base() > 0 && l.retained() > 0);
+    }
+
+    /// The launch's context fills `TaskLaunch`'s padding and the row kinds
+    /// fit the shared row's size, so the history the oracle reads costs the
+    /// ledger no byte per launch.
+    #[test]
+    fn history_fields_cost_no_layout() {
+        assert_eq!(std::mem::size_of::<TaskLaunch>(), 72);
+        assert_eq!(std::mem::size_of::<Row>(), 40);
     }
 }

@@ -44,7 +44,6 @@ mod ledger;
 pub mod mapper;
 pub mod pipeline;
 pub mod plan;
-pub mod record;
 mod runs;
 pub mod runtime;
 pub mod sharding;
@@ -59,12 +58,12 @@ pub use engine::{CoherenceEngine, EngineKind, GcSweep};
 pub use error::RuntimeError;
 pub use index_launch::{IndexLaunchResult, Projection};
 pub use instance::PhysicalRegion;
+pub use ledger::{LaunchRecord, RecordedHistory};
 pub use mapper::Mapper;
 pub use pipeline::PipelineMetrics;
 pub use plan::{
     AnalysisResult, CopyRange, MaterializePlan, ReduceRange, Source, StoredResult, TaskShift,
 };
-pub use record::{LaunchRecord, RecordedHistory};
 pub use runtime::{
     Context, CoreRead, CtxHandle, LaunchBuilder, LaunchSpec, Runtime, TaskHandle, CTX_GLOBAL,
     CTX_PRIMARY,

@@ -11,9 +11,9 @@
 //! specs through `Core::run_specs` — flat combining: producers delegate
 //! the serial analysis to the dispatcher and keep submitting. Each
 //! context's stream is analyzed in its program order; the interleaving
-//! *between* contexts is the queue order, which is the commit order the
-//! history recorder sees — so recorded histories are well-defined under
-//! concurrent producers.
+//! *between* contexts is the queue order, which is the commit order: task
+//! ids, and with them the ledger and DAG rows the oracle's history is read
+//! from, are well-defined under concurrent producers.
 //!
 //! ## Backpressure
 //!
@@ -218,7 +218,7 @@ impl PipelineMetrics {
 /// task ids the dispatcher assigned. Handles hold an `Arc` to this, so it
 /// stays valid after the context detaches.
 pub(crate) struct CtxState {
-    /// Context id, recorded with every launch (fence scope).
+    /// Context id, kept on every launch it submits (fence scope).
     pub(crate) ctx: u32,
     /// Specs this context has pushed (or committed inline), in its own
     /// program order.

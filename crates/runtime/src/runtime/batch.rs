@@ -41,6 +41,7 @@ impl Core {
                 id: TaskId(base + batch.len() as u32),
                 name: spec.name,
                 node: spec.node % self.shards.nodes(),
+                ctx,
                 reqs: spec.reqs,
                 duration_ns: spec.duration_ns,
             };
@@ -101,14 +102,7 @@ impl Core {
                     engine: engine.name(),
                     since,
                 };
-                book.commit(
-                    machine,
-                    ctx,
-                    origin,
-                    launch,
-                    StoredResult::Owned(result),
-                    how,
-                );
+                book.commit(machine, origin, launch, StoredResult::Owned(result), how);
             },
         );
         book.ledger.append_launches(&mut batch, &mut batch_bodies);

@@ -6,8 +6,10 @@
 //! launch, observed in program order. A launch reaches the history four
 //! ways — analyzed serially, analyzed by the sharded batch driver
 //! (`batch.rs`), replayed from a trace template, or as a fence — and all
-//! four end in `Book::commit`: completion time, recorded history,
-//! dependence DAG and stored result grow together there and nowhere else.
+//! four end in `Book::commit`: completion time, dependence DAG and stored
+//! result grow together there and nowhere else. The oracle's history is
+//! read back off those rows ([`Ledger::history`]), so no launch reaches
+//! the oracle by a path other than the one the executors read.
 
 use super::gc::GcState;
 use super::{LaunchSpec, CTX_GLOBAL};
@@ -17,7 +19,6 @@ use crate::dag::TaskDag;
 use crate::engine::{AnalysisCtx, CoherenceEngine};
 use crate::ledger::Ledger;
 use crate::plan::{AnalysisResult, StoredResult, TaskShift};
-use crate::record::HistoryRecorder;
 use crate::sharding::ShardMap;
 use crate::task::{TaskId, TaskLaunch};
 use crate::trace::{TraceAction, Tracing};
@@ -54,9 +55,6 @@ pub(crate) struct Book {
     pub(crate) ledger: Ledger,
     pub(crate) dag: TaskDag,
     pub(crate) tracing: Tracing,
-    /// Launch-history recording for the consistency oracle (`None` when
-    /// [`RuntimeConfig::record_history`] is off — zero cost).
-    pub(crate) recorder: Option<HistoryRecorder>,
 }
 
 /// How a committed launch got its analysis.
@@ -81,16 +79,15 @@ impl Book {
     /// once its workers have released it).
     ///
     /// The dependences are stored once, in the DAG: an analyzed launch's
-    /// are read in place, a shared (recorded or replayed) result's go in
+    /// are read in place, a shared (captured or replayed) result's go in
     /// through its shift as they are copied, so a replayed commit allocates
-    /// nothing beyond column growth. Only an attached recorder gets a
-    /// shifted list of its own. The stored result then moves into the
-    /// ledger, which frees the engine's vectors.
+    /// nothing beyond column growth. The stored result then moves into the
+    /// ledger, which frees the engine's vectors; its row keeps how the
+    /// launch got its analysis.
     #[inline]
     pub(super) fn commit(
         &mut self,
         machine: &Machine,
-        ctx: u32,
         origin: NodeId,
         launch: &TaskLaunch,
         stored: StoredResult,
@@ -113,35 +110,19 @@ impl Book {
                 );
             }
         }
-        if let Some(rec) = &mut self.recorder {
-            // The dependence edges in global ids (rebased, replay shift
-            // applied), as the DAG stores them.
-            let shifted: Vec<TaskId>;
-            let deps: &[TaskId] = match &stored {
-                StoredResult::Owned(r) => &r.deps,
-                StoredResult::Shared { result, shift } => {
-                    shifted = result.deps.iter().map(|d| shift.apply(*d)).collect();
-                    &shifted
-                }
-            };
-            rec.commit(
-                ctx,
-                launch.id,
-                &launch.name,
-                launch.node,
-                &launch.reqs,
-                deps,
-                matches!(how, Commit::Replayed),
-                matches!(how, Commit::Fence),
-            );
-        }
         match &stored {
             StoredResult::Owned(r) => self.dag.push_slice(&r.deps),
             StoredResult::Shared { result, shift } => {
                 self.dag.push_mapped(&result.deps, |d| shift.apply(d))
             }
         };
-        self.ledger.push_result(stored);
+        match (how, stored) {
+            (Commit::Fence, _) => self.ledger.push_fence(),
+            (Commit::Replayed, StoredResult::Shared { result, shift }) => {
+                self.ledger.push_replayed(result, shift)
+            }
+            (_, stored) => self.ledger.push_result(stored),
+        }
     }
 }
 
@@ -155,7 +136,6 @@ impl Core {
                 ledger: Ledger::new(),
                 dag: TaskDag::new(),
                 tracing: Tracing::new(config.auto_trace.then(AutoTracer::new)),
-                recorder: config.record_history.then(HistoryRecorder::new),
             },
             analysis_threads: config.analysis_threads,
             gc: GcState::new(config.gc),
@@ -164,7 +144,7 @@ impl Core {
 
     /// Analyze one launch through the serial path (the operation the paper
     /// measures). Requirements are assumed validated by the producer.
-    /// `ctx` is the submitting context, recorded for the oracle.
+    /// `ctx` is the submitting context, kept on the launch for the oracle.
     fn launch_one(&mut self, ctx: u32, spec: LaunchSpec, forest: &RegionForest) -> TaskId {
         let book = &mut self.book;
         let id = TaskId(book.ledger.next_id());
@@ -172,6 +152,7 @@ impl Core {
             id,
             name: spec.name,
             node: spec.node % self.shards.nodes(),
+            ctx,
             reqs: spec.reqs,
             duration_ns: spec.duration_ns,
         };
@@ -184,14 +165,7 @@ impl Core {
                 // instance's shift is applied lazily by readers.
                 self.machine.op(origin, viz_sim::Op::Memo);
                 let stored = StoredResult::Shared { result, shift };
-                book.commit(
-                    &self.machine,
-                    ctx,
-                    origin,
-                    &launch,
-                    stored,
-                    Commit::Replayed,
-                );
+                book.commit(&self.machine, origin, &launch, stored, Commit::Replayed);
                 book.ledger.push_launch(launch, spec.body);
                 return id;
             }
@@ -229,7 +203,7 @@ impl Core {
             StoredResult::Owned(result)
         };
         let how = Commit::Analyzed { engine, since };
-        book.commit(&self.machine, ctx, origin, &launch, stored, how);
+        book.commit(&self.machine, origin, &launch, stored, how);
         book.ledger.push_launch(launch, spec.body);
         if let Some(predicted) = promoted {
             // The repeat's last launch is committed: its block is the
@@ -318,6 +292,7 @@ impl Core {
             id,
             name: "fence".into(),
             node: 0,
+            ctx,
             reqs: Vec::new(),
             duration_ns: 0,
         };
@@ -327,7 +302,7 @@ impl Core {
             deps,
             plans: Vec::new(),
         });
-        book.commit(&self.machine, ctx, origin, &fence, stored, Commit::Fence);
+        book.commit(&self.machine, origin, &fence, stored, Commit::Fence);
         book.ledger.push_launch(fence, None);
         self.maybe_collect();
         id
@@ -370,7 +345,11 @@ impl<T: ?Sized> AsRef<T> for CoreRead<'_, T> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{EngineKind, LaunchSpec, RegionRequirement, Runtime, RuntimeConfig};
+    use crate::{
+        EngineKind, LaunchSpec, RegionRequirement, Runtime, RuntimeConfig, TaskId, CTX_GLOBAL,
+        CTX_PRIMARY,
+    };
+    use viz_geometry::IndexSpace;
 
     #[test]
     fn launch_records_analysis_and_dag() {
@@ -402,24 +381,120 @@ mod tests {
         assert!(rt.analysis_done(t1) >= rt.analysis_done(t0));
     }
 
+    /// A runtime over a 1-D stencil of four pieces with a halo around
+    /// each, and one iteration of it: every piece computed from its halo,
+    /// then copied back (period 8).
+    fn stencil(cfg: RuntimeConfig) -> (Runtime, impl Fn(&mut Runtime)) {
+        const PIECES: usize = 4;
+        let mut rt = Runtime::new(cfg);
+        let n = 8 * PIECES as i64;
+        let mut forest = rt.forest_mut();
+        let root = forest.create_root_1d("A", n);
+        let [f_in, f_out] = [forest.add_field(root, "in"), forest.add_field(root, "out")];
+        let p = forest.create_equal_partition_1d(root, "P", PIECES);
+        let halos = (0..n)
+            .step_by(8)
+            .map(|lo| IndexSpace::span((lo - 2).max(0), (lo + 9).min(n - 1)))
+            .collect();
+        let h = forest.create_partition(root, "H", halos);
+        drop(forest);
+        let iteration = move |rt: &mut Runtime| {
+            for k in 0..PIECES {
+                let (piece, halo) = (rt.forest().subregion(p, k), rt.forest().subregion(h, k));
+                let stencil = rt.task("stencil").write(piece, f_out).read(halo, f_in);
+                stencil.submit().unwrap();
+            }
+            for k in 0..PIECES {
+                let piece = rt.forest().subregion(p, k);
+                let copy = rt.task("copy").write(piece, f_in).read(piece, f_out);
+                copy.submit().unwrap();
+            }
+        };
+        (rt, iteration)
+    }
+
+    /// The oracle's history is read off the ledger and the DAG: the
+    /// submitting context, the dependence edges, fences, the replayed
+    /// rows, and `None` once history GC has retired a row.
     #[test]
     fn recorded_history_captures_reqs_deps_and_fences() {
-        let cfg = RuntimeConfig::new(EngineKind::PaintNaive).record_history(true);
-        let mut rt = Runtime::new(cfg);
+        let mut rt = Runtime::new(RuntimeConfig::base(EngineKind::PaintNaive));
         let root = rt.forest_mut().create_root_1d("A", 10);
         let f = rt.forest_mut().add_field(root, "v");
         let t0 = rt.task("w").write(root, f).submit().unwrap().id();
         let t1 = rt.task("r").read(root, f).submit().unwrap().id();
+        let (ctx, t2, scoped) = {
+            let mut c = rt.new_context().unwrap();
+            let spec = LaunchSpec::new("c", 0, vec![RegionRequirement::read(root, f)], 100, None);
+            let t2 = c.submit(spec).unwrap().resolve().unwrap();
+            (c.ctx_id(), t2, c.fence().unwrap())
+        };
         let fence = rt.fence();
-        let h = rt.recorded_history().expect("recording enabled");
-        assert_eq!(h.len(), 3);
-        assert_eq!(h.retirement, vec![t0, t1, fence]);
+        let h = rt.recorded_history().expect("nothing retired");
+        assert_eq!(h.len(), 5);
+        assert_eq!(h.retirement, vec![t0, t1, t2, scoped, fence]);
         assert_eq!(h.launches[1].deps, vec![t0]);
-        assert!(h.launches[2].fence);
-        assert_eq!(h.launches[2].deps, vec![t0, t1]);
-        assert!(!h.launches[1].replayed);
-        // Off by default: no recorder, no history.
-        let rt2 = Runtime::single_node(EngineKind::PaintNaive);
-        assert!(rt2.recorded_history().is_none());
+        assert_eq!(
+            h.launches[3].deps,
+            vec![t2],
+            "a scoped fence follows its context"
+        );
+        assert_eq!(h.launches[4].deps, vec![t0, t1, t2, scoped]);
+        let kinds: Vec<(u32, bool)> = h.launches.iter().map(|l| (l.ctx, l.fence)).collect();
+        assert_ne!(ctx, CTX_PRIMARY);
+        let primary = (CTX_PRIMARY, false);
+        let expected = [
+            primary,
+            primary,
+            (ctx, false),
+            (ctx, true),
+            (CTX_GLOBAL, true),
+        ];
+        assert_eq!(kinds, expected);
+        assert!(h.launches.iter().all(|l| !l.replayed));
+
+        // Auto-traced: the second block promotes, the third is verified
+        // (analyzed, its rows shared with the trace) and replay starts at
+        // launch 24. `replayed` marks exactly the replayed rows.
+        let (mut rt, iteration) = stencil(RuntimeConfig::base(EngineKind::RayCast));
+        for _ in 0..6 {
+            iteration(&mut rt);
+        }
+        let h = rt.recorded_history().expect("nothing retired");
+        let replayed: Vec<TaskId> = h
+            .launches
+            .iter()
+            .filter(|l| l.replayed)
+            .map(|l| l.id)
+            .collect();
+        assert_eq!(replayed.len() as u64, rt.replayed_launches());
+        assert_eq!(replayed, (24..48).map(TaskId).collect::<Vec<_>>());
+        for t in (16..24).map(TaskId) {
+            assert!(rt.shared_result_addr(t).is_some(), "{t:?} is verified");
+            assert!(!h.launches[t.index()].replayed, "{t:?} is analyzed");
+        }
+
+        // With GC on, the history is the GC-off run's until a row retires.
+        let gc_on = RuntimeConfig::base(EngineKind::RayCast)
+            .history_gc(true)
+            .gc_interval(16)
+            .gc_retain(24);
+        let (mut gc, gc_iteration) = stencil(gc_on);
+        let (mut plain, iteration) = stencil(RuntimeConfig::base(EngineKind::RayCast));
+        let mut whole = 0;
+        for _ in 0..8 {
+            gc_iteration(&mut gc);
+            iteration(&mut plain);
+            let expected = plain.recorded_history().expect("GC is off");
+            match gc.stats().gc.retired_launches {
+                0 => {
+                    assert_eq!(gc.recorded_history().expect("nothing retired"), expected);
+                    whole += 1;
+                }
+                _ => assert!(gc.recorded_history().is_none(), "a row retired"),
+            }
+        }
+        assert!(whole > 1, "compared {whole} whole histories");
+        assert!(gc.stats().gc.retired_launches > 0, "no row retired");
     }
 }

@@ -36,9 +36,9 @@ use crate::dag::TaskDag;
 use crate::engine::{CoherenceEngine, EngineKind};
 use crate::error::RuntimeError;
 use crate::exec::{TimedReport, TimedSchedule, ValueStore};
+use crate::ledger::RecordedHistory;
 use crate::pipeline::{Pipeline, PipelineMetrics};
 use crate::plan::AnalysisResult;
-use crate::record::RecordedHistory;
 use crate::stats::RuntimeStats;
 use crate::task::{RegionRequirement, TaskBody, TaskId, TaskLaunch};
 use crate::trace::{TraceId, TraceViolation};
@@ -581,13 +581,15 @@ impl Runtime {
         self.drained().book.ledger.done(t)
     }
 
-    /// Snapshot the recorded launch history for the consistency oracle
-    /// (`None` unless [`RuntimeConfig::record_history`] was set). A drain point: the snapshot covers every launch submitted so
-    /// far, in commit order.
+    /// The committed launch history for the consistency oracle, read off
+    /// the ledger and the DAG: every launch's requirements, context and
+    /// dependence edges, in commit order. `None` once history GC has
+    /// retired a launch: like [`Runtime::execute_values`], the oracle needs
+    /// the whole history. A drain point: it covers every launch submitted
+    /// so far.
     pub fn recorded_history(&self) -> Option<RecordedHistory> {
         let core = self.drained();
-        let engine = core.engine.name();
-        core.book.recorder.as_ref().map(|r| r.snapshot(engine))
+        core.book.ledger.history(&core.book.dag, core.engine.name())
     }
 
     // ------------------------------------------------------------------

@@ -68,6 +68,11 @@ pub struct TaskLaunch {
     pub name: String,
     /// The node (processor) this task is mapped to.
     pub node: NodeId,
+    /// The producer context that submitted it: [`crate::CTX_PRIMARY`] for
+    /// the [`crate::Runtime`] facade, the context's id for a tenant
+    /// [`crate::Context`] and its scoped fences, [`crate::CTX_GLOBAL`] for
+    /// a global fence. Fills the struct's padding.
+    pub ctx: u32,
     pub reqs: Vec<RegionRequirement>,
     /// Modeled execution duration on the target processor, for the timed
     /// executor. Ignored by the value executor.

@@ -358,33 +358,37 @@ fn instance_is_self_superseding<'a>(
 /// and coalescing adjacent ranges with equal shifts. A zero shift clears
 /// the range. Keeps the map O(active templates): each completed replay
 /// instance *replaces* the previous mapping of its window instead of
-/// accumulating alongside it.
+/// accumulating alongside it. Works in place: a rolled instance allocates
+/// only when the map outgrows its capacity.
 fn push_rebase(rebases: &mut Vec<(u32, u32, u32)>, start: u32, end: u32, shift: u32) {
     if start >= end {
         return;
     }
-    let mut out: Vec<(u32, u32, u32)> = Vec::with_capacity(rebases.len() + 2);
-    // Keep what lies outside `[start, end)` of every older range.
-    for &(s, e, sh) in rebases.iter() {
-        if s < start {
-            out.push((s, e.min(start), sh));
-        }
-        if e > end {
-            out.push((s.max(end), e, sh));
+    // Keep what lies outside `[start, end)` of every older range: a range
+    // straddling the whole window splits, its right part appended.
+    for i in 0..rebases.len() {
+        let (s, e, sh) = rebases[i];
+        if s < start && e > end {
+            rebases[i].1 = start;
+            rebases.push((end, e, sh));
+        } else if s < start {
+            rebases[i].1 = e.min(start);
+        } else {
+            rebases[i].0 = s.max(end).min(e);
         }
     }
+    rebases.retain(|r| r.0 < r.1);
     if shift > 0 {
-        out.push((start, end, shift));
+        rebases.push((start, end, shift));
     }
-    out.sort_unstable_by_key(|r| r.0);
-    let mut merged: Vec<(u32, u32, u32)> = Vec::with_capacity(out.len());
-    for r in out {
-        match merged.last_mut() {
-            Some(last) if last.1 == r.0 && last.2 == r.2 => last.1 = r.1,
-            _ => merged.push(r),
+    rebases.sort_unstable_by_key(|r| r.0);
+    rebases.dedup_by(|r, last| {
+        let adjacent = last.1 == r.0 && last.2 == r.2;
+        if adjacent {
+            last.1 = r.1;
         }
-    }
-    *rebases = merged;
+        adjacent
+    });
 }
 
 impl Tracing {
@@ -1065,6 +1069,37 @@ mod tests {
         // the old mapping.
         let r = ranges(&[(10, 20, 5), (10, 13, 9)]);
         assert_eq!(r, vec![(10, 13, 9), (13, 20, 5)]);
+        // A window inside an older range splits it.
+        let r = ranges(&[(10, 20, 5), (13, 15, 9)]);
+        assert_eq!(r, vec![(10, 13, 5), (13, 15, 9), (15, 20, 5)]);
+    }
+
+    /// Random pushes against a per-id reference: the map stays sorted,
+    /// disjoint, coalesced and free of zero shifts, and maps each id by
+    /// its latest push.
+    #[test]
+    fn rebase_map_matches_pointwise_reference() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut map = Vec::new();
+        let mut reference = [0u32; 48];
+        for _ in 0..2000 {
+            let start = rng.random_range(0..40u32);
+            let end = start + rng.random_range(0..9u32);
+            let shift = rng.random_range(0..4u32);
+            push_rebase(&mut map, start, end, shift);
+            reference[start as usize..end as usize].fill(shift);
+            let mut pointwise = [0u32; 48];
+            for w in map.windows(2) {
+                assert!(w[0].1 < w[1].0 || (w[0].1 == w[1].0 && w[0].2 != w[1].2));
+            }
+            for &(s, e, sh) in &map {
+                assert!(s < e && sh > 0, "{map:?}");
+                pointwise[s as usize..e as usize].fill(sh);
+            }
+            assert_eq!(pointwise, reference, "{map:?}");
+        }
     }
 
     #[test]

@@ -107,6 +107,7 @@ mod tests {
             id: TaskId(id),
             name: format!("t{id}"),
             node: 0,
+            ctx: 0,
             reqs,
             duration_ns: 0,
         }

@@ -442,8 +442,8 @@ fn held_bytes_per_launch(app: &dyn Workload, nodes: usize) -> f64 {
 }
 
 /// What a drained runtime may hold per committed launch, in bytes, over
-/// 50 iterations (6 464 stencil and 3 266 pennant launches): 425.4 and
-/// 408.2 measured, 598.3 and 618.5 when every stored result was four or
+/// 50 iterations (6 464 stencil and 3 266 pennant launches): 425.43 and
+/// 408.15 measured, 598.3 and 618.5 when every stored result was four or
 /// five vectors of its own and the DAG kept a second copy of its
 /// dependences. A shorter stream measures the columns' first 64 KiB
 /// chunks more than the launches in them.
@@ -552,13 +552,15 @@ const REPLAY_ALLOCS_PER_BATCH: u64 = 2;
 /// per-launch column a replayed commit appends to doubles at most once:
 /// the ledger's launches, bodies, completion times and result rows, the
 /// DAG's rows and the context's ids (6). The DAG's chunked edge column adds
-/// at most one chunk and grows its chunk list once (2), and each instance
-/// after the first rebuilds the trace's rebase list (2). Measured over the
-/// five replayed iterations: pennant 16, 12, 12, 12, 18 allocations (5
-/// calls each), stencil 10, 6, 6, 6, 12 (2 calls each); the first was 483
-/// and 394 (7.4 and 3.1 per launch) when validation listed a tree's fields
-/// per requirement and a replayed commit built its shifted dependences.
-const REPLAY_COLUMN_GROWTH: u64 = 10;
+/// at most one chunk and grows its chunk list once (2). The trace's rebase
+/// list is rewritten in place as instances roll, so only its first entry
+/// allocates. Measured over the five replayed iterations: pennant 16, 11,
+/// 10, 10, 16 allocations (5 calls each), stencil 10, 5, 4, 4, 10 (2 calls
+/// each); 12 and 6 a steady iteration when each rolled instance rebuilt
+/// the rebase list into two fresh vectors, and the first was 483 and 394
+/// (7.4 and 3.1 per launch) when validation listed a tree's fields per
+/// requirement and a replayed commit built its shifted dependences.
+const REPLAY_COLUMN_GROWTH: u64 = 8;
 
 fn assert_replay_budget(name: &str, iterations: &[(u64, u64, u64)]) {
     for &(made, batches, launches) in iterations {

@@ -119,6 +119,7 @@ fn shift_actually_happens_and_steady_state_is_clean() {
                 id: viz_runtime::TaskId(next),
                 name: String::new(),
                 node: 0,
+                ctx: 0,
                 reqs: vec![RegionRequirement::read_write(region, f)],
                 duration_ns: 0,
             };

@@ -5,9 +5,9 @@
 //! reorders *host* work (per-`(root, field)` scans run concurrently); the
 //! pipelined commit stage replays every launch's recorded machine charges
 //! in the exact order the serial driver would have issued them. The
-//! recorded history is compared too: whatever path a launch took to the
+//! oracle's history is compared too: whatever path a launch took to the
 //! one commit (serial analyze, sharded retire, trace replay, fence), the
-//! recorder saw the same thing.
+//! ledger and DAG rows it left read back the same.
 
 use visibility::apps::{
     Circuit, CircuitConfig, Pennant, PennantConfig, Stencil, StencilConfig, Workload,
@@ -28,8 +28,7 @@ fn run_one(
             .nodes(nodes)
             .dcr(dcr)
             .analysis_threads(threads)
-            .auto_trace(auto_trace)
-            .record_history(true),
+            .auto_trace(auto_trace),
     );
     let run = workload.execute(&mut rt);
     let results: Vec<visibility::runtime::AnalysisResult> = rt.results();
@@ -40,7 +39,7 @@ fn run_one(
     let service_clocks = rt.machine().service_clocks().to_vec();
     let counters = rt.machine().counters().clone();
     let state = rt.stats().state;
-    let history = rt.recorded_history().expect("recording enabled");
+    let history = rt.recorded_history().expect("GC is off");
     let report = rt.timed_schedule();
     let makespan = report.completion_through(*run.iter_end.last().unwrap());
     Snapshot {
@@ -200,15 +199,14 @@ fn serial_and_sharded_promote_at_the_same_launch() {
             let mut rt = Runtime::new(
                 RuntimeConfig::new(EngineKind::RayCast)
                     .nodes(4)
-                    .analysis_threads(threads)
-                    .record_history(true),
+                    .analysis_threads(threads),
             );
             app.execute(&mut rt);
             // A verify launch stores its result shared with the trace, so
             // the first shared row is the launch after the promoting one.
             let tasks = rt.num_tasks() as u32;
             let first_shared = (0..tasks).find(|&t| rt.shared_result_addr(TaskId(t)).is_some());
-            let history = rt.recorded_history().expect("recording enabled");
+            let history = rt.recorded_history().expect("GC is off");
             let first_replayed = history.launches.iter().find(|l| l.replayed).map(|l| l.id);
             (
                 first_shared.map(|t| t - 1),
