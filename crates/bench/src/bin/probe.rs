@@ -158,13 +158,18 @@ fn main() {
     let state = rt.stats().state;
     println!(
         "state[{}]: history_entries={} equivalence_sets={} composite_views={} \
-         index_nodes={} memo_entries={}",
+         index_nodes={} memo_entries={} algebra_hits={} algebra_misses={} \
+         candidates_visited={} sets_swept={}",
         engine.label(),
         state.history_entries,
         state.equivalence_sets,
         state.composite_views,
         state.index_nodes,
-        state.memo_entries
+        state.memo_entries,
+        state.algebra_hits,
+        state.algebra_misses,
+        state.candidates_visited,
+        state.sets_swept
     );
     if auto_trace {
         println!(

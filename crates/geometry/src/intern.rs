@@ -114,8 +114,8 @@ impl InternConfig {
     }
 }
 
-/// Running counters of the interning/memoization layer, exported through
-/// viz-profile by the engines.
+/// Running counters of the interning/memoization layer, summed into the
+/// engines' `StateSize`.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct AlgebraStats {
     /// Lookups answered from the memo table.
@@ -128,19 +128,6 @@ pub struct AlgebraStats {
     pub interned: usize,
     /// Entries currently memoized.
     pub cache_entries: usize,
-}
-
-impl AlgebraStats {
-    /// Counter delta since `prev` (sizes are reported as-is, not diffed).
-    pub fn delta_since(&self, prev: &AlgebraStats) -> AlgebraStats {
-        AlgebraStats {
-            hits: self.hits - prev.hits,
-            misses: self.misses - prev.misses,
-            fast_hits: self.fast_hits - prev.fast_hits,
-            interned: self.interned,
-            cache_entries: self.cache_entries,
-        }
-    }
 }
 
 struct InternedSpace {

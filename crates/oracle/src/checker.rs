@@ -258,10 +258,6 @@ pub fn check(history: &History) -> CheckReport {
         }
     }
 
-    viz_profile::instant(viz_profile::EventKind::OracleCheck {
-        pairs: report.pairs_checked,
-        edges: report.edges_checked,
-    });
     report
 }
 

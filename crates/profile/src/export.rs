@@ -52,20 +52,6 @@ fn push_args(out: &mut String, kind: &EventKind) {
             push_json_str(out, engine);
             let _ = write!(out, ",\"task\":{task}}}");
         }
-        EventKind::HistoryScan { entries } => {
-            let _ = write!(out, "{{\"entries\":{entries}}}");
-        }
-        EventKind::EqSetCreated { count }
-        | EventKind::EqSetRefined { count }
-        | EventKind::EqSetCoalesced { count } => {
-            let _ = write!(out, "{{\"count\":{count}}}");
-        }
-        EventKind::CompositeView { entries } => {
-            let _ = write!(out, "{{\"entries\":{entries}}}");
-        }
-        EventKind::BvhTraversal { nodes } => {
-            let _ = write!(out, "{{\"nodes\":{nodes}}}");
-        }
         EventKind::MsgSend { from, to, bytes } => {
             let _ = write!(out, "{{\"from\":{from},\"to\":{to},\"bytes\":{bytes}}}");
         }
@@ -82,30 +68,6 @@ fn push_args(out: &mut String, kind: &EventKind) {
         EventKind::GpuTask { task } => {
             let _ = write!(out, "{{\"task\":{task}}}");
         }
-        EventKind::TraceDetect { trace, len } => {
-            let _ = write!(out, "{{\"trace\":{trace},\"len\":{len}}}");
-        }
-        EventKind::TraceReplay { trace, launches } => {
-            let _ = write!(out, "{{\"trace\":{trace},\"launches\":{launches}}}");
-        }
-        EventKind::PipelineDepth { depth } => {
-            let _ = write!(out, "{{\"depth\":{depth}}}");
-        }
-        EventKind::PipelineStall { waited_ns } => {
-            let _ = write!(out, "{{\"waited_ns\":{waited_ns}}}");
-        }
-        EventKind::SubmitCombine { producers, specs } => {
-            let _ = write!(out, "{{\"producers\":{producers},\"specs\":{specs}}}");
-        }
-        EventKind::AlgebraCache { hits, misses } => {
-            let _ = write!(out, "{{\"hits\":{hits},\"misses\":{misses}}}");
-        }
-        EventKind::BvhMaintain { refits, rebuilds } => {
-            let _ = write!(out, "{{\"refits\":{refits},\"rebuilds\":{rebuilds}}}");
-        }
-        EventKind::OracleCheck { pairs, edges } => {
-            let _ = write!(out, "{{\"pairs\":{pairs},\"edges\":{edges}}}");
-        }
         EventKind::GcSweep {
             watermark,
             retired,
@@ -115,9 +77,6 @@ fn push_args(out: &mut String, kind: &EventKind) {
                 out,
                 "{{\"watermark\":{watermark},\"retired\":{retired},\"dropped\":{dropped}}}"
             );
-        }
-        EventKind::ScanSweep { candidates, swept } => {
-            let _ = write!(out, "{{\"candidates\":{candidates},\"swept\":{swept}}}");
         }
     }
 }
@@ -341,8 +300,12 @@ mod tests {
                 Event {
                     ts: 2_500,
                     dur: 0,
-                    track: Track::Host { thread: 0 },
-                    kind: EventKind::EqSetCreated { count: 2 },
+                    track: Track::SimProgram { node: 0 },
+                    kind: EventKind::GcSweep {
+                        watermark: 7,
+                        retired: 2,
+                        dropped: 3,
+                    },
                 },
                 Event {
                     ts: 500,
@@ -384,6 +347,10 @@ mod tests {
             || json.contains("{\"ph\":\"M\",\"pid\":1000,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"sim node 0\"}}"));
         assert!(json.contains("\"pid\":1001"));
         assert!(json.contains("\"queued_ns\":40"));
+        // A zero-length sim event renders as an instant with its payload.
+        assert!(json.contains(
+            "{\"name\":\"gc_sweep\",\"ph\":\"i\",\"pid\":1000,\"tid\":0,\"ts\":2.500,\"s\":\"t\",\"args\":{\"watermark\":7,\"retired\":2,\"dropped\":3}}"
+        ));
     }
 
     #[test]
@@ -410,7 +377,7 @@ mod tests {
     fn metrics_aggregate_by_kind() {
         let tsv = metrics_tsv(&fixture());
         assert!(tsv.starts_with("metric\tcount\ttotal_dur_ns\ttotal_units\n"));
-        assert!(tsv.contains("eqset_created\t1\t0\t2\n"));
+        assert!(tsv.contains("gc_sweep\t1\t0\t5\n"));
         assert!(tsv.contains("msg_send\t1\t0\t64\n"));
         assert!(tsv.contains("msg_serve\t1\t150\t40\n"));
         assert!(tsv.contains("span/analyze:Paint\t1\t10000\t0\n"));

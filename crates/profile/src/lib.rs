@@ -3,16 +3,18 @@
 //! The recorder is built for the measurement loops in `viz-bench`: the
 //! instrumented code (engines, `viz_sim::Machine`, the executor) calls the
 //! free functions here unconditionally, and they cost one relaxed atomic
-//! load while profiling is disabled — or nothing at all when the crate is
-//! built without the `enabled` feature. When enabled, each thread records
+//! load while profiling is disabled. When enabled, each thread records
 //! into its own fixed-capacity ring buffer (oldest events are overwritten
 //! and counted, never reallocated), so recording never blocks another
 //! thread and never grows without bound inside a benchmark loop.
 //!
-//! Events live on one of four kinds of **track**:
+//! An event says *when* something happened; how much work it did is counted
+//! by the runtime's own counters (`viz_sim::Counters`, `StateSize`,
+//! `TracingStats`, `PipelineStats`), never a second time here. Events live
+//! on one of four kinds of **track**:
 //!
-//! * [`Track::Host`] — real wall-clock spans/instants on an OS thread
-//!   (engine `analyze` calls, executor phases). Timestamps come from a
+//! * [`Track::Host`] — real wall-clock spans on an OS thread (engine
+//!   `analyze` calls, executor phases). Timestamps come from a
 //!   process-wide monotonic epoch.
 //! * [`Track::SimProgram`], [`Track::SimService`], [`Track::SimGpu`] — the
 //!   three per-node timelines of the simulated machine. Timestamps are
@@ -45,26 +47,14 @@ pub enum Track {
     SimGpu { node: u32 },
 }
 
-/// The typed payload of one event.
+/// The typed payload of one event. Host tracks carry only [`EventKind::Span`];
+/// the other kinds are placed on simulated time.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// A named host-side phase (engine analyze, executor stage, ...).
     Span { name: &'static str },
     /// One task launch fully analyzed by `engine`.
     LaunchAnalyzed { engine: &'static str, task: u64 },
-    /// A visibility traversal scanned `entries` history entries.
-    HistoryScan { entries: u64 },
-    /// `count` equivalence sets created.
-    EqSetCreated { count: u64 },
-    /// `count` equivalence sets refined (split).
-    EqSetRefined { count: u64 },
-    /// `count` equivalence sets coalesced / retired (dominating writes).
-    EqSetCoalesced { count: u64 },
-    /// A composite view built capturing `entries` entries.
-    CompositeView { entries: u64 },
-    /// A spatial-index (refinement tree, anchor buckets, or dynamic BVH)
-    /// traversal touching `nodes` nodes.
-    BvhTraversal { nodes: u64 },
     /// A message injected by `from` toward `to` (sender-side overhead).
     MsgSend { from: u32, to: u32, bytes: u64 },
     /// A message from `from` served on `to`'s service clock after waiting
@@ -72,32 +62,6 @@ pub enum EventKind {
     MsgServe { from: u32, to: u32, queued_ns: u64 },
     /// A task occupying a node's GPU.
     GpuTask { task: u64 },
-    /// The auto-tracer promoted a repeating launch pattern of `len`
-    /// launches into trace `trace`.
-    TraceDetect { trace: u32, len: u64 },
-    /// Trace `trace` replayed an instance of `launches` launches without
-    /// re-analysis.
-    TraceReplay { trace: u32, launches: u64 },
-    /// The pipeline driver drained `depth` queued launches in one wakeup
-    /// (the submission queue depth it observed).
-    PipelineDepth { depth: u64 },
-    /// A submission blocked `waited_ns` on a full pipeline queue
-    /// (backpressure: the application ran a full queue ahead of analysis).
-    PipelineStall { waited_ns: u64 },
-    /// The combining dispatcher committed `specs` launches from
-    /// `producers` contexts, taken from the submission queue at once,
-    /// under one core lock acquisition.
-    SubmitCombine { producers: u64, specs: u64 },
-    /// Memoized set-algebra activity since the last report on the algebra
-    /// one shard scan used (its root's, for RayCast and Warnock): `hits`
-    /// lookups answered from the cache, `misses` recomputed.
-    AlgebraCache { hits: u64, misses: u64 },
-    /// Incremental BVH maintenance on one shard since the last report:
-    /// `refits` ancestor-refit passes vs `rebuilds` full rebuilds.
-    BvhMaintain { refits: u64, rebuilds: u64 },
-    /// The oracle's saturation checker judged one history: `pairs`
-    /// interfering launch pairs verified against `edges` engine edges.
-    OracleCheck { pairs: u64, edges: u64 },
     /// One history-GC sweep: the watermark reached `watermark`, `retired`
     /// ledger entries were reclaimed, and engines dropped `dropped` dead
     /// state entries.
@@ -106,10 +70,6 @@ pub enum EventKind {
         retired: u64,
         dropped: u64,
     },
-    /// One launch-analysis scan: the locality index produced `candidates`
-    /// candidate sets and the refine loop swept `swept` of them (the
-    /// bounded-scan signal — tracks requirement overlap, not live sets).
-    ScanSweep { candidates: u64, swept: u64 },
 }
 
 impl EventKind {
@@ -118,60 +78,26 @@ impl EventKind {
         match self {
             EventKind::Span { name } => name,
             EventKind::LaunchAnalyzed { .. } => "launch_analyzed",
-            EventKind::HistoryScan { .. } => "history_scan",
-            EventKind::EqSetCreated { .. } => "eqset_created",
-            EventKind::EqSetRefined { .. } => "eqset_refined",
-            EventKind::EqSetCoalesced { .. } => "eqset_coalesced",
-            EventKind::CompositeView { .. } => "composite_view",
-            EventKind::BvhTraversal { .. } => "bvh_traversal",
             EventKind::MsgSend { .. } => "msg_send",
             EventKind::MsgServe { .. } => "msg_serve",
             EventKind::GpuTask { .. } => "gpu_task",
-            EventKind::TraceDetect { .. } => "trace_detect",
-            EventKind::TraceReplay { .. } => "trace_replay",
-            EventKind::PipelineDepth { .. } => "pipeline_depth",
-            EventKind::PipelineStall { .. } => "pipeline_stall",
-            EventKind::SubmitCombine { .. } => "submit_combine",
-            EventKind::AlgebraCache { .. } => "algebra_cache",
-            EventKind::BvhMaintain { .. } => "bvh_maintain",
-            EventKind::OracleCheck { .. } => "oracle_check",
             EventKind::GcSweep { .. } => "gc_sweep",
-            EventKind::ScanSweep { .. } => "scan_sweep",
         }
     }
 
-    /// The "how much" payload (entries scanned, nodes touched, bytes sent,
-    /// sets changed), summed per metric by the TSV exporter.
+    /// The "how much" payload (bytes sent, time queued, entries
+    /// reclaimed), summed per metric by the TSV exporter.
     pub fn units(&self) -> u64 {
         match *self {
             EventKind::Span { .. } => 0,
             EventKind::LaunchAnalyzed { .. } => 1,
-            EventKind::HistoryScan { entries } => entries,
-            EventKind::EqSetCreated { count } => count,
-            EventKind::EqSetRefined { count } => count,
-            EventKind::EqSetCoalesced { count } => count,
-            EventKind::CompositeView { entries } => entries,
-            EventKind::BvhTraversal { nodes } => nodes,
             EventKind::MsgSend { bytes, .. } => bytes,
             EventKind::MsgServe { queued_ns, .. } => queued_ns,
             EventKind::GpuTask { .. } => 1,
-            EventKind::TraceDetect { len, .. } => len,
-            EventKind::TraceReplay { launches, .. } => launches,
-            EventKind::PipelineDepth { depth } => depth,
-            EventKind::PipelineStall { waited_ns } => waited_ns,
-            // A combine report counts the specs it committed.
-            EventKind::SubmitCombine { specs, .. } => specs,
-            // A cache report counts lookups; maintenance counts operations.
-            EventKind::AlgebraCache { hits, misses } => hits + misses,
-            EventKind::BvhMaintain { refits, rebuilds } => refits + rebuilds,
-            // A check report counts the precedence pairs it proved.
-            EventKind::OracleCheck { pairs, .. } => pairs,
             // A sweep report counts the state entries it reclaimed.
             EventKind::GcSweep {
                 retired, dropped, ..
             } => retired + dropped,
-            // A scan report counts the sets it actually swept.
-            EventKind::ScanSweep { swept, .. } => swept,
         }
     }
 }
@@ -293,19 +219,16 @@ pub fn now_ns() -> u64 {
 // ---------------------------------------------------------------------------
 
 /// Whether events are currently being recorded. This is the hot-path guard:
-/// a single relaxed load, constant `false` without the `enabled` feature.
+/// a single relaxed load.
 #[inline(always)]
 pub fn enabled() -> bool {
-    cfg!(feature = "enabled") && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Start recording. Also pins the host-time epoch on first call. No-op
-/// without the `enabled` feature.
+/// Start recording. Also pins the host-time epoch on first call.
 pub fn enable() {
-    if cfg!(feature = "enabled") {
-        epoch();
-        ENABLED.store(true, Ordering::Relaxed);
-    }
+    epoch();
+    ENABLED.store(true, Ordering::Relaxed);
 }
 
 /// Stop recording (already-buffered events are kept until [`take`]).
@@ -316,26 +239,6 @@ pub fn disable() {
 /// Per-thread ring-buffer capacity for buffers created *after* this call.
 pub fn set_ring_capacity(events: usize) {
     RING_CAPACITY.store(events.max(1), Ordering::Relaxed);
-}
-
-/// Record an instantaneous host-time event on the calling thread.
-#[inline]
-pub fn instant(kind: EventKind) {
-    if !enabled() {
-        return;
-    }
-    let ts = now_ns();
-    with_local(|ring| {
-        let track = Track::Host {
-            thread: ring.thread,
-        };
-        ring.push(Event {
-            ts,
-            dur: 0,
-            track,
-            kind,
-        });
-    });
 }
 
 /// Record an event with explicit timing on an explicit track (used by the
@@ -433,12 +336,20 @@ mod tests {
         GATE.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    fn gpu_task(ts: u64, task: u64) {
+        sim_event(
+            ts,
+            1,
+            Track::SimGpu { node: 0 },
+            EventKind::GpuTask { task },
+        );
+    }
+
     #[test]
     fn disabled_records_nothing() {
         let _g = lock();
         clear();
         disable();
-        instant(EventKind::EqSetCreated { count: 1 });
         let _s = span("dead");
         drop(_s);
         sim_event(
@@ -457,33 +368,31 @@ mod tests {
     }
 
     #[test]
-    fn spans_and_instants_round_trip() {
+    fn spans_nest() {
         let _g = lock();
         clear();
         enable();
         {
-            let _s = span("outer");
-            instant(EventKind::EqSetRefined { count: 2 });
+            let _outer = span("outer");
+            let _inner = span("inner");
         }
         disable();
         let p = take();
         assert_eq!(p.events.len(), 2);
-        let span_ev = p
-            .events
-            .iter()
-            .find(|e| matches!(e.kind, EventKind::Span { name: "outer" }))
-            .expect("span recorded");
-        let inst = p
-            .events
-            .iter()
-            .find(|e| matches!(e.kind, EventKind::EqSetRefined { count: 2 }))
-            .expect("instant recorded");
-        assert!(span_ev.ts <= inst.ts, "span opens before its contents");
+        let find = |want: &str| {
+            p.events
+                .iter()
+                .find(|e| matches!(e.kind, EventKind::Span { name } if name == want))
+                .unwrap_or_else(|| panic!("span {want} recorded"))
+        };
+        let (outer, inner) = (find("outer"), find("inner"));
+        assert!(outer.ts <= inner.ts, "outer opens before inner");
         assert!(
-            span_ev.ts + span_ev.dur >= inst.ts,
-            "span covers its contents"
+            outer.ts + outer.dur >= inner.ts + inner.dur,
+            "outer closes after inner"
         );
-        assert!(matches!(inst.track, Track::Host { .. }));
+        assert!(matches!(inner.track, Track::Host { .. }));
+        assert_eq!(inner.track, outer.track, "one thread, one track");
     }
 
     #[test]
@@ -495,7 +404,7 @@ mod tests {
         set_ring_capacity(4);
         std::thread::spawn(|| {
             for i in 0..10u64 {
-                instant(EventKind::HistoryScan { entries: i });
+                gpu_task(i, i);
             }
         })
         .join()
@@ -503,16 +412,16 @@ mod tests {
         set_ring_capacity(DEFAULT_RING_CAPACITY);
         disable();
         let p = take();
-        let scans: Vec<u64> = p
+        let tasks: Vec<u64> = p
             .events
             .iter()
             .filter_map(|e| match e.kind {
-                EventKind::HistoryScan { entries } => Some(entries),
+                EventKind::GpuTask { task } => Some(task),
                 _ => None,
             })
             .collect();
         assert_eq!(
-            scans,
+            tasks,
             vec![6, 7, 8, 9],
             "oldest events overwritten in order"
         );
@@ -557,9 +466,10 @@ mod tests {
         let _g = lock();
         clear();
         enable();
-        instant(EventKind::EqSetCreated { count: 1 });
+        drop(span("once"));
+        gpu_task(0, 1);
         disable();
-        assert_eq!(take().events.len(), 1);
+        assert_eq!(take().events.len(), 2);
         assert!(
             take().events.is_empty(),
             "second take sees a drained recorder"

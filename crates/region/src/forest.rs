@@ -2,7 +2,7 @@
 
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use viz_geometry::{AlgebraStats, Bvh, IndexSpace, InternConfig, Rect, SpaceAlgebra, SpaceId};
+use viz_geometry::{Bvh, IndexSpace, InternConfig, Rect, SpaceAlgebra, SpaceId};
 
 /// A logical region: a named subset of a collection's index space.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -74,8 +74,6 @@ fn child_bvh(subdomains: &[IndexSpace]) -> Bvh {
 /// output is structural.
 pub struct RootGeometry {
     pub alg: SpaceAlgebra,
-    /// Algebra counters at the engines' last `AlgebraCache` profile report.
-    pub reported: AlgebraStats,
 }
 
 /// A root's geometry as the forest and the engines' shards hold it. A scan
@@ -86,7 +84,6 @@ impl RootGeometry {
     fn new(intern: InternConfig) -> Self {
         RootGeometry {
             alg: SpaceAlgebra::new(intern),
-            reported: AlgebraStats::default(),
         }
     }
 

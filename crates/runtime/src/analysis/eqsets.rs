@@ -59,9 +59,7 @@
 //! forest's `RootGeometry` for that root, so a second field refining the
 //! same way sweeps nothing.
 
-use crate::analysis::{
-    group_reqs_by_shard, report_algebra, ChargeSet, ReqOutcome, ShardKey, ShardedState,
-};
+use crate::analysis::{group_reqs_by_shard, ChargeSet, ReqOutcome, ShardKey, ShardedState};
 use crate::engine::{CoherenceEngine, ShardCtx, StateSize};
 use crate::plan::{CopyRange, MaterializePlan, ReduceRange, Source};
 use crate::task::{TaskId, TaskLaunch};
@@ -198,9 +196,6 @@ fn scan_sets<'a>(
             },
         );
     }
-    viz_profile::instant(viz_profile::EventKind::HistoryScan {
-        entries: entries as u64,
-    });
     plan.copies = fold_copies(alg, target, copies, fold_ids);
     (deps, plan)
 }
@@ -458,8 +453,6 @@ struct FieldState {
     /// live-set count).
     sets_swept: u64,
     scratch: ScanScratch,
-    last_refits: u64,
-    last_rebuilds: u64,
 }
 
 impl FieldState {
@@ -745,8 +738,6 @@ impl EqSetEngine {
             candidates_visited: 0,
             sets_swept: 0,
             scratch: ScanScratch::default(),
-            last_refits: 0,
-            last_rebuilds: 0,
         }
     }
 
@@ -956,8 +947,6 @@ impl CoherenceEngine for EqSetEngine {
         state.recycle(&geom.alg);
         #[cfg(debug_assertions)]
         state.check_slab(ctx.forest, &geom.alg);
-        report_algebra(&mut geom);
-        state.report_maintenance();
         outcomes
     }
 
@@ -1012,9 +1001,8 @@ impl FieldState {
         }
         sc.relevant.clear();
         sc.killed.clear();
-        let (mut tests, mut to_replicate) = (0usize, 0usize);
+        let mut to_replicate = 0usize;
         while let Some(n) = sc.stack.pop() {
-            tests += 1;
             let (dom, halves) = (
                 self.sets[n as usize].eq.domain,
                 self.sets[n as usize].replaced_by,
@@ -1033,10 +1021,6 @@ impl FieldState {
             }
         }
         sc.charges.flush_into(log, cx.origin);
-        viz_profile::instant(viz_profile::EventKind::BvhTraversal {
-            nodes: tests as u64,
-        });
-        report_refined(sc.killed.len());
         if to_replicate > 0 {
             let work = [Op::Replicate {
                 nodes: to_replicate,
@@ -1104,9 +1088,6 @@ impl FieldState {
             }
             SetIndex::Tree { .. } => unreachable!("the tree arm descends"),
         }
-        viz_profile::instant(viz_profile::EventKind::BvhTraversal {
-            nodes: sc.candidates.len() as u64,
-        });
         self.candidates_visited += sc.candidates.len() as u64;
     }
 
@@ -1134,7 +1115,6 @@ impl FieldState {
         }
         if !sc.killed.is_empty() {
             self.index_remove_dead(&sc.killed);
-            report_refined(sc.killed.len());
         }
         log.op(
             cx.origin,
@@ -1143,10 +1123,6 @@ impl FieldState {
             },
         );
         self.sets_swept += tests as u64;
-        viz_profile::instant(viz_profile::EventKind::ScanSweep {
-            candidates: sc.candidates.len() as u64,
-            swept: tests as u64,
-        });
     }
 
     /// Refine the live set `c` against `target` (Fig 9, `refine`): it is a
@@ -1221,9 +1197,6 @@ impl FieldState {
             }
             SetIndex::Tree { .. } => unreachable!("refinement is monotonic on the tree"),
         }
-        viz_profile::instant(viz_profile::EventKind::EqSetCoalesced {
-            count: sc.relevant.len() as u64,
-        });
         let first = sc.commit_ids.len();
         for domain in sc.pieces.drain(..) {
             let hist = Vec::new();
@@ -1236,9 +1209,6 @@ impl FieldState {
             sc.commit_ids.push(fresh);
         }
         let fresh = &sc.commit_ids[first..];
-        viz_profile::instant(viz_profile::EventKind::EqSetCreated {
-            count: fresh.len() as u64,
-        });
         self.index_insert(fresh, None, alg, cx.forest);
         self.index_remove_dead(&sc.relevant);
     }
@@ -1267,23 +1237,6 @@ impl FieldState {
                 }
             }
         }
-    }
-
-    /// Report the K-d tree's refits and rebuilds since the last batch.
-    fn report_maintenance(&mut self) {
-        let SetIndex::Kd { tree } = &self.index else {
-            return;
-        };
-        let (refits, rebuilds) = (tree.refits(), tree.rebuilds());
-        let (dr, db) = (refits - self.last_refits, rebuilds - self.last_rebuilds);
-        if dr + db > 0 {
-            viz_profile::instant(viz_profile::EventKind::BvhMaintain {
-                refits: dr,
-                rebuilds: db,
-            });
-        }
-        self.last_refits = refits;
-        self.last_rebuilds = rebuilds;
     }
 
     /// Register new sets in the index: for the anchored index, each set is
@@ -1411,18 +1364,6 @@ fn holds_own_anchor(
     domain: SpaceId,
 ) -> bool {
     matches!(anchors, [a] if forest.space(kids[*a as usize]) == domain)
-}
-
-/// Profile `count` refinement splits of one requirement.
-fn report_refined(count: usize) {
-    if count > 0 {
-        viz_profile::instant(viz_profile::EventKind::EqSetRefined {
-            count: count as u64,
-        });
-        viz_profile::instant(viz_profile::EventKind::EqSetCreated {
-            count: 2 * count as u64,
-        });
-    }
 }
 
 #[cfg(test)]

@@ -22,20 +22,6 @@ use crate::task::TaskLaunch;
 /// fields of a root share is the forest's [`RootGeometry`] for that root.
 pub type ShardKey = (RegionId, FieldId);
 
-/// Emit the root's algebra counter change since its last report as one
-/// `AlgebraCache` profile event (none when nothing was asked).
-pub(crate) fn report_algebra(geom: &mut RootGeometry) {
-    let stats = geom.alg.stats();
-    let delta = stats.delta_since(&geom.reported);
-    if delta.hits + delta.fast_hits + delta.misses > 0 {
-        viz_profile::instant(viz_profile::EventKind::AlgebraCache {
-            hits: delta.hits + delta.fast_hits,
-            misses: delta.misses,
-        });
-    }
-    geom.reported = stats;
-}
-
 /// Group a launch's requirements by shard, preserving the first-touch order
 /// of shards and requirement order within each shard.
 pub fn group_reqs_by_shard(

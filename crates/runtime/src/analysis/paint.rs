@@ -33,9 +33,7 @@
 //! driver scan distinct shards concurrently.
 
 use crate::analysis::history::{HistEntry, VisScan};
-use crate::analysis::{
-    group_reqs_by_shard, report_algebra, ChargeSet, ReqOutcome, ShardKey, ShardedState,
-};
+use crate::analysis::{group_reqs_by_shard, ChargeSet, ReqOutcome, ShardKey, ShardedState};
 use crate::engine::{CoherenceEngine, GcSweep, ShardCtx, StateSize};
 use crate::sharding::ShardMap;
 use crate::task::TaskLaunch;
@@ -457,9 +455,6 @@ impl CoherenceEngine for Painter {
                                 entries: view.entries,
                             },
                         );
-                        viz_profile::instant(viz_profile::EventKind::CompositeView {
-                            entries: view.entries as u64,
-                        });
                         shard.fetched.insert((view.id, owner_a));
                         let rects = shard.append(*a, PathEntry::View(view), &mut geom.alg);
                         out.scan_log.op(owner_a, Op::GeomOp { rects });
@@ -525,9 +520,6 @@ impl CoherenceEngine for Painter {
                     rects: scan.geom_ops,
                 },
             );
-            viz_profile::instant(viz_profile::EventKind::HistoryScan {
-                entries: scan.entries_scanned as u64,
-            });
             let (deps, plan) = scan.finish();
             for _ in &deps {
                 out.scan_log.op(origin, Op::DepRecord);
@@ -557,7 +549,6 @@ impl CoherenceEngine for Painter {
             out.commit_log.op(owner_r, Op::HistScan { entries: 1 });
             shard.mark_touched(ctx.forest, region);
         }
-        report_algebra(&mut geom);
         outcomes
     }
 

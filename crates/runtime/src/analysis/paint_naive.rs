@@ -16,9 +16,7 @@
 //! Fig 7 behavior.
 
 use crate::analysis::history::{HistEntry, VisScan};
-use crate::analysis::{
-    group_reqs_by_shard, report_algebra, ChargeSet, ReqOutcome, ShardKey, ShardedState,
-};
+use crate::analysis::{group_reqs_by_shard, ChargeSet, ReqOutcome, ShardKey, ShardedState};
 use crate::engine::{CoherenceEngine, GcSweep, ShardCtx, StateSize};
 use crate::task::TaskLaunch;
 use viz_geometry::IndexSpace;
@@ -104,9 +102,6 @@ impl CoherenceEngine for PaintNaive {
             };
             let mut charges = ChargeSet::new();
             charges.add(0, Op::HistScan { entries: tested });
-            viz_profile::instant(viz_profile::EventKind::HistoryScan {
-                entries: tested as u64,
-            });
             charges.add(
                 0,
                 Op::GeomOp {
@@ -149,7 +144,6 @@ impl CoherenceEngine for PaintNaive {
             }
             hist.push(entry);
         }
-        report_algebra(&mut geom);
         outcomes
     }
 

@@ -20,9 +20,8 @@
 //! A producer blocks while [`crate::RuntimeConfig::pipeline_depth`] of its
 //! *own* specs sit in the queue, not yet taken by the dispatcher: a full
 //! producer stalls that producer (and only that producer) until the
-//! dispatcher catches up. Stalls and the in-flight depth are counted in
-//! [`PipelineMetrics`]; combined sweeps are emitted as
-//! [`viz_profile::EventKind::SubmitCombine`] events. At most
+//! dispatcher catches up. Stalls, the in-flight depth and combined sweeps
+//! are counted in [`PipelineMetrics`] (read as `PipelineStats`). At most
 //! [`crate::RuntimeConfig::submit_rings`] producers (the facade included)
 //! are live at once.
 //!
@@ -246,8 +245,11 @@ impl CtxState {
         })
     }
 
-    /// The assigned ids. Holders only push or copy ids, which cannot
-    /// panic, so the lock is never poisoned.
+    /// The assigned ids. A committing thread holds the lock while
+    /// `Core::run_specs` appends to it, under the core write lock; no
+    /// holder ever takes the core lock, and readers read through poison (a
+    /// panicking commit poisons the core too, and `committed` never counts
+    /// its ids).
     pub(crate) fn assigned(&self) -> MutexGuard<'_, Vec<TaskId>> {
         self.assigned.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -267,17 +269,10 @@ impl CtxState {
         self.queued.load(Ordering::Relaxed)
     }
 
-    /// Record inline (synchronous-path) commits, ids known immediately: one
-    /// lock and one count per batch, as the dispatcher records a run.
-    pub(crate) fn record_inline(&self, ids: &[TaskId]) {
-        let n = ids.len() as u64;
-        let mut assigned = self.assigned();
-        // Pushed one by one, the list keeps growing by doubling: an exact
-        // reserve per batch would leave a drained runtime holding more.
-        for id in ids {
-            assigned.push(*id);
-        }
-        drop(assigned);
+    /// Count `n` inline (synchronous-path) commits whose ids the caller
+    /// has appended to [`CtxState::assigned`]: one count per batch, as the
+    /// dispatcher counts a run.
+    pub(crate) fn record_inline(&self, n: u64) {
         self.pushed.fetch_add(n, Ordering::Release);
         self.committed.fetch_add(n, Ordering::Release);
     }
@@ -430,9 +425,6 @@ impl SubmitPlane {
             let waited_ns = t0.elapsed().as_nanos() as u64;
             m.stalls.fetch_add(1, Ordering::AcqRel);
             m.stalled_ns.fetch_add(waited_ns, Ordering::AcqRel);
-            if viz_profile::enabled() {
-                viz_profile::instant(viz_profile::EventKind::PipelineStall { waited_ns });
-            }
         }
         result
     }
@@ -524,13 +516,6 @@ fn drive(plane: &SubmitPlane, core: &RwLock<Core>, forest: &RwLock<RegionForest>
         // Free space first: producers refill while this batch is analyzed
         // (submission/analysis overlap).
         plane.progress.notify_all();
-        if viz_profile::enabled() {
-            viz_profile::instant(viz_profile::EventKind::SubmitCombine {
-                producers: producers as u64,
-                specs: total,
-            });
-            viz_profile::instant(viz_profile::EventKind::PipelineDepth { depth: total });
-        }
         {
             // Lock order everywhere is forest before core. The forest is
             // only write-locked by `forest_mut`, which quiesces first, so
@@ -543,8 +528,7 @@ fn drive(plane: &SubmitPlane, core: &RwLock<Core>, forest: &RwLock<RegionForest>
             let mut core = core.write().expect("runtime core poisoned");
             for (state, run) in batch.drain(..) {
                 let n = run.len() as u64;
-                let ids = core.run_specs(state.ctx, run, &forest);
-                state.assigned().extend(ids);
+                core.run_specs(state.ctx, run, &forest, &mut state.assigned());
                 state.committed.fetch_add(n, Ordering::Release);
             }
         }

@@ -20,13 +20,15 @@ impl Core {
     /// The sharded scan pipeline over the untraced prefix of `items`:
     /// stops early (after the detection point) when the auto-tracer
     /// promotes a repeat, which it opens once the batch has committed,
-    /// leaving the rest for the caller to re-dispatch.
+    /// leaving the rest for the caller to re-dispatch. The committed ids
+    /// are appended to `ids`.
     pub(super) fn run_batch_sharded(
         &mut self,
         ctx: u32,
         items: &mut VecDeque<LaunchSpec>,
         forest: &RegionForest,
-    ) -> Vec<TaskId> {
+        ids: &mut Vec<TaskId>,
+    ) {
         let base = self.book.ledger.next_id();
         let mut batch: Vec<TaskLaunch> = Vec::with_capacity(items.len());
         let mut batch_bodies: Vec<Option<TaskBody>> = Vec::with_capacity(items.len());
@@ -111,7 +113,7 @@ impl Core {
             book.tracing
                 .promote(predicted, &book.ledger, &book.dag, forest);
         }
-        (0..count as u32).map(|k| TaskId(base + k)).collect()
+        ids.extend((0..count as u32).map(|k| TaskId(base + k)));
     }
 }
 

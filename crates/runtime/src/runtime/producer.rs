@@ -144,8 +144,9 @@ impl Producer {
             None => {
                 // Always through run_specs, even for one spec, so its GC
                 // hook covers every launch path.
-                let ids = core_write(core)?.run_specs(self.state.ctx, specs, &forest);
-                self.state.record_inline(&ids);
+                let mut core = core_write(core)?;
+                core.run_specs(self.state.ctx, specs, &forest, &mut self.state.assigned());
+                self.state.record_inline(u64::from(n));
             }
         }
         self.submitted = base + n;
@@ -160,7 +161,8 @@ impl Producer {
         commit: impl FnOnce(&mut Core) -> TaskId,
     ) -> Result<TaskId, RuntimeError> {
         let id = commit(&mut *core_write(core)?);
-        self.state.record_inline(&[id]);
+        self.state.assigned().push(id);
+        self.state.record_inline(1);
         self.submitted += 1;
         Ok(id)
     }

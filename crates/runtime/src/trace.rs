@@ -493,12 +493,6 @@ impl Tracing {
                         t.analyzed + len,
                         active.base - t.analyzed,
                     );
-                    if viz_profile::enabled() {
-                        viz_profile::instant(viz_profile::EventKind::TraceReplay {
-                            trace: active.id.0,
-                            launches: len as u64,
-                        });
-                    }
                     active.base = next_task;
                     active.cursor = 0;
                     active.shift = t.shift_to(next_task);
@@ -545,12 +539,6 @@ impl Tracing {
         self.next_auto_id += 1;
         self.auto_promotions += 1;
         let len = predicted.len() as u32;
-        if viz_profile::enabled() {
-            viz_profile::instant(viz_profile::EventKind::TraceDetect {
-                trace: id.0,
-                len: u64::from(len),
-            });
-        }
         let next = ledger.next_id();
         // `pin_floor` keeps every row a promotion can read; should GC have
         // retired the block anyway, the promotion is declined, not read.

@@ -543,9 +543,9 @@ fn replayed_iteration_allocs(app: &dyn Workload, nodes: usize) -> Vec<(u64, u64,
 }
 
 /// What one `submit_batch` call of replayed launches may allocate: the
-/// returned handles and the batch's id list (a replayed launch itself
-/// allocates nothing).
-const REPLAY_ALLOCS_PER_BATCH: u64 = 2;
+/// returned handles (a replayed launch itself allocates nothing, and the
+/// committed ids go straight into the context's own list).
+const REPLAY_ALLOCS_PER_BATCH: u64 = 1;
 
 /// Column growth an iteration may add, whatever its length. After three
 /// iterations an iteration is shorter than the history before it, so each
@@ -554,12 +554,14 @@ const REPLAY_ALLOCS_PER_BATCH: u64 = 2;
 /// DAG's rows and the context's ids (6). The DAG's chunked edge column adds
 /// at most one chunk and grows its chunk list once (2). The trace's rebase
 /// list is rewritten in place as instances roll, so only its first entry
-/// allocates. Measured over the five replayed iterations: pennant 16, 11,
-/// 10, 10, 16 allocations (5 calls each), stencil 10, 5, 4, 4, 10 (2 calls
-/// each); 12 and 6 a steady iteration when each rolled instance rebuilt
-/// the rebase list into two fresh vectors, and the first was 483 and 394
-/// (7.4 and 3.1 per launch) when validation listed a tree's fields per
-/// requirement and a replayed commit built its shifted dependences.
+/// allocates. Measured over the five replayed iterations: pennant 11, 6,
+/// 5, 5, 11 allocations (5 calls each), stencil 8, 3, 2, 2, 8 (2 calls
+/// each); one more per call (16, 11, 10, 10, 16 and 10, 5, 4, 4, 10) when
+/// each call collected its committed ids into a throwaway list first, 12
+/// and 6 a steady iteration when each rolled instance rebuilt the rebase
+/// list into two fresh vectors, and the first was 483 and 394 (7.4 and 3.1
+/// per launch) when validation listed a tree's fields per requirement and
+/// a replayed commit built its shifted dependences.
 const REPLAY_COLUMN_GROWTH: u64 = 8;
 
 fn assert_replay_budget(name: &str, iterations: &[(u64, u64, u64)]) {

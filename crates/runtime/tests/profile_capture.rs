@@ -58,6 +58,20 @@ fn recorder_collects_across_executor_threads_and_sim_tracks() {
     let profile = viz_profile::take();
     assert_eq!(profile.dropped, 0, "default ring holds this workload");
 
+    // The host track says how long phases took, nothing else: counts live
+    // in the runtime's counters, not in host events.
+    let host_kinds: Vec<&EventKind> = profile
+        .events
+        .iter()
+        .filter(|e| matches!(e.track, Track::Host { .. }))
+        .map(|e| &e.kind)
+        .filter(|k| !matches!(k, EventKind::Span { .. }))
+        .collect();
+    assert!(
+        host_kinds.is_empty(),
+        "host events are spans: {host_kinds:?}"
+    );
+
     // Every analyzed launch appears twice: a host span named after the
     // engine and a LaunchAnalyzed event on its origin node's program track.
     // A replayed launch runs no engine and appears in neither.
@@ -115,7 +129,12 @@ fn recorder_collects_across_executor_threads_and_sim_tracks() {
 
     // Disabled again: nothing further is recorded.
     viz_profile::disable();
-    let _s = viz_profile::span("after-disable");
-    viz_profile::instant(EventKind::HistoryScan { entries: 1 });
+    drop(viz_profile::span("after-disable"));
+    viz_profile::sim_event(
+        0,
+        1,
+        Track::SimGpu { node: 0 },
+        EventKind::GpuTask { task: 0 },
+    );
     assert!(viz_profile::take().events.is_empty());
 }
