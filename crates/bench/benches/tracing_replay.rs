@@ -10,8 +10,8 @@
 //! * a pointer-identity proof that replay never deep-clones an
 //!   [`viz_runtime::AnalysisResult`]: every replayed launch stores the
 //!   *same* `Arc` allocation as the template entry it came from, so the
-//!   number of distinct shared allocations stays bounded by the template
-//!   length no matter how many instances replay.
+//!   replayed launches share exactly as many allocations as the template
+//!   has entries, however many instances replay.
 
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -42,8 +42,9 @@ fn bench_app(mode: Mode) -> Stencil {
     })
 }
 
-/// One full run; returns host seconds and the runtime for inspection.
-fn run_once(engine: EngineKind, mode: Mode) -> (f64, Runtime) {
+/// One full run; returns host seconds, the runtime for inspection and the
+/// launches of its last iteration.
+fn run_once(engine: EngineKind, mode: Mode) -> (f64, Runtime, usize) {
     let mut rt = Runtime::new(
         RuntimeConfig::new(engine)
             .nodes(NODES)
@@ -55,8 +56,10 @@ fn run_once(engine: EngineKind, mode: Mode) -> (f64, Runtime) {
     let t0 = Instant::now();
     let run = app.execute(&mut rt);
     let dt = t0.elapsed().as_secs_f64();
-    assert!(!run.iter_end.is_empty());
-    (dt, rt)
+    let [.., before, last] = run.iter_end[..] else {
+        panic!("the loop runs at least two iterations");
+    };
+    (dt, rt, (last.0 - before.0) as usize)
 }
 
 /// Per-launch host cost per mode, and the replay speedup over analysis.
@@ -71,7 +74,7 @@ fn speedup_report() {
         let mut untraced_ns = 0.0;
         for mode in [Mode::Untraced, Mode::Manual, Mode::Auto] {
             let secs = median_of(REPS, || run_once(engine, mode).0);
-            let (_, rt) = run_once(engine, mode);
+            let (_, rt, _) = run_once(engine, mode);
             let ns = secs * 1e9 / rt.num_tasks() as f64;
             if mode == Mode::Untraced {
                 untraced_ns = ns;
@@ -98,40 +101,36 @@ fn speedup_report() {
 ///
 /// If replay deep-cloned results, every replayed launch would store a
 /// fresh allocation and the distinct-address count would grow with the
-/// replayed-launch count. Sharing bounds it by the launches of the
-/// analyzed instances (template + one auto-verification instance).
+/// replayed-launch count. Sharing holds it at the template's length, one
+/// iteration's launches. Analyzed launches store their own results, never
+/// a shared one.
 fn zero_copy_report() {
     for mode in [Mode::Manual, Mode::Auto] {
-        let (_, rt) = run_once(EngineKind::RayCast, mode);
-        let mut shared_tasks = 0u64;
+        let (_, rt, per_iter) = run_once(EngineKind::RayCast, mode);
+        let mut replayed = 0u64;
         let mut addrs = BTreeSet::new();
         for t in 0..rt.num_tasks() {
             if let Some(a) = rt.shared_result_addr(TaskId(t as u32)) {
-                shared_tasks += 1;
+                replayed += 1;
                 addrs.insert(a);
             }
         }
-        let per_iter = shared_tasks.min(2 * PIECES as u64 + 8);
         println!(
-            "# Zero-copy ({mode:?}): {} trace-backed launches share {} allocations \
-             ({} replayed)",
-            shared_tasks,
+            "# Zero-copy ({mode:?}): {replayed} replayed launches share {} allocations \
+             (template of {per_iter} launches)",
             addrs.len(),
-            rt.replayed_launches()
         );
+        assert_eq!(replayed, rt.replayed_launches(), "{mode:?}");
         assert!(
-            rt.replayed_launches() >= 6 * per_iter,
-            "{mode:?}: expected most instances to replay, got {}",
-            rt.replayed_launches()
+            replayed >= 6 * per_iter as u64,
+            "{mode:?}: expected most instances to replay, got {replayed}"
         );
-        // Template entries (+ the auto path's analyzed verification
-        // instance) are the only distinct allocations; replays add none.
-        assert!(
-            (addrs.len() as u64) <= 2 * per_iter,
-            "{mode:?}: {} distinct allocations for {} trace-backed launches — \
+        assert_eq!(
+            addrs.len(),
+            per_iter,
+            "{mode:?}: {} distinct allocations for {replayed} replayed launches — \
              replay is cloning results",
             addrs.len(),
-            shared_tasks
         );
     }
 }

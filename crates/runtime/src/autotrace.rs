@@ -18,16 +18,15 @@
 //!    never promoted.
 //!
 //! A promotion fires on the launch that completes the second identical
-//! block and hands the block's signatures (the last `L` observed) to the
-//! trace state machine ([`crate::trace`]). Once that launch has committed,
-//! the block's committed analysis results become the template (capture is
-//! retroactive: the block was analyzed as it was observed); the next `L`
-//! launches are analyzed and verified against it, then replay starts.
+//! block and hands the period `L` to the trace state machine
+//! ([`crate::trace`]). Once that launch has committed, the block's last `L`
+//! committed rows become the template (capture is retroactive: the block
+//! was analyzed as it was observed); the next `L` launches are analyzed
+//! and verified against it, then replay starts.
 //! Divergence at any point demotes back to observation — the runtime falls
 //! through to normal analysis, it never aborts.
 
 use crate::task::RegionRequirement;
-use crate::trace::Sig;
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
@@ -128,11 +127,10 @@ impl Chain {
 }
 
 /// The online repeat detector. Feed every observed (non-traced) launch to
-/// [`AutoTracer::observe`]; it returns the predicted instance when a repeat
-/// is confirmed. A fresh detector allocates nothing; once its buffers have
+/// [`AutoTracer::observe`]; it returns the period when a repeat is
+/// confirmed. A fresh detector allocates nothing; once its buffers have
 /// grown to the window (or to the longest stretch observed between
-/// resets), observing allocates nothing either: only a promotion builds
-/// the predicted instance.
+/// resets), observing allocates nothing either.
 pub struct AutoTracer {
     min_len: u64,
     max_len: u64,
@@ -252,12 +250,12 @@ impl AutoTracer {
             && (first..end - len).all(|p| self.same_sig(p, p + len))
     }
 
-    /// Feed one observed launch. Returns the predicted repeat unit (the
-    /// last `L` signatures, oldest first) when a period `L` is confirmed —
-    /// by stream periodicity the *next* `L` launches should equal it
+    /// Feed one observed launch. Returns the period `L` when the last two
+    /// blocks of `L` launches are confirmed identical — by stream
+    /// periodicity the *next* `L` launches should equal the last block
     /// element-for-element. A promotion ends the observed stream: the
     /// caller replaces or resets the detector before observing again.
-    pub fn observe(&mut self, node: NodeId, reqs: &[RegionRequirement]) -> Option<Vec<Sig>> {
+    pub fn observe(&mut self, node: NodeId, reqs: &[RegionRequirement]) -> Option<u32> {
         let hash = sig_hash(node, reqs);
         let pos = self.start + self.slots.len() as u64;
         let prefix = self.prefix(pos).wrapping_mul(BASE).wrapping_add(mix(hash));
@@ -295,12 +293,8 @@ impl AutoTracer {
             .flat_map(|chain| chain.distances(pos))
             .find(|&len| self.repeats(end, len));
         if let Some(len) = period {
-            let from = self.slots.len() - len as usize;
-            let predicted = self.slots.range(from..).map(|s| Sig {
-                node: s.node,
-                reqs: self.reqs_of(s).cloned().collect(),
-            });
-            return Some(predicted.collect());
+            // At most `max_len`, which fits a chain's `u16` distances.
+            return Some(len as u32);
         }
         if self.chains.len() > 4 * window.max(64) {
             // Prune hashes whose last occurrence fell out of the window.
@@ -329,8 +323,8 @@ mod tests {
     fn drive(t: &mut AutoTracer, stream: &[u32]) -> Vec<(usize, usize)> {
         let mut fired = Vec::new();
         for (i, &s) in stream.iter().enumerate() {
-            if let Some(p) = t.observe(0, &req(s)) {
-                fired.push((i, p.len()));
+            if let Some(len) = t.observe(0, &req(s)) {
+                fired.push((i, len as usize));
                 t.reset();
             }
         }

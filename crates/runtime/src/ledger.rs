@@ -16,9 +16,7 @@
 //! order is the ids'.
 
 use crate::dag::TaskDag;
-use crate::plan::{
-    AnalysisResult, CopyRange, MaterializePlan, ReduceRange, StoredResult, TaskShift,
-};
+use crate::plan::{AnalysisResult, CopyRange, MaterializePlan, ReduceRange, TaskShift};
 use crate::runs::{to_u32, Loc, Runs};
 use crate::task::{RegionRequirement, TaskBody, TaskId, TaskLaunch};
 use std::sync::Arc;
@@ -133,7 +131,6 @@ impl Ledger {
         }
     }
 
-    #[cfg(test)]
     pub fn launch(&self, t: TaskId) -> &TaskLaunch {
         &self.launches[self.idx(t)]
     }
@@ -213,10 +210,12 @@ impl Ledger {
         self.analysis_done.push(t);
     }
 
-    /// An analyzed launch's result: its own, or (capturing or verifying a
-    /// trace) shared with the trace at the identity shift.
-    pub fn push_result(&mut self, r: StoredResult) {
-        self.results.push(r);
+    /// An analyzed launch's result. Its plans move into the runs (its
+    /// vectors are freed here); its dependences are dropped, since the
+    /// commit already gave them to the DAG.
+    pub fn push_analyzed(&mut self, r: AnalysisResult) {
+        let row = self.results.push_plans(r.plans);
+        self.results.rows.push(row);
     }
 
     /// A replayed launch's result: its template's, shifted onto it.
@@ -267,9 +266,9 @@ impl Ledger {
 /// analyzed launch's plans, copies and reductions are one run each in
 /// append-only chunked columns ([`Runs`]), so a stored result is no heap
 /// block of its own and its data never moves once written; its
-/// dependences live only in the DAG. A captured or replayed launch keeps
-/// sharing its template's result. The row's variant is how the launch got
-/// its analysis, which the oracle's history reads.
+/// dependences live only in the DAG. A replayed launch shares its
+/// template's result. The row's variant is how the launch got its
+/// analysis, which the oracle's history reads.
 #[derive(Default)]
 pub(crate) struct Results {
     rows: Vec<Row>,
@@ -285,9 +284,6 @@ enum Row {
         copies: Loc,
         reductions: Loc,
     },
-    /// An analyzed launch capturing or verifying a trace: its result,
-    /// shared with the trace.
-    Captured { result: Arc<AnalysisResult> },
     /// A replayed launch: the template's result, with task references
     /// shifted onto this instance at the read.
     Replayed {
@@ -333,20 +329,6 @@ impl Results {
         self.rows.len()
     }
 
-    /// Store one analyzed launch's result. An owned result's plans move
-    /// into the runs (its vectors are freed here); its dependences are
-    /// dropped, since the commit already gave them to the DAG.
-    fn push(&mut self, r: StoredResult) {
-        let row = match r {
-            StoredResult::Owned(AnalysisResult { plans, .. }) => self.push_plans(plans),
-            StoredResult::Shared { result, shift } => {
-                debug_assert!(shift.is_identity(), "a captured result is unshifted");
-                Row::Captured { result }
-            }
-        };
-        self.rows.push(row);
-    }
-
     fn push_plans(&mut self, mut plans: Vec<MaterializePlan>) -> Row {
         let (mut copies_end, mut reductions_end) = (0, 0);
         let rows = plans.iter().map(|p| {
@@ -386,7 +368,7 @@ impl Results {
     pub fn plan_count(&self, i: usize) -> usize {
         match &self.rows[i] {
             Row::Owned { plans, .. } => plans.len as usize,
-            Row::Captured { result } | Row::Replayed { result, .. } => result.plans.len(),
+            Row::Replayed { result, .. } => result.plans.len(),
             Row::Fence => 0,
         }
     }
@@ -413,7 +395,7 @@ impl Results {
                         [reductions_start as usize..row.reductions_end as usize],
                 }
             }
-            Row::Captured { result } | Row::Replayed { result, .. } => {
+            Row::Replayed { result, .. } => {
                 let plan = &result.plans[k];
                 PlanView {
                     fill_identity: plan.fill_identity,
@@ -427,9 +409,9 @@ impl Results {
         }
     }
 
-    /// Row `i` materialized with its shift applied, `deps` as its
-    /// dependences (the DAG's row for the launch: what
-    /// [`StoredResult::resolve`] gives). Allocates; for introspection.
+    /// Row `i` materialized with its shift applied, `deps` (the DAG's row
+    /// for the launch) as its dependences. Allocates; for introspection
+    /// and for building trace templates.
     pub fn resolve(&self, i: usize, deps: &[TaskId]) -> AnalysisResult {
         let mut r = AnalysisResult {
             deps: Vec::new(),
@@ -452,14 +434,12 @@ impl Results {
         r
     }
 
-    /// The address of the shared template result behind row `i` (`None`
-    /// for an owned result or a fence): pointer identity shows replay
-    /// shares one allocation per template entry.
+    /// The address of the template result a replayed row `i` shares
+    /// (`None` for an analyzed launch or a fence): pointer identity shows
+    /// replay shares one allocation per template entry.
     pub fn shared_result_addr(&self, i: usize) -> Option<usize> {
         match &self.rows[i] {
-            Row::Captured { result } | Row::Replayed { result, .. } => {
-                Some(Arc::as_ptr(result) as usize)
-            }
+            Row::Replayed { result, .. } => Some(Arc::as_ptr(result) as usize),
             Row::Owned { .. } | Row::Fence => None,
         }
     }
@@ -505,10 +485,7 @@ mod tests {
     fn commit(l: &mut Ledger) -> TaskId {
         let id = TaskId(l.next_id());
         l.push_done(0);
-        l.push_result(StoredResult::Owned(AnalysisResult {
-            deps: Vec::new(),
-            plans: Vec::new(),
-        }));
+        l.push_analyzed(AnalysisResult::default());
         l.push_launch(launch(id.0), None);
         id
     }
@@ -593,7 +570,22 @@ mod tests {
         }
     }
 
-    fn shared(rng: &mut StdRng) -> StoredResult {
+    /// What a row must read back: its result with its shift applied, and
+    /// the address of the template result a replayed row shares.
+    type Expected = (AnalysisResult, Option<usize>);
+
+    /// Commit an analyzed result.
+    fn analyzed(l: &mut Ledger, reference: &mut Vec<Expected>, r: AnalysisResult) {
+        let id = l.next_id();
+        reference.push((r.clone(), None));
+        l.push_done(0);
+        l.push_analyzed(r);
+        l.push_launch(launch(id), None);
+    }
+
+    /// Commit a replayed row: a random template result under a random
+    /// shift (sometimes the identity).
+    fn replayed(l: &mut Ledger, reference: &mut Vec<Expected>, rng: &mut StdRng) {
         let shift = if rng.random_bool() {
             TaskShift::IDENTITY
         } else {
@@ -604,52 +596,33 @@ mod tests {
                 delta: rng.random_range(1..100u32),
             }
         };
-        StoredResult::Shared {
-            result: Arc::new(result(rng, 0)),
-            shift,
-        }
-    }
-
-    /// Commit `r` to the ledger and to the reference: a shifted shared
-    /// result as a replay, any other as an analysis.
-    fn push(l: &mut Ledger, reference: &mut Vec<StoredResult>, r: StoredResult) {
+        let result = Arc::new(result(rng, 0));
+        let mut expected = (*result).clone();
+        expected.map_tasks(|t| shift.apply(t));
         let id = l.next_id();
-        reference.push(r.clone());
+        reference.push((expected, Some(Arc::as_ptr(&result) as usize)));
         l.push_done(0);
-        match r {
-            StoredResult::Shared { result, shift } if !shift.is_identity() => {
-                l.push_replayed(result, shift)
-            }
-            r => l.push_result(r),
-        }
+        l.push_replayed(result, shift);
         l.push_launch(launch(id), None);
     }
 
     /// Commit a fence: no plans.
-    fn fence(l: &mut Ledger, reference: &mut Vec<StoredResult>) {
+    fn fence(l: &mut Ledger, reference: &mut Vec<Expected>) {
         let id = l.next_id();
-        reference.push(StoredResult::Owned(AnalysisResult {
-            deps: Vec::new(),
-            plans: Vec::new(),
-        }));
+        reference.push((AnalysisResult::default(), None));
         l.push_done(0);
         l.push_fence();
         l.push_launch(launch(id), None);
     }
 
     /// Every retained row reads back what the reference resolves to.
-    fn check(l: &Ledger, reference: &[StoredResult]) {
+    fn check(l: &Ledger, reference: &[Expected]) {
         let results = l.results();
         assert_eq!(results.len(), l.retained());
         assert_eq!(results.len(), reference.len());
-        for (i, r) in reference.iter().enumerate() {
-            let expected = r.resolve();
-            assert_eq!(results.resolve(i, &expected.deps), expected, "row {i}");
-            let shared = match r {
-                StoredResult::Shared { result, .. } => Some(Arc::as_ptr(result) as usize),
-                StoredResult::Owned(_) => None,
-            };
-            assert_eq!(results.shared_result_addr(i), shared);
+        for (i, (expected, shared)) in reference.iter().enumerate() {
+            assert_eq!(results.resolve(i, &expected.deps), *expected, "row {i}");
+            assert_eq!(results.shared_result_addr(i), *shared, "row {i}");
         }
         // Each column holds no chunk below its lowest retained run.
         let columns = [
@@ -673,7 +646,7 @@ mod tests {
         }
     }
 
-    fn retire(l: &mut Ledger, reference: &mut Vec<StoredResult>, floor: u32) {
+    fn retire(l: &mut Ledger, reference: &mut Vec<Expected>, floor: u32) {
         let k = l.retire_to(floor);
         reference.drain(..k);
         check(l, reference);
@@ -689,14 +662,14 @@ mod tests {
             match step {
                 // More copies than a chunk holds: a chunk of its own.
                 100 => {
-                    let r = StoredResult::Owned(result(&mut rng, chunk_copies + 5));
-                    push(&mut l, &mut reference, r);
+                    let r = result(&mut rng, chunk_copies + 5);
+                    analyzed(&mut l, &mut reference, r);
                 }
-                // The first retained rows are shared.
+                // The first retained rows are replayed.
                 1000 => {
                     let floor = l.next_id();
                     for _ in 0..3 {
-                        push(&mut l, &mut reference, shared(&mut rng));
+                        replayed(&mut l, &mut reference, &mut rng);
                     }
                     retire(&mut l, &mut reference, floor);
                     assert!(l.results().shared_result_addr(0).is_some());
@@ -717,12 +690,12 @@ mod tests {
                     retire(&mut l, &mut reference, floor);
                 }
                 _ if rng.random_range(0..3u32) == 0 => {
-                    push(&mut l, &mut reference, shared(&mut rng));
+                    replayed(&mut l, &mut reference, &mut rng);
                 }
                 _ if rng.random_range(0..20u32) == 0 => fence(&mut l, &mut reference),
                 _ => {
-                    let r = StoredResult::Owned(result(&mut rng, 0));
-                    push(&mut l, &mut reference, r);
+                    let r = result(&mut rng, 0);
+                    analyzed(&mut l, &mut reference, r);
                 }
             }
             check(&l, &reference);

@@ -61,9 +61,7 @@ pub use instance::PhysicalRegion;
 pub use ledger::{LaunchRecord, RecordedHistory};
 pub use mapper::Mapper;
 pub use pipeline::PipelineMetrics;
-pub use plan::{
-    AnalysisResult, CopyRange, MaterializePlan, ReduceRange, Source, StoredResult, TaskShift,
-};
+pub use plan::{AnalysisResult, CopyRange, MaterializePlan, ReduceRange, Source, TaskShift};
 pub use runtime::{
     Context, CoreRead, CtxHandle, LaunchBuilder, LaunchSpec, Runtime, TaskHandle, CTX_GLOBAL,
     CTX_PRIMARY,

@@ -6,7 +6,6 @@
 //! since that write (semi-transparent), ordered by the program-order clock.
 
 use crate::task::TaskId;
-use std::sync::Arc;
 use viz_geometry::IndexSpace;
 use viz_region::{Privilege, ReductionOpId};
 
@@ -142,9 +141,8 @@ impl AnalysisResult {
         }
     }
 
-    /// Is `other` this result with `shift` applied? The verdict of
-    /// `StoredResult::Shared { result: self, shift }.resolve() == *other`,
-    /// compared in place: nothing is copied, and a mismatch stops at the
+    /// Is `other` this result with `shift` applied to every task reference?
+    /// Compared in place: nothing is copied, and a mismatch stops at the
     /// first differing element.
     pub fn eq_shifted(&self, shift: TaskShift, other: &AnalysisResult) -> bool {
         self.deps.len() == other.deps.len()
@@ -206,36 +204,6 @@ impl TaskShift {
             TaskId(t.0 + self.delta)
         } else {
             t
-        }
-    }
-}
-
-/// How the runtime stores one launch's analysis: engine-produced results
-/// are owned; recorded/replayed results share the template's `Arc` plus the
-/// instance's [`TaskShift`]. The replay path stores `Shared` without
-/// cloning `deps`/`plans` — resolution happens at the readers.
-#[derive(Clone)]
-pub enum StoredResult {
-    Owned(AnalysisResult),
-    Shared {
-        result: Arc<AnalysisResult>,
-        shift: TaskShift,
-    },
-}
-
-impl StoredResult {
-    /// Materialize the result with the shift applied (allocates; for
-    /// introspection and differential tests, not the replay hot path).
-    pub fn resolve(&self) -> AnalysisResult {
-        match self {
-            StoredResult::Owned(r) => r.clone(),
-            StoredResult::Shared { result, shift } => {
-                let mut r = (**result).clone();
-                if !shift.is_identity() {
-                    r.map_tasks(|t| shift.apply(t));
-                }
-                r
-            }
         }
     }
 }

@@ -7,7 +7,6 @@ use super::core::{Commit, Core};
 use super::LaunchSpec;
 use crate::analysis::{ReqOutcome, ShardKey};
 use crate::engine::{assemble_outcomes, CoherenceEngine, ShardCtx};
-use crate::plan::StoredResult;
 use crate::sharding::ShardMap;
 use crate::task::{TaskBody, TaskId, TaskLaunch};
 use crate::trace::TraceAction;
@@ -48,9 +47,9 @@ impl Core {
                 duration_ns: spec.duration_ns,
             };
             // Outside traces this only updates detector state and returns
-            // `Analyze { record: false }` or, on the launch completing a
-            // repeat, `Promote` — the same call the serial driver makes,
-            // at the same position in the launch stream.
+            // `Analyze` or, on the launch completing a repeat, `Promote` —
+            // the same call the serial driver makes, at the same position
+            // in the launch stream.
             let action = self
                 .book
                 .tracing
@@ -67,13 +66,13 @@ impl Core {
             ));
             batch.push(launch);
             batch_bodies.push(spec.body);
-            if let TraceAction::Promote { predicted } = action {
+            if let TraceAction::Promote { len } = action {
                 // A repeat was just detected: verification starts with the
                 // next launch, which must go through the trace machinery.
-                promoted = Some(predicted);
+                promoted = Some(len);
                 break;
             }
-            debug_assert!(matches!(action, TraceAction::Analyze { record: false }));
+            debug_assert!(matches!(action, TraceAction::Analyze));
         }
         let count = batch.len();
         // Phase B (workers) + C (pipelined commit on this thread): workers
@@ -103,15 +102,15 @@ impl Core {
                 let how = Commit::Analyzed {
                     engine: engine.name(),
                     since,
+                    result,
                 };
-                book.commit(machine, origin, launch, StoredResult::Owned(result), how);
+                book.commit(machine, origin, launch, how);
             },
         );
         book.ledger.append_launches(&mut batch, &mut batch_bodies);
-        if let Some(predicted) = promoted {
+        if let Some(len) = promoted {
             // As in the serial driver: the promoting launch is committed.
-            book.tracing
-                .promote(predicted, &book.ledger, &book.dag, forest);
+            book.tracing.promote(len, &book.ledger, &book.dag, forest);
         }
         ids.extend((0..count as u32).map(|k| TaskId(base + k)));
     }

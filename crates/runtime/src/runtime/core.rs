@@ -18,7 +18,7 @@ use crate::config::RuntimeConfig;
 use crate::dag::TaskDag;
 use crate::engine::{AnalysisCtx, CoherenceEngine};
 use crate::ledger::Ledger;
-use crate::plan::{AnalysisResult, StoredResult, TaskShift};
+use crate::plan::{AnalysisResult, TaskShift};
 use crate::sharding::ShardMap;
 use crate::task::{TaskId, TaskLaunch};
 use crate::trace::{TraceAction, Tracing};
@@ -57,18 +57,23 @@ pub(crate) struct Book {
     pub(crate) tracing: Tracing,
 }
 
-/// How a committed launch got its analysis.
-#[derive(Copy, Clone)]
+/// How a committed launch got its analysis, and what it stores.
 pub(super) enum Commit {
-    /// The visibility engine ran, starting at simulated time `since`.
+    /// The visibility engine ran, starting at simulated time `since`, and
+    /// produced `result`.
     Analyzed {
         engine: &'static str,
         since: SimTime,
+        result: AnalysisResult,
     },
-    /// Synthesized from a trace template.
-    Replayed,
-    /// An execution fence.
-    Fence,
+    /// Synthesized from a trace template: the template's result, shared,
+    /// with the instance's shift.
+    Replayed {
+        result: Arc<AnalysisResult>,
+        shift: TaskShift,
+    },
+    /// An execution fence, ordered after `deps`.
+    Fence { deps: Vec<TaskId> },
 }
 
 impl Book {
@@ -79,49 +84,51 @@ impl Book {
     /// once its workers have released it).
     ///
     /// The dependences are stored once, in the DAG: an analyzed launch's
-    /// are read in place, a shared (captured or replayed) result's go in
-    /// through its shift as they are copied, so a replayed commit allocates
-    /// nothing beyond column growth. The stored result then moves into the
-    /// ledger, which frees the engine's vectors; its row keeps how the
-    /// launch got its analysis.
+    /// or a fence's are read in place, a replayed result's go in through
+    /// its shift as they are copied, so a replayed commit allocates nothing
+    /// beyond column growth. The result then moves into the ledger, which
+    /// frees the engine's vectors; its row keeps how the launch got its
+    /// analysis.
     #[inline]
     pub(super) fn commit(
         &mut self,
         machine: &Machine,
         origin: NodeId,
         launch: &TaskLaunch,
-        stored: StoredResult,
         how: Commit,
     ) {
         let done = machine.now(origin);
         self.ledger.push_done(done);
-        if let Commit::Analyzed { engine, since } = how {
-            if viz_profile::enabled() {
-                viz_profile::sim_event(
-                    since,
-                    done.saturating_sub(since),
-                    viz_profile::Track::SimProgram {
-                        node: origin as u32,
-                    },
-                    viz_profile::EventKind::LaunchAnalyzed {
-                        engine,
-                        task: launch.id.0 as u64,
-                    },
-                );
+        match how {
+            Commit::Analyzed {
+                engine,
+                since,
+                result,
+            } => {
+                if viz_profile::enabled() {
+                    viz_profile::sim_event(
+                        since,
+                        done.saturating_sub(since),
+                        viz_profile::Track::SimProgram {
+                            node: origin as u32,
+                        },
+                        viz_profile::EventKind::LaunchAnalyzed {
+                            engine,
+                            task: launch.id.0 as u64,
+                        },
+                    );
+                }
+                self.dag.push_slice(&result.deps);
+                self.ledger.push_analyzed(result);
             }
-        }
-        match &stored {
-            StoredResult::Owned(r) => self.dag.push_slice(&r.deps),
-            StoredResult::Shared { result, shift } => {
-                self.dag.push_mapped(&result.deps, |d| shift.apply(d))
+            Commit::Replayed { result, shift } => {
+                self.dag.push_mapped(&result.deps, |d| shift.apply(d));
+                self.ledger.push_replayed(result, shift);
             }
-        };
-        match (how, stored) {
-            (Commit::Fence, _) => self.ledger.push_fence(),
-            (Commit::Replayed, StoredResult::Shared { result, shift }) => {
-                self.ledger.push_replayed(result, shift)
+            Commit::Fence { deps } => {
+                self.dag.push_slice(&deps);
+                self.ledger.push_fence();
             }
-            (_, stored) => self.ledger.push_result(stored),
         }
     }
 }
@@ -157,20 +164,20 @@ impl Core {
             duration_ns: spec.duration_ns,
         };
         let origin = self.shards.origin(launch.node);
-        let (record, promoted) = match book.tracing.on_launch(launch.node, &launch.reqs, id.0) {
+        let promoted = match book.tracing.on_launch(launch.node, &launch.reqs, id.0) {
             TraceAction::Replay { result, shift } => {
                 // Dynamic tracing [15]: the recorded analysis is reused —
                 // only a template lookup is paid, not the visibility
                 // algorithm. The shared result is *not* cloned; the
                 // instance's shift is applied lazily by readers.
                 self.machine.op(origin, viz_sim::Op::Memo);
-                let stored = StoredResult::Shared { result, shift };
-                book.commit(&self.machine, origin, &launch, stored, Commit::Replayed);
+                let how = Commit::Replayed { result, shift };
+                book.commit(&self.machine, origin, &launch, how);
                 book.ledger.push_launch(launch, spec.body);
                 return id;
             }
-            TraceAction::Analyze { record } => (record, None),
-            TraceAction::Promote { predicted } => (false, Some(predicted)),
+            TraceAction::Analyze => None,
+            TraceAction::Promote { len } => Some(len),
         };
         // First-touch ownership of analysis state.
         for req in &launch.reqs {
@@ -189,27 +196,18 @@ impl Core {
         // Stale references into a recorded-and-replayed instance move onto
         // its latest replay.
         book.tracing.rebase_result(&mut result);
-        let stored = if record {
-            // Capturing or verifying: the trace shares the result with the
-            // runtime's own storage (identity shift) — no clone.
-            let result = Arc::new(result);
-            book.tracing
-                .record(launch.node, &launch.reqs, Arc::clone(&result));
-            StoredResult::Shared {
-                result,
-                shift: TaskShift::IDENTITY,
-            }
-        } else {
-            StoredResult::Owned(result)
+        book.tracing.verify(&result);
+        let how = Commit::Analyzed {
+            engine,
+            since,
+            result,
         };
-        let how = Commit::Analyzed { engine, since };
-        book.commit(&self.machine, origin, &launch, stored, how);
+        book.commit(&self.machine, origin, &launch, how);
         book.ledger.push_launch(launch, spec.body);
-        if let Some(predicted) = promoted {
+        if let Some(len) = promoted {
             // The repeat's last launch is committed: its block is the
             // template.
-            book.tracing
-                .promote(predicted, &book.ledger, &book.dag, forest);
+            book.tracing.promote(len, &book.ledger, &book.dag, forest);
         }
         id
     }
@@ -305,11 +303,7 @@ impl Core {
         };
         let origin = self.shards.origin(0);
         self.machine.op(origin, viz_sim::Op::LaunchOverhead);
-        let stored = StoredResult::Owned(AnalysisResult {
-            deps,
-            plans: Vec::new(),
-        });
-        book.commit(&self.machine, origin, &fence, stored, Commit::Fence);
+        book.commit(&self.machine, origin, &fence, Commit::Fence { deps });
         book.ledger.push_launch(fence, None);
         self.maybe_collect();
         id
@@ -461,8 +455,8 @@ mod tests {
         assert!(h.launches.iter().all(|l| !l.replayed));
 
         // Auto-traced: the second block promotes, the third is verified
-        // (analyzed, its rows shared with the trace) and replay starts at
-        // launch 24. `replayed` marks exactly the replayed rows.
+        // (analyzed and stored as any analyzed launch is) and replay
+        // starts at launch 24. `replayed` marks exactly the replayed rows.
         let (mut rt, iteration) = stencil(RuntimeConfig::base(EngineKind::RayCast));
         for _ in 0..6 {
             iteration(&mut rt);
@@ -477,7 +471,7 @@ mod tests {
         assert_eq!(replayed.len() as u64, rt.replayed_launches());
         assert_eq!(replayed, (24..48).map(TaskId).collect::<Vec<_>>());
         for t in (16..24).map(TaskId) {
-            assert!(rt.shared_result_addr(t).is_some(), "{t:?} is verified");
+            assert!(rt.shared_result_addr(t).is_none(), "{t:?} is verified");
             assert!(!h.launches[t.index()].replayed, "{t:?} is analyzed");
         }
 

@@ -347,27 +347,27 @@ impl Runtime {
 
     /// Begin a trace (dynamic tracing, \[15\]): the launches up to the
     /// matching [`Runtime::try_end_trace`] form one instance of a
-    /// repetitive sequence. The first instance warms the analysis up, the
-    /// second is recorded, and identical contiguous instances from the
-    /// third onward are *replayed* without running the visibility engine.
-    /// A drain point: queued launches commit before the marker is placed.
+    /// repetitive sequence. The second instance's committed rows become the
+    /// template, and identical contiguous instances from the third onward
+    /// are *replayed* without running the visibility engine. A drain point;
+    /// a poisoned core lock is [`RuntimeError::Poisoned`].
     pub fn try_begin_trace(&mut self, id: u32) -> Result<(), RuntimeError> {
         self.drain();
-        let book = &mut self.core.write().unwrap().book;
+        let book = &mut producer::core_write(&self.core)?.book;
         let next = book.ledger.next_id();
         book.tracing.begin(TraceId(id), next)
     }
 
     /// End the current trace instance. A replay that ran short of the
-    /// recorded instance is reported (and the trace recaptures); it is
-    /// not an abort. Trace misnesting (no trace open, or a different id)
-    /// is a [`RuntimeError`]. A drain point.
+    /// template is reported (and the trace recaptures); it is not an
+    /// abort. Trace misnesting (no trace open, or a different id) is a
+    /// [`RuntimeError`], and so is a poisoned lock. A drain point.
     pub fn try_end_trace(&mut self, id: u32) -> Result<Option<TraceViolation>, RuntimeError> {
         self.drain();
-        let forest = self.forest.read().unwrap();
-        let book = &mut self.core.write().unwrap().book;
-        let next = book.ledger.next_id();
-        book.tracing.end(TraceId(id), next, &forest)
+        let forest = producer::forest_read(&self.forest)?;
+        let book = &mut producer::core_write(&self.core)?.book;
+        book.tracing
+            .end(TraceId(id), &book.ledger, &book.dag, &forest)
     }
 
     /// Is the runtime currently replaying a recorded trace?
@@ -380,11 +380,10 @@ impl Runtime {
         self.drained().book.tracing.replayed_launches
     }
 
-    /// The address of the shared template result backing task `t`, if `t`
-    /// was captured into or replayed from a trace (`None` for ordinary
-    /// analyzed launches). Benchmarks use pointer identity to prove the
-    /// replay path shares one allocation per template entry instead of
-    /// deep-cloning the `AnalysisResult`.
+    /// The address of the template result backing task `t`, if `t` was
+    /// replayed from a trace (`None` for analyzed launches and fences).
+    /// Pointer identity shows the replay path shares one allocation per
+    /// template entry instead of deep-cloning the `AnalysisResult`.
     pub fn shared_result_addr(&self, t: TaskId) -> Option<usize> {
         self.drained().book.ledger.shared_result_addr(t)
     }

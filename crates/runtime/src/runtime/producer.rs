@@ -70,7 +70,7 @@ pub(super) fn forest_read(
 }
 
 /// Core write access for the commit path, same poisoning contract.
-fn core_write(core: &RwLock<Core>) -> Result<RwLockWriteGuard<'_, Core>, RuntimeError> {
+pub(super) fn core_write(core: &RwLock<Core>) -> Result<RwLockWriteGuard<'_, Core>, RuntimeError> {
     core.write()
         .map_err(|_| RuntimeError::Poisoned { what: "core" })
 }

@@ -11,12 +11,13 @@
 //!
 //! 1. analyzes the first instance normally (warm-up: partitions are
 //!    discovered, equivalence sets refined, views built);
-//! 2. analyzes and *records* the second instance — by then the analysis is
+//! 2. analyzes the second instance normally too and, at its `end_trace`,
+//!    reads the template off its committed rows — by then the analysis is
 //!    in steady state, so every cross-instance reference lands in the
 //!    immediately preceding instance;
 //! 3. **replays** instances three onward: launches are validated against
-//!    the recorded signature and their dependences/plans are synthesized by
-//!    shifting the recorded ones — the visibility engine is not consulted
+//!    the template's signatures and their dependences/plans are synthesized
+//!    by shifting the template's — the visibility engine is not consulted
 //!    at all.
 //!
 //! Soundness rests on instances being *identical* (validated launch by
@@ -43,12 +44,13 @@
 //! default), the detector ([`crate::autotrace`]) promotes a repeat on the
 //! launch that completes its second identical block. That launch is
 //! analyzed and committed like any other; then `Tracing::promote` builds
-//! the template from the block's committed rows (capture is retroactive:
-//! the block was analyzed as it was observed) and opens a fresh auto
+//! the template from the block's committed rows and opens a fresh auto
 //! [`TraceId`] in `Mode::Verify`. One verified instance precedes replay,
 //! which rolls into the next instance every `len` launches (there is no
-//! `end_trace`); any divergence drops the template. Both kinds share one
-//! template type and one path that cuts a diverging replay.
+//! `end_trace`); any divergence drops the template. Capture is retroactive
+//! for both kinds: `Template::from_rows` reads a committed instance's rows
+//! (`pin_floor` keeps them from GC until then). Both kinds share that one
+//! constructor, one template type and one path that cuts a diverging replay.
 
 use crate::autotrace::AutoTracer;
 use crate::dag::TaskDag;
@@ -77,10 +79,9 @@ impl TraceId {
     }
 }
 
-/// One launch's signature: everything trace validation compares. Template
-/// entries and the auto-tracer's predictions both carry it.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Sig {
+/// One launch's signature: everything trace validation compares. Each
+/// template entry carries its launch's, read off the committed row.
+pub(crate) struct Sig {
     pub node: NodeId,
     pub reqs: Vec<RegionRequirement>,
 }
@@ -108,9 +109,8 @@ impl Sig {
     }
 }
 
-/// One recorded launch of a trace template. The analysis result is shared
-/// (`Arc`) with every replayed instance — replay never clones it.
-#[derive(Clone)]
+/// One launch of a trace template. The analysis result is shared (`Arc`)
+/// with every replayed instance — replay never clones it.
 pub(crate) struct TemplateEntry {
     pub sig: Sig,
     pub result: Arc<AnalysisResult>,
@@ -130,6 +130,41 @@ pub(crate) struct Template {
 }
 
 impl Template {
+    /// The template of the `len` committed launches from `base`: each
+    /// entry is its launch's signature and committed result (already
+    /// rebased, its DAG row as the dependences). `None` when GC has retired
+    /// a row, or when replaying the instance would be unsound.
+    pub fn from_rows(
+        base: u32,
+        len: u32,
+        analyzed: u32,
+        ledger: &Ledger,
+        dag: &TaskDag,
+        forest: &RegionForest,
+    ) -> Option<Template> {
+        if base < ledger.base() {
+            return None;
+        }
+        let launches = (base..base + len).map(|t| ledger.launch(TaskId(t)));
+        if !instance_is_self_superseding(launches.clone().flat_map(|l| &l.reqs), forest) {
+            return None;
+        }
+        let entries = launches
+            .map(|l| TemplateEntry {
+                sig: Sig {
+                    node: l.node,
+                    reqs: l.reqs.clone(),
+                },
+                result: Arc::new(ledger.resolve(l.id, dag.preds(l.id))),
+            })
+            .collect();
+        Some(Template {
+            base,
+            analyzed,
+            entries,
+        })
+    }
+
     pub fn len(&self) -> u32 {
         self.entries.len() as u32
     }
@@ -151,7 +186,7 @@ impl Template {
 /// An annotated trace between instances.
 #[derive(Default)]
 pub(crate) struct TraceState {
-    /// Completed (analyzed) instances so far.
+    /// Completed instances so far.
     pub instances: u32,
     /// The template, while no instance is open (an open instance holds it
     /// in its `Mode::Replay`).
@@ -192,13 +227,11 @@ pub struct TraceViolation {
 /// What the in-progress instance is doing. The modes that read a template
 /// hold it.
 pub(crate) enum Mode {
-    /// First instance of an annotated trace: analyze normally. A
-    /// `demoted` instance finishes this way and does not count toward
-    /// warm-up/capture.
+    /// An annotated instance with no template to replay: analyze normally.
+    /// The second undemoted one is the capture: `end` reads its committed
+    /// rows into the template. A `demoted` instance finishes this way and
+    /// does not count toward warm-up/capture.
     Warmup { demoted: bool },
-    /// Annotated traces only: analyze and record; the instance completes
-    /// at `end_trace`.
-    Capture { recording: Vec<TemplateEntry> },
     /// Auto traces only: one more analyzed instance, each launch checked
     /// against the template's signature and each result against the
     /// template's result shifted onto it — repeating signatures do not
@@ -249,13 +282,12 @@ impl ActiveTrace {
 /// What the runtime should do with the next launch.
 pub(crate) enum TraceAction {
     /// Not in a trace (or warming up / capturing / verifying): run the
-    /// engine. The bool says whether the result must go to
-    /// [`Tracing::record`].
-    Analyze { record: bool },
-    /// The launch completes a detected repeat: run the engine and commit
-    /// as for `Analyze { record: false }`, then hand `predicted` to
+    /// engine, and hand the result to [`Tracing::verify`].
+    Analyze,
+    /// The launch completes a detected repeat of period `len`: run the
+    /// engine and commit as for `Analyze`, then hand `len` to
     /// [`Tracing::promote`].
-    Promote { predicted: Vec<Sig> },
+    Promote { len: u32 },
     /// Replay: the recorded result (shared, not cloned) plus the shift
     /// mapping it onto this instance.
     Replay {
@@ -318,14 +350,14 @@ pub(crate) struct Tracing {
 /// one `union_all` of the distinct written spaces, then one memoized
 /// `contains` per distinct other space, all through the root's algebra.
 fn instance_is_self_superseding<'a>(
-    sigs: impl IntoIterator<Item = &'a Sig>,
+    reqs: impl IntoIterator<Item = &'a RegionRequirement>,
     forest: &RegionForest,
 ) -> bool {
     // Per `(root, field)`: the spaces written, and the spaces otherwise
     // accessed.
     type Accesses = (Vec<SpaceId>, Vec<SpaceId>);
     let mut keys: FxHashMap<(RegionId, FieldId), Accesses> = FxHashMap::default();
-    for r in sigs.into_iter().flat_map(|sig| &sig.reqs) {
+    for r in reqs {
         let (writes, others) = keys.entry((forest.root_of(r.region), r.field)).or_default();
         match r.privilege {
             Privilege::ReadWrite => writes.push(forest.space(r.region)),
@@ -436,10 +468,6 @@ impl Tracing {
                 let shift = t.shift_to(next_task);
                 (Mode::Replay(t), shift)
             }
-            None if st.instances == 1 => {
-                let recording = Vec::new();
-                (Mode::Capture { recording }, TaskShift::IDENTITY)
-            }
             None => (Mode::Warmup { demoted: false }, TaskShift::IDENTITY),
         };
         self.active = Some(ActiveTrace::new(id, next_task, mode, shift));
@@ -461,14 +489,14 @@ impl Tracing {
             // Observation: feed the detector. The launch that completes a
             // repeat is analyzed like any other, and promotes once it has
             // committed.
-            if let Some(predicted) = self.auto.as_mut().and_then(|a| a.observe(node, reqs)) {
+            if let Some(len) = self.auto.as_mut().and_then(|a| a.observe(node, reqs)) {
                 // The promotion ends the observed stream, and nothing is
                 // observed while a trace is open: free the window (a
                 // fresh detector allocates nothing until it observes).
                 self.auto = Some(AutoTracer::new());
-                return TraceAction::Promote { predicted };
+                return TraceAction::Promote { len };
             }
-            return TraceAction::Analyze { record: false };
+            return TraceAction::Analyze;
         };
         // Every id-consuming non-launch (a fence) drops auto traces first,
         // so an auto trace's instance is never out of step with the ids.
@@ -476,10 +504,9 @@ impl Tracing {
         let (want, replayed) = match &active.mode {
             Mode::Warmup { .. } => {
                 active.cursor += 1;
-                return TraceAction::Analyze { record: false };
+                return TraceAction::Analyze;
             }
-            Mode::Capture { .. } => return TraceAction::Analyze { record: true },
-            // Verify ends (and moves to `Replay`) in `record` after
+            // Verify ends (and moves to `Replay`) in `verify` after
             // `t.len()` launches.
             Mode::Verify(t) => (&t.entries[active.cursor as usize].sig, None),
             Mode::Replay(t) => {
@@ -511,7 +538,7 @@ impl Tracing {
             return self.on_launch(node, reqs, next_task);
         }
         let Some(result) = replayed else {
-            return TraceAction::Analyze { record: true };
+            return TraceAction::Analyze;
         };
         let result = Arc::clone(result);
         active.cursor += 1;
@@ -522,79 +549,42 @@ impl Tracing {
         }
     }
 
-    /// Promote the repeat the launch just committed completed
-    /// (`on_launch` said `Promote`). Capture is retroactive: the detected
-    /// block is the last `predicted.len()` committed launches, analyzed as
-    /// they were observed, so the template is read off their ledger rows
-    /// and DAG edges — already rebased, exactly what analyzing them
-    /// returned. The trace opens in `Verify` on the next launch.
-    pub fn promote(
-        &mut self,
-        predicted: Vec<Sig>,
-        ledger: &Ledger,
-        dag: &TaskDag,
-        forest: &RegionForest,
-    ) {
+    /// Promote the repeat of period `len` the launch just committed
+    /// completed (`on_launch` said `Promote`). The detected block is the
+    /// last `len` committed launches, analyzed as they were observed, so
+    /// the template is read off their rows ([`Template::from_rows`]). The
+    /// trace opens in `Verify` on the next launch.
+    pub fn promote(&mut self, len: u32, ledger: &Ledger, dag: &TaskDag, forest: &RegionForest) {
         let id = TraceId(TraceId::AUTO_BIT | self.next_auto_id);
         self.next_auto_id += 1;
         self.auto_promotions += 1;
-        let len = predicted.len() as u32;
         let next = ledger.next_id();
         // `pin_floor` keeps every row a promotion can read; should GC have
-        // retired the block anyway, the promotion is declined, not read.
-        let Some(base) = next.checked_sub(len).filter(|&b| b >= ledger.base()) else {
+        // retired the block anyway, or should replay be unsound, the
+        // candidate is given up.
+        let template = (next.checked_sub(len))
+            .and_then(|base| Template::from_rows(base, len, next, ledger, dag, forest));
+        let Some(template) = template else {
             return self.demote_auto();
-        };
-        if !instance_is_self_superseding(&predicted, forest) {
-            // Replay would be unsound: give up on the candidate.
-            return self.demote_auto();
-        }
-        let entries = (predicted.into_iter().zip((base..next).map(TaskId)))
-            .map(|(sig, t)| TemplateEntry {
-                sig,
-                result: Arc::new(ledger.resolve(t, dag.preds(t))),
-            })
-            .collect();
-        let template = Template {
-            base,
-            analyzed: next,
-            entries,
         };
         let shift = template.shift_to(next);
         self.active = Some(ActiveTrace::new(id, next, Mode::Verify(template), shift));
     }
 
-    /// Record an analyzed entry (called when `on_launch` said `record`):
-    /// an annotated capture stores it, sharing the result with the
-    /// runtime's own storage (no clone); a verify instance compares it with
-    /// the template.
-    pub fn record(
-        &mut self,
-        node: NodeId,
-        reqs: &[RegionRequirement],
-        result: Arc<AnalysisResult>,
-    ) {
+    /// Check an analyzed launch's result while an auto trace verifies (a
+    /// no-op otherwise): it must be the template's result shifted onto this
+    /// instance. Anything else means the signature repeat was not an
+    /// *analysis* repeat: failed speculation, demote.
+    pub fn verify(&mut self, result: &AnalysisResult) {
         let Some(active) = self.active.as_mut() else {
+            return;
+        };
+        let Mode::Verify(t) = &active.mode else {
             return;
         };
         let cursor = active.cursor as usize;
         active.cursor += 1;
-        let t = match &mut active.mode {
-            Mode::Verify(t) => t,
-            Mode::Capture { recording } => {
-                let sig = Sig {
-                    node,
-                    reqs: reqs.to_vec(),
-                };
-                recording.push(TemplateEntry { sig, result });
-                return;
-            }
-            Mode::Warmup { .. } | Mode::Replay(_) => return,
-        };
-        // The analysis ran; check it is the template's result shifted onto
-        // this instance. Anything else means the signature repeat was not
-        // an *analysis* repeat: failed speculation, demote.
-        if !t.entries[cursor].result.eq_shifted(active.shift, &result) {
+        if !t.entries[cursor].result.eq_shifted(active.shift, result) {
             return self.demote_auto();
         }
         if active.cursor < t.len() {
@@ -675,11 +665,13 @@ impl Tracing {
     /// Close an annotated trace instance. A replay that ran short is a
     /// structured violation (the trace recaptures), not an abort; naming
     /// the wrong trace (or none being open — auto traces have no end) is a
-    /// [`RuntimeError`] and leaves the tracing state untouched.
+    /// [`RuntimeError`] and leaves the tracing state untouched. The capture
+    /// instance's template is read off its rows in `ledger` and `dag`.
     pub fn end(
         &mut self,
         id: TraceId,
-        next_task: u32,
+        ledger: &Ledger,
+        dag: &TaskDag,
         forest: &RegionForest,
     ) -> Result<Option<TraceViolation>, RuntimeError> {
         let active = match self.active.take() {
@@ -708,7 +700,7 @@ impl Tracing {
             }
         }
         let st = self.states.entry(id).or_default();
-        st.last_end = next_task;
+        st.last_end = ledger.next_id();
         match active.mode {
             Mode::Replay(t) => {
                 // Later engine-produced references into the analyzed
@@ -719,16 +711,16 @@ impl Tracing {
                 st.instances += 1;
                 st.template = Some(t);
             }
-            Mode::Capture { recording } => {
-                // An instance that would make replay unsound declines the
-                // template: the annotation is a hint, and analysis keeps
+            Mode::Warmup { demoted: false } if st.instances == 1 => {
+                // The capture: the instance just committed is the
+                // template. An instance that would make replay unsound
+                // declines it: the annotation is a hint, and analysis keeps
                 // running (the next instance re-auditions).
-                if instance_is_self_superseding(recording.iter().map(|e| &e.sig), forest) {
-                    st.template = Some(Template {
-                        base: active.base,
-                        analyzed: active.base,
-                        entries: recording,
-                    });
+                let (base, len) = (active.base, ledger.next_id() - active.base);
+                debug_assert_eq!(active.cursor, len, "an instance is contiguous");
+                let template = Template::from_rows(base, len, base, ledger, dag, forest);
+                if template.is_some() {
+                    st.template = template;
                     st.instances += 1;
                 }
             }
@@ -787,10 +779,10 @@ impl Tracing {
     /// The lowest task id whose commit-ledger entry trace bookkeeping may
     /// still consult, `next` being the next task id: the base of the
     /// in-flight instance (end-of-trace validation and shift computation
-    /// look back to it), or while the detector observes, the oldest row a
-    /// promotion could build its template from. `None` when nothing is
-    /// pinned. Templates themselves hold `Arc`s to their recorded results
-    /// and pin nothing.
+    /// look back to it, and an annotated capture reads its rows at `end`),
+    /// or while the detector observes, the oldest row a promotion could
+    /// build its template from. `None` when nothing is pinned. Built
+    /// templates hold `Arc`s to their results and pin nothing.
     pub fn pin_floor(&self, next: u32) -> Option<u32> {
         match (&self.active, &self.auto) {
             (Some(a), _) => Some(a.base),
@@ -819,9 +811,9 @@ mod tests {
     /// The coverage check as it was before it ran on interned geometry:
     /// per `(root, field)` a chain of `IndexSpace::union`s over the written
     /// domains, then `contains` for every other access.
-    fn chained_union_verdict(sigs: &[Sig], forest: &RegionForest) -> bool {
+    fn chained_union_verdict(launches: &[Vec<RegionRequirement>], forest: &RegionForest) -> bool {
         let mut writes: FxHashMap<(RegionId, FieldId), IndexSpace> = FxHashMap::default();
-        for r in sigs.iter().flat_map(|sig| &sig.reqs) {
+        for r in launches.iter().flatten() {
             if matches!(r.privilege, Privilege::ReadWrite) {
                 let dom = forest.domain(r.region);
                 writes
@@ -830,7 +822,7 @@ mod tests {
                     .or_insert_with(|| dom.clone());
             }
         }
-        sigs.iter().flat_map(|sig| &sig.reqs).all(|r| {
+        launches.iter().flatten().all(|r| {
             matches!(r.privilege, Privilege::ReadWrite)
                 || writes
                     .get(&(forest.root_of(r.region), r.field))
@@ -838,27 +830,18 @@ mod tests {
         })
     }
 
-    fn sigs(launches: &[Vec<RegionRequirement>]) -> Vec<Sig> {
-        (launches.iter().enumerate())
-            .map(|(i, reqs)| Sig {
-                node: i % 3,
-                reqs: reqs.clone(),
-            })
-            .collect()
-    }
-
     /// Both verdicts on `launches` and on every prefix of it; returns the
     /// verdict on the whole.
     fn same_verdicts(launches: &[Vec<RegionRequirement>], forest: &RegionForest) -> bool {
         for n in 1..=launches.len() {
-            let e = sigs(&launches[..n]);
+            let prefix = &launches[..n];
             assert_eq!(
-                instance_is_self_superseding(&e, forest),
-                chained_union_verdict(&e, forest),
+                instance_is_self_superseding(prefix.iter().flatten(), forest),
+                chained_union_verdict(prefix, forest),
                 "the verdicts differ on the first {n} launches"
             );
         }
-        instance_is_self_superseding(&sigs(launches), forest)
+        instance_is_self_superseding(launches.iter().flatten(), forest)
     }
 
     #[test]

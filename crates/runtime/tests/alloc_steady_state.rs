@@ -342,7 +342,7 @@ fn square_free(n: usize) -> Vec<usize> {
 /// Feed `letters` (each the node of one launch with `reqs`) to the
 /// detector, resetting it after each promotion as the runtime's demotions
 /// and fences do; return the allocations the calls that promoted nothing
-/// made, and the allocations and lengths of the promotions.
+/// made, and the allocations and periods of the promotions.
 fn observe_all(
     t: &mut AutoTracer,
     letters: &[usize],
@@ -354,8 +354,8 @@ fn observe_all(
         let promoted = t.observe(node, reqs);
         let made = allocs() - before;
         match promoted {
-            Some(instance) => {
-                promotions.push((made, instance.len()));
+            Some(len) => {
+                promotions.push((made, len as usize));
                 t.reset();
             }
             None => quiet += made,
@@ -390,14 +390,14 @@ fn warm_detector_observes_without_allocating() {
 
     // Periodic, after a reset (a demotion or fence; buffers keep their
     // capacity): a period of 7 is promoted after two instances. Warm,
-    // observing allocates nothing; only a promotion builds the predicted
-    // instance: its vector and one requirement list per launch.
+    // observing allocates nothing, and neither does a promotion: it hands
+    // over the period, and the template is read off the committed rows.
     let period: Vec<usize> = (0..7).collect();
     let stream: Vec<usize> = period.iter().cycle().take(7 * 40).copied().collect();
     t.reset();
     observe_all(&mut t, &stream[..14], &reqs);
     let (quiet, promoted) = observe_all(&mut t, &stream[14..], &reqs);
-    assert_eq!(promoted, vec![(8, 7); 19]);
+    assert_eq!(promoted, vec![(0, 7); 19]);
     assert_eq!(
         quiet, 0,
         "observing a periodic stream allocated {quiet} times warm"
@@ -443,10 +443,13 @@ fn held_bytes_per_launch(app: &dyn Workload, nodes: usize) -> f64 {
 
 /// What a drained runtime may hold per committed launch, in bytes, over
 /// 50 iterations (6 464 stencil and 3 266 pennant launches): 425.43 and
-/// 408.15 measured, 598.3 and 618.5 when every stored result was four or
+/// 408.11 measured, 598.3 and 618.5 when every stored result was four or
 /// five vectors of its own and the DAG kept a second copy of its
-/// dependences. A shorter stream measures the columns' first 64 KiB
-/// chunks more than the launches in them.
+/// dependences. Every launch here is analyzed and stored in the runs; a
+/// traced run's verify rows are stored the same way, so only its replayed
+/// rows (a template `Arc` and a shift) hold less. A shorter stream
+/// measures the columns' first 64 KiB chunks more than the launches in
+/// them.
 const STENCIL_HELD_BYTES_PER_LAUNCH: f64 = 450.0;
 const PENNANT_HELD_BYTES_PER_LAUNCH: f64 = 425.0;
 

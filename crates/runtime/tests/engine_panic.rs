@@ -87,8 +87,13 @@ fn stats_survive_an_engine_panic_and_submissions_report_poison() {
     let stats = rt.stats();
     assert_eq!(stats.tasks, N as u64 - 1);
     assert_eq!(stats.dag.tasks, N as u64 - 1);
-    // Submissions refuse with a value instead of a second panic.
+    // Submissions and trace annotations refuse with a value instead of a
+    // second panic.
     let err = rt.submit(write_spec(root, f)).unwrap_err();
+    assert!(matches!(err, RuntimeError::Poisoned { what: "core" }));
+    let err = rt.try_begin_trace(1).unwrap_err();
+    assert!(matches!(err, RuntimeError::Poisoned { what: "core" }));
+    let err = rt.try_end_trace(1).unwrap_err();
     assert!(matches!(err, RuntimeError::Poisoned { what: "core" }));
 }
 

@@ -1,17 +1,16 @@
 //! Trace verification compares an analyzed result with the template's
 //! result shifted onto it, in place (`AnalysisResult::eq_shifted`). Its
-//! verdict must be exactly that of materializing the shifted copy
-//! (`StoredResult::resolve`) and comparing: on results the three apps
-//! really produce, under random shifts, and when one dependence, copy
-//! source or domain of an otherwise equal result is mutated.
+//! verdict must be exactly that of materializing the shifted copy (a clone
+//! with every task reference moved, written out below) and comparing: on
+//! results the three apps really produce, under random shifts, and when
+//! one dependence, copy source or domain of an otherwise equal result is
+//! mutated.
 
 use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use viz_apps::{Circuit, CircuitConfig, Pennant, PennantConfig, Stencil, StencilConfig, Workload};
 use viz_geometry::IndexSpace;
-use viz_runtime::{
-    AnalysisResult, EngineKind, Runtime, RuntimeConfig, Source, StoredResult, TaskId, TaskShift,
-};
+use viz_runtime::{AnalysisResult, EngineKind, Runtime, RuntimeConfig, Source, TaskId, TaskShift};
 
 /// Every launch's result from an untraced run of each app, with the
 /// app's top-level iteration ends.
@@ -40,13 +39,24 @@ fn all_results() -> impl Iterator<Item = &'static AnalysisResult> {
     captured().iter().flat_map(|(results, _)| results)
 }
 
-/// The shifted copy verification used to build.
+/// The shifted copy verification used to build: a clone with `shift`
+/// applied to every dependence, copy source and reduction instance.
 fn shifted(template: &AnalysisResult, shift: TaskShift) -> AnalysisResult {
-    let shared = StoredResult::Shared {
-        result: Arc::new(template.clone()),
-        shift,
-    };
-    shared.resolve()
+    let mut r = template.clone();
+    for d in &mut r.deps {
+        *d = shift.apply(*d);
+    }
+    for plan in &mut r.plans {
+        for c in &mut plan.copies {
+            if let Source::Task(t, _) = &mut c.source {
+                *t = shift.apply(*t);
+            }
+        }
+        for red in &mut plan.reductions {
+            red.task = shift.apply(red.task);
+        }
+    }
+    r
 }
 
 /// The verdict verification had before it compared in place.

@@ -2,12 +2,13 @@
 //! identical to analyzed ones, engine work must actually disappear during
 //! replay, and trace violations must be caught.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use viz_region::RedOpRegistry;
 use viz_runtime::validate::check_sufficiency;
 use viz_runtime::{
-    EngineKind, LaunchSpec, PhysicalRegion, RegionRequirement, Runtime, RuntimeConfig, TraceId,
-    ViolationKind,
+    EngineKind, LaunchSpec, PhysicalRegion, RegionRequirement, Runtime, RuntimeConfig, TaskId,
+    TraceId, ViolationKind,
 };
 
 struct Loop {
@@ -23,7 +24,12 @@ fn setup(engine: EngineKind) -> Loop {
     // assert exact replay counts for *annotated* traces against untraced
     // control runs (the auto/manual interplay is tested in
     // `autotracing.rs`).
-    let mut rt = Runtime::new(RuntimeConfig::new(engine).auto_trace(false));
+    setup_with(RuntimeConfig::new(engine).auto_trace(false))
+}
+
+/// A 40-cell root with four pieces and a ghost ring around each.
+fn setup_with(config: RuntimeConfig) -> Loop {
+    let mut rt = Runtime::new(config);
     let root = rt.forest_mut().create_root_1d("A", 40);
     let f = rt.forest_mut().add_field(root, "v");
     let p = rt.forest_mut().create_equal_partition_1d(root, "P", 4);
@@ -519,4 +525,93 @@ fn read_only_trace_declines_replay_and_keeps_all_read_epochs() {
         );
     }
     assert!(check_sufficiency(rt.forest(), rt.launches(), rt.dag()).is_empty());
+}
+
+/// The capture instance's template is read off its committed rows at
+/// `end_trace`, so GC must not retire them while the instance is open: at
+/// a sweep after every launch (or every fourth) with two launches
+/// retained, a ten-instance annotated loop still replays instances 3–10,
+/// with no violation and the GC-off run's machine counters.
+#[test]
+fn capture_reads_its_instance_under_aggressive_gc() {
+    let run = |config: RuntimeConfig| {
+        let mut l = setup_with(config);
+        let mut replaying = Vec::new();
+        for _ in 0..10 {
+            l.rt.try_begin_trace(1).unwrap();
+            replaying.push(l.rt.is_replaying());
+            iteration(&mut l);
+            l.rt.try_end_trace(1).unwrap();
+        }
+        (l.rt, replaying)
+    };
+    let untraced = RuntimeConfig::new(EngineKind::RayCast).auto_trace(false);
+    let (plain, replaying) = run(untraced.clone());
+    let expected: Vec<bool> = (0..10).map(|i| i >= 2).collect();
+    assert_eq!(replaying, expected, "GC off");
+    for interval in [1, 4] {
+        let config = (untraced.clone())
+            .history_gc(true)
+            .gc_interval(interval)
+            .gc_retain(2);
+        let (rt, replaying) = run(config);
+        assert!(
+            rt.stats().watermark > 0,
+            "interval {interval}: GC retired rows"
+        );
+        assert_eq!(replaying, expected, "interval {interval}");
+        assert_eq!(rt.replayed_launches(), 8 * 8, "interval {interval}");
+        assert!(rt.trace_violations().is_empty(), "interval {interval}");
+        assert_eq!(
+            *rt.machine().counters(),
+            *plain.machine().counters(),
+            "interval {interval}"
+        );
+    }
+}
+
+/// Replay shares one allocation per template entry: across every replayed
+/// instance, the replayed rows' results sit at exactly as many distinct
+/// addresses as the template has launches. Analyzed rows share nothing —
+/// an annotated capture instance's (its template is read off them, not
+/// shared with them) and an auto trace's verify instance's alike.
+#[test]
+fn replayed_rows_share_one_allocation_per_template_entry() {
+    let shared = |rt: &Runtime, ids: std::ops::Range<u32>| {
+        (ids.map(|t| rt.shared_result_addr(TaskId(t))))
+            .collect::<Option<BTreeSet<usize>>>()
+            .expect("every row replayed")
+    };
+    let analyzed = |rt: &Runtime, ids: std::ops::Range<u32>| {
+        (ids.map(|t| rt.shared_result_addr(TaskId(t)))).all(|a| a.is_none())
+    };
+
+    // Annotated: warm-up 0..8, capture 8..16, six replayed instances.
+    let mut l = setup(EngineKind::RayCast);
+    for _ in 0..8 {
+        l.rt.try_begin_trace(1).unwrap();
+        iteration(&mut l);
+        l.rt.try_end_trace(1).unwrap();
+    }
+    assert_eq!(l.rt.replayed_launches(), 6 * 8);
+    assert!(analyzed(&l.rt, 0..8), "warm-up rows are analyzed");
+    assert!(analyzed(&l.rt, 8..16), "capture rows are analyzed");
+    assert_eq!(shared(&l.rt, 16..64).len(), 8);
+
+    // Auto: the second block (8..16) promotes, the third (16..24) is
+    // verified, the rest replay.
+    let mut l = setup_with(RuntimeConfig::new(EngineKind::RayCast));
+    for _ in 0..8 {
+        iteration(&mut l);
+    }
+    assert_eq!(
+        (l.rt.auto_traces_detected(), l.rt.auto_traces_demoted()),
+        (1, 0)
+    );
+    assert_eq!(l.rt.replayed_launches(), 5 * 8);
+    assert!(
+        analyzed(&l.rt, 0..24),
+        "observed and verify rows are analyzed"
+    );
+    assert_eq!(shared(&l.rt, 24..64).len(), 8);
 }
