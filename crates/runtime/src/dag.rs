@@ -5,17 +5,26 @@
 //! order. Dependence analysis "relaxes the sequential order to a partial
 //! (parallel) order such that the coherence of reads is still guaranteed."
 //!
-//! The DAG holds what the analysis produced — predecessor lists — plus two
-//! tags per task that cost O(deps) to maintain at push time: `depth`
-//! (longest-path depth; also the task's wave) and `min_anc` (smallest
-//! ancestor id). Nothing on the launch path asks a reachability question,
-//! so no transitive index is kept: `must_follow` applies the two tags as
-//! exact negative filters and otherwise walks predecessor lists, pruned by
-//! the same filters. A consumer that needs O(1) positives builds its own
-//! closure beside the query (as `viz-oracle`'s `depa::Precedence` does).
+//! The DAG holds what the analysis produced — predecessor lists — and a
+//! push writes nothing else: it reads no other task's row. Two tags per
+//! task, `depth` (longest-path depth; also the task's wave) and `min_anc`
+//! (smallest ancestor id), are a column derived when a query asks:
+//! `must_follow`, `waves()` and `critical_path_len()` extend it up to the
+//! highest id they need, O(deps) per newly covered task. The DAG is
+//! append-only, so a prefix's tags never change and each task's are
+//! derived once. Nothing on the launch path asks a reachability question,
+//! so no transitive index is kept either: `must_follow` applies the two
+//! tags as exact negative filters and otherwise walks predecessor lists,
+//! pruned by the same filters. The tags stay rather than go: `waves()` and
+//! `critical_path_len()` need the depth column anyway, and a negative below
+//! `min_anc` or at a depth not below `anc`'s is O(1) with them where an
+//! unpruned walk is O(t − anc). A consumer that needs O(1) positives
+//! builds its own closure beside the query (as `viz-oracle`'s
+//! `depa::Precedence` does).
 
 use crate::runs::{Loc, Runs};
 use crate::task::TaskId;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Harness-pinned (`crates/e2e` samples half its `must_follow` pairs within
 /// this many ids); nothing in the runtime reads it. Goes with the next
@@ -24,21 +33,45 @@ pub const DEFAULT_TAG_WINDOW: u32 = 4096;
 
 /// Dependence DAG over recorded launches: every predecessor list is one
 /// run in an append-only chunked column, and each task has one row.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct TaskDag {
     /// Every task's predecessors (sorted, deduplicated), one run each.
     edges: Runs<TaskId>,
-    rows: Vec<Row>,
+    /// Where each task's predecessors sit in `edges`.
+    rows: Vec<Loc>,
+    /// The tags of the tasks `0..tags.len()`: derived by the queries, never
+    /// by a push (see [`TaskDag::tags`]).
+    tags: Mutex<Vec<Tag>>,
 }
 
+/// One task's precedence tags.
 #[derive(Copy, Clone, Debug)]
-struct Row {
-    /// Where the task's predecessors sit in `edges`.
-    preds: Loc,
+struct Tag {
     /// Longest-path depth (0 for roots).
     depth: u32,
     /// Smallest ancestor id (`u32::MAX` for roots).
     min_anc: u32,
+}
+
+/// A clone answers as the original does, the tags derived so far included.
+impl Clone for TaskDag {
+    fn clone(&self) -> Self {
+        TaskDag {
+            edges: self.edges.clone(),
+            rows: self.rows.clone(),
+            tags: Mutex::new(self.lock_tags().clone()),
+        }
+    }
+}
+
+/// Exact negative filters: `anc` can be a proper ancestor of `d` only if it
+/// is earlier, strictly shallower, and not below `d`'s smallest ancestor.
+/// `tags` must cover `d`.
+fn may_follow(tags: &[Tag], d: TaskId, anc: TaskId) -> bool {
+    d > anc && {
+        let (tag, anc_tag) = (tags[d.index()], tags[anc.index()]);
+        tag.depth > anc_tag.depth && tag.min_anc <= anc.0
+    }
 }
 
 impl TaskDag {
@@ -62,7 +95,8 @@ impl TaskDag {
     /// [`TaskDag::push_slice`] of `deps` with `map` applied to each as it
     /// is read: a replayed launch's template dependences go into the column
     /// through the instance's shift, with no shifted copy in between. `map`
-    /// must keep the list ascending (a `TaskShift` does).
+    /// must keep the list ascending (a `TaskShift` does). Writes the task's
+    /// edges and row and reads no other task's.
     pub(crate) fn push_mapped(
         &mut self,
         deps: &[TaskId],
@@ -73,19 +107,8 @@ impl TaskDag {
             deps.iter().all(|d| map(*d) < id),
             "dependence on the future"
         );
-        let mut depth = 0u32;
-        let mut min_anc = u32::MAX;
-        for d in deps.iter().map(|d| map(*d)) {
-            let row = &self.rows[d.index()];
-            depth = depth.max(row.depth + 1);
-            min_anc = min_anc.min(row.min_anc).min(d.0);
-        }
         let preds = self.edges.push(deps.len(), deps.iter().map(|d| map(*d)));
-        self.rows.push(Row {
-            preds,
-            depth,
-            min_anc,
-        });
+        self.rows.push(preds);
         id
     }
 
@@ -98,17 +121,34 @@ impl TaskDag {
     }
 
     pub fn preds(&self, t: TaskId) -> &[TaskId] {
-        self.edges.get(self.rows[t.index()].preds)
+        self.edges.get(self.rows[t.index()])
     }
 
-    /// Exact negative filters: `anc` can be a proper ancestor of `d` only if
-    /// it is earlier, strictly shallower, and not below `d`'s smallest
-    /// ancestor.
-    fn may_follow(&self, d: TaskId, anc: TaskId) -> bool {
-        d > anc && {
-            let (row, anc_row) = (&self.rows[d.index()], &self.rows[anc.index()]);
-            row.depth > anc_row.depth && row.min_anc <= anc.0
+    /// The tag column, read through poison: every tag in it is complete
+    /// (a query that panicked mid-walk left nothing half-written).
+    fn lock_tags(&self) -> MutexGuard<'_, Vec<Tag>> {
+        self.tags.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The tag column, extended to cover the tasks `0..upto`: each task not
+    /// yet covered gets its tags from its predecessors', which are earlier
+    /// and so covered first. O(deps) per newly covered task, nothing for
+    /// the rest.
+    fn tags(&self, upto: usize) -> MutexGuard<'_, Vec<Tag>> {
+        let mut tags = self.lock_tags();
+        for i in tags.len()..upto {
+            let mut tag = Tag {
+                depth: 0,
+                min_anc: u32::MAX,
+            };
+            for d in self.edges.get(self.rows[i]) {
+                let pred = tags[d.index()];
+                tag.depth = tag.depth.max(pred.depth + 1);
+                tag.min_anc = tag.min_anc.min(pred.min_anc).min(d.0);
+            }
+            tags.push(tag);
         }
+        tags
     }
 
     /// Is `anc` reachable from `t` through dependence edges (i.e. must `t`
@@ -117,15 +157,20 @@ impl TaskDag {
     /// Negatives are mostly O(1) from the `(depth, min_anc)` tags; the rest
     /// is an iterative walk over predecessor lists that skips every task the
     /// tags rule out, with a visited set sized by the id range `t - anc`
-    /// (not program length). Debug builds cross-check every answer against
-    /// [`TaskDag::must_follow_walk`].
+    /// (not program length). The first query past the covered prefix
+    /// derives the tags up to `t`. Debug builds cross-check every answer
+    /// against [`TaskDag::must_follow_walk`].
     pub fn must_follow(&self, t: TaskId, anc: TaskId) -> bool {
-        let hit = t == anc || (self.may_follow(t, anc) && self.pruned_walk(t, anc));
+        let hit = t == anc
+            || (t > anc && {
+                let tags = self.tags(t.index() + 1);
+                may_follow(&tags, t, anc) && self.pruned_walk(&tags, t, anc)
+            });
         debug_assert_eq!(hit, self.must_follow_walk(t, anc));
         hit
     }
 
-    fn pruned_walk(&self, t: TaskId, anc: TaskId) -> bool {
+    fn pruned_walk(&self, tags: &[Tag], t: TaskId, anc: TaskId) -> bool {
         // `seen[d - anc - 1]` for the ids in `(anc, t)` a walk can visit.
         let mut seen = vec![false; (t.0 - anc.0) as usize];
         let mut stack = vec![t];
@@ -136,7 +181,7 @@ impl TaskDag {
                 if *d == anc {
                     return true;
                 }
-                if self.may_follow(*d, anc) {
+                if may_follow(tags, *d, anc) {
                     let seen = &mut seen[(d.0 - anc.0 - 1) as usize];
                     if !*seen {
                         *seen = true;
@@ -173,41 +218,42 @@ impl TaskDag {
         false
     }
 
-    /// Harness-pinned (`crates/e2e` times it per sweep): the DAG keeps
-    /// nothing derived, so there is nothing to retire. Goes with the next
-    /// `benchmark` PR.
+    /// Harness-pinned (`crates/e2e` times it per sweep): the DAG retires
+    /// nothing, since every later task's tags derive from earlier ones'.
+    /// Goes with the next `benchmark` PR.
     pub fn retire_to(&mut self, _floor: TaskId) -> usize {
         0
     }
 
-    /// Harness-pinned (`crates/e2e` reports it): always 0, no tag rows
-    /// exist. Goes with the next `benchmark` PR.
+    /// Harness-pinned (`crates/e2e` reports it): the `u32` words of tags
+    /// derived so far (two per covered task; 0 until a query asks). Goes
+    /// with the next `benchmark` PR.
     pub fn tag_words(&self) -> usize {
-        0
+        2 * self.lock_tags().len()
     }
 
     /// Total number of edges.
     pub fn edge_count(&self) -> usize {
-        self.rows.iter().map(|r| r.preds.len as usize).sum()
+        self.rows.iter().map(|r| r.len as usize).sum()
     }
 
     /// The length of the longest dependence chain (critical path in tasks).
     pub fn critical_path_len(&self) -> usize {
-        self.depths().max().map_or(0, |d| d as usize + 1)
+        let tags = self.tags(self.len());
+        tags.iter()
+            .map(|t| t.depth)
+            .max()
+            .map_or(0, |d| d as usize + 1)
     }
 
     /// Partition tasks into "waves" that could run concurrently: a task's
     /// wave is one past the max wave of its predecessors (its tag depth).
     pub fn waves(&self) -> Vec<Vec<TaskId>> {
         let mut waves = vec![Vec::new(); self.critical_path_len()];
-        for (i, w) in self.depths().enumerate() {
-            waves[w as usize].push(TaskId(i as u32));
+        for (i, t) in self.tags(self.len()).iter().enumerate() {
+            waves[t.depth as usize].push(TaskId(i as u32));
         }
         waves
-    }
-
-    fn depths(&self) -> impl Iterator<Item = u32> + '_ {
-        self.rows.iter().map(|r| r.depth)
     }
 }
 

@@ -9,8 +9,8 @@
 //! structural, so its allocation count is small, and identical from one
 //! iteration to the next. And the commit path's DAG: `TaskDag::push`
 //! copies the dependences it is handed into its own chunked column and
-//! derives nothing that needs memory of its own, so it allocates only when
-//! a column grows. And the auto-tracer's repeat detector, which sees every
+//! derives nothing (its tags are derived when a query asks), so it
+//! allocates only when a column grows. And the auto-tracer's repeat detector, which sees every
 //! untraced launch: once its buffers have grown, observing a launch
 //! allocates nothing. And the replayed launch, a runtime's steady state:
 //! submitted through `Runtime::submit_batch`, it is validated, matched
@@ -277,6 +277,14 @@ fn raycast_pennant_steady_launch_stays_inside_the_allocation_budget() {
     assert_engine_budget("pennant", &engine_allocs_per_iteration(&app, 16));
 }
 
+/// What 20 000 two-predecessor pushes may allocate: none per launch, only
+/// column growth. A push writes one rows column (a `Loc` per task; the
+/// `(depth, min_anc)` tags are derived when a query asks), doubling at most
+/// 16 times on the way to 20 000 rows, and the chunked edge column, whose
+/// 40 000 edges fill 3 chunks and whose chunk list allocates once. Measured
+/// 18 (14 doublings, 4 for the edges).
+const DAG_PUSH_GROWTH: u64 = 16 + 4;
+
 #[test]
 fn dag_push_allocates_only_column_growth() {
     // A two-predecessor lattice, built before counting starts.
@@ -290,10 +298,8 @@ fn dag_push_allocates_only_column_growth() {
         dag.push(d);
     }
     let pushed = allocs() - before;
-    // Three columns (`preds`, `depth`, `min_anc`), each doubling at most 16
-    // times on the way to 20 000 entries: none per launch.
     assert!(
-        pushed <= 3 * 16,
+        pushed <= DAG_PUSH_GROWTH,
         "{N} pushes allocated {pushed} times; only amortised column growth is allowed"
     );
     assert_eq!(dag.len(), N as usize);
@@ -312,7 +318,7 @@ fn dag_push_slice_allocates_only_column_growth() {
     }
     let pushed = allocs() - before;
     assert!(
-        pushed <= 3 * 16,
+        pushed <= DAG_PUSH_GROWTH,
         "{N} pushes allocated {pushed} times; only amortised column growth is allowed"
     );
     assert_eq!(dag.len(), N as usize);

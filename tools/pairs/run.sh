@@ -8,7 +8,11 @@
 #   - the change's median per-pair delta (change vs parent, % of parent);
 #   - the A/A noise floor: the median and 90th percentile of the per-pair
 #     |delta| between the parent and its copy (same binary, same bytes);
-#   - the pairs the change won and a verdict.
+#   - the pairs the change won and a verdict;
+# and then the same figures as one JSON line per metric (`{"workload": …,
+# "metric": …, "parent": {"median", "q1", "q3"}, "change": {…},
+# "ab_median_pct", "aa_median_pct", "aa_p90_pct", "wins", "pairs",
+# "verdict"}`), the lines `BENCH_pairs.json` collects.
 # A metric is `resolved` when its A/B median |delta| exceeds the A/A p90
 # and one side wins at least ceil(0.9 * pairs) pairs; otherwise it is
 # `unresolved` (never "unchanged": a move inside the noise floor is not
@@ -84,7 +88,7 @@ while [ "$i" -le "$pairs" ]; do
 done
 
 echo "# $workload: $pairs rotated pairs of $seconds s (+ an A/A copy of the parent), --seed 1 --trace 0 $*"
-awk -v pairs="$pairs" '
+awk -v pairs="$pairs" -v workload="$workload" '
     # The p-quantile of v[1..n], sorted in place, interpolated between ranks.
     function quantile(v, n, p,    h, k) {
         sort(v, n)
@@ -98,12 +102,14 @@ awk -v pairs="$pairs" '
                 t = v[j]; v[j] = v[j - 1]; v[j - 1] = t
             }
     }
-    function summary(side, name,    v, n, k) {
+    # The median and quartiles of one side of a metric, formatted by fmt
+    # (which takes the three in that order).
+    function summary(side, name, fmt,    v, n, k) {
         n = 0
         for (k = 1; k <= pairs; k++)
             if ((side, name, k) in val)
                 v[++n] = val[side, name, k]
-        return sprintf("%.4g [%.4g, %.4g]", quantile(v, n, 0.5), quantile(v, n, 0.25), quantile(v, n, 0.75))
+        return sprintf(fmt, quantile(v, n, 0.5), quantile(v, n, 0.25), quantile(v, n, 0.75))
     }
     # The change from x to y in percent of x (of y when x is 0).
     function rel(x, y,    d) {
@@ -116,6 +122,7 @@ awk -v pairs="$pairs" '
         if (!($3 in seen)) { seen[$3] = 1; order[++names] = $3 }
     }
     END {
+        json_side = "{\"median\": %.6g, \"q1\": %.6g, \"q3\": %.6g}"
         # ceil(0.9 * pairs) in integers.
         need = int((9 * pairs + 9) / 10)
         printf "%-24s %-30s    %-30s %9s %9s %9s %6s %s\n", "metric", "parent median [q1, q3]", \
@@ -135,8 +142,16 @@ awk -v pairs="$pairs" '
             floor_med = quantile(aa, pairs, 0.5)
             floor_p90 = quantile(aa, pairs, 0.9)
             verdict = abs(med) > floor_p90 && (wins >= need || losses >= need) ? "resolved" : "unresolved"
-            printf "%-24s %-30s -> %-30s %+8.2f%% %8.2f%% %8.2f%% %6s %s\n", name, summary("a", name), \
-                summary("b", name), med, floor_med, floor_p90, wins "/" pairs, verdict
+            printf "%-24s %-30s -> %-30s %+8.2f%% %8.2f%% %8.2f%% %6s %s\n", name, \
+                summary("a", name, "%.4g [%.4g, %.4g]"), summary("b", name, "%.4g [%.4g, %.4g]"), \
+                med, floor_med, floor_p90, wins "/" pairs, verdict
+            json[k] = sprintf("{\"workload\": \"%s\", \"metric\": \"%s\", \"parent\": %s, \"change\": %s, " \
+                "\"ab_median_pct\": %.4f, \"aa_median_pct\": %.4f, \"aa_p90_pct\": %.4f, " \
+                "\"wins\": %d, \"pairs\": %d, \"verdict\": \"%s\"}", workload, name, \
+                summary("a", name, json_side), summary("b", name, json_side), \
+                med, floor_med, floor_p90, wins, pairs, verdict)
         }
+        for (k = 1; k <= names; k++)
+            print json[k]
     }
 ' "$tmp/values"
